@@ -36,9 +36,8 @@ func FetchMembers(d transport.Dialer, addr string) ([]Member, []Hosting, error) 
 		return nil, nil, err
 	}
 	dec := wire.NewDec(reply)
-	ms, ok1 := decMembers(dec)
-	hs, ok2 := decHostings(dec)
-	if !ok1 || !ok2 || dec.Failed() {
+	ms, hs, ok := decTables(dec)
+	if !ok {
 		return nil, nil, fmt.Errorf("fabric: undecodable members reply from %s", addr)
 	}
 	return ms, hs, nil

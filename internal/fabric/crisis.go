@@ -3,7 +3,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/erasure"
 	"repro/internal/ftrma"
@@ -18,31 +17,12 @@ import (
 // the next vacancy (a second failure while a crisis is still open is a
 // double failure and fails the run instead).
 func (nd *Node) maybeArbiter() {
-	if !nd.installed.Load() || nd.failedOrClosed() != nil {
+	if nd.state.Load() != stLive || nd.failedOrClosed() != nil {
 		return
-	}
-	select {
-	case <-nd.shutdown:
-		return
-	default:
 	}
 	nd.mmu.Lock()
-	lowest := -1
-	victims := 0
-	victim, vinc := -1, 0
-	for _, m := range nd.members {
-		if m.Alive {
-			if lowest < 0 {
-				lowest = m.Rank
-			}
-		} else {
-			victims++
-			if victim < 0 {
-				victim, vinc = m.Rank, m.Incarnation
-			}
-		}
-	}
-	start := lowest == nd.rank && victims > 0 && !nd.crisisBusy
+	arbiter, victim, dead := nd.censusLocked()
+	start := arbiter.Rank == nd.rank && dead > 0 && !nd.crisisBusy
 	if start {
 		nd.crisisBusy = true
 	}
@@ -50,8 +30,8 @@ func (nd *Node) maybeArbiter() {
 	if !start {
 		return
 	}
-	go func() {
-		err := nd.runCrisis(victim, vinc, victims)
+	nd.spawn(func() {
+		err := nd.runCrisis(victim.Rank, victim.Incarnation, dead)
 		nd.mmu.Lock()
 		nd.crisisBusy = false
 		nd.mmu.Unlock()
@@ -59,7 +39,25 @@ func (nd *Node) maybeArbiter() {
 			nd.broadcastCrisisFail(err)
 			nd.fail(err)
 		}
-	}()
+	})
+}
+
+// censusLocked reads the membership table the way every rank must read it
+// alike: the lowest live member is the arbiter (Rank -1: nobody is alive),
+// the lowest dead one the next victim, and dead counts the vacancies.
+func (nd *Node) censusLocked() (arbiter, victim Member, dead int) {
+	arbiter.Rank, victim.Rank = -1, -1
+	for _, m := range nd.members {
+		switch {
+		case !m.Alive:
+			if dead++; dead == 1 {
+				victim = m
+			}
+		case arbiter.Rank < 0:
+			arbiter = m
+		}
+	}
+	return arbiter, victim, dead
 }
 
 // broadcastCrisisFail tells every survivor the crisis is unrecoverable,
@@ -71,10 +69,7 @@ func (nd *Node) broadcastCrisisFail(cause error) {
 	nd.mmu.Lock()
 	peers := nd.alivePeersLocked()
 	nd.mmu.Unlock()
-	payload := e.Bytes()
-	for _, p := range peers {
-		nd.bestEffortNotify(p, fCrisisFail, payload)
-	}
+	nd.notify(peers, fCrisisFail, e.Bytes())
 }
 
 // runCrisis is the arbiter's recovery of one dead rank, start to finish:
@@ -101,7 +96,7 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	e.I(vinc)
 	beginPayload := e.Bytes()
 	for _, s := range survivors {
-		if _, err := nd.callPeer(s, fCrisisBegin, beginPayload); err != nil {
+		if _, err := nd.callRank(s.Rank, fCrisisBegin, beginPayload); err != nil {
 			return fmt.Errorf("fabric: crisis quiesce of rank %d failed (double failure?): %w", s.Rank, err)
 		}
 	}
@@ -118,7 +113,7 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	v.I(victim)
 	fetchPayload := v.Bytes()
 	for _, s := range survivors {
-		reply, err := nd.callPeer(s, fLogFetch, fetchPayload)
+		reply, err := nd.callRank(s.Rank, fLogFetch, fetchPayload)
 		if err != nil {
 			return fmt.Errorf("fabric: log fetch from rank %d failed: %w", s.Rank, err)
 		}
@@ -262,42 +257,26 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	// 6. Park the install for the replacement's fJoin and wait for the
 	// handoff; then publish the post-crisis world and resume.
 	installSpan := obs.StartSpan(nd.om.crisis[obs.CrisisInstall], nd.fr, obs.EvCrisis, int64(obs.CrisisInstall), int64(victim))
-	pi := &pendingInstall{rank: victim, inc: vinc + 1, in: in, handed: make(chan struct{})}
-	nd.mmu.Lock()
-	nd.pending = pi
-	nd.mmu.Unlock()
+	pi := &pendingInstall{rank: victim, inc: vinc + 1, in: in}
 	nd.logf("fabric: rank %d reconstructed (phase %d, %d put / %d get replays); awaiting replacement",
 		victim, vSnap.phase, len(in.puts), len(in.gets))
-	// While parked, watch for further deaths: a second victim now means
-	// correlated loss — abandon the install and fail the run instead of
-	// waiting forever for a replacement whose install can never complete.
-	tick := time.NewTicker(nd.tun().GossipInterval)
-	defer tick.Stop()
-park:
-	for {
-		select {
-		case <-pi.handed:
-			break park
-		case <-nd.stop:
-			return ErrClosed
-		case <-tick.C:
-			nd.mmu.Lock()
-			dead := 0
-			for _, m := range nd.members {
-				if !m.Alive {
-					dead++
-				}
-			}
+	// Park until handleJoin takes the install. Every membership change
+	// (and Close) wakes us: a second victim now means correlated loss —
+	// abandon the install and fail the run instead of waiting forever for
+	// a replacement whose install can never complete.
+	nd.mmu.Lock()
+	for nd.pending = pi; nd.pending == pi; nd.mcond.Wait() { // handleJoin clears it
+		_, _, dead := nd.censusLocked()
+		if dead > 1 || nd.state.Load() == stClosed {
+			nd.pending = nil
+			nd.mmu.Unlock()
 			if dead > 1 {
-				if nd.pending == pi {
-					nd.pending = nil
-				}
-				nd.mmu.Unlock()
 				return fmt.Errorf("fabric: %d ranks dead while recovering rank %d; the fabric recovers single failures", dead, victim)
 			}
-			nd.mmu.Unlock()
+			return ErrClosed
 		}
 	}
+	nd.mmu.Unlock()
 	installSpan.End()
 
 	var end wire.Enc
@@ -308,10 +287,7 @@ park:
 	nd.recoveries++
 	rec := nd.recoveries
 	nd.mmu.Unlock()
-	endPayload := end.Bytes()
-	for _, p := range peers {
-		nd.bestEffortNotify(p, fCrisisEnd, endPayload)
-	}
+	nd.notify(peers, fCrisisEnd, end.Bytes())
 	nd.ckptMu.Lock()
 	nd.inCrisis = false
 	nd.ckptMu.Unlock()
@@ -334,32 +310,6 @@ func (nd *Node) surviving(victim int) []Member {
 		}
 	}
 	return out
-}
-
-// callPeer performs one crisis call towards a known-live member; any
-// failure is terminal for the crisis (treated as a double failure).
-func (nd *Node) callPeer(m Member, t byte, payload []byte) ([]byte, error) {
-	nd.cmu.Lock()
-	pc := nd.conns[m.Rank]
-	nd.cmu.Unlock()
-	if pc == nil || pc.inc != m.Incarnation {
-		var err error
-		pc, err = nd.dialPeer(m)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pc.c.Call(t, payload)
-}
-
-func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
-	nd.mmu.Lock()
-	m := nd.members[rank]
-	nd.mmu.Unlock()
-	if !m.Alive {
-		return nil, fmt.Errorf("fabric: rank %d is down", rank)
-	}
-	return nd.callPeer(m, t, payload)
 }
 
 // fetchBase returns rank's committed base and snapshot — locally or over
@@ -440,24 +390,15 @@ func (nd *Node) handleJoin(d *wire.Dec) (byte, []byte, error) {
 		encWorld(&e, w)
 		e.B(1)
 		encInstall(&e, pi.in)
-		close(pi.handed)
-		nd.mcond.Broadcast()
-		go nd.gossipNow()
+		nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
+		nd.spawn(nd.gossipNow)
 		return fJoin, e.Bytes(), nil
 	}
-	lowest := -1
-	var lowestAddr string
-	for _, m := range nd.members {
-		if m.Alive {
-			lowest = m.Rank
-			lowestAddr = m.Addr
-			break
-		}
-	}
+	arbiter, _, _ := nd.censusLocked()
 	nd.mmu.Unlock()
-	if lowest >= 0 && lowest != nd.rank {
+	if arbiter.Rank >= 0 && arbiter.Rank != nd.rank {
 		e.B(jmRedirect)
-		e.Str(lowestAddr)
+		e.Str(arbiter.Addr)
 		return fJoin, e.Bytes(), nil
 	}
 	e.B(jmRetry)

@@ -38,7 +38,9 @@
 // Liveness is lease-based: every peer connection carries wire heartbeats
 // with a rolling read deadline of LeaseInterval × LeaseMiss, and a
 // connection going down (reset, or lease expiry on a silent peer) marks
-// the peer dead under the fail-stop model. Deaths, gsync watermarks, and
+// the peer dead under the fail-stop model — safely, because a node holds
+// one connection per (rank, incarnation), dialed single-flight, and closes
+// it only by dying or by verdict. Deaths, gsync watermarks, and
 // the parity hosting table spread by gossip (fGossip) every
 // GossipInterval; entries merge by incarnation (higher wins; within one
 // incarnation a death verdict is sticky and watermarks are monotone).

@@ -91,6 +91,14 @@ type snap struct {
 	gc    int
 }
 
+func encBool(e *wire.Enc, b bool) {
+	if b {
+		e.B(1)
+	} else {
+		e.B(0)
+	}
+}
+
 func encSnap(e *wire.Enc, s snap) {
 	e.I(s.phase + 1)
 	e.I(len(s.ec))
@@ -121,11 +129,7 @@ func encMembers(e *wire.Enc, ms []Member) {
 		e.I(m.Rank)
 		e.Str(m.Addr)
 		e.I(m.Incarnation)
-		if m.Alive {
-			e.B(1)
-		} else {
-			e.B(0)
-		}
+		encBool(e, m.Alive)
 		e.I(m.Watermark)
 	}
 }
@@ -146,11 +150,19 @@ func decMembers(d *wire.Dec) ([]Member, bool) {
 	return ms, !d.Failed()
 }
 
+// decTables decodes the {members, hostings} pair that gossip, crisis end
+// and fMembers replies carry.
+func decTables(d *wire.Dec) ([]Member, []Hosting, bool) {
+	ms, ok1 := decMembers(d)
+	hs, ok2 := decHostings(d)
+	return ms, hs, ok1 && ok2
+}
+
 func encHostings(e *wire.Enc, hs []Hosting) {
 	e.I(len(hs))
 	for _, h := range hs {
 		e.I(h.Group)
-		e.I(h.Host+1) // -1 (no host electable) encodes as 0
+		e.I(h.Host + 1) // -1 (no host electable) encodes as 0
 		e.I(h.Version)
 	}
 }
@@ -180,11 +192,7 @@ func encRecord(e *wire.Enc, r ftrma.LogRecord) {
 	e.I(r.Off)
 	e.I(r.LocalOff + 1) // -1 (private destination) encodes as 0
 	e.B(byte(r.Op))
-	if r.Combine {
-		e.B(1)
-	} else {
-		e.B(0)
-	}
+	encBool(e, r.Combine)
 	e.I(r.EC)
 	e.I(r.GC)
 	e.I(r.SC)

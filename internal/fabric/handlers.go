@@ -3,7 +3,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/erasure"
 	"repro/internal/ftrma"
@@ -14,6 +13,9 @@ import (
 // errBadFrame is the shared reply for undecodable payloads.
 var errBadFrame = errors.New("fabric: undecodable frame")
 
+// acceptLoop keeps every inbound connection in the peer table until it
+// goes down. Once fHello has attributed one, its going down is that peer's
+// death report: nodes close connections to live incarnations only by dying.
 func (nd *Node) acceptLoop() {
 	for {
 		nc, err := nd.ln.Accept()
@@ -30,23 +32,37 @@ func (nd *Node) acceptLoop() {
 			Heartbeat: nd.tun().LeaseInterval,
 			BytesOut:  nd.om.wireOut, BytesIn: nd.om.wireIn,
 			OnDown: func(err error) {
-				st.mu.Lock()
+				nd.cmu.Lock()
+				st.down = true
+				delete(nd.inbound, st)
 				rank, inc, helloed := st.rank, st.inc, st.helloed
-				st.mu.Unlock()
+				nd.cmu.Unlock()
 				if helloed {
 					nd.condemn(rank, inc, fmt.Errorf("inbound connection down: %w", err))
 				}
 			},
 		})
 		nd.cmu.Lock()
-		nd.accepted = append(nd.accepted, wc)
+		keep := nd.inbound != nil && !st.down
+		if keep {
+			nd.inbound[st] = wc
+		}
 		nd.cmu.Unlock()
+		if !keep {
+			wc.Close() // arrived after Close, or already gone
+		}
 	}
 }
 
 // handle dispatches one fabric frame. It runs on a per-frame goroutine
-// (wire.Handler contract), so handlers may block on node locks.
+// (wire.Handler contract), so handlers may block on node locks; Close
+// waits for the ones in flight and later frames are refused.
 func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, error) {
+	if !nd.enter() {
+		// Retryable like "installing": by the retry the connection is gone.
+		return t, nil, wire.RemoteFail{Code: wire.CodeCrisis, Msg: ErrClosed.Error()}
+	}
+	defer nd.tasks.Done()
 	d := wire.NewDec(payload)
 	switch t {
 	case fHello:
@@ -54,18 +70,14 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 		if d.Failed() {
 			return t, nil, errBadFrame
 		}
-		st.mu.Lock()
+		nd.cmu.Lock()
 		st.rank, st.inc, st.helloed = rank, inc, true
-		st.mu.Unlock()
+		nd.cmu.Unlock()
 		return t, nil, nil
 	case fJoin:
 		return nd.handleJoin(d)
 	case fGossip:
-		ms, ok := decMembers(d)
-		if !ok {
-			return t, nil, errBadFrame
-		}
-		hs, ok := decHostings(d)
+		ms, hs, ok := decTables(d)
 		if !ok {
 			return t, nil, errBadFrame
 		}
@@ -79,7 +91,9 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 		nd.mergeMembers([]Member{{Rank: rank, Incarnation: inc, Alive: true, Watermark: wm}}, nil)
 		return t, nil, nil
 	case fShutdown:
-		nd.shutOnce.Do(func() { close(nd.shutdown) })
+		if nd.state.CompareAndSwap(stLive, stDraining) {
+			close(nd.shutdown)
+		}
 		return t, nil, nil
 	case fCrisisFail:
 		msg := d.Str()
@@ -92,7 +106,7 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 	// Everything below touches rank state: refuse it until the world
 	// (and a replacement's install) is applied, so a survivor's parked
 	// redelivery cannot race the install's base restore.
-	if !nd.installed.Load() {
+	if nd.state.Load() == stJoining {
 		return t, nil, wire.RemoteFail{Code: wire.CodeCrisis, Msg: "fabric: node is installing"}
 	}
 	switch t {
@@ -348,16 +362,8 @@ func (nd *Node) handleLogFetch(d *wire.Dec) (byte, []byte, error) {
 	m := nd.logs.FlagM(victim)
 	nd.logMu.Unlock()
 	var e wire.Enc
-	if n {
-		e.B(1)
-	} else {
-		e.B(0)
-	}
-	if m {
-		e.B(1)
-	} else {
-		e.B(0)
-	}
+	encBool(&e, n)
+	encBool(&e, m)
 	encRecordList(&e, lp)
 	encRecordList(&e, lg)
 	return fLogFetch, e.Bytes(), nil
@@ -382,11 +388,7 @@ func (nd *Node) handleCrisisBegin(d *wire.Dec) (byte, []byte, error) {
 // handleCrisisEnd applies the arbiter's post-crisis world and unparks
 // checkpoints.
 func (nd *Node) handleCrisisEnd(d *wire.Dec) {
-	ms, ok := decMembers(d)
-	if !ok {
-		return
-	}
-	hs, ok := decHostings(d)
+	ms, hs, ok := decTables(d)
 	if !ok {
 		return
 	}
@@ -406,12 +408,4 @@ func (nd *Node) handleCrisisEnd(d *wire.Dec) {
 		nd.dumpFlight(fmt.Sprintf("crisis%d", rec))
 	}
 	nd.mcond.Broadcast()
-}
-
-// sleepUnlessStopped is a stop-aware sleep for retry loops.
-func (nd *Node) sleepUnlessStopped(dur time.Duration) {
-	select {
-	case <-nd.stop:
-	case <-time.After(dur):
-	}
 }

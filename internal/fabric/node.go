@@ -59,23 +59,30 @@ type pendOp struct {
 	gc       int      // gets: global get counter
 }
 
-// peerConn is one attributed outbound connection.
+// peerConn is the node's outbound connection to one incarnation of a rank.
 type peerConn struct {
-	c    *wire.Conn
-	rank int
-	inc  int
-	// quiet marks a deliberate local close (duplicate-dial dedupe, stale
-	// replacement, orderly drop): OnDown must not read it as a death.
-	quiet atomic.Bool
+	c   *wire.Conn
+	inc int
 }
 
-// connState attributes an inbound connection once its fHello arrives.
+// connState attributes an inbound connection once its fHello arrives and
+// keys it in the peer table; Node.cmu guards it.
 type connState struct {
-	mu      sync.Mutex
 	rank    int
 	inc     int
 	helloed bool
+	down    bool
 }
+
+// The node's lifecycle, forward only. A joining node has no rank state
+// yet and passes no verdicts; a draining one (fShutdown seen) still
+// serves but reads its peers leaving as the end of the run, not as deaths.
+const (
+	stJoining int32 = iota
+	stLive
+	stDraining
+	stClosed
+)
 
 // hostedGroup is the parity shard set this node hosts for one group.
 type hostedGroup struct {
@@ -89,10 +96,9 @@ type hostedGroup struct {
 // pendingInstall is the reconstructed state a crisis arbiter holds for
 // the replacement of a dead rank until it joins.
 type pendingInstall struct {
-	rank   int
-	inc    int
-	in     *install
-	handed chan struct{}
+	rank int
+	inc  int
+	in   *install
 }
 
 // Node is a symmetric fabric worker: it hosts its own rank's window and
@@ -111,8 +117,8 @@ type Node struct {
 	// fabric's timings), hence the atomic pointer.
 	tuning atomic.Pointer[Tuning]
 	dialer transport.Dialer
-	ln          net.Listener
-	logf        func(string, ...any)
+	ln     net.Listener
+	sink   func(string, ...any) // JoinConfig.Logf; called through logf only
 
 	// obs/om/fr are set once in Join before any loop starts and are
 	// immutable after: hot paths use them without nil checks (om) or
@@ -164,16 +170,22 @@ type Node struct {
 	parMu  sync.Mutex
 	hosted map[int]*hostedGroup
 
-	cmu      sync.Mutex
-	conns    map[int]*peerConn
-	accepted []*wire.Conn
+	// The peer table, guarded by cmu and nil once closed: the one outbound
+	// connection per rank, opened single-flight under the rank's dialMu,
+	// and every accepted connection until it goes down.
+	cmu     sync.Mutex
+	conns   map[int]*peerConn
+	inbound map[*connState]*wire.Conn
+	dialMu  []sync.Mutex
 
-	installed atomic.Bool
-	closed    atomic.Bool
-	stop      chan struct{}
-	shutdown  chan struct{}
-	shutOnce  sync.Once
-	closeOnce sync.Once
+	// state is the lifecycle word. lifeMu orders enter against Close's
+	// flip to stClosed, after which no work — a log line included — is
+	// admitted; tasks counts the admitted work Close waits out.
+	state    atomic.Int32
+	lifeMu   sync.Mutex
+	tasks    sync.WaitGroup
+	stop     chan struct{} // closed by Close
+	shutdown chan struct{} // closed by fShutdown or Close
 
 	failMu  sync.Mutex
 	failErr error
@@ -193,6 +205,24 @@ func (nd *Node) tun() Tuning { return *nd.tuning.Load() }
 // listener is serving, the world (and, for a replacement rank, the
 // reconstructed install state) is applied, and gossip is running.
 func Join(cfg JoinConfig) (*Node, error) {
+	nd, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w, in, err := nd.joinLoop(cfg.Join)
+	if err == nil {
+		err = nd.applyWorld(w, in)
+	}
+	if err != nil {
+		nd.Close()
+		return nil, err
+	}
+	nd.spawn(nd.gossipLoop)
+	return nd, nil
+}
+
+// newNode builds a node in stJoining with its accept loop running.
+func newNode(cfg JoinConfig) (*Node, error) {
 	if cfg.Listener == nil || cfg.Dialer == nil {
 		return nil, errors.New("fabric: JoinConfig needs a Listener and a Dialer")
 	}
@@ -200,33 +230,20 @@ func Join(cfg JoinConfig) (*Node, error) {
 		addr:     cfg.Addr,
 		dialer:   cfg.Dialer,
 		ln:       cfg.Listener,
-		logf:     cfg.Logf,
+		sink:     cfg.Logf,
 		conns:    make(map[int]*peerConn),
+		inbound:  make(map[*connState]*wire.Conn),
 		hosted:   make(map[int]*hostedGroup),
 		strikes:  make(map[int]*strike),
 		stop:     make(chan struct{}),
 		shutdown: make(chan struct{}),
-	}
-	if nd.logf == nil {
-		nd.logf = func(string, ...any) {}
 	}
 	tun := Tuning{}.WithDefaults()
 	nd.tuning.Store(&tun)
 	nd.initObs(cfg.Obs, cfg.Flight, cfg.FlightDir)
 	nd.ckptCond = sync.NewCond(&nd.ckptMu)
 	nd.mcond = sync.NewCond(&nd.mmu)
-	go nd.acceptLoop()
-
-	w, in, err := nd.joinLoop(cfg.Join)
-	if err != nil {
-		nd.Close()
-		return nil, err
-	}
-	if err := nd.applyWorld(w, in); err != nil {
-		nd.Close()
-		return nil, err
-	}
-	go nd.gossipLoop()
+	nd.spawn(nd.acceptLoop)
 	return nd, nil
 }
 
@@ -249,13 +266,13 @@ func (nd *Node) joinLoop(addr string) (world, *install, error) {
 				return world{}, nil, fmt.Errorf("fabric: join via %s: %w", addr, err)
 			}
 			addr = orig
-			time.Sleep(nd.tun().GossipInterval)
+			nd.sleepUnlessStopped(nd.tun().GossipInterval)
 			continue
 		}
 		dialErrs = 0
 		switch r.mode {
 		case jmRetry:
-			time.Sleep(time.Duration(r.retryMs) * time.Millisecond)
+			nd.sleepUnlessStopped(time.Duration(r.retryMs) * time.Millisecond)
 		case jmRedirect:
 			addr = r.redirect
 		case jmWorld:
@@ -342,6 +359,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.ecAt = map[int][]int{0: make([]int, w.n)}
 	nd.gcAt = map[int]int{0: 0}
 	nd.pend = make([][]pendOp, w.n)
+	nd.dialMu = make([]sync.Mutex, w.n)
 	nd.members = append([]Member(nil), w.members...)
 	nd.hostings = append([]Hosting(nil), w.hostings...)
 	for _, h := range w.hostings {
@@ -358,7 +376,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 			return err
 		}
 	}
-	nd.installed.Store(true)
+	nd.state.CompareAndSwap(stJoining, stLive)
 	nd.logf("fabric: rank %d inc %d joined at phase %d", nd.rank, nd.inc, nd.phase)
 	return nil
 }
@@ -463,13 +481,12 @@ func (nd *Node) fail(err error) {
 		nd.logf("fabric: rank %d failed: %v", nd.rank, err)
 	}
 	nd.failMu.Unlock()
-	nd.mcond.Broadcast()
-	nd.ckptCond.Broadcast()
+	nd.wake()
 }
 
 // failedOrClosed returns the terminal error of the node, if any.
 func (nd *Node) failedOrClosed() error {
-	if nd.closed.Load() {
+	if nd.state.Load() == stClosed {
 		return ErrClosed
 	}
 	nd.failMu.Lock()
@@ -477,26 +494,90 @@ func (nd *Node) failedOrClosed() error {
 	return nd.failErr
 }
 
-// Close implements Fabric.
+// wake makes every parked wait re-test its condition. Broadcasting under
+// the lock orders the wake after a waiter that just tested the old state.
+func (nd *Node) wake() {
+	nd.mmu.Lock()
+	nd.mcond.Broadcast()
+	nd.mmu.Unlock()
+	nd.ckptMu.Lock()
+	nd.ckptCond.Broadcast()
+	nd.ckptMu.Unlock()
+}
+
+// enter admits one unit of node work — a goroutine the node starts, a
+// frame handler, a connection-down callback — unless the node is closed.
+// Every admitted unit ends in tasks.Done, and Close waits for them all.
+func (nd *Node) enter() bool {
+	nd.lifeMu.Lock()
+	defer nd.lifeMu.Unlock()
+	if nd.state.Load() == stClosed {
+		return false
+	}
+	nd.tasks.Add(1)
+	return true
+}
+
+// spawn runs f on a goroutine Close waits for; on a closed node it does
+// nothing. Every goroutine of the node starts here.
+func (nd *Node) spawn(f func()) {
+	if !nd.enter() {
+		return
+	}
+	go func() {
+		defer nd.tasks.Done()
+		f()
+	}()
+}
+
+// logf forwards a progress line to JoinConfig.Logf as one more unit of
+// admitted work, whatever goroutine it comes from: Close waits out a call
+// in flight, and none starts after it.
+func (nd *Node) logf(format string, args ...any) {
+	if nd.sink != nil && nd.enter() {
+		defer nd.tasks.Done()
+		nd.sink(format, args...)
+	}
+}
+
+// sleepUnlessStopped is the retry loops' sleep: Close cuts it short.
+func (nd *Node) sleepUnlessStopped(dur time.Duration) {
+	select {
+	case <-nd.stop:
+	case <-time.After(dur):
+	}
+}
+
+// Close implements Fabric: a fail-stop. It closes the listener and every
+// connection (the peers' death report), fails every parked or later call
+// with ErrClosed, and returns once nothing admitted by enter is running;
+// JoinConfig.Logf is never called after it returns. A second Close is a
+// no-op. It waits out a dial in flight (bounded by the Dialer) and must
+// not be called from a frame handler.
 func (nd *Node) Close() error {
-	nd.closeOnce.Do(func() {
-		nd.closed.Store(true)
-		close(nd.stop)
-		nd.shutOnce.Do(func() { close(nd.shutdown) })
-		nd.ln.Close()
-		nd.cmu.Lock()
-		for _, pc := range nd.conns {
-			pc.c.Close()
-		}
-		acc := nd.accepted
-		nd.accepted = nil
-		nd.cmu.Unlock()
-		for _, c := range acc {
-			c.Close()
-		}
-		nd.mcond.Broadcast()
-		nd.ckptCond.Broadcast()
-	})
+	nd.lifeMu.Lock()
+	prev := nd.state.Swap(stClosed)
+	nd.lifeMu.Unlock()
+	if prev == stClosed {
+		return nil
+	}
+	close(nd.stop)
+	if prev != stDraining {
+		close(nd.shutdown)
+	}
+	nd.ln.Close()
+	nd.cmu.Lock()
+	conns, inbound := nd.conns, nd.inbound
+	nd.conns, nd.inbound = nil, nil
+	nd.cmu.Unlock()
+	for _, pc := range conns {
+		pc.c.Close()
+	}
+	for _, c := range inbound {
+		c.Close()
+	}
+	nd.wake()
+	nd.tasks.Wait()
 	return nil
 }
 
@@ -550,14 +631,12 @@ func (nd *Node) Recoveries() int {
 // detector. Verdicts are per-incarnation so a replacement is never
 // condemned by stale evidence against its predecessor.
 func (nd *Node) condemn(rank, inc int, cause error) {
-	if rank == nd.rank || nd.closed.Load() {
+	// Only a live node passes verdicts: one still joining has no table to
+	// charge, one draining or closed sees its peers leave in good order.
+	if nd.state.Load() != stLive || rank == nd.rank || !nd.enter() {
 		return
 	}
-	select {
-	case <-nd.shutdown: // orderly teardown: peers closing is not a death
-		return
-	default:
-	}
+	defer nd.tasks.Done()
 	nd.mmu.Lock()
 	m := &nd.members[rank]
 	if m.Incarnation != inc || !m.Alive {
@@ -569,12 +648,10 @@ func (nd *Node) condemn(rank, inc int, cause error) {
 	nd.om.condemned.Inc()
 	nd.fr.Record(obs.EvCondemn, int64(rank), int64(inc), 0)
 	nd.logf("fabric: rank %d condemns rank %d (inc %d): %v", nd.rank, rank, inc, cause)
-	nd.dropConn(rank)
+	nd.dropConn(rank, inc)
 	nd.mcond.Broadcast()
-	go func() {
-		nd.gossipNow()
-		nd.maybeArbiter()
-	}()
+	nd.spawn(nd.gossipNow)
+	nd.maybeArbiter()
 }
 
 // strikeDial records a failed dial towards (rank, inc); LeaseMiss
@@ -596,17 +673,11 @@ func (nd *Node) strikeDial(rank, inc int, cause error) {
 	}
 }
 
-func (nd *Node) clearStrikes(rank int) {
-	nd.mmu.Lock()
-	delete(nd.strikes, rank)
-	nd.mmu.Unlock()
-}
-
 // mergeMembers folds a remote view into ours: higher incarnations win a
 // slot outright; within one incarnation deaths are sticky and watermarks
 // are monotone.
 func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
-	if !nd.installed.Load() {
+	if nd.state.Load() == stJoining {
 		return
 	}
 	changed := false
@@ -686,17 +757,10 @@ func (nd *Node) gossipNow() {
 	if len(peers) > gossipFanout {
 		start := nd.gossipPos % len(peers)
 		nd.gossipPos = (nd.gossipPos + gossipFanout) % len(peers)
-		window := make([]Member, 0, gossipFanout)
-		for i := 0; i < gossipFanout; i++ {
-			window = append(window, peers[(start+i)%len(peers)])
-		}
-		peers = window
+		peers = append(peers[start:], peers[:start]...)[:gossipFanout]
 	}
 	nd.mmu.Unlock()
-	payload := e.Bytes()
-	for _, p := range peers {
-		nd.bestEffortNotify(p, fGossip, payload)
-	}
+	nd.notify(peers, fGossip, e.Bytes())
 }
 
 // alivePeersLocked snapshots the live peers (rank, incarnation ≠ self).
@@ -710,31 +774,48 @@ func (nd *Node) alivePeersLocked() []Member {
 	return out
 }
 
-// bestEffortNotify sends one notification towards m, dialing at most
-// once; failures feed the dial-strike detector instead of blocking.
-func (nd *Node) bestEffortNotify(m Member, t byte, payload []byte) {
+// notify sends one best-effort notification to each of peers, dialing at
+// most once each; failures feed the dial-strike detector, never block.
+func (nd *Node) notify(peers []Member, t byte, payload []byte) {
+	for _, m := range peers {
+		if pc, err := nd.peer(m); err == nil {
+			pc.c.Notify(t, payload)
+		}
+	}
+}
+
+// peer returns the node's connection to m's incarnation, dialing it when
+// the table holds none. It is the node's only lookup-or-dial and single-
+// flight per rank, so a node never holds two connections to one (rank,
+// incarnation) and never has a duplicate to close — which the far side
+// would read as a death. A failed dial is a strike against m.
+func (nd *Node) peer(m Member) (*peerConn, error) {
 	nd.cmu.Lock()
 	pc := nd.conns[m.Rank]
 	nd.cmu.Unlock()
-	if pc == nil || pc.inc != m.Incarnation {
-		var err error
-		pc, err = nd.dialPeer(m)
-		if err != nil {
-			nd.strikeDial(m.Rank, m.Incarnation, err)
-			return
-		}
+	if pc != nil && pc.inc == m.Incarnation {
+		return pc, nil
 	}
-	pc.c.Notify(t, payload)
-}
-
-// dialPeer opens and registers the outbound connection to m.
-func (nd *Node) dialPeer(m Member) (*peerConn, error) {
+	nd.dialMu[m.Rank].Lock()
+	defer nd.dialMu[m.Rank].Unlock()
+	nd.cmu.Lock()
+	pc, closed := nd.conns[m.Rank], nd.conns == nil
+	nd.cmu.Unlock()
+	switch {
+	case closed:
+		return nil, ErrClosed
+	case pc != nil && pc.inc == m.Incarnation:
+		return pc, nil // dialed while we waited our turn
+	case pc != nil && pc.inc > m.Incarnation:
+		return nil, fmt.Errorf("fabric: rank %d inc %d has been replaced", m.Rank, m.Incarnation)
+	}
 	nc, err := nd.dialer.Dial(m.Addr)
 	if err != nil {
+		nd.strikeDial(m.Rank, m.Incarnation, err)
 		return nil, err
 	}
 	st := &connState{rank: m.Rank, inc: m.Incarnation, helloed: true}
-	pc := &peerConn{rank: m.Rank, inc: m.Incarnation}
+	pc = &peerConn{inc: m.Incarnation}
 	lease := nd.tun().LeaseInterval * time.Duration(nd.tun().LeaseMiss)
 	pc.c = wire.New(nc, wire.Config{
 		Handler:     func(t byte, p []byte) (byte, []byte, error) { return nd.handle(st, t, p) },
@@ -743,9 +824,6 @@ func (nd *Node) dialPeer(m Member) (*peerConn, error) {
 		BytesOut:    nd.om.wireOut,
 		BytesIn:     nd.om.wireIn,
 		OnDown: func(err error) {
-			if pc.quiet.Load() {
-				return
-			}
 			nd.condemn(m.Rank, m.Incarnation, fmt.Errorf("connection down: %w", err))
 		},
 		// A frame landing inside the last LeaseMiss window slice was one
@@ -761,63 +839,53 @@ func (nd *Node) dialPeer(m Member) (*peerConn, error) {
 	e.I(nd.inc)
 	pc.c.Notify(fHello, e.Bytes())
 	nd.cmu.Lock()
-	if old := nd.conns[m.Rank]; old != nil && old.inc == m.Incarnation {
-		nd.cmu.Unlock()
-		pc.quiet.Store(true)
-		pc.c.Close()
-		return old, nil
-	} else if old != nil {
-		old.quiet.Store(true)
-		old.c.Close()
+	old := nd.conns[m.Rank]
+	if closed = nd.conns == nil; !closed {
+		nd.conns[m.Rank] = pc
 	}
-	nd.conns[m.Rank] = pc
 	nd.cmu.Unlock()
-	nd.clearStrikes(m.Rank)
+	if closed {
+		pc.c.Close()
+		return nil, ErrClosed
+	}
+	if old != nil {
+		old.c.Close() // to an older incarnation, so no verdict: condemn ignores it
+	}
+	nd.mmu.Lock()
+	delete(nd.strikes, m.Rank)
+	nd.mmu.Unlock()
 	return pc, nil
 }
 
-func (nd *Node) dropConn(rank int) {
+// dropConn closes the connection to a condemned (rank, inc).
+func (nd *Node) dropConn(rank, inc int) {
 	nd.cmu.Lock()
-	pc := nd.conns[rank]
-	delete(nd.conns, rank)
-	nd.cmu.Unlock()
-	if pc != nil {
-		pc.quiet.Store(true)
-		pc.c.Close()
+	if pc := nd.conns[rank]; pc != nil && pc.inc <= inc {
+		delete(nd.conns, rank)
+		defer pc.c.Close() // unlocked: its OnDown comes back through condemn
 	}
+	nd.cmu.Unlock()
 }
 
 // conn returns a live connection to target, parking (interruptibly)
 // while the target is dead and its replacement has not joined yet.
 func (nd *Node) conn(target int) (*peerConn, error) {
 	for {
-		if err := nd.failedOrClosed(); err != nil {
-			return nil, err
-		}
 		nd.mmu.Lock()
+		err := nd.failedOrClosed()
+		for err == nil && (!nd.members[target].Alive || nd.members[target].Addr == "") {
+			nd.mcond.Wait() // until gossip shows a replacement incarnation
+			err = nd.failedOrClosed()
+		}
 		m := nd.members[target]
 		nd.mmu.Unlock()
-		if m.Alive && m.Addr != "" {
-			nd.cmu.Lock()
-			pc := nd.conns[target]
-			nd.cmu.Unlock()
-			if pc != nil && pc.inc == m.Incarnation {
-				return pc, nil
-			}
-			pc, err := nd.dialPeer(m)
-			if err == nil {
-				return pc, nil
-			}
-			nd.strikeDial(target, m.Incarnation, err)
-			time.Sleep(nd.tun().GossipInterval)
-			continue
+		if err != nil {
+			return nil, err
 		}
-		// Dead: park until gossip shows a replacement incarnation.
-		nd.mmu.Lock()
-		if cur := nd.members[target]; cur.Incarnation == m.Incarnation && !cur.Alive {
-			nd.mcond.Wait()
+		if pc, err := nd.peer(m); err == nil {
+			return pc, nil
 		}
-		nd.mmu.Unlock()
+		nd.sleepUnlessStopped(nd.tun().GossipInterval)
 	}
 }
 
@@ -968,12 +1036,9 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 	}
 	payload := e.Bytes()
 	for {
-		if nd.failedOrClosed() != nil {
-			return
-		}
 		pc, err := nd.conn(target)
 		if err != nil {
-			return
+			return // failed or closed: the next Sync reports it
 		}
 		reply, err := pc.c.Call(fBatch, payload)
 		if err == nil {
@@ -987,7 +1052,7 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 		if errors.As(err, &rf) {
 			if rf.Code == wire.CodeCrisis {
 				// Replacement still installing: retry shortly.
-				time.Sleep(nd.tun().GossipInterval)
+				nd.sleepUnlessStopped(nd.tun().GossipInterval)
 				continue
 			}
 			nd.fail(fmt.Errorf("fabric: batch to rank %d rejected: %w", target, err))
@@ -995,7 +1060,7 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 		}
 		// Connection death: OnDown condemns, conn() parks for the
 		// replacement, and redelivery is idempotent.
-		time.Sleep(nd.tun().GossipInterval)
+		nd.sleepUnlessStopped(nd.tun().GossipInterval)
 	}
 }
 
@@ -1152,10 +1217,7 @@ func (nd *Node) broadcastReady(wm int) {
 	e.I(nd.rank)
 	e.I(nd.inc)
 	e.I(wm)
-	payload := e.Bytes()
-	for _, p := range peers {
-		nd.bestEffortNotify(p, fGsyncReady, payload)
-	}
+	nd.notify(peers, fGsyncReady, e.Bytes())
 }
 
 // awaitWatermarks is the barrier: every rank — dead ranks' frozen
@@ -1261,49 +1323,41 @@ func (nd *Node) checkpoint(p int) error {
 			e.I(offs[i])
 			e.Words(deltas[i])
 		}
-		pc, err := nd.tryConn(h.Host)
+		_, err := nd.callRank(h.Host, fParityFold, e.Bytes())
 		if err == nil {
-			_, err = pc.c.Call(fParityFold, e.Bytes())
-			if err == nil {
-				nd.commitBase(offs, deltas, s)
-				nd.noteFold(g, p, len(offs), t0)
-				return nil
-			}
+			nd.commitBase(offs, deltas, s)
+			nd.noteFold(g, p, len(offs), t0)
+			return nil
 		}
 		var rf wire.RemoteFail
-		if errors.As(err, &rf) && !strings.Contains(rf.Msg, "not hosting") {
+		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis && !strings.Contains(rf.Msg, "not hosting") {
 			return fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
 		}
-		// Host unreachable or the hosting table moved under us: park
+		// Host unreachable, not serving, or the hosting table moved: park
 		// outside the lock so crisis quiesce can proceed, then retry —
 		// the host-side phase dedupe makes a replayed fold harmless.
 		nd.ckptMu.Unlock()
-		time.Sleep(nd.tun().GossipInterval)
+		nd.sleepUnlessStopped(nd.tun().GossipInterval)
 		nd.ckptMu.Lock()
 	}
 }
 
-// tryConn is conn() without the parked wait: checkpoint retries must not
-// block inside ckptMu.
-func (nd *Node) tryConn(target int) (*peerConn, error) {
+// callRank performs one call towards a rank that must be up, without
+// conn()'s parked wait: a checkpoint fold must not block inside ckptMu
+// (it retries outside), and to a crisis any failure is terminal (a
+// double failure).
+func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
 	nd.mmu.Lock()
-	m := nd.members[target]
+	m := nd.members[rank]
 	nd.mmu.Unlock()
 	if !m.Alive || m.Addr == "" {
-		return nil, fmt.Errorf("fabric: rank %d is down", target)
+		return nil, fmt.Errorf("fabric: rank %d is down", rank)
 	}
-	nd.cmu.Lock()
-	pc := nd.conns[target]
-	nd.cmu.Unlock()
-	if pc != nil && pc.inc == m.Incarnation {
-		return pc, nil
-	}
-	pc, err := nd.dialPeer(m)
+	pc, err := nd.peer(m)
 	if err != nil {
-		nd.strikeDial(target, m.Incarnation, err)
 		return nil, err
 	}
-	return pc, nil
+	return pc.c.Call(t, payload)
 }
 
 // diffRanges computes the changed runs of the window vs the committed

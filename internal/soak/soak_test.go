@@ -1,9 +1,12 @@
 package soak
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +19,46 @@ func vLogf(t *testing.T) func(string, ...any) {
 		return t.Logf
 	}
 	return nil
+}
+
+// runGuarded is Run held to the fabric's Close contract at teardown: once
+// Run has returned — every node closed, survivable leg or not — nothing
+// may log any more and the goroutine count must come back to where it
+// was before the fabric existed.
+func runGuarded(t *testing.T, cfg Config) (*Report, error) {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		done bool
+		late []string
+	)
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case done:
+			late = append(late, fmt.Sprintf(format, args...))
+		case testing.Verbose():
+			t.Logf(format, args...)
+		}
+	}
+	base := runtime.NumGoroutine()
+	rep, err := Run(cfg)
+	mu.Lock()
+	done = true
+	mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines outlive the soak (%d before it)", runtime.NumGoroutine(), base)
+			break
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range late {
+		t.Errorf("logged after the soak's teardown: %s", line)
+	}
+	return rep, err
 }
 
 // assertSoakReport checks the deterministic section values of a
@@ -67,12 +110,11 @@ func TestSoak(t *testing.T) {
 		// The CI leg: 64 tcp ranks, one sampled mid-run fail-stop,
 		// causal replay, bit-identical finish (Run verifies).
 		wl := Workload{Ranks: 64, Phases: 6, Inserts: 2, Seed: 42}
-		rep, err := Run(Config{
+		rep, err := runGuarded(t, Config{
 			Transport: TransportTCP,
 			Workload:  wl,
 			Chaos:     Chaos{Seed: 7, Kills: 1},
 			Timeout:   4 * time.Minute,
-			Logf:      vLogf(t),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -85,12 +127,11 @@ func TestSoak(t *testing.T) {
 		// catastrophic error, promptly, never hang.
 		wl := Workload{Ranks: 8, Phases: 6, Inserts: 2, Seed: 43}
 		start := time.Now()
-		_, err := Run(Config{
+		_, err := runGuarded(t, Config{
 			Transport: TransportTCP,
 			Workload:  wl,
 			Chaos:     Chaos{Seed: 11, NodeKill: 1, RanksPerNode: 2},
 			Timeout:   2 * time.Minute,
-			Logf:      vLogf(t),
 		})
 		if err == nil {
 			t.Fatal("correlated node loss survived; the fabric recovers single failures only")
@@ -130,13 +171,12 @@ func TestSoakFull(t *testing.T) {
 			Chaos{Seed: 13, Kills: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Run(Config{
+			rep, err := runGuarded(t, Config{
 				Transport: tc.tr,
 				Workload:  tc.wl,
 				Chaos:     tc.chaos,
 				RingBytes: 32 << 10,
 				Timeout:   2 * time.Minute,
-				Logf:      vLogf(t),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -155,13 +195,12 @@ func TestSoakXL(t *testing.T) {
 		t.Skip("set REPRO_SOAK_XL=1 for the 256-rank leg (needs vm.max_map_count >= 262144)")
 	}
 	wl := Workload{Ranks: 256, Phases: 5, Inserts: 1, Seed: 46}
-	rep, err := Run(Config{
+	rep, err := runGuarded(t, Config{
 		Transport: TransportSHM,
 		Workload:  wl,
 		Chaos:     Chaos{Seed: 17, Kills: 1},
 		RingBytes: 16 << 10,
 		Timeout:   20 * time.Minute,
-		Logf:      vLogf(t),
 	})
 	if err != nil {
 		t.Fatal(err)

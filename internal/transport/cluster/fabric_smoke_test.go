@@ -161,6 +161,12 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 				t.Fatalf("bootstrap served %d frames, want exactly %d (one per join)", frames, wl.Ranks)
 			}
 			if tc.closeSeed {
+				// Closing the seed drops its connections, rendezvous replies
+				// still in flight included: a worker that answers fMembers
+				// has applied its world and needs the seed no more.
+				for _, m := range members {
+					awaitWatermark(t, m.Addr, 0)
+				}
 				seed.Close()
 			}
 			survivor := members[(tc.victim+1)%wl.Ranks].Addr

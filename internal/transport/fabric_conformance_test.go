@@ -11,7 +11,9 @@ package transport_test
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +45,7 @@ func fabWindowWords(n int) int { return n*fabPhases*fabInserts + fabPhases }
 
 func fabOff(src, phase int) int { return (src*fabPhases + phase) * fabInserts }
 
-func fabScratch(n, phase int) int { return n * fabPhases * fabInserts + phase }
+func fabScratch(n, phase int) int { return n*fabPhases*fabInserts + phase }
 
 func fabVal(rank, phase, i int) uint64 {
 	return uint64(rank+1)<<40 | uint64(phase+1)<<20 | uint64(i+1)
@@ -101,23 +103,76 @@ func fabOracle(t *testing.T, n int) [][]uint64 {
 }
 
 // fabNode is one in-process fabric member with its own listener and
-// fault-injectable dialer.
+// fault-injectable dialer. logf is its fabric's guarded Logf, for the
+// replacements a test joins later.
 type fabNode struct {
 	nd     *fabric.Node
 	dialer *flaky.Dialer
+	logf   func(string, ...any)
+}
+
+// fabricGuard holds a test's fabric to fabric.Node's Close contract. Its
+// cleanup is registered before anything is started, so it runs last —
+// every node and seed closed — and fails the test if anything logged
+// after that or the goroutine count does not come back to where it was.
+type fabricGuard struct {
+	t    *testing.T
+	base int
+
+	mu   sync.Mutex
+	done bool
+	late []string
+}
+
+func guardFabric(t *testing.T) *fabricGuard {
+	g := &fabricGuard{t: t, base: runtime.NumGoroutine()}
+	t.Cleanup(g.check)
+	return g
+}
+
+func (g *fabricGuard) Logf(format string, args ...any) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.done {
+		g.late = append(g.late, fmt.Sprintf(format, args...))
+		return
+	}
+	g.t.Logf(format, args...)
+}
+
+func (g *fabricGuard) check() {
+	g.mu.Lock()
+	g.done = true
+	g.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > g.base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			g.t.Errorf("%d goroutines outlive the fabric (%d before it):\n%s",
+				runtime.NumGoroutine(), g.base, buf[:runtime.Stack(buf, true)])
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, line := range g.late {
+		g.t.Errorf("logged after every node was closed: %s", line)
+	}
 }
 
 // startFabric bootstraps an n-rank fabric in-process: one seed, n nodes
 // joined concurrently through it, returned in rank order.
 func startFabric(t *testing.T, n, groups int) (*fabric.Seed, []*fabNode) {
 	t.Helper()
+	g := guardFabric(t)
 	seedLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("seed listener: %v", err)
 	}
 	seed, err := fabric.NewSeed(fabric.SeedConfig{
 		N: n, WindowWords: fabWindowWords(n), Groups: groups,
-		Tuning: confTuning, Listener: seedLn, Logf: t.Logf,
+		Tuning: confTuning, Listener: seedLn, Logf: g.Logf,
 	})
 	if err != nil {
 		t.Fatalf("seed: %v", err)
@@ -139,9 +194,9 @@ func startFabric(t *testing.T, n, groups int) (*fabric.Seed, []*fabNode) {
 			d := flaky.WrapDialer(transport.NetDialer{})
 			nd, err := fabric.Join(fabric.JoinConfig{
 				Join: seed.Addr(), Addr: ln.Addr().String(),
-				Listener: ln, Dialer: d, Logf: t.Logf,
+				Listener: ln, Dialer: d, Logf: g.Logf,
 			})
-			ch <- joined{fn: &fabNode{nd: nd, dialer: d}, err: err}
+			ch <- joined{fn: &fabNode{nd: nd, dialer: d, logf: g.Logf}, err: err}
 		}()
 	}
 	nodes := make([]*fabNode, n)
@@ -310,7 +365,7 @@ func TestFabricLeaseExpiryCrisis(t *testing.T) {
 	}
 	repl, err := fabric.Join(fabric.JoinConfig{
 		Join: nodes[3].nd.Addr(), Addr: ln.Addr().String(),
-		Listener: ln, Dialer: flaky.WrapDialer(transport.NetDialer{}), Logf: t.Logf,
+		Listener: ln, Dialer: flaky.WrapDialer(transport.NetDialer{}), Logf: nodes[3].logf,
 	})
 	if err != nil {
 		t.Fatalf("replacement join: %v", err)
@@ -383,7 +438,7 @@ func TestFabricCoordinatorAbsentRecovery(t *testing.T) {
 	}
 	repl, err := fabric.Join(fabric.JoinConfig{
 		Join: nodes[2].nd.Addr(), Addr: ln.Addr().String(),
-		Listener: ln, Dialer: flaky.WrapDialer(transport.NetDialer{}), Logf: t.Logf,
+		Listener: ln, Dialer: flaky.WrapDialer(transport.NetDialer{}), Logf: nodes[2].logf,
 	})
 	if err != nil {
 		t.Fatalf("replacement join: %v", err)
@@ -417,6 +472,7 @@ func TestFabricCoordinatorAbsentRecovery(t *testing.T) {
 // three transports must land on the same windows bit for bit.
 func TestFabricPeerEpochExchangeSHM(t *testing.T) {
 	const n = 4
+	g := guardFabric(t)
 	// Endpoints 0..n-1 are the ranks, endpoint n is the seed.
 	shmFab, err := shm.NewFabric(n+1, shm.FabricConfig{})
 	if err != nil {
@@ -425,7 +481,7 @@ func TestFabricPeerEpochExchangeSHM(t *testing.T) {
 	t.Cleanup(func() { shmFab.Close() })
 	seed, err := fabric.NewSeed(fabric.SeedConfig{
 		N: n, WindowWords: fabWindowWords(n), Groups: 2,
-		Tuning: confTuning, Listener: shmFab.Listener(n), Logf: t.Logf,
+		Tuning: confTuning, Listener: shmFab.Listener(n), Logf: g.Logf,
 	})
 	if err != nil {
 		t.Fatalf("seed: %v", err)
@@ -442,7 +498,7 @@ func TestFabricPeerEpochExchangeSHM(t *testing.T) {
 		go func() {
 			nd, err := fabric.Join(fabric.JoinConfig{
 				Join: strconv.Itoa(n), Addr: strconv.Itoa(i),
-				Listener: shmFab.Listener(i), Dialer: shmFab.Dialer(i), Logf: t.Logf,
+				Listener: shmFab.Listener(i), Dialer: shmFab.Dialer(i), Logf: g.Logf,
 			})
 			ch <- joined{nd: nd, err: err}
 		}()

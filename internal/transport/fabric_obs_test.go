@@ -20,13 +20,14 @@ import (
 // recorders threaded through JoinConfig.
 func startObsFabric(t *testing.T, n, groups int, tun fabric.Tuning) ([]*fabNode, []*obs.Registry, []*obs.Recorder) {
 	t.Helper()
+	g := guardFabric(t)
 	seedLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("seed listener: %v", err)
 	}
 	seed, err := fabric.NewSeed(fabric.SeedConfig{
 		N: n, WindowWords: fabWindowWords(n), Groups: groups,
-		Tuning: tun, Listener: seedLn, Logf: t.Logf,
+		Tuning: tun, Listener: seedLn, Logf: g.Logf,
 	})
 	if err != nil {
 		t.Fatalf("seed: %v", err)
@@ -54,10 +55,10 @@ func startObsFabric(t *testing.T, n, groups int, tun fabric.Tuning) ([]*fabNode,
 			fr.SetEnabled(true)
 			nd, err := fabric.Join(fabric.JoinConfig{
 				Join: seed.Addr(), Addr: ln.Addr().String(),
-				Listener: ln, Dialer: d, Logf: t.Logf,
+				Listener: ln, Dialer: d, Logf: g.Logf,
 				Obs: reg, Flight: fr,
 			})
-			ch <- joined{fn: &fabNode{nd: nd, dialer: d}, reg: reg, fr: fr, err: err}
+			ch <- joined{fn: &fabNode{nd: nd, dialer: d, logf: g.Logf}, reg: reg, fr: fr, err: err}
 		}()
 	}
 	nodes := make([]*fabNode, n)

@@ -184,6 +184,7 @@ type Conn struct {
 	downErr error // set under pmu once down
 
 	downOnce  sync.Once
+	done      chan struct{} // closed once down; stops the heartbeat loop
 	sent      atomic.Uint64
 	received  atomic.Uint64
 	sentBytes atomic.Uint64
@@ -199,7 +200,7 @@ type frame struct {
 
 // New wraps nc and starts the reader (and heartbeat sender, if configured).
 func New(nc net.Conn, cfg Config) *Conn {
-	c := &Conn{nc: nc, cfg: cfg, pending: make(map[uint32]chan frame)}
+	c := &Conn{nc: nc, cfg: cfg, pending: make(map[uint32]chan frame), done: make(chan struct{})}
 	go c.readLoop()
 	if cfg.Heartbeat > 0 {
 		go c.heartbeatLoop()
@@ -251,6 +252,7 @@ func (c *Conn) markDown(err error) {
 		waiters := c.pending
 		c.pending = nil
 		c.pmu.Unlock()
+		close(c.done)
 		c.nc.Close()
 		for _, ch := range waiters {
 			close(ch)
@@ -451,7 +453,12 @@ func (c *Conn) Notify(t byte, payload []byte) error {
 func (c *Conn) heartbeatLoop() {
 	tick := time.NewTicker(c.cfg.Heartbeat)
 	defer tick.Stop()
-	for range tick.C {
+	for {
+		select {
+		case <-c.done:
+			return
+		case <-tick.C:
+		}
 		if c.Notify(TypeHeartbeat, nil) != nil {
 			return
 		}

@@ -3,10 +3,10 @@
 # instrumentation of the recovery-critical packages and enforce
 # per-package statement-coverage floors.
 #
-# internal/fabric deliberately has no in-package tests — it is covered
-# end-to-end by the transport conformance suite, the cluster chaos
-# harness, and the soak package — so plain `go test -cover` reports
-# nothing for it; -coverpkg attributes cross-package execution to it.
+# internal/fabric earns most of its coverage end-to-end — the transport
+# conformance suite, the cluster chaos harness, the soak package — on
+# top of its in-package lifecycle tests; -coverpkg attributes that
+# cross-package execution to it.
 # The floors are tripwires, not targets: they catch a refactor that
 # silently orphans a recovery path from every test, and they only go up.
 #

@@ -7,9 +7,13 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# go vet plus a formatting gate: gofmt -l must list nothing.
+# go vet plus a formatting gate: gofmt -l must list nothing. bench/ is a
+# nested module that compiles against internal/fabric, so `./...` above never
+# sees it: build and vet it here, or an internal API change breaks the repo
+# benchmark unseen. (Its go test is load-sensitive and stays out.)
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 
 # Pinned in CI (honnef.co/go/tools/cmd/staticcheck@2024.1.1); skipped

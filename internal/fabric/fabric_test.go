@@ -34,8 +34,10 @@ type pipeListener struct {
 	addr     string
 	ch       chan net.Conn
 	done     chan struct{}
-	once     sync.Once
 	accepted atomic.Int32
+
+	mu     sync.Mutex // orders deliver against Close
+	closed bool
 }
 
 func (l *pipeListener) Accept() (net.Conn, error) {
@@ -48,8 +50,30 @@ func (l *pipeListener) Accept() (net.Conn, error) {
 	}
 }
 
+// deliver queues a dialed connection unless the listener is closed. A
+// closed listener must refuse: a connection left in its backlog is one
+// nobody reads, and on a synchronous pipe the dialer's first write would
+// block until its lease ran out.
+func (l *pipeListener) deliver(c net.Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
+	}
+	l.ch <- c // the backlog outsizes the dials any test has in flight
+	return true
+}
+
 func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		l.closed = true
+		close(l.done)
+		for len(l.ch) > 0 {
+			(<-l.ch).Close() // accepted by nobody any more
+		}
+	}
 	return nil
 }
 
@@ -65,14 +89,18 @@ type pipeDial struct {
 // recConn is the dialer's end of a pipe; it keeps its pipeDial current.
 type recConn struct {
 	net.Conn
-	rec   *pipeDial
-	wrote bool // dialer-side writes are serialized by wire.Conn
+	rec     *pipeDial
+	wrote   bool // dialer-side writes are serialized by wire.Conn
+	onFrame func(from string, t byte, payload []byte)
 }
 
 func (c *recConn) Write(b []byte) (int, error) {
 	if !c.wrote {
 		c.wrote = true
 		c.rec.helloed.Store(len(b) > 4 && b[4] == fHello)
+	}
+	if c.onFrame != nil && len(b) >= 9 {
+		c.onFrame(c.rec.from, b[4], b[9:])
 	}
 	return c.Conn.Write(b)
 }
@@ -84,6 +112,10 @@ func (c *recConn) Close() error {
 
 type pipeNet struct {
 	dialDelay time.Duration // widens the window concurrent dialers race in
+	// onFrame, when set before the dial, sees every frame a dialer writes
+	// (frames under wire's 2 KiB flatten threshold: one Write each) on the
+	// writing goroutine, before it reaches the pipe.
+	onFrame func(from string, t byte, payload []byte)
 
 	mu    sync.Mutex
 	lns   map[string]*pipeListener
@@ -115,16 +147,14 @@ func (pn *pipeNet) dialer(from string) transport.Dialer {
 			return nil, fmt.Errorf("pipe: no listener at %q", addr)
 		}
 		near, far := net.Pipe()
-		select {
-		case l.ch <- far:
-		case <-l.done:
+		if !l.deliver(far) {
 			return nil, fmt.Errorf("pipe: %s refused the connection", addr)
 		}
 		rec := &pipeDial{from: from, to: addr}
 		pn.mu.Lock()
 		pn.dials = append(pn.dials, rec)
 		pn.mu.Unlock()
-		return &recConn{Conn: near, rec: rec}, nil
+		return &recConn{Conn: near, rec: rec, onFrame: pn.onFrame}, nil
 	})
 }
 
@@ -207,15 +237,21 @@ func (f *testFabric) join(addr string) (*testNode, error) {
 	return &testNode{Node: nd, log: log}, nil
 }
 
-// startTestFabric bootstraps n ranks over a fresh pipeNet. Its cleanup
+// startTestFabric bootstraps n ranks with the miniature workload's window.
+func startTestFabric(t *testing.T, pn *pipeNet, n, groups int, tun Tuning) *testFabric {
+	t.Helper()
+	return startTestFabricWords(t, pn, n, groups, testWords(n), tun)
+}
+
+// startTestFabricWords bootstraps n ranks over a fresh pipeNet. Its cleanup
 // closes what the test left open and then holds the node to its Close
 // contract: no goroutine left, no log line after Close returned.
-func startTestFabric(t *testing.T, pn *pipeNet, n, groups int, tun Tuning) *testFabric {
+func startTestFabricWords(t *testing.T, pn *pipeNet, n, groups, words int, tun Tuning) *testFabric {
 	t.Helper()
 	f := &testFabric{t: t, pn: pn, base: runtime.NumGoroutine(), nodes: make([]*testNode, n)}
 	t.Cleanup(f.teardown)
 	seedLn := pn.listen()
-	seed, err := NewSeed(SeedConfig{N: n, WindowWords: testWords(n), Groups: groups, Tuning: tun, Listener: seedLn})
+	seed, err := NewSeed(SeedConfig{N: n, WindowWords: words, Groups: groups, Tuning: tun, Listener: seedLn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +350,7 @@ func (nd *Node) sees(rank int) Member {
 func TestPeerSingleFlight(t *testing.T) {
 	pn := newPipeNet()
 	pn.dialDelay = 2 * time.Millisecond
-	// Seconds between gossip rounds (the world frame carries durations as
-	// sub-2^32 nanoseconds): nothing but the test dials.
+	// Seconds between gossip rounds: nothing but the test dials.
 	f := startTestFabric(t, pn, 2, 1, Tuning{GossipInterval: 4 * time.Second})
 	nd, target := f.nodes[0].Node, f.nodes[1].sees(1)
 	ln := pn.lns[target.Addr]
@@ -569,4 +604,72 @@ func TestClosePromptAndFinal(t *testing.T) {
 	if err := arbiter.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync on a closed node returned %v, want ErrClosed", err)
 	}
+}
+
+// TestLongLeaseJoins: a lease interval past 4.295 s (2^32 ns, where Dec.I
+// stops) still crosses the world frame; the fabric joins and closes a phase.
+func TestLongLeaseJoins(t *testing.T) {
+	f := startTestFabric(t, newPipeNet(), 4, 2, Tuning{LeaseInterval: 5 * time.Second, LeaseMiss: 3, GossipInterval: 10 * time.Millisecond})
+	errs := make(chan error, len(f.nodes))
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() { errs <- drivePhases(tn.Node, 0, 1) }()
+	}
+	for _, tn := range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if got := tn.tun().LeaseInterval; got != 5*time.Second {
+			t.Fatalf("rank %d runs a %v lease, the seed distributed 5s", tn.rank, got)
+		}
+	}
+}
+
+// TestSeedCloseReleasesParkedJoins: a seed closed before all N ranks arrived
+// fails the joins parked at its rendezvous instead of holding them (and the
+// goroutines serving them) forever, and its accept loop is gone when Close
+// returns.
+func TestSeedCloseReleasesParkedJoins(t *testing.T) {
+	pn := newPipeNet()
+	f := &testFabric{t: t, pn: pn, base: runtime.NumGoroutine()}
+	t.Cleanup(f.teardown)
+	ln := pn.listen()
+	seed, err := NewSeed(SeedConfig{N: 4, WindowWords: 8, Groups: 1, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		var e wire.Enc
+		e.Str(fmt.Sprintf("joiner-%d", i))
+		go func() {
+			_, _, err := seed.handle(fJoin, e.Bytes())
+			errs <- err
+		}()
+	}
+	// A third joiner is still connecting: Close takes its connection down too.
+	nc, err := pn.dialer("joiner-2").Dial(ln.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := wire.New(nc, wire.Config{})
+	defer wc.Close()
+	await(t, "two of four ranks to join", func() bool { return seed.Joined() == 2 && ln.accepted.Load() == 1 })
+	seed.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || err.Error() != "fabric: seed closed before rendezvous completed" {
+				t.Fatalf("a parked join returned %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close left a join parked at the rendezvous")
+		}
+	}
+	var e wire.Enc
+	e.Str("latecomer")
+	if _, _, err := seed.handle(fJoin, e.Bytes()); err == nil {
+		t.Fatal("a closed seed accepted a join")
+	}
+	seed.Close() // a second Close is a no-op
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/ftrma"
@@ -99,7 +100,8 @@ func encBool(e *wire.Enc, b bool) {
 	}
 }
 
-func encSnap(e *wire.Enc, s snap) {
+// encSnap writes to a wire.Enc or, for the vectored fold frame, a wire.Vec.
+func encSnap(e interface{ I(int) }, s snap) {
 	e.I(s.phase + 1)
 	e.I(len(s.ec))
 	for _, v := range s.ec {
@@ -261,9 +263,9 @@ func encWorld(e *wire.Enc, w world) {
 	e.I(w.n)
 	e.I(w.windowWords)
 	e.I(w.groups)
-	e.I(int(w.tuning.LeaseInterval))
+	e.U(uint64(w.tuning.LeaseInterval))
 	e.I(w.tuning.LeaseMiss)
-	e.I(int(w.tuning.GossipInterval))
+	e.U(uint64(w.tuning.GossipInterval))
 	e.Str(string(w.meta))
 	encMembers(e, w.members)
 	encHostings(e, w.hostings)
@@ -275,9 +277,15 @@ func decWorld(d *wire.Dec) (world, bool) {
 	w.n = d.I()
 	w.windowWords = d.I()
 	w.groups = d.I()
-	w.tuning.LeaseInterval = time.Duration(d.I())
+	// Durations ride as full-width nanoseconds (Dec.I stops at 2^32, i.e.
+	// 4.3 s); anything above MaxInt64 — a negative one included — is refused.
+	lease := d.U()
 	w.tuning.LeaseMiss = d.I()
-	w.tuning.GossipInterval = time.Duration(d.I())
+	gossip := d.U()
+	if lease > math.MaxInt64 || gossip > math.MaxInt64 {
+		return w, false
+	}
+	w.tuning.LeaseInterval, w.tuning.GossipInterval = time.Duration(lease), time.Duration(gossip)
 	w.meta = []byte(d.Str())
 	var ok bool
 	if w.members, ok = decMembers(d); !ok {

@@ -144,55 +144,70 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 	return t, nil, fmt.Errorf("fabric: unknown frame type %#x", t)
 }
 
+// scanRuns is the first of a handler's two walks over n (off, words) pairs:
+// it advances scan — the handler's copy of its decoder — past them, checks
+// that every range lies in the window, and returns the longest. The second
+// walk takes the words as views of the frame (Dec.WordsView), which needs a
+// fallback buffer that long for a frame that arrived unaligned.
+func (nd *Node) scanRuns(scan *wire.Dec, n int, what string) (longest int, err error) {
+	for i := 0; i < n; i++ {
+		off, ln := scan.I(), scan.SkipWords()
+		if scan.Failed() {
+			return 0, errBadFrame
+		}
+		if off+ln > nd.windowWords {
+			return 0, fmt.Errorf("fabric: %s out of window ([%d,%d) of %d)", what, off, off+ln, nd.windowWords)
+		}
+		longest = max(longest, ln)
+	}
+	return longest, nil
+}
+
 // handleBatch applies one epoch close from a peer: puts land in the
 // window, gets are served and logged target-side (LG) so a requester
-// crash can re-deposit its exposed get landings.
+// crash can re-deposit its exposed get landings. The frame is walked twice:
+// first every put and get range is checked, then — nothing can fail any
+// more — the batch is applied in one winMu hold, so a bad batch leaves the
+// window and its stamps untouched.
 func (nd *Node) handleBatch(d *wire.Dec) (byte, []byte, error) {
 	src, _, phase := d.I(), d.I(), d.I()
 	nputs := d.I()
 	if d.Failed() || nputs < 0 || nputs > wire.MaxFrame/8 {
 		return fBatch, nil, errBadFrame
 	}
-	type putOp struct {
-		off  int
-		data []uint64
+	scan := *d
+	if _, err := nd.scanRuns(&scan, nputs, "put"); err != nil {
+		return fBatch, nil, err
 	}
 	type getOp struct {
 		off, n, localOff, gc int
 	}
-	puts := make([]putOp, nputs)
-	for i := range puts {
-		puts[i].off = d.I()
-		puts[i].data = d.Words() // private copy: the frame payload is pooled
-	}
-	ngets := d.I()
-	if d.Failed() || ngets < 0 || ngets > wire.MaxFrame/8 {
+	ngets := scan.I()
+	if scan.Failed() || ngets < 0 || ngets > wire.MaxFrame/8 {
 		return fBatch, nil, errBadFrame
 	}
 	gets := make([]getOp, ngets)
 	for i := range gets {
-		gets[i].off = d.I()
-		gets[i].n = d.I()
-		gets[i].localOff = d.I() - 1
-		gets[i].gc = d.I()
+		g := getOp{off: scan.I(), n: scan.I(), localOff: scan.I() - 1, gc: scan.I()}
+		if !scan.Failed() && g.off+g.n > nd.windowWords {
+			return fBatch, nil, fmt.Errorf("fabric: get out of window ([%d,%d) of %d)", g.off, g.off+g.n, nd.windowWords)
+		}
+		gets[i] = g
 	}
-	if d.Failed() || src < 0 || src >= nd.n {
+	if scan.Failed() || src < 0 || src >= nd.n {
 		return fBatch, nil, errBadFrame
 	}
 	got := make([][]uint64, ngets)
 	nd.winMu.Lock()
-	for _, p := range puts {
-		if p.off < 0 || p.off+len(p.data) > nd.windowWords {
-			nd.winMu.Unlock()
-			return fBatch, nil, fmt.Errorf("fabric: put out of window ([%d,%d) of %d)", p.off, p.off+len(p.data), nd.windowWords)
-		}
-		copy(nd.window[p.off:], p.data)
+	for i := 0; i < nputs; i++ {
+		// A view of the pooled frame, which writeLocked copies before the
+		// handler returns. The put's own destination is the fallback buffer:
+		// words that arrived unaligned are decoded in place, and the copy
+		// that follows copies them onto themselves.
+		off := d.I()
+		nd.writeLocked(off, d.WordsView(nd.window[off:]))
 	}
 	for i, g := range gets {
-		if g.off < 0 || g.n < 0 || g.off+g.n > nd.windowWords {
-			nd.winMu.Unlock()
-			return fBatch, nil, fmt.Errorf("fabric: get out of window ([%d,%d) of %d)", g.off, g.off+g.n, nd.windowWords)
-		}
 		got[i] = append([]uint64(nil), nd.window[g.off:g.off+g.n]...)
 	}
 	nd.winMu.Unlock()
@@ -218,7 +233,9 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, []byte, error) {
 }
 
 // handleParityFold folds one member's checkpoint delta into hosted
-// parity and stores its counter snapshot atomically with it.
+// parity and stores its counter snapshot atomically with it. The deltas are
+// folded straight from the frame (views, as in handleBatch; hg.scratch is
+// the fallback buffer), after a first walk has checked every range.
 func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
 	_, _, g, memberIdx, phase := d.I(), d.I(), d.I(), d.I(), d.I()
 	s, ok := decSnap(d)
@@ -229,14 +246,10 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
 	if d.Failed() || nranges < 0 || nranges > wire.MaxFrame/8 {
 		return fParityFold, nil, errBadFrame
 	}
-	offs := make([]int, nranges)
-	deltas := make([][]uint64, nranges)
-	for i := 0; i < nranges; i++ {
-		offs[i] = d.I()
-		deltas[i] = d.Words()
-	}
-	if d.Failed() {
-		return fParityFold, nil, errBadFrame
+	scan := *d
+	maxRun, err := nd.scanRuns(&scan, nranges, "fold range")
+	if err != nil {
+		return fParityFold, nil, err
 	}
 	nd.parMu.Lock()
 	defer nd.parMu.Unlock()
@@ -247,12 +260,16 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
 	if memberIdx < 0 || memberIdx >= hg.k {
 		return fParityFold, nil, fmt.Errorf("fabric: fold for member %d of a %d-member group", memberIdx, hg.k)
 	}
-	for i := range offs {
-		if offs[i] < 0 || offs[i]+len(deltas[i]) > nd.windowWords {
-			return fParityFold, nil, fmt.Errorf("fabric: fold range out of window")
+	if hg.folded[memberIdx] != phase {
+		if len(hg.scratch) < maxRun || idle(hg.scratch, maxRun) {
+			hg.scratch = make([]uint64, maxRun)
 		}
+		for i := 0; i < nranges; i++ {
+			off := d.I()
+			ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, off, d.WordsView(hg.scratch))
+		}
+		hg.commit(memberIdx, phase, s)
 	}
-	hg.fold(memberIdx, phase, s, offs, deltas)
 	nd.om.foldsHosted.Inc()
 	return fParityFold, nil, nil
 }

@@ -91,6 +91,8 @@ type hostedGroup struct {
 	shards [][]uint64 // m parity shards, each windowWords long
 	snaps  []snap     // per memberIdx: counters of the folded base
 	folded []int      // per memberIdx: last folded phase (dedupes retries)
+	// scratch backs handleParityFold's delta views; parMu guards it.
+	scratch []uint64
 }
 
 // pendingInstall is the reconstructed state a crisis arbiter holds for
@@ -129,17 +131,24 @@ type Node struct {
 	flightDir string
 
 	// window is the rank's exposed memory; winMu keeps remote batches,
-	// local reads/writes, and checkpoint diffs atomic to each other.
+	// local reads/writes, and checkpoint diffs atomic to each other. Every
+	// write goes through writeLocked, which stamps dirty — the same tracker
+	// the in-process runtime's window uses — so a checkpoint diff visits the
+	// chunks written since the last committed one and nothing else.
 	winMu  sync.Mutex
 	window []uint64
+	dirty  rma.DirtyTracker
 
 	// ckptMu serializes the checkpoint protocol (diff, fold, base
 	// commit) against crisis quiesce and base fetches; ckptCond parks
-	// checkpoints while inCrisis.
+	// checkpoints while inCrisis. Outside the chunks stamped after ckptGen,
+	// window == base; delta is the diff in flight, reused fold to fold.
 	ckptMu   sync.Mutex
 	ckptCond *sync.Cond
 	inCrisis bool
 	base     []uint64
+	ckptGen  uint64
+	delta    ckptDelta
 	snapSelf snap
 
 	// logMu guards the access logs and the causal counters.
@@ -352,6 +361,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.meta = w.meta
 	nd.inc = w.members[w.rank].Incarnation
 	nd.window = make([]uint64, w.windowWords)
+	nd.dirty = rma.NewDirtyTracker(w.windowWords)
 	nd.base = make([]uint64, w.windowWords)
 	nd.snapSelf = snap{phase: -1, ec: make([]int, w.n)}
 	nd.logs = ftrma.NewLocalLogHost(4096, 128, 0.5)
@@ -390,7 +400,7 @@ func (nd *Node) applyInstall(in *install) error {
 		return fmt.Errorf("fabric: install base has %d words, window is %d", len(in.base), nd.windowWords)
 	}
 	copy(nd.base, in.base)
-	copy(nd.window, in.base)
+	copy(nd.window, in.base) // window == base: nothing to stamp
 	nd.snapSelf = in.snap
 	if len(in.snap.ec) == nd.n {
 		copy(nd.ec, in.snap.ec)
@@ -400,23 +410,8 @@ func (nd *Node) applyInstall(in *install) error {
 	nd.ecAt = map[int][]int{nd.phase: append([]int(nil), nd.ec...)}
 	nd.gcAt = map[int]int{nd.phase: nd.gc}
 	sortReplayRecords(in.puts, in.gets)
-	for _, r := range in.puts {
-		if r.Combine || r.Op != rma.OpReplace {
-			return fmt.Errorf("fabric: replay of combining put (op %v) is not supported", r.Op)
-		}
-		if r.Off < 0 || r.Off+len(r.Data) > nd.windowWords {
-			return fmt.Errorf("fabric: replay put out of window ([%d,%d) of %d)", r.Off, r.Off+len(r.Data), nd.windowWords)
-		}
-		copy(nd.window[r.Off:], r.Data)
-	}
-	for _, r := range in.gets {
-		if r.LocalOff < 0 {
-			continue // private destination: re-execution re-fetches it
-		}
-		if r.LocalOff+len(r.Data) > nd.windowWords {
-			return fmt.Errorf("fabric: replay get deposit out of window")
-		}
-		copy(nd.window[r.LocalOff:], r.Data)
+	if err := nd.replay(in); err != nil {
+		return err
 	}
 	nd.om.replayChunks.Inc()
 	nd.om.replayPuts.Add(uint64(len(in.puts)))
@@ -427,6 +422,32 @@ func (nd *Node) applyInstall(in *install) error {
 	}
 	nd.om.replayUs.Observe(uint64(us))
 	nd.fr.Record(obs.EvReplayChunk, int64(len(in.puts)), int64(len(in.gets)), us)
+	return nil
+}
+
+// replay lands the install's records in the window, stamped like any other
+// write: the replacement's first checkpoint folds exactly what they changed.
+func (nd *Node) replay(in *install) error {
+	nd.winMu.Lock()
+	defer nd.winMu.Unlock()
+	for _, r := range in.puts {
+		if r.Combine || r.Op != rma.OpReplace {
+			return fmt.Errorf("fabric: replay of combining put (op %v) is not supported", r.Op)
+		}
+		if r.Off < 0 || r.Off+len(r.Data) > nd.windowWords {
+			return fmt.Errorf("fabric: replay put out of window ([%d,%d) of %d)", r.Off, r.Off+len(r.Data), nd.windowWords)
+		}
+		nd.writeLocked(r.Off, r.Data)
+	}
+	for _, r := range in.gets {
+		if r.LocalOff < 0 {
+			continue // private destination: re-execution re-fetches it
+		}
+		if r.LocalOff+len(r.Data) > nd.windowWords {
+			return fmt.Errorf("fabric: replay get deposit out of window")
+		}
+		nd.writeLocked(r.LocalOff, r.Data)
+	}
 	return nil
 }
 
@@ -913,12 +934,23 @@ func (nd *Node) ReadInto(off int, dst []uint64) {
 	nd.winMu.Unlock()
 }
 
-// WriteAt implements rma.API. Local writes are captured by the
-// content diff of the next checkpoint.
+// WriteAt implements rma.API. The write is stamped, so the next
+// checkpoint's diff visits the chunks it touched.
 func (nd *Node) WriteAt(off int, data []uint64) {
 	nd.winMu.Lock()
+	defer nd.winMu.Unlock()
+	nd.writeLocked(off, data)
+}
+
+// writeLocked is the window's only writer: it copies data to off and stamps
+// the chunks it covers, which is what lets a checkpoint skip every other
+// chunk. Caller holds winMu. A range outside the window is a usage error and
+// aborts as on the in-process runtime; handlers validate what arrives off
+// the wire before they call it.
+func (nd *Node) writeLocked(off int, data []uint64) {
+	rma.CheckRange(off, len(data), len(nd.window))
 	copy(nd.window[off:], data)
-	nd.winMu.Unlock()
+	nd.dirty.Mark(off, len(data))
 }
 
 // Put implements rma.API.
@@ -966,11 +998,11 @@ func (nd *Node) addGet(target, off, n, localOff int) []uint64 {
 	dest := make([]uint64, n)
 	if target == nd.rank {
 		nd.winMu.Lock()
+		defer nd.winMu.Unlock()
 		copy(dest, nd.window[off:off+n])
 		if localOff >= 0 {
-			copy(nd.window[localOff:], dest)
+			nd.writeLocked(localOff, dest)
 		}
-		nd.winMu.Unlock()
 		return dest
 	}
 	nd.logMu.Lock()
@@ -1097,9 +1129,7 @@ func (nd *Node) ackBatch(target, phase int, ops []pendOp, reply []byte) {
 			return
 		}
 		if op.localOff >= 0 {
-			nd.winMu.Lock()
-			copy(nd.window[op.localOff:], op.dest)
-			nd.winMu.Unlock()
+			nd.WriteAt(op.localOff, op.dest)
 		}
 	}
 }
@@ -1274,12 +1304,42 @@ func (nd *Node) trimAt(b int) {
 
 // ---- Checkpoint fold --------------------------------------------------------
 
-// checkpoint commits phase p: content-diff the window against the
-// committed base, ship the (off, delta) ranges plus the counter snapshot
-// to the group's parity host in one fParityFold, then fold the delta
-// into the local base. ckptMu makes the whole exchange atomic against
-// crisis quiesce and base fetches; parity is always updated before the
-// base commit, so parity = encode(committed bases) holds whenever the
+// ckptDelta is one checkpoint's diff: the runs of the window that differ
+// from the committed base, their XOR deltas back to back in words, and the
+// tracker generation the window was read at. The node owns one and reuses
+// its buffers; it is valid from diffRanges to commitBase, which ckptMu
+// serialises.
+type ckptDelta struct {
+	runs  []deltaRun
+	words []uint64
+	gen   uint64
+}
+
+// deltaRun is the changed word range [off, off+n) of a ckptDelta.
+type deltaRun struct{ off, n int }
+
+// idle reports whether a reused buffer is mostly dead weight: its last use
+// needed `used` words and left more than three quarters of it, and more than
+// 64 KiB, untouched. Such a buffer is dropped, not carried along — the
+// set-up fill of a window folds the whole of it once, and that fold's
+// buffers would otherwise stay resident for a run of 528-word folds.
+func idle(buf []uint64, used int) bool { return cap(buf) > 4*used+(8<<10) }
+
+// each calls f with every run's offset and delta words, in window order.
+func (df *ckptDelta) each(f func(off int, delta []uint64)) {
+	words := df.words
+	for _, r := range df.runs {
+		f(r.off, words[:r.n])
+		words = words[r.n:]
+	}
+}
+
+// checkpoint commits phase p: diff the chunks written since the last
+// commit against the committed base, ship the (off, delta) ranges plus the
+// counter snapshot to the group's parity host in one fParityFold, then fold
+// the delta into the local base. ckptMu makes the whole exchange atomic
+// against crisis quiesce and base fetches; parity is always updated before
+// the base commit, so parity = encode(committed bases) holds whenever the
 // lock is free.
 func (nd *Node) checkpoint(p int) error {
 	t0 := time.Now()
@@ -1301,32 +1361,25 @@ func (nd *Node) checkpoint(p int) error {
 		if h.Host < 0 {
 			return fmt.Errorf("fabric: group %d has no electable parity host", g)
 		}
-		offs, deltas := nd.diffRanges()
+		nd.diffRanges()
 		s := nd.snapNow(p)
+		var err error
 		if h.Host == nd.rank {
-			if err := nd.foldLocal(g, memberIdx, p, s, offs, deltas); err != nil {
+			if err = nd.foldLocal(g, memberIdx, p, s); err != nil {
 				return err
 			}
-			nd.commitBase(offs, deltas, s)
-			nd.noteFold(g, p, len(offs), t0)
-			return nil
+		} else {
+			var pc *peerConn
+			if pc, err = nd.upPeer(h.Host); err == nil {
+				_, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s))
+			}
 		}
-		var e wire.Enc
-		e.I(nd.rank)
-		e.I(nd.inc)
-		e.I(g)
-		e.I(memberIdx)
-		e.I(p)
-		encSnap(&e, s)
-		e.I(len(offs))
-		for i := range offs {
-			e.I(offs[i])
-			e.Words(deltas[i])
-		}
-		_, err := nd.callRank(h.Host, fParityFold, e.Bytes())
 		if err == nil {
-			nd.commitBase(offs, deltas, s)
-			nd.noteFold(g, p, len(offs), t0)
+			nd.commitBase(s)
+			nd.om.foldsSent.Inc()
+			nd.om.ckptFolded.Add(uint64(len(nd.delta.words)))
+			nd.om.foldUs.ObserveSince(t0)
+			nd.fr.Record(obs.EvParityFold, int64(g), int64(p), int64(len(nd.delta.runs)))
 			return nil
 		}
 		var rf wire.RemoteFail
@@ -1334,7 +1387,8 @@ func (nd *Node) checkpoint(p int) error {
 			return fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
 		}
 		// Host unreachable, not serving, or the hosting table moved: park
-		// outside the lock so crisis quiesce can proceed, then retry —
+		// outside the lock so crisis quiesce can proceed, then retry with a
+		// fresh diff (nothing was committed, so it covers the same chunks) —
 		// the host-side phase dedupe makes a replayed fold harmless.
 		nd.ckptMu.Unlock()
 		nd.sleepUnlessStopped(nd.tun().GossipInterval)
@@ -1342,48 +1396,88 @@ func (nd *Node) checkpoint(p int) error {
 	}
 }
 
-// callRank performs one call towards a rank that must be up, without
-// conn()'s parked wait: a checkpoint fold must not block inside ckptMu
-// (it retries outside), and to a crisis any failure is terminal (a
-// double failure).
-func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
+// upPeer returns the connection to a rank that must be up, without conn()'s
+// parked wait: a checkpoint fold must not block inside ckptMu (it retries
+// outside), and to a crisis any failure is terminal (a double failure).
+func (nd *Node) upPeer(rank int) (*peerConn, error) {
 	nd.mmu.Lock()
 	m := nd.members[rank]
 	nd.mmu.Unlock()
 	if !m.Alive || m.Addr == "" {
 		return nil, fmt.Errorf("fabric: rank %d is down", rank)
 	}
-	pc, err := nd.peer(m)
+	return nd.peer(m)
+}
+
+// callRank performs one call towards a rank that must be up.
+func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
+	pc, err := nd.upPeer(rank)
 	if err != nil {
 		return nil, err
 	}
 	return pc.c.Call(t, payload)
 }
 
-// diffRanges computes the changed runs of the window vs the committed
-// base as XOR deltas. Caller holds ckptMu.
-func (nd *Node) diffRanges() (offs []int, deltas [][]uint64) {
-	nd.winMu.Lock()
-	defer nd.winMu.Unlock()
-	w, b := nd.window, nd.base
-	for i := 0; i < len(w); {
-		if w[i] == b[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(w) && w[j] != b[j] {
-			j++
-		}
-		delta := make([]uint64, j-i)
-		for k := i; k < j; k++ {
-			delta[k-i] = w[k] ^ b[k]
-		}
-		offs = append(offs, i)
-		deltas = append(deltas, delta)
-		i = j
+// diffRanges fills nd.delta with the changed runs of the window vs the
+// committed base as XOR deltas. Only chunks stamped after the committed
+// generation are compared — everywhere else window == base — and winMu is
+// held for those alone. The comparison stays word for word, so a chunk
+// stamped by a write that changed nothing (or one word) contributes nothing
+// (or one word), and a run that crosses into the next stamped chunk stays
+// one run: the ranges are those of a full scan. Caller holds ckptMu.
+func (nd *Node) diffRanges() {
+	df := &nd.delta
+	if idle(df.words, len(df.words)) {
+		df.words = nil
 	}
-	return offs, deltas
+	df.runs, df.words = df.runs[:0], df.words[:0]
+	scanned := 0
+	nd.winMu.Lock()
+	df.gen = nd.dirty.Gen()
+	for off, n, ok := nd.dirty.Next(0, nd.ckptGen); ok; off, n, ok = nd.dirty.Next(off+n, nd.ckptGen) {
+		scanned += n
+		w, b := nd.window[off:off+n], nd.base[off:off+n]
+		for i := 0; i < n; {
+			if w[i] == b[i] {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < n && w[j] != b[j] {
+				j++
+			}
+			if k := len(df.runs) - 1; k >= 0 && df.runs[k].off+df.runs[k].n == off+i {
+				df.runs[k].n += j - i
+			} else {
+				df.runs = append(df.runs, deltaRun{off: off + i, n: j - i})
+			}
+			k := len(df.words)
+			df.words = append(df.words, w[i:j]...)
+			erasure.XorWords(df.words[k:], b[i:j])
+			i = j
+		}
+	}
+	nd.winMu.Unlock()
+	nd.om.ckptScanned.Add(uint64(scanned))
+}
+
+// encFold encodes nd.delta as the fParityFold payload. The delta words are
+// gathered from the node's buffer, not copied: the frame is written before
+// commitBase can run.
+func (nd *Node) encFold(g, memberIdx, p int, s snap) *wire.Vec {
+	v := wire.NewVec()
+	v.I(nd.rank)
+	v.I(nd.inc)
+	v.I(g)
+	v.I(memberIdx)
+	v.I(p)
+	encSnap(v, s)
+	v.I(len(nd.delta.runs))
+	nd.delta.each(func(off int, delta []uint64) {
+		v.I(off)
+		v.Words(delta)
+	})
+	return v
 }
 
 // snapNow captures the counters the committed base of phase p stands at.
@@ -1393,50 +1487,41 @@ func (nd *Node) snapNow(p int) snap {
 	return snap{phase: p, ec: append([]int(nil), nd.ec...), gc: nd.gc}
 }
 
-// commitBase advances the committed base by the folded deltas. Caller
-// holds ckptMu; the parity host has already acknowledged the same
-// deltas.
-func (nd *Node) commitBase(offs []int, deltas [][]uint64, s snap) {
-	for i := range offs {
-		for k, d := range deltas[i] {
-			nd.base[offs[i]+k] ^= d
-		}
-	}
+// commitBase advances the committed base by nd.delta, which the parity host
+// has acknowledged, and the committed generation to the one the diff read
+// the window at — not to the tracker's current one: a peer's put that landed
+// since the diff is in neither the fold nor the base, and its stamp, above
+// delta.gen, keeps its chunk dirty for the next fold. Caller holds ckptMu.
+func (nd *Node) commitBase(s snap) {
+	nd.delta.each(func(off int, delta []uint64) {
+		erasure.XorWords(nd.base[off:off+len(delta)], delta)
+	})
+	nd.ckptGen = nd.delta.gen
 	nd.snapSelf = s
 }
 
-// noteFold records one committed checkpoint fold.
-func (nd *Node) noteFold(g, p, nRanges int, t0 time.Time) {
-	nd.om.foldsSent.Inc()
-	nd.om.foldUs.ObserveSince(t0)
-	nd.fr.Record(obs.EvParityFold, int64(g), int64(p), int64(nRanges))
-}
-
-// foldLocal applies a fold into parity this node hosts itself.
-func (nd *Node) foldLocal(g, memberIdx, p int, s snap, offs []int, deltas [][]uint64) error {
+// foldLocal applies nd.delta to parity this node hosts itself.
+func (nd *Node) foldLocal(g, memberIdx, p int, s snap) error {
 	nd.parMu.Lock()
 	defer nd.parMu.Unlock()
 	hg := nd.hosted[g]
 	if hg == nil {
 		return fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
 	}
-	hg.fold(memberIdx, p, s, offs, deltas)
+	if hg.folded[memberIdx] != p {
+		nd.delta.each(func(off int, delta []uint64) {
+			ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, off, delta)
+		})
+		hg.commit(memberIdx, p, s)
+	}
 	nd.om.foldsHosted.Inc()
 	return nil
 }
 
-// fold applies one member's checkpoint delta; a duplicate phase is
-// acknowledged without re-applying so fold retries stay idempotent.
-func (hg *hostedGroup) fold(memberIdx, p int, s snap, offs []int, deltas [][]uint64) {
-	if memberIdx < 0 || memberIdx >= hg.k {
-		panic(fmt.Sprintf("fabric: fold for member %d of a %d-member group", memberIdx, hg.k))
-	}
-	if hg.folded[memberIdx] == p {
-		return
-	}
-	for i := range offs {
-		ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, offs[i], deltas[i])
-	}
+// commit records that member memberIdx's delta of phase p is folded in and
+// the counters its base now stands at. A fold whose phase equals folded is a
+// retry of one already applied: hosts acknowledge it without folding again.
+func (hg *hostedGroup) commit(memberIdx, p int, s snap) {
 	hg.snaps[memberIdx] = s
 	hg.folded[memberIdx] = p
 }

@@ -25,6 +25,11 @@ type nodeMetrics struct {
 	replayGets     *obs.Counter // fabric.replay.gets
 	replayChunks   *obs.Counter // fabric.replay.chunks
 
+	// Checkpoint cost vs change: words a diff compared against the base,
+	// and delta words the committed folds shipped.
+	ckptScanned *obs.Counter // fabric.ckpt.words.scanned
+	ckptFolded  *obs.Counter // fabric.ckpt.words.folded
+
 	wireOut *obs.Counter // fabric.wire.bytes.sent
 	wireIn  *obs.Counter // fabric.wire.bytes.recv
 
@@ -52,6 +57,8 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 		replayPuts:     r.Counter("fabric.replay.puts"),
 		replayGets:     r.Counter("fabric.replay.gets"),
 		replayChunks:   r.Counter("fabric.replay.chunks"),
+		ckptScanned:    r.Counter("fabric.ckpt.words.scanned"),
+		ckptFolded:     r.Counter("fabric.ckpt.words.folded"),
 		wireOut:        r.Counter("fabric.wire.bytes.sent"),
 		wireIn:         r.Counter("fabric.wire.bytes.recv"),
 		flushUs:        r.Histogram("fabric.flush.us"),

@@ -66,8 +66,9 @@ type Seed struct {
 	members []Member
 	closed  bool
 
-	conns   []*wire.Conn
-	connsMu sync.Mutex
+	conns    []*wire.Conn
+	connsMu  sync.Mutex
+	accepted chan struct{} // closed when acceptLoop returns
 }
 
 // NewSeed starts a seed on cfg.Listener.
@@ -76,7 +77,7 @@ func NewSeed(cfg SeedConfig) (*Seed, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Seed{cfg: cfg, ln: cfg.Listener, logf: cfg.Logf}
+	s := &Seed{cfg: cfg, ln: cfg.Listener, logf: cfg.Logf, accepted: make(chan struct{})}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -108,12 +109,20 @@ func (s *Seed) Members() []Member {
 }
 
 // Close stops the seed. Joined workers are unaffected: they hold no
-// connection to it.
+// connection to it. Joins still parked at the rendezvous fail with "seed
+// closed before rendezvous completed", and the accept loop has returned
+// when Close does. A second Close is a no-op.
 func (s *Seed) Close() error {
 	s.mu.Lock()
+	if !s.closed {
+		for _, ch := range s.waiters {
+			close(ch) // a released waiter still reads its buffered world first
+		}
+	}
 	s.closed = true
 	s.mu.Unlock()
 	err := s.ln.Close()
+	<-s.accepted
 	s.connsMu.Lock()
 	conns := s.conns
 	s.conns = nil
@@ -125,6 +134,7 @@ func (s *Seed) Close() error {
 }
 
 func (s *Seed) acceptLoop() {
+	defer close(s.accepted)
 	for {
 		nc, err := s.ln.Accept()
 		if err != nil {

@@ -17,10 +17,6 @@ type lockState struct {
 	availableAt float64    // virtual time at which the lock was last released
 }
 
-// dirtyChunkWords is the granularity of dirty-region tracking: one
-// generation stamp per 64-word (512-byte) chunk of the window.
-const dirtyChunkWords = 64
-
 // DirtyRange is a half-open word range [Off, Off+Len) of a window reported
 // as modified by LocalReadDirty.
 type DirtyRange struct{ Off, Len int }
@@ -31,39 +27,25 @@ type window struct {
 	words []uint64
 	locks []lockState
 
-	// Dirty-region tracking for incremental checkpoints (§6.2): gen counts
-	// mutations, chunkGen[c] records the generation of the last write that
-	// touched chunk c. aliased is set once Local hands out a raw reference
-	// to the words — from then on writes can bypass the runtime, so change
-	// detection falls back to comparing contents against the caller's
-	// checkpoint base (exact, just not free).
-	gen      uint64
-	chunkGen []uint64
-	aliased  bool
+	// Dirty-region tracking for incremental checkpoints (§6.2): every
+	// mutation marks dirty. aliased is set once Local hands out a raw
+	// reference to the words — from then on writes can bypass the runtime,
+	// so change detection falls back to comparing contents against the
+	// caller's checkpoint base (exact, just not free).
+	dirty   DirtyTracker
+	aliased bool
 }
 
 func newWindow(words, numLocks int) *window {
 	w := &window{
-		words:    make([]uint64, words),
-		locks:    make([]lockState, numLocks),
-		chunkGen: make([]uint64, (words+dirtyChunkWords-1)/dirtyChunkWords),
+		words: make([]uint64, words),
+		locks: make([]lockState, numLocks),
+		dirty: NewDirtyTracker(words),
 	}
 	for i := range w.locks {
 		w.locks[i].holder = -1
 	}
 	return w
-}
-
-// markDirty stamps the chunks covering [off, off+n) with a fresh
-// generation. Callers hold w.mu.
-func (w *window) markDirty(off, n int) {
-	if n <= 0 {
-		return
-	}
-	w.gen++
-	for c := off / dirtyChunkWords; c <= (off+n-1)/dirtyChunkWords; c++ {
-		w.chunkGen[c] = w.gen
-	}
 }
 
 // alias returns the raw words and permanently downgrades dirty tracking to
@@ -87,17 +69,17 @@ func (w *window) readDirtyInto(dst, base []uint64, since uint64) ([]DirtyRange, 
 	defer w.mu.Unlock()
 	n := len(w.words)
 	var ranges []DirtyRange
-	for off := 0; off < n; off += dirtyChunkWords {
-		ln := dirtyChunkWords
-		if off+ln > n {
-			ln = n - off
-		}
+	for off, ln := 0, 0; off < n; off += ln {
 		if w.aliased {
+			ln = min(dirtyChunkWords, n-off)
 			if slices.Equal(w.words[off:off+ln], base[off:off+ln]) {
 				continue
 			}
-		} else if w.chunkGen[off/dirtyChunkWords] <= since {
-			continue
+		} else {
+			var ok bool
+			if off, ln, ok = w.dirty.Next(off, since); !ok {
+				break
+			}
 		}
 		if k := len(ranges); k > 0 && ranges[k-1].Off+ranges[k-1].Len == off {
 			ranges[k-1].Len += ln
@@ -106,16 +88,12 @@ func (w *window) readDirtyInto(dst, base []uint64, since uint64) ([]DirtyRange, 
 		}
 		copy(dst[off:off+ln], w.words[off:off+ln])
 	}
-	return ranges, w.gen
+	return ranges, w.dirty.Gen()
 }
 
 // checkRange panics on out-of-bounds accesses: usage errors abort the run,
 // as an RMA runtime would.
-func (w *window) checkRange(off, n int) {
-	if off < 0 || n < 0 || off+n > len(w.words) {
-		panic(fmt.Sprintf("rma: access [%d, %d) outside window of %d words", off, off+n, len(w.words)))
-	}
-}
+func (w *window) checkRange(off, n int) { CheckRange(off, n, len(w.words)) }
 
 // applyPut writes data at off under the window lock.
 func (w *window) applyPut(off int, data []uint64) {
@@ -123,7 +101,7 @@ func (w *window) applyPut(off int, data []uint64) {
 	defer w.mu.Unlock()
 	w.checkRange(off, len(data))
 	copy(w.words[off:], data)
-	w.markDirty(off, len(data))
+	w.dirty.Mark(off, len(data))
 }
 
 // applyAccumulate combines data at off under the window lock.
@@ -134,7 +112,7 @@ func (w *window) applyAccumulate(off int, data []uint64, op ReduceOp) {
 	for i, v := range data {
 		w.words[off+i] = op.apply(w.words[off+i], v)
 	}
-	w.markDirty(off, len(data))
+	w.dirty.Mark(off, len(data))
 }
 
 // readInto copies n words from off into dst under the window lock.
@@ -153,7 +131,7 @@ func (w *window) cas(off int, old, new uint64) uint64 {
 	prev := w.words[off]
 	if prev == old {
 		w.words[off] = new
-		w.markDirty(off, 1)
+		w.dirty.Mark(off, 1)
 	}
 	return prev
 }
@@ -169,7 +147,7 @@ func (w *window) getAccumulate(off int, data []uint64, op ReduceOp) []uint64 {
 	for i, v := range data {
 		w.words[off+i] = op.apply(w.words[off+i], v)
 	}
-	w.markDirty(off, len(data))
+	w.dirty.Mark(off, len(data))
 	return prev
 }
 
@@ -180,7 +158,7 @@ func (w *window) fao(off int, operand uint64, op ReduceOp) uint64 {
 	w.checkRange(off, 1)
 	prev := w.words[off]
 	w.words[off] = op.apply(prev, operand)
-	w.markDirty(off, 1)
+	w.dirty.Mark(off, 1)
 	return prev
 }
 
@@ -191,7 +169,7 @@ func (w *window) clear() {
 	for i := range w.words {
 		w.words[i] = 0
 	}
-	w.markDirty(0, len(w.words))
+	w.dirty.Mark(0, len(w.words))
 }
 
 // acquire takes structure lock str on behalf of rank p whose virtual clock

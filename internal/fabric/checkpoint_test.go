@@ -248,25 +248,71 @@ func TestPutBetweenDiffAndCommit(t *testing.T) {
 	}
 }
 
-// TestFoldRetryShipsSameWords: a fold the host refuses with CodeCrisis
-// commits nothing, so the retry diffs the same chunks, ships the same frame
-// and commits once.
+// foldFrames records the fParityFold payloads that leave a node.
+type foldFrames struct {
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (ff *foldFrames) add(payload []byte) int {
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	ff.frames = append(ff.frames, append([]byte(nil), payload...))
+	return len(ff.frames)
+}
+
+// twoAlike fails unless exactly two frames left, byte for byte the same.
+func (ff *foldFrames) twoAlike(t *testing.T) {
+	t.Helper()
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	if len(ff.frames) != 2 || !bytes.Equal(ff.frames[0], ff.frames[1]) {
+		t.Fatalf("%d fold frames left the member, want the failed one and an identical retry", len(ff.frames))
+	}
+}
+
+// rehost is the gossip that tells nd its group's parity moved — here back to
+// the host it was on, one version up: the event a parked fold retry waits for.
+func rehost(nd *Node, host int) {
+	nd.mergeMembers(nil, []Hosting{{Group: 0, Host: host, Version: nd.Hostings()[0].Version + 1}})
+}
+
+// syncHostFirst closes a phase on both ranks, the member's fold leaving only
+// after the host has folded its own — a hook on the member's fold frame may
+// then take the host's parity away. The channel yields both Syncs' results.
+func syncHostFirst(t *testing.T, host, member *Node) <-chan error {
+	t.Helper()
+	errs := make(chan error, 2)
+	go func() { errs <- host.Sync() }()
+	await(t, "the host's own fold", func() bool { return host.om.foldsSent.Load() == 1 })
+	go func() { errs <- member.Sync() }()
+	return errs
+}
+
+// TestFoldRetryShipsSameWords: a fold the host refuses commits nothing, so
+// the retry — once the hosting table has moved — ships the same frame, from
+// the same diff, and commits once.
 func TestFoldRetryShipsSameWords(t *testing.T) {
 	const words = 4 * 64
 	pn := newPipeNet()
 	var a, host *Node
-	var mu sync.Mutex
-	var frames [][]byte
+	var sent foldFrames
+	var lost *hostedGroup
+	refused := make(chan struct{})
+	// The first fold finds a host that has given the group up.
 	pn.onFrame = func(from string, ft byte, payload []byte) {
-		if ft != fParityFold || from != a.addr {
-			return
+		if ft == fParityFold && from == a.addr && sent.add(payload) == 1 {
+			host.parMu.Lock()
+			lost = host.hosted[0]
+			delete(host.hosted, 0)
+			host.parMu.Unlock()
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		frames = append(frames, append([]byte(nil), payload...))
-		if len(frames) == 2 {
-			host.state.Store(stLive) // before the retry reaches the host
+	}
+	pn.onReply = func(to string, rt byte, _ []byte) bool {
+		if rt == 0xFF && to == host.addr {
+			close(refused)
 		}
+		return false
 	}
 	f := startTestFabricWords(t, pn, 2, 1, words, fastTuning)
 	h := f.nodes[0].Hostings()[0].Host
@@ -274,24 +320,87 @@ func TestFoldRetryShipsSameWords(t *testing.T) {
 
 	a.WriteAt(60, randWords(rand.New(rand.NewSource(1)), 10)) // two chunks
 	a.WriteAt(words-1, []uint64{7})
-	// A host that is installing answers every rank-state frame CodeCrisis.
-	host.state.Store(stJoining)
-	syncAll(t, f)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(frames) != 2 || !bytes.Equal(frames[0], frames[1]) {
-		t.Fatalf("%d fold frames left rank %d, want the refused one and an identical retry", len(frames), a.rank)
+	errs := syncHostFirst(t, host, a)
+	<-refused
+	host.parMu.Lock()
+	host.hosted[0] = lost
+	host.parMu.Unlock()
+	rehost(a, h)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
+	sent.twoAlike(t)
 	if sent, hosted := a.om.foldsSent.Load(), host.om.foldsHosted.Load(); sent != 1 || hosted != 2 {
 		t.Fatalf("rank %d committed %d folds and the host applied %d, want 1 and 2 (its own and the retry)", a.rank, sent, hosted)
 	}
 	if got := a.om.ckptFolded.Load(); got != 11 {
 		t.Fatalf("fabric.ckpt.words.folded = %d, want the 11 words written, once", got)
 	}
-	if got := a.om.ckptScanned.Load(); got != 2*3*64 {
-		t.Fatalf("fabric.ckpt.words.scanned = %d, want three chunks, diffed twice", got)
+	if got := a.om.ckptScanned.Load(); got != 3*64 {
+		t.Fatalf("fabric.ckpt.words.scanned = %d, want three chunks, diffed once", got)
 	}
 	checkCommitted(t, f, "after the retried fold")
+}
+
+// TestFoldAckLostReshipsSameWords: the host applies a fold and the ack is
+// lost; the window changes before the retry. The host dedupes a retry by
+// phase, so the retry must carry the words the host already folded — a fresh
+// diff would commit the new words to the base and leave parity without them
+// until the next crisis rebuilt it. The new words go with the next fold.
+func TestFoldAckLostReshipsSameWords(t *testing.T) {
+	const words, at = 4 * 64, 2*64 + 5
+	late := []uint64{0xfeed, 0xbeef}
+	pn := newPipeNet()
+	var a, host *Node
+	var sent foldFrames
+	var applied []uint64 // the parity once the first attempt is folded in
+	pn.onFrame = func(from string, ft byte, payload []byte) {
+		if ft == fParityFold && from == a.addr {
+			sent.add(payload)
+		}
+	}
+	pn.onReply = func(to string, rt byte, _ []byte) bool {
+		if rt != fParityFold|0x80 || to != host.addr || applied != nil {
+			return false
+		}
+		host.parMu.Lock()
+		applied = append([]uint64(nil), host.hosted[0].shards[0]...)
+		host.parMu.Unlock()
+		a.WriteAt(at, late) // between the two attempts
+		rehost(a, host.rank)
+		return true
+	}
+	f := startTestFabricWords(t, pn, 2, 1, words, fastTuning)
+	h := f.nodes[0].Hostings()[0].Host
+	host, a = f.nodes[h].Node, f.nodes[1-h].Node
+
+	a.WriteAt(3, []uint64{1, 2, 3})
+	errs := syncHostFirst(t, host, a)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent.twoAlike(t)
+	host.parMu.Lock()
+	once := slices.Equal(host.hosted[0].shards[0], applied)
+	host.parMu.Unlock()
+	if !once {
+		t.Fatal("the retry moved the parity: the host committed the fold twice")
+	}
+	if got := a.om.ckptFolded.Load(); got != 3 {
+		t.Fatalf("fabric.ckpt.words.folded = %d, want the 3 words of the acked fold", got)
+	}
+	if got := checkTrackedDiff(t, a, "after the retried fold"); !slices.Equal(got, []int{at}) {
+		t.Fatalf("the next diff has runs at %v, want the late write's [%d]", got, at)
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the next fold")
+	if got := a.ReadAt(at, 2); !slices.Equal(got, late) {
+		t.Fatalf("the late write did not survive: window has %x", got)
+	}
 }
 
 // TestReplacementFoldsReplayedPuts: kill + replace on a 64 Ki-word window.

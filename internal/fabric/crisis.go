@@ -3,6 +3,8 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/erasure"
 	"repro/internal/ftrma"
@@ -151,26 +153,24 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 			continue
 		}
 		members := groupMembers(nd.n, nd.groups, h.Group)
-		bases := make([][]uint64, len(members))
+		if slices.Contains(members, victim) {
+			return fmt.Errorf("fabric: group %d lost both a member and its parity host (rank %d)", h.Group, victim)
+		}
+		bases, _, err := nd.fetchState(members, -1, h.Group)
+		if err != nil {
+			return err
+		}
+		words := make([][]uint64, len(members))
 		snaps := make([]snap, len(members))
 		folded := make([]int, len(members))
-		for i, r := range members {
-			if r == victim {
-				return fmt.Errorf("fabric: group %d lost both a member and its parity host (rank %d)", h.Group, victim)
-			}
-			s, base, err := nd.fetchBase(r)
-			if err != nil {
-				return err
-			}
-			bases[i] = base
-			snaps[i] = s
-			folded[i] = s.phase
+		for i, b := range bases {
+			words[i], snaps[i], folded[i] = b.words, b.snap, b.snap.phase
 		}
 		rs, err := erasure.NewRS(len(members), 1)
 		if err != nil {
 			return err
 		}
-		shards, err := rs.EncodeWords(bases)
+		shards, err := rs.EncodeWords(words)
 		if err != nil {
 			return fmt.Errorf("fabric: rebuilding parity of group %d: %w", h.Group, err)
 		}
@@ -210,25 +210,20 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	if host.Host < 0 || host.Host == victim {
 		return fmt.Errorf("fabric: group %d parity unavailable for reconstruction", vg)
 	}
-	hg, err := nd.fetchParity(host.Host, vg)
+	others := slices.DeleteFunc(slices.Clone(members), func(r int) bool { return r == victim })
+	bases, hg, err := nd.fetchState(others, host.Host, vg)
 	if err != nil {
 		return err
 	}
 	if hg.k != len(members) || vIdx >= hg.k {
 		return fmt.Errorf("fabric: parity of group %d has %d members, expected %d", vg, hg.k, len(members))
 	}
-	shards := make([][]uint64, hg.k+len(hg.shards))
-	for i, r := range members {
-		if r == victim {
-			continue
-		}
-		_, base, err := nd.fetchBase(r)
-		if err != nil {
-			return err
-		}
-		shards[i] = base
+	shards := make([][]uint64, 0, hg.k+len(hg.shards))
+	for _, b := range bases {
+		shards = append(shards, b.words)
 	}
-	copy(shards[hg.k:], hg.shards)
+	shards = slices.Insert(shards, vIdx, nil) // the slot to reconstruct
+	shards = append(shards, hg.shards...)
 	if err := hg.rs.ReconstructWords(shards); err != nil {
 		return fmt.Errorf("fabric: reconstructing rank %d: %w", victim, err)
 	}
@@ -265,7 +260,10 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	// abandon the install and fail the run instead of waiting forever for
 	// a replacement whose install can never complete.
 	nd.mmu.Lock()
-	for nd.pending = pi; nd.pending == pi; nd.mcond.Wait() { // handleJoin clears it
+	nd.pending = pi
+	// A join held by handleJoin takes the install from here and clears it.
+	nd.mcond.Broadcast()
+	for ; nd.pending == pi; nd.mcond.Wait() {
 		_, _, dead := nd.censusLocked()
 		if dead > 1 || nd.state.Load() == stClosed {
 			nd.pending = nil
@@ -310,6 +308,51 @@ func (nd *Node) surviving(victim int) []Member {
 		}
 	}
 	return out
+}
+
+// committedBase is a rank's committed base and the counters it stands at.
+type committedBase struct {
+	snap  snap
+	words []uint64
+}
+
+// fetchState gathers what one rebuild step reads from the survivors: the
+// committed bases of ranks, in that order, and — host permitting (≥ 0) —
+// group g's parity from host. The fetches go to different ranks and each is
+// a window's worth of bytes to wait for, so two run at a time; more would
+// only multiply the window-sized buffers in flight at both ends.
+func (nd *Node) fetchState(ranks []int, host, g int) ([]committedBase, *hostedGroup, error) {
+	var (
+		wg     sync.WaitGroup
+		bases  = make([]committedBase, len(ranks))
+		errs   = make([]error, len(ranks)+1)
+		parity *hostedGroup
+		sem    = make(chan struct{}, 2)
+	)
+	fetch := func(i int, f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			errs[i] = f()
+			<-sem
+		}()
+	}
+	for i, r := range ranks {
+		i, r := i, r
+		fetch(i, func() (err error) {
+			bases[i].snap, bases[i].words, err = nd.fetchBase(r)
+			return err
+		})
+	}
+	if host >= 0 {
+		fetch(len(ranks), func() (err error) {
+			parity, err = nd.fetchParity(host, g)
+			return err
+		})
+	}
+	wg.Wait()
+	return bases, parity, errors.Join(errs...)
 }
 
 // fetchBase returns rank's committed base and snapshot — locally or over
@@ -364,44 +407,56 @@ func (nd *Node) fetchParity(host, g int) (*hostedGroup, error) {
 	return hg, nil
 }
 
-// handleJoin serves fJoin: on the arbiter with a reconstruction parked,
-// the reply is the replacement's full install; elsewhere it redirects to
-// the arbiter (or asks for a retry while one is still being elected or
-// the reconstruction is still running).
-func (nd *Node) handleJoin(d *wire.Dec) (byte, []byte, error) {
+// handleJoin serves fJoin as a long poll. A node the census does not name
+// arbiter redirects to the one it does. The arbiter holds the request — it
+// runs on its own goroutine — until the reconstruction is parked and answers
+// with the replacement's full install, in the same exchange whether the join
+// arrived before the crisis began, during it or after. A held request is let
+// go when the arbitration moves elsewhere, the node fails or closes, or the
+// joiner hangs up.
+func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, []byte, error) {
 	addr := d.Str()
 	if d.Failed() || addr == "" {
 		return fJoin, nil, errBadFrame
 	}
 	var e wire.Enc
 	nd.mmu.Lock()
-	if pi := nd.pending; pi != nil {
-		nd.pending = nil
-		m := &nd.members[pi.rank]
-		*m = Member{Rank: pi.rank, Addr: addr, Incarnation: pi.inc, Alive: true, Watermark: pi.in.snap.phase + 1}
-		w := world{
-			rank: pi.rank, n: nd.n, windowWords: nd.windowWords, groups: nd.groups,
-			tuning: nd.tun(), meta: nd.meta,
-			members:  append([]Member(nil), nd.members...),
-			hostings: append([]Hosting(nil), nd.hostings...),
+	for nd.pending == nil {
+		if err := nd.failedOrClosed(); err != nil {
+			nd.mmu.Unlock()
+			return fJoin, nil, err
 		}
-		nd.mmu.Unlock()
-		e.B(jmWorld)
-		encWorld(&e, w)
-		e.B(1)
-		encInstall(&e, pi.in)
-		nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
-		nd.spawn(nd.gossipNow)
-		return fJoin, e.Bytes(), nil
+		nd.cmu.Lock()
+		gone := st.down
+		nd.cmu.Unlock()
+		if gone {
+			nd.mmu.Unlock()
+			return fJoin, nil, errors.New("fabric: joiner hung up")
+		}
+		if arbiter, _, _ := nd.censusLocked(); arbiter.Rank >= 0 && arbiter.Rank != nd.rank {
+			nd.mmu.Unlock()
+			e.B(jmRedirect)
+			e.Str(arbiter.Addr)
+			return fJoin, e.Bytes(), nil
+		}
+		nd.mcond.Wait() // for a verdict, the parked install, Close, or the hang-up
 	}
-	arbiter, _, _ := nd.censusLocked()
+	pi := nd.pending
+	nd.pending = nil
+	m := &nd.members[pi.rank]
+	*m = Member{Rank: pi.rank, Addr: addr, Incarnation: pi.inc, Alive: true, Watermark: pi.in.snap.phase + 1}
+	w := world{
+		rank: pi.rank, n: nd.n, windowWords: nd.windowWords, groups: nd.groups,
+		tuning: nd.tun(), meta: nd.meta,
+		members:  append([]Member(nil), nd.members...),
+		hostings: append([]Hosting(nil), nd.hostings...),
+	}
 	nd.mmu.Unlock()
-	if arbiter.Rank >= 0 && arbiter.Rank != nd.rank {
-		e.B(jmRedirect)
-		e.Str(arbiter.Addr)
-		return fJoin, e.Bytes(), nil
-	}
-	e.B(jmRetry)
-	e.I(int(nd.tun().GossipInterval.Milliseconds()) + 1)
+	e.B(jmWorld)
+	encWorld(&e, w)
+	e.B(1)
+	encInstall(&e, pi.in)
+	nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
+	nd.spawn(nd.gossipNow)
 	return fJoin, e.Bytes(), nil
 }

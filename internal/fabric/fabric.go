@@ -44,6 +44,8 @@
 // the parity hosting table spread by gossip (fGossip) every
 // GossipInterval; entries merge by incarnation (higher wins; within one
 // incarnation a death verdict is sticky and watermarks are monotone).
+// Gossip is anti-entropy only: everything a recovery waits for is pushed
+// when it happens, so GossipInterval is not a term of the recovery time.
 //
 // The gsync barrier itself is hub-free: a rank finishing phase p
 // broadcasts fGsyncReady with watermark p+1 and passes the barrier when
@@ -65,9 +67,24 @@
 // the reconstructed state — base, counter snapshot, and the causally
 // sorted replay records with GNC ≥ the committed phase — to the
 // replacement when it joins (the fJoin reply doubles as the install
-// frame). Survivors' parked flushes towards the victim redeliver to the
-// replacement once it gossips alive; the disjoint write-once causal
-// workload makes redelivery and re-execution idempotent.
+// frame).
+//
+// Every wait on that path is for an event, none for a clock. fJoin is a
+// long poll: a member that is not the arbiter redirects at once, and the
+// arbiter holds the request open — through the verdict and the rebuild, if
+// the join came first — until the install is parked, then answers with it.
+// The arbiter publishes the replacement by a gossip round and fCrisisEnd;
+// that wakes the survivors' parked flushes towards the victim, which
+// redeliver to the replacement (the disjoint write-once causal workload
+// makes redelivery and re-execution idempotent). A frame that reaches the
+// replacement before it has applied its install is held there until it is
+// live and then served, never refused. A checkpoint fold that fails keeps
+// its diff and is re-shipped, word for word, once the hosting table or the
+// host's membership entry has moved — the host dedupes a retry by phase, so
+// a retry diffed afresh could commit words parity never saw. The one
+// clock-based wait left is the back-off after a failed dial (nothing
+// follows a refused dial that one could wait for), counted in
+// fabric.retry.backoffs; a kill and its recovery leave it at zero.
 //
 // The fabric is deliberately scoped to the paper's cheap path: causal
 // (conflict-free) workloads, coordinated checkpoints at every gsync, one

@@ -10,6 +10,7 @@ package fabric
 // and a Close that leaves nothing running.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -110,12 +111,45 @@ func (c *recConn) Close() error {
 	return c.Conn.Close()
 }
 
+// farConn is the accepting end of a pipe. What a node writes there, its
+// heartbeats aside, are replies, one Write each.
+type farConn struct {
+	net.Conn
+	to      string
+	onReply func(to string, t byte, payload []byte) (lost bool)
+}
+
+func (c *farConn) Write(b []byte) (int, error) {
+	const replyBit = 0x80 // wire's; set on error replies (0xFF) too
+	if c.onReply != nil && len(b) >= 9 && b[4]&replyBit != 0 && c.onReply(c.to, b[4], b[9:]) {
+		// The ack is lost. The caller reads what a lost ack looks like on a
+		// fabric connection: the refusal of a node on its way down.
+		var e wire.Enc
+		e.B(wire.CodeCrisis)
+		e.I(0)
+		e.Str("pipe: the reply was lost")
+		lost := binary.BigEndian.AppendUint32(nil, uint32(5+len(e.Bytes())))
+		lost = append(append(append(lost, 0xFF), b[5:9]...), e.Bytes()...)
+		if _, err := c.Conn.Write(lost); err != nil {
+			return 0, err
+		}
+		return len(b), nil
+	}
+	return c.Conn.Write(b)
+}
+
 type pipeNet struct {
 	dialDelay time.Duration // widens the window concurrent dialers race in
 	// onFrame, when set before the dial, sees every frame a dialer writes
 	// (frames under wire's 2 KiB flatten threshold: one Write each) on the
 	// writing goroutine, before it reaches the pipe.
 	onFrame func(from string, t byte, payload []byte)
+	// onReply, when set before the dial, sees every reply the accepting side
+	// at address `to` writes — t is the frame's type byte, the request's
+	// with the reply bit set or 0xFF for an error reply — on the writing
+	// goroutine. Returning true loses the reply: the handler has run, and
+	// the caller is told the node is closing instead.
+	onReply func(to string, t byte, payload []byte) (lost bool)
 
 	mu    sync.Mutex
 	lns   map[string]*pipeListener
@@ -147,7 +181,7 @@ func (pn *pipeNet) dialer(from string) transport.Dialer {
 			return nil, fmt.Errorf("pipe: no listener at %q", addr)
 		}
 		near, far := net.Pipe()
-		if !l.deliver(far) {
+		if !l.deliver(&farConn{Conn: far, to: addr, onReply: pn.onReply}) {
 			return nil, fmt.Errorf("pipe: %s refused the connection", addr)
 		}
 		rec := &pipeDial{from: from, to: addr}
@@ -301,16 +335,19 @@ func (f *testFabric) teardown() {
 	}
 }
 
-// runPhase is the miniature causal workload: one write-once word to every
-// peer, then the gsync.
-func runPhase(nd *Node, p int) error {
+// putPhase is the miniature causal workload over a run of `phases` phases:
+// one write-once word to every peer at (rank, p), then the gsync.
+func putPhase(nd *Node, p, phases int) error {
 	for q := 0; q < nd.n; q++ {
 		if q != nd.rank {
-			nd.Put(q, nd.rank*testPhases+p, []uint64{testVal(nd.rank, p)})
+			nd.Put(q, nd.rank*phases+p, []uint64{testVal(nd.rank, p)})
 		}
 	}
 	return nd.Sync()
 }
+
+// runPhase is putPhase on the window startTestFabric sizes.
+func runPhase(nd *Node, p int) error { return putPhase(nd, p, testPhases) }
 
 func drivePhases(nd *Node, from, to int) error {
 	for p := from; p < to; p++ {
@@ -554,9 +591,9 @@ func TestReplaceKeepsLiveConnections(t *testing.T) {
 	}
 }
 
-// TestClosePromptAndFinal: under the benchmark's tuning (250 ms retry
-// sleeps) Close of a node with a parked redelivery, and of an arbiter
-// holding a reconstruction for a replacement that never comes, returns in
+// TestClosePromptAndFinal: under the benchmark's tuning Close of a node
+// with a parked redelivery, of an arbiter holding a reconstruction for a
+// replacement that never comes, and of one holding a join open, returns in
 // under 50 ms; the parked call fails with ErrClosed; a second Close is a
 // no-op. The teardown then finds no goroutine and no late log line.
 func TestClosePromptAndFinal(t *testing.T) {
@@ -603,6 +640,21 @@ func TestClosePromptAndFinal(t *testing.T) {
 	arbiter.closeWithin(t, time.Millisecond) // second Close: a no-op
 	if err := arbiter.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync on a closed node returned %v, want ErrClosed", err)
+	}
+
+	// An arbiter holding a join open for a death that has not happened
+	// closes as promptly, and the join fails.
+	pn = newPipeNet()
+	arbiter = startTestFabric(t, pn, 2, 1, benchTuning).nodes[0]
+	_, gone := ghostJoin(t, pn, arbiter.addr)
+	arbiter.closeWithin(t, 50*time.Millisecond)
+	select {
+	case err := <-gone:
+		if err == nil {
+			t.Fatal("a closed arbiter answered the join it held")
+		}
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("Close left the held join held")
 	}
 }
 

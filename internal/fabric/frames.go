@@ -15,10 +15,10 @@ import (
 // docs/WIRE.md §5 is the normative payload spec; the enc/dec helpers in
 // this file are the implementation of record.
 const (
-	// fJoin (call, joiner → seed or any live node): {addr}. The reply
-	// carries a mode byte: jmRetry{delayMs}, jmRedirect{addr}, or
-	// jmWorld{world, install?} — the world snapshot doubles as the
-	// crisis install channel for a replacement rank.
+	// fJoin (call, joiner → seed or any live node): {addr}. A long poll:
+	// the reply comes when there is one to give and carries a mode byte,
+	// jmRedirect{addr} or jmWorld{world, install?} — the world snapshot
+	// doubles as the crisis install channel for a replacement rank.
 	fJoin = 0x40
 	// fHello (notify, first frame on a peer conn): {rank, incarnation}
 	// attributes the connection so its death is charged to the right
@@ -37,7 +37,9 @@ const (
 	// memberIdx, phase, snap{ec*, gc}, ranges{off, delta-words}*}. The
 	// host folds the deltas into the group parity and stores the snap
 	// atomically; a duplicate (same member, same phase) is acked without
-	// re-applying, making fold retries after a connection loss safe.
+	// re-applying, which makes a retry after a lost ack safe as long as it
+	// carries the words of the first attempt (checkpoint diffs once per
+	// phase and re-ships that).
 	fParityFold = 0x45
 	// fParityFetch (call, arbiter → group host): {group} → {k, m,
 	// snaps k×{phase+1, ec*, gc}, shards m×words}.
@@ -75,9 +77,9 @@ const (
 	fCrisisFail = 0x50
 )
 
-// fJoin reply modes.
+// fJoin reply modes. 0 was "retry in {delayMs}" before joins were held
+// open and stays reserved.
 const (
-	jmRetry    = 0 // slot not ready (crisis in progress): {delayMs}
 	jmRedirect = 1 // not the arbiter: {addr of current arbiter}
 	jmWorld    = 2 // welcome: {world, install?}
 )

@@ -13,6 +13,11 @@ import (
 // errBadFrame is the shared reply for undecodable payloads.
 var errBadFrame = errors.New("fabric: undecodable frame")
 
+// errClosing is a closed node's answer to every frame, and the only
+// CodeCrisis the fabric puts on the wire: the connection it arrives on is
+// about to go down, so the caller treats it as that — a fail-stop.
+var errClosing = wire.RemoteFail{Code: wire.CodeCrisis, Msg: ErrClosed.Error()}
+
 // acceptLoop keeps every inbound connection in the peer table until it
 // goes down. Once fHello has attributed one, its going down is that peer's
 // death report: nodes close connections to live incarnations only by dying.
@@ -39,6 +44,11 @@ func (nd *Node) acceptLoop() {
 				nd.cmu.Unlock()
 				if helloed {
 					nd.condemn(rank, inc, fmt.Errorf("inbound connection down: %w", err))
+				} else {
+					// A joiner that hung up releases its parked fJoin.
+					nd.mmu.Lock()
+					nd.mcond.Broadcast()
+					nd.mmu.Unlock()
 				}
 			},
 		})
@@ -59,8 +69,7 @@ func (nd *Node) acceptLoop() {
 // waits for the ones in flight and later frames are refused.
 func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, error) {
 	if !nd.enter() {
-		// Retryable like "installing": by the retry the connection is gone.
-		return t, nil, wire.RemoteFail{Code: wire.CodeCrisis, Msg: ErrClosed.Error()}
+		return t, nil, errClosing
 	}
 	defer nd.tasks.Done()
 	d := wire.NewDec(payload)
@@ -73,22 +82,6 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 		nd.cmu.Lock()
 		st.rank, st.inc, st.helloed = rank, inc, true
 		nd.cmu.Unlock()
-		return t, nil, nil
-	case fJoin:
-		return nd.handleJoin(d)
-	case fGossip:
-		ms, hs, ok := decTables(d)
-		if !ok {
-			return t, nil, errBadFrame
-		}
-		nd.mergeMembers(ms, hs)
-		return t, nil, nil
-	case fGsyncReady:
-		rank, inc, wm := d.I(), d.I(), d.I()
-		if d.Failed() {
-			return t, nil, errBadFrame
-		}
-		nd.mergeMembers([]Member{{Rank: rank, Incarnation: inc, Alive: true, Watermark: wm}}, nil)
 		return t, nil, nil
 	case fShutdown:
 		if nd.state.CompareAndSwap(stLive, stDraining) {
@@ -103,13 +96,31 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 		nd.fail(fmt.Errorf("fabric: crisis failed at arbiter: %s", msg))
 		return t, nil, nil
 	}
-	// Everything below touches rank state: refuse it until the world
-	// (and a replacement's install) is applied, so a survivor's parked
-	// redelivery cannot race the install's base restore.
-	if nd.state.Load() == stJoining {
-		return t, nil, wire.RemoteFail{Code: wire.CodeCrisis, Msg: "fabric: node is installing"}
+	// Everything below reads or writes rank state. A node still installing
+	// holds the frame until it is live and then serves it — a ready or a
+	// gossip frame merges into the table it now has, a survivor's redelivery
+	// lands on the restored base — so "installing" never goes on the wire and
+	// nobody retries on a clock.
+	if !nd.awaitInstalled() {
+		return t, nil, errClosing
 	}
 	switch t {
+	case fJoin:
+		return nd.handleJoin(st, d)
+	case fGossip:
+		ms, hs, ok := decTables(d)
+		if !ok {
+			return t, nil, errBadFrame
+		}
+		nd.mergeMembers(ms, hs)
+		return t, nil, nil
+	case fGsyncReady:
+		rank, inc, wm := d.I(), d.I(), d.I()
+		if d.Failed() {
+			return t, nil, errBadFrame
+		}
+		nd.mergeMembers([]Member{{Rank: rank, Incarnation: inc, Alive: true, Watermark: wm}}, nil)
+		return t, nil, nil
 	case fBatch:
 		return nd.handleBatch(d)
 	case fParityFold:

@@ -256,50 +256,47 @@ func newNode(cfg JoinConfig) (*Node, error) {
 	return nd, nil
 }
 
-// joinLoop walks the retry/redirect protocol until a world arrives. A
-// failing address falls back to the original one: a survivor may
-// redirect to a stale "lowest alive" rank that is in fact the corpse
-// we are replacing, and the survivor itself stays reachable until its
-// own failure detector catches up and redirects to the real arbiter.
+// joinLoop follows redirects until a world arrives. A failing address falls
+// back to the original one: a survivor may redirect to a stale "lowest
+// alive" rank that is in fact the corpse we are replacing, and the survivor
+// itself stays reachable until its own failure detector catches up and
+// redirects to the real arbiter.
 func (nd *Node) joinLoop(addr string) (world, *install, error) {
 	orig := addr
 	deadline := time.Now().Add(60 * time.Second)
-	for dialErrs := 0; ; {
+	var backoff time.Duration
+	for errs := 0; ; {
 		if time.Now().After(deadline) {
 			return world{}, nil, fmt.Errorf("fabric: join via %s: no world within 60s", addr)
 		}
-		r, err := nd.joinOnce(addr)
+		r, err := nd.joinOnce(addr, deadline)
 		if err != nil {
-			dialErrs++
-			if dialErrs > 200 {
+			errs++
+			if errs > 200 {
 				return world{}, nil, fmt.Errorf("fabric: join via %s: %w", addr, err)
 			}
 			addr = orig
-			nd.sleepUnlessStopped(nd.tun().GossipInterval)
+			nd.dialBackoff(&backoff)
 			continue
 		}
-		dialErrs = 0
-		switch r.mode {
-		case jmRetry:
-			nd.sleepUnlessStopped(time.Duration(r.retryMs) * time.Millisecond)
-		case jmRedirect:
-			addr = r.redirect
-		case jmWorld:
+		if r.redirect == "" {
 			return r.w, r.in, nil
 		}
+		errs, backoff, addr = 0, 0, r.redirect
 	}
 }
 
-// joinReply is one decoded fJoin exchange.
+// joinReply is one decoded fJoin exchange: a redirect, or the world.
 type joinReply struct {
-	mode     byte
-	retryMs  int
 	redirect string
 	w        world
 	in       *install
 }
 
-func (nd *Node) joinOnce(addr string) (joinReply, error) {
+// joinOnce is one fJoin exchange. The far side answers when it has something
+// to say — the arbiter holds the call until the install is parked — so the
+// wait is bounded here, by what is left of joinLoop's deadline.
+func (nd *Node) joinOnce(addr string, deadline time.Time) (joinReply, error) {
 	var r joinReply
 	nc, err := nd.dialer.Dial(addr)
 	if err != nil {
@@ -310,6 +307,7 @@ func (nd *Node) joinOnce(addr string) (joinReply, error) {
 		BytesOut:  nd.om.wireOut, BytesIn: nd.om.wireIn,
 	})
 	defer wc.Close()
+	defer time.AfterFunc(time.Until(deadline), func() { wc.Close() }).Stop()
 	var e wire.Enc
 	e.Str(nd.addr)
 	reply, err := wc.Call(fJoin, e.Bytes())
@@ -317,11 +315,11 @@ func (nd *Node) joinOnce(addr string) (joinReply, error) {
 		return r, err
 	}
 	d := wire.NewDec(reply)
-	switch r.mode = d.B(); r.mode {
-	case jmRetry:
-		r.retryMs = d.I()
+	switch mode := d.B(); mode {
 	case jmRedirect:
-		r.redirect = d.Str()
+		if r.redirect = d.Str(); r.redirect == "" {
+			return r, errors.New("fabric: join redirected nowhere")
+		}
 	case jmWorld:
 		var ok bool
 		if r.w, ok = decWorld(d); !ok {
@@ -333,7 +331,7 @@ func (nd *Node) joinOnce(addr string) (joinReply, error) {
 			}
 		}
 	default:
-		return r, fmt.Errorf("fabric: unknown join reply mode %d", r.mode)
+		return r, fmt.Errorf("fabric: unknown join reply mode %d", mode)
 	}
 	if d.Failed() {
 		return r, errors.New("fabric: undecodable join reply")
@@ -362,7 +360,9 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.inc = w.members[w.rank].Incarnation
 	nd.window = make([]uint64, w.windowWords)
 	nd.dirty = rma.NewDirtyTracker(w.windowWords)
-	nd.base = make([]uint64, w.windowWords)
+	if in == nil {
+		nd.base = make([]uint64, w.windowWords)
+	}
 	nd.snapSelf = snap{phase: -1, ec: make([]int, w.n)}
 	nd.logs = ftrma.NewLocalLogHost(4096, 128, 0.5)
 	nd.ec = make([]int, w.n)
@@ -387,6 +387,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 		}
 	}
 	nd.state.CompareAndSwap(stJoining, stLive)
+	nd.wake() // the frames held while this node was installing
 	nd.logf("fabric: rank %d inc %d joined at phase %d", nd.rank, nd.inc, nd.phase)
 	return nil
 }
@@ -399,7 +400,7 @@ func (nd *Node) applyInstall(in *install) error {
 	if len(in.base) != nd.windowWords {
 		return fmt.Errorf("fabric: install base has %d words, window is %d", len(in.base), nd.windowWords)
 	}
-	copy(nd.base, in.base)
+	nd.base = in.base        // decoded for this node alone
 	copy(nd.window, in.base) // window == base: nothing to stamp
 	nd.snapSelf = in.snap
 	if len(in.snap.ec) == nd.n {
@@ -540,7 +541,8 @@ func (nd *Node) enter() bool {
 }
 
 // spawn runs f on a goroutine Close waits for; on a closed node it does
-// nothing. Every goroutine of the node starts here.
+// nothing. Every goroutine of the node starts here, or is waited for by one
+// that did (a crisis's concurrent fetches).
 func (nd *Node) spawn(f func()) {
 	if !nd.enter() {
 		return
@@ -561,12 +563,32 @@ func (nd *Node) logf(format string, args ...any) {
 	}
 }
 
-// sleepUnlessStopped is the retry loops' sleep: Close cuts it short.
-func (nd *Node) sleepUnlessStopped(dur time.Duration) {
+// dialBackoff is the one clock on the retry paths: a failed dial leaves no
+// event to wait for. Each wait doubles the last one through *d — 1 ms to
+// begin with, GossipInterval at most — and Close cuts it short. A recovery
+// does not come through here; fabric.retry.backoffs counts who does.
+func (nd *Node) dialBackoff(d *time.Duration) {
+	nd.om.backoffs.Inc()
+	*d = min(max(2**d, time.Millisecond), nd.tun().GossipInterval)
 	select {
 	case <-nd.stop:
-	case <-time.After(dur):
+	case <-time.After(*d):
 	}
+}
+
+// awaitInstalled holds a frame that needs rank state until the world (and a
+// replacement's install) is applied, so a survivor's redelivery cannot race
+// the install's base restore and never has to be refused and retried. It
+// reports false when the node closed instead.
+func (nd *Node) awaitInstalled() bool {
+	if nd.state.Load() == stJoining {
+		nd.mmu.Lock()
+		for nd.state.Load() == stJoining {
+			nd.mcond.Wait() // until applyWorld's or Close's wake
+		}
+		nd.mmu.Unlock()
+	}
+	return nd.state.Load() != stClosed
 }
 
 // Close implements Fabric: a fail-stop. It closes the listener and every
@@ -698,9 +720,6 @@ func (nd *Node) strikeDial(rank, inc int, cause error) {
 // slot outright; within one incarnation deaths are sticky and watermarks
 // are monotone.
 func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
-	if nd.state.Load() == stJoining {
-		return
-	}
 	changed := false
 	nd.mmu.Lock()
 	for _, m := range ms {
@@ -805,11 +824,17 @@ func (nd *Node) notify(peers []Member, t byte, payload []byte) {
 	}
 }
 
+// errDial marks a failed dial: of all the ways a retry loop can fail, the one
+// that is followed by no event (see dialBackoff).
+var errDial = errors.New("fabric: dial failed")
+
 // peer returns the node's connection to m's incarnation, dialing it when
 // the table holds none. It is the node's only lookup-or-dial and single-
 // flight per rank, so a node never holds two connections to one (rank,
 // incarnation) and never has a duplicate to close — which the far side
-// would read as a death. A failed dial is a strike against m.
+// would read as a death. A failed dial is a strike against m and wraps
+// errDial; any other error means the table m was read from has moved on
+// (the slot has a newer incarnation) or the node closed.
 func (nd *Node) peer(m Member) (*peerConn, error) {
 	nd.cmu.Lock()
 	pc := nd.conns[m.Rank]
@@ -833,7 +858,7 @@ func (nd *Node) peer(m Member) (*peerConn, error) {
 	nc, err := nd.dialer.Dial(m.Addr)
 	if err != nil {
 		nd.strikeDial(m.Rank, m.Incarnation, err)
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errDial, err)
 	}
 	st := &connState{rank: m.Rank, inc: m.Incarnation, helloed: true}
 	pc = &peerConn{inc: m.Incarnation}
@@ -891,11 +916,13 @@ func (nd *Node) dropConn(rank, inc int) {
 // conn returns a live connection to target, parking (interruptibly)
 // while the target is dead and its replacement has not joined yet.
 func (nd *Node) conn(target int) (*peerConn, error) {
+	var backoff time.Duration
+	refused := -1 // the incarnation the last dial failed against
 	for {
 		nd.mmu.Lock()
 		err := nd.failedOrClosed()
 		for err == nil && (!nd.members[target].Alive || nd.members[target].Addr == "") {
-			nd.mcond.Wait() // until gossip shows a replacement incarnation
+			nd.mcond.Wait() // until the table shows a replacement incarnation
 			err = nd.failedOrClosed()
 		}
 		m := nd.members[target]
@@ -903,10 +930,19 @@ func (nd *Node) conn(target int) (*peerConn, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pc, err := nd.peer(m); err == nil {
+		if m.Incarnation == refused {
+			// The table still calls alive what refused the dial (had the
+			// verdict merely been on its way, the wait above would have
+			// taken it): there is nothing to wait for but time.
+			nd.dialBackoff(&backoff)
+		}
+		pc, err := nd.peer(m)
+		if err == nil {
 			return pc, nil
 		}
-		nd.sleepUnlessStopped(nd.tun().GossipInterval)
+		if errors.Is(err, errDial) {
+			refused = m.Incarnation
+		}
 	}
 }
 
@@ -1081,18 +1117,19 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 			return
 		}
 		var rf wire.RemoteFail
-		if errors.As(err, &rf) {
-			if rf.Code == wire.CodeCrisis {
-				// Replacement still installing: retry shortly.
-				nd.sleepUnlessStopped(nd.tun().GossipInterval)
-				continue
-			}
+		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis || errors.Is(err, wire.ErrFrameTooLarge) {
 			nd.fail(fmt.Errorf("fabric: batch to rank %d rejected: %w", target, err))
 			return
 		}
-		// Connection death: OnDown condemns, conn() parks for the
-		// replacement, and redelivery is idempotent.
-		nd.sleepUnlessStopped(nd.tun().GossipInterval)
+		// The connection died under the call, or the target answered that it
+		// is closing: a fail-stop of that incarnation either way. Pass the
+		// verdict here — the connection's OnDown is about to, but wire fails
+		// its callers first — so conn() parks for the replacement instead of
+		// handing the dead connection back; redelivery is idempotent. A
+		// draining node passes no verdicts, and the dead connection has to
+		// leave its table all the same: conn() then redials.
+		nd.dropConn(target, pc.inc)
+		nd.condemn(target, pc.inc, err)
 	}
 }
 
@@ -1341,13 +1378,21 @@ func (df *ckptDelta) each(f func(off int, delta []uint64)) {
 // against crisis quiesce and base fetches; parity is always updated before
 // the base commit, so parity = encode(committed bases) holds whenever the
 // lock is free.
+//
+// The window is diffed once per phase. A fold that fails is retried with the
+// same nd.delta and snapshot: the host may have applied it and lost the ack,
+// and it dedupes by phase, so a fresh diff — the window may have moved since
+// — would commit words to the base that parity never saw. What landed after
+// the diff is stamped above delta.gen and goes with the next phase's fold.
 func (nd *Node) checkpoint(p int) error {
 	t0 := time.Now()
 	g := nd.rank % nd.groups
 	memberIdx := memberIndex(nd.rank, nd.groups)
 	nd.ckptMu.Lock()
 	defer nd.ckptMu.Unlock()
-	for {
+	var s snap
+	var backoff time.Duration
+	for diffed := false; ; {
 		if err := nd.failedOrClosed(); err != nil {
 			return err
 		}
@@ -1356,21 +1401,31 @@ func (nd *Node) checkpoint(p int) error {
 			continue
 		}
 		nd.mmu.Lock()
-		h := nd.hostings[g]
+		h, rec := nd.hostings[g], nd.recoveries
+		var hm Member
+		if h.Host >= 0 {
+			hm = nd.members[h.Host]
+		}
 		nd.mmu.Unlock()
 		if h.Host < 0 {
 			return fmt.Errorf("fabric: group %d has no electable parity host", g)
 		}
-		nd.diffRanges()
-		s := nd.snapNow(p)
+		if !diffed {
+			nd.diffRanges()
+			s = nd.snapNow(p)
+			diffed = true
+		}
 		var err error
-		if h.Host == nd.rank {
+		switch {
+		case h.Host == nd.rank:
 			if err = nd.foldLocal(g, memberIdx, p, s); err != nil {
 				return err
 			}
-		} else {
+		case !hm.Alive:
+			err = fmt.Errorf("fabric: rank %d is down", h.Host)
+		default:
 			var pc *peerConn
-			if pc, err = nd.upPeer(h.Host); err == nil {
+			if pc, err = nd.peer(hm); err == nil {
 				_, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s))
 			}
 		}
@@ -1383,35 +1438,49 @@ func (nd *Node) checkpoint(p int) error {
 			return nil
 		}
 		var rf wire.RemoteFail
-		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis && !strings.Contains(rf.Msg, "not hosting") {
+		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis && !strings.Contains(rf.Msg, "not hosting") ||
+			errors.Is(err, wire.ErrFrameTooLarge) {
 			return fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
 		}
-		// Host unreachable, not serving, or the hosting table moved: park
-		// outside the lock so crisis quiesce can proceed, then retry with a
-		// fresh diff (nothing was committed, so it covers the same chunks) —
-		// the host-side phase dedupe makes a replayed fold harmless.
+		// Host down, closing, or no longer the host: park outside the lock,
+		// so crisis quiesce can proceed, until the table this attempt read
+		// has moved. Only a failed dial leaves nothing to wait for.
 		nd.ckptMu.Unlock()
-		nd.sleepUnlessStopped(nd.tun().GossipInterval)
+		if errors.Is(err, errDial) {
+			nd.dialBackoff(&backoff)
+		} else {
+			nd.awaitFoldTarget(h, hm, rec)
+		}
 		nd.ckptMu.Lock()
 	}
 }
 
-// upPeer returns the connection to a rank that must be up, without conn()'s
-// parked wait: a checkpoint fold must not block inside ckptMu (it retries
-// outside), and to a crisis any failure is terminal (a double failure).
-func (nd *Node) upPeer(rank int) (*peerConn, error) {
+// awaitFoldTarget parks until a failed fold has somewhere new to go: the
+// group's hosting entry or the host's liveness or incarnation differs from
+// what the attempt read (h, hm), a crisis has closed since (rec), or the node
+// failed or closed.
+func (nd *Node) awaitFoldTarget(h Hosting, hm Member, rec int) {
+	nd.mmu.Lock()
+	defer nd.mmu.Unlock()
+	for nd.failedOrClosed() == nil && nd.hostings[h.Group] == h && nd.recoveries == rec {
+		if cur := nd.members[h.Host]; cur.Alive != hm.Alive || cur.Incarnation != hm.Incarnation {
+			return
+		}
+		nd.mcond.Wait()
+	}
+}
+
+// callRank performs one call towards a rank that must be up, without
+// conn()'s parked wait: to a crisis any failure is terminal (a double
+// failure).
+func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
 	nd.mmu.Lock()
 	m := nd.members[rank]
 	nd.mmu.Unlock()
 	if !m.Alive || m.Addr == "" {
 		return nil, fmt.Errorf("fabric: rank %d is down", rank)
 	}
-	return nd.peer(m)
-}
-
-// callRank performs one call towards a rank that must be up.
-func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
-	pc, err := nd.upPeer(rank)
+	pc, err := nd.peer(m)
 	if err != nil {
 		return nil, err
 	}

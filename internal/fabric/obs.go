@@ -30,6 +30,9 @@ type nodeMetrics struct {
 	ckptScanned *obs.Counter // fabric.ckpt.words.scanned
 	ckptFolded  *obs.Counter // fabric.ckpt.words.folded
 
+	// Waits on a clock, not an event: only a failed dial has one left.
+	backoffs *obs.Counter // fabric.retry.backoffs
+
 	wireOut *obs.Counter // fabric.wire.bytes.sent
 	wireIn  *obs.Counter // fabric.wire.bytes.recv
 
@@ -59,6 +62,7 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 		replayChunks:   r.Counter("fabric.replay.chunks"),
 		ckptScanned:    r.Counter("fabric.ckpt.words.scanned"),
 		ckptFolded:     r.Counter("fabric.ckpt.words.folded"),
+		backoffs:       r.Counter("fabric.retry.backoffs"),
 		wireOut:        r.Counter("fabric.wire.bytes.sent"),
 		wireIn:         r.Counter("fabric.wire.bytes.recv"),
 		flushUs:        r.Histogram("fabric.flush.us"),

@@ -1,0 +1,345 @@
+package fabric
+
+// Tests of the recovery path's waits. Between a rank's death and the fabric
+// running again every stage waits for the event it needs — the verdict, the
+// parked install, the replacement going live — and none for a clock: a join
+// is held open until there is a world to answer it with, a frame that reaches
+// an installing node is held until the node is live, a redelivery is woken by
+// the membership table. The one clock left, the back-off after a failed dial,
+// is counted (fabric.retry.backoffs), and a kill and replace leaves it at 0.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/transport/wire"
+)
+
+// replace fail-stops rank victim, waits — like the benchmark's harness — for
+// the next rank's verdict, and joins a replacement through that rank.
+func (f *testFabric) replace(t *testing.T, victim int) *testNode {
+	t.Helper()
+	observer := f.nodes[(victim+1)%len(f.nodes)]
+	f.nodes[victim].closeWithin(t, 0)
+	await(t, "the verdict", func() bool { return !observer.sees(victim).Alive })
+	repl, err := f.join(observer.addr)
+	if err != nil {
+		t.Fatalf("replacement join: %v", err)
+	}
+	if repl.rank != victim {
+		t.Fatalf("the replacement took rank %d, want %d", repl.rank, victim)
+	}
+	f.all = append(f.all, repl)
+	f.nodes[victim] = repl
+	return repl
+}
+
+// backoffs sums fabric.retry.backoffs over every node the fabric ever had.
+func (f *testFabric) backoffs() (n uint64) {
+	for _, tn := range f.all {
+		n += tn.om.backoffs.Load()
+	}
+	return n
+}
+
+// parkedJoins counts the fJoin handlers running in this process.
+func parkedJoins() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*Node).handleJoin("))
+}
+
+// ghostJoin sends an fJoin for a joiner that will never be a node and waits
+// until a handler holds it. The channel reports how the call ended.
+func ghostJoin(t *testing.T, pn *pipeNet, addr string) (*wire.Conn, <-chan error) {
+	t.Helper()
+	nc, err := pn.dialer("ghost").Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := wire.New(nc, wire.Config{})
+	var e wire.Enc
+	e.Str("ghost")
+	held := parkedJoins()
+	gone := make(chan error, 1)
+	go func() {
+		_, err := ghost.Call(fJoin, e.Bytes())
+		gone <- err
+	}()
+	await(t, "the ghost's join to park", func() bool { return parkedJoins() == held+1 })
+	return ghost, gone
+}
+
+// recoveryTime bootstraps four ranks on a filled 64 Ki-word window, closes a
+// phase, kills victim at the top of the next one while the others run it,
+// replaces it, and returns the time from the victim's Close until all four
+// ranks are past that phase's Sync.
+func recoveryTime(t *testing.T, gossip time.Duration, victim int) time.Duration {
+	t.Helper()
+	const n, words = 4, 64 << 10
+	// A lease far longer than the test: only a closed connection is a death.
+	f := startTestFabricWords(t, newPipeNet(), n, 2, words, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: gossip})
+	errs := make(chan error, n)
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() {
+			tn.WriteAt(n*testPhases, randWords(rand.New(rand.NewSource(int64(tn.rank))), words-n*testPhases))
+			errs <- drivePhases(tn.Node, 0, 1)
+		}()
+	}
+	for range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, tn := range f.nodes {
+		if r != victim {
+			tn := tn
+			go func() { errs <- runPhase(tn.Node, 1) }()
+		}
+	}
+	t0 := time.Now()
+	repl := f.replace(t, victim)
+	if err := runPhase(repl.Node, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	el := time.Since(t0)
+	if got := f.backoffs(); got != 0 {
+		t.Errorf("gossip %v, victim %d: the recovery waited on a clock %d times (fabric.retry.backoffs)", gossip, victim, got)
+	}
+	syncAll(t, f) // the phase's puts may have landed after their target's diff
+	checkCommitted(t, f, "after the recovery")
+	return el
+}
+
+// TestRecoveryIgnoresGossipInterval: a kill costs its work, whatever the
+// gossip period. Gossip is anti-entropy; no stage of a recovery waits for its
+// tick. With a 2 s period (which -short skips) every stage that did would add
+// 2 s; the recovery takes what it takes at 20 ms, within the spread of
+// repeating either. The victims are the arbiter, a parity host and a rank
+// that hosts nothing.
+func TestRecoveryIgnoresGossipInterval(t *testing.T) {
+	const limit = 500 * time.Millisecond
+	victims := []int{0, 1, 2} // 0 arbitrates and hosts group 1, 1 hosts group 0, 2 hosts nothing
+	measure := func(gossip time.Duration) (med, spread time.Duration) {
+		var els []time.Duration
+		for rep := 0; rep < 2; rep++ {
+			for _, v := range victims {
+				// A subtest each, so that each fabric is torn down (and held
+				// to its Close contract) before the next one starts.
+				t.Run(fmt.Sprintf("gossip%v-victim%d-%d", gossip, v, rep), func(t *testing.T) {
+					el := recoveryTime(t, gossip, v)
+					t.Logf("recovered in %v", el)
+					if el > limit {
+						t.Errorf("the recovery took %v, want < %v", el, limit)
+					}
+					els = append(els, el)
+				})
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		slices.Sort(els)
+		return els[len(els)/2], els[len(els)-1] - els[0]
+	}
+	fast, fastSpread := measure(20 * time.Millisecond)
+	if testing.Short() {
+		return
+	}
+	slow, slowSpread := measure(2 * time.Second)
+	// Under 5 % of the limit the two are the same number on a shared machine.
+	if diff, spread := (slow - fast).Abs(), max(fastSpread, slowSpread, limit/20); diff > spread {
+		t.Errorf("the median recovery is %v at a 20 ms gossip period and %v at 2 s: %v apart, repeats spread %v", fast, slow, diff, spread)
+	}
+}
+
+// TestJoinLongPoll: an fJoin is answered when there is an answer. A join
+// that reaches the arbiter before anybody is dead is held through the
+// verdict and the reconstruction and comes back with the world in that one
+// exchange; a joiner that hangs up lets go of the handler holding its
+// request.
+func TestJoinLongPoll(t *testing.T) {
+	const n, victim = 4, 2
+	pn := newPipeNet()
+	var mu sync.Mutex
+	joins := map[string]int{} // fJoin frames by sender
+	pn.onFrame = func(from string, ft byte, _ []byte) {
+		if ft == fJoin {
+			mu.Lock()
+			joins[from]++
+			mu.Unlock()
+		}
+	}
+	f := startTestFabric(t, pn, n, 2, benchTuning)
+	errs := make(chan error, n)
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() { errs <- drivePhases(tn.Node, 0, 1) }()
+	}
+	for range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	arbiter := f.nodes[0]
+
+	// A joiner that never becomes a node: its request parks, it hangs up.
+	ghost, gone := ghostJoin(t, pn, arbiter.addr)
+	ghost.Close()
+	if err := <-gone; err == nil {
+		t.Fatal("a join nobody could answer was answered")
+	}
+	await(t, "the hang-up to release the handler", func() bool { return parkedJoins() == 0 })
+
+	// The replacement joins through a rank that is not the arbiter, while
+	// everybody is still alive: one redirect, then the arbiter holds it.
+	type joined struct {
+		tn  *testNode
+		err error
+	}
+	done := make(chan joined, 1)
+	go func() {
+		tn, err := f.join(f.nodes[3].addr)
+		done <- joined{tn, err}
+	}()
+	await(t, "the replacement's join to park at the arbiter", func() bool { return parkedJoins() == 1 })
+	select {
+	case j := <-done:
+		t.Fatalf("a join was answered with nobody dead: %+v", j)
+	default:
+	}
+	for r, tn := range f.nodes {
+		if r != victim {
+			tn := tn
+			go func() { errs <- runPhase(tn.Node, 1) }()
+		}
+	}
+	f.nodes[victim].closeWithin(t, 0)
+	j := <-done
+	if j.err != nil {
+		t.Fatalf("the held join failed: %v", j.err)
+	}
+	f.all = append(f.all, j.tn)
+	f.nodes[victim] = j.tn
+	if j.tn.rank != victim || j.tn.inc != 1 || j.tn.Phase() != 1 {
+		t.Fatalf("the held join made rank %d inc %d at phase %d, want rank %d inc 1 at phase 1", j.tn.rank, j.tn.inc, j.tn.Phase(), victim)
+	}
+	mu.Lock()
+	if got := joins[j.tn.addr]; got != 2 {
+		t.Errorf("the replacement sent %d fJoin frames, want one to the rank it joined through and one to the arbiter", got)
+	}
+	mu.Unlock()
+	go func() { errs <- runPhase(j.tn.Node, 1) }()
+	for range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.backoffs(); got != 0 {
+		t.Errorf("the kill and replace waited on a clock %d times (fabric.retry.backoffs)", got)
+	}
+}
+
+// TestReplaceRefusesNothing: twenty kills and replacements, the survivors
+// flushing to the victim throughout. A batch, a fold or a ready frame that
+// reaches the replacement while it installs is held and served once it is
+// live, so no node that stays up ever answers CodeCrisis; every held batch
+// lands, once; nobody but the victims is condemned.
+func TestReplaceRefusesNothing(t *testing.T) {
+	const n, rounds, phases = 4, 20, 2 * 20
+	pn := newPipeNet()
+	var mu sync.Mutex
+	byAddr := map[string]*Node{} // the nodes that are live; one installing is not in it yet
+	refusals := map[string]int{} // CodeCrisis replies of nodes that were not closed, by address
+	pn.onReply = func(to string, rt byte, payload []byte) bool {
+		if rt == 0xFF && len(payload) > 0 && payload[0] == wire.CodeCrisis {
+			mu.Lock()
+			if nd := byAddr[to]; nd == nil || nd.state.Load() != stClosed {
+				refusals[to]++
+			}
+			mu.Unlock()
+		}
+		return false
+	}
+	f := startTestFabricWords(t, pn, n, 2, n*phases, fastTuning)
+	mu.Lock()
+	for _, tn := range f.nodes {
+		byAddr[tn.addr] = tn.Node
+	}
+	mu.Unlock()
+	errs := make(chan error, n)
+	all := func(p int, but int) {
+		for r, tn := range f.nodes {
+			if r != but {
+				tn := tn
+				go func() { errs <- putPhase(tn.Node, p, phases) }()
+			}
+		}
+	}
+	wait := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kills := make([]int, n)
+	for round := 0; round < rounds; round++ {
+		victim := (round*3 + 1) % n // 1, 0, 3, 2, ...: every rank five times
+		all(2*round, -1)
+		wait(n)
+		kills[victim]++
+		all(2*round+1, victim) // the survivors' batches to the victim park
+		repl := f.replace(t, victim)
+		mu.Lock()
+		byAddr[repl.addr] = repl.Node
+		mu.Unlock()
+		go func() { errs <- putPhase(repl.Node, 2*round+1, phases) }()
+		wait(n)
+	}
+	for r, tn := range f.nodes {
+		for src := 0; src < n; src++ {
+			for p := 0; p < phases && src != r; p++ {
+				if got := tn.ReadAt(src*phases+p, 1)[0]; got != testVal(src, p) {
+					t.Errorf("rank %d word (%d, %d) = %#x, want %#x", r, src, p, got, testVal(src, p))
+				}
+			}
+		}
+		for q := 0; q < n; q++ {
+			if m := tn.sees(q); !m.Alive || m.Incarnation != kills[q] {
+				t.Errorf("rank %d ends up seeing %+v after %d kills of that rank", r, m, kills[q])
+			}
+		}
+	}
+	// A verdict is a transition of the table from alive to dead, and each of
+	// the three survivors of a kill makes it at most once.
+	var verdicts uint64
+	for _, tn := range f.all {
+		verdicts += tn.om.condemned.Load()
+	}
+	if verdicts > rounds*(n-1) {
+		t.Errorf("%d verdicts for %d kills with %d survivors each: a bystander was condemned", verdicts, rounds, n-1)
+	}
+	mu.Lock()
+	for addr, k := range refusals { // a victim may refuse on its way down; nobody else
+		t.Errorf("the node at %s answered CodeCrisis %d times while installing or live", addr, k)
+	}
+	mu.Unlock()
+	if got := f.backoffs(); got != 0 {
+		t.Errorf("%d kills and replacements waited on a clock %d times (fabric.retry.backoffs)", rounds, got)
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the run")
+}

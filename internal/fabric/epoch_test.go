@@ -1,0 +1,206 @@
+package fabric
+
+// Tests of what one epoch close costs on the wire. The protocol counts are
+// exact: per phase, one fBatch per target written to, one fParityFold per
+// rank whose parity lives elsewhere, and an fGsyncReady to every peer but
+// the one that acked the rank's fold — the fold is the ready to its host.
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/transport/wire"
+)
+
+// haloPhase is the benchmark's halo pattern in miniature: one word written
+// at (rank, p) and put to each ring neighbour, and a get of the left
+// neighbour's word of the phase before into the landing row — two batches
+// per rank.
+func haloPhase(nd *Node, p, phases int) error {
+	left, right := (nd.rank+nd.n-1)%nd.n, (nd.rank+1)%nd.n
+	val := []uint64{testVal(nd.rank, p)}
+	nd.WriteAt(nd.rank*phases+p, val)
+	nd.Put(left, nd.rank*phases+p, val)
+	nd.Put(right, nd.rank*phases+p, val)
+	if p > 0 {
+		nd.GetCopy(left, left*phases+p-1, 1, nd.n*phases+p)
+	}
+	return nd.Sync()
+}
+
+// TestEpochCloseFrameBudget: on four ranks in two groups, every group's
+// parity hosted outside it, a halo phase costs exactly 8 fBatch, 4
+// fParityFold and n(n−2) = 8 fGsyncReady frames; when a member sends its
+// first ready, its fold's ack has returned and the host already counts the
+// member's new watermark. After the host of group 0 is killed and its
+// parity re-homed, phases cost the same. Gossip runs every 4 s, so a ready
+// the fold failed to stand in for would hold a barrier that long.
+func TestEpochCloseFrameBudget(t *testing.T) {
+	const n, phases, killAt = 4, 10, 4
+	const budget = 8 + 4 + 8
+	pn := newPipeNet()
+	var (
+		mu     sync.Mutex
+		counts = map[byte]int{}
+		byRank []*Node // nil outside the counted phases
+		late   []string
+	)
+	pn.onFrame = func(_ string, ft byte, payload []byte) {
+		if ft != fBatch && ft != fParityFold && ft != fGsyncReady {
+			return
+		}
+		mu.Lock()
+		counts[ft]++
+		nodes := byRank
+		mu.Unlock()
+		if ft != fGsyncReady || nodes == nil {
+			return
+		}
+		d := wire.NewDec(payload)
+		rank, inc, wm := d.I(), d.I(), d.I()
+		host := nodes[nodes[rank].Hostings()[rank%nodes[rank].groups].Host]
+		if m := host.sees(rank); m.Incarnation != inc || m.Watermark < wm {
+			mu.Lock()
+			late = append(late, fmt.Sprintf("rank %d sent ready %d while its host, rank %d, saw %+v", rank, wm, host.rank, m))
+			mu.Unlock()
+		}
+	}
+	f := startTestFabricWords(t, pn, n, 2, n*phases+phases, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 4 * time.Second})
+	for _, h := range f.nodes[0].Hostings() {
+		if h.Host%2 == h.Group {
+			t.Fatalf("group %d is hosted by its own member %d", h.Group, h.Host)
+		}
+	}
+	errs := make(chan error, n)
+	run := func(p int, nodes []*testNode) {
+		t.Helper()
+		for _, tn := range nodes {
+			tn := tn
+			go func() { errs <- haloPhase(tn.Node, p, phases) }()
+		}
+	}
+	wait := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	counted := func(p int) {
+		t.Helper()
+		mu.Lock()
+		clear(counts)
+		byRank = make([]*Node, n)
+		for r, tn := range f.nodes {
+			byRank[r] = tn.Node
+		}
+		mu.Unlock()
+		t0 := time.Now()
+		run(p, f.nodes)
+		wait(n)
+		el := time.Since(t0)
+		mu.Lock()
+		defer mu.Unlock()
+		byRank = nil
+		if counts[fBatch] != 8 || counts[fParityFold] != 4 || counts[fGsyncReady] != 8 {
+			t.Errorf("phase %d sent %d fBatch, %d fParityFold, %d fGsyncReady, want 8, 4, 8",
+				p, counts[fBatch], counts[fParityFold], counts[fGsyncReady])
+		}
+		if sum := counts[fBatch] + counts[fParityFold] + counts[fGsyncReady]; sum != budget {
+			t.Errorf("phase %d closed with %d frames, want %d", p, sum, budget)
+		}
+		if el > time.Second {
+			t.Errorf("phase %d took %v: a barrier waited for gossip", p, el)
+		}
+		for _, l := range late {
+			t.Error(l)
+		}
+		late = nil
+	}
+
+	for p := 0; p < killAt; p++ {
+		counted(p)
+	}
+	victim := f.nodes[0].Hostings()[0].Host
+	run(killAt, append(append([]*testNode(nil), f.nodes[:victim]...), f.nodes[victim+1:]...))
+	repl := f.replace(t, victim)
+	run(killAt, []*testNode{repl})
+	wait(n)
+	// The next phase starts on tables that have all heard of the crisis.
+	for _, tn := range f.nodes {
+		await(t, "the post-crisis tables", func() bool {
+			m, h := tn.sees(victim), tn.Hostings()[0]
+			return m.Incarnation == 1 && m.Addr != "" && h.Host != victim && h.Version > 0
+		})
+	}
+	if h := f.nodes[0].Hostings()[0]; h.Host%2 == 0 {
+		t.Fatalf("group 0's parity was re-homed to its own member %d", h.Host)
+	}
+	for p := killAt + 1; p < phases; p++ {
+		counted(p)
+	}
+	if got := f.backoffs(); got != 0 {
+		t.Errorf("the kill and replace waited on a clock %d times (fabric.retry.backoffs)", got)
+	}
+	for r, tn := range f.nodes {
+		for _, src := range []int{(r + n - 1) % n, (r + 1) % n} {
+			for p := 0; p < phases; p++ {
+				if got := tn.ReadAt(src*phases+p, 1)[0]; got != testVal(src, p) {
+					t.Errorf("rank %d word (%d, %d) = %#x, want %#x", r, src, p, got, testVal(src, p))
+				}
+			}
+		}
+		for p := 1; p < phases; p++ {
+			left := (r + n - 1) % n
+			if got := tn.ReadAt(n*phases+p, 1)[0]; got != testVal(left, p-1) {
+				t.Errorf("rank %d landed %#x for phase %d, want %#x", r, got, p, testVal(left, p-1))
+			}
+		}
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the run")
+}
+
+// tableNode is a live node with a membership table and nothing else: all a
+// merge touches.
+func tableNode(n int) *Node {
+	nd := &Node{n: n, members: make([]Member, n)}
+	for r := range nd.members {
+		nd.members[r] = Member{Rank: r, Addr: fmt.Sprint("rank-", r), Alive: true}
+	}
+	nd.mcond = sync.NewCond(&nd.mmu)
+	nd.state.Store(stLive)
+	nd.initObs(nil, nil, "")
+	return nd
+}
+
+// TestMergeWatermark: a ready or a fold merges its watermark without
+// allocating, by the table's rule — monotone within an incarnation,
+// ignored from an older one, a newer one takes the slot.
+func TestMergeWatermark(t *testing.T) {
+	nd := tableNode(4)
+	wm := 0
+	merge := func() {
+		wm++
+		nd.mergeWatermark(2, 0, wm)
+	}
+	if avg := testing.AllocsPerRun(200, merge); avg != 0 {
+		t.Fatalf("a watermark merge allocates %.1f times, want 0", avg)
+	}
+	if got := nd.sees(2).Watermark; got != wm {
+		t.Fatalf("rank 2's watermark is %d after merging %d", got, wm)
+	}
+	nd.mergeWatermark(2, 0, 1)
+	nd.mergeWatermark(1, 0, 7)
+	nd.mergeWatermark(1, 1, 3) // a replacement's first ready
+	nd.mergeWatermark(1, 0, 9) // its predecessor's, late
+	if m := nd.sees(2); m.Watermark != wm {
+		t.Errorf("a lower watermark moved rank 2 back to %d", m.Watermark)
+	}
+	if m := nd.sees(1); m.Incarnation != 1 || m.Watermark != 3 || !m.Alive {
+		t.Errorf("rank 1 is %+v, want incarnation 1 alive at watermark 3", m)
+	}
+}

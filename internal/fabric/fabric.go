@@ -47,11 +47,14 @@
 // Gossip is anti-entropy only: everything a recovery waits for is pushed
 // when it happens, so GossipInterval is not a term of the recovery time.
 //
-// The gsync barrier itself is hub-free: a rank finishing phase p
-// broadcasts fGsyncReady with watermark p+1 and passes the barrier when
-// its local view shows every rank's watermark ≥ p+1. A dead rank's
-// watermark freezes, parking survivors at most one phase ahead until the
-// replacement climbs past them — nobody ever impersonates the victim.
+// The gsync barrier itself is hub-free: a rank finishing phase p sends
+// fGsyncReady with watermark p+1 to every peer but the host its fold
+// reached, and passes the barrier when its local view shows every rank's
+// watermark ≥ p+1. The host needs no ready: a fold leaves only once every
+// batch of p is acked, so the host merges the member's watermark p+1 when
+// it folds, before it acks. A dead rank's watermark freezes, parking
+// survivors at most one phase ahead until the replacement climbs past
+// them — nobody ever impersonates the victim.
 //
 // # Crisis
 //
@@ -188,7 +191,7 @@ type Membership interface {
 }
 
 // Epoch is the peer-to-peer bulk-synchronous surface: the phase cursor
-// and the gsync that closes it (checkpoint fold, ready broadcast,
+// and the gsync that closes it (checkpoint fold, readies to the peers,
 // watermark barrier, log trim).
 type Epoch interface {
 	// Phase returns the phase the node executes next (its watermark).

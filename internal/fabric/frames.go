@@ -31,7 +31,9 @@ const (
 	// gc}*}; the reply concatenates the get data in order.
 	fBatch = 0x43
 	// fGsyncReady (notify): {rank, inc, watermark} — the sender finished
-	// phase watermark-1 and committed its checkpoint.
+	// phase watermark-1 and committed its checkpoint. Sent to every live
+	// peer but the (rank, inc) that acked the phase's fParityFold, which
+	// merged the watermark when it folded.
 	fGsyncReady = 0x44
 	// fParityFold (call, member → group host): {rank, inc, group,
 	// memberIdx, phase, snap{ec*, gc}, ranges{off, delta-words}*}. The
@@ -39,7 +41,10 @@ const (
 	// atomically; a duplicate (same member, same phase) is acked without
 	// re-applying, which makes a retry after a lost ack safe as long as it
 	// carries the words of the first attempt (checkpoint diffs once per
-	// phase and re-ships that).
+	// phase and re-ships that). Applied or deduplicated, the fold is also
+	// the member's ready to its host: before acking, the host merges
+	// (rank, inc)'s watermark phase+1, which is monotone, so a retry
+	// re-merges it harmlessly.
 	fParityFold = 0x45
 	// fParityFetch (call, arbiter → group host): {group} → {k, m,
 	// snaps k×{phase+1, ec*, gc}, shards m×words}.

@@ -64,9 +64,10 @@ func (nd *Node) acceptLoop() {
 	}
 }
 
-// handle dispatches one fabric frame. It runs on a per-frame goroutine
-// (wire.Handler contract), so handlers may block on node locks; Close
-// waits for the ones in flight and later frames are refused.
+// handle dispatches one fabric frame. It never runs on the connection's
+// reader (wire.Handler contract: a warm handler goroutine, or a new one when
+// the warm one is busy), so handlers may block on node locks; Close waits
+// for the ones in flight and later frames are refused.
 func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, error) {
 	if !nd.enter() {
 		return t, nil, errClosing
@@ -119,7 +120,7 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 		if d.Failed() {
 			return t, nil, errBadFrame
 		}
-		nd.mergeMembers([]Member{{Rank: rank, Incarnation: inc, Alive: true, Watermark: wm}}, nil)
+		nd.mergeWatermark(rank, inc, wm)
 		return t, nil, nil
 	case fBatch:
 		return nd.handleBatch(d)
@@ -247,8 +248,13 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, []byte, error) {
 // parity and stores its counter snapshot atomically with it. The deltas are
 // folded straight from the frame (views, as in handleBatch; hg.scratch is
 // the fallback buffer), after a first walk has checked every range.
+//
+// The fold is also the member's ready to its host: a member folds phase p
+// only once every batch of p is acked, and the fold is the commit, so the
+// host merges (rank, inc)'s watermark p+1 here, before the ack leaves — for
+// a retry it deduplicates too, where the merge changes nothing.
 func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
-	_, _, g, memberIdx, phase := d.I(), d.I(), d.I(), d.I(), d.I()
+	rank, inc, g, memberIdx, phase := d.I(), d.I(), d.I(), d.I(), d.I()
 	s, ok := decSnap(d)
 	if !ok {
 		return fParityFold, nil, errBadFrame
@@ -263,15 +269,12 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
 		return fParityFold, nil, err
 	}
 	nd.parMu.Lock()
-	defer nd.parMu.Unlock()
-	hg := nd.hosted[g]
-	if hg == nil {
-		return fParityFold, nil, fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
-	}
-	if memberIdx < 0 || memberIdx >= hg.k {
-		return fParityFold, nil, fmt.Errorf("fabric: fold for member %d of a %d-member group", memberIdx, hg.k)
-	}
-	if hg.folded[memberIdx] != phase {
+	switch hg := nd.hosted[g]; {
+	case hg == nil:
+		err = fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
+	case memberIdx < 0 || memberIdx >= hg.k:
+		err = fmt.Errorf("fabric: fold for member %d of a %d-member group", memberIdx, hg.k)
+	case hg.folded[memberIdx] != phase:
 		if len(hg.scratch) < maxRun || idle(hg.scratch, maxRun) {
 			hg.scratch = make([]uint64, maxRun)
 		}
@@ -281,7 +284,12 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
 		}
 		hg.commit(memberIdx, phase, s)
 	}
+	nd.parMu.Unlock()
+	if err != nil {
+		return fParityFold, nil, err
+	}
 	nd.om.foldsHosted.Inc()
+	nd.mergeWatermark(rank, inc, phase+1)
 	return fParityFold, nil, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -723,28 +724,7 @@ func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
 	changed := false
 	nd.mmu.Lock()
 	for _, m := range ms {
-		if m.Rank < 0 || m.Rank >= nd.n || m.Rank == nd.rank {
-			continue
-		}
-		cur := &nd.members[m.Rank]
-		switch {
-		case m.Incarnation > cur.Incarnation:
-			*cur = m
-			changed = true
-		case m.Incarnation == cur.Incarnation:
-			if cur.Alive && !m.Alive {
-				cur.Alive = false
-				changed = true
-			}
-			if m.Watermark > cur.Watermark {
-				cur.Watermark = m.Watermark
-				changed = true
-			}
-			if cur.Addr == "" && m.Addr != "" {
-				cur.Addr = m.Addr
-				changed = true
-			}
-		}
+		changed = nd.mergeLocked(m) || changed
 	}
 	for _, h := range hs {
 		if h.Group < 0 || h.Group >= len(nd.hostings) {
@@ -760,6 +740,47 @@ func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
 		nd.mcond.Broadcast()
 		nd.maybeArbiter()
 	}
+}
+
+// mergeWatermark merges one rank's gsync progress — an fGsyncReady, or the
+// fold that stands in for one at its parity host — by mergeMembers' rule.
+func (nd *Node) mergeWatermark(rank, inc, wm int) {
+	nd.mmu.Lock()
+	changed := nd.mergeLocked(Member{Rank: rank, Incarnation: inc, Alive: true, Watermark: wm})
+	nd.mmu.Unlock()
+	if changed {
+		nd.mcond.Broadcast()
+		nd.maybeArbiter()
+	}
+}
+
+// mergeLocked folds one remote entry into the table and reports whether it
+// changed anything. Caller holds mmu.
+func (nd *Node) mergeLocked(m Member) bool {
+	if m.Rank < 0 || m.Rank >= nd.n || m.Rank == nd.rank {
+		return false
+	}
+	cur := &nd.members[m.Rank]
+	changed := false
+	switch {
+	case m.Incarnation > cur.Incarnation:
+		*cur = m
+		changed = true
+	case m.Incarnation == cur.Incarnation:
+		if cur.Alive && !m.Alive {
+			cur.Alive = false
+			changed = true
+		}
+		if m.Watermark > cur.Watermark {
+			cur.Watermark = m.Watermark
+			changed = true
+		}
+		if cur.Addr == "" && m.Addr != "" {
+			cur.Addr = m.Addr
+			changed = true
+		}
+	}
+	return changed
 }
 
 func (nd *Node) gossipLoop() {
@@ -1246,7 +1267,8 @@ func (nd *Node) Sync() error {
 	p := nd.phase
 	nd.logMu.Unlock()
 	ckpt := time.Now()
-	if err := nd.checkpoint(p); err != nil {
+	host, err := nd.checkpoint(p)
+	if err != nil {
 		return err
 	}
 	nd.om.ckptUs.ObserveSince(ckpt)
@@ -1256,7 +1278,7 @@ func (nd *Node) Sync() error {
 	nd.gcAt[p+1] = nd.gc
 	nd.logMu.Unlock()
 	nd.fr.Record(obs.EvEpochClose, int64(p), int64(nd.n-1), 0)
-	nd.broadcastReady(p + 1)
+	nd.broadcastReady(p+1, host)
 	wait := time.Now()
 	if err := nd.awaitWatermarks(p + 1); err != nil {
 		return err
@@ -1272,12 +1294,18 @@ func (nd *Node) Sync() error {
 	return nil
 }
 
-func (nd *Node) broadcastReady(wm int) {
+// broadcastReady publishes watermark wm: own entry first, then fGsyncReady to
+// every live peer but host, the (rank, incarnation) that acked this phase's
+// fold — it merged wm when it folded. A host the table has moved on from
+// since is a different peer, and gets its ready.
+func (nd *Node) broadcastReady(wm int, host Member) {
 	nd.mmu.Lock()
 	if nd.members[nd.rank].Watermark < wm {
 		nd.members[nd.rank].Watermark = wm
 	}
-	peers := nd.alivePeersLocked()
+	peers := slices.DeleteFunc(nd.alivePeersLocked(), func(m Member) bool {
+		return m.Rank == host.Rank && m.Incarnation == host.Incarnation
+	})
 	nd.mmu.Unlock()
 	nd.mcond.Broadcast()
 	var e wire.Enc
@@ -1289,8 +1317,9 @@ func (nd *Node) broadcastReady(wm int) {
 
 // awaitWatermarks is the barrier: every rank — dead ranks' frozen
 // entries included, so a victim blocks progress until its replacement
-// climbs past — must have committed watermark wm. Lost ready frames are
-// repaired by gossip, which carries watermarks.
+// climbs past — must have committed watermark wm. A parity host learns its
+// members' watermarks from their folds, everybody else from fGsyncReady;
+// lost ready frames are repaired by gossip, which carries watermarks.
 func (nd *Node) awaitWatermarks(wm int) error {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
@@ -1384,7 +1413,10 @@ func (df *ckptDelta) each(f func(off int, delta []uint64)) {
 // and it dedupes by phase, so a fresh diff — the window may have moved since
 // — would commit words to the base that parity never saw. What landed after
 // the diff is stamped above delta.gen and goes with the next phase's fold.
-func (nd *Node) checkpoint(p int) error {
+//
+// It returns the host that acked the fold — this node, for a fold it hosts
+// itself.
+func (nd *Node) checkpoint(p int) (Member, error) {
 	t0 := time.Now()
 	g := nd.rank % nd.groups
 	memberIdx := memberIndex(nd.rank, nd.groups)
@@ -1394,7 +1426,7 @@ func (nd *Node) checkpoint(p int) error {
 	var backoff time.Duration
 	for diffed := false; ; {
 		if err := nd.failedOrClosed(); err != nil {
-			return err
+			return Member{}, err
 		}
 		if nd.inCrisis {
 			nd.ckptCond.Wait()
@@ -1408,7 +1440,7 @@ func (nd *Node) checkpoint(p int) error {
 		}
 		nd.mmu.Unlock()
 		if h.Host < 0 {
-			return fmt.Errorf("fabric: group %d has no electable parity host", g)
+			return Member{}, fmt.Errorf("fabric: group %d has no electable parity host", g)
 		}
 		if !diffed {
 			nd.diffRanges()
@@ -1419,7 +1451,7 @@ func (nd *Node) checkpoint(p int) error {
 		switch {
 		case h.Host == nd.rank:
 			if err = nd.foldLocal(g, memberIdx, p, s); err != nil {
-				return err
+				return Member{}, err
 			}
 		case !hm.Alive:
 			err = fmt.Errorf("fabric: rank %d is down", h.Host)
@@ -1435,12 +1467,12 @@ func (nd *Node) checkpoint(p int) error {
 			nd.om.ckptFolded.Add(uint64(len(nd.delta.words)))
 			nd.om.foldUs.ObserveSince(t0)
 			nd.fr.Record(obs.EvParityFold, int64(g), int64(p), int64(len(nd.delta.runs)))
-			return nil
+			return hm, nil
 		}
 		var rf wire.RemoteFail
 		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis && !strings.Contains(rf.Msg, "not hosting") ||
 			errors.Is(err, wire.ErrFrameTooLarge) {
-			return fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
+			return Member{}, fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
 		}
 		// Host down, closing, or no longer the host: park outside the lock,
 		// so crisis quiesce can proceed, until the table this attempt read

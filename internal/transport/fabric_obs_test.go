@@ -217,11 +217,17 @@ func TestFabricBatchAllocsSteadyState(t *testing.T) {
 		flush()
 	}
 	avg := testing.AllocsPerRun(100, flush)
-	// The uninstrumented path allocates ~15/op (pend slice, payload copy,
-	// wire encode, reply decode); 25 leaves headroom for pool misses while
-	// still catching an accidental per-op allocation in the obs hooks.
-	if avg > 25 {
-		t.Fatalf("instrumented fBatch flush allocates %.1f/op steady state, want <= 25", avg)
+	// The path allocates 7/op: the pend entry and the payload copy in Put,
+	// three growths of the batch encoding, and the reply body the flush
+	// does not recycle. Two more is room for a pool miss, not for a per-op
+	// allocation in the obs hooks. The race detector makes sync.Pool drop
+	// a quarter of its Puts, so the wire's frame bodies miss more there.
+	budget := 9.0
+	if raceEnabled {
+		budget = 12
+	}
+	if avg > budget {
+		t.Fatalf("instrumented fBatch flush allocates %.1f/op steady state, want <= %.0f", avg, budget)
 	}
 	t.Logf("instrumented fBatch flush steady state: %.1f allocs/op", avg)
 	if total := frs[0].Total(); total != 0 {

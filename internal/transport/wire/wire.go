@@ -29,10 +29,14 @@
 //     from the caller's buffers to the socket without an intermediate
 //     copy. Small frames flatten into a pooled staging buffer instead —
 //     one syscall, no per-frame allocation.
-//   - Receive: request frame bodies come from a pool, are handed to the
-//     handler, and are recycled when it returns — the handler must not
-//     retain the payload (every decoder in this repo copies what it
-//     keeps). Word vectors can be viewed in place via Dec.WordsView.
+//   - Receive: the reader takes whatever the socket holds, up to a small
+//     read-ahead buffer, in one read — a small frame's header and payload,
+//     and the frames queued behind it — and copies each payload into a
+//     frame body from a pool; a payload larger than the buffer is read
+//     straight into its body. Request bodies are handed to the handler and
+//     recycled when it returns — the handler must not retain the payload
+//     (every decoder in this repo copies what it keeps). Word vectors can
+//     be viewed in place via Dec.WordsView.
 package wire
 
 import (
@@ -103,9 +107,13 @@ func (e RemoteFail) Error() string {
 var ErrDown = errors.New("wire: connection down")
 
 // Handler serves one incoming request frame and returns the reply type and
-// payload, or an error (sent as an error reply). Handlers run on their own
-// goroutine per frame, so a handler may block (structure locks, barriers)
-// without stalling the connection.
+// payload, or an error (sent as an error reply). A handler never runs on the
+// reader: a handler goroutine that has served its frame parks for the
+// connection's next one (at most one per connection, and maxParked per
+// process), and a frame that finds none parked gets a new goroutine. So a
+// handler may block (structure locks, barriers) without stalling the
+// connection, its replies or its heartbeats, and back-to-back requests reuse
+// one warm goroutine.
 //
 // The payload is only valid until the handler returns: request bodies are
 // pooled and recycled. A handler that keeps data must copy it (Dec's
@@ -181,7 +189,13 @@ type Conn struct {
 
 	pmu     sync.Mutex
 	pending map[uint32]chan frame
-	downErr error // set under pmu once down
+	replies []chan frame // reply channels of answered calls, for the next ones
+	downErr error        // set under pmu once down
+
+	// spare is the handler goroutine parked for the next request, if any;
+	// spawned counts the handler goroutines started.
+	spare   atomic.Pointer[handler]
+	spawned atomic.Uint64
 
 	downOnce  sync.Once
 	done      chan struct{} // closed once down; stops the heartbeat loop
@@ -276,16 +290,23 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 // bufPool recycles frame bodies and small-frame staging buffers. Getting
 // a too-small buffer allocates a fresh one and drops the small one, so
 // the pool's contents converge towards each connection's steady-state
-// frame sizes.
-var bufPool sync.Pool
+// frame sizes. A buffer is pooled in a *[]byte box, because a slice put
+// into an interface is boxed on the heap; boxPool keeps the emptied boxes
+// for the next Recycle, so neither direction allocates.
+var bufPool, boxPool sync.Pool
 
 func getBuf(n int) []byte {
 	if v := bufPool.Get(); v != nil {
-		if b := v.([]byte); cap(b) >= n {
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxPool.Put(box)
+		if cap(b) >= n {
 			return b[:n]
 		}
 	}
-	return make([]byte, n)
+	// Room for any small frame: a header-only reply recycles like the rest.
+	return make([]byte, n, max(n, 64))
 }
 
 // Recycle returns a payload obtained from a Call (or a handler) to the
@@ -294,9 +315,15 @@ func getBuf(n int) []byte {
 // the payload has been copied out: the buffer will be overwritten by a
 // future frame.
 func Recycle(b []byte) {
-	if cap(b) >= 16 {
-		bufPool.Put(b[:cap(b)])
+	if cap(b) < 16 {
+		return
 	}
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:cap(b)]
+	bufPool.Put(box)
 }
 
 // smallFrame is the flatten threshold of the vectored write path: frames
@@ -408,7 +435,6 @@ func (c *Conn) call(t byte, payload []byte, v *Vec) ([]byte, error) {
 	if id == 0 {
 		id = c.nextID.Add(1)
 	}
-	ch := make(chan frame, 1)
 	c.pmu.Lock()
 	if c.downErr != nil {
 		err := c.downErr
@@ -417,6 +443,12 @@ func (c *Conn) call(t byte, payload []byte, v *Vec) ([]byte, error) {
 			v.free()
 		}
 		return nil, err
+	}
+	var ch chan frame
+	if k := len(c.replies) - 1; k >= 0 {
+		ch, c.replies = c.replies[k], c.replies[:k]
+	} else {
+		ch = make(chan frame, 1)
 	}
 	c.pending[id] = ch
 	c.pmu.Unlock()
@@ -437,8 +469,12 @@ func (c *Conn) call(t byte, payload []byte, v *Vec) ([]byte, error) {
 	}
 	f, ok := <-ch
 	if !ok {
-		return nil, c.down()
+		return nil, c.down() // closed by markDown: never reused
 	}
+	// readLoop took ch out of pending before it sent: nobody else holds it.
+	c.pmu.Lock()
+	c.replies = append(c.replies, ch)
+	c.pmu.Unlock()
 	if f.t == typeErr {
 		return nil, decodeFail(f.payload)
 	}
@@ -465,27 +501,100 @@ func (c *Conn) heartbeatLoop() {
 	}
 }
 
+// readAheadSize is the read-ahead buffer of each connection: room for the
+// small frames of an epoch close (a halo batch, its reply, a fold ack, a
+// ready) several times over. Every connection pays it, idle or not — the
+// in-process 64-rank soak has 8064 of them — so it stays small.
+const readAheadSize = 512
+
+// readAhead is readLoop's buffered reader. One Read takes whatever the
+// socket holds, up to the buffer, so a small frame's header and payload —
+// and the frames queued behind it — cost one system call, not two each.
+// The read deadline runs per frame, from the first Read the frame needs; a
+// frame already buffered needs none and arms nothing.
+type readAhead struct {
+	nc      net.Conn
+	timeout time.Duration // Config.ReadTimeout
+	armed   bool          // the current frame's deadline is running
+	buf     []byte
+	r, w    int // buf[r:w] is read and not yet consumed
+}
+
+// arm starts the current frame's read deadline unless it is running, and
+// returns when it started (zero if it was running or there is none).
+func (ra *readAhead) arm() (now time.Time) {
+	if ra.timeout > 0 && !ra.armed {
+		now = time.Now()
+		ra.nc.SetReadDeadline(now.Add(ra.timeout))
+		ra.armed = true
+	}
+	return now
+}
+
+// fill reads until at least need ≤ len(buf) bytes are buffered.
+func (ra *readAhead) fill(need int) error {
+	if ra.w-ra.r >= need {
+		return nil
+	}
+	ra.arm()
+	ra.w = copy(ra.buf, ra.buf[ra.r:ra.w])
+	ra.r = 0
+	for ra.w < need {
+		k, err := ra.nc.Read(ra.buf[ra.w:])
+		ra.w += k
+		if err != nil && ra.w < need {
+			return err
+		}
+	}
+	return nil
+}
+
+// readFull fills dst from the buffer, then from the connection. A remainder
+// the size of the buffer or more is read straight into dst: a large payload
+// is not copied twice.
+func (ra *readAhead) readFull(dst []byte) error {
+	k := copy(dst, ra.buf[ra.r:ra.w])
+	ra.r += k
+	rest := dst[k:]
+	switch {
+	case len(rest) == 0:
+		return nil
+	case len(rest) >= len(ra.buf):
+		ra.arm()
+		_, err := io.ReadFull(ra.nc, rest)
+		return err
+	}
+	if err := ra.fill(len(rest)); err != nil {
+		return err
+	}
+	ra.r += copy(rest, ra.buf[ra.r:ra.w])
+	return nil
+}
+
 func (c *Conn) readLoop() {
-	hdr := make([]byte, 9)
+	ra := &readAhead{nc: c.nc, timeout: c.cfg.ReadTimeout, buf: make([]byte, readAheadSize)}
 	nearThresh := nearMissThreshold(c.cfg)
 	for {
-		var waitStart time.Time
-		if c.cfg.ReadTimeout > 0 {
-			waitStart = time.Now()
-			c.nc.SetReadDeadline(waitStart.Add(c.cfg.ReadTimeout))
-		}
-		if err := readFull(c.nc, hdr); err != nil {
-			c.markDown(fmt.Errorf("%w: read: %v", ErrDown, err))
-			return
-		}
-		if nearThresh > 0 {
-			if gap := time.Since(waitStart); gap >= nearThresh {
-				c.nearMiss.Add(1)
-				if c.cfg.OnNearMiss != nil {
-					c.cfg.OnNearMiss(gap)
+		ra.armed = false
+		if ra.w-ra.r < 9 {
+			// The silence before a frame is the wait for its header; one
+			// that arrived with the previous read broke none.
+			waitStart := ra.arm()
+			if err := ra.fill(9); err != nil {
+				c.markDown(fmt.Errorf("%w: read: %v", ErrDown, err))
+				return
+			}
+			if nearThresh > 0 {
+				if gap := time.Since(waitStart); gap >= nearThresh {
+					c.nearMiss.Add(1)
+					if c.cfg.OnNearMiss != nil {
+						c.cfg.OnNearMiss(gap)
+					}
 				}
 			}
 		}
+		hdr := ra.buf[ra.r : ra.r+9]
+		ra.r += 9
 		n := binary.BigEndian.Uint32(hdr)
 		if n < 5 || n > MaxFrame {
 			c.markDown(fmt.Errorf("%w: bad frame length %d", ErrDown, n))
@@ -493,14 +602,14 @@ func (c *Conn) readLoop() {
 		}
 		f := frame{t: hdr[4], id: binary.BigEndian.Uint32(hdr[5:9])}
 		pn := int(n) - 5
-		// The payload buffer starts at its allocation, so the aligned word
-		// vectors of the encoding land 8-byte aligned in memory and
-		// WordsView can alias them. Request bodies come from the pool and
-		// are recycled when the handler returns; reply payloads escape to
-		// the caller of Call, which may Recycle them once decoded.
+		// The payload is copied into a buffer that starts at its allocation,
+		// so the aligned word vectors of the encoding land 8-byte aligned in
+		// memory and WordsView can alias them. Request bodies come from the
+		// pool and are recycled when the handler returns; reply payloads
+		// escape to the caller of Call, which may Recycle them once decoded.
 		if pn > 0 {
 			f.payload = getBuf(pn)
-			if err := readFull(c.nc, f.payload); err != nil {
+			if err := ra.readFull(f.payload); err != nil {
 				c.markDown(fmt.Errorf("%w: read: %v", ErrDown, err))
 				return
 			}
@@ -527,73 +636,109 @@ func (c *Conn) readLoop() {
 				ch <- f
 			}
 		default:
-			go c.serve(f)
+			if h := c.spare.Swap(nil); h != nil {
+				parked.Add(-1)
+				h.next <- f // never blocks: h claimed the slot with next empty
+			} else {
+				c.spawned.Add(1)
+				go c.serveLoop(f)
+			}
 		}
 	}
 }
 
-func (c *Conn) serve(f frame) {
-	defer func() {
-		if f.payload != nil {
-			Recycle(f.payload)
-		}
-	}()
-	if c.cfg.Handler == nil && c.cfg.VecHandler == nil {
-		if f.id != 0 {
-			c.writeFrame(typeErr, f.id, encodeFail(RemoteFail{Code: CodeGeneric, Msg: "no handler"}))
-		}
-		return
-	}
-	if c.cfg.VecHandler != nil {
-		rt, reply, err := func() (rt byte, reply *Vec, err error) {
-			defer func() {
-				if e := recover(); e != nil {
-					if reply != nil {
-						reply.free()
-						reply = nil
-					}
-					err = RemoteFail{Code: CodeGeneric, Msg: fmt.Sprint(e)}
-				}
-			}()
-			return c.cfg.VecHandler(f.t, f.payload)
-		}()
-		if f.id == 0 {
-			if reply != nil {
-				reply.free()
+// maxParked bounds the handler goroutines parked across all the process's
+// connections. Past it a connection serves as if it had none parked — a new
+// goroutine per request — so a process with thousands of connections (the
+// in-process 64-rank soak accepts 4032) keeps a few hundred idle goroutines,
+// not one per connection.
+const maxParked = 256
+
+// parked counts the handlers holding a connection's spare slot.
+var parked atomic.Int32
+
+// handler is a request-serving goroutine's mailbox. readLoop puts one frame
+// in it per claim of Conn.spare, and the goroutine claims again only once
+// it has taken that frame out.
+type handler struct{ next chan frame }
+
+// serveLoop is a handler goroutine: it serves f and then, while it is the
+// connection's spare handler, each request readLoop hands it. It ends when
+// it finds no slot to claim, or when the connection goes down.
+func (c *Conn) serveLoop(f frame) {
+	h := &handler{next: make(chan frame, 1)}
+	for c.serve(f, h) {
+		select {
+		case f = <-h.next:
+		case <-c.done:
+			if c.spare.CompareAndSwap(h, nil) {
+				parked.Add(-1)
+				return
 			}
-			return // notification: nothing to reply to
+			// readLoop took h out of the slot: a request it read before the
+			// end is on its way, and is still served.
+			f = <-h.next
 		}
-		if err != nil {
-			if reply != nil {
-				reply.free()
-			}
-			c.writeFrame(typeErr, f.id, encodeFail(toRemoteFail(err)))
-			return
+	}
+}
+
+// claim makes h the connection's spare handler, unless one is parked here
+// already or maxParked are parked process-wide.
+func (c *Conn) claim(h *handler) bool {
+	if c.spare.Load() != nil {
+		return false
+	}
+	if parked.Add(1) > maxParked || !c.spare.CompareAndSwap(nil, h) {
+		parked.Add(-1)
+		return false
+	}
+	return true
+}
+
+// serve runs the handler on f and writes its reply. In between it claims
+// the spare slot for h: before the reply leaves, so that the caller's next
+// request finds h parked. It reports whether h claimed the slot.
+func (c *Conn) serve(f frame, h *handler) (claimed bool) {
+	rt, b, v, err := c.run(f)
+	claimed = c.claim(h)
+	switch {
+	case f.id == 0: // notification: nothing to reply to
+		if v != nil {
+			v.free()
 		}
-		c.writeFrameVec(rt|replyBit, f.id, reply)
-		return
-	}
-	rt, reply, err := func() (rt byte, reply []byte, err error) {
-		defer func() {
-			if e := recover(); e != nil {
-				err = RemoteFail{Code: CodeGeneric, Msg: fmt.Sprint(e)}
-			}
-		}()
-		return c.cfg.Handler(f.t, f.payload)
-	}()
-	if f.id == 0 {
-		return // notification: nothing to reply to
-	}
-	if err != nil {
+	case err != nil:
+		if v != nil {
+			v.free()
+		}
 		c.writeFrame(typeErr, f.id, encodeFail(toRemoteFail(err)))
-		return
+	case c.cfg.VecHandler != nil:
+		c.writeFrameVec(rt|replyBit, f.id, v)
+	default:
+		c.writeFrame(rt|replyBit, f.id, b)
 	}
-	c.writeFrame(rt|replyBit, f.id, reply)
+	if f.payload != nil {
+		Recycle(f.payload)
+	}
+	return claimed
 }
 
-func readFull(nc net.Conn, buf []byte) error {
-	_, err := io.ReadFull(nc, buf)
-	return err
+// run calls the configured handler on f — a VecHandler answers in v, a
+// Handler in b — and turns a panic into an error reply.
+func (c *Conn) run(f frame) (rt byte, b []byte, v *Vec, err error) {
+	defer func() {
+		if e := recover(); e != nil {
+			err = RemoteFail{Code: CodeGeneric, Msg: fmt.Sprint(e)}
+		}
+	}()
+	switch {
+	case c.cfg.VecHandler != nil:
+		rt, v, err = c.cfg.VecHandler(f.t, f.payload)
+	case c.cfg.Handler != nil:
+		rt, b, err = c.cfg.Handler(f.t, f.payload)
+	default:
+		err = RemoteFail{Code: CodeGeneric, Msg: "no handler"}
+	}
+	return rt, b, v, err
 }
 
 func toRemoteFail(err error) RemoteFail {

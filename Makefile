@@ -48,15 +48,16 @@ race:
 # late-log guard of its cleanup), the in-package fabric tests under the
 # race detector, the recovery tests — kill and replace with every wait on
 # its event — thirty times more, and the wire's handler handoff (a warm
-# handler parks for the next request) with the per-phase frame budget
-# twenty times each. A wedge, a false verdict or a condemned bystander
-# here is rare per run, so one run proves little.
+# handler parks for the next request) with the per-phase frame budget and
+# the refusal of an unsurvivable crash twenty times each. A wedge, a false
+# verdict or a condemned bystander here is rare per run, so one run proves
+# little.
 stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
 	$(GO) test -race -count=5 ./internal/fabric
 	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire
-	$(GO) test -race -count=20 -run TestEpochCloseFrameBudget ./internal/fabric
+	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestCrisisRefusesUnsurvivable' ./internal/fabric
 
 # Quick perf smoke: the erasure kernels and one checkpoint round.
 bench-short:

@@ -74,7 +74,6 @@ func checkTrackedDiff(t *testing.T, nd *Node, when string) []int {
 // encoding of its members' bases.
 func checkCommitted(t *testing.T, f *testFabric, when string) {
 	t.Helper()
-	n, groups := len(f.nodes), f.nodes[0].groups
 	for _, tn := range f.nodes {
 		tn.winMu.Lock()
 		same := slices.Equal(tn.window, tn.base)
@@ -85,7 +84,7 @@ func checkCommitted(t *testing.T, f *testFabric, when string) {
 	}
 	for _, h := range f.nodes[0].Hostings() {
 		var bases [][]uint64
-		for _, r := range groupMembers(n, groups, h.Group) {
+		for _, r := range f.nodes[0].grouping.ComputeMembers(h.Group) {
 			bases = append(bases, f.nodes[r].base)
 		}
 		host := f.nodes[h.Host]

@@ -16,15 +16,18 @@ import (
 // surviving rank and somebody is dead. Arbitration is deterministic —
 // every survivor computes the same arbiter from its own table — and
 // survives the arbiter's own death: the next-lowest survivor takes over
-// the next vacancy (a second failure while a crisis is still open is a
-// double failure and fails the run instead).
+// the next vacancy. Whether a crisis is survivable is ftrma.Classify over
+// the membership and hosting tables with one parity level: the fabric has
+// no coordinated level, so it refuses every Fallback verdict (several
+// ranks dead at once, an N/M-flagged victim, a group that lost a member
+// and its parity host) until it gains one (ROADMAP item 8).
 func (nd *Node) maybeArbiter() {
 	if nd.state.Load() != stLive || nd.failedOrClosed() != nil {
 		return
 	}
 	nd.mmu.Lock()
 	arbiter, victim, dead := nd.censusLocked()
-	start := arbiter.Rank == nd.rank && dead > 0 && !nd.crisisBusy
+	start := arbiter.Rank == nd.rank && len(dead) > 0 && !nd.crisisBusy
 	if start {
 		nd.crisisBusy = true
 	}
@@ -33,7 +36,7 @@ func (nd *Node) maybeArbiter() {
 		return
 	}
 	nd.spawn(func() {
-		err := nd.runCrisis(victim.Rank, victim.Incarnation, dead)
+		err := nd.runCrisis(victim.Rank, victim.Incarnation)
 		nd.mmu.Lock()
 		nd.crisisBusy = false
 		nd.mmu.Unlock()
@@ -46,13 +49,13 @@ func (nd *Node) maybeArbiter() {
 
 // censusLocked reads the membership table the way every rank must read it
 // alike: the lowest live member is the arbiter (Rank -1: nobody is alive),
-// the lowest dead one the next victim, and dead counts the vacancies.
-func (nd *Node) censusLocked() (arbiter, victim Member, dead int) {
+// the lowest dead one the next victim, and dead lists the vacancies.
+func (nd *Node) censusLocked() (arbiter, victim Member, dead []int) {
 	arbiter.Rank, victim.Rank = -1, -1
 	for _, m := range nd.members {
 		switch {
 		case !m.Alive:
-			if dead++; dead == 1 {
+			if dead = append(dead, m.Rank); len(dead) == 1 {
 				victim = m
 			}
 		case arbiter.Rank < 0:
@@ -60,6 +63,14 @@ func (nd *Node) censusLocked() (arbiter, victim Member, dead int) {
 		}
 	}
 	return arbiter, victim, dead
+}
+
+// verdictLocked classifies the crash of the dead ranks over the hosting
+// table (mmu held). The fabric keeps one parity level, so every verdict
+// but causal is unsurvivable here.
+func (nd *Node) verdictLocked(dead []int, flagged bool) ftrma.Verdict {
+	host := func(g, _ int) int { return nd.hostings[g].Host }
+	return ftrma.Classify(nd.grouping, host, 1, dead, flagged)
 }
 
 // broadcastCrisisFail tells every survivor the crisis is unrecoverable,
@@ -76,10 +87,7 @@ func (nd *Node) broadcastCrisisFail(cause error) {
 
 // runCrisis is the arbiter's recovery of one dead rank, start to finish:
 // quiesce, gather, repair hosting, reconstruct, install, resume.
-func (nd *Node) runCrisis(victim, vinc, victims int) error {
-	if victims > 1 {
-		return fmt.Errorf("fabric: %d ranks dead at once; the fabric recovers single failures", victims)
-	}
+func (nd *Node) runCrisis(victim, vinc int) error {
 	nd.logf("fabric: rank %d arbitrates crisis for rank %d (inc %d)", nd.rank, victim, vinc)
 	nd.om.crises.Inc()
 	nd.fr.Record(obs.EvCrisis, int64(obs.CrisisTotal), int64(victim), 0) // begin marker
@@ -134,8 +142,18 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 		gets = append(gets, lg...)
 	}
 	gather.End()
-	if flagged {
+	nd.mmu.Lock()
+	_, _, dead := nd.censusLocked()
+	verdict := nd.verdictLocked(dead, flagged)
+	nd.mmu.Unlock()
+	switch {
+	case verdict == ftrma.VerdictCausal:
+	case len(dead) > 1:
+		return fmt.Errorf("fabric: %d ranks dead at once; the fabric recovers single failures", len(dead))
+	case flagged:
 		return errors.New("fabric: victim has N/M-flagged epochs; non-causal replay needs the coordinator runtime")
+	default:
+		return fmt.Errorf("fabric: group %d lost both a member and its parity host (rank %d)", nd.grouping.GroupOf(victim), victim)
 	}
 
 	rebuild := obs.StartSpan(nd.om.crisis[obs.CrisisRebuild], nd.fr, obs.EvCrisis, int64(obs.CrisisRebuild), int64(victim))
@@ -152,10 +170,7 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 		if h.Host != victim {
 			continue
 		}
-		members := groupMembers(nd.n, nd.groups, h.Group)
-		if slices.Contains(members, victim) {
-			return fmt.Errorf("fabric: group %d lost both a member and its parity host (rank %d)", h.Group, victim)
-		}
+		members := nd.grouping.ComputeMembers(h.Group)
 		bases, _, err := nd.fetchState(members, -1, h.Group)
 		if err != nil {
 			return err
@@ -201,15 +216,12 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 
 	// 4. Reconstruct the victim's committed base from its group's parity
 	// and the surviving members' bases.
-	vg := victim % nd.groups
-	vIdx := memberIndex(victim, nd.groups)
-	members := groupMembers(nd.n, nd.groups, vg)
+	vg := nd.grouping.GroupOf(victim)
+	vIdx := nd.grouping.MemberIndex(victim)
+	members := nd.grouping.ComputeMembers(vg)
 	nd.mmu.Lock()
 	host := nd.hostings[vg]
 	nd.mmu.Unlock()
-	if host.Host < 0 || host.Host == victim {
-		return fmt.Errorf("fabric: group %d parity unavailable for reconstruction", vg)
-	}
 	others := slices.DeleteFunc(slices.Clone(members), func(r int) bool { return r == victim })
 	bases, hg, err := nd.fetchState(others, host.Host, vg)
 	if err != nil {
@@ -232,22 +244,9 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	nd.om.parityRebuilds.Inc()
 	rebuild.End()
 
-	// 5. Select the replay: records with GNC ≥ the victim's committed
-	// phase survive trimming and cover both lost phases and straggler
-	// same-phase deliveries that its last checkpoint missed (replay is
-	// idempotent under the causal model, so the overlap is safe).
-	in := &install{snap: vSnap, base: vBase}
-	for _, r := range puts {
-		if vSnap.phase < 0 || r.GNC >= vSnap.phase {
-			in.puts = append(in.puts, r)
-		}
-	}
-	for _, r := range gets {
-		if vSnap.phase < 0 || r.GNC >= vSnap.phase {
-			in.gets = append(in.gets, r)
-		}
-	}
-	sortReplayRecords(in.puts, in.gets)
+	// 5. Select and order the replay from the victim's committed phase.
+	replay := ftrma.ReplayOrder(puts, gets, vSnap.phase)
+	in := &install{snap: vSnap, base: vBase, puts: replay.Puts, gets: replay.Gets}
 
 	// 6. Park the install for the replacement's fJoin and wait for the
 	// handoff; then publish the post-crisis world and resume.
@@ -256,20 +255,22 @@ func (nd *Node) runCrisis(victim, vinc, victims int) error {
 	nd.logf("fabric: rank %d reconstructed (phase %d, %d put / %d get replays); awaiting replacement",
 		victim, vSnap.phase, len(in.puts), len(in.gets))
 	// Park until handleJoin takes the install. Every membership change
-	// (and Close) wakes us: a second victim now means correlated loss —
-	// abandon the install and fail the run instead of waiting forever for
-	// a replacement whose install can never complete.
+	// (and Close) wakes us: a crash the verdict no longer calls causal — a
+	// second victim — means correlated loss; abandon the install and fail
+	// the run instead of waiting forever for a replacement whose install
+	// can never complete.
 	nd.mmu.Lock()
 	nd.pending = pi
 	// A join held by handleJoin takes the install from here and clears it.
 	nd.mcond.Broadcast()
 	for ; nd.pending == pi; nd.mcond.Wait() {
 		_, _, dead := nd.censusLocked()
-		if dead > 1 || nd.state.Load() == stClosed {
+		lost := nd.verdictLocked(dead, false) != ftrma.VerdictCausal
+		if lost || nd.state.Load() == stClosed {
 			nd.pending = nil
 			nd.mmu.Unlock()
-			if dead > 1 {
-				return fmt.Errorf("fabric: %d ranks dead while recovering rank %d; the fabric recovers single failures", dead, victim)
+			if lost {
+				return fmt.Errorf("fabric: %d ranks dead while recovering rank %d; the fabric recovers single failures", len(dead), victim)
 			}
 			return ErrClosed
 		}
@@ -446,7 +447,7 @@ func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, []byte, error) {
 	m := &nd.members[pi.rank]
 	*m = Member{Rank: pi.rank, Addr: addr, Incarnation: pi.inc, Alive: true, Watermark: pi.in.snap.phase + 1}
 	w := world{
-		rank: pi.rank, n: nd.n, windowWords: nd.windowWords, groups: nd.groups,
+		rank: pi.rank, n: nd.n, windowWords: nd.windowWords, groups: nd.grouping.NumGroups,
 		tuning: nd.tun(), meta: nd.meta,
 		members:  append([]Member(nil), nd.members...),
 		hostings: append([]Hosting(nil), nd.hostings...),

@@ -60,7 +60,7 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 		}
 		d := wire.NewDec(payload)
 		rank, inc, wm := d.I(), d.I(), d.I()
-		host := nodes[nodes[rank].Hostings()[rank%nodes[rank].groups].Host]
+		host := nodes[nodes[rank].Hostings()[nodes[rank].grouping.GroupOf(rank)].Host]
 		if m := host.sees(rank); m.Incarnation != inc || m.Watermark < wm {
 			mu.Lock()
 			late = append(late, fmt.Sprintf("rank %d sent ready %d while its host, rank %d, saw %+v", rank, wm, host.rank, m))

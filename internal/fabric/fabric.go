@@ -92,9 +92,14 @@
 // The fabric is deliberately scoped to the paper's cheap path: causal
 // (conflict-free) workloads, coordinated checkpoints at every gsync, one
 // failure at a time. Combining accumulates, structure locks, and demand
-// checkpoints stay on the legacy coordinator runtime; a second failure
-// mid-crisis (or an arbiter death mid-crisis) is reported as an error
-// rather than recovered.
+// checkpoints stay on the legacy coordinator runtime. Survivability is
+// ftrma.Classify over the membership and hosting tables with one parity
+// level: there is no coordinated level to roll back to, so every verdict
+// but causal — several ranks dead at once (a second failure mid-crisis
+// included), an N/M-flagged victim, a group that lost a member and its
+// parity host — is reported as an error rather than recovered, until the
+// fabric gains that level (ROADMAP item 8). An arbiter death mid-crisis
+// is reported likewise.
 //
 // docs/WIRE.md §5 is the normative spec of the fabric frames (0x40–0x4F);
 // docs/ARCHITECTURE.md draws the hub-free topology.

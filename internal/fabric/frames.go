@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ftrma"
+	"repro/internal/machine"
 	"repro/internal/rma"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
@@ -337,15 +338,8 @@ func decInstall(d *wire.Dec) (*install, bool) {
 	return &in, !d.Failed()
 }
 
-// groupMembers lists the ranks of group g under the fixed r mod groups
-// placement, in memberIdx order.
-func groupMembers(n, groups, g int) []int {
-	var ms []int
-	for r := g; r < n; r += groups {
-		ms = append(ms, r)
-	}
-	return ms
+// fabricGrouping is the fabric's parity grouping: rank r in group
+// r mod groups, one parity shard per group.
+func fabricGrouping(n, groups int) machine.Grouping {
+	return machine.Grouping{NumCompute: n, NumGroups: groups, M: 1}
 }
-
-// memberIndex is the inverse: rank r's shard slot within its group.
-func memberIndex(r, groups int) int { return r / groups }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/erasure"
 	"repro/internal/ftrma"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/rma"
 	"repro/internal/transport"
@@ -111,7 +111,7 @@ type Node struct {
 	rank        int
 	n           int
 	windowWords int
-	groups      int
+	grouping    machine.Grouping
 	inc         int
 	addr        string
 	meta        []byte
@@ -348,7 +348,8 @@ func (nd *Node) applyWorld(w world, in *install) error {
 		return fmt.Errorf("fabric: malformed world (rank %d of %d, %d window words, %d groups, %d members)",
 			w.rank, w.n, w.windowWords, w.groups, len(w.members))
 	}
-	nd.rank, nd.n, nd.windowWords, nd.groups = w.rank, w.n, w.windowWords, w.groups
+	nd.rank, nd.n, nd.windowWords = w.rank, w.n, w.windowWords
+	nd.grouping = fabricGrouping(w.n, w.groups)
 	if nd.obs.Rank() < 0 {
 		nd.obs.SetRank(nd.rank)
 	}
@@ -375,7 +376,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.hostings = append([]Hosting(nil), w.hostings...)
 	for _, h := range w.hostings {
 		if h.Host == nd.rank {
-			hg, err := newHostedGroup(nd.n, nd.groups, h.Group, nd.windowWords)
+			hg, err := newHostedGroup(len(nd.grouping.ComputeMembers(h.Group)), nd.windowWords)
 			if err != nil {
 				return err
 			}
@@ -394,8 +395,9 @@ func (nd *Node) applyWorld(w world, in *install) error {
 }
 
 // applyInstall replays the reconstructed state of a replacement rank:
-// base, counters, then the causally sorted put redeliveries and get
-// re-deposits with GNC ≥ the committed phase.
+// base, counters, then the put redeliveries and get re-deposits with
+// GNC ≥ the committed phase, in the order the arbiter's ftrma.ReplayOrder
+// gave them (the install's codec keeps record order).
 func (nd *Node) applyInstall(in *install) error {
 	t0 := time.Now()
 	if len(in.base) != nd.windowWords {
@@ -411,7 +413,6 @@ func (nd *Node) applyInstall(in *install) error {
 	nd.phase = in.snap.phase + 1
 	nd.ecAt = map[int][]int{nd.phase: append([]int(nil), nd.ec...)}
 	nd.gcAt = map[int]int{nd.phase: nd.gc}
-	sortReplayRecords(in.puts, in.gets)
 	if err := nd.replay(in); err != nil {
 		return err
 	}
@@ -453,30 +454,7 @@ func (nd *Node) replay(in *install) error {
 	return nil
 }
 
-// sortReplayRecords orders replay like ftrma's recovery: puts by
-// (GNC, SC, EC), gets by (GNC, GC).
-func sortReplayRecords(puts, gets []ftrma.LogRecord) {
-	sort.SliceStable(puts, func(i, j int) bool {
-		a, b := puts[i], puts[j]
-		if a.GNC != b.GNC {
-			return a.GNC < b.GNC
-		}
-		if a.SC != b.SC {
-			return a.SC < b.SC
-		}
-		return a.EC < b.EC
-	})
-	sort.SliceStable(gets, func(i, j int) bool {
-		a, b := gets[i], gets[j]
-		if a.GNC != b.GNC {
-			return a.GNC < b.GNC
-		}
-		return a.GC < b.GC
-	})
-}
-
-func newHostedGroup(n, groups, g, words int) (*hostedGroup, error) {
-	k := len(groupMembers(n, groups, g))
+func newHostedGroup(k, words int) (*hostedGroup, error) {
 	rs, err := erasure.NewRS(k, 1)
 	if err != nil {
 		return nil, err
@@ -1418,8 +1396,8 @@ func (df *ckptDelta) each(f func(off int, delta []uint64)) {
 // itself.
 func (nd *Node) checkpoint(p int) (Member, error) {
 	t0 := time.Now()
-	g := nd.rank % nd.groups
-	memberIdx := memberIndex(nd.rank, nd.groups)
+	g := nd.grouping.GroupOf(nd.rank)
+	memberIdx := nd.grouping.MemberIndex(nd.rank)
 	nd.ckptMu.Lock()
 	defer nd.ckptMu.Unlock()
 	var s snap

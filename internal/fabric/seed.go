@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ftrma"
+	"repro/internal/machine"
 	"repro/internal/transport/wire"
 )
 
@@ -55,10 +56,11 @@ func (c SeedConfig) Validate() error {
 // outright and assert FramesServed stays frozen to prove the steady
 // state runs without a coordinator.
 type Seed struct {
-	cfg    SeedConfig
-	ln     net.Listener
-	logf   func(string, ...any)
-	frames atomic.Uint64
+	cfg      SeedConfig
+	grouping machine.Grouping
+	ln       net.Listener
+	logf     func(string, ...any)
+	frames   atomic.Uint64
 
 	mu      sync.Mutex
 	joined  []string // addr per assigned rank
@@ -77,7 +79,7 @@ func NewSeed(cfg SeedConfig) (*Seed, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Seed{cfg: cfg, ln: cfg.Listener, logf: cfg.Logf, accepted: make(chan struct{})}
+	s := &Seed{cfg: cfg, grouping: fabricGrouping(cfg.N, cfg.Groups), ln: cfg.Listener, logf: cfg.Logf, accepted: make(chan struct{})}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -199,7 +201,7 @@ func (s *Seed) bootstrapLocked() {
 	hostings := make([]Hosting, s.cfg.Groups)
 	alive := func(int) bool { return true }
 	for g := 0; g < s.cfg.Groups; g++ {
-		host := ftrma.ElectParityHost(n, groupMembers(n, s.cfg.Groups, g), g, 0, alive, -1)
+		host := ftrma.ElectParityHost(n, s.grouping.ComputeMembers(g), g, 0, alive, -1)
 		hostings[g] = Hosting{Group: g, Host: host}
 	}
 	for r := 0; r < n; r++ {

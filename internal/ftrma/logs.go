@@ -1,7 +1,6 @@
 package ftrma
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/rma"
@@ -681,57 +680,4 @@ func (s *logStore) liveFootprint() int {
 		}
 	}
 	return total
-}
-
-// ReplayLogs holds the logs fetched during recovery of a failed rank,
-// already causally ordered (Algorithms 2 and 3): puts sorted by
-// (GNC, SC, EC), gets by (GNC, GC). Replaying in this order preserves the
-// cohb order introduced by gsyncs (Theorem 4.2), the so order introduced by
-// locks, and the co order of epochs, while leaving ||co accesses in an
-// arbitrary (access-deterministic) order.
-type ReplayLogs struct {
-	Puts []LogRecord
-	Gets []LogRecord
-}
-
-// sortReplay orders fetched logs causally.
-func sortReplay(puts, gets []LogRecord) *ReplayLogs {
-	sort.SliceStable(puts, func(i, j int) bool {
-		a, b := puts[i], puts[j]
-		if a.GNC != b.GNC {
-			return a.GNC < b.GNC
-		}
-		if a.SC != b.SC {
-			return a.SC < b.SC
-		}
-		return a.EC < b.EC
-	})
-	sort.SliceStable(gets, func(i, j int) bool {
-		a, b := gets[i], gets[j]
-		if a.GNC != b.GNC {
-			return a.GNC < b.GNC
-		}
-		return a.GC < b.GC
-	})
-	return &ReplayLogs{Puts: puts, Gets: gets}
-}
-
-// Len returns the total number of records to replay.
-func (l *ReplayLogs) Len() int { return len(l.Puts) + len(l.Gets) }
-
-// MaxGNC returns the largest gsync phase among the records, or -1 when
-// empty. Applications replay phase by phase, interleaving recomputation.
-func (l *ReplayLogs) MaxGNC() int {
-	max := -1
-	for _, r := range l.Puts {
-		if r.GNC > max {
-			max = r.GNC
-		}
-	}
-	for _, r := range l.Gets {
-		if r.GNC > max {
-			max = r.GNC
-		}
-	}
-	return max
 }

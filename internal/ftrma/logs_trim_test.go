@@ -97,7 +97,7 @@ func TestTrimRecomputesMFlagAcrossSegments(t *testing.T) {
 }
 
 // TestSortReplayCausalOrder is the Theorem 4.2 property test: for random
-// record sets, sortReplay must emit puts so that every cohb edge introduced
+// record sets, ReplayOrder must emit puts so that every cohb edge introduced
 // by gsyncs (smaller GNC first) and every so edge introduced by locks
 // (same GNC, smaller SC first) is respected, with epochs (EC) ordering
 // records within a lock phase; gets are ordered by (GNC, GC). Records not
@@ -120,7 +120,7 @@ func TestSortReplayCausalOrder(t *testing.T) {
 		}
 		orig := append([]LogRecord(nil), puts...)
 		origGets := append([]LogRecord(nil), gets...)
-		l := sortReplay(puts, gets)
+		l := ReplayOrder(puts, gets, -1)
 
 		putKey := func(r LogRecord) [3]int { return [3]int{r.GNC, r.SC, r.EC} }
 		getKey := func(r LogRecord) [3]int { return [3]int{r.GNC, r.GC, 0} }

@@ -45,26 +45,32 @@ func (s *System) Recover(f int) (*RecoverResult, error) {
 	// Parity that resided at a now-dead rank is gone: rebuild what the
 	// surviving member copies allow and re-elect hosts, before anything
 	// below consults a shard.
-	s.repairParityHosts()
-	// Concurrent failures: the logs held at another dead rank died with it,
-	// so Algorithm 2's fetch (lines 4-11) cannot be complete — causal
-	// recovery is impossible and the coordinated level (whose parity
-	// tolerates m losses per group) takes over directly.
-	concurrent := false
+	s.repairParityHosts(f)
+	// Causal replay needs f alone dead (logs held at another dead rank are
+	// gone, so Algorithm 2's fetch cannot be complete) and f's parity; else
+	// the coordinated level takes over. Shards lost with their host read as
+	// hosted at f.
+	var dead []int
 	for q := 0; q < s.world.N(); q++ {
-		if q != f && !s.world.Alive(q) {
-			concurrent = true
+		if !s.world.Alive(q) {
+			dead = append(dead, q)
 		}
 	}
+	host := func(group, level int) int {
+		grp := s.groups[group]
+		grp.mu.Lock()
+		defer grp.mu.Unlock()
+		if !grp.parity[level].valid {
+			return f
+		}
+		return grp.parity[level].rank
+	}
+	fallback := Classify(s.grouping, host, NumLevels, dead, false) != VerdictCausal
 	inner := s.world.Respawn(f)
 	pnew := newProcess(s, inner)
 	s.procs[f] = pnew
 
 	var puts, gets []LogRecord
-	// A group whose uncoordinated parity died with its host (and could not
-	// be rebuilt because a member copy is missing too — necessarily f's
-	// own) cannot reconstruct f causally: fall back directly.
-	fallback := concurrent || !s.groupOf(f).parityValid(LevelUC)
 	gather := obs.StartSpan(s.om.gatherUs, nil, 0, 0, 0)
 	s.world.RunRank(f, func() {
 		if fallback {
@@ -92,7 +98,7 @@ func (s *System) Recover(f int) (*RecoverResult, error) {
 			inner.Unlock(q, rma.StrMeta)
 			if n || m {
 				// Algorithm 2 line 6: stop and fall back.
-				fallback = true
+				fallback = Classify(s.grouping, host, NumLevels, dead, true) != VerdictCausal
 				return
 			}
 			bytes := 0
@@ -138,10 +144,11 @@ func (s *System) Recover(f int) (*RecoverResult, error) {
 	}
 	s.om.causal.Inc()
 	total.End()
-	return &RecoverResult{Proc: pnew, Logs: sortReplay(puts, gets)}, nil
+	return &RecoverResult{Proc: pnew, Logs: ReplayOrder(puts, gets, -1)}, nil
 }
 
-// reconstructUC rebuilds rank f's latest uncoordinated checkpoint.
+// reconstructUC rebuilds rank f's latest uncoordinated checkpoint. Only a
+// causal verdict gets here, so f is its group's one missing member.
 func (s *System) reconstructUC(f int) ([]uint64, memberSnap, error) {
 	grp := s.groupOf(f)
 	survivors := make(map[int][]uint64, len(grp.members))
@@ -149,15 +156,12 @@ func (s *System) reconstructUC(f int) ([]uint64, memberSnap, error) {
 		if r == f {
 			continue
 		}
-		if !s.world.Alive(r) {
-			continue // multi-failure: RS handles up to m missing
-		}
 		rp := s.procs[r]
 		rp.ckptMu.Lock()
 		survivors[r] = cloneWords(rp.ucData)
 		rp.ckptMu.Unlock()
 	}
-	rec, err := grp.reconstruct(LevelUC, survivors, missingMembers(s, grp, f))
+	rec, err := grp.reconstruct(LevelUC, survivors, []int{f})
 	if err != nil {
 		return nil, memberSnap{}, err
 	}
@@ -168,18 +172,6 @@ func (s *System) reconstructUC(f int) ([]uint64, memberSnap, error) {
 		snap.epochs = make([]int, s.world.N())
 	}
 	return rec[f], snap, nil
-}
-
-// missingMembers lists the group members whose copies are unavailable
-// (the failed rank plus any other currently dead member).
-func missingMembers(s *System, grp *chGroup, f int) []int {
-	var out []int
-	for _, r := range grp.members {
-		if r == f || !s.world.Alive(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // restoreRank loads checkpoint data and counters into a fresh process.
@@ -210,17 +202,8 @@ func (s *System) restoreRank(p *Process, data []uint64, snap memberSnap) {
 // found).
 func (s *System) reseedGroupParity() {
 	for _, grp := range s.groups {
-		uc := make([][]uint64, len(grp.members))
-		cc := make([][]uint64, len(grp.members))
-		for j, r := range grp.members {
-			rp := s.procs[r]
-			rp.ckptMu.Lock()
-			uc[j] = cloneWords(rp.ucData)
-			cc[j] = cloneWords(rp.ccData)
-			rp.ckptMu.Unlock()
-		}
-		ucShards := grp.encodeShards(uc)
-		ccShards := grp.encodeShards(cc)
+		ucShards := s.encodeLevel(grp, LevelUC)
+		ccShards := s.encodeLevel(grp, LevelCC)
 		grp.mu.Lock()
 		s.reinstallLevelLocked(grp, LevelUC, ucShards)
 		s.reinstallLevelLocked(grp, LevelCC, ccShards)
@@ -333,10 +316,11 @@ func applyOp(op rma.ReduceOp, old, operand uint64) uint64 {
 // iteration.
 func (s *System) FallbackToCC(f int) error {
 	s.bumpStats(func(st *Stats) { st.Fallbacks++ })
-	// Direct callers (the cluster's BSP policy) may reach here without
-	// passing through Recover: repair dead-host parity first. Idempotent —
-	// levels Recover already repaired have live hosts again.
-	s.repairParityHosts()
+	// Direct callers may reach here without passing through Recover:
+	// repair dead-host parity first. Idempotent — levels Recover already
+	// repaired have live hosts again, and f, respawned since, still counts
+	// as lost.
+	s.repairParityHosts(f)
 	// Every rank whose coordinated copy is gone: f itself (it may already
 	// have been respawned with empty state by Recover) plus all currently
 	// dead ranks.

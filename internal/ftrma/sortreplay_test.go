@@ -2,11 +2,12 @@ package ftrma
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// TestSortReplayStableOrder pins the Theorem-4.2 replay order: puts
+// TestSortReplayStableOrder pins ReplayOrder, the Theorem-4.2 replay order: puts
 // lexicographic by (GNC, SC, EC), gets by (GNC, GC), each sort stable —
 // records the counters do not order (||co accesses) must keep the fetch
 // order, which is what makes replay access-deterministic. The cluster's
@@ -45,7 +46,8 @@ func TestSortReplayStableOrder(t *testing.T) {
 		gets = append(gets, LogRecord{Kind: LogGet, GNC: 2, GC: 2, Src: src, Combine: true})
 	}
 
-	l := sortReplay(puts, gets)
+	rawPuts, rawGets := slices.Clone(puts), slices.Clone(gets) // fetch order
+	l := ReplayOrder(puts, gets, -1)
 
 	putKey := func(r LogRecord) [3]int { return [3]int{r.GNC, r.SC, r.EC} }
 	if !sort.SliceIsSorted(l.Puts, func(i, j int) bool {
@@ -99,7 +101,37 @@ func TestSortReplayStableOrder(t *testing.T) {
 	if l.MaxGNC() != 2 {
 		t.Fatalf("MaxGNC() = %d, want 2", l.MaxGNC())
 	}
-	if empty := sortReplay(nil, nil); empty.Len() != 0 || empty.MaxGNC() != -1 {
+	if empty := ReplayOrder(nil, nil, -1); empty.Len() != 0 || empty.MaxGNC() != -1 {
 		t.Fatalf("empty logs: Len %d, MaxGNC %d", empty.Len(), empty.MaxGNC())
 	}
+
+	// Selection: from keeps the records with GNC ≥ from, in the same order
+	// the unfiltered sort gives them; a negative from keeps everything.
+	for _, tc := range []struct{ from, puts, gets int }{
+		{-1, 30, 12}, {0, 30, 12}, {1, 21, 9}, {2, 9, 6}, {3, 0, 0},
+	} {
+		got := ReplayOrder(slices.Clone(rawPuts), slices.Clone(rawGets), tc.from)
+		if len(got.Puts) != tc.puts || len(got.Gets) != tc.gets {
+			t.Fatalf("from %d: %d puts / %d gets, want %d / %d", tc.from, len(got.Puts), len(got.Gets), tc.puts, tc.gets)
+		}
+		keep := func(r LogRecord) bool { return tc.from < 0 || r.GNC >= tc.from }
+		var wantPuts, wantGets []LogRecord
+		for _, r := range l.Puts {
+			if keep(r) {
+				wantPuts = append(wantPuts, r)
+			}
+		}
+		for _, r := range l.Gets {
+			if keep(r) {
+				wantGets = append(wantGets, r)
+			}
+		}
+		if !slices.EqualFunc(got.Puts, wantPuts, recordsEqual) || !slices.EqualFunc(got.Gets, wantGets, recordsEqual) {
+			t.Fatalf("from %d: selection is not the sorted order's GNC ≥ %d suffix", tc.from, tc.from)
+		}
+	}
+}
+
+func recordsEqual(a, b LogRecord) bool {
+	return a.GNC == b.GNC && a.SC == b.SC && a.EC == b.EC && a.GC == b.GC && a.Src == b.Src && a.Combine == b.Combine
 }

@@ -85,15 +85,6 @@ func newCHGroup(group int, members []int, m, words int, params sim.Params) (*chG
 	return g, nil
 }
 
-// parityValid reports whether one level's shards currently exist (mu is
-// taken internally; the answer can only flip to false at a kill, which
-// recovery serializes).
-func (g *chGroup) parityValid(level int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.parity[level].valid
-}
-
 // hostRank returns the rank hosting one level's shards (-1 = runtime).
 func (g *chGroup) hostRank(level int) int {
 	g.mu.Lock()
@@ -383,18 +374,7 @@ func (s *System) EnablePeerParityHosts(factory ParityHostFactory) bool {
 func (s *System) placeLevelSafe(grp *chGroup, level int) (ok bool) {
 	shards, good := s.snapshotShards(grp, level)
 	if !good {
-		copies := make([][]uint64, len(grp.members))
-		for j, r := range grp.members {
-			rp := s.procs[r]
-			rp.ckptMu.Lock()
-			if level == LevelUC {
-				copies[j] = cloneWords(rp.ucData)
-			} else {
-				copies[j] = cloneWords(rp.ccData)
-			}
-			rp.ckptMu.Unlock()
-		}
-		shards = grp.encodeShards(copies)
+		shards = s.encodeLevel(grp, level)
 	}
 	grp.mu.Lock()
 	defer grp.mu.Unlock()
@@ -411,6 +391,23 @@ func (s *System) placeLevelSafe(grp *chGroup, level int) (ok bool) {
 	}()
 	s.placeLevelLocked(grp, level, shards)
 	return true
+}
+
+// encodeLevel re-encodes one level's shards from the members' current
+// checkpoint copies, each read under its owner's ckptMu.
+func (s *System) encodeLevel(grp *chGroup, level int) [][]uint64 {
+	copies := make([][]uint64, len(grp.members))
+	for j, r := range grp.members {
+		rp := s.procs[r]
+		rp.ckptMu.Lock()
+		if level == LevelUC {
+			copies[j] = cloneWords(rp.ucData)
+		} else {
+			copies[j] = cloneWords(rp.ccData)
+		}
+		rp.ckptMu.Unlock()
+	}
+	return grp.encodeShards(copies)
 }
 
 // snapshotShards reads one level's current contents, reporting false if
@@ -478,12 +475,14 @@ func (s *System) ParityHostRank(group, level int) int {
 // (if the coordinated level itself died together with a member copy) to
 // a catastrophic-failure report, exactly as concurrently losing a CH and
 // a CM of one group exceeds the code's tolerance in the paper (§5.1).
-// Recovery calls it first, before touching any parity.
-func (s *System) repairParityHosts() {
+// Recovery calls it first, before touching any parity. The recovered rank
+// f counts as lost even once respawned: its copies are empty, and parity
+// re-encoded from them would reconstruct nothing.
+func (s *System) repairParityHosts(f int) {
 	for _, grp := range s.groups {
 		allMembersAlive := true
 		for _, r := range grp.members {
-			if !s.world.Alive(r) {
+			if r == f || !s.world.Alive(r) {
 				allMembersAlive = false
 			}
 		}
@@ -491,7 +490,7 @@ func (s *System) repairParityHosts() {
 			grp.mu.Lock()
 			pr := grp.parity[level]
 			grp.mu.Unlock()
-			if pr.rank < 0 || s.parityAlive(pr.rank) {
+			if pr.rank < 0 || pr.rank != f && s.parityAlive(pr.rank) {
 				continue
 			}
 			if !allMembersAlive {
@@ -500,18 +499,7 @@ func (s *System) repairParityHosts() {
 				grp.mu.Unlock()
 				continue
 			}
-			copies := make([][]uint64, len(grp.members))
-			for j, r := range grp.members {
-				rp := s.procs[r]
-				rp.ckptMu.Lock()
-				if level == LevelUC {
-					copies[j] = cloneWords(rp.ucData)
-				} else {
-					copies[j] = cloneWords(rp.ccData)
-				}
-				rp.ckptMu.Unlock()
-			}
-			shards := grp.encodeShards(copies)
+			shards := s.encodeLevel(grp, level)
 			grp.mu.Lock()
 			grp.parity[level].valid = false
 			s.placeLevelLocked(grp, level, shards)

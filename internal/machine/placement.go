@@ -76,6 +76,10 @@ func (g Grouping) ComputeMembers(group int) []int {
 	return out
 }
 
+// MemberIndex returns a compute rank's position within its group, in
+// ComputeMembers order — its shard slot in the group's erasure code.
+func (g Grouping) MemberIndex(rank int) int { return rank / g.NumGroups }
+
 // Members returns all ranks of a group: compute members then checksum ranks.
 func (g Grouping) Members(group int) []int {
 	return append(g.ComputeMembers(group), g.ChecksumRanks(group)...)

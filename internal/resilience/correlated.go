@@ -45,34 +45,6 @@ type CorrelatedConfig struct {
 	PeerParityHosts bool
 }
 
-// Verdict classifies the recovery one fail-stop crash admits.
-type Verdict int
-
-const (
-	// VerdictCausal: a single rank died; its mutual logs survive on the
-	// peers, so causal replay restores it without rollback.
-	VerdictCausal Verdict = iota
-	// VerdictFallback: multiple ranks died at once (mutual logs gone),
-	// but every group can still reconstruct — the coordinated rollback
-	// survives.
-	VerdictFallback
-	// VerdictCatastrophic: some group lost more state than its parity
-	// covers; no software recovery exists.
-	VerdictCatastrophic
-)
-
-func (v Verdict) String() string {
-	switch v {
-	case VerdictCausal:
-		return "causal"
-	case VerdictFallback:
-		return "fallback"
-	case VerdictCatastrophic:
-		return "catastrophic"
-	}
-	return fmt.Sprintf("verdict(%d)", int(v))
-}
-
 // CorrelatedReport summarizes a correlated-failure simulation.
 type CorrelatedReport struct {
 	NodeFailures     int
@@ -210,52 +182,31 @@ func SimulateCorrelated(cfg CorrelatedConfig) (CorrelatedReport, error) {
 
 // PredictCrash classifies the recovery one simultaneous fail-stop crash
 // of the given ranks admits under this config's grouping and parity
-// placement, by actually running it: warmIters workload iterations on
-// the in-process ft runtime, the crash, then Recover. The chaos and soak
-// harnesses derive their survivability expectations from this — the same
-// grouping, election policy, and reconstruction math the cluster runs,
-// minus the wire — so a cluster run disagreeing with the prediction is a
-// runtime bug, not a modeling gap. Set PeerParityHosts when the run
-// under test hosts parity on peer ranks (the cluster and fabric do).
-func (c CorrelatedConfig) PredictCrash(warmIters int, ranks []int) (Verdict, error) {
+// placement: ftrma.Classify over the hosts a fresh ftrma.System elects
+// (the paper's infallible checksum processes unless PeerParityHosts). The
+// chaos harness derives its survivability expectations from this — the
+// same grouping, election policy and rule the cluster runs — so a cluster
+// run disagreeing with the prediction is a runtime bug, not a modeling
+// gap. Set PeerParityHosts when the run under test hosts parity on peer
+// ranks (the cluster and fabric do).
+func (c CorrelatedConfig) PredictCrash(ranks []int) (ftrma.Verdict, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
 	if len(ranks) == 0 {
 		return 0, errors.New("resilience: empty crash")
 	}
-	if len(ranks) == 1 {
-		return VerdictCausal, nil
-	}
 	n := c.Nodes * c.RanksPerNode
-	w := rma.NewWorld(rma.Config{N: n, WindowWords: windowWords(n)})
-	sys, err := ftrma.NewSystem(w, ftrma.Config{
-		Groups: c.Groups, ChecksumsPerGroup: 1,
-		Log:             ftrma.LogConfig{Puts: true},
-		PeerParityHosts: c.PeerParityHosts,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if warmIters < 1 {
-		warmIters = 1
-	}
-	for it := 0; it < warmIters; it++ {
-		cur := it
-		w.Run(func(r int) { step(sys.Process(r), cur) })
-	}
 	for _, r := range ranks {
 		if r < 0 || r >= n {
 			return 0, fmt.Errorf("resilience: rank %d out of range 0..%d", r, n-1)
 		}
-		w.Kill(r)
 	}
-	switch _, err := sys.Recover(ranks[0]); {
-	case errors.Is(err, ftrma.ErrFallback):
-		return VerdictFallback, nil
-	case err != nil:
-		return VerdictCatastrophic, nil
-	default:
-		return VerdictCausal, nil
+	sys, err := ftrma.NewSystem(rma.NewWorld(rma.Config{N: n, WindowWords: 1}), ftrma.Config{
+		Groups: c.Groups, ChecksumsPerGroup: 1, PeerParityHosts: c.PeerParityHosts,
+	})
+	if err != nil {
+		return 0, err
 	}
+	return ftrma.Classify(sys.Grouping(), sys.ParityHostRank, ftrma.NumLevels, ranks, false), nil
 }

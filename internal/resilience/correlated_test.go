@@ -1,6 +1,10 @@
 package resilience
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/ftrma"
+)
 
 func TestCorrelatedTAwarePlacementSurvives(t *testing.T) {
 	// Multi-rank nodes, t-aware placement: every node failure hits each
@@ -91,20 +95,20 @@ func TestPredictCrashVerdicts(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		ranks []int
-		want  Verdict
+		want  ftrma.Verdict
 	}{
 		// Any lone death replays causally, whoever it is.
-		{"single-rank", []int{2}, VerdictCausal},
+		{"single-rank", []int{2}, ftrma.VerdictCausal},
 		// Node 0 = ranks {0,1}: one member per group lost, both parity
 		// hosts (ranks 2 and 3) alive — the coordinated rollback covers it.
-		{"node0-fallback", node(0), VerdictFallback},
+		{"node0-fallback", node(0), ftrma.VerdictFallback},
 		// Node 1 = ranks {2,3}: a group member dies together with a
 		// parity host guarding a group it belongs to — member copy and
 		// parity gone at once, the §5.1 catastrophic case.
-		{"node1-catastrophic", node(1), VerdictCatastrophic},
+		{"node1-catastrophic", node(1), ftrma.VerdictCatastrophic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := cfg.PredictCrash(3, tc.ranks)
+			got, err := cfg.PredictCrash(tc.ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,19 +125,19 @@ func TestPredictCrashMatchesInfallibleSim(t *testing.T) {
 	// (TestCorrelatedTAwarePlacementSurvives), packed ones catastrophic
 	// (TestCorrelatedNaivePlacementIsCatastrophic).
 	taware := CorrelatedConfig{Nodes: 4, RanksPerNode: 2, Iters: 8, TAware: true, Groups: 4}
-	v, err := taware.PredictCrash(3, []int{taware.RankOfSlot(1, 0), taware.RankOfSlot(1, 1)})
+	v, err := taware.PredictCrash([]int{taware.RankOfSlot(1, 0), taware.RankOfSlot(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != VerdictFallback {
+	if v != ftrma.VerdictFallback {
 		t.Fatalf("t-aware node loss predicted %v, want fallback", v)
 	}
 	packed := CorrelatedConfig{Nodes: 4, RanksPerNode: 2, Iters: 8, TAware: false, Groups: 4}
-	v, err = packed.PredictCrash(3, []int{packed.RankOfSlot(1, 0), packed.RankOfSlot(1, 1)})
+	v, err = packed.PredictCrash([]int{packed.RankOfSlot(1, 0), packed.RankOfSlot(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != VerdictCatastrophic {
+	if v != ftrma.VerdictCatastrophic {
 		t.Fatalf("packed node loss predicted %v, want catastrophic", v)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/ftrma"
 	"repro/internal/machine"
 	"repro/internal/resilience"
 )
@@ -167,8 +168,8 @@ func correlatedNodeCrash(t *testing.T, ranks, perNode, node int) []int {
 // TestClusterCorrelatedVerdictMatch closes the loop between the
 // simulation stack and the real cluster: for every placement node, the
 // expected outcome of a whole-node kill is not hardcoded but computed by
-// resilience.PredictCrash — the in-process run of the same grouping,
-// parity election, and reconstruction math — and the multi-process
+// resilience.PredictCrash — ftrma.Classify over the same grouping and
+// parity election the cluster runs — and the multi-process
 // cluster must land on exactly that verdict: a fallback-survivable node
 // loss finishes bit-identical with coordinated rollbacks, a catastrophic
 // one reports promptly and cleanly.
@@ -194,7 +195,7 @@ func TestClusterCorrelatedVerdictMatch(t *testing.T) {
 		node := node
 		t.Run(fmt.Sprintf("node%d", node), func(t *testing.T) {
 			victims := correlatedNodeCrash(t, wl.Ranks, perNode, node)
-			verdict, err := pred.PredictCrash(3, victims)
+			verdict, err := pred.PredictCrash(victims)
 			if err != nil {
 				t.Fatalf("predict: %v", err)
 			}
@@ -208,7 +209,7 @@ func TestClusterCorrelatedVerdictMatch(t *testing.T) {
 			for _, v := range victims {
 				kill9(t, workers[v])
 			}
-			if verdict != resilience.VerdictCatastrophic {
+			if verdict != ftrma.VerdictCatastrophic {
 				for range victims {
 					r := spawnWorker(t, c.Addr())
 					defer reap(r)
@@ -217,7 +218,7 @@ func TestClusterCorrelatedVerdictMatch(t *testing.T) {
 
 			got, err := c.Run()
 			switch verdict {
-			case resilience.VerdictFallback:
+			case ftrma.VerdictFallback:
 				sawFallback = true
 				if err != nil {
 					t.Fatalf("predicted-survivable node kill failed the run: %v", err)
@@ -226,7 +227,7 @@ func TestClusterCorrelatedVerdictMatch(t *testing.T) {
 					t.Fatalf("predicted fallback, but the run took none: %+v", st)
 				}
 				compareToOracle(t, wl, got)
-			case resilience.VerdictCatastrophic:
+			case ftrma.VerdictCatastrophic:
 				sawCatastrophic = true
 				if err == nil {
 					t.Fatal("predicted-catastrophic node kill reported success")

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short test-noasm bench-short bench bench-gate race stress tier1 ci docs-check smoke-rankd chaos-smoke metrics-check flightrec-demo soak soak-short coverage-check
+.PHONY: all build vet staticcheck test test-short test-noasm race stress tier1 ci docs-check smoke-rankd chaos-smoke metrics-check flightrec-demo soak soak-short coverage-check
 
 all: build vet test
 
@@ -59,23 +59,6 @@ stress:
 	$(GO) test -race -count=20 ./internal/transport/wire
 	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestCrisisRefusesUnsurvivable' ./internal/fabric
 
-# Quick perf smoke: the erasure kernels and one checkpoint round.
-bench-short:
-	$(GO) test -run xxx -bench 'BenchmarkErasureThroughput|BenchmarkCheckpointRound' -benchtime=1s .
-
-# Full figure/ablation benchmark sweep.
-bench:
-	$(GO) test -run xxx -bench . -benchmem .
-
-# Bench-regression gate: run the checkpoint/stream/erasure/transport
-# benchmarks (the transport ones cover the loopback, tcp, and shm legs)
-# and compare against the committed BENCH_*.json baselines (deterministic
-# metrics — virtual time, frames and allocs per flush — gate tightly;
-# wall-clock MB/s is a coarse tripwire).
-bench-gate:
-	$(GO) test -run xxx -bench 'BenchmarkDemandCheckpointStreamPipeline|BenchmarkErasureThroughput|BenchmarkCheckpointRound|BenchmarkTransportFlush|BenchmarkTransportAtomic|BenchmarkRecoveryPaths|BenchmarkClusterSoak' -benchtime=100ms -count=1 . | tee bench.out
-	$(GO) run ./cmd/benchgate -bench bench.out -baseline BENCH_stream.json -baseline BENCH_baseline.json -baseline BENCH_logs.json -baseline BENCH_transport.json -baseline BENCH_recovery.json -baseline BENCH_cluster.json -out bench-results.json
-
 # Multi-process smoke: 4 rankd worker processes against a live
 # coordinator, kill -9 of one mid-run, replacement rejoin, bit-identical
 # recovery check (the same scenario the cluster package's Go test runs
@@ -133,6 +116,7 @@ docs-check:
 
 # Mirrors the full CI workflow locally: build, vet (with the gofmt gate),
 # staticcheck, tests on both kernel paths, the race detector, the fabric
-# stress leg, the soak matrix, the coverage floors, the bench-regression
-# gate, the docs gate, and the metric-catalog drift gate.
-ci: build vet staticcheck test test-noasm race stress soak coverage-check bench-gate docs-check metrics-check
+# stress leg, the soak matrix, the coverage floors, the docs gate, and the
+# metric-catalog drift gate. Performance is measured by the repo benchmark
+# (bash bench/run.sh, bench/README.md), not here.
+ci: build vet staticcheck test test-noasm race stress soak coverage-check docs-check metrics-check

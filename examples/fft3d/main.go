@@ -15,7 +15,8 @@ import (
 	"log"
 
 	"repro/internal/apps/fft"
-	"repro/internal/core"
+	"repro/internal/ftrma"
+	"repro/internal/rma"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 	const p, killAt, victim = 16, 3, 9
 
 	// Fault-free reference.
-	ref := core.NewWorld(core.WorldConfig{N: p, WindowWords: cfg.WindowWords()})
+	ref := rma.NewWorld(rma.Config{N: p, WindowWords: cfg.WindowWords()})
 	ref.Run(func(r int) {
 		fft.Init(ref.Proc(r), cfg)
 		fft.Run(ref.Proc(r), cfg, 0, cfg.Iters)
@@ -33,10 +34,10 @@ func main() {
 		cfg.TotalFlops(cfg.Iters)/ref.MaxTime()/1e9)
 
 	// Fault-tolerant run.
-	w := core.NewWorld(core.WorldConfig{N: p, WindowWords: cfg.WindowWords()})
-	sys, err := core.NewSystem(w, core.Config{
+	w := rma.NewWorld(rma.Config{N: p, WindowWords: cfg.WindowWords()})
+	sys, err := ftrma.NewSystem(w, ftrma.Config{
 		Groups: 2, ChecksumsPerGroup: 1,
-		Log: core.LogConfig{Puts: true},
+		Log: ftrma.LogConfig{Puts: true},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"repro/internal/apps/kvstore"
-	"repro/internal/core"
+	"repro/internal/ftrma"
 	"repro/internal/mlog"
 	"repro/internal/rma"
 )
@@ -31,17 +31,17 @@ func main() {
 	}
 	var results []result
 	for _, kind := range []string{"no-FT", "f-puts", "f-puts-gets", "ML"} {
-		w := core.NewWorld(core.WorldConfig{N: n, WindowWords: cfg.WindowWords()})
+		w := rma.NewWorld(rma.Config{N: n, WindowWords: cfg.WindowWords()})
 		var apiFor func(r int) rma.API
-		var sys *core.System
+		var sys *ftrma.System
 		switch kind {
 		case "no-FT":
 			apiFor = func(r int) rma.API { return w.Proc(r) }
 		case "f-puts", "f-puts-gets":
 			var err error
-			sys, err = core.NewSystem(w, core.Config{
+			sys, err = ftrma.NewSystem(w, ftrma.Config{
 				Groups: 2, ChecksumsPerGroup: 1,
-				Log: core.LogConfig{Puts: true, Gets: kind == "f-puts-gets"},
+				Log: ftrma.LogConfig{Puts: true, Gets: kind == "f-puts-gets"},
 			})
 			if err != nil {
 				log.Fatal(err)

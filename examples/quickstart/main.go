@@ -13,16 +13,17 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/ftrma"
+	"repro/internal/rma"
 )
 
 func main() {
 	const n = 8
-	w := core.NewWorld(core.WorldConfig{N: n, WindowWords: 64})
-	sys, err := core.NewSystem(w, core.Config{
+	w := rma.NewWorld(rma.Config{N: n, WindowWords: 64})
+	sys, err := ftrma.NewSystem(w, ftrma.Config{
 		Groups:            2, // two groups, one checksum process each
 		ChecksumsPerGroup: 1,
-		Log:               core.LogConfig{Puts: true, Gets: true},
+		Log:               ftrma.LogConfig{Puts: true, Gets: true},
 	})
 	if err != nil {
 		log.Fatal(err)

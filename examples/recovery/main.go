@@ -12,7 +12,8 @@ import (
 	"log"
 
 	"repro/internal/apps/stencil"
-	"repro/internal/core"
+	"repro/internal/ftrma"
+	"repro/internal/rma"
 )
 
 func main() {
@@ -22,10 +23,10 @@ func main() {
 	want := stencil.SerialReference(cfg, n, cfg.Iters)
 
 	// --- Causal recovery with demand checkpoints -------------------------
-	w := core.NewWorld(core.WorldConfig{N: n, WindowWords: cfg.WindowWords()})
-	sys, err := core.NewSystem(w, core.Config{
+	w := rma.NewWorld(rma.Config{N: n, WindowWords: cfg.WindowWords()})
+	sys, err := ftrma.NewSystem(w, ftrma.Config{
 		Groups: 2, ChecksumsPerGroup: 1,
-		Log: core.LogConfig{
+		Log: ftrma.LogConfig{
 			Puts:        true,
 			BudgetBytes: 8 << 10, // tiny: forces demand checkpoints
 		},
@@ -61,10 +62,10 @@ func main() {
 	fmt.Println("causal recovery: final grid bit-identical to the serial reference")
 
 	// --- Coordinated fallback (N flag) -----------------------------------
-	w2 := core.NewWorld(core.WorldConfig{N: 4, WindowWords: 64})
-	sys2, err := core.NewSystem(w2, core.Config{
+	w2 := rma.NewWorld(rma.Config{N: 4, WindowWords: 64})
+	sys2, err := ftrma.NewSystem(w2, ftrma.Config{
 		Groups: 1, ChecksumsPerGroup: 1,
-		Log:           core.LogConfig{Puts: true, Gets: true},
+		Log:           ftrma.LogConfig{Puts: true, Gets: true},
 		FixedInterval: 1e-9, // checkpoint at (almost) every gsync
 	})
 	if err != nil {
@@ -80,7 +81,7 @@ func main() {
 	})
 	w2.Kill(0)
 	_, err = sys2.Recover(0)
-	if errors.Is(err, core.ErrFallback) {
+	if errors.Is(err, ftrma.ErrFallback) {
 		fmt.Println("fallback: rank died with an in-flight get; system rolled back to the coordinated checkpoint")
 	} else if err != nil {
 		log.Fatalf("unexpected error: %v", err)

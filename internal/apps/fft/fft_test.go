@@ -178,7 +178,7 @@ func TestFFTWithFtRMACausalRecovery(t *testing.T) {
 
 	w := rma.NewWorld(rma.Config{N: 4, WindowWords: cfg.WindowWords()})
 	sys, err := ftrma.NewSystem(w, ftrma.Config{
-		Groups: 1, ChecksumsPerGroup: 1, LogPuts: true,
+		Groups: 1, ChecksumsPerGroup: 1, Log: ftrma.LogConfig{Puts: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +224,8 @@ func TestFFTWithDemandCheckpointsStaysCorrect(t *testing.T) {
 
 	w := rma.NewWorld(rma.Config{N: 4, WindowWords: cfg.WindowWords()})
 	sys, err := ftrma.NewSystem(w, ftrma.Config{
-		Groups: 1, ChecksumsPerGroup: 1, LogPuts: true,
-		LogBudgetBytes: 16 << 10,
+		Groups: 1, ChecksumsPerGroup: 1,
+		Log: ftrma.LogConfig{Puts: true, BudgetBytes: 16 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestLoggingOverheadOrdering(t *testing.T) {
 	plain := runDistributed(t, cfg).MaxTime()
 
 	w := rma.NewWorld(rma.Config{N: 4, WindowWords: cfg.WindowWords()})
-	sys, err := ftrma.NewSystem(w, ftrma.Config{Groups: 1, ChecksumsPerGroup: 1, LogPuts: true})
+	sys, err := ftrma.NewSystem(w, ftrma.Config{Groups: 1, ChecksumsPerGroup: 1, Log: ftrma.LogConfig{Puts: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

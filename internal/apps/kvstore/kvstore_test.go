@@ -228,7 +228,7 @@ func TestLoggingOverheadOrdering(t *testing.T) {
 		case "fputs", "fputsgets":
 			sys, err := ftrma.NewSystem(w, ftrma.Config{
 				Groups: 1, ChecksumsPerGroup: 1,
-				LogPuts: true, LogGets: kind == "fputsgets",
+				Log: ftrma.LogConfig{Puts: true, Gets: kind == "fputsgets"},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -79,7 +79,7 @@ func TestCausalRecoveryMatchesFaultFree(t *testing.T) {
 	want := Gather(ref, cfg, n, cfg.Iters)
 
 	w := rma.NewWorld(rma.Config{N: n, WindowWords: cfg.WindowWords()})
-	sys, err := ftrma.NewSystem(w, ftrma.Config{Groups: 1, ChecksumsPerGroup: 1, LogPuts: true})
+	sys, err := ftrma.NewSystem(w, ftrma.Config{Groups: 1, ChecksumsPerGroup: 1, Log: ftrma.LogConfig{Puts: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func TestRecoveryAfterDemandCheckpoint(t *testing.T) {
 
 	w := rma.NewWorld(rma.Config{N: n, WindowWords: cfg.WindowWords()})
 	sys, err := ftrma.NewSystem(w, ftrma.Config{
-		Groups: 1, ChecksumsPerGroup: 1, LogPuts: true,
-		LogBudgetBytes: 2048,
+		Groups: 1, ChecksumsPerGroup: 1,
+		Log: ftrma.LogConfig{Puts: true, BudgetBytes: 2048},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -206,33 +207,10 @@ var (
 	benchTuning = Tuning{LeaseInterval: 500 * time.Millisecond, LeaseMiss: 20, GossipInterval: 250 * time.Millisecond}
 )
 
-// gatedLog is one node's Logf: a call after shut() fails the test.
-type gatedLog struct {
-	t    *testing.T
-	mu   sync.Mutex
-	done bool
-	late []string
-}
-
-func (g *gatedLog) logf(format string, args ...any) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.done {
-		g.late = append(g.late, fmt.Sprintf(format, args...))
-		return
-	}
-	g.t.Logf(format, args...)
-}
-
-func (g *gatedLog) shut() {
-	g.mu.Lock()
-	g.done = true
-	g.mu.Unlock()
-}
-
+// testNode is a node with its own Logf: a line after Close fails the test.
 type testNode struct {
 	*Node
-	log *gatedLog
+	log *leakcheck.Log
 }
 
 // closeWithin closes the node, demands promptness, and arms its log gate.
@@ -241,7 +219,7 @@ func (tn *testNode) closeWithin(t *testing.T, limit time.Duration) {
 	t0 := time.Now()
 	tn.Close()
 	el := time.Since(t0)
-	tn.log.shut()
+	tn.log.Close()
 	if limit > 0 && el > limit {
 		t.Errorf("Close of rank %d took %v, want < %v", tn.rank, el, limit)
 	}
@@ -263,8 +241,8 @@ func testVal(src, phase int) uint64 { return uint64(src+1)<<32 | uint64(phase+1)
 // join enters the fabric through addr on a fresh listener.
 func (f *testFabric) join(addr string) (*testNode, error) {
 	ln := f.pn.listen()
-	log := &gatedLog{t: f.t}
-	nd, err := Join(JoinConfig{Join: addr, Addr: ln.addr, Listener: ln, Dialer: f.pn.dialer(ln.addr), Logf: log.logf})
+	log := leakcheck.NewLog(f.t, true)
+	nd, err := Join(JoinConfig{Join: addr, Addr: ln.addr, Listener: ln, Dialer: f.pn.dialer(ln.addr), Logf: log.Logf})
 	if err != nil {
 		return nil, err
 	}
@@ -316,22 +294,9 @@ func (f *testFabric) teardown() {
 	for _, tn := range f.all {
 		tn.closeWithin(f.t, 0)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > f.base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			f.t.Errorf("%d goroutines outlive the fabric (%d before it):\n%s",
-				runtime.NumGoroutine(), f.base, buf[:runtime.Stack(buf, true)])
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	leakcheck.Goroutines(f.t, f.base)
 	for _, tn := range f.all {
-		tn.log.mu.Lock()
-		for _, line := range tn.log.late {
-			f.t.Errorf("rank %d logged after Close returned: %s", tn.rank, line)
-		}
-		tn.log.mu.Unlock()
+		tn.log.Check(fmt.Sprintf("rank %d", tn.rank))
 	}
 }
 
@@ -436,8 +401,8 @@ func TestCondemnWhileJoining(t *testing.T) {
 	base := runtime.NumGoroutine()
 	pn := newPipeNet()
 	ln := pn.listen()
-	log := &gatedLog{t: t}
-	nd, err := newNode(JoinConfig{Addr: ln.addr, Listener: ln, Dialer: pn.dialer(ln.addr), Logf: log.logf})
+	log := leakcheck.NewLog(t, true)
+	nd, err := newNode(JoinConfig{Addr: ln.addr, Listener: ln, Dialer: pn.dialer(ln.addr), Logf: log.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

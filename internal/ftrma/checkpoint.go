@@ -111,7 +111,7 @@ func (p *Process) planCheckpoint(dst, base []uint64, gen uint64) ckptPlan {
 
 // commitCheckpoint integrates a planned checkpoint: fold the batches into
 // one level's parity shards — wherever they reside — through the
-// StreamDepth worker pool and refresh the base copy. Pure computation
+// Stream.Depth worker pool and refresh the base copy. Pure computation
 // locally; over a remote ParityHost the fold travels as parity-fold
 // frames. No virtual-time charging, no kill points. Runs with p.ckptMu
 // held.
@@ -247,7 +247,7 @@ func (p *Process) takeUCCheckpoint() {
 // time per chunk batch, overlapped up to Config.Stream.Depth in-flight
 // batches: while the CH folds batch k, batch k+1 is on the wire and the
 // member is copying batch k+2 out of its window. The CH owns only
-// StreamDepth chunk buffers (the variant's memory efficiency), so the
+// Stream.Depth chunk buffers (the variant's memory efficiency), so the
 // transfer of batch k may not start before the fold of batch k-depth has
 // freed one — with depth 1 transfer and fold alternate strictly at the CH
 // (no overlap), while the member-side copies still pipeline ahead since

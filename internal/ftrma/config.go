@@ -119,9 +119,7 @@ type StreamConfig struct {
 // Config tunes the protocol; the fields mirror the knobs the paper's window
 // creation accepts (§6.1: number of CHs, MTBF, t-awareness). The tuning
 // surface is grouped: Log holds the access-logging knobs, Stream the
-// demand-checkpoint streaming knobs. The flat fields of the same names are
-// a one-release deprecation shim — withDefaults folds them into the groups
-// (a flat knob only takes effect where its grouped field is unset).
+// demand-checkpoint streaming knobs.
 type Config struct {
 	// Log groups the access-logging knobs.
 	Log LogConfig
@@ -146,17 +144,6 @@ type Config struct {
 	FixedInterval float64
 	// Scheme selects the coordinated-checkpointing scheme.
 	Scheme CCScheme
-	// LogPuts and LogGets are deprecated: set Log.Puts / Log.Gets.
-	LogPuts bool
-	LogGets bool
-	// LogBudgetBytes is deprecated: set Log.BudgetBytes.
-	LogBudgetBytes int
-	// StreamingDemandCheckpoints is deprecated: set Stream.Demand.
-	StreamingDemandCheckpoints bool
-	// StreamChunkBytes is deprecated: set Stream.ChunkBytes.
-	StreamChunkBytes int
-	// StreamDepth is deprecated: set Stream.Depth.
-	StreamDepth int
 	// FullCheckpoints disables the incremental dirty-region checkpoint
 	// path: every checkpoint copies the whole window and folds all of it
 	// into the group parity, whether or not it changed. Incremental
@@ -171,12 +158,6 @@ type Config struct {
 	// (more concurrent group losses than the parity tolerates). Zero
 	// disables the level (the paper's diskless default).
 	PFSEveryN int
-	// LogSlabWords is deprecated: set Log.SlabWords.
-	LogSlabWords int
-	// LogSegmentRecords is deprecated: set Log.SegmentRecords.
-	LogSegmentRecords int
-	// LogCompactFraction is deprecated: set Log.CompactFraction.
-	LogCompactFraction float64
 	// PeerParityHosts moves each group's parity shards from the paper's
 	// dedicated (infallible) checksum processes onto elected peer ranks:
 	// the ElectParityHost policy places every (group, level) on an alive
@@ -202,41 +183,11 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// withDefaults returns the configuration with the deprecated flat knobs
-// folded into the grouped ones and every zero-valued tuning knob resolved
-// to its default. NewSystem normalizes through it before validating, so
-// zero always means "default", never "nonsense"; explicit out-of-range
-// values survive normalization and are rejected by Validate.
+// withDefaults returns the configuration with every zero-valued tuning knob
+// resolved to its default. NewSystem normalizes through it before
+// validating, so zero always means "default", never "nonsense"; explicit
+// out-of-range values survive normalization and are rejected by Validate.
 func (c Config) withDefaults() Config {
-	// Deprecation shim (one release): a flat knob takes effect only where
-	// its grouped field is unset, so grouped settings win on conflict.
-	if !c.Log.Puts {
-		c.Log.Puts = c.LogPuts
-	}
-	if !c.Log.Gets {
-		c.Log.Gets = c.LogGets
-	}
-	if c.Log.BudgetBytes == 0 {
-		c.Log.BudgetBytes = c.LogBudgetBytes
-	}
-	if c.Log.SlabWords == 0 {
-		c.Log.SlabWords = c.LogSlabWords
-	}
-	if c.Log.SegmentRecords == 0 {
-		c.Log.SegmentRecords = c.LogSegmentRecords
-	}
-	if c.Log.CompactFraction == 0 {
-		c.Log.CompactFraction = c.LogCompactFraction
-	}
-	if !c.Stream.Demand {
-		c.Stream.Demand = c.StreamingDemandCheckpoints
-	}
-	if c.Stream.ChunkBytes == 0 {
-		c.Stream.ChunkBytes = c.StreamChunkBytes
-	}
-	if c.Stream.Depth == 0 {
-		c.Stream.Depth = c.StreamDepth
-	}
 	if c.Stream.Depth == 0 {
 		c.Stream.Depth = 4
 	}
@@ -249,17 +200,6 @@ func (c Config) withDefaults() Config {
 	if c.Log.CompactFraction == 0 {
 		c.Log.CompactFraction = 0.5
 	}
-	// Mirror the resolved values back onto the deprecated flat fields so
-	// stragglers reading them through a normalized Config keep working for
-	// the shim's lifetime.
-	c.LogPuts, c.LogGets = c.Log.Puts, c.Log.Gets
-	c.LogBudgetBytes = c.Log.BudgetBytes
-	c.LogSlabWords = c.Log.SlabWords
-	c.LogSegmentRecords = c.Log.SegmentRecords
-	c.LogCompactFraction = c.Log.CompactFraction
-	c.StreamingDemandCheckpoints = c.Stream.Demand
-	c.StreamChunkBytes = c.Stream.ChunkBytes
-	c.StreamDepth = c.Stream.Depth
 	return c
 }
 

@@ -140,11 +140,10 @@ func runCrashRecoverySeed(t *testing.T, seed int64) (causal, fallback, rebuilds 
 	cfg := Config{
 		Groups:            1 + crng.Intn(2),
 		ChecksumsPerGroup: 1 + crng.Intn(2),
-		LogPuts:           true,
-		LogGets:           true,
+		Log:               LogConfig{Puts: true, Gets: true},
 	}
 	if crng.Intn(2) == 0 {
-		cfg.LogBudgetBytes = 2048 // tight: demand checkpoints + trims fire
+		cfg.Log.BudgetBytes = 2048 // tight: demand checkpoints + trims fire
 	}
 	switch crng.Intn(3) {
 	case 1:
@@ -155,15 +154,15 @@ func runCrashRecoverySeed(t *testing.T, seed int64) (causal, fallback, rebuilds 
 	if crng.Intn(2) == 0 {
 		// Tiny arena: segment drops, straddling filters, and compaction
 		// all run under the live protocol.
-		cfg.LogSlabWords, cfg.LogSegmentRecords = 32, 4
+		cfg.Log.SlabWords, cfg.Log.SegmentRecords = 32, 4
 	}
 	if crng.Intn(2) == 0 {
 		// Streaming demand checkpoints with a random pipeline depth (1 =
 		// strictly serial chain, >1 = overlapped), so the chunk pipeline
 		// runs under the randomized kill schedule.
-		cfg.StreamingDemandCheckpoints = true
-		cfg.StreamChunkBytes = 256
-		cfg.StreamDepth = 1 + crng.Intn(4)
+		cfg.Stream.Demand = true
+		cfg.Stream.ChunkBytes = 256
+		cfg.Stream.Depth = 1 + crng.Intn(4)
 	}
 	if cfg.Groups >= 2 && crng.Intn(2) == 0 {
 		// Peer-hosted parity: every (group, level) resides at an elected

@@ -17,8 +17,7 @@ func ExampleNewSystem() {
 	sys, err := ftrma.NewSystem(w, ftrma.Config{
 		Groups:            1,
 		ChecksumsPerGroup: 1, // XOR parity (m = 1)
-		LogPuts:           true,
-		LogGets:           true,
+		Log:               ftrma.LogConfig{Puts: true, Gets: true},
 	})
 	if err != nil {
 		panic(err)
@@ -43,6 +42,37 @@ func ExampleNewSystem() {
 	w.RunRank(1, func() { res.Proc.ReplayAll(res.Logs) })
 	fmt.Println(sys.Process(1).ReadAt(0, 1)[0])
 	// Output: 7
+}
+
+// ExampleSystem_Recover runs a ring exchange over two groups, kills a
+// rank and recovers it causally: the result reports no fallback to a
+// coordinated rollback, and the replayed window holds the value its
+// left neighbour put there before the failure.
+func ExampleSystem_Recover() {
+	const n, victim = 4, 1
+	w := rma.NewWorld(rma.Config{N: n, WindowWords: 16})
+	sys, err := ftrma.NewSystem(w, ftrma.Config{
+		Groups:            2,
+		ChecksumsPerGroup: 1,
+		Log:               ftrma.LogConfig{Puts: true, Gets: true},
+	})
+	if err != nil {
+		panic(err)
+	}
+	w.Run(func(r int) {
+		p := sys.Process(r)
+		p.PutValue((r+1)%n, r, uint64(100+r))
+		p.Gsync()
+	})
+
+	w.Kill(victim)
+	res, err := sys.Recover(victim)
+	if err != nil {
+		panic(err)
+	}
+	w.RunRank(victim, func() { res.Proc.ReplayAll(res.Logs) })
+	fmt.Println(res.FellBack, w.Proc(victim).Local()[victim-1])
+	// Output: false 100
 }
 
 // ExampleConfig_Validate shows the descriptive-rejection contract: zero

@@ -16,8 +16,7 @@ func newSys(t *testing.T, n, words int, mod func(*Config)) (*rma.World, *System)
 		MTBF:              1e6,
 		UseDaly:           false,
 		FixedInterval:     0, // no CC unless a test enables it
-		LogPuts:           true,
-		LogGets:           true,
+		Log:               LogConfig{Puts: true, Gets: true},
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -55,39 +54,39 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("accepted zero checksum processes")
 	}
 	bad = base
-	bad.StreamingDemandCheckpoints = true
+	bad.Stream.Demand = true
 	if bad.Validate(8) == nil {
 		t.Error("accepted streaming without chunk size")
 	}
 	bad = base
-	bad.StreamingDemandCheckpoints = true
-	bad.StreamChunkBytes = 100 // not a multiple of the 8-byte word
+	bad.Stream.Demand = true
+	bad.Stream.ChunkBytes = 100 // not a multiple of the 8-byte word
 	if bad.Validate(8) == nil {
 		t.Error("accepted word-misaligned stream chunk size")
 	}
 	bad = base
-	bad.StreamDepth = -1
+	bad.Stream.Depth = -1
 	if bad.Validate(8) == nil {
 		t.Error("accepted negative stream depth")
 	}
 	bad = base
-	bad.LogSegmentRecords = -4
+	bad.Log.SegmentRecords = -4
 	if bad.Validate(8) == nil {
 		t.Error("accepted negative log segment capacity")
 	}
 	bad = base
-	bad.LogSlabWords = -1
+	bad.Log.SlabWords = -1
 	if bad.Validate(8) == nil {
 		t.Error("accepted negative log slab size")
 	}
 	bad = base
-	bad.LogCompactFraction = 1.5
+	bad.Log.CompactFraction = 1.5
 	if bad.Validate(8) == nil {
 		t.Error("accepted compaction fraction >= 1")
 	}
 	// Zero-valued tuning knobs mean "default" and must stay accepted.
 	ok := base
-	ok.StreamDepth, ok.LogSegmentRecords, ok.LogSlabWords = 0, 0, 0
+	ok.Stream.Depth, ok.Log.SegmentRecords, ok.Log.SlabWords = 0, 0, 0
 	if err := ok.Validate(8); err != nil {
 		t.Errorf("rejected zero (default) tuning knobs: %v", err)
 	}
@@ -95,7 +94,7 @@ func TestConfigValidate(t *testing.T) {
 
 // TestConfigDefaults pins the zero-value resolution: NewSystem must run
 // with the documented defaults materialized, so runtime code never sees a
-// zero StreamDepth or arena knob.
+// zero Stream.Depth or arena knob.
 func TestConfigDefaults(t *testing.T) {
 	w := rma.NewWorld(rma.Config{N: 2, WindowWords: 8})
 	sys, err := NewSystem(w, Config{Groups: 1, ChecksumsPerGroup: 1})
@@ -103,10 +102,10 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sys.cfg
-	if c.StreamDepth != 4 {
-		t.Errorf("default StreamDepth = %d, want 4", c.StreamDepth)
+	if c.Stream.Depth != 4 {
+		t.Errorf("default Stream.Depth = %d, want 4", c.Stream.Depth)
 	}
-	if c.LogSlabWords != 4096 || c.LogSegmentRecords != 128 || c.LogCompactFraction != 0.5 {
+	if c.Log.SlabWords != 4096 || c.Log.SegmentRecords != 128 || c.Log.CompactFraction != 0.5 {
 		t.Errorf("log arena defaults not resolved: %+v", c)
 	}
 }
@@ -520,7 +519,7 @@ func TestCheckpointLocksPanicsWithHeldLock(t *testing.T) {
 func TestDemandCheckpointTrimsLogs(t *testing.T) {
 	// A tiny log budget forces demand checkpoints; afterwards the logs
 	// stay bounded and the demand counters are visible (Fig. 11a).
-	w, sys := newSys(t, 2, 64, func(c *Config) { c.LogBudgetBytes = 4096 })
+	w, sys := newSys(t, 2, 64, func(c *Config) { c.Log.BudgetBytes = 4096 })
 	w.Run(func(r int) {
 		if r != 0 {
 			return
@@ -573,9 +572,9 @@ func TestDemandCheckpointTrimsLogs(t *testing.T) {
 func TestStreamingDemandCheckpointCostOrdering(t *testing.T) {
 	run := func(stream bool, depth int) float64 {
 		w, sys := newSys(t, 2, 1<<14, func(c *Config) {
-			c.StreamingDemandCheckpoints = stream
-			c.StreamChunkBytes = 4096
-			c.StreamDepth = depth
+			c.Stream.Demand = stream
+			c.Stream.ChunkBytes = 4096
+			c.Stream.Depth = depth
 		})
 		w.Run(func(r int) {
 			if r == 0 {

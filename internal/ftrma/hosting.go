@@ -114,11 +114,11 @@ func fetchAbout(h LogHost, peer int) (n, m bool, lp, lg []LogRecord) {
 // of their rank's records; zero/negative tuning values select the
 // defaults.
 func NewLocalLogHost(slabWords, segmentRecords int, compactFraction float64) LogHost {
-	c := Config{
-		LogSlabWords:       slabWords,
-		LogSegmentRecords:  segmentRecords,
-		LogCompactFraction: compactFraction,
-	}
+	c := Config{Log: LogConfig{
+		SlabWords:       slabWords,
+		SegmentRecords:  segmentRecords,
+		CompactFraction: compactFraction,
+	}}
 	return newLogStore(c.logTuning())
 }
 

@@ -17,7 +17,7 @@ func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64
 	const words = 512
 	w := rma.NewWorld(rma.Config{N: 4, WindowWords: words})
 	sys, err := NewSystem(w, Config{
-		Groups: 1, ChecksumsPerGroup: m, LogPuts: true, FullCheckpoints: full,
+		Groups: 1, ChecksumsPerGroup: m, Log: LogConfig{Puts: true}, FullCheckpoints: full,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func runFallbackScenario(t *testing.T, m int, full bool) [][]uint64 {
 	const words = 256
 	w := rma.NewWorld(rma.Config{N: 4, WindowWords: words})
 	sys, err := NewSystem(w, Config{
-		Groups: 1, ChecksumsPerGroup: m, LogPuts: true, Scheme: CCLocks,
+		Groups: 1, ChecksumsPerGroup: m, Log: LogConfig{Puts: true}, Scheme: CCLocks,
 		FullCheckpoints: full,
 	})
 	if err != nil {

@@ -80,7 +80,7 @@ func TestParityHostDeathRebuildsAndReElects(t *testing.T) {
 	w := rma.NewWorld(rma.Config{N: n, WindowWords: words})
 	sys, err := NewSystem(w, Config{
 		Groups: 2, ChecksumsPerGroup: 1,
-		LogPuts: true, LogGets: true,
+		Log:             LogConfig{Puts: true, Gets: true},
 		PeerParityHosts: true,
 	})
 	if err != nil {

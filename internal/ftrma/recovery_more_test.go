@@ -1,6 +1,7 @@
 package ftrma
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,60 @@ func TestAlgorithm3LockOrderedReplay(t *testing.T) {
 	}
 }
 
+// TestRecoveryPathCounts pins the work each recovery path does on one
+// bulk-synchronous schedule: 4 ranks, 6 gsync'd phases, one 8-word access
+// per phase towards the right neighbour, rank 3 killed after the last
+// phase. Issued as puts the schedule is conflict-free, so Recover hands
+// back exactly the 6 records rank 3's in-neighbour logged about it and
+// nobody rolls back. Issued as combining accumulates, the M flags force
+// the coordinated fallback; no coordinated checkpoint was ever taken, so
+// every rank returns to phase 0 and redoes all 6 phases.
+func TestRecoveryPathCounts(t *testing.T) {
+	const n, phases, ipp, victim = 4, 6, 8, 3
+	run := func(combining bool) (*System, *RecoverResult, error) {
+		w := rma.NewWorld(rma.Config{N: n, WindowWords: n * phases * ipp})
+		sys, err := NewSystem(w, Config{Groups: 2, ChecksumsPerGroup: 1, Log: LogConfig{Puts: true, Gets: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Run(func(r int) {
+			p := sys.Process(r)
+			for ph := 0; ph < phases; ph++ {
+				data := make([]uint64, ipp)
+				for i := range data {
+					data[i] = uint64(r+1)<<40 | uint64(ph+1)<<20 | uint64(i+1)
+				}
+				if combining {
+					p.Accumulate((r+1)%n, (r*phases+ph)*ipp, data, rma.OpSum)
+				} else {
+					p.Put((r+1)%n, (r*phases+ph)*ipp, data)
+				}
+				p.Gsync()
+			}
+		})
+		w.Kill(victim)
+		res, err := sys.Recover(victim)
+		return sys, res, err
+	}
+
+	_, res, err := run(false)
+	if err != nil {
+		t.Fatalf("conflict-free schedule did not recover causally: %v", err)
+	}
+	if got := res.Logs.Len(); got != phases {
+		t.Errorf("causal path replays %d actions, want %d (one logged put per phase)", got, phases)
+	}
+	sys, _, err := run(true)
+	if !errors.Is(err, ErrFallback) {
+		t.Fatalf("combining schedule did not force the fallback: %v", err)
+	}
+	for r := 0; r < n; r++ {
+		if redone := phases - sys.Process(r).GNC(); redone != phases {
+			t.Errorf("fallback: rank %d redoes %d phases, want %d (back to phase 0)", r, redone, phases)
+		}
+	}
+}
+
 func TestReplayOrderingPropertyRandomPrograms(t *testing.T) {
 	// Property: for random sequences of epoch-separated puts into one
 	// victim from multiple sources, causal replay reproduces the victim's
@@ -54,7 +109,7 @@ func TestReplayOrderingPropertyRandomPrograms(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const n, words, phases = 4, 16, 3
 		w := rma.NewWorld(rma.Config{N: n, WindowWords: words})
-		sys, err := NewSystem(w, Config{Groups: 1, ChecksumsPerGroup: 1, LogPuts: true})
+		sys, err := NewSystem(w, Config{Groups: 1, ChecksumsPerGroup: 1, Log: LogConfig{Puts: true}})
 		if err != nil {
 			return false
 		}
@@ -130,7 +185,7 @@ func TestChaosKillsAtBoundaries(t *testing.T) {
 		killAt := 1 + rng.Intn(iters-1)
 		victim := rng.Intn(n)
 		w := rma.NewWorld(rma.Config{N: n, WindowWords: words})
-		sys, err := NewSystem(w, Config{Groups: 2, ChecksumsPerGroup: 1, LogPuts: true})
+		sys, err := NewSystem(w, Config{Groups: 2, ChecksumsPerGroup: 1, Log: LogConfig{Puts: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +231,8 @@ func TestStreamingDemandCheckpointRecovery(t *testing.T) {
 	// The streaming variant must be functionally identical to bulk.
 	for _, streaming := range []bool{false, true} {
 		w, sys := newSys(t, 2, 8, func(c *Config) {
-			c.StreamingDemandCheckpoints = streaming
-			c.StreamChunkBytes = 16
+			c.Stream.Demand = streaming
+			c.Stream.ChunkBytes = 16
 		})
 		w.Run(func(r int) {
 			if r == 1 {

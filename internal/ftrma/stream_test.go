@@ -1,6 +1,7 @@
 package ftrma
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -27,11 +28,8 @@ func runStreamScenario(t *testing.T, streaming bool, depth int, hook func(rank, 
 	w := rma.NewWorld(rma.Config{N: crRanks, WindowWords: words})
 	sys, err := NewSystem(w, Config{
 		Groups: 1, ChecksumsPerGroup: 1,
-		LogPuts: true, LogGets: true,
-		LogBudgetBytes:             2048,
-		StreamingDemandCheckpoints: streaming,
-		StreamChunkBytes:           256,
-		StreamDepth:                depth,
+		Log:    LogConfig{Puts: true, Gets: true, BudgetBytes: 2048},
+		Stream: StreamConfig{Demand: streaming, ChunkBytes: 256, Depth: depth},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +99,43 @@ func TestStreamPipelineBitIdenticalUnderJitter(t *testing.T) {
 	}
 }
 
+// TestStreamPipelineModeledTime pins the modeled cost of one demand
+// checkpoint of a 4 MiB dirty window (2 ranks, 1 group, XOR parity,
+// 256 KiB chunks) under each §6.2 variant: one bulk send, the strictly
+// serial chunk stream (depth 1), and the depth-4 pipeline that overlaps
+// the transfer of batch k+1 with the fold of batch k. The times come from
+// the LogGP model and the shared CH resource, not the clock, so they are
+// exact on every machine, to the microsecond.
+func TestStreamPipelineModeledTime(t *testing.T) {
+	const words = 1 << 19
+	ckptUs := func(stream StreamConfig) int {
+		w := rma.NewWorld(rma.Config{N: 2, WindowWords: words})
+		sys, err := NewSystem(w, Config{Groups: 1, ChecksumsPerGroup: 1, Stream: stream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Run(func(r int) {
+			p := sys.Process(r)
+			data := make([]uint64, words)
+			for i := range data {
+				data[i] = uint64(r+1)<<32 | uint64(i)
+			}
+			p.Inner().LocalWrite(0, data)
+			p.UCCheckpoint()
+		})
+		return int(math.Round(w.MaxTime() * 1e6))
+	}
+	bulk := ckptUs(StreamConfig{ChunkBytes: 256 << 10})
+	serial := ckptUs(StreamConfig{Demand: true, ChunkBytes: 256 << 10, Depth: 1})
+	pipelined := ckptUs(StreamConfig{Demand: true, ChunkBytes: 256 << 10, Depth: 4})
+	if bulk != 3848 || serial != 4941 || pipelined != 2975 {
+		t.Errorf("modeled checkpoint µs: bulk %d, serial %d, pipelined %d; want 3848, 4941, 2975", bulk, serial, pipelined)
+	}
+	if float64(serial) < 1.5*float64(pipelined) {
+		t.Errorf("pipelined %d µs is not 1.5x faster than serial %d µs", pipelined, serial)
+	}
+}
+
 // TestMidStreamKillLosesCheckpointNotState pins the pipeline's crash
 // atomicity: a rank killed while its demand checkpoint is still streaming
 // loses that checkpoint entirely — the parity, the base copy, the cursor,
@@ -112,10 +147,9 @@ func TestMidStreamKillLosesCheckpointNotState(t *testing.T) {
 	const victim = 1
 	w := rma.NewWorld(rma.Config{N: 2, WindowWords: words})
 	sys, err := NewSystem(w, Config{
-		Groups: 1, ChecksumsPerGroup: 1, LogPuts: true,
-		StreamingDemandCheckpoints: true,
-		StreamChunkBytes:           512, // 64-word batches
-		StreamDepth:                2,
+		Groups: 1, ChecksumsPerGroup: 1,
+		Log:    LogConfig{Puts: true},
+		Stream: StreamConfig{Demand: true, ChunkBytes: 512, Depth: 2}, // 64-word batches
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestClassifyMatchesRecover(t *testing.T) {
 		w := rma.NewWorld(rma.Config{N: n, WindowWords: words})
 		sys, err := NewSystem(w, Config{
 			Groups: groups, ChecksumsPerGroup: m, PeerParityHosts: peer,
-			LogPuts: true, LogGets: true,
+			Log: LogConfig{Puts: true, Gets: true},
 		})
 		if err != nil {
 			t.Fatal(err)

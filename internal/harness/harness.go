@@ -4,7 +4,7 @@
 // (Figs. 10d, 11a, 11b, 12), the key-value-store logging figure (Fig. 11c),
 // and the operation taxonomy (Table 1). Each experiment returns a Result
 // whose series mirror the paper's plot series; cmd/ftrma prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// harness_test.go checks each figure's expected shape.
 //
 // Absolute numbers come from the virtual-time machine model, not a Cray
 // XE6, so only the *shape* of each figure is expected to match the paper

@@ -33,7 +33,7 @@ type Config struct {
 	MTBF float64
 	// Seed fixes the failure times and victims.
 	Seed int64
-	// FT is the protocol configuration. LogPuts should be on for causal
+	// FT is the protocol configuration. Log.Puts should be on for causal
 	// recovery to ever succeed.
 	FT ftrma.Config
 }

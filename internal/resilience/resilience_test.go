@@ -10,7 +10,7 @@ func ftCfg(groups int) ftrma.Config {
 	return ftrma.Config{
 		Groups:            groups,
 		ChecksumsPerGroup: 1,
-		LogPuts:           true,
+		Log:               ftrma.LogConfig{Puts: true},
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 )
 
 // Report is one soak run's SPEChpc-style result: five sections, each
-// fed from the ranks' obs registries, serialized as the payload behind
-// BENCH_cluster.json. Wall-clock figures are machine-dependent
-// documentation; the deterministic counts (ops, kills, recoveries,
-// fallbacks, frames) are what the gate holds tight.
+// fed from the ranks' obs registries. Wall-clock figures are
+// machine-dependent diagnostics; the deterministic counts (ops, kills,
+// node kills, mutes, recoveries, fallbacks) are what the soak tests
+// assert exactly.
 type Report struct {
 	Transport string `json:"transport"`
 	Ranks     int    `json:"ranks"`
@@ -83,7 +83,7 @@ type WireSection struct {
 
 // ChaosSection is the injected schedule and the fabric's deterministic
 // response to it. Fallbacks counts departures from the causal path and
-// must stay zero on causal-only schedules — the gate pins it.
+// must stay zero on causal-only schedules — the soak tests pin it.
 type ChaosSection struct {
 	Kills      int      `json:"kills"`
 	NodeKills  int      `json:"node_kills"`

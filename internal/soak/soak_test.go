@@ -1,16 +1,15 @@
 package soak
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/leakcheck"
 	"repro/internal/transport/flaky"
 )
 
@@ -27,58 +26,39 @@ func vLogf(t *testing.T) func(string, ...any) {
 // was before the fabric existed.
 func runGuarded(t *testing.T, cfg Config) (*Report, error) {
 	t.Helper()
-	var (
-		mu   sync.Mutex
-		done bool
-		late []string
-	)
-	cfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case done:
-			late = append(late, fmt.Sprintf(format, args...))
-		case testing.Verbose():
-			t.Logf(format, args...)
-		}
-	}
+	log := leakcheck.NewLog(t, testing.Verbose())
+	cfg.Logf = log.Logf
 	base := runtime.NumGoroutine()
 	rep, err := Run(cfg)
-	mu.Lock()
-	done = true
-	mu.Unlock()
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines outlive the soak (%d before it)", runtime.NumGoroutine(), base)
-			break
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range late {
-		t.Errorf("logged after the soak's teardown: %s", line)
-	}
+	log.Close()
+	leakcheck.Goroutines(t, base)
+	log.Check("the soak")
 	return rep, err
 }
 
 // assertSoakReport checks the deterministic section values of a
-// survivable run: exact op count, zero fallbacks (the whole point of the
-// causal path), one recovery per kill, and every section populated.
-func assertSoakReport(t *testing.T, rep *Report, wl Workload, kills int) {
+// survivable run: exact op count, the injected schedule exactly as
+// configured, zero fallbacks (the whole point of the causal path), one
+// recovery per kill, and every section populated.
+func assertSoakReport(t *testing.T, rep *Report, wl Workload, c Chaos) {
 	t.Helper()
 	if want := uint64(wl.ExpectedOps()); rep.Throughput.Ops != want {
 		t.Errorf("ops = %d, want %d (each (rank, phase) issued exactly once)", rep.Throughput.Ops, want)
 	}
+	if got := rep.Chaos; got.Kills != c.Kills || got.NodeKills != c.NodeKill || got.Mutes != c.Mutes {
+		t.Errorf("injected %d kills, %d node kills, %d mutes; want %d, %d, %d",
+			got.Kills, got.NodeKills, got.Mutes, c.Kills, c.NodeKill, c.Mutes)
+	}
 	if rep.Chaos.Fallbacks != 0 {
 		t.Errorf("%d fallbacks on a causal-only schedule", rep.Chaos.Fallbacks)
 	}
-	if rep.Chaos.Recoveries != kills {
-		t.Errorf("recoveries = %d, want %d (one per kill)", rep.Chaos.Recoveries, kills)
+	if rep.Chaos.Recoveries != c.Kills {
+		t.Errorf("recoveries = %d, want %d (one per kill)", rep.Chaos.Recoveries, c.Kills)
 	}
 	if rep.Latency.Quiet.Count == 0 {
 		t.Error("no quiet-window flushes recorded")
 	}
-	if kills > 0 {
+	if c.Kills > 0 {
 		if rep.Latency.Crisis.Count == 0 {
 			t.Error("kills happened but no crisis-window flushes recorded")
 		}
@@ -110,16 +90,17 @@ func TestSoak(t *testing.T) {
 		// The CI leg: 64 tcp ranks, one sampled mid-run fail-stop,
 		// causal replay, bit-identical finish (Run verifies).
 		wl := Workload{Ranks: 64, Phases: 6, Inserts: 2, Seed: 42}
+		chaos := Chaos{Seed: 7, Kills: 1}
 		rep, err := runGuarded(t, Config{
 			Transport: TransportTCP,
 			Workload:  wl,
-			Chaos:     Chaos{Seed: 7, Kills: 1},
+			Chaos:     chaos,
 			Timeout:   4 * time.Minute,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSoakReport(t, rep, wl, 1)
+		assertSoakReport(t, rep, wl, chaos)
 	})
 	t.Run("catastrophic", func(t *testing.T) {
 		// A sampled whole-node crash (2 ranks at once) is beyond the
@@ -181,7 +162,7 @@ func TestSoakFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSoakReport(t, rep, tc.wl, tc.chaos.Kills)
+			assertSoakReport(t, rep, tc.wl, tc.chaos)
 		})
 	}
 }
@@ -195,17 +176,18 @@ func TestSoakXL(t *testing.T) {
 		t.Skip("set REPRO_SOAK_XL=1 for the 256-rank leg (needs vm.max_map_count >= 262144)")
 	}
 	wl := Workload{Ranks: 256, Phases: 5, Inserts: 1, Seed: 46}
+	chaos := Chaos{Seed: 17, Kills: 1}
 	rep, err := runGuarded(t, Config{
 		Transport: TransportSHM,
 		Workload:  wl,
-		Chaos:     Chaos{Seed: 17, Kills: 1},
+		Chaos:     chaos,
 		RingBytes: 16 << 10,
 		Timeout:   20 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSoakReport(t, rep, wl, 1)
+	assertSoakReport(t, rep, wl, chaos)
 }
 
 // TestMembershipConvergenceUnderPartitions is the membership property

@@ -99,8 +99,7 @@ func TestUCCheckpointEpochCondition(t *testing.T) {
 	w := rma.NewWorld(rma.Config{N: 2, WindowWords: 64})
 	sys, err := ftrma.NewSystem(w, ftrma.Config{
 		Groups: 1, ChecksumsPerGroup: 1,
-		LogPuts:        true,
-		LogBudgetBytes: 2048,
+		Log: ftrma.LogConfig{Puts: true, BudgetBytes: 2048},
 	})
 	if err != nil {
 		t.Fatal(err)

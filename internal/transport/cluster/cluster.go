@@ -140,10 +140,6 @@ type Config struct {
 	// knobs; only the fabric path (NewFabricSeed / RunFabricWorker) reads
 	// them.
 	Fabric fabric.Tuning
-	// HeartbeatInterval is deprecated: set Transport.HeartbeatInterval.
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss is deprecated: set Transport.HeartbeatMiss.
-	HeartbeatMiss int
 	// Timeout aborts the whole run if it has not completed in time (a
 	// missing replacement worker parks the cluster forever otherwise).
 	// Zero means no limit.
@@ -151,22 +147,12 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	// One-release deprecation shim: flat heartbeat knobs fold into the
-	// Transport group where the group is unset.
-	if c.Transport.HeartbeatInterval == 0 {
-		c.Transport.HeartbeatInterval = c.HeartbeatInterval
-	}
-	if c.Transport.HeartbeatMiss == 0 {
-		c.Transport.HeartbeatMiss = c.HeartbeatMiss
-	}
 	if c.Transport.HeartbeatInterval == 0 {
 		c.Transport.HeartbeatInterval = 50 * time.Millisecond
 	}
 	if c.Transport.HeartbeatMiss == 0 {
 		c.Transport.HeartbeatMiss = 10
 	}
-	c.HeartbeatInterval = c.Transport.HeartbeatInterval
-	c.HeartbeatMiss = c.Transport.HeartbeatMiss
 	c.Fabric = c.Fabric.WithDefaults()
 	return c
 }

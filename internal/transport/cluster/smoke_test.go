@@ -319,8 +319,8 @@ func TestClusterConfigValidate(t *testing.T) {
 		{"no-inserts", func(c *Config) { c.Workload.InsertsPerPhase = 0 }, "at least 1 insert"},
 		{"tiny-table", func(c *Config) { c.Workload.TableSlots = 1 }, "conflict-free"},
 		{"negative-delay", func(c *Config) { c.Workload.PhaseDelay = -time.Second }, "phase delay"},
-		{"negative-heartbeat", func(c *Config) { c.HeartbeatInterval = -time.Second }, "heartbeat interval"},
-		{"zero-patience", func(c *Config) { c.HeartbeatMiss = -4 }, "patience"},
+		{"negative-heartbeat", func(c *Config) { c.Transport.HeartbeatInterval = -time.Second }, "heartbeat interval"},
+		{"zero-patience", func(c *Config) { c.Transport.HeartbeatMiss = -4 }, "patience"},
 		{"negative-timeout", func(c *Config) { c.Timeout = -time.Second }, "timeout"},
 	}
 	for _, tc := range cases {

@@ -40,10 +40,9 @@ func loopbackWorld(t *testing.T, n int) *rma.World {
 // localhost: windows are only ever reached through real sockets (except a
 // rank's own window, which short-circuits like any RMA runtime).
 func tcpWorld(t *testing.T, n int) *rma.World {
-	peers, factory := tcpFactory(t, n)
+	_, factory := tcpFactory(t, n)
 	w := rma.NewWorld(rma.Config{N: n, WindowWords: confWords, Transport: factory})
 	t.Cleanup(w.Close)
-	_ = peers
 	return w
 }
 
@@ -83,15 +82,16 @@ func shmWorld(t *testing.T, n int) *rma.World {
 }
 
 // shmFactory builds the world's fabric (cleaned up after the world: live
-// conns hold views into its mappings) and the per-rank factory.
-func shmFactory(t *testing.T, n int) ([]*shm.Peer, rma.TransportFactory) {
+// conns hold views into its mappings) and the per-rank factory. The peers
+// it returns are the tcp protocol peers the shm peers embed.
+func shmFactory(t *testing.T, n int) ([]*tcp.Peer, rma.TransportFactory) {
 	t.Helper()
 	fab, err := shm.NewFabric(n, shm.FabricConfig{})
 	if err != nil {
 		t.Fatalf("shm fabric: %v", err)
 	}
 	t.Cleanup(func() { fab.Close() })
-	peers := make([]*shm.Peer, n)
+	peers := make([]*tcp.Peer, n)
 	factory := func(rank, worldN int, endpoint func(int) transport.Endpoint) (transport.Transport, error) {
 		p, err := shm.New(shm.Config{
 			Self:              rank,
@@ -103,7 +103,7 @@ func shmFactory(t *testing.T, n int) ([]*shm.Peer, rma.TransportFactory) {
 		if err != nil {
 			return nil, err
 		}
-		peers[rank] = p
+		peers[rank] = p.Peer
 		return p, nil
 	}
 	return peers, factory
@@ -345,38 +345,46 @@ func TestTransportConformance(t *testing.T) {
 	}
 }
 
-// TestTCPFlushIsOneFrame pins the epoch-batching guarantee: however many
-// puts, accumulates, and gets an epoch buffers towards a target, closing
-// the epoch sends exactly one flush frame (plus the one reply).
+// TestTCPFlushIsOneFrame pins the epoch-batching guarantee on both media
+// of the framed protocol, tcp sockets and shm rings: however many puts,
+// accumulates, and gets an epoch buffers towards a target, closing the
+// epoch sends exactly one flush frame (plus the one reply).
 func TestTCPFlushIsOneFrame(t *testing.T) {
-	peers, factory := tcpFactory(t, 2)
-	w := rma.NewWorld(rma.Config{N: 2, WindowWords: confWords, Transport: factory})
-	t.Cleanup(w.Close)
-	p := w.Proc(0)
+	for _, medium := range []struct {
+		name    string
+		factory func(*testing.T, int) ([]*tcp.Peer, rma.TransportFactory)
+	}{{"tcp", tcpFactory}, {"shm", shmFactory}} {
+		t.Run(medium.name, func(t *testing.T) {
+			peers, factory := medium.factory(t, 2)
+			w := rma.NewWorld(rma.Config{N: 2, WindowWords: confWords, Transport: factory})
+			t.Cleanup(w.Close)
+			p := w.Proc(0)
 
-	// Warm up the connection (dial + hello) so only data frames remain.
-	p.PutValue(1, 0, 1)
-	p.Flush(1)
+			// Warm up the connection (dial + hello) so only data frames remain.
+			p.PutValue(1, 0, 1)
+			p.Flush(1)
 
-	before := peers[0].FramesTo(1)
-	for i := 0; i < 16; i++ {
-		p.Put(1, i, []uint64{uint64(i)})
-	}
-	p.Accumulate(1, 0, []uint64{1, 2, 3}, rma.OpSum)
-	dest := p.Get(1, 0, 8)
-	p.Flush(1)
-	if dest[1] != 3 { // 1 + acc 2
-		t.Fatalf("flush result wrong: %v", dest)
-	}
-	if got := peers[0].FramesTo(1) - before; got != 1 {
-		t.Fatalf("epoch close sent %d frames, want exactly 1", got)
-	}
+			before := peers[0].FramesTo(1)
+			for i := 0; i < 16; i++ {
+				p.Put(1, i, []uint64{uint64(i)})
+			}
+			p.Accumulate(1, 0, []uint64{1, 2, 3}, rma.OpSum)
+			dest := p.Get(1, 0, 8)
+			p.Flush(1)
+			if dest[1] != 3 { // 1 + acc 2
+				t.Fatalf("flush result wrong: %v", dest)
+			}
+			if got := peers[0].FramesTo(1) - before; got != 1 {
+				t.Fatalf("epoch close sent %d frames, want exactly 1", got)
+			}
 
-	// A blocking atomic, by contrast, is its own round trip.
-	before = peers[0].FramesTo(1)
-	p.FetchAndOp(1, 0, 1, rma.OpSum)
-	if got := peers[0].FramesTo(1) - before; got != 1 {
-		t.Fatalf("atomic sent %d frames, want 1", got)
+			// A blocking atomic, by contrast, is its own round trip.
+			before = peers[0].FramesTo(1)
+			p.FetchAndOp(1, 0, 1, rma.OpSum)
+			if got := peers[0].FramesTo(1) - before; got != 1 {
+				t.Fatalf("atomic sent %d frames, want 1", got)
+			}
+		})
 	}
 }
 

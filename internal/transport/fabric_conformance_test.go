@@ -13,11 +13,11 @@ import (
 	"net"
 	"runtime"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/leakcheck"
 	"repro/internal/rma"
 	"repro/internal/transport"
 	"repro/internal/transport/flaky"
@@ -111,54 +111,20 @@ type fabNode struct {
 	logf   func(string, ...any)
 }
 
-// fabricGuard holds a test's fabric to fabric.Node's Close contract. Its
+// guardFabric holds a test's fabric to fabric.Node's Close contract. Its
 // cleanup is registered before anything is started, so it runs last —
 // every node and seed closed — and fails the test if anything logged
 // after that or the goroutine count does not come back to where it was.
-type fabricGuard struct {
-	t    *testing.T
-	base int
-
-	mu   sync.Mutex
-	done bool
-	late []string
-}
-
-func guardFabric(t *testing.T) *fabricGuard {
-	g := &fabricGuard{t: t, base: runtime.NumGoroutine()}
-	t.Cleanup(g.check)
-	return g
-}
-
-func (g *fabricGuard) Logf(format string, args ...any) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.done {
-		g.late = append(g.late, fmt.Sprintf(format, args...))
-		return
-	}
-	g.t.Logf(format, args...)
-}
-
-func (g *fabricGuard) check() {
-	g.mu.Lock()
-	g.done = true
-	g.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > g.base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			g.t.Errorf("%d goroutines outlive the fabric (%d before it):\n%s",
-				runtime.NumGoroutine(), g.base, buf[:runtime.Stack(buf, true)])
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, line := range g.late {
-		g.t.Errorf("logged after every node was closed: %s", line)
-	}
+// The Log it returns is the Logf every node and seed of the test shares.
+func guardFabric(t *testing.T) *leakcheck.Log {
+	log := leakcheck.NewLog(t, true)
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		log.Close()
+		leakcheck.Goroutines(t, base)
+		log.Check("a fabric node")
+	})
+	return log
 }
 
 // startFabric bootstraps an n-rank fabric in-process: one seed, n nodes

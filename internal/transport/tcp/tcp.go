@@ -73,13 +73,6 @@ type Config struct {
 	// the flaky package wraps any Dialer with fault injection — one
 	// constructor, three media.
 	Dialer transport.Dialer
-	// Dial, when set, replaces socket dialing by target rank; Peers is
-	// then not consulted.
-	//
-	// Deprecated: implement transport.Dialer and set Dialer (with Peers
-	// carrying the dialer's addresses) instead. This shim is removed next
-	// release.
-	Dial func(target int) (net.Conn, error)
 	// Local handles operations that target Self (and is served to remote
 	// peers). Typically the world's loopback over its window endpoints.
 	Local transport.Handler
@@ -149,7 +142,7 @@ func (c Config) Validate() error {
 		if r < 0 || r >= c.N {
 			return fmt.Errorf("tcp: peer rank %d outside world of %d ranks", r, c.N)
 		}
-		if c.Dial == nil && c.Dialer == nil {
+		if c.Dialer == nil {
 			if _, _, err := net.SplitHostPort(addr); err != nil {
 				return fmt.Errorf("tcp: peer %d address %q: %v", r, addr, err)
 			}
@@ -365,22 +358,15 @@ func (p *Peer) conn(target int) (*wire.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	var nc net.Conn
-	var err error
-	if p.cfg.Dial != nil {
-		// Deprecated rank-keyed seam; Dialer is the supported one.
-		nc, err = p.cfg.Dial(target)
-	} else {
-		addr, ok := p.cfg.Peers[target]
-		if !ok {
-			return nil, fmt.Errorf("tcp: no address for peer rank %d", target)
-		}
-		dialer := p.cfg.Dialer
-		if dialer == nil {
-			dialer = transport.NetDialer{Timeout: p.cfg.DialTimeout}
-		}
-		nc, err = dialer.Dial(addr)
+	addr, ok := p.cfg.Peers[target]
+	if !ok {
+		return nil, fmt.Errorf("tcp: no address for peer rank %d", target)
 	}
+	dialer := p.cfg.Dialer
+	if dialer == nil {
+		dialer = transport.NetDialer{Timeout: p.cfg.DialTimeout}
+	}
+	nc, err := dialer.Dial(addr)
 	if err != nil {
 		p.declareDead(target)
 		return nil, transport.PeerDeadError{Rank: target}

@@ -219,36 +219,6 @@ func TestFlushRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlushAllocsSteadyState pins the zero-copy promise end to end: after
-// warm-up, one epoch close (16 puts + 4 gets, 10 KiB) across real
-// sockets — client encode, server scatter, reply gather, client decode —
-// stays under a small constant allocation budget. The staging-copy wire
-// path this replaced spent 60+ allocations per flush on the same batch.
-func TestFlushAllocsSteadyState(t *testing.T) {
-	addrs, lns := bindWorld(t, 2)
-	p0 := newPeer(t, 0, 2, addrs, lns)
-	newPeer(t, 1, 2, addrs, lns)
-
-	ops := benchOps(16, 4, 64)
-	flush := func() {
-		if err := p0.Flush(0, 1, ops); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-	}
-	for i := 0; i < 100; i++ { // converge every pool
-		flush()
-	}
-	avg := testing.AllocsPerRun(200, flush)
-	// The steady-state budget: call bookkeeping (pending channel, serve
-	// goroutine, a few interface boxes) but nothing proportional to the
-	// batch — 20 ops would already exceed the bound if any per-op copy
-	// or decode allocation crept back in.
-	if avg > 20 {
-		t.Fatalf("flush allocates %.1f/op steady state, want <= 20", avg)
-	}
-	t.Logf("flush steady state: %.1f allocs/op", avg)
-}
-
 // TestDecodeOpsRoundTrip pins encodeOps (the staging twin of the gather
 // encoder, same production) against decodeOps.
 func TestDecodeOpsRoundTrip(t *testing.T) {

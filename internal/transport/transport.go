@@ -28,10 +28,9 @@
 // # Invariants
 //
 //   - One frame per epoch close: closing an epoch towards a target is
-//     exactly one Flush call, and on the tcp transport exactly one framed
-//     flush message (and one reply) however many accesses the epoch
-//     buffered. TestTCPFlushIsOneFrame asserts it; BENCH_transport.json's
-//     frames_per_flush gates it in CI.
+//     exactly one Flush call, and on the tcp and shm transports exactly
+//     one framed flush message (and one reply) however many accesses the
+//     epoch buffered. TestTCPFlushIsOneFrame asserts it on both.
 //   - Observational equivalence: the conformance suite runs one scenario
 //     table (intra-epoch ordering, epoch visibility, atomics, locks,
 //     kill-mid-epoch) against every transport and demands bit-identical

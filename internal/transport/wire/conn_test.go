@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/leakcheck"
 )
 
 const (
@@ -109,17 +111,6 @@ func (c *countingConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// awaitGoroutines waits until at most base goroutines run.
-func awaitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines, %d before the connections:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-	}
-}
-
 // TestWarmHandlerServesSequentialCalls: back-to-back calls on one Conn are
 // served by one handler goroutine, not one each.
 func TestWarmHandlerServesSequentialCalls(t *testing.T) {
@@ -165,7 +156,7 @@ func TestParkedHandlersCapped(t *testing.T) {
 	}
 	client.Close()
 	server.Close()
-	awaitGoroutines(t, base)
+	leakcheck.Goroutines(t, base)
 }
 
 // TestBlockedHandlerStallsNothing: a handler blocked for good leaves the
@@ -222,7 +213,7 @@ func TestBlockedHandlerStallsNothing(t *testing.T) {
 	}
 	client.Close()
 	server.Close()
-	awaitGoroutines(t, base)
+	leakcheck.Goroutines(t, base)
 }
 
 // TestCloseEndsParkedHandlers: the handler parked on each connection exits
@@ -254,7 +245,7 @@ func TestCloseEndsParkedHandlers(t *testing.T) {
 	for _, c := range conns {
 		c.Close()
 	}
-	awaitGoroutines(t, base)
+	leakcheck.Goroutines(t, base)
 }
 
 // TestCallReusesReplyChannels: a steady-state call allocates nothing —

@@ -47,11 +47,12 @@ race:
 # the conformance scenarios twenty times over (each ends in the leak and
 # late-log guard of its cleanup), the in-package fabric tests under the
 # race detector, the recovery tests — kill and replace with every wait on
-# its event — thirty times more, and the wire's handler handoff (a warm
-# handler parks for the next request) with the per-phase frame budget and
-# the refusal of an unsurvivable crash twenty times each. A wedge, a false
-# verdict or a condemned bystander here is rare per run, so one run proves
-# little.
+# its event, a replacement killed before its first fold among them (the
+# TestReplace pattern selects TestReplacementKilledBeforeItsFirstFold) —
+# thirty times more, and the wire's handler handoff (a warm handler parks
+# for the next request) with the per-phase frame budget and the refusal
+# of an unsurvivable crash twenty times each. A wedge, a false verdict or
+# a condemned bystander here is rare per run, so one run proves little.
 stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
 	$(GO) test -race -count=5 ./internal/fabric
@@ -69,12 +70,12 @@ smoke-rankd:
 # Multi-failure chaos harness under the race detector: causal replay over
 # the wire, correlated whole-node kills (survivable and catastrophic),
 # a kill of the replacement mid-replay, a kill of a user-lock holder,
-# seeded host-frame fault injection, the Timeout watchdog aborting a
-# run wedged behind the coordinator mutex, and the symmetric fabric's
+# the Timeout watchdog aborting a run wedged behind the coordinator
+# mutex, and the symmetric fabric's
 # coordinatorless kill -9 (any rank, seed closed, zero steady-state
 # coordinator frames). Seeds are fixed in the tests.
 chaos-smoke:
-	$(GO) test -race -count=1 -v -run 'TestClusterCausalReplayKill9|TestClusterCorrelated|TestClusterKillReplacementMidReplay|TestClusterLockHolderKill9|TestClusterHostFrameFaults|TestClusterTimeoutAbortsWedgedRun|TestClusterCoordinatorlessKill9|TestClusterFabricFaultFree' ./internal/transport/cluster
+	$(GO) test -race -count=1 -v -run 'TestClusterCausalReplayKill9|TestClusterCorrelated|TestClusterKillReplacementMidReplay|TestClusterLockHolderKill9|TestClusterTimeoutAbortsWedgedRun|TestClusterCoordinatorlessKill9|TestClusterFabricFaultFree' ./internal/transport/cluster
 
 # Metric-catalog drift gate: scrape a live 2-rank fabric smoke's debug
 # endpoints and diff the Prometheus name set against the catalog in

@@ -1,13 +1,14 @@
 // Command rankd runs one node of the multi-process cluster.
 //
-// Coordinator (hosts the windows and the ftRMA protocol state, serves the
-// epoch-batched wire protocol, detects worker deaths, drives recovery):
+// Coordinator (holds the windows and all of the ftRMA recovery state —
+// access logs, checkpoint parity — serves the epoch-batched wire
+// protocol, detects worker deaths, drives recovery):
 //
 //	rankd -coordinator -listen 127.0.0.1:7100 -n 4 -phases 12
 //
-// Worker (drives one rank; the membership handshake assigns the rank id —
-// a replacement started after a kill -9 inherits the failed rank and its
-// resume phase):
+// Worker (drives one rank and holds no state of its own; the membership
+// handshake assigns the rank id — a replacement started after a kill -9
+// inherits the failed rank and its resume phase):
 //
 //	rankd -join 127.0.0.1:7100
 //

@@ -343,3 +343,61 @@ func TestReplaceRefusesNothing(t *testing.T) {
 	syncAll(t, f)
 	checkCommitted(t, f, "after the run")
 }
+
+// TestReplacementKilledBeforeItsFirstFold is the fabric's version of the hub
+// runtime's kill of the replacement mid-replay: the first replacement of a
+// victim closes before its first Sync, so it never folds, and a second
+// replacement still brings the fabric through every phase with each
+// write-once word in place. The victims are the arbiter, a parity host and a
+// rank that hosts nothing.
+func TestReplacementKilledBeforeItsFirstFold(t *testing.T) {
+	for _, victim := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
+			const n = 4
+			f := startTestFabric(t, newPipeNet(), n, 2, fastTuning)
+			errs := make(chan error, n)
+			wait := func() {
+				t.Helper()
+				for range f.nodes {
+					if err := <-errs; err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, tn := range f.nodes {
+				tn := tn
+				go func() { errs <- runPhase(tn.Node, 0) }()
+			}
+			wait()
+			for r, tn := range f.nodes {
+				if r != victim {
+					tn := tn
+					go func() { errs <- runPhase(tn.Node, 1) }()
+				}
+			}
+			first := f.replace(t, victim)
+			second := f.replace(t, victim)
+			if first.inc != 1 || second.inc != 2 {
+				t.Fatalf("the replacements have incarnations %d and %d, want 1 and 2", first.inc, second.inc)
+			}
+			go func() { errs <- runPhase(second.Node, 1) }()
+			wait()
+			for _, tn := range f.nodes {
+				tn := tn
+				go func() { errs <- drivePhases(tn.Node, 2, testPhases) }()
+			}
+			wait()
+			for r, tn := range f.nodes {
+				for src := 0; src < n; src++ {
+					for p := 0; p < testPhases && src != r; p++ {
+						if got := tn.ReadAt(src*testPhases+p, 1)[0]; got != testVal(src, p) {
+							t.Errorf("rank %d word (%d, %d) = %#x, want %#x", r, src, p, got, testVal(src, p))
+						}
+					}
+				}
+			}
+			syncAll(t, f)
+			checkCommitted(t, f, "after the second replacement")
+		})
+	}
+}

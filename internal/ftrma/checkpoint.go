@@ -13,8 +13,7 @@ import (
 // exceeded, first try to trim against peers' existing checkpoints, then
 // request a demand checkpoint of the peer holding the most log bytes
 // here. bytesNow is the footprint the triggering append reported, so the
-// common under-budget case costs no extra residence read (over the wire
-// that read would be a round trip per logged op).
+// common under-budget case costs no extra read of the log store.
 func (p *Process) maybeDemandCheckpoint(bytesNow int) {
 	budget := p.sys.cfg.Log.BudgetBytes
 	if budget == 0 || bytesNow <= budget {
@@ -110,11 +109,9 @@ func (p *Process) planCheckpoint(dst, base []uint64, gen uint64) ckptPlan {
 }
 
 // commitCheckpoint integrates a planned checkpoint: fold the batches into
-// one level's parity shards — wherever they reside — through the
-// Stream.Depth worker pool and refresh the base copy. Pure computation
-// locally; over a remote ParityHost the fold travels as parity-fold
-// frames. No virtual-time charging, no kill points. Runs with p.ckptMu
-// held.
+// one level's parity shards through the Stream.Depth worker pool and
+// refresh the base copy. Pure computation: no virtual-time charging, no
+// kill points. Runs with p.ckptMu held.
 func (p *Process) commitCheckpoint(grp *chGroup, level int, base []uint64, plan ckptPlan) {
 	workers := 1
 	if p.sys.cfg.Stream.Demand {

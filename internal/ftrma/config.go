@@ -25,15 +25,14 @@
 //
 // # State residence
 //
-// Where the protocol's recovery state lives is pluggable (hosting.go):
-// each rank's access logs sit behind the LogHost seam and each (group,
-// level)'s parity shards behind the ParityHost seam. By default both are
-// local (the pre-distribution behavior, with the paper's checksum
-// processes modeled infallible); Config.PeerParityHosts elects hosting
-// ranks in-process so that a host's death loses the shards and forces
-// the rebuild + re-election path; the transport/cluster coordinator
-// installs wire-backed residences so the state genuinely lives in worker
-// processes.
+// The System holds every rank's access logs (LogHost) and every (group,
+// level)'s parity shards next to the runtime (hosting.go). By default
+// the shards model the paper's infallible checksum processes;
+// Config.PeerParityHosts tags each level with an elected hosting rank, so
+// that the host's death loses the shards and forces the rebuild +
+// re-election path. The transport/cluster coordinator runs this same
+// System for its worker processes; the symmetric fabric (internal/fabric)
+// keeps each rank's logs and its group's parity in real peer processes.
 //
 // # Invariants
 //
@@ -164,9 +163,9 @@ type Config struct {
 	// rank — outside the group when possible, the UC and CC levels on
 	// distinct ranks when possible — and the hosting rank's death loses
 	// the shards, forcing a rebuild from the surviving members' copies
-	// and a handoff to a freshly elected host. This is the in-process
-	// model of the cluster's peer-to-peer parity hosting; the cluster
-	// installs real wire-backed hosts via System.EnablePeerParityHosts.
+	// and a handoff to a freshly elected host. The transport/cluster
+	// coordinator sets it by default, with its worker sessions as the
+	// liveness a host election consults (System.SetHostAlive).
 	PeerParityHosts bool
 	// TAware enables topology-aware group formation; Placement must then
 	// describe where ranks run.
@@ -253,15 +252,6 @@ func (c Config) Validate(n int) error {
 		}
 	}
 	return nil
-}
-
-// ResolvedLogTuning returns the log-arena tuning knobs with defaults
-// resolved — what a remote log residence must be built with
-// (NewLocalLogHost) so that its byte accounting is computed from
-// structures identical to the coordinator's.
-func (c Config) ResolvedLogTuning() (slabWords, segmentRecords int, compactFraction float64) {
-	t := c.logTuning()
-	return t.slabWords, t.segRecords, t.compactRatio
 }
 
 // logTuning packages the arena knobs for the store, resolving defaults for

@@ -10,7 +10,7 @@ import (
 // ExampleNewSystem wraps a world in the fault-tolerance protocol and runs
 // a causal recovery: rank 1 is killed, its last uncoordinated checkpoint
 // is reconstructed from the group parity and the survivor's copy, the
-// logs about it are fetched from the survivors' residences, and the
+// logs about it are fetched from the survivors, and the
 // replayed state is bit-identical to what the failure destroyed.
 func ExampleNewSystem() {
 	w := rma.NewWorld(rma.Config{N: 2, WindowWords: 4})

@@ -1,28 +1,20 @@
 package ftrma
 
-// Residence seams of the peer-to-peer protocol state (§5, §6.1).
+// Where the protocol's recovery state lives (§5, §6.1).
 //
 // The paper's model keeps every piece of recovery state in some process's
 // volatile memory: a rank holds its own access logs and checkpoint copy,
 // and a checksum process (CH) per group holds the parity shards. The
-// in-process System realizes both locally; a distributed runtime (the
-// transport/cluster coordinator) plugs its own residences in through the
-// two interfaces below, so the *same protocol code* runs whether the state
-// lives on the Go heap next to the runtime or in a worker process across a
-// socket:
+// System keeps both next to the runtime:
 //
-//   - LogHost is where one rank's LP/LG records and N/M flags reside. The
-//     cluster backs it with log-append/log-fetch wire frames to the worker
-//     process owning the rank, so a recovery's log gathering becomes real
-//     request/response traffic and a worker's death genuinely loses its
-//     records — exactly the paper's failure model.
-//   - ParityHost is where one (group, level)'s parity shards reside. The
-//     cluster elects a hosting rank per group and feeds it parity-fold
-//     frames; the fold arithmetic runs where the parity lives.
-//
-// Both seams are behaviour-preserving: the local implementations are the
-// exact pre-seam code paths, and the remote ones move identical bytes
-// through the same kernels, so recovered states stay bit-identical.
+//   - LogHost is the method set of one rank's LP/LG records and N/M
+//     flags, implemented by the arena-backed logStore. The symmetric
+//     fabric (internal/fabric) holds each rank's store in that rank's own
+//     process through NewLocalLogHost.
+//   - parityHost holds one (group, level)'s parity shards. With
+//     Config.PeerParityHosts each level is tagged with an elected hosting
+//     rank, whose death loses the shards and forces the rebuild and
+//     re-election path (repairParityHosts).
 
 import (
 	"fmt"
@@ -43,17 +35,15 @@ const (
 	NumLevels = 2
 )
 
-// LogHost is where one rank's access-log state resides: the put logs
-// LP[q], the get logs LG[q], and the N/M recovery flags of §4. The local
-// implementation is the arena-backed logStore; the cluster's is a stub
-// that turns every call into a wire frame towards the worker process
-// owning the rank. Byte returns must be exact (they drive the §6.2 demand
-// checkpoint budget), and CopyLP/CopyLG must return owned records that
+// LogHost is one rank's access-log state: the put logs LP[q], the get
+// logs LG[q], and the N/M recovery flags of §4, implemented by the
+// arena-backed logStore. Byte returns are exact (they drive the §6.2
+// demand checkpoint budget), and CopyLP/CopyLG return owned records that
 // later trims cannot perturb.
 //
 // Callers serialize protocol-level access with the owning rank's
-// StrLP/StrLG/StrMeta structure locks, exactly as with the local store;
-// implementations additionally guard their own memory.
+// StrLP/StrLG/StrMeta structure locks; the store additionally guards its
+// own memory.
 type LogHost interface {
 	// AppendLP logs a put towards target and returns the host's total log
 	// footprint in bytes after the append.
@@ -91,28 +81,9 @@ type LogHost interface {
 	LargestPeer() (int, int)
 }
 
-// LogFetcher is an optional LogHost extension: one call returning
-// everything a recovery needs to know about one peer — the N and M flags
-// plus the materialized LP and LG records. Remote residences implement it
-// so the recovery's log gathering costs one request/response frame per
-// survivor instead of four.
-type LogFetcher interface {
-	FetchAbout(peer int) (n, m bool, lp, lg []LogRecord)
-}
-
-// fetchAbout gathers the recovery tuple through the single-call fast path
-// when the host offers it.
-func fetchAbout(h LogHost, peer int) (n, m bool, lp, lg []LogRecord) {
-	if f, ok := h.(LogFetcher); ok {
-		return f.FetchAbout(peer)
-	}
-	return h.FlagN(peer), h.FlagM(peer), h.CopyLP(peer), h.CopyLG(peer)
-}
-
 // NewLocalLogHost returns an in-memory LogHost backed by the slab-arena
-// log store. Worker processes of the cluster use it as the real residence
-// of their rank's records; zero/negative tuning values select the
-// defaults.
+// log store. Fabric nodes hold their rank's records in it; zero/negative
+// tuning values select the defaults.
 func NewLocalLogHost(slabWords, segmentRecords int, compactFraction float64) LogHost {
 	c := Config{Log: LogConfig{
 		SlabWords:       slabWords,
@@ -172,12 +143,6 @@ func (s *logStore) Reset() {
 	s.mu.Unlock()
 }
 
-// FetchAbout implements LogFetcher locally (four store reads; the seam
-// exists for the wire residences, where it saves three round trips).
-func (s *logStore) FetchAbout(peer int) (n, m bool, lp, lg []LogRecord) {
-	return s.flagN(peer), s.flagM(peer), s.copyLP(peer), s.copyLG(peer)
-}
-
 // Bytes implements LogHost.
 func (s *logStore) Bytes() int { return s.bytes() }
 
@@ -186,55 +151,30 @@ func (s *logStore) LargestPeer() (int, int) { return s.largestPeer() }
 
 // ---- Parity hosting ---------------------------------------------------------
 
-// ParityHost is where the m parity shards of one (group, level) reside.
-// The local implementation owns plain arrays (the paper's dedicated CH
-// process, modeled infallible); the cluster's remote implementation ships
-// folds as wire frames to the elected hosting rank, where the shard
-// arithmetic runs.
-//
-// Callers hold the owning chGroup's mutex across every method, so
-// implementations never see concurrent folds, fetches, or installs for
-// one level.
-type ParityHost interface {
-	// FoldRanges integrates one member's checkpoint change — old -> new at
-	// the given word ranges — into every shard. memberIdx is the member's
-	// shard position within the group (the Reed–Solomon column); workers
-	// bounds intra-fold concurrency (Config.Stream.Depth). It reports
-	// whether the residence still exists: false means the hosting process
-	// died and the shards are lost — the caller marks the level invalid
-	// and relies on the rebuild path. It must NOT panic on a dead
-	// residence: folds run inside barrier-bracketed collectives, where an
-	// unwind would strand the other ranks in the rendezvous.
-	FoldRanges(memberIdx int, oldData, newData []uint64, ranges []rma.DirtyRange, workers int) bool
-	// Shards returns the current shard contents. Local hosts return
-	// direct references that the caller must treat as read-only; remote
-	// hosts return fetched copies.
-	Shards() [][]uint64
-	// Install replaces the shard contents wholesale (initial seeding, a
-	// handoff to a re-elected host, or a post-rollback re-encode).
-	Install(shards [][]uint64)
-}
-
-// localParityHost keeps the shards as plain arrays next to the protocol
-// state — the pre-distribution behavior, and the modeling default.
-type localParityHost struct {
+// parityHost holds the m parity shards of one (group, level) as plain
+// arrays. Callers hold the owning chGroup's mutex across every method, so
+// it never sees concurrent folds, reads, or installs for one level.
+type parityHost struct {
 	rs     *erasure.RS // nil for m == 1 (plain XOR)
 	shards [][]uint64
 }
 
-func newLocalParityHost(rs *erasure.RS, m, words int) *localParityHost {
-	h := &localParityHost{rs: rs, shards: make([][]uint64, m)}
+func newParityHost(rs *erasure.RS, m, words int) *parityHost {
+	h := &parityHost{rs: rs, shards: make([][]uint64, m)}
 	for i := range h.shards {
 		h.shards[i] = make([]uint64, words)
 	}
 	return h
 }
 
-// FoldRanges folds old -> new word-natively with the delta fused into the
-// erasure kernel (no serialization, no temporary delta buffer). The
-// batches are disjoint word ranges, so the shard writes never overlap and
-// the worker goroutines need no locking.
-func (h *localParityHost) FoldRanges(memberIdx int, oldData, newData []uint64, ranges []rma.DirtyRange, workers int) bool {
+// foldRanges integrates one member's checkpoint change — old -> new at
+// the given word ranges — into every shard. memberIdx is the member's
+// shard position within the group (the Reed–Solomon column); workers
+// bounds intra-fold concurrency (Config.Stream.Depth). The delta is fused
+// into the erasure kernel (no temporary delta buffer). The batches are
+// disjoint word ranges, so the shard writes never overlap and the worker
+// goroutines need no locking.
+func (h *parityHost) foldRanges(memberIdx int, oldData, newData []uint64, ranges []rma.DirtyRange, workers int) {
 	fold := func(r rma.DirtyRange) {
 		lo, hi := r.Off, r.Off+r.Len
 		if h.rs == nil {
@@ -255,7 +195,7 @@ func (h *localParityHost) FoldRanges(memberIdx int, oldData, newData []uint64, r
 		for _, r := range ranges {
 			fold(r)
 		}
-		return true
+		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -268,14 +208,11 @@ func (h *localParityHost) FoldRanges(memberIdx int, oldData, newData []uint64, r
 		}(w)
 	}
 	wg.Wait()
-	return true
 }
 
-// Shards returns the live arrays (read-only for callers).
-func (h *localParityHost) Shards() [][]uint64 { return h.shards }
-
-// Install copies the given contents over the resident arrays.
-func (h *localParityHost) Install(shards [][]uint64) {
+// install copies the given contents over the shard arrays (a rebuild, a
+// handoff to a re-elected host, or a post-rollback re-encode).
+func (h *parityHost) install(shards [][]uint64) {
 	for i := range h.shards {
 		copy(h.shards[i], shards[i])
 	}
@@ -286,7 +223,7 @@ func (h *localParityHost) Install(shards [][]uint64) {
 // parity, shards[i] ^= coef(i, memberIdx)·delta under Reed–Solomon. It is
 // the arithmetic a wire-fed parity host runs on an incoming parity-fold
 // frame — the member computes the delta once, the host folds it where the
-// parity lives. Bit-identical to the fused local FoldRanges path (the
+// parity lives. Bit-identical to the fused foldRanges path (the
 // code is linear, so folding coef·(old^new) equals folding the fused
 // delta).
 func FoldDelta(rs *erasure.RS, shards [][]uint64, memberIdx, off int, delta []uint64) {

@@ -25,7 +25,7 @@ type pendingGet struct {
 type Process struct {
 	inner *rma.Proc
 	sys   *System
-	logs  LogHost
+	logs  *logStore
 
 	// Order-information counters (§4.1). gc, gnc, and scSelf are atomics
 	// because demand-checkpoint snapshots read them from other goroutines.
@@ -76,7 +76,7 @@ func newProcess(s *System, inner *rma.Proc) *Process {
 	p := &Process{
 		inner:         s.world.Proc(inner.Rank()),
 		sys:           s,
-		logs:          s.newLogHost(inner.Rank()),
+		logs:          newLogStore(s.cfg.logTuning()),
 		scHeld:        make(map[int]int),
 		appliedEpochs: make([]atomic.Int64, s.world.N()),
 		qPending:      make(map[int][]pendingGet),

@@ -87,12 +87,12 @@ func (s *System) Recover(f int) (*RecoverResult, error) {
 			// (the protocol-level exclusion the separate reads used to
 			// bracket individually): the flags plus the materialized
 			// LP/LG records, owned copies that later trims or slab
-			// compaction at the survivor cannot perturb. Over the wire
-			// this is a single log-fetch request/response frame.
+			// compaction at the survivor cannot perturb.
 			inner.Lock(q, rma.StrMeta)
 			inner.Lock(q, rma.StrLP)
 			inner.Lock(q, rma.StrLG)
-			n, m, lp, lg := fetchAbout(qp.logs, f)
+			n, m := qp.logs.FlagN(f), qp.logs.FlagM(f)
+			lp, lg := qp.logs.CopyLP(f), qp.logs.CopyLG(f)
 			inner.Unlock(q, rma.StrLG)
 			inner.Unlock(q, rma.StrLP)
 			inner.Unlock(q, rma.StrMeta)
@@ -221,7 +221,7 @@ func (s *System) reinstallLevelLocked(grp *chGroup, level int, shards [][]uint64
 		s.bumpStats(func(st *Stats) { st.ParityHandoffs++ })
 		return
 	}
-	pr.host.Install(shards)
+	pr.host.install(shards)
 	pr.valid = true
 }
 

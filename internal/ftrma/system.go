@@ -31,11 +31,11 @@ type memberSnap struct {
 
 // parityResidence is where one level's shards live: the hosting rank (-1
 // models the paper's dedicated CH process, which never computes and never
-// fails) and the ParityHost holding the shard contents. valid drops to
-// false between the hosting rank's death and the level's rebuild — a
-// window in which the shards are simply gone.
+// fails) and the shard contents. valid drops to false between the hosting
+// rank's death and the level's rebuild — a window in which the shards are
+// simply gone.
 type parityResidence struct {
-	host  ParityHost
+	host  *parityHost
 	rank  int
 	valid bool
 }
@@ -44,10 +44,9 @@ type parityResidence struct {
 // over the members' checkpoint copies (XOR for m=1, Reed–Solomon beyond),
 // each checksum with a shared-bandwidth resource that serializes
 // concurrent checkpoint transfers to it — this is what makes |CH| a
-// performance knob (Fig. 12). Where the shards physically reside is the
-// parityResidence's business: next to the runtime by default, or at an
-// elected peer rank (Config.PeerParityHosts, or a cluster-installed
-// remote ParityHost).
+// performance knob (Fig. 12). Which rank the shards reside at is the
+// parityResidence's business: the paper's dedicated CH by default, or an
+// elected peer rank (Config.PeerParityHosts).
 type chGroup struct {
 	group   int
 	members []int       // compute ranks, defining the shard order
@@ -74,7 +73,7 @@ func newCHGroup(group int, members []int, m, words int, params sim.Params) (*chG
 	}
 	g.rs = rs
 	for l := 0; l < NumLevels; l++ {
-		g.parity[l] = parityResidence{host: newLocalParityHost(rs, m, words), rank: -1, valid: true}
+		g.parity[l] = parityResidence{host: newParityHost(rs, m, words), rank: -1, valid: true}
 	}
 	g.ucSnaps = make(map[int]memberSnap)
 	g.ccSnaps = make(map[int]memberSnap)
@@ -103,23 +102,16 @@ func (g *chGroup) memberIndex(rank int) int {
 }
 
 // fold integrates one member's checkpoint change (old -> new at the given
-// ranges) into one level's parity, wherever that parity resides. g.mu is
-// held once for the whole batch set, excluding other members' concurrent
-// folds and reconstructions. A level whose host died (invalid) skips the
-// fold: the shards are gone and will be re-encoded wholesale at the
-// rebuild.
+// ranges) into one level's parity. g.mu is held once for the whole batch
+// set, excluding other members' concurrent folds and reconstructions. A
+// level whose host died (invalid) skips the fold: the shards are gone and
+// will be re-encoded wholesale at the rebuild.
 func (g *chGroup) fold(level, rank int, oldData, newData []uint64, ranges []rma.DirtyRange, workers int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	pr := &g.parity[level]
-	if !pr.valid {
-		return
-	}
-	if !pr.host.FoldRanges(g.memberIndex(rank), oldData, newData, ranges, workers) {
-		// The hosting process died under the fold: the shards are gone.
-		// Recovery's repairParityHosts re-encodes and re-elects; until
-		// then the level is simply lost, exactly like a dead CH.
-		pr.valid = false
+	if pr.valid {
+		pr.host.foldRanges(g.memberIndex(rank), oldData, newData, ranges, workers)
 	}
 }
 
@@ -161,7 +153,7 @@ func (g *chGroup) reconstruct(level int, survivors map[int][]uint64, failed []in
 	if !pr.valid {
 		return nil, fmt.Errorf("ftrma: group %d level-%d parity died with its host rank %d", g.group, level, pr.rank)
 	}
-	parity := pr.host.Shards()
+	parity := pr.host.shards
 	out := make(map[int][]uint64, len(failed))
 	if g.rs == nil {
 		if len(failed) != 1 {
@@ -215,14 +207,9 @@ type System struct {
 	procs    []*Process
 	groups   []*chGroup
 
-	// Residence hooks of the peer-to-peer state (see hosting.go). All nil
-	// by default: logs and parity live next to the runtime. The cluster
-	// coordinator installs wire-backed residences through SetLogHosting /
-	// EnablePeerParityHosts, and a session-based liveness predicate
-	// through SetHostAlive.
-	parityFactory ParityHostFactory
-	logHostFor    func(rank int) LogHost
-	hostAlive     func(rank int) bool
+	// hostAlive is the liveness predicate parity elections and host
+	// repair consult (SetHostAlive); nil means World.Alive.
+	hostAlive func(rank int) bool
 
 	pfs *pfsStore
 
@@ -292,41 +279,22 @@ func NewSystem(w *rma.World, cfg Config) (*System, error) {
 		s.procs[r] = newProcess(s, w.Proc(r))
 	}
 	if cfg.PeerParityHosts {
-		s.EnablePeerParityHosts(nil)
+		// Every shard is still zero: electing the hosts moves nothing.
+		for _, grp := range s.groups {
+			for level := range grp.parity {
+				grp.parity[level].rank = s.electParityHost(grp, level)
+			}
+		}
 	}
 	return s, nil
 }
 
-// ---- State residence --------------------------------------------------------
-
-// ParityHostFactory builds the residence of one (group, level)'s parity
-// shards at hostRank. The cluster's factory returns a stub that frames
-// every fold/fetch/install towards the worker process owning hostRank.
-type ParityHostFactory func(group, level, hostRank int) ParityHost
-
-// SetLogHosting re-binds every rank's access-log residence through f
-// (nil restores local arena stores). Call it before any logged
-// communication — existing records are not migrated, they are assumed
-// absent (the cluster coordinator installs hosts at the membership gate,
-// while the op pipeline is still closed).
-func (s *System) SetLogHosting(f func(rank int) LogHost) {
-	s.logHostFor = f
-	for r, p := range s.procs {
-		p.logs = s.newLogHost(r)
-	}
-}
-
-func (s *System) newLogHost(rank int) LogHost {
-	if s.logHostFor != nil {
-		return s.logHostFor(rank)
-	}
-	return newLogStore(s.cfg.logTuning())
-}
+// ---- Parity residence ------------------------------------------------------
 
 // SetHostAlive installs the liveness predicate elections and host repair
-// consult (nil restores World.Alive). The cluster supplies "has a live
-// worker session": a respawned-but-not-yet-rejoined rank is World-alive
-// yet cannot host anything.
+// consult (nil restores World.Alive). The cluster coordinator supplies
+// "has a live worker session": a respawned-but-not-yet-rejoined rank is
+// World-alive yet cannot host anything.
 func (s *System) SetHostAlive(f func(rank int) bool) { s.hostAlive = f }
 
 func (s *System) parityAlive(r int) bool {
@@ -334,63 +302,6 @@ func (s *System) parityAlive(r int) bool {
 		return s.hostAlive(r)
 	}
 	return s.world.Alive(r)
-}
-
-// EnablePeerParityHosts moves every group's parity shards onto elected
-// peer ranks (the ElectParityHost policy), carrying the current contents
-// over. factory builds each residence; nil keeps the shards in local
-// arrays but tags them with the hosting rank, which models the placement
-// in-process: the hosting rank's death still loses the shards and forces
-// the rebuild path, it just never moves real bytes. Config.PeerParityHosts
-// calls this at NewSystem; the cluster coordinator calls it with its
-// wire-backed factory at the membership gate.
-//
-// It returns whether every level was placed. Remote residences can fail
-// mid-placement (the elected rank dying between election and install);
-// the affected level then falls back to a local residence holding the
-// snapshotted contents — nothing is lost, no lock is left held — and the
-// caller may retry once the membership refills.
-func (s *System) EnablePeerParityHosts(factory ParityHostFactory) bool {
-	s.parityFactory = factory
-	complete := true
-	for _, grp := range s.groups {
-		for level := 0; level < NumLevels; level++ {
-			if !s.placeLevelSafe(grp, level) {
-				complete = false
-			}
-		}
-	}
-	return complete
-}
-
-// placeLevelSafe re-places one level on a freshly elected host,
-// tolerating residence failures on both sides: the shard contents are
-// snapshotted first (re-encoded from the members' base copies if the old
-// residence is unreachable — possible on a retry after a partial
-// placement), and an install that dies leaves the level on a local
-// residence with the snapshot, so a retry can pick it up. Member copies
-// are gathered before grp.mu (the ckptMu -> grp.mu lock order of the
-// checkpoint path).
-func (s *System) placeLevelSafe(grp *chGroup, level int) (ok bool) {
-	shards, good := s.snapshotShards(grp, level)
-	if !good {
-		shards = s.encodeLevel(grp, level)
-	}
-	grp.mu.Lock()
-	defer grp.mu.Unlock()
-	defer func() {
-		if e := recover(); e != nil {
-			// The elected residence died mid-install: park the contents
-			// locally (rank -1 never fails) and report the incomplete
-			// placement for the caller's retry.
-			local := newLocalParityHost(grp.rs, grp.m, grp.words)
-			local.Install(shards)
-			grp.parity[level] = parityResidence{host: local, rank: -1, valid: true}
-			ok = false
-		}
-	}()
-	s.placeLevelLocked(grp, level, shards)
-	return true
 }
 
 // encodeLevel re-encodes one level's shards from the members' current
@@ -410,57 +321,24 @@ func (s *System) encodeLevel(grp *chGroup, level int) [][]uint64 {
 	return grp.encodeShards(copies)
 }
 
-// snapshotShards reads one level's current contents, reporting false if
-// the residence is unreachable (a dead remote host).
-func (s *System) snapshotShards(grp *chGroup, level int) (shards [][]uint64, ok bool) {
-	grp.mu.Lock()
-	defer grp.mu.Unlock()
-	defer func() {
-		if e := recover(); e != nil {
-			shards, ok = nil, false
-		}
-	}()
-	if !grp.parity[level].valid {
-		return nil, false
-	}
-	return grp.parity[level].host.Shards(), true
+// electParityHost picks the hosting rank of one level by the
+// ElectParityHost policy, steering clear of the other level's host
+// (grp.mu held, or grp not yet shared).
+func (s *System) electParityHost(grp *chGroup, level int) int {
+	return ElectParityHost(s.world.N(), grp.members, grp.group, level, s.parityAlive, grp.parity[1-level].rank)
 }
 
-// placeLevelLocked elects a hosting rank for one level, builds the
-// residence there, and installs shards as its contents (grp.mu held).
+// placeLevelLocked elects a hosting rank for one level and installs
+// shards as its contents (grp.mu held).
 func (s *System) placeLevelLocked(grp *chGroup, level int, shards [][]uint64) {
-	avoid := grp.parity[1-level].rank
-	rank := ElectParityHost(s.world.N(), grp.members, grp.group, level, s.parityAlive, avoid)
-	var host ParityHost
-	if s.parityFactory != nil && rank >= 0 {
-		host = s.parityFactory(grp.group, level, rank)
-	} else {
-		host = newLocalParityHost(grp.rs, grp.m, grp.words)
-	}
-	host.Install(shards)
-	grp.parity[level] = parityResidence{host: host, rank: rank, valid: true}
-}
-
-// PeerHosted reports whether the recovery state fully resides off the
-// runtime: the log residences re-bound through SetLogHosting and every
-// parity level hosted at a rank. The cluster smoke asserts it — the
-// coordinator must hold no log payload or parity shards of its own.
-func (s *System) PeerHosted() bool {
-	if s.logHostFor == nil {
-		return false
-	}
-	for _, grp := range s.groups {
-		for l := 0; l < NumLevels; l++ {
-			if grp.hostRank(l) < 0 {
-				return false
-			}
-		}
-	}
-	return true
+	pr := &grp.parity[level]
+	pr.rank = s.electParityHost(grp, level)
+	pr.host.install(shards)
+	pr.valid = true
 }
 
 // ParityHostRank returns the rank hosting (group, level)'s parity shards,
-// or -1 while they reside next to the runtime. Kill schedulers of the
+// or -1 for the paper's dedicated checksum process. Kill schedulers of the
 // host-failure tests aim with it.
 func (s *System) ParityHostRank(group, level int) int {
 	return s.groups[group].hostRank(level)
@@ -501,7 +379,6 @@ func (s *System) repairParityHosts(f int) {
 			}
 			shards := s.encodeLevel(grp, level)
 			grp.mu.Lock()
-			grp.parity[level].valid = false
 			s.placeLevelLocked(grp, level, shards)
 			grp.mu.Unlock()
 			s.bumpStats(func(st *Stats) {
@@ -547,7 +424,8 @@ func (s *System) bumpStats(f func(*Stats)) {
 // NoteCausalRecovery records a completed causal (replay) recovery and the
 // wall-clock microseconds its driver spent on it. Recover itself cannot
 // know: whether the cheap path *completes* is the driver's call (the
-// cluster coordinator still has to stream the records to a replacement).
+// cluster coordinator still has to replay the records as a replacement
+// worker catches up).
 func (s *System) NoteCausalRecovery(us float64) {
 	s.bumpStats(func(st *Stats) {
 		st.CausalRecoveries++

@@ -72,8 +72,8 @@ func kill9(t *testing.T, w *exec.Cmd) {
 
 // TestClusterCausalReplayKill9 is the acceptance smoke for the causal
 // path over the wire: under the conflict-free workload a single kill -9
-// must recover by streaming the survivors' logs to a replacement worker
-// and replaying them — no coordinated rollback, and the Stats must
+// must recover by replaying the survivors' logs, phase by phase, as a
+// replacement worker catches up — no coordinated rollback, and the Stats must
 // distinguish the paths — finishing bit-identical to the oracle.
 func TestClusterCausalReplayKill9(t *testing.T) {
 	if testing.Short() {
@@ -188,7 +188,7 @@ func TestClusterCorrelatedVerdictMatch(t *testing.T) {
 	pred := resilience.CorrelatedConfig{
 		Nodes: wl.Ranks / perNode, RanksPerNode: perNode, Iters: 8,
 		TAware: true, Groups: defaultFT(wl.Ranks).Groups,
-		PeerParityHosts: true, // the cluster hosts parity on peer ranks
+		PeerParityHosts: defaultFT(wl.Ranks).PeerParityHosts,
 	}
 	sawFallback, sawCatastrophic := false, false
 	for node := 0; node < pred.Nodes; node++ {
@@ -447,50 +447,4 @@ func TestClusterLockHolderKill9(t *testing.T) {
 	compareToOracle(t, wl, got)
 	t.Logf("lock-holder kill recovered in %v: %d recoveries, %d causal, %d fallbacks",
 		time.Since(began), st.Recoveries, st.CausalRecoveries, st.Fallbacks)
-}
-
-// TestClusterHostFrameFaults re-runs the combining kill smoke with seeded
-// host-service frame faults armed in every worker (delays on the
-// 0x30–0x3A plane: log appends, fetches, parity folds, replay installs),
-// proving the recovery protocol's indifference to host-frame timing: the
-// finish must still be bit-identical and the recovery still complete.
-func TestClusterHostFrameFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process chaos skipped in -short")
-	}
-	const victim = 2
-	wl := Workload{
-		Ranks:           4,
-		Phases:          8,
-		InsertsPerPhase: 5,
-		TableSlots:      512,
-		PhaseDelay:      60 * time.Millisecond,
-	}
-	c := chaosCoordinator(t, wl)
-	defer c.Close()
-	faults := hostFaultsEnv + "=7:3"
-	workers := make([]*exec.Cmd, wl.Ranks)
-	for i := 0; i < wl.Ranks; i++ {
-		workers[i] = spawnWorker(t, c.Addr(), faults)
-		w := workers[i]
-		t.Cleanup(func() { reap(w) })
-	}
-
-	awaitPhase(t, c, victim, 3)
-	kill9(t, workers[victim])
-
-	replacement := spawnWorker(t, c.Addr(), faults)
-	defer reap(replacement)
-
-	got, err := c.Run()
-	if err != nil {
-		t.Fatalf("run under host-frame faults: %v", err)
-	}
-	st := c.Stats()
-	if st.Recoveries < 1 {
-		t.Fatalf("kill under host-frame faults did not recover: %+v", st)
-	}
-	compareToOracle(t, wl, got)
-	t.Logf("host-frame faults survived: %d recoveries, %d fallbacks, %d puts logged",
-		st.Recoveries, st.Fallbacks, st.PutsLogged)
 }

@@ -4,19 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
-	"repro/internal/ftrma"
 	"repro/internal/rma"
-	"repro/internal/transport/flaky"
 	"repro/internal/transport/wire"
 )
 
-// Cluster frame types (distinct from the tcp peer protocol's). The 0x2X
-// range flows worker -> coordinator (the op protocol); the 0x3X range
-// flows coordinator -> worker (the host-service protocol: the worker
-// process is the residence of its rank's ftRMA recovery state). See
+// Cluster frame types (distinct from the tcp peer protocol's). Every
+// frame flows worker -> coordinator: the coordinator holds the windows and
+// all of the ftRMA recovery state, so it never calls a worker. See
 // docs/WIRE.md for the normative layouts.
 const (
 	cJoin   byte = 0x20
@@ -27,19 +23,7 @@ const (
 	cLocal  byte = 0x25
 	cAwait  byte = 0x26
 	cFinish byte = 0x27
-	cReplay byte = 0x28 // causal replacement catch-up: per-phase records / done
-
-	cHostInit      byte = 0x30 // build the log residence (arena tuning)
-	cLogAppend     byte = 0x31 // append one LP/LG record -> footprint after
-	cLogSetN       byte = 0x32 // write an N flag (Algorithm 1 lines 1/8)
-	cLogTrim       byte = 0x33 // §6.2 covered-record trim -> bytes freed
-	cLogClear      byte = 0x34 // clear (CC subsumption) or reset (rollback)
-	cLogQuery      byte = 0x35 // footprint / largest-peer victim scan
-	cLogFetch      byte = 0x36 // recovery log fetch: flags + LP + LG records
-	cParityHandoff byte = 0x37 // install (group, level) shards at this worker
-	cParityFold    byte = 0x38 // fold a member's checkpoint delta into shards
-	cParityFetch   byte = 0x39 // read shards back (recovery reconstruction)
-	cReplayInstall byte = 0x3A // stream causally ordered replay records to the replacement
+	cReplay byte = 0x28 // causal replacement catch-up: replay one phase / done
 )
 
 // cReplay modes.
@@ -113,7 +97,6 @@ type bufOp struct {
 // rma.Proc.
 type Client struct {
 	conn  *wire.Conn
-	host  *stateHost
 	rank  int
 	n     int
 	words int
@@ -192,16 +175,9 @@ func Dial(cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", cfg.Addr, err)
 	}
-	// The worker is not just an op driver: it hosts its rank's ftRMA
-	// recovery state (access logs, replay-install streams, and any parity
-	// shards elected onto this rank), served from the connection handler
-	// on per-frame goroutines — so host frames are answered even while the
-	// rank's own op blocks in a collective. Seeded host-frame fault
-	// injection (REPRO_CLUSTER_HOSTFRAME_FAULTS) wraps the handler here,
-	// perturbing exactly the 0x30–0x3A service path.
-	host := newStateHost()
+	// A worker only drives its rank: it serves no requests, so the
+	// connection has no handler.
 	conn := wire.New(nc, wire.Config{
-		Handler:     hostFaultsFromEnv(host.handle),
 		Heartbeat:   cfg.HeartbeatInterval,
 		ReadTimeout: time.Duration(cfg.HeartbeatMiss) * cfg.HeartbeatInterval,
 	})
@@ -213,7 +189,6 @@ func Dial(cfg DialConfig) (*Client, error) {
 	d := wire.NewDec(reply)
 	c := &Client{
 		conn:  conn,
-		host:  host,
 		rank:  d.I(),
 		n:     d.I(),
 		words: d.I(),
@@ -565,36 +540,12 @@ func (c *Client) Finish() {
 	panic(fmt.Errorf("cluster: rank %d: finish: %w", c.rank, err))
 }
 
-// hostFaultsEnv, when set to "seed:maxdelay_ms", arms seeded fault
-// injection on this worker's host-service frames (delays that genuinely
-// reorder the per-frame goroutines) — the chaos tests shake the
-// log-fetch, parity-fold, and replay-install paths with it.
-const hostFaultsEnv = "REPRO_CLUSTER_HOSTFRAME_FAULTS"
-
-func hostFaultsFromEnv(h wire.Handler) wire.Handler {
-	spec := os.Getenv(hostFaultsEnv)
-	if spec == "" {
-		return h
-	}
-	var seed int64
-	var ms int
-	if _, err := fmt.Sscanf(spec, "%d:%d", &seed, &ms); err != nil {
-		return h
-	}
-	return flaky.WrapFrameFaults(h, flaky.FrameConfig{
-		Seed:     seed,
-		MaxDelay: time.Duration(ms) * time.Millisecond,
-		MinType:  cHostInit,
-		MaxType:  cReplayInstall,
-	})
-}
-
 // RunWorker drives one rank end to end: join, execute phases (resuming
 // across rollbacks), finish. It is the whole main loop of a rankd worker.
 // A causal replacement first catches up to the survivors' phase:
-// Algorithm 2 over the wire — await the coordinator's replay-install
-// stream, then per missed phase send the phase's causally ordered records
-// (the replay half) and re-execute the deterministic phase work (the
+// Algorithm 2 over the wire — per missed phase a replay frame has the
+// coordinator apply that phase's causally ordered records (the replay
+// half), then the worker re-executes its deterministic phase work (the
 // recomputation half), closing with the done frame that re-checkpoints
 // the cluster and lifts the crisis.
 func RunWorker(cfg DialConfig) error {
@@ -641,9 +592,11 @@ func runReplay(c *Client, wl Workload, sched [][][]uint64) (next int, err error)
 			panic(e)
 		}
 	}()
-	puts, gets := c.host.AwaitReplayLogs()
 	for phase := c.start; phase < c.replayTo; phase++ {
-		c.sendReplayPhase(phase, puts, gets)
+		e := c.enc()
+		e.B(replayPhase)
+		e.I(phase)
+		c.call(cReplay, e.Bytes())
 		if err := wl.RunPhase(c, sched, c.rank, phase); err != nil {
 			return 0, err
 		}
@@ -656,38 +609,6 @@ func runReplay(c *Client, wl Workload, sched [][][]uint64) (next int, err error)
 	e.B(replayDone)
 	c.call(cReplay, e.Bytes())
 	return c.replayTo, nil
-}
-
-// sendReplayPhase streams one phase's slice of the installed records
-// back as a replay frame; the host applies them to the respawned rank in
-// their causal order (the filter is stable, so the stream's Theorem-4.2
-// order is preserved). The first frame also carries any straggler records
-// below the restored phase — their effects are in the checkpoint already,
-// but untrimmed stragglers replay harmlessly in order rather than being
-// silently dropped.
-func (c *Client) sendReplayPhase(phase int, puts, gets []ftrma.LogRecord) {
-	e := c.enc()
-	e.B(replayPhase)
-	e.I(phase)
-	sel := func(recs []ftrma.LogRecord) []ftrma.LogRecord {
-		out := recs[:0:0]
-		for _, r := range recs {
-			if r.GNC == phase || (phase == c.start && r.GNC < phase) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	p, g := sel(puts), sel(gets)
-	e.I(len(p))
-	for _, r := range p {
-		encRecord(e, r)
-	}
-	e.I(len(g))
-	for _, r := range g {
-		encRecord(e, r)
-	}
-	c.call(cReplay, e.Bytes())
 }
 
 // runStep executes one phase (or, past the last phase, the finish

@@ -1,18 +1,17 @@
-// Package cluster is the process-per-rank, peer-to-peer runtime: a
-// Coordinator process arbitrates membership and crises and hosts the
-// simulated runtime fabric (windows, virtual clocks, barriers), while
-// one worker process per rank drives its rank's computation over the
-// epoch-batched wire protocol AND is the residence of that rank's ftRMA
-// recovery state. Each rank's access-log records and N/M flags live in
-// its own worker (fed by log-append frames, fetched during recovery via
-// log-fetch request/responses), and every checkpoint-parity (group,
-// level) is hosted at an elected worker rank (fed by parity-fold frames
-// — the shard arithmetic runs where the shards live; re-seeded onto a
-// new host via parity-handoff frames when its host dies). Ranks live in
-// separate OS processes and die for real: a kill -9 drops the
-// connection, the heartbeat failure detector condemns the rank, the
+// Package cluster is the process-per-rank hub runtime: a Coordinator
+// process arbitrates membership and crises and holds the simulated
+// runtime fabric (windows, virtual clocks, barriers) together with all of
+// the ftRMA recovery state, while one worker process per rank drives its
+// rank's computation over the epoch-batched wire protocol. Every rank's
+// access-log records and N/M flags, and every group's checkpoint parity,
+// live in the coordinator's ftrma.System; with Config.PeerParityHosts
+// (the cluster default) each (group, level) of parity is tagged with an
+// elected hosting rank, so that rank's death loses the shards and forces
+// the same rebuild and re-election path the in-process stack models.
+// Ranks live in separate OS processes and die for real: a kill -9 drops
+// the connection, the heartbeat failure detector condemns the rank, the
 // coordinator maps the death onto the runtime's fail-stop Kill, and the
-// ftRMA recovery path — wire log gathering, M/N-flag inspection, parity
+// ftRMA recovery path — log gathering, M/N-flag inspection, parity
 // rebuild + re-election for state that died with its host, parity
 // reconstruction for the victim, and (for this BSP workload) the
 // coordinated rollback — restores a consistent cut that the surviving
@@ -20,18 +19,10 @@
 // See docs/ARCHITECTURE.md for the who-hosts-what table and
 // docs/WIRE.md for every frame.
 //
-// # State residence invariants
-//
-//   - The op pipeline opens only after the initial membership is
-//     complete and the recovery state is distributed (Coordinator.Started);
-//     a record can never target a residence that does not exist.
-//   - Host-state writes towards a dead residence degrade silently
-//     (records and shards die with their process — the paper's model);
-//     writes towards an alive-but-unbound rank wait for its replacement
-//     worker's join. Nothing fails before the crisis protocol Kills the
-//     rank at a quiescent point.
-//   - After a completed run, PeerHosted() reports true: the coordinator
-//     holds no log payload and no parity shards of its own.
+// The op pipeline opens once every rank slot has joined
+// (Coordinator.Started). A host election consults worker sessions, not
+// World liveness: a respawned rank whose replacement worker has not
+// joined yet is World-alive but cannot host parity.
 //
 // # Membership
 //
@@ -60,13 +51,13 @@
 // Recovery takes the paper's cheap path whenever it genuinely applies:
 // if the victim's gathered flags are clean (no in-flight get, no
 // combining access — §3.2.3/§4.2), the coordinator respawns the rank in
-// the runtime, admits a replacement worker mid-crisis, streams the
-// causally ordered log records to it over the wire (replay-install
-// frames), and the replacement drives its own catch-up — alternating a
-// replay frame per phase with re-execution of its deterministic phase
-// work, Algorithm 2's replay/recompute interleaving — while the
-// survivors stay parked; nothing rolls back. Only when ftrma.Recover
-// reports ErrFallback (or a concurrent failure) does the cluster take
+// the runtime, keeps the causally ordered log records, and admits a
+// replacement worker mid-crisis. The replacement drives its own catch-up
+// — per phase a replay frame, on which the coordinator applies that
+// phase's records, then re-execution of its deterministic phase work,
+// Algorithm 2's replay/recompute interleaving — while the survivors stay
+// parked; nothing rolls back. Only when ftrma.Recover reports
+// ErrFallback (or a concurrent failure) does the cluster take
 // the coordinated rollback, re-executing from the last coordinated cut.
 // Stats().CausalRecoveries / Fallbacks distinguish the paths.
 //
@@ -88,6 +79,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,7 +124,7 @@ type Config struct {
 	Workload Workload
 	// FT overrides the ftRMA protocol configuration; nil selects the
 	// cluster default (logging on, streaming demand checkpoints, a
-	// coordinated checkpoint at every phase gsync).
+	// coordinated checkpoint at every phase gsync, parity on peer hosts).
 	FT *ftrma.Config
 	// Transport groups the wire-level liveness knobs.
 	Transport TransportConfig
@@ -193,8 +185,9 @@ func (c Config) Validate() error {
 
 // defaultFT is the cluster's ftRMA configuration: full access logging, a
 // coordinated checkpoint at every phase boundary (tiny fixed interval
-// under the Gsync scheme), and a small log budget so demand checkpoints
-// and their streaming pipeline are exercised by real traffic.
+// under the Gsync scheme), a small log budget so demand checkpoints and
+// their streaming pipeline are exercised by real traffic, and parity
+// hosted on elected peer ranks so a host's kill -9 loses the shards.
 func defaultFT(n int) ftrma.Config {
 	groups := 2
 	if n < 4 {
@@ -207,6 +200,7 @@ func defaultFT(n int) ftrma.Config {
 		Stream:            ftrma.StreamConfig{Demand: true, ChunkBytes: 512},
 		Scheme:            ftrma.CCGsync,
 		FixedInterval:     1e-12,
+		PeerParityHosts:   true,
 	}
 }
 
@@ -227,28 +221,22 @@ type session struct {
 
 // Coordinator hosts the world and serves the workers.
 type Coordinator struct {
-	cfg   Config
-	wl    Workload
-	w     *rma.World
-	sys   *ftrma.System
-	obs   *obs.Registry
-	ln    net.Listener
-	ftCfg ftrma.Config
+	cfg Config
+	wl  Workload
+	w   *rma.World
+	sys *ftrma.System
+	obs *obs.Registry
+	ln  net.Listener
 
 	// sessMu guards the rank -> session binding alone. It is a leaf lock:
-	// the ftRMA recovery path calls back into sessionConn/sessionAlive
-	// while the coordinator holds mu, so the binding must be readable
-	// without mu.
+	// the ftRMA recovery path calls back into sessionAlive while the
+	// coordinator holds mu, so the binding must be readable without mu.
 	sessMu   sync.Mutex
 	sessions []*session
 
-	// hostingOnce fires the peer-hosting installation exactly once, when
-	// the initial membership completes.
-	hostingOnce sync.Once
-
 	mu      sync.Mutex
 	cond    *sync.Cond
-	started bool // initial membership complete, state distributed, ops admitted
+	started bool // every rank slot has joined once; ops admitted
 	status  []rankStatus
 	busy    []bool
 	inGsync []bool
@@ -269,9 +257,9 @@ type Coordinator struct {
 	// victim rank: its replacement worker is the only rank admitted
 	// through beginOp, catching up from replayFrom (the restored
 	// checkpoint's phase) to replayTarget (the survivors' phase) before
-	// the crisis lifts. replayLogs holds the gathered records until they
-	// are streamed to the replacement's residence; replayDone flips when
-	// the replacement's done frame has been finalized.
+	// the crisis lifts. replayLogs holds the gathered records, which the
+	// replacement's replay frames apply phase by phase until its done
+	// frame; replayDone flips when that frame has been finalized.
 	replaying    int
 	replayFrom   int
 	replayTarget int
@@ -320,7 +308,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		w:         w,
 		sys:       sys,
 		obs:       reg,
-		ftCfg:     ftCfg,
 		sessions:  make([]*session, wl.Ranks),
 		status:    make([]rankStatus, wl.Ranks),
 		busy:      make([]bool, wl.Ranks),
@@ -331,6 +318,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		deaths:    make(chan int, 4*wl.Ranks),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	sys.SetHostAlive(c.sessionAlive)
 	c.ln = cfg.Listener
 	if c.ln == nil {
 		ln, err := net.Listen("tcp", cfg.Listen)
@@ -344,14 +332,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Timeout > 0 {
 		c.watchdog = time.AfterFunc(cfg.Timeout, func() {
 			err := fmt.Errorf("cluster: run exceeded timeout %v", cfg.Timeout)
-			// fatal needs mu, and the very hang the watchdog exists to
-			// abort can be a coordinator goroutine holding mu across a
-			// host call towards a live-but-unresponsive worker — the
-			// connection's ReadTimeout never fires while heartbeats keep
-			// arriving, so the call (and mu) wedge forever. If fatal
-			// cannot land within a grace period, down every worker
-			// connection: the wedged call fails with ErrDown, its holder
-			// unwinds and releases mu, and the abort proceeds.
+			// fatal needs mu. Should a goroutine ever wedge holding it
+			// on a worker connection that stays up (heartbeats keep
+			// arriving, so its ReadTimeout never fires —
+			// TestClusterTimeoutAbortsWedgedRun stages exactly that),
+			// fatal would wedge behind it. If fatal cannot land within
+			// a grace period, down every worker connection: the wedged
+			// wait fails with ErrDown, its holder unwinds and releases
+			// mu, and the abort proceeds.
 			done := make(chan struct{})
 			go func() {
 				c.fatal(err)
@@ -454,8 +442,8 @@ func (c *Coordinator) acceptLoop() {
 		}
 		sess := &session{c: c, rank: -1, pendGets: make(map[int][]hostGet)}
 		// wire.New serves frames immediately; hold them until sess.conn is
-		// published (the join handler initializes the worker's log
-		// residence over that very connection).
+		// published (the join handler binds the session, and downSessions
+		// closes it through sess.conn).
 		ready := make(chan struct{})
 		sess.conn = wire.New(nc, wire.Config{
 			Handler: func(t byte, payload []byte) (byte, []byte, error) {
@@ -492,10 +480,9 @@ var errCrisis = wire.RemoteFail{Code: wire.CodeCrisis, Msg: "recovery pending; a
 func (c *Coordinator) beginOp(r int, gsync bool, gen uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// The op pipeline opens only once the initial membership is complete
-	// and the recovery state has been distributed to its peer hosts: an
-	// early worker's first op must not log into a residence that does not
-	// exist yet.
+	// The op pipeline opens only once every rank slot has joined: a rank
+	// racing ahead would otherwise wait in its first collective on ranks
+	// that have no worker yet.
 	for !c.started && c.doneErr == nil {
 		c.cond.Wait()
 	}
@@ -627,30 +614,12 @@ func (s *session) handleJoin() (byte, []byte, error) {
 			}
 			replayTo := c.replayTarget
 			gen := c.generation
-			full := true
-			for _, st := range c.status {
-				if st == rankEmpty {
-					full = false
-				}
+			if !slices.Contains(c.status, rankEmpty) {
+				c.started = true // the initial membership is complete
 			}
 			c.mu.Unlock()
 			c.cond.Broadcast()
-			// Every worker — original or replacement — becomes the
-			// residence of its rank's log records the moment it joins; a
-			// replacement naturally starts empty, which is exactly the
-			// post-rollback state of its rank. The residence is built
-			// BEFORE the session is published: the moment bindSession
-			// lands, other ranks' epoch closes may append here.
-			if err := c.initLogHost(s); err != nil {
-				return 0, nil, wire.RemoteFail{Code: wire.CodeGeneric, Msg: fmt.Sprintf("log residence init: %v", err)}
-			}
 			c.bindSession(r, s)
-			if full {
-				// Initial membership (or any later full house — the Once
-				// makes repeats free): distribute the recovery state and
-				// open the op pipeline.
-				go c.hostingOnce.Do(c.startPeerHosting)
-			}
 			var e wire.Enc
 			e.I(r)
 			e.I(c.wl.Ranks)
@@ -980,11 +949,10 @@ func (s *session) handleLocal(d *wire.Dec, gen uint64) (byte, []byte, error) {
 }
 
 // handleReplay serves the causal replacement's catch-up frames. A phase
-// frame carries the causally ordered records of one gsync phase (the
-// slice of the coordinator's replay-install stream the worker filtered
-// out) and applies them to the respawned rank — Algorithm 2's replay
-// half; the worker re-executes its own phase work between frames. The
-// done frame finalizes the recovery: the replacement adopts the
+// frame applies the gathered records of one gsync phase to the respawned
+// rank in their causal order — Algorithm 2's replay half; the worker
+// re-executes its own phase work between frames. The done frame
+// finalizes the recovery: the replacement adopts the
 // survivors' gsync counter and every rank takes an uncoordinated
 // checkpoint, re-establishing log coverage (the victim's source-side
 // records died with it — without fresh checkpoints a later survivor
@@ -994,18 +962,28 @@ func (s *session) handleReplay(d *wire.Dec, gen uint64) (byte, []byte, error) {
 	mode := d.B()
 	switch mode {
 	case replayPhase:
-		d.I() // phase, informational: the frame's records carry their own GNC
-		puts, ok1 := decRecordList(d)
-		gets, ok2 := decRecordList(d)
-		if d.Failed() || !ok1 || !ok2 {
+		phase := d.I()
+		if d.Failed() {
 			return 0, nil, wire.RemoteFail{Code: wire.CodeGeneric, Msg: "malformed replay frame"}
 		}
+		c.mu.Lock()
+		logs, from := c.replayLogs, c.replayFrom
+		c.mu.Unlock()
+		if logs == nil { // no causal replay in flight
+			return 0, nil, errCrisis
+		}
 		err := c.exec(s, false, gen, func(p *ftrma.Process) {
-			// ReplayAll walks the frame's GNCs in ascending order: for a
-			// steady-state frame (one phase's records) it is ReplayPhase;
-			// for the first frame it also applies the straggler records
-			// below the restored phase, oldest first.
-			p.ReplayAll(&ftrma.ReplayLogs{Puts: puts, Gets: gets})
+			// The first frame also applies the straggler records below
+			// the restored phase, oldest first: their effects are in the
+			// checkpoint already, but untrimmed stragglers replay
+			// harmlessly in order rather than being silently dropped.
+			lo := phase
+			if phase == from {
+				lo = 0
+			}
+			for g := lo; g <= phase; g++ {
+				p.ReplayPhase(logs, g)
+			}
 		})
 		if err != nil {
 			return 0, nil, err
@@ -1036,6 +1014,7 @@ func (s *session) handleReplay(d *wire.Dec, gen uint64) (byte, []byte, error) {
 		}
 		c.mu.Lock()
 		c.replayDone = true
+		c.replayLogs = nil
 		c.mu.Unlock()
 		c.cond.Broadcast()
 		return cReplay, nil, nil
@@ -1064,10 +1043,8 @@ func (c *Coordinator) controller() {
 	}
 }
 
-// condemnLocked marks a freshly dead rank for recovery (mu held). The
-// broadcast releases any residence writes parked in awaitSessionConn for
-// the rank — they drop their records (lost with the dying rank) and let
-// the machine quiesce.
+// condemnLocked marks a freshly dead rank for recovery (mu held); the
+// broadcast wakes the crisis waits so the machine can quiesce around it.
 func (c *Coordinator) condemnLocked(r int) {
 	if r >= 0 && r < len(c.status) && c.status[r] == rankJoined {
 		c.status[r] = rankCondemned
@@ -1234,42 +1211,28 @@ func (c *Coordinator) recoverLocked(v int) {
 	// ErrFallback (forced by in-flight gets, combining accesses, or a
 	// concurrent failure) selects the coordinated rollback.
 	began := time.Now()
-	var res *ftrma.RecoverResult
-	err := func() (err error) {
-		// The recovery path crosses the wire (log fetches from the
-		// survivors' residences, parity fetches and handoffs): a worker
-		// dying at exactly the wrong moment surfaces as a panic, which
-		// must condemn the run, not the coordinator process.
-		defer func() {
-			if e := recover(); e != nil {
-				err = fmt.Errorf("recovery interrupted: %v", e)
-			}
-		}()
-		// Kill every condemned rank, not just v: a second condemned rank
-		// left World-alive would be gathered from as a "survivor", and its
-		// unbound session would abort the run. Killing it makes Recover
-		// see the concurrent failure and choose the fallback, which
-		// restores all the dead at once. Likewise a rank whose slot is
-		// empty but whose replacement never joined is no log residence —
-		// kill it so it rides the same fallback.
-		c.w.Kill(v)
-		for r, st := range c.status {
-			if r != v && st == rankCondemned {
-				c.w.Kill(r)
-			}
-			if c.started && st == rankEmpty && !c.sessionAlive(r) && c.w.Alive(r) {
-				c.w.Kill(r)
-			}
+	// Kill every condemned rank, not just v: a second condemned rank left
+	// World-alive would count as a survivor whose worker is gone. Killing
+	// it makes Recover see the concurrent failure and choose the
+	// fallback, which restores all the dead at once. Likewise a rank
+	// whose slot is empty because its replacement never joined has no
+	// worker to re-execute it — kill it so it rides the same fallback.
+	c.w.Kill(v)
+	for r, st := range c.status {
+		if r != v && st == rankCondemned {
+			c.w.Kill(r)
 		}
-		res, err = c.sys.Recover(v)
-		return err
-	}()
+		if c.started && st == rankEmpty && !c.sessionAlive(r) && c.w.Alive(r) {
+			c.w.Kill(r)
+		}
+	}
+	res, err := c.sys.Recover(v)
 
 	switch {
 	case err == nil:
-		// The cheap path: nothing rolled back. Stream the gathered records
-		// to a replacement worker and let it replay/re-execute its way to
-		// the survivors' phase; the crisis stays open until it is done.
+		// The cheap path: nothing rolled back. A replacement worker
+		// replays the gathered records and re-executes its way to the
+		// survivors' phase; the crisis stays open until it is done.
 		c.recoverCausalLocked(v, res, began)
 		return
 	case errors.Is(err, ftrma.ErrFallback):
@@ -1306,15 +1269,15 @@ func (c *Coordinator) recoverLocked(v int) {
 }
 
 // recoverCausalLocked drives the cheap recovery path after a successful
-// ftrma.Recover (mu held, crisis open): free v's slot so a replacement
-// worker can inherit it mid-crisis, stream the causally ordered records
-// into the replacement's residence, and wait for its catch-up — phase
-// replay frames interleaved with re-executed phase work — to finish. If
-// the replacement itself dies mid-replay, the crisis stays open and the
+// ftrma.Recover (mu held, crisis open): keep the causally ordered
+// records, free v's slot so a replacement worker can inherit it
+// mid-crisis, and wait for its catch-up — phase replay frames
+// interleaved with re-executed phase work — to finish. If the
+// replacement itself dies mid-replay, the crisis stays open and the
 // controller loop re-enters recoverLocked(v): the respawned rank is
-// killed for real this time, the survivors' records about v are still in
-// place (nothing trimmed them), and a fresh Recover reproduces the same
-// result for the next replacement.
+// killed for real this time, the survivors' records about v are still
+// in place (nothing trimmed them), and a fresh Recover reproduces the
+// same result for the next replacement.
 func (c *Coordinator) recoverCausalLocked(v int, res *ftrma.RecoverResult, began time.Time) {
 	target := c.replayTargetLocked(v)
 	c.replaying = v
@@ -1337,30 +1300,9 @@ func (c *Coordinator) recoverCausalLocked(v int, res *ftrma.RecoverResult, began
 		c.replayDone = false
 	}
 
-	// Wait for the replacement worker to join and bind.
-	for c.status[v] != rankJoined || !c.sessionAlive(v) {
-		if c.doneErr != nil {
-			return
-		}
-		if c.status[v] == rankCondemned {
-			abort()
-			return
-		}
-		c.cond.Wait()
-		c.drainDeathsLocked()
-		c.sweepCondemnedLocksLocked()
-	}
-
-	// Stream the gathered records into the replacement's residence. The
-	// worker's host handler never calls back into the coordinator, so
-	// holding mu across the calls cannot deadlock — and everyone else is
-	// parked anyway. A failed stream means the replacement died; the
-	// OnDown condemnation surfaces in the wait below.
-	c.streamReplayLogs(v, res.Logs)
-	c.replayLogs = nil // handed off (or lost with the replacement)
-	// A failed stream needs no special case: only a dying replacement can
-	// fail it, and its OnDown condemnation ends this wait.
-	for !c.replayDone && c.status[v] == rankJoined && c.doneErr == nil {
+	// Wait for a replacement worker to join and finish its catch-up, or
+	// die trying: its OnDown condemnation ends the wait.
+	for !c.replayDone && c.status[v] != rankCondemned && c.doneErr == nil {
 		c.cond.Wait()
 		c.drainDeathsLocked()
 		c.sweepCondemnedLocksLocked()
@@ -1407,66 +1349,6 @@ func (c *Coordinator) replayTargetLocked(v int) int {
 	return target
 }
 
-// streamReplayLogs ships the replay records to rank v's residence as
-// replay-install frames, chunked so no frame outgrows the host-frame
-// budget; the final chunk carries the done marker that releases the
-// worker's catch-up. Returns false if the residence died mid-stream (the
-// caller's wait resolves via the replacement's condemnation either way).
-func (c *Coordinator) streamReplayLogs(v int, logs *ftrma.ReplayLogs) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false // a malformed reply; the worker is condemned by OnDown or timeout
-		}
-	}()
-	conn := c.sessionConn(v)
-	if conn == nil {
-		return false
-	}
-	send := func(done bool, puts, gets []ftrma.LogRecord) bool {
-		var e wire.Enc
-		if done {
-			e.B(1)
-		} else {
-			e.B(0)
-		}
-		e.I(len(puts))
-		for _, r := range puts {
-			encRecord(&e, r)
-		}
-		e.I(len(gets))
-		for _, r := range gets {
-			encRecord(&e, r)
-		}
-		_, sent := c.callConn(conn, v, cReplayInstall, e.Bytes())
-		return sent
-	}
-	var puts, gets []ftrma.LogRecord
-	words := 0
-	flush := func(done bool) bool {
-		sent := send(done, puts, gets)
-		puts, gets = nil, nil
-		words = 0
-		return sent
-	}
-	for _, r := range logs.Puts {
-		puts = append(puts, r)
-		if words += len(r.Data) + 12; words >= hostFrameWords {
-			if !flush(false) {
-				return false
-			}
-		}
-	}
-	for _, r := range logs.Gets {
-		gets = append(gets, r)
-		if words += len(r.Data) + 12; words >= hostFrameWords {
-			if !flush(false) {
-				return false
-			}
-		}
-	}
-	return flush(true)
-}
-
 func (c *Coordinator) anyBusy() bool {
 	for _, b := range c.busy {
 		if b {
@@ -1476,21 +1358,19 @@ func (c *Coordinator) anyBusy() bool {
 	return false
 }
 
-// ---- Peer-hosted recovery state ---------------------------------------------
+// ---- Worker sessions ---------------------------------------------------------
 
 func (c *Coordinator) bindSession(r int, s *session) {
 	c.sessMu.Lock()
 	c.sessions[r] = s
 	c.sessMu.Unlock()
-	// Appends may be parked in awaitSessionConn for this rank's residence.
-	c.cond.Broadcast()
 }
 
 // downSessions force-closes every bound worker connection. Leaf-locked
 // (sessMu only): the timeout watchdog calls it precisely when mu may be
-// wedged under a host call that will never complete, so it must not need
-// mu. Closing a connection fails that call with ErrDown and lets the
-// holder unwind.
+// wedged behind a wait on a connection that will never answer, so it must
+// not need mu. Closing a connection fails that wait with ErrDown and lets
+// the holder unwind.
 func (c *Coordinator) downSessions() {
 	c.sessMu.Lock()
 	defer c.sessMu.Unlock()
@@ -1509,162 +1389,37 @@ func (c *Coordinator) unbindSession(r int, s *session) {
 	c.sessMu.Unlock()
 }
 
-// sessionConn returns the live wire connection of rank r's worker, or nil
-// when the rank is unbound (dead, or its replacement has not joined yet).
-// Leaf-locked: safe from any goroutine, including recovery paths holding
-// the coordinator mutex.
-func (c *Coordinator) sessionConn(r int) *wire.Conn {
+// sessionAlive is the liveness predicate the ftRMA host elections use: a
+// rank can host parity only while a worker session is bound to it.
+// (World.Alive is weaker — a respawned rank is World-alive before its
+// replacement worker joins.) Leaf-locked: safe from any goroutine,
+// including recovery paths holding the coordinator mutex.
+func (c *Coordinator) sessionAlive(r int) bool {
 	c.sessMu.Lock()
 	defer c.sessMu.Unlock()
-	if r < 0 || r >= len(c.sessions) || c.sessions[r] == nil {
-		return nil
-	}
-	return c.sessions[r].conn
+	return r >= 0 && r < len(c.sessions) && c.sessions[r] != nil
 }
 
-// awaitSessionConn returns rank's live session connection, waiting out
-// the window in which the rank is alive in the runtime but its
-// replacement worker has not bound yet. The paper's model hands p_new to
-// the batch system before computation resumes; here survivors may race
-// ahead of the replacement's join, and a record destined for the rank's
-// residence must wait for the residence rather than vanish.
-//
-// It gives up (nil) once the rank is genuinely dying or dead: a
-// condemned rank is about to be Killed — records bound for it are lost
-// with it by design, and waiting for it would wedge the very quiescence
-// the crisis protocol needs (the waiter counts as busy). Likewise for a
-// World-dead rank and a finished run.
-func (c *Coordinator) awaitSessionConn(rank int) *wire.Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if conn := c.sessionConn(rank); conn != nil {
-			return conn
-		}
-		if c.doneErr != nil || rank < 0 || rank >= c.wl.Ranks ||
-			!c.w.Alive(rank) || c.status[rank] == rankCondemned {
-			return nil
-		}
-		c.cond.Wait()
-	}
-}
-
-// sessionAlive is the liveness predicate the ftRMA host elections use: a
-// rank can host recovery state only while a worker session is bound to
-// it. (World.Alive is weaker — a respawned rank is World-alive before its
-// replacement worker joins.)
-func (c *Coordinator) sessionAlive(r int) bool { return c.sessionConn(r) != nil }
-
-// startPeerHosting distributes the ftRMA recovery state to its peer
-// residences and opens the op pipeline. It runs once, triggered by the
-// join that completes the initial membership, and retries after any
-// worker death that interrupts the distribution (the replacement's join
-// refills the house).
-func (c *Coordinator) startPeerHosting() {
-	for {
-		c.mu.Lock()
-		for c.doneErr == nil && !c.fullHouseLocked() {
-			c.cond.Wait()
-		}
-		done := c.doneErr != nil
-		c.mu.Unlock()
-		if done {
-			return
-		}
-		if c.distributeState() {
-			c.mu.Lock()
-			c.started = true
-			c.mu.Unlock()
-			c.cond.Broadcast()
-			return
-		}
-	}
-}
-
-// fullHouseLocked reports whether every rank slot has a bound, live
-// worker session (mu held; sessMu is a leaf and may be taken under it).
-func (c *Coordinator) fullHouseLocked() bool {
-	for r, st := range c.status {
-		if st == rankEmpty || !c.sessionAlive(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// distributeState moves the recovery state onto the workers: every
-// rank's log residence is initialized with the coordinator's resolved
-// arena tuning (so the byte accounting driving the demand-checkpoint
-// budget is computed identically on both sides), the System's log and
-// liveness hooks are re-bound to the wire, and every group's parity
-// levels are elected onto peer ranks and seeded there. Returns false if
-// a worker died mid-distribution; the retry re-elects and re-installs
-// idempotently.
-func (c *Coordinator) distributeState() (ok bool) {
-	defer func() {
-		if e := recover(); e != nil {
-			ok = false // a residence died mid-install; retry on the next full house
-		}
-	}()
-	c.sys.SetHostAlive(c.sessionAlive)
-	c.sys.SetLogHosting(func(rank int) ftrma.LogHost {
-		return &remoteLogHost{c: c, rank: rank}
-	})
-	c.sys.EnablePeerParityHosts(c.newRemoteParityHost)
-	return true
-}
-
-// initLogHost builds a freshly joined worker's log residence with the
-// coordinator's resolved arena tuning, so the byte accounting that drives
-// the §6.2 demand-checkpoint budget is computed from identical structures
-// on both sides of the wire.
-func (c *Coordinator) initLogHost(s *session) error {
-	slab, seg, compact := c.ftCfg.ResolvedLogTuning()
-	var e wire.Enc
-	e.I(slab)
-	e.I(seg)
-	e.F(compact)
-	_, err := s.conn.Call(cHostInit, e.Bytes())
-	return err
-}
-
-func (c *Coordinator) newRemoteParityHost(group, level, hostRank int) ftrma.ParityHost {
-	return &remoteParityHost{
-		c:     c,
-		group: group,
-		level: level,
-		rank:  hostRank,
-		k:     len(c.sys.Grouping().ComputeMembers(group)),
-		m:     c.ftCfg.ChecksumsPerGroup,
-		words: c.wl.WindowWords(),
-	}
-}
-
-// ParityHostRank returns the rank whose worker hosts (group, level)'s
-// parity shards, or -1 before the state is distributed. The parity-host
-// kill smoke aims with it.
+// ParityHostRank returns the rank elected to host (group, level)'s parity
+// shards, or -1 when they stay with the paper's infallible checksum
+// process (a Config.FT without PeerParityHosts). The parity-host kill
+// smoke aims with it.
 func (c *Coordinator) ParityHostRank(group, level int) int {
 	return c.sys.ParityHostRank(group, level)
 }
 
-// PeerHosted reports whether the recovery state fully resides in worker
-// processes — every rank's log records at its own worker, every parity
-// level at an elected host rank — leaving the coordinator with membership,
-// the runtime windows, and crisis arbitration only.
-func (c *Coordinator) PeerHosted() bool { return c.sys.PeerHosted() }
-
-// Started reports whether the initial membership completed and the
-// recovery state was distributed (the op pipeline is open).
+// Started reports whether every rank slot has joined once (the op
+// pipeline is open).
 func (c *Coordinator) Started() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.started
 }
 
-// Replaying returns the rank whose causal replacement is currently being
-// fed (joined, streamed, or catching up), or -1 when no causal recovery
-// is in flight. The chaos tests aim their kill-the-replacement-mid-replay
-// schedules with it.
+// Replaying returns the rank whose causal replacement is currently
+// awaited or catching up, or -1 when no causal recovery is in flight.
+// The chaos tests aim their kill-the-replacement-mid-replay schedules
+// with it.
 func (c *Coordinator) Replaying() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

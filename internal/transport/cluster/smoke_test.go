@@ -46,14 +46,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// spawnWorker launches one worker process bound to the coordinator;
-// extraEnv entries ("KEY=value") arm worker-side knobs such as the
-// host-frame fault injection.
-func spawnWorker(t *testing.T, addr string, extraEnv ...string) *exec.Cmd {
+// spawnWorker launches one worker process bound to the coordinator.
+func spawnWorker(t *testing.T, addr string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=TestMain")
 	cmd.Env = append(os.Environ(), workerEnv+"="+addr)
-	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -119,12 +116,7 @@ func TestClusterMultiProcess(t *testing.T) {
 	if st.PutsLogged == 0 || st.GetsLogged == 0 {
 		t.Fatalf("access logging saw no traffic: %+v", st)
 	}
-	// The recovery state must have been peer-hosted: every rank's logs at
-	// its own worker, every (group, level) parity at an elected worker
-	// rank — the coordinator arbitrates, it does not host.
-	if !c.PeerHosted() {
-		t.Fatalf("recovery state still hosted by the coordinator")
-	}
+	// Every (group, level) of parity is elected onto a peer rank.
 	for g := 0; g < 2; g++ {
 		for l := 0; l < 2; l++ {
 			if h := c.ParityHostRank(g, l); h < 0 || h >= wl.Ranks {
@@ -154,7 +146,7 @@ func spawnWorkerForRank(t *testing.T, c *Coordinator, rank int) *exec.Cmd {
 // rank elected to host group 0's UC parity is SIGKILLed mid-run. The
 // coordinator must detect the death, rebuild the lost shards from the
 // surviving members' checkpoint copies, hand them to a freshly elected
-// host (a parity handoff over the wire), recover the dead rank itself
+// host (a parity handoff), recover the dead rank itself
 // through the ordinary crisis protocol, and still finish bit-identical to
 // the failure-free oracle.
 func TestClusterParityHostKill9(t *testing.T) {
@@ -179,13 +171,13 @@ func TestClusterParityHostKill9(t *testing.T) {
 		defer reap(workers[i])
 	}
 
-	// Wait for the state distribution, find the elected host of group 0's
+	// Wait for the full membership, find the elected host of group 0's
 	// UC parity, and let it survive a few checkpointed phase boundaries
 	// before the kill.
 	deadline := time.Now().Add(60 * time.Second)
 	for !c.Started() {
 		if time.Now().After(deadline) {
-			t.Fatal("cluster never distributed its recovery state")
+			t.Fatal("cluster never completed its membership")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

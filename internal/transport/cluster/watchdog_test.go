@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -11,9 +12,9 @@ import (
 
 // TestClusterTimeoutAbortsWedgedRun pins the watchdog's last line of
 // defense. The hang it guards against: a coordinator goroutine holds mu
-// across a host call towards a live-but-unresponsive worker — the
-// connection stays healthy (heartbeats flow, the failure detector never
-// fires), the call never completes, and mu never frees. fatal needs mu,
+// while it waits on a live-but-unresponsive worker — the connection stays
+// healthy (heartbeats flow, the failure detector never fires), the call
+// never completes, and mu never frees. fatal needs mu,
 // so without the grace-period fallback the Timeout watchdog would wedge
 // right behind the hang it exists to abort. The fallback downs every
 // worker connection, which fails the stuck call with ErrDown, unwinds
@@ -43,7 +44,7 @@ func TestClusterTimeoutAbortsWedgedRun(t *testing.T) {
 	c.sessions[0] = &session{c: c, rank: 0, conn: conn}
 	c.sessMu.Unlock()
 
-	// Wedge mu exactly the way a crisis-path host call would.
+	// Wedge mu behind a call that never completes.
 	wedged := make(chan error, 1)
 	go func() {
 		c.mu.Lock()
@@ -67,5 +68,38 @@ func TestClusterTimeoutAbortsWedgedRun(t *testing.T) {
 	}
 	if err := <-wedged; err == nil {
 		t.Fatal("the wedged call completed cleanly; want ErrDown from the watchdog downing the session")
+	}
+}
+
+// TestReplayFrameWithoutReplayBounces pins the guard on the one frame that
+// reads the coordinator's replay records: a replay-phase frame while no
+// causal recovery is in flight is bounced with the crisis code, and a
+// truncated one is rejected as malformed.
+func TestReplayFrameWithoutReplayBounces(t *testing.T) {
+	wl := Workload{Ranks: 2, Phases: 1, InsertsPerPhase: 1, TableSlots: 64}
+	// No worker ever joins, so a frame that got past the guard would wait
+	// for the op pipeline until the timeout aborts the run.
+	c, err := NewCoordinator(Config{Listen: "127.0.0.1:0", Workload: wl, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := &session{c: c, rank: 0, pendGets: make(map[int][]hostGet)}
+	for _, tc := range []struct {
+		name  string
+		phase bool
+		code  byte
+	}{{"no replay in flight", true, wire.CodeCrisis}, {"truncated", false, wire.CodeGeneric}} {
+		var e wire.Enc
+		e.U(0) // generation
+		e.B(replayPhase)
+		if tc.phase {
+			e.I(0)
+		}
+		_, _, err := s.handle(cReplay, e.Bytes())
+		var rf wire.RemoteFail
+		if !errors.As(err, &rf) || rf.Code != tc.code {
+			t.Errorf("%s: err = %v, want code %d", tc.name, err, tc.code)
+		}
 	}
 }

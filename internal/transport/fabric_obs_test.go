@@ -165,8 +165,16 @@ func TestFabricBatchMetrics(t *testing.T) {
 			t.Fatalf("rank %d batch counters too low: %v", r, s.Counters)
 		}
 		for _, h := range []string{"fabric.flush.us", "fabric.gsync.wait.us", "fabric.fold.us"} {
-			if s.Histograms[h].Count == 0 || s.Histograms[h].Sum == 0 {
+			if s.Histograms[h].Count == 0 {
 				t.Fatalf("rank %d histogram %s empty: %+v", r, h, s.Histograms[h])
+			}
+		}
+		// A local fold can finish inside 1 µs and record 0 (ObserveSince
+		// truncates), so only the flush and the gsync wait (clamped to
+		// ≥ 1 µs in Sync) must sum to a nonzero time.
+		for _, h := range []string{"fabric.flush.us", "fabric.gsync.wait.us"} {
+			if s.Histograms[h].Sum == 0 {
+				t.Fatalf("rank %d histogram %s sums to zero: %+v", r, h, s.Histograms[h])
 			}
 		}
 		if s.Counters["fabric.fold.sent"] != fabPhases {

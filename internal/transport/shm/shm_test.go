@@ -6,12 +6,17 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func newTestFabric(t *testing.T, n, ringBytes int) *Fabric {
 	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { leakcheck.Goroutines(t, base) }) // runs after f.Close
 	f, err := NewFabric(n, FabricConfig{RingBytes: ringBytes})
 	if err != nil {
 		t.Fatalf("NewFabric: %v", err)

@@ -2,11 +2,13 @@ package tcp
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -89,8 +91,13 @@ func newPeer(t testing.TB, self, n int, addrs map[int]string, lns map[int]net.Li
 	return p
 }
 
+// bindWorld binds n localhost listeners. Its cleanup runs after every
+// peer's Close (cleanups run last in, first out) and holds the world to
+// the Close contract: no goroutine outlives it.
 func bindWorld(t testing.TB, n int) (map[int]string, map[int]net.Listener) {
 	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { leakcheck.Goroutines(t, base) })
 	addrs := make(map[int]string, n)
 	lns := make(map[int]net.Listener, n)
 	for r := 0; r < n; r++ {

@@ -22,8 +22,7 @@
 // the semantics the in-process World always had), tcp (a length-prefixed
 // binary wire protocol between OS processes), and flaky (a fault-injecting
 // wrapper for tests). The cluster subpackage builds a process-per-rank
-// runtime on top of the same wire format, including the host-service
-// frames that carry the peer-hosted ftRMA recovery state.
+// runtime on top of the same wire format.
 //
 // # Invariants
 //

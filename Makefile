@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short test-noasm race stress tier1 ci docs-check smoke-rankd chaos-smoke metrics-check flightrec-demo soak soak-short coverage-check
+.PHONY: all build vet staticcheck test test-short test-noasm race stress tier1 ci docs-check chaos-smoke metrics-check flightrec-demo soak soak-short coverage-check
 
 all: build vet test
 
@@ -60,22 +60,14 @@ stress:
 	$(GO) test -race -count=20 ./internal/transport/wire
 	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestCrisisRefusesUnsurvivable' ./internal/fabric
 
-# Multi-process smoke: 4 rankd worker processes against a live
-# coordinator, kill -9 of one mid-run, replacement rejoin, bit-identical
-# recovery check (the same scenario the cluster package's Go test runs
-# in-process of `go test`; this target exercises the shipped binary).
-smoke-rankd:
-	./scripts/smoke_rankd.sh
-
-# Multi-failure chaos harness under the race detector: causal replay over
-# the wire, correlated whole-node kills (survivable and catastrophic),
-# a kill of the replacement mid-replay, a kill of a user-lock holder,
-# the Timeout watchdog aborting a run wedged behind the coordinator
-# mutex, and the symmetric fabric's
-# coordinatorless kill -9 (any rank, seed closed, zero steady-state
-# coordinator frames). Seeds are fixed in the tests.
+# Multi-process kill -9 smokes under the race detector: rankd worker
+# processes (the re-executed test binary) bootstrap through a seed and run
+# peer to peer; one rank — the crisis arbiter included, with the seed
+# closed — is kill -9'd mid-run and a replacement rejoins through a
+# survivor. Both smokes demand a bit-identical finish, a seed frozen at
+# one frame per join, and no goroutine left behind.
 chaos-smoke:
-	$(GO) test -race -count=1 -v -run 'TestClusterCausalReplayKill9|TestClusterCorrelated|TestClusterKillReplacementMidReplay|TestClusterLockHolderKill9|TestClusterTimeoutAbortsWedgedRun|TestClusterCoordinatorlessKill9|TestClusterFabricFaultFree' ./internal/transport/cluster
+	$(GO) test -race -count=1 -v -run 'TestClusterCoordinatorlessKill9|TestClusterFabricFaultFree' ./cmd/rankd
 
 # Metric-catalog drift gate: scrape a live 2-rank fabric smoke's debug
 # endpoints and diff the Prometheus name set against the catalog in

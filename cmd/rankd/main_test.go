@@ -1,27 +1,73 @@
-package cluster
+package main
 
-// Coordinatorless kill -9 smoke: N worker processes bootstrap through a
-// seed, then run the causal workload entirely peer-to-peer. The test
-// SIGKILLs a live rank mid-run — including rank 0, the bootstrap seed's
-// first-assigned rank and the fabric's default crisis arbiter — starts a
-// replacement that joins through a surviving member, and demands the
-// final windows match the failure-free oracle bit for bit with the seed
-// serving zero frames after bootstrap (for the rank-0 case the seed is
-// closed outright before the kill, so no coordinator is even alive).
+// Coordinatorless kill -9 smokes: N worker processes — the test binary
+// re-executed in worker mode via TestMain — bootstrap through a seed, then
+// run the workload entirely peer-to-peer. The kill test SIGKILLs a live
+// rank mid-run — including rank 0, the bootstrap seed's first-assigned
+// rank and the fabric's default crisis arbiter — starts a replacement that
+// joins through a surviving member, and demands the final windows match
+// the failure-free oracle bit for bit with the seed serving zero frames
+// after bootstrap (for the rank-0 case the seed is closed outright before
+// the kill, so no coordinator is even alive).
 
 import (
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
+
+// fabricWorkerEnv turns a re-executed test binary into a fabric worker;
+// its value is the seed — or, for a replacement, any surviving member —
+// to join through.
+const fabricWorkerEnv = "REPRO_FABRIC_WORKER"
+
+func TestMain(m *testing.M) {
+	if addr := os.Getenv(fabricWorkerEnv); addr != "" {
+		logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, "fabric worker: "+format+"\n", args...) }
+		if err := runFabricWorker(addr, "", logf); err != nil {
+			fmt.Fprintf(os.Stderr, "fabric worker: %v\n", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// reap kills w and waits for the kernel to reap it. Cleanup paths use
+// this instead of a bare Kill so a test never returns while its worker
+// processes are still dying and writing output — on a one-core box that
+// tail bleeds CPU into whichever test the shuffle runs next. Both calls
+// are best-effort: the worker may already be dead (the kill under test)
+// or already reaped (an explicit Wait in the test body).
+func reap(w *exec.Cmd) {
+	w.Process.Kill()
+	w.Wait()
+}
+
+func compareToOracle(t *testing.T, wl workload, got [][]uint64) {
+	t.Helper()
+	want, err := wl.oracle()
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	for r := range want {
+		for i := range want[r] {
+			if got[r][i] != want[r][i] {
+				t.Fatalf("rank %d word %d: got %#x, want %#x", r, i, got[r][i], want[r][i])
+			}
+		}
+	}
+}
 
 // spawnFabricWorker launches one symmetric worker joining through addr;
 // extraEnv entries ("KEY=value") arm worker-side knobs such as the debug
@@ -93,8 +139,8 @@ func awaitWatermark(t *testing.T, addr string, wm int) {
 }
 
 // scrapeFabricDebug reads every rank's advertised debug address from
-// dir and scrapes its Prometheus endpoint, the same way the chaos
-// harness scrape (scripts/check_metrics.sh) does.
+// dir and scrapes its Prometheus endpoint, the same way
+// scripts/check_metrics.sh does.
 func scrapeFabricDebug(t *testing.T, dir string, ranks int) map[int]map[string]float64 {
 	t.Helper()
 	byRank := make(map[int]map[string]float64, ranks)
@@ -132,7 +178,7 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fabric smoke skipped in -short")
 	}
-	wl := Workload{Ranks: 4, Phases: 10, InsertsPerPhase: 4, PhaseDelay: 100 * time.Millisecond, Mode: ModeCausal}
+	wl := workload{Ranks: 4, Phases: 10, InsertsPerPhase: 4, PhaseDelay: 100 * time.Millisecond}
 	for _, tc := range []struct {
 		name      string
 		victim    int
@@ -143,7 +189,9 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			seed, err := NewFabricSeed(Config{Listen: "127.0.0.1:0", Workload: wl, Fabric: smokeTuning})
+			base := runtime.NumGoroutine()
+			cfg := seedConfig{Listen: "127.0.0.1:0", Workload: wl, Fabric: smokeTuning, Timeout: 90 * time.Second}
+			seed, err := newFabricSeed(cfg)
 			if err != nil {
 				t.Fatalf("fabric seed: %v", err)
 			}
@@ -181,7 +229,7 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 				obs.EnvDebugDir+"="+debugDir, obs.EnvFlightDir+"="+debugDir)
 			defer reap(repl)
 
-			got, err := CollectFabric(survivor, wl, 90*time.Second)
+			got, err := collectFabric(survivor, cfg)
 			if err != nil {
 				t.Fatalf("collect: %v", err)
 			}
@@ -254,7 +302,7 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 				t.Fatalf("no flight dump in %s carries crisis events: %v", debugDir, dumps)
 			}
 
-			ShutdownFabric(survivor)
+			shutdownFabric(survivor)
 			for i, p := range procs {
 				if i == tc.victim {
 					continue
@@ -266,6 +314,8 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 			if err := repl.Wait(); err != nil {
 				t.Fatalf("replacement exited: %v", err)
 			}
+			seed.Close()
+			leakcheck.Goroutines(t, base)
 		})
 	}
 }
@@ -276,8 +326,10 @@ func TestClusterFabricFaultFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fabric smoke skipped in -short")
 	}
-	wl := Workload{Ranks: 4, Phases: 6, InsertsPerPhase: 5, Mode: ModeCausal}
-	seed, err := NewFabricSeed(Config{Listen: "127.0.0.1:0", Workload: wl, Fabric: smokeTuning})
+	base := runtime.NumGoroutine()
+	wl := workload{Ranks: 4, Phases: 6, InsertsPerPhase: 5}
+	cfg := seedConfig{Listen: "127.0.0.1:0", Workload: wl, Fabric: smokeTuning, Timeout: 60 * time.Second}
+	seed, err := newFabricSeed(cfg)
 	if err != nil {
 		t.Fatalf("fabric seed: %v", err)
 	}
@@ -287,7 +339,7 @@ func TestClusterFabricFaultFree(t *testing.T) {
 		defer reap(p)
 	}
 	frames := seed.FramesServed()
-	got, err := CollectFabric(members[0].Addr, wl, 60*time.Second)
+	got, err := collectFabric(members[0].Addr, cfg)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
@@ -304,10 +356,51 @@ func TestClusterFabricFaultFree(t *testing.T) {
 			t.Fatalf("fault-free run perturbed membership: %+v", m)
 		}
 	}
-	ShutdownFabric(members[0].Addr)
+	shutdownFabric(members[0].Addr)
 	for i, p := range procs {
 		if err := p.Wait(); err != nil {
 			t.Fatalf("rank %d exited: %v", i, err)
 		}
+	}
+	seed.Close()
+	leakcheck.Goroutines(t, base)
+}
+
+// TestClusterConfigValidate pins the descriptive rejections of the seed
+// and workload knobs.
+func TestClusterConfigValidate(t *testing.T) {
+	wl := workload{Ranks: 4, Phases: 3, InsertsPerPhase: 4}
+	cases := []struct {
+		name string
+		mut  func(*seedConfig)
+		want string
+	}{
+		{"ok", func(c *seedConfig) {}, ""},
+		{"no-listen", func(c *seedConfig) { c.Listen = "" }, "Listen address"},
+		{"bad-listen", func(c *seedConfig) { c.Listen = "nonsense" }, "listen address"},
+		{"one-rank", func(c *seedConfig) { c.Workload.Ranks = 1 }, "at least 2 ranks"},
+		{"no-phases", func(c *seedConfig) { c.Workload.Phases = 0 }, "at least 1 phase"},
+		{"no-inserts", func(c *seedConfig) { c.Workload.InsertsPerPhase = 0 }, "at least 1 insert"},
+		{"negative-delay", func(c *seedConfig) { c.Workload.PhaseDelay = -time.Second }, "phase delay"},
+		{"negative-timeout", func(c *seedConfig) { c.Timeout = -time.Second }, "timeout"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := seedConfig{Listen: "127.0.0.1:0", Workload: wl}
+			tc.mut(&cfg)
+			err := cfg.validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid config rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -84,24 +84,22 @@ func hash(k uint64) uint64 {
 	return k ^ (k >> 31)
 }
 
-// Placement returns the rank owning a key's home volume and the key's
-// table slot within it, for n ranks. Deterministic workload generators
-// (the multi-process cluster's conflict-free schedules) use it to steer
-// keys; Store uses the same mapping internally.
-func (c Config) Placement(key uint64, n int) (owner, slot int) {
+// placement returns the rank owning a key's home volume and the key's
+// table slot within it, for n ranks.
+func (c Config) placement(key uint64, n int) (owner, slot int) {
 	h := hash(key)
 	return int(h % uint64(n)), int((h >> 17) % uint64(c.TableSlots))
 }
 
 // owner returns the rank owning a key's home volume.
 func (s *Store) owner(key uint64) int {
-	o, _ := s.cfg.Placement(key, s.api.N())
+	o, _ := s.cfg.placement(key, s.api.N())
 	return o
 }
 
 // slot returns the key's table slot within its volume.
 func (s *Store) slot(key uint64) int {
-	_, sl := s.cfg.Placement(key, s.api.N())
+	_, sl := s.cfg.placement(key, s.api.N())
 	return sl
 }
 

@@ -20,7 +20,8 @@ import (
 // the membership and hosting tables with one parity level: the fabric has
 // no coordinated level, so it refuses every Fallback verdict (several
 // ranks dead at once, an N/M-flagged victim, a group that lost a member
-// and its parity host) until it gains one (ROADMAP item 8).
+// and its parity host) until it gains one (ROADMAP item 5, step 0); the
+// in-process ftrma stack recovers those.
 func (nd *Node) maybeArbiter() {
 	if nd.state.Load() != stLive || nd.failedOrClosed() != nil {
 		return
@@ -151,7 +152,7 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	case len(dead) > 1:
 		return fmt.Errorf("fabric: %d ranks dead at once; the fabric recovers single failures", len(dead))
 	case flagged:
-		return errors.New("fabric: victim has N/M-flagged epochs; non-causal replay needs the coordinator runtime")
+		return errors.New("fabric: victim has N/M-flagged epochs; non-causal recovery needs the in-process ftrma stack")
 	default:
 		return fmt.Errorf("fabric: group %d lost both a member and its parity host (rank %d)", nd.grouping.GroupOf(victim), victim)
 	}

@@ -8,7 +8,7 @@
 // membership table and is never contacted again (workers close their seed
 // connection right after joining, so the steady-state put/get path has
 // zero coordinator round trips by construction — the frame accounting in
-// the cluster's coordinatorless smoke test asserts it).
+// rankd's coordinatorless smoke test asserts it).
 //
 // # Who hosts what
 //
@@ -92,16 +92,16 @@
 // The fabric is deliberately scoped to the paper's cheap path: causal
 // (conflict-free) workloads, coordinated checkpoints at every gsync, one
 // failure at a time. Combining accumulates, structure locks, and demand
-// checkpoints stay on the legacy coordinator runtime. Survivability is
+// checkpoints stay on the in-process ftrma stack. Survivability is
 // ftrma.Classify over the membership and hosting tables with one parity
 // level: there is no coordinated level to roll back to, so every verdict
 // but causal — several ranks dead at once (a second failure mid-crisis
 // included), an N/M-flagged victim, a group that lost a member and its
 // parity host — is reported as an error rather than recovered, until the
-// fabric gains that level (ROADMAP item 8). An arbiter death mid-crisis
-// is reported likewise.
+// fabric gains that level (ROADMAP item 5, step 0). An arbiter death
+// mid-crisis is reported likewise.
 //
-// docs/WIRE.md §5 is the normative spec of the fabric frames (0x40–0x4F);
+// docs/WIRE.md §3 is the normative spec of the fabric frames (0x40–0x50);
 // docs/ARCHITECTURE.md draws the hub-free topology.
 package fabric
 
@@ -142,7 +142,7 @@ type Hosting struct {
 
 // Tuning groups the fabric's membership timing knobs: the lease that
 // detects silent peers and the gossip cadence that spreads verdicts.
-// cluster.Config.Fabric carries one of these; the seed distributes it so
+// SeedConfig.Tuning carries one of these; the seed distributes it so
 // every rank runs identical timings.
 type Tuning struct {
 	// LeaseInterval is the heartbeat period on peer connections; with

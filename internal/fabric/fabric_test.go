@@ -4,7 +4,7 @@ package fabric
 // over an in-memory network (net.Pipe behind a transport.DialerFunc) that
 // records every connection it hands out. The end-to-end behaviour — bit
 // identity with the oracle through kills — is the conformance suite's job
-// (internal/transport, internal/transport/cluster, internal/soak); these
+// (internal/transport, cmd/rankd, internal/soak); these
 // pin the rules that keep it from wedging: one connection per (rank,
 // incarnation), no verdicts from a joining node, a bounded peer table,
 // and a Close that leaves nothing running.

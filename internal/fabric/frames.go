@@ -11,10 +11,11 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Fabric frame types, 0x40–0x4F, disjoint from the coordinator protocol's
-// 0x20–0x3A so a misdirected frame fails loudly instead of aliasing.
-// docs/WIRE.md §5 is the normative payload spec; the enc/dec helpers in
-// this file are the implementation of record.
+// Fabric frame types, 0x40–0x50, disjoint from the tcp peer protocol's
+// 0x10–0x16 so a misdirected frame fails loudly instead of aliasing.
+// docs/WIRE.md §3 is the normative payload spec; the enc/dec helpers in
+// this file are the implementation of record, and TestWireDocMatchesFrames
+// holds the two to the same catalog.
 const (
 	// fJoin (call, joiner → seed or any live node): {addr}. A long poll:
 	// the reply comes when there is one to give and carries a mode byte,
@@ -191,10 +192,8 @@ func decHostings(d *wire.Dec) ([]Hosting, bool) {
 	return hs, !d.Failed()
 }
 
-// encRecord mirrors the coordinator protocol's record production
-// (cluster/host.go) so the two runtimes stay wire-compatible at the
-// record level; fabric keeps its own copy because the cluster package
-// layers above fabric, not below it.
+// encRecord writes one logged access (WIRE.md §3's record): the install
+// and fLogFetch replies carry lists of them.
 func encRecord(e *wire.Enc, r ftrma.LogRecord) {
 	e.B(byte(r.Kind))
 	e.I(r.Src)

@@ -1170,45 +1170,45 @@ func (nd *Node) ackBatch(target, phase int, ops []pendOp, reply []byte) {
 	}
 }
 
-// Unsupported coordinator-runtime surface (see the package doc: the
-// fabric is scoped to causal workloads).
+// Unsupported rma.API surface (see the package doc: the fabric is scoped
+// to causal workloads; the in-process ftrma stack runs the rest).
 func (nd *Node) Accumulate(target, off int, data []uint64, op rma.ReduceOp) {
 	if op == rma.OpReplace {
 		nd.Put(target, off, data)
 		return
 	}
-	panic("fabric: combining Accumulate requires the coordinator runtime")
+	panic("fabric: combining Accumulate requires the in-process ftrma stack")
 }
 
 // CompareAndSwap implements rma.API by rejection.
 func (nd *Node) CompareAndSwap(target, off int, old, new uint64) uint64 {
-	panic("fabric: CompareAndSwap requires the coordinator runtime")
+	panic("fabric: CompareAndSwap requires the in-process ftrma stack")
 }
 
 // FetchAndOp implements rma.API by rejection.
 func (nd *Node) FetchAndOp(target, off int, operand uint64, op rma.ReduceOp) uint64 {
-	panic("fabric: FetchAndOp requires the coordinator runtime")
+	panic("fabric: FetchAndOp requires the in-process ftrma stack")
 }
 
 // GetAccumulate implements rma.API by rejection.
 func (nd *Node) GetAccumulate(target, off int, data []uint64, op rma.ReduceOp) []uint64 {
-	panic("fabric: GetAccumulate requires the coordinator runtime")
+	panic("fabric: GetAccumulate requires the in-process ftrma stack")
 }
 
 // Lock implements rma.API by rejection.
 func (nd *Node) Lock(target, str int) {
-	panic("fabric: structure locks require the coordinator runtime")
+	panic("fabric: structure locks require the in-process ftrma stack")
 }
 
 // Unlock implements rma.API by rejection.
 func (nd *Node) Unlock(target, str int) {
-	panic("fabric: structure locks require the coordinator runtime")
+	panic("fabric: structure locks require the in-process ftrma stack")
 }
 
 // Barrier implements rma.API by rejection (Gsync is the fabric's only
 // collective).
 func (nd *Node) Barrier() {
-	panic("fabric: Barrier requires the coordinator runtime; use Gsync")
+	panic("fabric: Barrier requires the in-process ftrma stack; use Gsync")
 }
 
 // Compute implements rma.API (the fabric carries no virtual clock).

@@ -344,12 +344,11 @@ func TestReplaceRefusesNothing(t *testing.T) {
 	checkCommitted(t, f, "after the run")
 }
 
-// TestReplacementKilledBeforeItsFirstFold is the fabric's version of the hub
-// runtime's kill of the replacement mid-replay: the first replacement of a
-// victim closes before its first Sync, so it never folds, and a second
-// replacement still brings the fabric through every phase with each
-// write-once word in place. The victims are the arbiter, a parity host and a
-// rank that hosts nothing.
+// TestReplacementKilledBeforeItsFirstFold kills a replacement mid-recovery:
+// the first replacement of a victim closes before its first Sync, so it
+// never folds, and a second replacement still brings the fabric through
+// every phase with each write-once word in place. The victims are the
+// arbiter, a parity host and a rank that hosts nothing.
 func TestReplacementKilledBeforeItsFirstFold(t *testing.T) {
 	for _, victim := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {

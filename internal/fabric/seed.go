@@ -22,7 +22,7 @@ type SeedConfig struct {
 	// set of lease/gossip timings.
 	Tuning Tuning
 	// Meta is an opaque workload blob handed to every rank verbatim
-	// (the cluster glue encodes its Workload here).
+	// (rankd encodes its workload here).
 	Meta []byte
 	// Listener accepts join connections. The seed owns it.
 	Listener net.Listener

@@ -355,12 +355,6 @@ func (p *Process) maybeCCAfterGsync(tSync float64) {
 	if p.sys.cfg.Scheme != CCGsync || p.ccInterval <= 0 {
 		return
 	}
-	if p.sys.ccSuspended.Load() {
-		// A recovery is pending (see System.SetCCSuspended): skip the
-		// round uniformly. The flag was raised while every rank was inside
-		// the gsync barrier, so all ranks read the same value here.
-		return
-	}
 	if p.lastCC == 0 {
 		// The first gsync anchors the schedule (identically at every
 		// rank: tSync is the synchronized release time).

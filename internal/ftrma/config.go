@@ -30,9 +30,8 @@
 // the shards model the paper's infallible checksum processes;
 // Config.PeerParityHosts tags each level with an elected hosting rank, so
 // that the host's death loses the shards and forces the rebuild +
-// re-election path. The transport/cluster coordinator runs this same
-// System for its worker processes; the symmetric fabric (internal/fabric)
-// keeps each rank's logs and its group's parity in real peer processes.
+// re-election path. The symmetric fabric (internal/fabric) keeps each
+// rank's logs and its group's parity in real peer processes instead.
 //
 // # Invariants
 //
@@ -163,9 +162,8 @@ type Config struct {
 	// rank — outside the group when possible, the UC and CC levels on
 	// distinct ranks when possible — and the hosting rank's death loses
 	// the shards, forcing a rebuild from the surviving members' copies
-	// and a handoff to a freshly elected host. The transport/cluster
-	// coordinator sets it by default, with its worker sessions as the
-	// liveness a host election consults (System.SetHostAlive).
+	// and a handoff to a freshly elected host. The fabric hosts parity
+	// this way; here it models that placement in-process.
 	PeerParityHosts bool
 	// TAware enables topology-aware group formation; Placement must then
 	// describe where ranks run.
@@ -277,14 +275,8 @@ type Stats struct {
 	PFSCheckpoints    int // per-rank stable-storage flushes (multi-level)
 	Recoveries        int
 	Fallbacks         int // causal recovery aborted, rolled back to CC
-	CausalRecoveries  int // recoveries completed on the cheap path (§4: replay, no rollback)
 	ParityRebuilds    int // parity re-encoded after its hosting rank died
 	ParityHandoffs    int // parity re-elections onto a new hosting rank
 	ActionsReplayed   int
 	CheckpointSeconds float64 // virtual time spent checkpointing
-	// Wall-clock recovery cost, accumulated by the driver (the cluster
-	// coordinator times its crisis Phase C) — the paper's Fig. 12 metric,
-	// split by which path recovery took.
-	CausalRecoveryUs   float64
-	FallbackRecoveryUs float64
 }

@@ -1,12 +1,12 @@
 package ftrma
 
-// Concurrency audit of the log store under the transport's concurrent
-// remote recovery-fetch: in the multi-process cluster, a recovery's
-// copyLP/copyLG snapshots run on coordinator goroutines while surviving
-// ranks' sessions keep appending, trimming, and compacting the same
-// store. These tests hammer every mutating path against the fetch paths
-// and validate (a) under -race, that the byte counters, per-peer
-// aggregates, and slab arenas are data-race free, and (b) functionally,
+// Concurrency audit of the log store under a concurrent remote
+// recovery-fetch: on the fabric, a recovery's copyLP/copyLG snapshots run
+// on frame-handler goroutines while the surviving rank keeps appending,
+// trimming, and compacting the same store. These tests hammer every
+// mutating path against the fetch paths and validate (a) under -race,
+// that the byte counters, per-peer aggregates, and slab arenas are
+// data-race free, and (b) functionally,
 // that materialized payloads are never torn by a concurrent trim, clear,
 // or slab compaction (each record's payload is self-describing and must
 // come out intact).

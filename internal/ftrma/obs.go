@@ -4,9 +4,9 @@ package ftrma
 // registry (Config.Metrics). The recovery path carries its own live
 // counters and per-stage latency histograms — ftrma.recover.* — and the
 // cumulative Stats block is mirrored as ftrma.stats.* gauges every time
-// Stats() is read, so a debug-endpoint scrape of a coordinator process
-// sees the same numbers its driver prints. All instruments are
-// pre-resolved at NewSystem; the per-event cost is one atomic add.
+// Stats() is read, so a scrape sees the same numbers the driver prints.
+// All instruments are pre-resolved at NewSystem; the per-event cost is one
+// atomic add.
 
 import "repro/internal/obs"
 
@@ -57,7 +57,6 @@ func newSysMetrics(r *obs.Registry) *sysMetrics {
 		{"ftrma.stats.pfs_checkpoints", func(s *Stats) int64 { return int64(s.PFSCheckpoints) }},
 		{"ftrma.stats.recoveries", func(s *Stats) int64 { return int64(s.Recoveries) }},
 		{"ftrma.stats.fallbacks", func(s *Stats) int64 { return int64(s.Fallbacks) }},
-		{"ftrma.stats.causal_recoveries", func(s *Stats) int64 { return int64(s.CausalRecoveries) }},
 		{"ftrma.stats.parity_rebuilds", func(s *Stats) int64 { return int64(s.ParityRebuilds) }},
 		{"ftrma.stats.parity_handoffs", func(s *Stats) int64 { return int64(s.ParityHandoffs) }},
 		{"ftrma.stats.actions_replayed", func(s *Stats) int64 { return int64(s.ActionsReplayed) }},

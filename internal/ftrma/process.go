@@ -129,14 +129,6 @@ func (p *Process) LogBytes() int { return p.logs.Bytes() }
 // resume from.
 func (p *Process) GNC() int { return int(p.gnc.Load()) }
 
-// SyncGNC overwrites the rank's gsync counter. It is the replay driver's
-// final act (Algorithm 2's "p_new adopts E of the survivors"): a causally
-// recovered rank replays forward from its restored checkpoint without
-// re-entering the collectives the survivors already completed, so its
-// counter must be adopted, not earned. Callers must hold the machine
-// quiescent (a crisis, or a single-rank RunRank recovery window).
-func (p *Process) SyncGNC(gnc int) { p.gnc.Store(int64(gnc)) }
-
 // UCCheckpoint takes an uncoordinated checkpoint of this rank now. It obeys
 // the epoch condition of §3.2.2: the caller must be at an epoch boundary
 // (no outstanding accesses). Applications typically call it once after

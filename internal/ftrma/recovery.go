@@ -216,7 +216,7 @@ func (s *System) reseedGroupParity() {
 // held).
 func (s *System) reinstallLevelLocked(grp *chGroup, level int, shards [][]uint64) {
 	pr := &grp.parity[level]
-	if pr.rank >= 0 && (!pr.valid || !s.parityAlive(pr.rank)) {
+	if pr.rank >= 0 && (!pr.valid || !s.world.Alive(pr.rank)) {
 		s.placeLevelLocked(grp, level, shards)
 		s.bumpStats(func(st *Stats) { st.ParityHandoffs++ })
 		return

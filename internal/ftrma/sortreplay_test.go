@@ -10,10 +10,9 @@ import (
 // TestSortReplayStableOrder pins ReplayOrder, the Theorem-4.2 replay order: puts
 // lexicographic by (GNC, SC, EC), gets by (GNC, GC), each sort stable —
 // records the counters do not order (||co accesses) must keep the fetch
-// order, which is what makes replay access-deterministic. The cluster's
-// cross-process replay streams exactly this order over the wire, so the
-// property is load-bearing for the chaos harness, not just in-process
-// recovery.
+// order, which is what makes replay access-deterministic. The fabric's
+// install ships exactly this order over the wire, so the property is
+// load-bearing across processes, not just in-process recovery.
 func TestSortReplayStableOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 

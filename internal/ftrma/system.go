@@ -3,7 +3,6 @@ package ftrma
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/erasure"
 	"repro/internal/machine"
@@ -207,22 +206,7 @@ type System struct {
 	procs    []*Process
 	groups   []*chGroup
 
-	// hostAlive is the liveness predicate parity elections and host
-	// repair consult (SetHostAlive); nil means World.Alive.
-	hostAlive func(rank int) bool
-
 	pfs *pfsStore
-
-	// ccSuspended pauses the transparent coordinated-checkpoint schedule.
-	// The multi-process cluster's failure detector raises it while a
-	// recovery is pending — the ranks draining their last collective round
-	// must not open a new checkpoint round that the failed rank can never
-	// join (ccRound is barrier-bracketed, so a partial round would both
-	// deadlock and cut inconsistently). The flag is only observed at
-	// globally synchronized points (right after a gsync barrier), so
-	// raising it while every rank is blocked in that barrier yields a
-	// uniform skip decision.
-	ccSuspended atomic.Bool
 
 	// streamDelay, when non-nil, perturbs the streaming checkpoint
 	// schedule: it is called once per chunk batch (on the first checksum
@@ -291,19 +275,6 @@ func NewSystem(w *rma.World, cfg Config) (*System, error) {
 
 // ---- Parity residence ------------------------------------------------------
 
-// SetHostAlive installs the liveness predicate elections and host repair
-// consult (nil restores World.Alive). The cluster coordinator supplies
-// "has a live worker session": a respawned-but-not-yet-rejoined rank is
-// World-alive yet cannot host anything.
-func (s *System) SetHostAlive(f func(rank int) bool) { s.hostAlive = f }
-
-func (s *System) parityAlive(r int) bool {
-	if s.hostAlive != nil {
-		return s.hostAlive(r)
-	}
-	return s.world.Alive(r)
-}
-
 // encodeLevel re-encodes one level's shards from the members' current
 // checkpoint copies, each read under its owner's ckptMu.
 func (s *System) encodeLevel(grp *chGroup, level int) [][]uint64 {
@@ -325,7 +296,7 @@ func (s *System) encodeLevel(grp *chGroup, level int) [][]uint64 {
 // ElectParityHost policy, steering clear of the other level's host
 // (grp.mu held, or grp not yet shared).
 func (s *System) electParityHost(grp *chGroup, level int) int {
-	return ElectParityHost(s.world.N(), grp.members, grp.group, level, s.parityAlive, grp.parity[1-level].rank)
+	return ElectParityHost(s.world.N(), grp.members, grp.group, level, s.world.Alive, grp.parity[1-level].rank)
 }
 
 // placeLevelLocked elects a hosting rank for one level and installs
@@ -368,7 +339,7 @@ func (s *System) repairParityHosts(f int) {
 			grp.mu.Lock()
 			pr := grp.parity[level]
 			grp.mu.Unlock()
-			if pr.rank < 0 || pr.rank != f && s.parityAlive(pr.rank) {
+			if pr.rank < 0 || pr.rank != f && s.world.Alive(pr.rank) {
 				continue
 			}
 			if !allMembersAlive {
@@ -399,12 +370,6 @@ func (s *System) Grouping() machine.Grouping { return s.grouping }
 // groupOf returns the chGroup a rank belongs to.
 func (s *System) groupOf(r int) *chGroup { return s.groups[s.grouping.GroupOf(r)] }
 
-// SetCCSuspended pauses (true) or resumes (false) the transparent
-// coordinated-checkpoint schedule. See the ccSuspended field for the
-// consistency argument; the batch system (cluster coordinator) is the
-// intended caller, around a pending recovery.
-func (s *System) SetCCSuspended(v bool) { s.ccSuspended.Store(v) }
-
 // Stats returns a snapshot of the protocol counters, mirroring the block
 // into the ftrma.stats.* gauges of the metrics registry as it goes.
 func (s *System) Stats() Stats {
@@ -419,23 +384,4 @@ func (s *System) bumpStats(f func(*Stats)) {
 	s.statsMu.Lock()
 	f(&s.stats)
 	s.statsMu.Unlock()
-}
-
-// NoteCausalRecovery records a completed causal (replay) recovery and the
-// wall-clock microseconds its driver spent on it. Recover itself cannot
-// know: whether the cheap path *completes* is the driver's call (the
-// cluster coordinator still has to replay the records as a replacement
-// worker catches up).
-func (s *System) NoteCausalRecovery(us float64) {
-	s.bumpStats(func(st *Stats) {
-		st.CausalRecoveries++
-		st.CausalRecoveryUs += us
-	})
-}
-
-// NoteFallbackRecovery records the wall-clock microseconds a driver spent
-// on a coordinated-rollback recovery (the Fallbacks counter itself is
-// bumped by FallbackToCC).
-func (s *System) NoteFallbackRecovery(us float64) {
-	s.bumpStats(func(st *Stats) { st.FallbackRecoveryUs += us })
 }

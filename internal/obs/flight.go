@@ -77,7 +77,7 @@ const (
 	CrisisTotal
 )
 
-// CrisisStages lists every stage in timeline order; the chaos harness
+// CrisisStages lists every stage in timeline order; rankd's kill -9 smoke
 // asserts a nonzero span duration for each.
 var CrisisStages = []CrisisStage{CrisisQuiesce, CrisisGather, CrisisRebuild, CrisisInstall, CrisisTotal}
 

@@ -12,8 +12,8 @@ import (
 )
 
 // Scrape fetches and parses the Prometheus endpoint of one debug
-// address ("host:port" or a full URL). The chaos harness calls this for
-// every rank post-run.
+// address ("host:port" or a full URL). rankd's kill -9 smoke calls this
+// for every rank post-run.
 func Scrape(addr string) (map[string]float64, error) {
 	url := addr
 	if !strings.Contains(url, "://") {

@@ -37,9 +37,8 @@ type CorrelatedConfig struct {
 	CheckpointEveryIters int
 	// PeerParityHosts places each group's parity shards on elected peer
 	// ranks (ftrma's ElectParityHost policy) instead of the paper's
-	// infallible checksum processes. The cluster and fabric runtimes host
-	// parity this way, so predictions meant to match a real cluster run
-	// must set it: a node loss can then take a group's member copy and
+	// infallible checksum processes. The fabric hosts parity this way, so
+	// predictions meant to match a real multi-process run must set it: a node loss can then take a group's member copy and
 	// the parity guarding it down together — the §5.1 catastrophic case —
 	// which infallible-checksum simulations never see.
 	PeerParityHosts bool
@@ -70,9 +69,9 @@ func (c CorrelatedConfig) rankOfSlot(node, slot int) int {
 	return node + slot*c.Nodes
 }
 
-// RankOfSlot exposes the placement's (node, slot) -> rank mapping: the
-// cluster chaos harness derives its correlated whole-node kill schedules
-// from the same mapping the simulation uses.
+// RankOfSlot exposes the placement's (node, slot) -> rank mapping, so a
+// caller can name a whole node's ranks the way the simulation places
+// them.
 func (c CorrelatedConfig) RankOfSlot(node, slot int) int { return c.rankOfSlot(node, slot) }
 
 // Validate checks the configuration.
@@ -183,12 +182,11 @@ func SimulateCorrelated(cfg CorrelatedConfig) (CorrelatedReport, error) {
 // PredictCrash classifies the recovery one simultaneous fail-stop crash
 // of the given ranks admits under this config's grouping and parity
 // placement: ftrma.Classify over the hosts a fresh ftrma.System elects
-// (the paper's infallible checksum processes unless PeerParityHosts). The
-// chaos harness derives its survivability expectations from this — the
-// same grouping, election policy and rule the cluster runs — so a cluster
-// run disagreeing with the prediction is a runtime bug, not a modeling
-// gap. Set PeerParityHosts when the run under test hosts parity on peer
-// ranks (the cluster and fabric do).
+// (the paper's infallible checksum processes unless PeerParityHosts): the
+// same grouping, election policy and rule the runtimes use, so a run
+// disagreeing with the prediction is a runtime bug, not a modeling gap.
+// Set PeerParityHosts when the run under test hosts parity on peer ranks
+// (the fabric does).
 func (c CorrelatedConfig) PredictCrash(ranks []int) (ftrma.Verdict, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err

@@ -83,8 +83,8 @@ func TestCorrelatedSingleRankNodesUseCausalRecovery(t *testing.T) {
 }
 
 func TestPredictCrashVerdicts(t *testing.T) {
-	// The chaos harness's machine: 2 nodes x 2 ranks, 2 groups, t-aware,
-	// parity hosted on peer ranks like the cluster runtime.
+	// 2 nodes x 2 ranks, 2 groups, t-aware, parity hosted on peer ranks
+	// as the fabric hosts it.
 	cfg := CorrelatedConfig{
 		Nodes: 2, RanksPerNode: 2, Iters: 8,
 		TAware: true, Groups: 2, PeerParityHosts: true,

@@ -3,7 +3,6 @@ package rma
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -359,65 +358,6 @@ func TestKillReleasesHeldLocks(t *testing.T) {
 			p.Unlock(0, StrWindow)
 		}
 	})
-}
-
-// TestReleaseLocksHeldByUnblocksWaiters is the lock-aware crisis' core
-// guarantee, per structure: when a condemned rank dies holding a lock —
-// any protocol structure lock or a user lock — force-releasing its locks
-// must wake a survivor already blocked in Lock, promptly and without
-// killing the holder first (Kill is gated on a collective the blocked
-// survivor could otherwise never reach). Also pins the sweep idiom: the
-// first ReleaseLocksHeldBy reports a release, a second reports none.
-func TestReleaseLocksHeldByUnblocksWaiters(t *testing.T) {
-	structures := []struct {
-		name string
-		s    int
-	}{
-		{"StrWindow", StrWindow},
-		{"StrMeta", StrMeta},
-		{"StrLP", StrLP},
-		{"StrLG", StrLG},
-		{"UserLock", NumStructures}, // first extra lock
-	}
-	for _, tc := range structures {
-		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorld(Config{N: 3, WindowWords: 8, ExtraLocks: 1})
-			held := make(chan struct{})
-			released := make(chan bool, 1)
-			var waited time.Duration
-			w.Run(func(r int) {
-				p := w.Proc(r)
-				switch r {
-				case 1:
-					p.Lock(0, tc.s)
-					close(held)
-					// Condemned: unwinds without ever unlocking.
-				case 2:
-					<-held
-					go func() {
-						// Give the Lock below time to actually block, so
-						// the release exercises the waiter-wakeup path
-						// (the no-contention order is safe either way).
-						time.Sleep(20 * time.Millisecond)
-						released <- w.ReleaseLocksHeldBy(1)
-					}()
-					start := time.Now()
-					p.Lock(0, tc.s)
-					waited = time.Since(start)
-					p.Unlock(0, tc.s)
-				}
-			})
-			if !<-released {
-				t.Fatal("ReleaseLocksHeldBy reported no lock held by the condemned rank")
-			}
-			if w.ReleaseLocksHeldBy(1) {
-				t.Fatal("second sweep found a lock the first should have released")
-			}
-			if waited > 5*time.Second {
-				t.Fatalf("survivor waited %v for the force-released lock", waited)
-			}
-		})
-	}
 }
 
 func TestRespawnJoinsCollectives(t *testing.T) {

@@ -203,9 +203,8 @@ func (w *window) release(str, p int, now, latency float64) {
 }
 
 // releaseIfHeldBy force-releases the lock if rank p holds it (crash
-// cleanup). Reports whether a release happened.
-func (w *window) releaseIfHeldBy(p int) bool {
-	released := false
+// cleanup).
+func (w *window) releaseIfHeldBy(p int) {
 	for i := range w.locks {
 		ls := &w.locks[i]
 		ls.meta.Lock()
@@ -213,10 +212,8 @@ func (w *window) releaseIfHeldBy(p int) bool {
 			ls.holder = -1
 			ls.meta.Unlock()
 			ls.mu.Unlock()
-			released = true
 			continue
 		}
 		ls.meta.Unlock()
 	}
-	return released
 }

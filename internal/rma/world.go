@@ -25,9 +25,6 @@ type Config struct {
 	WindowWords int
 	// Params is the machine cost model; zero value means sim.DefaultParams.
 	Params sim.Params
-	// ExtraLocks adds lockable structures beyond the standard set
-	// (NumStructures) to every rank.
-	ExtraLocks int
 	// Transport, when non-nil, builds each rank's delivery transport; nil
 	// selects the in-process loopback (direct window access — the
 	// semantics this World always had). The conformance suite swaps in the
@@ -63,15 +60,6 @@ type tracerBox struct{ t Tracer }
 
 // killed is the panic value used to unwind a killed rank's goroutine.
 type killed struct{ rank int }
-
-// IsKillUnwind reports whether a recovered panic value is the runtime's
-// fail-stop unwind of a killed rank. Drivers that run rank code on their
-// own goroutines (the multi-process cluster's per-rank sessions, instead of
-// World.Run) use it to swallow the unwind exactly as Run does.
-func IsKillUnwind(e any) bool {
-	_, ok := e.(killed)
-	return ok
-}
 
 // TargetFailedError is the panic value raised when a rank accesses the
 // window of a failed rank. Recovery protocols catch it via RunRank.
@@ -109,7 +97,7 @@ func NewWorld(cfg Config) *World {
 	w.windows = make([]*window, cfg.N)
 	w.procs = make([]*Proc, cfg.N)
 	for r := 0; r < cfg.N; r++ {
-		w.windows[r] = newWindow(cfg.WindowWords, NumStructures+cfg.ExtraLocks)
+		w.windows[r] = newWindow(cfg.WindowWords, NumStructures)
 		w.procs[r] = newProc(w, r)
 	}
 	w.transports = make([]transport.Transport, cfg.N)
@@ -194,25 +182,6 @@ func (w *World) Kill(r int) {
 	w.barrier.Leave(r)
 }
 
-// ReleaseLocksHeldBy force-releases every structure lock rank r holds on
-// any rank's window, without fail-stopping r. It is the lock half of Kill,
-// split out for crisis protocols that must break a condemned rank's locks
-// *before* the machine can quiesce: a survivor blocked in Lock on a lock
-// the dead rank held can never drain into the collective rendezvous that
-// gates Kill itself. Only call it for ranks that are certainly dead or
-// condemned — force-releasing a live holder's lock corrupts the critical
-// section (and the holder's own Unlock will panic). Reports whether any
-// lock was released.
-func (w *World) ReleaseLocksHeldBy(r int) bool {
-	released := false
-	for _, win := range w.windows {
-		if win.releaseIfHeldBy(r) {
-			released = true
-		}
-	}
-	return released
-}
-
 // Respawn replaces a failed rank with a fresh process (the batch system
 // providing p_new, §4.3): a zeroed window, reset epochs, and a new clock
 // starting at the maximum virtual time of the surviving ranks (the
@@ -224,7 +193,7 @@ func (w *World) Respawn(r int) *Proc {
 		panic(fmt.Sprintf("rma: respawn of live rank %d", r))
 	}
 	w.respawns.Inc()
-	w.windows[r] = newWindow(w.cfg.WindowWords, NumStructures+w.cfg.ExtraLocks)
+	w.windows[r] = newWindow(w.cfg.WindowWords, NumStructures)
 	p := newProc(w, r)
 	start := 0.0
 	for i, q := range w.procs {

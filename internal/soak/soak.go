@@ -20,7 +20,7 @@ type Config struct {
 	// Tuning's zero value resolves to soak defaults sized for a loaded
 	// one-box machine (big fabrics on few cores need patient leases).
 	Tuning fabric.Tuning
-	// Groups is the parity group count; 0 picks the cluster default.
+	// Groups is the parity group count; 0 picks 2 (1 below 4 ranks).
 	Groups int
 	// Dir backs the shm rings; empty uses a fresh temp dir.
 	Dir string

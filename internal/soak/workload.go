@@ -134,9 +134,9 @@ func (w Workload) Targets(rank, p int) []int {
 }
 
 // RunPhase issues phase p of the workload for the calling rank on api and
-// returns the number of RMA operations issued. The shape mirrors the
-// cluster's causal mode: replacing puts of this rank's (rank, p) block to
-// every target, a blocking readback of the previous phase's own writes
+// returns the number of RMA operations issued. The shape mirrors rankd's
+// workload: replacing puts of this rank's (rank, p) block to every
+// target, a blocking readback of the previous phase's own writes
 // from one of its targets, and a copy-get of this phase's block landing
 // in the per-phase scratch word, flushed towards the get's target. The
 // caller closes the epoch (Sync/Gsync) afterwards.

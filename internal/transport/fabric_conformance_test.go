@@ -40,7 +40,7 @@ var confTuning = fabric.Tuning{
 // The miniature causal workload: per-(source, phase) disjoint replacing
 // puts to every peer, a blocking verify of the previous phase's own
 // writes, and a copy-get landing in a per-phase scratch word — the same
-// shape the cluster's causal mode uses, small enough to inline here.
+// shape rankd's workload uses, small enough to inline here.
 func fabWindowWords(n int) int { return n*fabPhases*fabInserts + fabPhases }
 
 func fabOff(src, phase int) int { return (src*fabPhases + phase) * fabInserts }

@@ -21,8 +21,8 @@
 // Implementations live in the subpackages: loopback (direct window access,
 // the semantics the in-process World always had), tcp (a length-prefixed
 // binary wire protocol between OS processes), and flaky (a fault-injecting
-// wrapper for tests). The cluster subpackage builds a process-per-rank
-// runtime on top of the same wire format.
+// wrapper for tests). The fabric (internal/fabric) builds the
+// process-per-rank runtime on the same wire framing.
 //
 // # Invariants
 //

@@ -1,4 +1,4 @@
-// Package wire is the framing layer of the tcp transport and the cluster
+// Package wire is the framing layer of the tcp transport and the fabric
 // runtime: length-prefixed binary frames over a net.Conn, matched
 // request/response calls, background dispatch of incoming requests, and
 // heartbeat-based liveness.
@@ -95,7 +95,7 @@ type RemoteFail struct {
 const (
 	CodeGeneric  byte = 0
 	CodePeerDead byte = 1
-	CodeCrisis   byte = 2 // cluster: a recovery is pending, retry after Await
+	CodeCrisis   byte = 2 // fabric: the node is closing; treat it as the connection going down
 )
 
 func (e RemoteFail) Error() string {
@@ -915,7 +915,7 @@ func (e *Enc) U(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 // representation in this protocol (counts, offsets, lengths): encoding
 // one is a programming error and panics rather than framing a value the
 // peer would decode as a huge count. Callers with -1 sentinels shift
-// them non-negative first (the cluster encodes localOff+1).
+// them non-negative first (the fabric encodes localOff+1).
 func (e *Enc) I(v int) {
 	if v < 0 {
 		panic(fmt.Sprintf("wire: Enc.I(%d): negative values are not encodable", v))

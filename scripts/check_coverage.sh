@@ -4,7 +4,7 @@
 # per-package statement-coverage floors.
 #
 # internal/fabric earns most of its coverage end-to-end — the transport
-# conformance suite, the cluster chaos harness, the soak package — on
+# conformance suite, rankd's multi-process smokes, the soak package — on
 # top of its in-package lifecycle tests; -coverpkg attributes that
 # cross-package execution to it.
 # The floors are tripwires, not targets: they catch a refactor that
@@ -21,7 +21,6 @@ PROFILE="${1:-coverage.out}"
 FLOORS="
 repro/internal/fabric 70
 repro/internal/ftrma 80
-repro/internal/transport/cluster 75
 "
 
 COVERPKG=$(echo "$FLOORS" | awk 'NF {printf "%s%s", sep, $1; sep=","}')

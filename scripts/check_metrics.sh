@@ -18,7 +18,7 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$LOG"' EXIT
 go build -o "$LOG/rankd" ./cmd/rankd
 
 "$LOG/rankd" -fabric-seed -listen "$ADDR" -n 2 -phases 8 -inserts 4 \
-    -phase-delay 150ms -mode causal -timeout 60s | tee "$LOG/seed.out" &
+    -phase-delay 150ms -timeout 60s | tee "$LOG/seed.out" &
 SEED=$!
 
 sleep 0.3

@@ -20,7 +20,7 @@ go build -o "$LOG/rankd" ./cmd/rankd
 go build -o "$LOG/flightcat" ./cmd/flightcat
 
 "$LOG/rankd" -fabric-seed -listen "$ADDR" -n 4 -phases 10 -inserts 4 \
-    -phase-delay 100ms -mode causal -timeout 90s | tee "$LOG/seed.out" &
+    -phase-delay 100ms -timeout 90s | tee "$LOG/seed.out" &
 SEED=$!
 
 # REPRO_DEBUG_DIR doubles as the pid->rank oracle: each worker logs

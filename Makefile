@@ -35,10 +35,9 @@ test-short:
 	$(GO) test -short ./...
 
 # The SWAR fallback leg of the kernel matrix: full suite with the AVX2 asm
-# path compiled out, plus the runtime env-knob cross-check.
+# path compiled out.
 test-noasm:
 	$(GO) test -tags noasm ./...
-	REPRO_ERASURE_NOASM=1 $(GO) test -count=1 ./internal/erasure
 
 race:
 	$(GO) test -race ./...

@@ -1,8 +1,8 @@
 package erasure
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,119 +78,192 @@ func TestMatInvert(t *testing.T) {
 	}
 }
 
-func randShards(rng *rand.Rand, k, n int) [][]byte {
-	out := make([][]byte, k)
+func randShards(rng *rand.Rand, k, n int) [][]uint64 {
+	out := make([][]uint64, k)
 	for i := range out {
-		out[i] = make([]byte, n)
-		rng.Read(out[i])
+		out[i] = randWords(rng, n)
 	}
 	return out
 }
 
+// xorOf is the paper's checksum, computed with the plain ^ operator: the
+// independent reference every m = 1 parity is held to.
+func xorOf(shards [][]uint64) []uint64 {
+	out := make([]uint64, len(shards[0]))
+	for _, s := range shards {
+		for i, w := range s {
+			out[i] ^= w
+		}
+	}
+	return out
+}
+
+// TestGeneratorFirstRowOnesAndMDS checks the normalized generator
+// exhaustively for every k ≤ 10 and m ≤ 5: the first parity row is all
+// ones (XOR), and every k x k submatrix inverts, so any k surviving shards
+// decode (the code is MDS).
+func TestGeneratorFirstRowOnesAndMDS(t *testing.T) {
+	for k := 1; k <= 10; k++ {
+		for m := 1; m <= 5; m++ {
+			rs, err := NewRS(k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < k; j++ {
+				if c := rs.coef(0, j); c != 1 {
+					t.Fatalf("RS(%d,%d): coef(0,%d) = %d, want 1", k, m, j, c)
+				}
+			}
+			rows := make([]int, k)
+			var choose func(next, depth int)
+			choose = func(next, depth int) {
+				if depth == k {
+					sub := make([][]byte, k)
+					for i, r := range rows {
+						sub[i] = rs.gen[r]
+					}
+					if _, ok := matInvert(sub); !ok {
+						t.Fatalf("RS(%d,%d): rows %v of the generator are singular", k, m, rows)
+					}
+					return
+				}
+				for r := next; r <= k+m-(k-depth); r++ {
+					rows[depth] = r
+					choose(r+1, depth+1)
+				}
+			}
+			choose(0, 0)
+		}
+	}
+}
+
+// TestXORRoundTrip: RS(k, 1) parity is the XOR of the shards, and any
+// single lost shard — data or parity — comes back bit-identical.
 func TestXORRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	shards := randShards(rng, 5, 64)
-	parity, err := EncodeXOR(shards)
+	const k, n = 5, 41
+	rs, err := NewRS(k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lost := 0; lost < 5; lost++ {
-		damaged := make([][]byte, 5)
-		copy(damaged, shards)
+	rng := rand.New(rand.NewSource(2))
+	data := randShards(rng, k, n)
+	parity, err := rs.EncodeWords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(parity[0], xorOf(data)) {
+		t.Fatal("RS(5,1) parity is not the XOR of the shards")
+	}
+	full := append(append([][]uint64{}, data...), parity...)
+	for lost := range full {
+		damaged := slices.Clone(full)
 		damaged[lost] = nil
-		got, err := ReconstructXOR(damaged, parity)
-		if err != nil {
+		if err := rs.ReconstructWords(damaged); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, shards[lost]) {
+		if !slices.Equal(damaged[lost], full[lost]) {
 			t.Fatalf("reconstruction of shard %d wrong", lost)
 		}
 	}
 }
 
 func TestXORErrors(t *testing.T) {
-	if _, err := EncodeXOR(nil); err == nil {
-		t.Error("accepted no shards")
+	rs, err := NewRS(2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := EncodeXOR([][]byte{{}}); err == nil {
+	if _, err := rs.EncodeWords([][]uint64{{1}}); err == nil {
+		t.Error("accepted too few shards")
+	}
+	if _, err := rs.EncodeWords([][]uint64{{}, {}}); err == nil {
 		t.Error("accepted empty shards")
 	}
-	if _, err := EncodeXOR([][]byte{{1, 2}, {3}}); err == nil {
+	if _, err := rs.EncodeWords([][]uint64{{1, 2}, {3}}); err == nil {
 		t.Error("accepted ragged shards")
 	}
-	if _, err := ReconstructXOR([][]byte{{1}, {2}}, []byte{3}); err == nil {
-		t.Error("accepted reconstruction with nothing missing")
-	}
-	if _, err := ReconstructXOR([][]byte{nil, nil}, []byte{3}); err == nil {
+	if err := rs.ReconstructWords([][]uint64{nil, nil, {3}}); err == nil {
 		t.Error("accepted two missing shards")
 	}
-	if err := UpdateXOR([]byte{1, 2}, []byte{1}); err == nil {
+	if err := rs.ReconstructWords([][]uint64{nil, {1, 2}, {3}}); err == nil {
+		t.Error("accepted ragged survivors")
+	}
+	intact := [][]uint64{{1}, {2}, {3}}
+	if err := rs.ReconstructWords(intact); err != nil || intact[0][0] != 1 || intact[2][0] != 3 {
+		t.Errorf("reconstruction with nothing missing: err %v, shards %v", err, intact)
+	}
+	if err := rs.UpdateParityWords([]uint64{1, 2}, 0, 0, []uint64{1}); err == nil {
 		t.Error("accepted mismatched update")
+	}
+	if err := rs.AddShardWords([]uint64{1}, 1, 0, []uint64{1}); err == nil {
+		t.Error("accepted parity index out of range")
+	}
+	if err := rs.UpdateParityDeltaWords([]uint64{1}, 0, 2, []uint64{1}, []uint64{2}); err == nil {
+		t.Error("accepted data index out of range")
 	}
 }
 
 func TestXORIncrementalUpdate(t *testing.T) {
 	// Folding out an old shard and folding in a new one must equal a fresh
-	// encode — the demand-checkpoint integration path of §6.2.
-	rng := rand.New(rand.NewSource(3))
-	shards := randShards(rng, 4, 32)
-	parity, err := EncodeXOR(shards)
+	// encode — the demand-checkpoint integration path of §6.2 — and so
+	// must folding the delta old^new once.
+	const k, n = 4, 32
+	rs, err := NewRS(k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newShard := make([]byte, 32)
-	rng.Read(newShard)
-	if err := UpdateXOR(parity, shards[2]); err != nil { // remove old
+	rng := rand.New(rand.NewSource(3))
+	shards := randShards(rng, k, n)
+	parity, err := rs.EncodeWords(shards)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := UpdateXOR(parity, newShard); err != nil { // add new
+	viaDelta := slices.Clone(parity[0])
+	newShard := randWords(rng, n)
+	if err := rs.AddShardWords(parity[0], 0, 2, shards[2]); err != nil { // remove old
+		t.Fatal(err)
+	}
+	if err := rs.AddShardWords(parity[0], 0, 2, newShard); err != nil { // add new
+		t.Fatal(err)
+	}
+	delta := make([]uint64, n)
+	for i := range delta {
+		delta[i] = shards[2][i] ^ newShard[i]
+	}
+	if err := rs.UpdateParityWords(viaDelta, 0, 2, delta); err != nil {
 		t.Fatal(err)
 	}
 	shards[2] = newShard
-	fresh, err := EncodeXOR(shards)
-	if err != nil {
-		t.Fatal(err)
+	want := xorOf(shards)
+	if !slices.Equal(parity[0], want) {
+		t.Fatal("fold-out/fold-in parity differs from the XOR of the new shards")
 	}
-	if !bytes.Equal(parity, fresh) {
-		t.Fatal("incremental parity differs from fresh encode")
+	if !slices.Equal(viaDelta, want) {
+		t.Fatal("delta-folded parity differs from the XOR of the new shards")
 	}
 }
 
 func TestXORProperty(t *testing.T) {
-	prop := func(data [][]byte, lostRaw uint8) bool {
-		var shards [][]byte
-		n := 0
-		for _, d := range data {
-			if len(d) > 0 {
-				if n == 0 {
-					n = len(d)
-				}
-				shards = append(shards, d[:min(len(d), n)])
-			}
-		}
-		// Normalize lengths.
-		for i := range shards {
-			s := make([]byte, n)
-			copy(s, shards[i])
-			shards[i] = s
-		}
-		if len(shards) < 2 || n == 0 {
-			return true
-		}
-		parity, err := EncodeXOR(shards)
+	// Property: RS(k, 1) parity = XOR, and erase(1) ∘ reconstruct = identity.
+	prop := func(kRaw, nRaw, lostRaw uint8, seed int64) bool {
+		k := int(kRaw)%16 + 1
+		n := int(nRaw)%64 + 1
+		rs, err := NewRS(k, 1)
 		if err != nil {
 			return false
 		}
-		lost := int(lostRaw) % len(shards)
-		orig := shards[lost]
-		damaged := make([][]byte, len(shards))
-		copy(damaged, shards)
+		data := randShards(rand.New(rand.NewSource(seed)), k, n)
+		parity, err := rs.EncodeWords(data)
+		if err != nil || !slices.Equal(parity[0], xorOf(data)) {
+			return false
+		}
+		full := append(data, parity[0])
+		lost := int(lostRaw) % len(full)
+		damaged := slices.Clone(full)
 		damaged[lost] = nil
-		got, err := ReconstructXOR(damaged, parity)
-		if err != nil {
+		if err := rs.ReconstructWords(damaged); err != nil {
 			return false
 		}
-		return bytes.Equal(got, orig)
+		return slices.Equal(damaged[lost], full[lost])
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -205,11 +278,11 @@ func TestRSRoundTripAllErasurePatterns(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	data := randShards(rng, k, n)
-	parity, err := rs.Encode(data)
+	parity, err := rs.EncodeWords(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := append(append([][]byte{}, data...), parity...)
+	full := append(append([][]uint64{}, data...), parity...)
 	// Try every pattern of up to m erasures.
 	var patterns [][]int
 	total := k + m
@@ -223,16 +296,15 @@ func TestRSRoundTripAllErasurePatterns(t *testing.T) {
 		}
 	}
 	for _, pat := range patterns {
-		shards := make([][]byte, total)
-		copy(shards, full)
+		shards := slices.Clone(full)
 		for _, i := range pat {
 			shards[i] = nil
 		}
-		if err := rs.Reconstruct(shards); err != nil {
+		if err := rs.ReconstructWords(shards); err != nil {
 			t.Fatalf("pattern %v: %v", pat, err)
 		}
 		for i := range shards {
-			if !bytes.Equal(shards[i], full[i]) {
+			if !slices.Equal(shards[i], full[i]) {
 				t.Fatalf("pattern %v: shard %d wrong", pat, i)
 			}
 		}
@@ -246,13 +318,13 @@ func TestRSTooManyErasures(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	data := randShards(rng, 4, 16)
-	parity, err := rs.Encode(data)
+	parity, err := rs.EncodeWords(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := append(append([][]byte{}, data...), parity...)
+	shards := append(append([][]uint64{}, data...), parity...)
 	shards[0], shards[1], shards[2] = nil, nil, nil
-	if err := rs.Reconstruct(shards); err == nil {
+	if err := rs.ReconstructWords(shards); err == nil {
 		t.Fatal("repaired more erasures than the code tolerates")
 	}
 }
@@ -271,44 +343,33 @@ func TestRSParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Encode(randShards(rand.New(rand.NewSource(1)), 2, 8)); err == nil {
+	if _, err := rs.EncodeWords(randShards(rand.New(rand.NewSource(1)), 2, 8)); err == nil {
 		t.Error("accepted wrong shard count")
 	}
-	if _, err := rs.Encode([][]byte{{1}, {2, 3}, {4}}); err == nil {
+	if _, err := rs.EncodeWords([][]uint64{{1}, {2, 3}, {4}}); err == nil {
 		t.Error("accepted ragged shards")
 	}
-	if err := rs.Reconstruct(make([][]byte, 4)); err == nil {
+	if err := rs.ReconstructWords(make([][]uint64, 4)); err == nil {
 		t.Error("accepted wrong total shard count")
 	}
 }
 
 func TestRSMatchesXORForM1(t *testing.T) {
-	// A k+1 systematic RS code's single parity shard must equal the XOR
-	// parity (both are the unique single-erasure-correcting parity).
-	const k, n = 5, 32
-	rs, err := NewRS(k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A k+1 systematic RS code's single parity shard is the plain XOR of
+	// the data shards — the paper's checksum (§5.2) — for every group size.
 	rng := rand.New(rand.NewSource(6))
-	data := randShards(rng, k, n)
-	parity, err := rs.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RS parity with all-ones generator row equals XOR; with a general
-	// Vandermonde-derived row it may differ, but reconstruction must still
-	// work for any single loss. Verify reconstruction instead of equality.
-	shards := append(append([][]byte{}, data...), parity...)
-	for lost := 0; lost <= k; lost++ {
-		damaged := make([][]byte, len(shards))
-		copy(damaged, shards)
-		damaged[lost] = nil
-		if err := rs.Reconstruct(damaged); err != nil {
-			t.Fatalf("lost %d: %v", lost, err)
+	for k := 1; k <= 32; k++ {
+		rs, err := NewRS(k, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(damaged[lost], shards[lost]) {
-			t.Fatalf("lost %d: wrong reconstruction", lost)
+		data := randShards(rng, k, 13)
+		parity, err := rs.EncodeWords(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(parity[0], xorOf(data)) {
+			t.Fatalf("k=%d: RS(k,1) parity is not the XOR of the data shards", k)
 		}
 	}
 }
@@ -326,21 +387,20 @@ func TestRSProperty(t *testing.T) {
 		}
 		local := rand.New(rand.NewSource(seed))
 		data := randShards(local, k, n)
-		parity, err := rs.Encode(data)
+		parity, err := rs.EncodeWords(data)
 		if err != nil {
 			return false
 		}
-		full := append(append([][]byte{}, data...), parity...)
-		shards := make([][]byte, len(full))
-		copy(shards, full)
+		full := append(append([][]uint64{}, data...), parity...)
+		shards := slices.Clone(full)
 		for _, i := range local.Perm(k + m)[:m] {
 			shards[i] = nil
 		}
-		if err := rs.Reconstruct(shards); err != nil {
+		if err := rs.ReconstructWords(shards); err != nil {
 			return false
 		}
 		for i := range shards {
-			if !bytes.Equal(shards[i], full[i]) {
+			if !slices.Equal(shards[i], full[i]) {
 				return false
 			}
 		}
@@ -349,11 +409,4 @@ func TestRSProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80, Rand: rng}); err != nil {
 		t.Error(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,9 @@
-// Package erasure implements the erasure codes used for group checkpoints:
-// XOR parity for m=1 (the RAID5-like scheme of §5.2 and §6) and systematic
-// Reed–Solomon over GF(2⁸) for m>1 checksum processes (the generalization
-// the paper attributes to Reed–Solomon coding).
+// Package erasure implements the erasure code used for group checkpoints:
+// a systematic Reed–Solomon code over GF(2⁸) whose first parity row is all
+// ones. With one checksum process per group (m=1) it is exactly the XOR
+// parity of §5.2 and §6, the RAID5-like scheme; m>1 checksum processes get
+// the Reed–Solomon generalization the paper names, with XOR still as the
+// first parity.
 package erasure
 
 // GF(2⁸) arithmetic with the AES polynomial x⁸+x⁴+x³+x²+1 (0x11d is the

@@ -1,26 +1,14 @@
 package erasure
 
 import (
-	"encoding/binary"
-	"os"
 	"runtime"
 	"sync"
 )
 
-// fallbackForced reports whether the REPRO_ERASURE_NOASM environment knob
-// demands the portable SWAR kernels even though SIMD is available. It is
-// the runtime twin of the `noasm` build tag: CI's kernel matrix builds one
-// leg with the tag and cross-checks the other with the knob, so the
-// fallback is exercised on every push, not only on machines without AVX2.
-func fallbackForced() bool {
-	v := os.Getenv("REPRO_ERASURE_NOASM")
-	return v != "" && v != "0"
-}
-
 // KernelPath names the kernel implementation selected at init: "avx2" when
 // the SIMD path is live, "swar" for the portable word-parallel fallback
-// (foreign architecture, `noasm` build tag, or REPRO_ERASURE_NOASM). Tests
-// and CI logs use it to prove which leg of the kernel matrix ran.
+// (foreign architecture, or the `noasm` build tag). Tests and CI logs use
+// it to prove which leg of the kernel matrix ran.
 func KernelPath() string {
 	if simdEnabled {
 		return "avx2"
@@ -29,29 +17,24 @@ func KernelPath() string {
 }
 
 // This file is the word-parallel GF(256) kernel layer. All slice arithmetic
-// of the XOR and Reed–Solomon codes funnels through the kernels below, which
+// of the Reed–Solomon code funnels through the kernels below, which
 // process eight (or, with SIMD, thirty-two) field elements per step instead
 // of one byte at a time through the log/exp tables:
 //
 //   - per-coefficient split-nibble tables decompose every product as
 //     c·b = c·(b&15) ^ c·(b>>4<<4), turning multiplication into two tiny
 //     table lookups — the exact form byte-shuffle SIMD consumes 32 lanes at
-//     a time (kernel_amd64.s) and the seed for the fused 256-entry rows;
+//     a time (kernel_amd64.s);
 //   - the portable fallback is a SWAR bit-broadcast kernel: eight uint64
 //     mask-multiply steps compute all eight byte lanes of a word at once,
 //     with no table loads in the inner loop;
-//   - []uint64-native entry points let word-based callers (the checkpoint
-//     pipeline) run without ever serializing through bytes;
+//   - coefficient 1 — every coefficient of the first parity row — skips
+//     the multiply and runs the plain XOR kernels;
 //   - large buffers shard across runtime.NumCPU() goroutines.
-
-// mulTable[c][b] = c·b in GF(256). 64 KiB total; the scalar byte tails pull
-// one 256-byte row, which stays L1-resident for the whole pass.
-var mulTable [256][256]byte
 
 // mulTabLo[c][n] = c·n and mulTabHi[c][n] = c·(n<<4): the split-nibble
 // tables. mulTabLo/Hi[c] are the 16-byte shuffle tables the SIMD kernel
-// broadcasts into vector registers; the fused rows above are built from
-// exactly these pairs.
+// broadcasts into vector registers.
 var mulTabLo, mulTabHi [256][16]byte
 
 // mulXT[c][i] = c·2^i broadcast is the doubling ladder the SWAR fallback
@@ -66,9 +49,6 @@ func init() {
 		for n := 0; n < 16; n++ {
 			mulTabLo[c][n] = gfMulBitwise(byte(c), byte(n))
 			mulTabHi[c][n] = gfMulBitwise(byte(c), byte(n<<4))
-		}
-		for b := 0; b < 256; b++ {
-			mulTable[c][b] = mulTabLo[c][b&15] ^ mulTabHi[c][b>>4]
 		}
 		d := byte(c)
 		for i := 0; i < 8; i++ {
@@ -188,62 +168,11 @@ func XorDeltaWords(dst, old, new []uint64) {
 	}
 }
 
-// ---- byte-slice kernels ----------------------------------------------------
-//
-// The byte API keeps working on []byte shards; internally it walks the
-// slices a vector (or word) at a time and finishes the tail with the fused
-// product row.
-
-// mulSliceXor folds coef·src into dst byte-wise.
-func mulSliceXor(coef byte, dst, src []byte) {
-	switch coef {
-	case 0:
-		return
-	case 1:
-		xorSlice(dst, src)
-		return
-	}
-	i := 0
-	if simdEnabled && len(src) >= bytesPerVec {
-		n := len(src) &^ (bytesPerVec - 1)
-		mulSliceXorSIMD(coef, dst[:n], src[:n])
-		i = n
-	}
-	xt := &mulXT[coef]
-	for ; i+8 <= len(src); i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		d := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^mulWordXT(xt, w))
-	}
-	t := &mulTable[coef]
-	for ; i < len(src); i++ {
-		dst[i] ^= t[src[i]]
-	}
-}
-
-// xorSlice xors src into dst, 8 bytes per iteration.
-func xorSlice(dst, src []byte) {
-	i := 0
-	if simdEnabled && len(src) >= bytesPerVec {
-		n := len(src) &^ (bytesPerVec - 1)
-		xorSliceSIMDBytes(dst[:n], src[:n])
-		i = n
-	}
-	for ; i+8 <= len(src); i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		d := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^w)
-	}
-	for ; i < len(src); i++ {
-		dst[i] ^= src[i]
-	}
-}
-
 // ---- parallel sharding -----------------------------------------------------
 
-// parallelMinBytes is the buffer size below which sharding is not worth the
-// goroutine handoffs; the kernels chew through 128 KiB in ~10 µs.
-const parallelMinBytes = 128 << 10
+// parallelMinWords is the buffer size below which sharding is not worth
+// the goroutine handoffs; the kernels chew through 128 KiB in ~10 µs.
+const parallelMinWords = 16 << 10
 
 // kernelWorkers caps the fan-out; beyond ~8 shards the kernels are
 // memory-bandwidth-bound and extra goroutines only add scheduling noise.
@@ -255,14 +184,19 @@ var kernelWorkers = func() int {
 	return n
 }()
 
-// pshard splits [0,n) into per-worker spans whose boundaries are multiples
-// of align and runs f on each span concurrently. Small n runs inline.
-func pshard(n, align, minN int, f func(lo, hi int)) {
-	if n < minN || kernelWorkers < 2 {
+// sharded reports whether pshardWords splits a loop of n words across
+// goroutines.
+func sharded(n int) bool { return n >= parallelMinWords && kernelWorkers >= 2 }
+
+// pshardWords splits [0,n) into per-worker spans whose boundaries are
+// multiples of the vector width and runs f on each span concurrently.
+// Small n runs inline.
+func pshardWords(n int, f func(lo, hi int)) {
+	if !sharded(n) {
 		f(0, n)
 		return
 	}
-	chunk := (n/kernelWorkers + align) &^ (align - 1)
+	chunk := (n/kernelWorkers + wordsPerVec) &^ (wordsPerVec - 1)
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -277,9 +211,3 @@ func pshard(n, align, minN int, f func(lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// pshardBytes shards a byte-indexed loop on vector boundaries.
-func pshardBytes(n int, f func(lo, hi int)) { pshard(n, bytesPerVec, parallelMinBytes, f) }
-
-// pshardWords shards a word-indexed loop on vector boundaries.
-func pshardWords(n int, f func(lo, hi int)) { pshard(n, wordsPerVec, parallelMinBytes/8, f) }

@@ -6,7 +6,6 @@ import "unsafe"
 
 // Vector geometry of the AVX2 kernels in kernel_amd64.s.
 const (
-	bytesPerVec  = 32
 	wordsPerVec  = 4
 	simdMinWords = wordsPerVec
 )
@@ -30,10 +29,7 @@ func xorAVX2(dst, src unsafe.Pointer, n int)
 func xorDeltaAVX2(dst, old, new unsafe.Pointer, n int)
 
 // simdEnabled reports AVX2 with OS-saved YMM state (checked once at init).
-// The REPRO_ERASURE_NOASM env knob forces the SWAR fallback at runtime —
-// the dynamic twin of the `noasm` build tag, used by the CI kernel matrix
-// to exercise both paths on AVX2 hardware.
-var simdEnabled = detectAVX2() && !fallbackForced()
+var simdEnabled = detectAVX2()
 
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
@@ -71,13 +67,4 @@ func xorSliceSIMDWords(dst, src []uint64) {
 
 func xorDeltaSIMDWords(dst, old, new []uint64) {
 	xorDeltaAVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&old[0]), unsafe.Pointer(&new[0]), len(old)*8)
-}
-
-func mulSliceXorSIMD(coef byte, dst, src []byte) {
-	gfMulXorAVX2(&mulTabLo[coef][0], &mulTabHi[coef][0],
-		unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), len(src))
-}
-
-func xorSliceSIMDBytes(dst, src []byte) {
-	xorAVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), len(src))
 }

@@ -8,7 +8,6 @@ package erasure
 // degenerates to single words and the SIMD dispatch branches are dead
 // code.
 const (
-	bytesPerVec  = 8
 	wordsPerVec  = 1
 	simdMinWords = 1
 )
@@ -19,5 +18,3 @@ func mulSliceXorSIMDWords(coef byte, dst, src []uint64)      { panic("erasure: n
 func mulDeltaXorSIMDWords(coef byte, dst, old, new []uint64) { panic("erasure: no SIMD") }
 func xorSliceSIMDWords(dst, src []uint64)                    { panic("erasure: no SIMD") }
 func xorDeltaSIMDWords(dst, old, new []uint64)               { panic("erasure: no SIMD") }
-func mulSliceXorSIMD(coef byte, dst, src []byte)             { panic("erasure: no SIMD") }
-func xorSliceSIMDBytes(dst, src []byte)                      { panic("erasure: no SIMD") }

@@ -4,11 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // refMul is the trusted scalar reference the kernels are checked against.
 func refMul(coef, b byte) byte { return gfMul(coef, b) }
+
+// refMulWord multiplies the eight byte lanes of w by coef one lane at a
+// time through refMul.
+func refMulWord(coef byte, w uint64) uint64 {
+	var out uint64
+	for lane := 0; lane < 64; lane += 8 {
+		out |= uint64(refMul(coef, byte(w>>lane))) << lane
+	}
+	return out
+}
 
 func randWords(rng *rand.Rand, n int) []uint64 {
 	out := make([]uint64, n)
@@ -33,9 +44,6 @@ func TestTablesMatchReference(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		for b := 0; b < 256; b++ {
 			want := refMul(byte(c), byte(b))
-			if got := mulTable[c][b]; got != want {
-				t.Fatalf("mulTable[%d][%d] = %d, want %d", c, b, got, want)
-			}
 			if got := mulTabLo[c][b&15] ^ mulTabHi[c][b>>4]; got != want {
 				t.Fatalf("nibble tables for %d·%d = %d, want %d", c, b, got, want)
 			}
@@ -91,28 +99,30 @@ func TestMulDeltaXorWordsMatchesExplicitDelta(t *testing.T) {
 	}
 }
 
-// TestByteKernelTailHandling checks mulSliceXor on every length 0..67 so
-// vector, word, and byte tails are all crossed.
-func TestByteKernelTailHandling(t *testing.T) {
+// TestKernelTailHandling checks the word kernels on every length 0..67
+// words, so the vector body and every word tail are crossed, with a
+// multiplying coefficient and with coefficient 1 (the XOR dispatch).
+func TestKernelTailHandling(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for n := 0; n <= 67; n++ {
-		src := make([]byte, n)
-		dst := make([]byte, n)
-		rng.Read(src)
-		rng.Read(dst)
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = dst[i] ^ refMul(0xa7, src[i])
-		}
-		mulSliceXor(0xa7, dst, src)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("length %d: byte kernel wrong", n)
+		src := randWords(rng, n)
+		for _, c := range []byte{0xa7, 1} {
+			dst := randWords(rng, n)
+			want := make([]uint64, n)
+			for i := range want {
+				want[i] = dst[i] ^ refMulWord(c, src[i])
+			}
+			MulSliceXorWords(c, dst, src)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("length %d coef %d: word kernel wrong", n, c)
+			}
 		}
 	}
 }
 
-// TestEncodeWordsMatchesEncode pins the word-native encoder to the byte
-// encoder through little-endian serialization.
+// TestEncodeWordsMatchesEncode pins the kernel encoder to a scalar
+// encoder that multiplies one byte lane at a time through refMul, so the
+// reference shares no table with the kernels.
 func TestEncodeWordsMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const k, m, n = 5, 3, 97
@@ -120,23 +130,20 @@ func TestEncodeWordsMatchesEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([][]uint64, k)
-	dataB := make([][]byte, k)
-	for i := range data {
-		data[i] = randWords(rng, n)
-		dataB[i] = wordsToBytesLE(data[i])
-	}
+	data := randShards(rng, k, n)
 	pw, err := rs.EncodeWords(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := rs.Encode(dataB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pw {
-		if !bytes.Equal(wordsToBytesLE(pw[i]), pb[i]) {
-			t.Fatalf("parity %d: word and byte encoders disagree", i)
+	for p := 0; p < m; p++ {
+		want := make([]uint64, n)
+		for j := 0; j < k; j++ {
+			for w := range want {
+				want[w] ^= refMulWord(rs.coef(p, j), data[j][w])
+			}
+		}
+		if !slices.Equal(pw[p], want) {
+			t.Fatalf("parity %d: kernel and scalar encoders disagree", p)
 		}
 	}
 }
@@ -181,16 +188,20 @@ func TestReconstructWordsRoundTrip(t *testing.T) {
 }
 
 // TestPropertyIncrementalParityEqualsEncode drives a random sequence of
-// member updates through the incremental parity paths (UpdateParityDelta /
-// XOR delta) and checks the running parity always equals a from-scratch
-// encode of the current member states — the §6.2 incremental checksum
-// integration must be exact.
+// member updates through the incremental parity paths
+// (UpdateParityDeltaWords / XorDeltaWords) and checks the running parity
+// always equals a from-scratch encode of the current member states — the
+// §6.2 incremental checksum integration must be exact, and the first
+// parity shard must stay the members' XOR.
 func TestPropertyIncrementalParityEqualsEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 20; trial++ {
 		k := 2 + rng.Intn(6)
 		m := 1 + rng.Intn(3)
 		n := 1 + rng.Intn(200)
+		if trial == 0 {
+			n = parallelMinWords + 3 // long enough to shard across goroutines
+		}
 		rs, err := NewRS(k, m)
 		if err != nil {
 			t.Fatal(err)
@@ -232,68 +243,16 @@ func TestPropertyIncrementalParityEqualsEncode(t *testing.T) {
 				}
 			}
 		}
-		freshXor, err := EncodeXORWords(members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := range xorParity {
-			if xorParity[w] != freshXor[w] {
-				t.Fatalf("trial %d: XOR parity diverged at word %d", trial, w)
-			}
-		}
-	}
-}
-
-// TestXORWordsRoundTrip mirrors the byte XOR round trip on the word API.
-func TestXORWordsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	shards := make([][]uint64, 5)
-	for i := range shards {
-		shards[i] = randWords(rng, 41)
-	}
-	parity, err := EncodeXORWords(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lost := range shards {
-		damaged := make([][]uint64, len(shards))
-		copy(damaged, shards)
-		damaged[lost] = nil
-		got, err := ReconstructXORWords(damaged, parity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != shards[lost][i] {
-				t.Fatalf("lost %d: word %d wrong", lost, i)
-			}
-		}
-	}
-	// Incremental update: fold out old, fold in new, compare to fresh.
-	newShard := randWords(rng, 41)
-	if err := UpdateXORWords(parity, shards[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := UpdateXORWords(parity, newShard); err != nil {
-		t.Fatal(err)
-	}
-	shards[2] = newShard
-	fresh, err := EncodeXORWords(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range parity {
-		if parity[i] != fresh[i] {
-			t.Fatalf("incremental word parity differs from fresh encode at %d", i)
+		if freshXor := xorOf(members); !slices.Equal(xorParity, freshXor) || !slices.Equal(fresh[0], freshXor) {
+			t.Fatalf("trial %d: XOR parity diverged", trial)
 		}
 	}
 }
 
 // TestKernelPathSelection pins the kernel-matrix contract: KernelPath
-// reflects the dispatcher state, and when either the `noasm` build tag or
-// the REPRO_ERASURE_NOASM env knob is in force the SWAR fallback must be
-// the live path. The CI kernel-matrix job greps this log line to prove
-// which leg actually ran.
+// reflects the dispatcher state, and under the `noasm` build tag the SWAR
+// fallback must be the live path. The CI kernel-matrix job greps this log
+// line to prove which leg actually ran.
 func TestKernelPathSelection(t *testing.T) {
 	t.Logf("erasure kernel path: %s", KernelPath())
 	if simdEnabled && KernelPath() != "avx2" {

@@ -7,18 +7,19 @@ import (
 
 // RS is a systematic Reed–Solomon code with k data shards and m parity
 // shards over GF(2⁸). Any m lost shards (data or parity) can be
-// reconstructed. It generalizes the XOR scheme to groups that must survive
-// m concurrent member crashes (§5: "every group can resist m concurrent
-// process crashes").
+// reconstructed. Its first parity shard is the plain XOR of the data shards
+// (§5.2: the checksum process holds the XOR of its members' checkpoints,
+// like a RAID-5 disk); further parity shards generalize it to groups that
+// must survive m concurrent member crashes (§5: "every group can resist m
+// concurrent process crashes").
 //
-// All bulk arithmetic runs through the word-parallel kernels of kernel.go;
-// the Words variants operate on []uint64 shards directly so word-based
-// callers (the checkpoint pipeline) never serialize through bytes.
+// Shards are []uint64 words, each word eight GF(2⁸) byte lanes, and all
+// bulk arithmetic runs through the word-parallel kernels of kernel.go.
 type RS struct {
 	K int
 	M int
 	// gen is the (k+m) x k systematic generator matrix: the top k rows are
-	// the identity, the bottom m rows produce parity.
+	// the identity, the bottom m rows produce parity, and row k is all ones.
 	gen [][]byte
 }
 
@@ -52,6 +53,17 @@ func NewRS(k, m int) (*RS, error) {
 		return nil, errors.New("erasure: Vandermonde top block singular")
 	}
 	gen := matMul(vand, inv)
+	// Scale each column of the parity block by the inverse of its row-0
+	// entry, so the first parity row is all ones: RS(k, 1) is the paper's
+	// XOR and every RS(k, m) keeps XOR as its first parity. Every k x k
+	// minor of the generator only gains a product of nonzero factors, so
+	// the code stays MDS (KERNELS.md).
+	for j := 0; j < k; j++ {
+		s := gfInv(gen[k][j])
+		for r := k; r < k+m; r++ {
+			gen[r][j] = gfMul(gen[r][j], s)
+		}
+	}
 	return &RS{K: k, M: m, gen: gen}, nil
 }
 
@@ -69,28 +81,10 @@ func (rs *RS) checkParityIndex(i, j int) error {
 	return nil
 }
 
-// UpdateParity folds a data-shard change into parity shard i in place,
-// without touching the other data shards: because the code is linear,
-// parity_i ^= coef(i, j) * (old ^ new) when data shard j changes. delta is
-// old XOR new. This is the Reed–Solomon analogue of the incremental XOR
-// checksum integration of §6.2.
-func (rs *RS) UpdateParity(parity []byte, i, j int, delta []byte) error {
-	if err := rs.checkParityIndex(i, j); err != nil {
-		return err
-	}
-	if len(parity) != len(delta) {
-		return fmt.Errorf("erasure: parity length %d != delta length %d", len(parity), len(delta))
-	}
-	c := rs.coef(i, j)
-	pshardBytes(len(delta), func(lo, hi int) {
-		mulSliceXor(c, parity[lo:hi], delta[lo:hi])
-	})
-	return nil
-}
-
-// UpdateParityDeltaWords folds a data-shard change (old -> new) of shard j
-// into word parity shard i in place, fusing the delta computation into the
-// kernel so no temporary is allocated.
+// UpdateParityDeltaWords folds a change of data shard j (old -> new) into
+// parity shard i in place: parity ^= coef(i, j)·(old^new), the incremental
+// checksum integration of §6.2. The delta is fused into the kernel, so no
+// temporary is allocated.
 func (rs *RS) UpdateParityDeltaWords(parity []uint64, i, j int, old, new []uint64) error {
 	if err := rs.checkParityIndex(i, j); err != nil {
 		return err
@@ -100,6 +94,12 @@ func (rs *RS) UpdateParityDeltaWords(parity []uint64, i, j int, old, new []uint6
 			len(parity), len(old), len(new))
 	}
 	c := rs.coef(i, j)
+	if !sharded(len(old)) {
+		// A checkpoint folds many small ranges: run them inline, without
+		// the closure a sharded loop allocates.
+		MulDeltaXorWords(c, parity, old, new)
+		return nil
+	}
 	pshardWords(len(old), func(lo, hi int) {
 		MulDeltaXorWords(c, parity[lo:hi], old[lo:hi], new[lo:hi])
 	})
@@ -119,6 +119,10 @@ func (rs *RS) UpdateParityWords(parity []uint64, i, j int, delta []uint64) error
 		return fmt.Errorf("erasure: parity length %d != delta length %d", len(parity), len(delta))
 	}
 	c := rs.coef(i, j)
+	if !sharded(len(delta)) {
+		MulSliceXorWords(c, parity, delta) // inline, see UpdateParityDeltaWords
+		return nil
+	}
 	pshardWords(len(delta), func(lo, hi int) {
 		MulSliceXorWords(c, parity[lo:hi], delta[lo:hi])
 	})
@@ -143,38 +147,8 @@ func (rs *RS) AddShardWords(parity []uint64, i, j int, data []uint64) error {
 	return nil
 }
 
-// Encode computes the m parity shards for the k data shards. All data
+// EncodeWords computes the m parity shards for the k data shards. All data
 // shards must have equal, non-zero length.
-func (rs *RS) Encode(data [][]byte) ([][]byte, error) {
-	if len(data) != rs.K {
-		return nil, fmt.Errorf("erasure: %d data shards, want %d", len(data), rs.K)
-	}
-	n := len(data[0])
-	if n == 0 {
-		return nil, errors.New("erasure: empty shards")
-	}
-	for i, s := range data {
-		if len(s) != n {
-			return nil, fmt.Errorf("erasure: shard %d has length %d, want %d", i, len(s), n)
-		}
-	}
-	parity := make([][]byte, rs.M)
-	for p := range parity {
-		parity[p] = make([]byte, n)
-	}
-	pshardBytes(n, func(lo, hi int) {
-		for p := 0; p < rs.M; p++ {
-			out := parity[p][lo:hi]
-			for c := 0; c < rs.K; c++ {
-				mulSliceXor(rs.coef(p, c), out, data[c][lo:hi])
-			}
-		}
-	})
-	return parity, nil
-}
-
-// EncodeWords computes the m parity shards for k word shards without any
-// byte serialization. All shards must have equal, non-zero length.
 func (rs *RS) EncodeWords(data [][]uint64) ([][]uint64, error) {
 	if len(data) != rs.K {
 		return nil, fmt.Errorf("erasure: %d data shards, want %d", len(data), rs.K)
@@ -218,20 +192,19 @@ func (rs *RS) solveMissing(present []int) (rows []int, inv [][]byte, err error) 
 	return rows, inv, nil
 }
 
-// splitShards partitions shard indices into present and missing and
-// validates counts and lengths; n is the common shard length (counted in
-// whatever unit the caller indexes by).
-func (rs *RS) splitShards(total int, length func(i int) (int, bool)) (present, missing []int, n int, err error) {
-	if total != rs.K+rs.M {
-		return nil, nil, 0, fmt.Errorf("erasure: %d shards, want %d", total, rs.K+rs.M)
+// splitShards partitions shard indices into present and missing (nil) and
+// validates counts and lengths; n is the common shard length in words.
+func (rs *RS) splitShards(shards [][]uint64) (present, missing []int, n int, err error) {
+	if len(shards) != rs.K+rs.M {
+		return nil, nil, 0, fmt.Errorf("erasure: %d shards, want %d", len(shards), rs.K+rs.M)
 	}
-	for i := 0; i < total; i++ {
-		l, ok := length(i)
-		if !ok {
+	for i, s := range shards {
+		if s == nil {
 			missing = append(missing, i)
 			continue
 		}
 		present = append(present, i)
+		l := len(s)
 		if n == 0 {
 			n = l
 		} else if l != n {
@@ -250,63 +223,12 @@ func (rs *RS) splitShards(total int, length func(i int) (int, bool)) (present, m
 	return present, missing, n, nil
 }
 
-// Reconstruct fills in the missing (nil) shards. shards holds the k data
-// shards followed by the m parity shards; at most m entries may be nil.
-// Present shards are left untouched; missing ones are replaced with
-// reconstructed data.
-func (rs *RS) Reconstruct(shards [][]byte) error {
-	present, missing, n, err := rs.splitShards(len(shards), func(i int) (int, bool) {
-		if shards[i] == nil {
-			return 0, false
-		}
-		return len(shards[i]), true
-	})
-	if err != nil || len(missing) == 0 {
-		return err
-	}
-	rows, inv, err := rs.solveMissing(present)
-	if err != nil {
-		return err
-	}
-	// Rebuild missing data shards from the decoding matrix.
-	for _, mi := range missing {
-		if mi >= rs.K {
-			continue
-		}
-		out := make([]byte, n)
-		pshardBytes(n, func(lo, hi int) {
-			for i, r := range rows {
-				mulSliceXor(inv[mi][i], out[lo:hi], shards[r][lo:hi])
-			}
-		})
-		shards[mi] = out
-	}
-	// Recompute missing parity from (now complete) data.
-	for _, mi := range missing {
-		if mi < rs.K {
-			continue
-		}
-		out := make([]byte, n)
-		pshardBytes(n, func(lo, hi int) {
-			for c := 0; c < rs.K; c++ {
-				mulSliceXor(rs.gen[mi][c], out[lo:hi], shards[c][lo:hi])
-			}
-		})
-		shards[mi] = out
-	}
-	return nil
-}
-
-// ReconstructWords fills in the missing (nil) word shards, the []uint64
-// mirror of Reconstruct: k data shards followed by m parity shards, at most
-// m entries nil, present shards left untouched.
+// ReconstructWords fills in the missing (nil) shards. shards holds the k
+// data shards followed by the m parity shards; at most m entries may be
+// nil. Present shards are left untouched; missing ones are replaced with
+// freshly allocated reconstructions.
 func (rs *RS) ReconstructWords(shards [][]uint64) error {
-	present, missing, n, err := rs.splitShards(len(shards), func(i int) (int, bool) {
-		if shards[i] == nil {
-			return 0, false
-		}
-		return len(shards[i]), true
-	})
+	present, missing, n, err := rs.splitShards(shards)
 	if err != nil || len(missing) == 0 {
 		return err
 	}

@@ -28,10 +28,11 @@
 //     each rank diffs its window against its last committed base and
 //     ships the (off, delta) ranges to its group's host in one
 //     fParityFold frame; the host applies them with
-//     erasure.UpdateParityWords (ftrma.FoldDelta) and records the
-//     member's counter snapshot atomically with the fold, so
-//     parity = encode(members' committed bases) holds at every instant
-//     the checkpoint lock is free.
+//     erasure.UpdateParityWords (ftrma.FoldDelta) — at m = 1 the code's
+//     one parity row is all ones, so the fold is the paper's plain XOR —
+//     and records the member's counter snapshot atomically with the
+//     fold, so parity = XOR(members' committed bases) holds at every
+//     instant the checkpoint lock is free.
 //
 // # Membership, leases, gossip
 //
@@ -108,8 +109,6 @@ package fabric
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/rma"
 )
 
 // Member is one rank's membership entry as this node sees it.
@@ -182,56 +181,4 @@ func (t Tuning) Validate() error {
 		return fmt.Errorf("fabric: negative Fabric.GossipInterval %v", t.GossipInterval)
 	}
 	return nil
-}
-
-// Membership is a node's view of the world: who holds each rank, whether
-// they are alive, and how far they have progressed.
-type Membership interface {
-	// Self returns this node's own entry.
-	Self() Member
-	// Members returns a snapshot of the full table, indexed by rank.
-	Members() []Member
-	// Hostings returns a snapshot of the parity hosting table.
-	Hostings() []Hosting
-}
-
-// Epoch is the peer-to-peer bulk-synchronous surface: the phase cursor
-// and the gsync that closes it (checkpoint fold, readies to the peers,
-// watermark barrier, log trim).
-type Epoch interface {
-	// Phase returns the phase the node executes next (its watermark).
-	Phase() int
-	// Sync closes the current phase. It is rma.API's Gsync with an error
-	// return: crisis waits happen inside, and unrecoverable states
-	// (double failure) surface here instead of panicking.
-	Sync() error
-}
-
-// Crisis is the recovery surface of a node.
-type Crisis interface {
-	// InCrisis reports whether a recovery is pending somewhere in the
-	// world (checkpoint folds are parked while it is).
-	InCrisis() bool
-	// Recoveries counts the crises this node has observed complete.
-	Recoveries() int
-}
-
-// Fabric is the full runtime surface a worker programs against: the rma
-// API for its application work plus the fabric's membership, epoch, and
-// crisis views. *Node is the implementation.
-type Fabric interface {
-	rma.API
-	Membership
-	Epoch
-	Crisis
-	// Meta returns the opaque workload blob the seed distributed.
-	Meta() []byte
-	// Addr returns the address this node advertises.
-	Addr() string
-	// AwaitShutdown blocks until a peer sends fShutdown or the node is
-	// closed.
-	AwaitShutdown()
-	// Close tears the node down (without marking it failed to peers
-	// beyond the fail-stop signal of its connections dropping).
-	Close() error
 }

@@ -106,7 +106,9 @@ type pendingInstall struct {
 
 // Node is a symmetric fabric worker: it hosts its own rank's window and
 // logs, an elected share of parity, and speaks every fabric frame both
-// ways. It implements Fabric.
+// ways. Besides rma.API for the application's work it offers the
+// membership view (Self, Members, Hostings), the epoch surface (Phase,
+// Sync), and the crisis counters (InCrisis, Recoveries).
 type Node struct {
 	rank        int
 	n           int
@@ -206,7 +208,7 @@ type strike struct {
 	n   int
 }
 
-var _ Fabric = (*Node)(nil)
+var _ rma.API = (*Node)(nil)
 
 // tun returns the node's current timing knobs.
 func (nd *Node) tun() Tuning { return *nd.tuning.Load() }
@@ -570,7 +572,7 @@ func (nd *Node) awaitInstalled() bool {
 	return nd.state.Load() != stClosed
 }
 
-// Close implements Fabric: a fail-stop. It closes the listener and every
+// Close tears the node down as a fail-stop. It closes the listener and every
 // connection (the peers' death report), fails every parked or later call
 // with ErrClosed, and returns once nothing admitted by enter is running;
 // JoinConfig.Logf is never called after it returns. A second Close is a
@@ -603,46 +605,48 @@ func (nd *Node) Close() error {
 	return nil
 }
 
-// AwaitShutdown implements Fabric.
+// AwaitShutdown blocks until a peer sends fShutdown or the node is
+// closed.
 func (nd *Node) AwaitShutdown() { <-nd.shutdown }
 
-// Meta implements Fabric.
+// Meta returns the opaque workload blob the seed distributed.
 func (nd *Node) Meta() []byte { return nd.meta }
 
-// Addr implements Fabric.
+// Addr returns the address this node advertises.
 func (nd *Node) Addr() string { return nd.addr }
 
 // ---- Membership -------------------------------------------------------------
 
-// Self implements Membership.
+// Self returns this node's own membership entry.
 func (nd *Node) Self() Member {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
 	return nd.members[nd.rank]
 }
 
-// Members implements Membership.
+// Members returns a snapshot of the membership table, indexed by rank.
 func (nd *Node) Members() []Member {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
 	return append([]Member(nil), nd.members...)
 }
 
-// Hostings implements Membership.
+// Hostings returns a snapshot of the parity hosting table.
 func (nd *Node) Hostings() []Hosting {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
 	return append([]Hosting(nil), nd.hostings...)
 }
 
-// InCrisis implements Crisis.
+// InCrisis reports whether a recovery is pending somewhere in the world
+// (checkpoint folds are parked while it is).
 func (nd *Node) InCrisis() bool {
 	nd.ckptMu.Lock()
 	defer nd.ckptMu.Unlock()
 	return nd.inCrisis
 }
 
-// Recoveries implements Crisis.
+// Recoveries counts the crises this node has observed complete.
 func (nd *Node) Recoveries() int {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
@@ -1226,16 +1230,18 @@ func (nd *Node) Gsync() {
 
 // ---- Epoch ------------------------------------------------------------------
 
-// Phase implements Epoch.
+// Phase returns the phase the node executes next (its watermark).
 func (nd *Node) Phase() int {
 	nd.logMu.Lock()
 	defer nd.logMu.Unlock()
 	return nd.phase
 }
 
-// Sync implements Epoch: flush everything, commit the phase checkpoint
-// to the group's parity host, pass the hub-free watermark barrier, then
-// trim logs that checkpoints now cover.
+// Sync closes the current phase — rma.API's Gsync with an error return:
+// flush everything, commit the phase checkpoint to the group's parity
+// host, pass the hub-free watermark barrier, then trim logs that
+// checkpoints now cover. Crisis waits happen inside, and unrecoverable
+// states (double failure) surface here instead of panicking.
 func (nd *Node) Sync() error {
 	nd.FlushAll()
 	if err := nd.failedOrClosed(); err != nil {

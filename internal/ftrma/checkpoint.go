@@ -19,7 +19,7 @@ func (p *Process) maybeDemandCheckpoint(bytesNow int) {
 	if budget == 0 || bytesNow <= budget {
 		return
 	}
-	victim, _ := p.logs.LargestPeer()
+	victim, _ := p.logs.largestPeer()
 	if victim < 0 {
 		return
 	}
@@ -201,7 +201,7 @@ func unionRanges(a, b []rma.DirtyRange) []rma.DirtyRange {
 // takeUCCheckpoint takes an uncoordinated checkpoint of this rank: lock the
 // application data, send the copy to the group's checksum storage, unlock
 // (§3.2.2). The local copy stays in volatile memory; the CH integrates the
-// XOR (or Reed–Solomon) parity and records the counter snapshot that lets
+// Reed–Solomon parity (XOR at m = 1) and records the counter snapshot that lets
 // peers trim their logs. Only the dirty region — words written since the
 // previous checkpoint — is copied, transferred, and folded.
 //
@@ -464,7 +464,7 @@ func (p *Process) clearAllLogs() {
 	self := p.Rank()
 	p.inner.Lock(self, rma.StrLP)
 	p.inner.Lock(self, rma.StrLG)
-	freed := p.logs.Clear()
+	freed := p.logs.clear()
 	p.inner.Unlock(self, rma.StrLG)
 	p.inner.Unlock(self, rma.StrLP)
 	if freed > 0 {

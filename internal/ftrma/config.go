@@ -16,9 +16,10 @@
 // All checkpoint data stays in volatile memory: every computing process
 // (CM) keeps its latest checkpoint locally and a checksum process (CH) per
 // group holds the XOR of its members' checkpoints (m=1; Reed–Solomon
-// generalizes to m>1). A failed rank is recovered causally by Algorithm 2
-// (gsync codes) or Algorithm 3 (lock codes); if an N or M flag forbids
-// causal replay, the system falls back to the last coordinated checkpoint.
+// generalizes to m>1 and keeps the XOR as its first parity). A failed
+// rank is recovered causally by Algorithm 2 (gsync codes) or Algorithm 3
+// (lock codes); if an N or M flag forbids causal replay, the system falls
+// back to the last coordinated checkpoint.
 //
 // A Process wraps an rma.Proc and intercepts every RMA call, exactly as the
 // paper's library interposes via the PMPI profiling interface (§6.1).
@@ -127,8 +128,9 @@ type Config struct {
 	// process, so |CH| = Groups (m = 1). Must be in 1..N.
 	Groups int
 	// ChecksumsPerGroup is m, the number of checksum processes per group.
-	// 1 selects XOR parity (the paper's implementation); >1 selects
-	// Reed–Solomon coding (the paper's §5 generalization).
+	// Parity is one Reed–Solomon code whose first parity row is all ones:
+	// 1 is the paper's XOR parity, >1 adds the §5 generalization. Members
+	// per group plus m must not exceed 255.
 	ChecksumsPerGroup int
 	// MTBF is the machine's mean time between failures in (virtual)
 	// seconds, used by Daly's formula.

@@ -7,10 +7,11 @@ package ftrma
 // and a checksum process (CH) per group holds the parity shards. The
 // System keeps both next to the runtime:
 //
-//   - LogHost is the method set of one rank's LP/LG records and N/M
-//     flags, implemented by the arena-backed logStore. The symmetric
-//     fabric (internal/fabric) holds each rank's store in that rank's own
-//     process through NewLocalLogHost.
+//   - LogHost is the exported face of one rank's LP/LG records and N/M
+//     flags, implemented by the arena-backed logStore: the calls the
+//     symmetric fabric (internal/fabric) makes on the store it holds in
+//     each rank's own process (NewLocalLogHost). The in-process System
+//     calls the store's unexported methods directly.
 //   - parityHost holds one (group, level)'s parity shards. With
 //     Config.PeerParityHosts each level is tagged with an elected hosting
 //     rank, whose death loses the shards and forces the rebuild and
@@ -51,8 +52,6 @@ type LogHost interface {
 	// AppendLG logs a get that src issued at this rank; returns the total
 	// footprint after the append.
 	AppendLG(src int, rec LogRecord) int
-	// SetN writes the N flag for src (Algorithm 1 lines 1 and 8).
-	SetN(src int, v bool)
 	// FlagN reads the N flag for src.
 	FlagN(src int) bool
 	// FlagM reads the M flag towards target (§4.2).
@@ -68,17 +67,8 @@ type LogHost interface {
 	// snapshot ((GNC, GC) lexicographically below) and returns the bytes
 	// freed.
 	TrimLG(src, snapGNC, snapGC int) int
-	// Clear drops every record (a coordinated checkpoint subsumes all
-	// logs; N flags describe open epochs and stay). Returns bytes freed.
-	Clear() int
-	// Reset wipes everything including the N flags (post-rollback: the
-	// aborted epochs no longer exist).
-	Reset()
 	// Bytes returns the total log footprint at this rank.
 	Bytes() int
-	// LargestPeer returns the rank whose records occupy the most bytes
-	// here and that size (§6.2 demand-checkpoint victim), or (-1, 0).
-	LargestPeer() (int, int)
 }
 
 // NewLocalLogHost returns an in-memory LogHost backed by the slab-arena
@@ -109,9 +99,6 @@ func (s *logStore) AppendLG(q int, r LogRecord) int {
 	return s.bytes()
 }
 
-// SetN implements LogHost.
-func (s *logStore) SetN(q int, v bool) { s.setN(q, v) }
-
 // FlagN implements LogHost.
 func (s *logStore) FlagN(q int) bool { return s.flagN(q) }
 
@@ -130,24 +117,8 @@ func (s *logStore) TrimLP(q, epochNow int) int { return s.trimLP(q, epochNow) }
 // TrimLG implements LogHost.
 func (s *logStore) TrimLG(q, snapGNC, snapGC int) int { return s.trimLG(q, snapGNC, snapGC) }
 
-// Clear implements LogHost.
-func (s *logStore) Clear() int { return s.clear() }
-
-// Reset implements LogHost: Clear plus dropped N flags.
-func (s *logStore) Reset() {
-	s.clear()
-	s.mu.Lock()
-	for q := range s.nFlag {
-		delete(s.nFlag, q)
-	}
-	s.mu.Unlock()
-}
-
 // Bytes implements LogHost.
 func (s *logStore) Bytes() int { return s.bytes() }
-
-// LargestPeer implements LogHost.
-func (s *logStore) LargestPeer() (int, int) { return s.largestPeer() }
 
 // ---- Parity hosting ---------------------------------------------------------
 
@@ -155,7 +126,7 @@ func (s *logStore) LargestPeer() (int, int) { return s.largestPeer() }
 // arrays. Callers hold the owning chGroup's mutex across every method, so
 // it never sees concurrent folds, reads, or installs for one level.
 type parityHost struct {
-	rs     *erasure.RS // nil for m == 1 (plain XOR)
+	rs     *erasure.RS
 	shards [][]uint64
 }
 
@@ -177,11 +148,6 @@ func newParityHost(rs *erasure.RS, m, words int) *parityHost {
 func (h *parityHost) foldRanges(memberIdx int, oldData, newData []uint64, ranges []rma.DirtyRange, workers int) {
 	fold := func(r rma.DirtyRange) {
 		lo, hi := r.Off, r.Off+r.Len
-		if h.rs == nil {
-			// XOR: parity ^= old ^ new.
-			erasure.XorDeltaWords(h.shards[0][lo:hi], oldData[lo:hi], newData[lo:hi])
-			return
-		}
 		for i := range h.shards {
 			if err := h.rs.UpdateParityDeltaWords(h.shards[i][lo:hi], i, memberIdx, oldData[lo:hi], newData[lo:hi]); err != nil {
 				panic(fmt.Sprintf("ftrma: parity update: %v", err))
@@ -219,19 +185,15 @@ func (h *parityHost) install(shards [][]uint64) {
 }
 
 // FoldDelta applies a precomputed xor-delta (old ^ new) of member shard
-// memberIdx to every shard at word offset off: shards[0] ^= delta for XOR
-// parity, shards[i] ^= coef(i, memberIdx)·delta under Reed–Solomon. It is
-// the arithmetic a wire-fed parity host runs on an incoming parity-fold
-// frame — the member computes the delta once, the host folds it where the
-// parity lives. Bit-identical to the fused foldRanges path (the
-// code is linear, so folding coef·(old^new) equals folding the fused
-// delta).
+// memberIdx to every shard at word offset off: shards[i] ^=
+// coef(i, memberIdx)·delta, which for the first shard (all of m = 1) is
+// shards[0] ^= delta, the paper's XOR. It is the arithmetic a wire-fed
+// parity host runs on an incoming parity-fold frame — the member computes
+// the delta once, the host folds it where the parity lives. Bit-identical
+// to the fused foldRanges path (the code is linear, so folding
+// coef·(old^new) equals folding the fused delta).
 func FoldDelta(rs *erasure.RS, shards [][]uint64, memberIdx, off int, delta []uint64) {
 	lo, hi := off, off+len(delta)
-	if rs == nil {
-		erasure.XorWords(shards[0][lo:hi], delta)
-		return
-	}
 	for i := range shards {
 		if err := rs.UpdateParityWords(shards[i][lo:hi], i, memberIdx, delta); err != nil {
 			panic(fmt.Sprintf("ftrma: parity fold: %v", err))

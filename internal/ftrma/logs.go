@@ -577,6 +577,15 @@ func (s *logStore) clear() int {
 	return freed
 }
 
+// reset is clear plus dropped N flags (post-rollback: the aborted epochs
+// no longer exist).
+func (s *logStore) reset() {
+	s.clear()
+	s.mu.Lock()
+	clear(s.nFlag)
+	s.mu.Unlock()
+}
+
 func (s *logStore) releasePeer(pl *peerLog) {
 	for seg := pl.head; seg != nil; {
 		next := seg.next

@@ -274,7 +274,7 @@ func (p *Process) GetBlocking(target, off, n int) []uint64 {
 // setRemoteN writes N_target[p] := v in target's protocol memory.
 func (p *Process) setRemoteN(target int, v bool) {
 	p.inner.Lock(target, rma.StrMeta)
-	p.sys.procs[target].logs.SetN(p.Rank(), v)
+	p.sys.procs[target].logs.setN(p.Rank(), v)
 	p.inner.Unlock(target, rma.StrMeta)
 }
 

@@ -406,7 +406,7 @@ func (s *System) FallbackToCC(f int) error {
 // after a coordinated rollback, and resets the coordinated-checkpoint
 // schedule so every rank re-anchors at the same future gsync.
 func (p *Process) resetVolatileProtocolState() {
-	p.logs.Reset()
+	p.logs.reset()
 	p.qPending = make(map[int][]pendingGet)
 	p.nOpen = make(map[int]bool)
 	p.scHeld = make(map[int]int)

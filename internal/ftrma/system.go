@@ -40,10 +40,10 @@ type parityResidence struct {
 }
 
 // chGroup is the checksum state of one group: m parity shards per level
-// over the members' checkpoint copies (XOR for m=1, Reed–Solomon beyond),
-// each checksum with a shared-bandwidth resource that serializes
-// concurrent checkpoint transfers to it — this is what makes |CH| a
-// performance knob (Fig. 12). Which rank the shards reside at is the
+// over the members' checkpoint copies (Reed–Solomon, whose first shard is
+// the members' XOR), each checksum with a shared-bandwidth resource that
+// serializes concurrent checkpoint transfers to it — this is what makes
+// |CH| a performance knob (Fig. 12). Which rank the shards reside at is the
 // parityResidence's business: the paper's dedicated CH by default, or an
 // elected peer rank (Config.PeerParityHosts).
 type chGroup struct {
@@ -51,7 +51,7 @@ type chGroup struct {
 	members []int       // compute ranks, defining the shard order
 	m       int         // checksums (shards) per level
 	words   int         // shard length
-	rs      *erasure.RS // nil when m == 1 (plain XOR)
+	rs      *erasure.RS // RS(len(members), m); m == 1 is plain XOR
 
 	mu      sync.Mutex
 	parity  [NumLevels]parityResidence
@@ -61,16 +61,11 @@ type chGroup struct {
 }
 
 func newCHGroup(group int, members []int, m, words int, params sim.Params) (*chGroup, error) {
-	g := &chGroup{group: group, members: members, m: m, words: words}
-	var rs *erasure.RS
-	if m > 1 {
-		var err error
-		rs, err = erasure.NewRS(len(members), m)
-		if err != nil {
-			return nil, err
-		}
+	rs, err := erasure.NewRS(len(members), m)
+	if err != nil {
+		return nil, err
 	}
-	g.rs = rs
+	g := &chGroup{group: group, members: members, m: m, words: words, rs: rs}
 	for l := 0; l < NumLevels; l++ {
 		g.parity[l] = parityResidence{host: newParityHost(rs, m, words), rank: -1, valid: true}
 	}
@@ -127,10 +122,6 @@ func (g *chGroup) encodeShards(copies [][]uint64) [][]uint64 {
 		shards[i] = make([]uint64, g.words)
 	}
 	for j, c := range copies {
-		if g.rs == nil {
-			erasure.XorWords(shards[0], c)
-			continue
-		}
 		for i := range shards {
 			if err := g.rs.AddShardWords(shards[i], i, j, c); err != nil {
 				panic(fmt.Sprintf("ftrma: parity encode: %v", err))
@@ -153,28 +144,9 @@ func (g *chGroup) reconstruct(level int, survivors map[int][]uint64, failed []in
 		return nil, fmt.Errorf("ftrma: group %d level-%d parity died with its host rank %d", g.group, level, pr.rank)
 	}
 	parity := pr.host.shards
-	out := make(map[int][]uint64, len(failed))
-	if g.rs == nil {
-		if len(failed) != 1 {
-			return nil, fmt.Errorf("ftrma: XOR parity recovers 1 member, %d failed in group %d", len(failed), g.group)
-		}
-		rec := cloneWords(parity[0])
-		for _, r := range g.members {
-			if r == failed[0] {
-				continue
-			}
-			c, ok := survivors[r]
-			if !ok {
-				return nil, fmt.Errorf("ftrma: survivor %d's checkpoint copy missing", r)
-			}
-			erasure.XorWords(rec, c)
-		}
-		out[failed[0]] = rec
-		return out, nil
-	}
-	// Word-native Reed–Solomon: the survivors' copies and the parity feed
-	// the decoder directly; present shards are read-only, missing ones come
-	// back freshly allocated.
+	// The survivors' copies and the parity feed the decoder directly;
+	// present shards are read-only, missing ones come back freshly
+	// allocated.
 	shards := make([][]uint64, len(g.members)+len(parity))
 	for i, r := range g.members {
 		if c, ok := survivors[r]; ok {
@@ -187,6 +159,7 @@ func (g *chGroup) reconstruct(level int, survivors map[int][]uint64, failed []in
 	if err := g.rs.ReconstructWords(shards); err != nil {
 		return nil, fmt.Errorf("ftrma: group %d: %v", g.group, err)
 	}
+	out := make(map[int][]uint64, len(failed))
 	for _, f := range failed {
 		j := g.memberIndex(f)
 		if j < 0 {

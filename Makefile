@@ -44,8 +44,10 @@ race:
 
 # Repetition leg for the fabric's lifecycle and connection bookkeeping:
 # the conformance scenarios twenty times over (each ends in the leak and
-# late-log guard of its cleanup), the in-package fabric tests under the
-# race detector, the recovery tests — kill and replace with every wait on
+# late-log guard of its cleanup) and ten more under the race detector
+# (frame bodies, Vecs and put stages are reused across goroutines), the
+# in-package fabric tests under the race detector, the recovery tests —
+# kill and replace with every wait on
 # its event, a replacement killed before its first fold among them (the
 # TestReplace pattern selects TestReplacementKilledBeforeItsFirstFold) —
 # thirty times more, and the wire's handler handoff (a warm handler parks
@@ -54,6 +56,7 @@ race:
 # a condemned bystander here is rare per run, so one run proves little.
 stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
+	$(GO) test -race -count=10 -run TestFabric ./internal/transport
 	$(GO) test -race -count=5 ./internal/fabric
 	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire

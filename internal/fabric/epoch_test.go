@@ -6,7 +6,10 @@ package fabric
 // the one that acked the rank's fold — the fold is the ready to its host.
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -202,5 +205,82 @@ func TestMergeWatermark(t *testing.T) {
 	}
 	if m := nd.sees(1); m.Incarnation != 1 || m.Watermark != 3 || !m.Alive {
 		t.Errorf("rank 1 is %+v, want incarnation 1 alive at watermark 3", m)
+	}
+}
+
+// encBatchRef is the reference encoder of the fBatch payload (docs/WIRE.md
+// §3, 0x43): the flat Enc encoding the batch path used before it gathered
+// put payloads into a Vec.
+func encBatchRef(nd *Node, phase int, ops []pendOp) []byte {
+	var e wire.Enc
+	e.I(nd.rank)
+	e.I(nd.inc)
+	e.I(phase)
+	var puts, gets []pendOp
+	for _, op := range ops {
+		if op.put {
+			puts = append(puts, op)
+		} else {
+			gets = append(gets, op)
+		}
+	}
+	e.I(len(puts))
+	for _, op := range puts {
+		e.I(op.off)
+		e.Words(op.data)
+	}
+	e.I(len(gets))
+	for _, op := range gets {
+		e.I(op.off)
+		e.I(op.n)
+		e.I(op.localOff + 1)
+		e.I(op.gc)
+	}
+	return e.Bytes()
+}
+
+// TestBatchEncodingMatchesEnc: what encBatch puts on the wire — flattened
+// below the wire's small-frame threshold, a vectored write above it — is
+// byte for byte encBatchRef's payload. The cases move the word vectors'
+// alignment padding around: window offsets whose uvarints are one to three
+// bytes long, empty runs, payloads that start at odd words of a shared
+// stage, and gets before, between and after the puts.
+func TestBatchEncodingMatchesEnc(t *testing.T) {
+	cn, sn := net.Pipe()
+	got := make(chan []byte, 1)
+	server := wire.New(sn, wire.Config{Handler: func(ty byte, p []byte) (byte, []byte, error) {
+		got <- bytes.Clone(p)
+		return ty, nil, nil
+	}})
+	client := wire.New(cn, wire.Config{})
+	defer server.Close()
+	defer client.Close()
+
+	stage := randWords(rand.New(rand.NewSource(5)), 1200)
+	put := func(off, at, n int) pendOp { return pendOp{put: true, off: off, data: stage[at : at+n]} }
+	get := func(off, n, localOff, gc int) pendOp { return pendOp{off: off, n: n, localOff: localOff, gc: gc} }
+	for _, tc := range []struct {
+		name string
+		ops  []pendOp
+	}{
+		{"no ops", nil},
+		{"one word", []pendOp{put(0, 0, 1)}},
+		{"empty runs", []pendOp{put(5, 0, 0), put(300, 3, 2), put(1<<20, 9, 0)}},
+		{"offsets of every uvarint width", []pendOp{put(1, 1, 3), put(127, 4, 1), put(128, 5, 7), put(16383, 12, 2), put(1<<20, 14, 5)}},
+		{"gets only", []pendOp{get(0, 4, -1, 0), get(200, 1, 7, 300), get(1<<18, 64, 1<<17, 1<<21)}},
+		{"interleaved, above the flatten threshold", []pendOp{
+			get(3, 2, -1, 9), put(129, 1, 400), get(70000, 1, 0, 10), put(7, 401, 0), put(2<<20, 402, 797), get(1, 1, 2, 11),
+		}},
+	} {
+		nd := &Node{rank: 3, inc: 2}
+		for _, phase := range []int{0, 200} {
+			want := encBatchRef(nd, phase, tc.ops)
+			if _, err := client.CallVec(fBatch, nd.encBatch(phase, tc.ops)); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if p := <-got; !bytes.Equal(p, want) {
+				t.Errorf("%s, phase %d: the gathered batch is %d bytes %x…, the reference %d bytes %x…", tc.name, phase, len(p), p[:min(len(p), 24)], len(want), want[:min(len(want), 24)])
+			}
+		}
 	}
 }

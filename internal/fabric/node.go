@@ -52,7 +52,7 @@ type JoinConfig struct {
 type pendOp struct {
 	put      bool
 	off      int
-	data     []uint64 // puts: private copy of the payload
+	data     []uint64 // puts: the payload's copy in the target's stage
 	n        int      // gets: word count
 	localOff int      // gets: exposed landing offset, -1 private
 	dest     []uint64 // gets: the slice handed to the caller
@@ -164,8 +164,12 @@ type Node struct {
 	ecAt  map[int][]int
 	gcAt  map[int]int
 
-	// pend is the open epoch per target; workload-thread only.
-	pend [][]pendOp
+	// pend is the open epoch per target and stage its put payloads, back
+	// to back: Put copies into the stage, the batch gathers from it, and
+	// ackBatch copies into the LP arena before Flush resets both for the
+	// target's next epoch. Workload-thread only.
+	pend  [][]pendOp
+	stage [][]uint64
 
 	// mmu guards the membership and hosting tables and crisis trackers;
 	// mcond wakes watermark barriers and parked deliveries.
@@ -373,6 +377,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.ecAt = map[int][]int{0: make([]int, w.n)}
 	nd.gcAt = map[int]int{0: 0}
 	nd.pend = make([][]pendOp, w.n)
+	nd.stage = make([][]uint64, w.n)
 	nd.dialMu = make([]sync.Mutex, w.n)
 	nd.members = append([]Member(nil), w.members...)
 	nd.hostings = append([]Hosting(nil), w.hostings...)
@@ -992,18 +997,23 @@ func (nd *Node) writeLocked(off int, data []uint64) {
 	nd.dirty.Mark(off, len(data))
 }
 
-// Put implements rma.API.
+// Put implements rma.API. The payload is copied into the target's stage
+// before Put returns, so the caller may reuse data at once; the stage is
+// what the epoch's batch sends and logs.
 func (nd *Node) Put(target, off int, data []uint64) {
 	if target == nd.rank {
 		nd.WriteAt(off, data)
 		return
 	}
-	cp := append([]uint64(nil), data...)
+	st := nd.stage[target]
+	at := len(st)
+	st = append(st, data...)
+	nd.stage[target] = st
 	nd.logMu.Lock()
 	sc := nd.sc
 	nd.sc++
 	nd.logMu.Unlock()
-	nd.pend[target] = append(nd.pend[target], pendOp{put: true, off: off, data: cp, sc: sc})
+	nd.pend[target] = append(nd.pend[target], pendOp{put: true, off: off, data: st[at:len(st):len(st)], sc: sc})
 }
 
 // PutValue implements rma.API.
@@ -1060,8 +1070,20 @@ func (nd *Node) Flush(target int) {
 	if target == nd.rank || len(nd.pend[target]) == 0 {
 		return
 	}
-	ops := nd.pend[target]
-	nd.pend[target] = nil
+	ops, st := nd.pend[target], nd.stage[target]
+	// However the delivery ends — acked, abandoned, or an out-of-window get
+	// landing panicking out of ackBatch — the epoch is over: its ops and
+	// staged payloads are dropped and their buffers kept for the target's
+	// next epoch. A stage that one large epoch grew is let go rather than
+	// carried through a run of small ones.
+	defer func() {
+		clear(ops)
+		nd.pend[target] = ops[:0]
+		if idle(st, len(st)) {
+			st = nil
+		}
+		nd.stage[target] = st[:0]
+	}()
 	nd.deliver(target, ops)
 }
 
@@ -1072,51 +1094,28 @@ func (nd *Node) FlushAll() {
 	}
 }
 
+// deliver ships one epoch's ops to target as an fBatch and commits it once
+// acked. The frame gathers the put payloads from the stage instead of
+// copying them; a send consumes its Vec, so every attempt encodes afresh.
 func (nd *Node) deliver(target int, ops []pendOp) {
 	t0 := time.Now()
 	nd.logMu.Lock()
 	phase := nd.phase
 	nd.logMu.Unlock()
-	var e wire.Enc
-	e.I(nd.rank)
-	e.I(nd.inc)
-	e.I(phase)
-	nputs, ngets := 0, 0
-	for _, op := range ops {
-		if op.put {
-			nputs++
-		} else {
-			ngets++
-		}
-	}
-	e.I(nputs)
-	for _, op := range ops {
-		if op.put {
-			e.I(op.off)
-			e.Words(op.data)
-		}
-	}
-	e.I(ngets)
-	for _, op := range ops {
-		if !op.put {
-			e.I(op.off)
-			e.I(op.n)
-			e.I(op.localOff + 1)
-			e.I(op.gc)
-		}
-	}
-	payload := e.Bytes()
 	for {
 		pc, err := nd.conn(target)
 		if err != nil {
 			return // failed or closed: the next Sync reports it
 		}
-		reply, err := pc.c.Call(fBatch, payload)
+		v := nd.encBatch(phase, ops)
+		size := v.Len()
+		reply, err := pc.c.CallVec(fBatch, v)
 		if err == nil {
 			nd.om.batchSent.Inc()
 			nd.om.flushUs.ObserveSince(t0)
-			nd.fr.Record(obs.EvFrameSend, int64(fBatch), int64(target), int64(len(payload)))
+			nd.fr.Record(obs.EvFrameSend, int64(fBatch), int64(target), int64(size))
 			nd.ackBatch(target, phase, ops, reply)
+			wire.Recycle(reply) // the get results are copied out
 			return
 		}
 		var rf wire.RemoteFail
@@ -1134,6 +1133,38 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 		nd.dropConn(target, pc.inc)
 		nd.condemn(target, pc.inc, err)
 	}
+}
+
+// encBatch encodes ops as the fBatch payload (docs/WIRE.md §3, 0x43): the
+// puts with their words aliased, then the gets.
+func (nd *Node) encBatch(phase int, ops []pendOp) *wire.Vec {
+	v := wire.NewVec()
+	v.I(nd.rank)
+	v.I(nd.inc)
+	v.I(phase)
+	nputs := 0
+	for _, op := range ops {
+		if op.put {
+			nputs++
+		}
+	}
+	v.I(nputs)
+	for _, op := range ops {
+		if op.put {
+			v.I(op.off)
+			v.Words(op.data)
+		}
+	}
+	v.I(len(ops) - nputs)
+	for _, op := range ops {
+		if !op.put {
+			v.I(op.off)
+			v.I(op.n)
+			v.I(op.localOff + 1)
+			v.I(op.gc)
+		}
+	}
+	return v
 }
 
 // ackBatch commits a delivered epoch: source-side put logs and get

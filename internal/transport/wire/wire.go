@@ -28,7 +28,9 @@
 //     vectored write (net.Buffers/writev on TCP), so put payloads travel
 //     from the caller's buffers to the socket without an intermediate
 //     copy. Small frames flatten into a pooled staging buffer instead —
-//     one syscall, no per-frame allocation.
+//     one syscall, no per-frame allocation. The tcp peer's flush and the
+//     fabric's batch (from its per-target put stage) and parity fold
+//     gather this way.
 //   - Receive: the reader takes whatever the socket holds, up to a small
 //     read-ahead buffer, in one read — a small frame's header and payload,
 //     and the frames queued behind it — and copies each payload into a
@@ -37,6 +39,10 @@
 //     recycled when it returns — the handler must not retain the payload
 //     (every decoder in this repo copies what it keeps). Word vectors can
 //     be viewed in place via Dec.WordsView.
+//   - Pool: frame bodies and staging buffers are pooled by power-of-two
+//     size class, so a recycled body serves any frame of its class; bodies
+//     above 1 MiB (base, parity and window fetches) are allocated to size
+//     and never pooled.
 package wire
 
 import (
@@ -45,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -184,6 +191,7 @@ type Conn struct {
 	cfg Config
 
 	wmu    sync.Mutex
+	whdr   [9]byte     // a vectored frame's header, guarded by wmu
 	wbufs  net.Buffers // scratch chunk list, guarded by wmu
 	nextID atomic.Uint32
 
@@ -287,43 +295,69 @@ func (c *Conn) markDown(err error) {
 // diagnostic instead of the receiver dropping the link as corrupt.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 
-// bufPool recycles frame bodies and small-frame staging buffers. Getting
-// a too-small buffer allocates a fresh one and drops the small one, so
-// the pool's contents converge towards each connection's steady-state
-// frame sizes. A buffer is pooled in a *[]byte box, because a slice put
-// into an interface is boxed on the heap; boxPool keeps the emptied boxes
-// for the next Recycle, so neither direction allocates.
-var bufPool, boxPool sync.Pool
+// Frame bodies and small-frame staging buffers are pooled by size class:
+// class c holds buffers whose capacity is at least 1<<c, and getBuf(n)
+// takes from the smallest class that fits n. So a recycled body serves
+// any later frame of its class, and a connection whose frames alternate
+// between 100 bytes and 100 KiB never hands the small buffer to the large
+// frame. Bodies above maxPooled — base, parity and window fetches of a
+// large window — are allocated to size and left to the GC, so one
+// recovery's 4 MiB frames are not held for the rest of the run. A buffer
+// is pooled in a *[]byte box, because a slice put into an interface is
+// boxed on the heap; boxPool keeps the emptied boxes for the next Recycle,
+// so neither direction allocates.
+const (
+	minClass  = 6  // 64 B: room for any small frame, a header-only reply included
+	maxClass  = 20 // 1 MiB
+	maxPooled = 1 << maxClass
+)
+
+var (
+	bodyPools [maxClass - minClass + 1]sync.Pool
+	boxPool   sync.Pool
+)
+
+// sizeClass returns the smallest class whose buffers hold n bytes.
+func sizeClass(n int) int {
+	if n <= 1<<minClass {
+		return minClass
+	}
+	return bits.Len(uint(n - 1))
+}
 
 func getBuf(n int) []byte {
-	if v := bufPool.Get(); v != nil {
+	c := sizeClass(n)
+	if c > maxClass {
+		return make([]byte, n)
+	}
+	if v := bodyPools[c-minClass].Get(); v != nil {
 		box := v.(*[]byte)
 		b := *box
 		*box = nil
 		boxPool.Put(box)
-		if cap(b) >= n {
-			return b[:n]
-		}
+		return b[:n]
 	}
-	// Room for any small frame: a header-only reply recycles like the rest.
-	return make([]byte, n, max(n, 64))
+	return make([]byte, n, 1<<c)
 }
 
 // Recycle returns a payload obtained from a Call (or a handler) to the
 // frame-body pool. Strictly optional — callers that skip it just leave
 // the buffer to the GC — and only legal once every value decoded from
 // the payload has been copied out: the buffer will be overwritten by a
-// future frame.
+// future frame. A buffer is filed under the largest class its capacity
+// covers; one smaller than the smallest class or larger than the largest
+// is not kept.
 func Recycle(b []byte) {
-	if cap(b) < 16 {
+	if cap(b) < 1<<minClass || cap(b) > maxPooled {
 		return
 	}
+	c := bits.Len(uint(cap(b))) - 1
 	box, _ := boxPool.Get().(*[]byte)
 	if box == nil {
 		box = new([]byte)
 	}
 	*box = b[:cap(b)]
-	bufPool.Put(box)
+	bodyPools[c-minClass].Put(box)
 }
 
 // smallFrame is the flatten threshold of the vectored write path: frames
@@ -380,19 +414,18 @@ func (c *Conn) writeFrameVec(t byte, id uint32, v *Vec) error {
 		c.wmu.Unlock()
 		Recycle(buf)
 	} else {
-		var hdr [9]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(5+n))
-		hdr[4] = t
-		binary.BigEndian.PutUint32(hdr[5:], id)
 		c.wmu.Lock()
+		binary.BigEndian.PutUint32(c.whdr[:], uint32(5+n))
+		c.whdr[4] = t
+		binary.BigEndian.PutUint32(c.whdr[5:], id)
 		// One vectored write: writev on *net.TCPConn, sequential writes on
 		// anything else (still one frame — wmu holds across the chunks).
-		full := v.buffers(c.wbufs[:0], hdr[:])
-		bufs := full
-		_, err = bufs.WriteTo(c.nc) // consumes bufs, not full
-		for i := range full {
-			full[i] = nil // drop chunk refs so the scratch pins nothing
-		}
+		// The header and the chunk list live in the Conn, so the write
+		// allocates nothing; WriteTo consumes c.wbufs, full keeps the list.
+		full := v.buffers(c.wbufs[:0], c.whdr[:])
+		c.wbufs = full
+		_, err = c.wbufs.WriteTo(c.nc)
+		clear(full) // drop chunk refs so the scratch pins nothing
 		c.wbufs = full[:0]
 		c.wmu.Unlock()
 	}

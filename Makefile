@@ -105,7 +105,8 @@ coverage-check:
 # The tier-1 gate the roadmap pins.
 tier1: build test
 
-# Docs gate: vet, Example tests, markdown link check (CI's `docs` job).
+# Docs gate: vet, Example tests, the examples/ programs, markdown link
+# check (CI's `docs` job).
 docs-check:
 	./scripts/check_docs.sh
 

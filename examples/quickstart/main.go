@@ -37,7 +37,7 @@ func main() {
 		p.PutValue(right, 0, uint64(100+r))
 		p.Flush(right)
 		p.Gsync()
-		p.GetInto(right, 0, 1, 1)
+		p.GetCopy(right, 0, 1, 1)
 		p.Flush(right)
 	})
 

@@ -76,7 +76,7 @@ func main() {
 		p.Gsync() // anchors the coordinated schedule
 		p.Gsync() // coordinated checkpoint
 		if r == 0 {
-			p.GetInto(1, 0, 1, 0) // epoch left open: N_1[0] stays raised
+			p.GetCopy(1, 0, 1, 0) // epoch left open: N_1[0] stays raised
 		}
 	})
 	w2.Kill(0)

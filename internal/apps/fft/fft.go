@@ -123,9 +123,7 @@ func Init(api rma.API, cfg Config) {
 	rank := api.Rank()
 	r, cc := rank/cfg.Q, rank%cfg.Q
 	nl := cfg.nl()
-	// Stage the initial field privately and store it through the
-	// non-aliasing WriteAt path: no Local() alias escapes, so the window's
-	// generation-stamp dirty tracking survives this writer app.
+	// Stage the initial field privately and store it through WriteAt.
 	win := make([]uint64, cfg.WindowWords())
 	for rs := 0; rs < cfg.Q; rs++ {
 		for zl := 0; zl < nl; zl++ {
@@ -285,11 +283,10 @@ func iteration(api rma.API, cfg Config, it int) {
 	// machine's byte-per-flop ratio through Compute.
 	packFlops := float64(8 * cfg.blockWords() / 2)
 
-	// Each phase reads the window through the non-aliasing read path into
-	// a reused private snapshot; the transposed blocks reach the windows
-	// only as runtime puts (every stage region is fully rewritten by its
-	// transpose, self-block included, so no aliasing write is ever needed
-	// and generation-stamp dirty tracking survives).
+	// Each phase reads the window into a reused private snapshot; the
+	// transposed blocks reach the windows only as runtime puts (every
+	// stage region is fully rewritten by its transpose, self-block
+	// included).
 	win := make([]uint64, cfg.WindowWords())
 
 	// Phase 1: FFT along x, transpose A -> B within the process row.

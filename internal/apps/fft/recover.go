@@ -31,8 +31,8 @@ func Recover(p *ftrma.Process, logs *ftrma.ReplayLogs, cfg Config) {
 	buf := make([]uint64, cfg.blockWords())
 	maxG := logs.MaxGNC()
 
-	// Like the forward path, every phase reads the window through the
-	// non-aliasing read path into a reused private snapshot; the self
+	// Like the forward path, every phase reads the window into a reused
+	// private snapshot; the self
 	// transpose block is stored back through WriteAt (the survivors'
 	// blocks arrive from the logs), so the fresh window's dirty stamps
 	// stay exact through the whole recovery.

@@ -63,9 +63,7 @@ type Checkpointer interface{ UCCheckpoint() }
 // Init fills buffer 0 — interior and halos — with the initial field. Halos
 // are computable locally because the initial condition is a closed form; no
 // communication is needed. The field is staged in private memory and
-// stored through the non-aliasing WriteAt path, so the window's
-// generation-stamp dirty tracking survives (no Local() alias). When
-// supported, an uncoordinated checkpoint makes the initial state
+// stored through WriteAt. When supported, an uncoordinated checkpoint makes the initial state
 // recoverable.
 func Init(api rma.API, cfg Config) {
 	if err := cfg.Validate(); err != nil {
@@ -114,12 +112,9 @@ func computePhase(win []uint64, cfg Config, it int) {
 // rows to the neighbours with non-blocking puts, and close the phase with a
 // gsync (one gsync per iteration, so GNC equals the iteration index).
 //
-// Each iteration reads the window through the non-aliasing ReadAt path,
-// computes the next buffer in that private snapshot, and stores the
-// updated interior back through WriteAt — no Local() alias ever escapes,
-// so the window's generation-stamp dirty tracking stays exact and
-// incremental checkpoints keep skipping the content-diff scan even for
-// this writer-heavy kernel.
+// Each iteration reads the window into a private snapshot, computes the
+// next buffer there, and stores the updated interior back through WriteAt,
+// which stamps it for the next incremental checkpoint.
 func Run(api rma.API, cfg Config, from, to int) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -155,7 +150,7 @@ func Recover(p *ftrma.Process, logs *ftrma.ReplayLogs, cfg Config) {
 	maxG := logs.MaxGNC()
 	win := make([]uint64, cfg.WindowWords())
 	for it := p.GNC(); it <= maxG; it++ {
-		// Same non-aliasing read/compute/write cycle as Run, so the
+		// Same read/compute/write cycle as Run, so the
 		// recovered rank's window evolves bit-identically to the normal
 		// path; the neighbours' halo puts arrive from the logs instead of
 		// the wire.

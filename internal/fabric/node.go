@@ -1027,12 +1027,6 @@ func (nd *Node) GetCopy(target, off, n, localOff int) []uint64 {
 	return nd.addGet(target, off, n, localOff)
 }
 
-// GetInto implements rma.API by rejection: the fabric window never hands
-// out aliases (GetCopy covers the recoverable-landing use).
-func (nd *Node) GetInto(target, off, n, localOff int) []uint64 {
-	panic("fabric: GetInto (window aliasing) is not supported; use GetCopy")
-}
-
 // GetBlocking implements rma.API.
 func (nd *Node) GetBlocking(target, off, n int) []uint64 {
 	if target == nd.rank {

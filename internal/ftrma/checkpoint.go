@@ -101,7 +101,7 @@ func (p *Process) planCheckpoint(dst, base []uint64, gen uint64) ckptPlan {
 		plan.ranges = []rma.DirtyRange{{Off: 0, Len: len(base)}}
 		plan.gen = gen
 	} else {
-		plan.ranges, plan.gen = p.inner.LocalReadDirty(dst, base, gen)
+		plan.ranges, plan.gen = p.inner.LocalReadDirty(dst, gen)
 		plan.src = dst
 	}
 	plan.batches = chunkRanges(plan.ranges, p.streamChunkWords())
@@ -170,32 +170,6 @@ func rangeWords(ranges []rma.DirtyRange) int {
 		n += r.Len
 	}
 	return n
-}
-
-// unionRanges merges two sorted, internally disjoint range lists into the
-// sorted list of maximal ranges covered by either — the dirty volume one
-// checkpoint message to the CH must carry when it feeds two parity levels.
-func unionRanges(a, b []rma.DirtyRange) []rma.DirtyRange {
-	var out []rma.DirtyRange
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var r rma.DirtyRange
-		if j >= len(b) || (i < len(a) && a[i].Off <= b[j].Off) {
-			r = a[i]
-			i++
-		} else {
-			r = b[j]
-			j++
-		}
-		if k := len(out); k > 0 && r.Off <= out[k-1].Off+out[k-1].Len {
-			if end := r.Off + r.Len; end > out[k-1].Off+out[k-1].Len {
-				out[k-1].Len = end - out[k-1].Off
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // takeUCCheckpoint takes an uncoordinated checkpoint of this rank: lock the
@@ -388,18 +362,17 @@ func (p *Process) ccRound() {
 	grp := p.sys.groupOf(p.Rank())
 
 	// Fold the window into both parity levels. The checkpoint message to
-	// the CH must carry every word either level needs, so the charged
-	// volume is the union of the two dirty regions. (With generation
-	// stamps the CC region is a superset of the UC one — the CC cursor is
-	// older — but under the aliased content-diff fallback the two can
-	// partially diverge.) Unlike the UC path, commit precedes the modeled
-	// transfer: the collective round is barrier-bracketed, so parity,
-	// snapshot, and log clearing stay mutually consistent at every rank
-	// whatever the clocks do.
+	// the CH must carry every word either level needs: the CC region,
+	// because the CC cursor is never newer than the UC one (both start at
+	// zero, and the UC cursor also advances at every UC checkpoint), and
+	// the window does not change between the two plans. Unlike the UC
+	// path, commit precedes the modeled transfer: the collective round is
+	// barrier-bracketed, so parity, snapshot, and log clearing stay
+	// mutually consistent at every rank whatever the clocks do.
 	// The two levels are planned and committed sequentially so one scratch
 	// buffer suffices: committing the CC plan touches only ccData/ccGen,
-	// never the UC cursor, and the union charge below needs only the two
-	// plans' range lists, which survive the snapshot buffer's reuse.
+	// never the UC cursor, and the charge below needs only the CC plan's
+	// batch list, which survives the snapshot buffer's reuse.
 	p.ckptMu.Lock()
 	ccPlan := p.planCheckpoint(p.scratch, p.ccData, p.ccGen)
 	p.commitCheckpoint(grp, LevelCC, p.ccData, ccPlan)
@@ -416,29 +389,8 @@ func (p *Process) ccRound() {
 	grp.mu.Unlock()
 
 	// One copy travels to the CH; the CH folds it into both parities
-	// locally, so the stream carries each union batch once.
-	union := chunkRanges(unionRanges(ccPlan.ranges, ucPlan.ranges), p.streamChunkWords())
-	p.chargeCheckpoint(grp, union)
-
-	// Multi-level extension: periodically flush the coordinated state to
-	// stable storage. The decision uses the per-rank round counter, which
-	// is identical at every rank (all ranks execute the same coordinated
-	// rounds).
-	if n := p.sys.cfg.PFSEveryN; n > 0 {
-		p.ccRounds++
-		if p.ccRounds%n == 0 {
-			p.ckptMu.Lock()
-			words := cloneWords(p.ccData)
-			p.ckptMu.Unlock()
-			p.pfsFlush(words, snap)
-			if p.Rank() == 0 {
-				st := p.sys.pfs
-				st.mu.Lock()
-				st.saved++
-				st.mu.Unlock()
-			}
-		}
-	}
+	// locally, so the stream carries each CC batch once.
+	p.chargeCheckpoint(grp, ccPlan.batches)
 
 	p.clearAllLogs()
 	p.sys.world.Emit(rma.TraceAction{Kind: "checkpoint", Src: p.Rank()})

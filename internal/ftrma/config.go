@@ -16,10 +16,14 @@
 // All checkpoint data stays in volatile memory: every computing process
 // (CM) keeps its latest checkpoint locally and a checksum process (CH) per
 // group holds the XOR of its members' checkpoints (m=1; Reed–Solomon
-// generalizes to m>1 and keeps the XOR as its first parity). A failed
-// rank is recovered causally by Algorithm 2 (gsync codes) or Algorithm 3
-// (lock codes); if an N or M flag forbids causal replay, the system falls
-// back to the last coordinated checkpoint.
+// generalizes to m>1 and keeps the XOR as its first parity). There is no
+// stable-storage level: a failure the parity cannot cover is catastrophic
+// (§5.1), and the SCR-PFS baseline of Fig. 10d lives in package scr.
+// Checkpoints are incremental (§6.2): the window's generation stamps name
+// the words written since a level's last copy, and only those are copied
+// and folded. A failed rank is recovered causally by Algorithm 2 (gsync
+// codes) or Algorithm 3 (lock codes); if an N or M flag forbids causal
+// replay, the system falls back to the last coordinated checkpoint.
 //
 // A Process wraps an rma.Proc and intercepts every RMA call, exactly as the
 // paper's library interposes via the PMPI profiling interface (§6.1).
@@ -118,7 +122,8 @@ type StreamConfig struct {
 // Config tunes the protocol; the fields mirror the knobs the paper's window
 // creation accepts (§6.1: number of CHs, MTBF, t-awareness). The tuning
 // surface is grouped: Log holds the access-logging knobs, Stream the
-// demand-checkpoint streaming knobs.
+// demand-checkpoint streaming knobs. Every knob tunes the paper's diskless
+// protocol (§7.1); none adds a checkpoint level.
 type Config struct {
 	// Log groups the access-logging knobs.
 	Log LogConfig
@@ -152,12 +157,6 @@ type Config struct {
 	// incremental checksum integration — and is bit-identical in outcome;
 	// this knob exists for A/B cost comparisons and equivalence tests.
 	FullCheckpoints bool
-	// PFSEveryN enables the multi-level extension: every N-th coordinated
-	// checkpoint round is additionally flushed to stable storage through
-	// the shared parallel file system, surviving catastrophic failures
-	// (more concurrent group losses than the parity tolerates). Zero
-	// disables the level (the paper's diskless default).
-	PFSEveryN int
 	// PeerParityHosts moves each group's parity shards from the paper's
 	// dedicated (infallible) checksum processes onto elected peer ranks:
 	// the ElectParityHost policy places every (group, level) on an alive
@@ -231,9 +230,6 @@ func (c Config) Validate(n int) error {
 	if c.Stream.Depth < 1 {
 		return fmt.Errorf("ftrma: Stream.Depth %d, need at least one in-flight chunk batch", c.Stream.Depth)
 	}
-	if c.PFSEveryN < 0 {
-		return errors.New("ftrma: negative PFS checkpoint cadence")
-	}
 	if c.Log.SlabWords <= 0 {
 		return fmt.Errorf("ftrma: Log.SlabWords %d must be positive", c.Log.SlabWords)
 	}
@@ -274,7 +270,6 @@ type Stats struct {
 	GetsLogged        int
 	LogBytesPeak      int
 	LogBytesTrimmed   int
-	PFSCheckpoints    int // per-rank stable-storage flushes (multi-level)
 	Recoveries        int
 	Fallbacks         int // causal recovery aborted, rolled back to CC
 	ParityRebuilds    int // parity re-encoded after its hosting rank died

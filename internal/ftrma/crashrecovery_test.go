@@ -19,7 +19,7 @@ import (
 //
 // Determinism of the oracle is guaranteed by construction of the schedule:
 //   - every mutable slot has a single writer rank (puts and atomics go to
-//     per-source slots, GetInto landings to per-op slots of the issuer),
+//     per-source slots, GetCopy landings to per-op slots of the issuer),
 //   - gets only read the put region of the *previous* phase parity, which
 //     no rank writes during the current phase,
 //   - combining ops use commutative reductions (sum/xor), so their phase
@@ -37,7 +37,7 @@ const (
 //	[2N, 4N)     put slots, odd phases
 //	[4N, 5N)     accumulate slots (1 word per source rank)
 //	[5N, 6N)     atomic CAS/FAO slots (1 word per source rank)
-//	[6N, 6N+ops) GetInto landing slots (1 word per op index)
+//	[6N, 6N+ops) GetCopy landing slots (1 word per op index)
 func crWindowWords() int { return 6*crRanks + crOps }
 
 // crPhase runs one rank's deterministic op stream for one phase, closed by
@@ -85,15 +85,8 @@ func crPhase(p rma.API, seed int64, phase int, combining bool) {
 			p.Get(t, aPrev+rng.Intn(2*n), 1)
 		case 8:
 			// Landing slot cBase+i is private to (rank, op index): replayed
-			// gets must never race for a slot within one phase. Half the
-			// draws use the aliasing GetInto (content-diff dirty tracking
-			// from then on), half the non-aliasing GetCopy (stamps survive)
-			// — both land identically, so the oracle stays deterministic.
-			if rng.Intn(2) == 0 {
-				p.GetInto(t, aPrev+rng.Intn(2*n), 1, cBase+i)
-			} else {
-				p.GetCopy(t, aPrev+rng.Intn(2*n), 1, cBase+i)
-			}
+			// gets must never race for a slot within one phase.
+			p.GetCopy(t, aPrev+rng.Intn(2*n), 1, cBase+i)
 		case 9:
 			p.Flush(t)
 		}
@@ -110,7 +103,7 @@ type killEvent struct {
 func snapWindows(w *rma.World) [][]uint64 {
 	out := make([][]uint64, w.N())
 	for r := 0; r < w.N(); r++ {
-		out[r] = w.Proc(r).LocalRead(0, w.Proc(r).WindowWords())
+		out[r] = w.Proc(r).ReadAt(0, w.Proc(r).WindowWords())
 	}
 	return out
 }
@@ -120,7 +113,7 @@ func snapWindows(w *rma.World) [][]uint64 {
 func checkBoundary(t *testing.T, w *rma.World, snap [][]uint64, ph int, when string) {
 	t.Helper()
 	for r := 0; r < w.N(); r++ {
-		got := w.Proc(r).LocalRead(0, w.Proc(r).WindowWords())
+		got := w.Proc(r).ReadAt(0, w.Proc(r).WindowWords())
 		for i := range got {
 			if got[i] != snap[r][i] {
 				t.Fatalf("%s: rank %d word %d = %#x, oracle(boundary %d) = %#x",

@@ -71,7 +71,7 @@ func ExampleSystem_Recover() {
 		panic(err)
 	}
 	w.RunRank(victim, func() { res.Proc.ReplayAll(res.Logs) })
-	fmt.Println(res.FellBack, w.Proc(victim).Local()[victim-1])
+	fmt.Println(res.FellBack, w.Proc(victim).ReadAt(victim-1, 1)[0])
 	// Output: false 100
 }
 

@@ -178,13 +178,13 @@ func TestCombiningPutSetsMFlag(t *testing.T) {
 
 func TestGetLoggedAtTargetAfterEpochClose(t *testing.T) {
 	w, sys := newSys(t, 2, 16, nil)
-	w.Proc(1).Local()[4] = 99
+	w.Proc(1).WriteAt(4, []uint64{99})
 	w.Run(func(r int) {
 		if r != 0 {
 			return
 		}
 		p := sys.Process(0)
-		p.GetInto(1, 4, 1, 0)
+		p.GetCopy(1, 4, 1, 0)
 		// Phase 1: N flag raised at the target, nothing in LG yet.
 		if !sys.Process(1).logs.FlagN(0) {
 			t.Error("N_1[0] not raised during open epoch")
@@ -303,7 +303,7 @@ func TestCausalRecoveryReplaysPuts(t *testing.T) {
 		t.Fatalf("fetched %d records, want 10", res.Logs.Len())
 	}
 	w.RunRank(1, func() { res.Proc.ReplayAll(res.Logs) })
-	got := w.Proc(1).Local()
+	got := w.Proc(1).ReadAt(0, w.Proc(1).WindowWords())
 	want := []uint64{200, 201, 102, 103, 104, 105, 106, 107}
 	for i := range want {
 		if got[i] != want[i] {
@@ -319,12 +319,11 @@ func TestCausalRecoveryReplaysGetsIntoWindow(t *testing.T) {
 	// Rank 0 gets remote data into its own window; after rank 0 fails the
 	// gets are replayed from the target-side logs.
 	w, sys := newSys(t, 2, 8, nil)
-	w.Proc(1).Local()[0] = 77
-	w.Proc(1).Local()[1] = 88
+	w.Proc(1).WriteAt(0, []uint64{77, 88})
 	w.Run(func(r int) {
 		if r == 0 {
 			p := sys.Process(0)
-			p.GetInto(1, 0, 2, 4)
+			p.GetCopy(1, 0, 2, 4)
 			p.Flush(1)
 		}
 	})
@@ -334,7 +333,7 @@ func TestCausalRecoveryReplaysGetsIntoWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.RunRank(0, func() { res.Proc.ReplayAll(res.Logs) })
-	got := w.Proc(0).Local()
+	got := w.Proc(0).ReadAt(0, w.Proc(0).WindowWords())
 	if got[4] != 77 || got[5] != 88 {
 		t.Fatalf("recovered gets = %v", got[:6])
 	}
@@ -372,7 +371,7 @@ func TestRecoveryUsesCheckpointThenReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.RunRank(1, func() { res.Proc.ReplayAll(res.Logs) })
-	got := w.Proc(1).Local()
+	got := w.Proc(1).ReadAt(0, w.Proc(1).WindowWords())
 	if got[0] != 10 || got[1] != 11 || got[2] != 12 {
 		t.Fatalf("recovered window = %v", got)
 	}
@@ -391,8 +390,8 @@ func TestNFlagForcesFallback(t *testing.T) {
 		p.Gsync() // anchors the checkpoint schedule
 		p.Gsync() // takes a coordinated checkpoint (interval elapsed)
 		if r == 0 {
-			p.Local()[0] = 5
-			p.GetInto(1, 0, 1, 1) // epoch stays open
+			p.WriteAt(0, []uint64{5})
+			p.GetCopy(1, 0, 1, 1) // epoch stays open
 		}
 	})
 	ccs := sys.Stats().CCCheckpoints
@@ -407,9 +406,9 @@ func TestNFlagForcesFallback(t *testing.T) {
 	if !res.FellBack {
 		t.Fatal("result does not report fallback")
 	}
-	// The restored state is the CC state: Local()[0] of rank 0 was 0 at
+	// The restored state is the CC state: word 0 of rank 0 was 0 at
 	// checkpoint time (set to 5 only afterwards).
-	if got := w.Proc(0).Local()[0]; got != 0 {
+	if got := w.Proc(0).ReadAt(0, 1)[0]; got != 0 {
 		t.Errorf("rank 0 cell = %d, want CC value 0", got)
 	}
 	if sys.Stats().Fallbacks != 1 {
@@ -437,7 +436,7 @@ func TestMFlagForcesFallback(t *testing.T) {
 		t.Fatal("no fallback reported")
 	}
 	// After fallback the combining put is forgotten (CC predates it).
-	if got := w.Proc(1).Local()[0]; got != 0 {
+	if got := w.Proc(1).ReadAt(0, 1)[0]; got != 0 {
 		t.Errorf("cell = %d, want 0", got)
 	}
 }
@@ -586,7 +585,7 @@ func TestStreamingDemandCheckpointCostOrdering(t *testing.T) {
 				for i := range data {
 					data[i] = uint64(i + 1)
 				}
-				p.Inner().LocalWrite(0, data)
+				p.Inner().WriteAt(0, data)
 				p.takeUCCheckpoint()
 			}
 		})
@@ -622,7 +621,7 @@ func TestRSGroupsSurviveTwoFailures(t *testing.T) {
 	w.Run(func(r int) {
 		p := sys.Process(r)
 		for i := 0; i < 8; i++ {
-			p.Local()[i] = uint64(r*100 + i)
+			p.WriteAt(i, []uint64{uint64(r*100 + i)})
 		}
 		p.Gsync() // anchor
 		p.Gsync() // coordinated checkpoint capturing the values
@@ -641,7 +640,7 @@ func TestRSGroupsSurviveTwoFailures(t *testing.T) {
 			t.Fatalf("rank %d still dead after fallback", r)
 		}
 		for i := 0; i < 8; i++ {
-			if got := w.Proc(r).Local()[i]; got != uint64(r*100+i) {
+			if got := w.Proc(r).ReadAt(i, 1)[0]; got != uint64(r*100+i) {
 				t.Fatalf("rank %d cell %d = %d, want %d", r, i, got, r*100+i)
 			}
 		}
@@ -688,7 +687,7 @@ func TestReplayOrderingProperty(t *testing.T) {
 		}
 		p.Gsync()
 	})
-	final := w.Proc(3).Local()[0]
+	final := w.Proc(3).ReadAt(0, 1)[0]
 	if final != 42 {
 		t.Fatalf("pre-kill value = %d, want 42", final)
 	}
@@ -698,7 +697,7 @@ func TestReplayOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.RunRank(3, func() { res.Proc.ReplayAll(res.Logs) })
-	if got := w.Proc(3).Local()[0]; got != 42 {
+	if got := w.Proc(3).ReadAt(0, 1)[0]; got != 42 {
 		t.Errorf("replayed cell = %d, want 42 (GNC order violated)", got)
 	}
 }

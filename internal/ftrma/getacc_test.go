@@ -8,7 +8,7 @@ import (
 
 func TestGetAccumulateLoggedBothSides(t *testing.T) {
 	w, sys := newSys(t, 2, 8, nil)
-	w.Proc(1).Local()[0] = 7
+	w.Proc(1).WriteAt(0, []uint64{7})
 	w.Run(func(r int) {
 		if r == 0 {
 			prev := sys.Process(0).GetAccumulate(1, 0, []uint64{3}, rma.OpSum)
@@ -48,7 +48,7 @@ func TestGetAccumulateForcesFallback(t *testing.T) {
 	if err != ErrFallback || !res.FellBack {
 		t.Fatalf("expected fallback for combining access, got %v", err)
 	}
-	if got := w.Proc(1).Local()[0]; got != 0 {
+	if got := w.Proc(1).ReadAt(0, 1)[0]; got != 0 {
 		t.Errorf("cell = %d, want the checkpointed 0", got)
 	}
 }

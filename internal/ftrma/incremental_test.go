@@ -9,7 +9,7 @@ import (
 )
 
 // runIncrementalScenario drives a deterministic workload — tracked local
-// writes, remote puts, raw aliased window writes, and per-round UC
+// writes, remote puts, and per-round UC
 // checkpoints — kills a rank, recovers it, and returns every rank's final
 // window plus the virtual time spent checkpointing.
 func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64) {
@@ -28,7 +28,7 @@ func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64
 		for i := range init {
 			init[i] = uint64(r)<<32 | uint64(i)
 		}
-		p.Inner().LocalWrite(0, init)
+		p.Inner().WriteAt(0, init)
 		p.UCCheckpoint()
 		p.Barrier() // all inits visible before any remote puts race them
 		rng := rand.New(rand.NewSource(int64(100 + r)))
@@ -38,12 +38,11 @@ func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64
 			// (two unordered writers to one word would make the final
 			// contents interleaving-dependent, which is an application
 			// race, not a checkpointing property).
-			p.Inner().LocalWrite(rng.Intn(250), []uint64{rng.Uint64(), rng.Uint64()})
+			p.Inner().WriteAt(rng.Intn(250), []uint64{rng.Uint64(), rng.Uint64()})
 			if r == 2 && round >= 3 {
-				// Raw aliased write: bypasses the runtime, must still be
-				// caught by the content-diff fallback.
-				win := p.Local()
-				win[400+round] = rng.Uint64() | 1
+				// A write through the API's WriteAt, outside the region
+				// the Inner() writes above reach.
+				p.WriteAt(400+round, []uint64{rng.Uint64() | 1})
 			}
 			if r == 0 {
 				// Remote put into rank 1's window (tracked at the target).
@@ -61,7 +60,7 @@ func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64
 	}
 	out := make([][]uint64, w.N())
 	for r := 0; r < w.N(); r++ {
-		out[r] = w.Proc(r).LocalRead(0, words)
+		out[r] = w.Proc(r).ReadAt(0, words)
 	}
 	return out, sys.Stats().CheckpointSeconds
 }
@@ -111,9 +110,9 @@ func runFallbackScenario(t *testing.T, m int, full bool) [][]uint64 {
 		for i := range init {
 			init[i] = uint64(r*1000 + i)
 		}
-		p.Inner().LocalWrite(0, init)
+		p.Inner().WriteAt(0, init)
 		p.CheckpointLocks() // coordinated checkpoint of the initial state
-		p.Inner().LocalWrite(2*r, []uint64{0xfeed})
+		p.Inner().WriteAt(2*r, []uint64{0xfeed})
 		if r == 0 {
 			// Combining put raises M at rank 2: causal recovery of rank 2
 			// becomes illegal and the system must roll back to the
@@ -130,7 +129,7 @@ func runFallbackScenario(t *testing.T, m int, full bool) [][]uint64 {
 	}
 	out := make([][]uint64, w.N())
 	for r := 0; r < w.N(); r++ {
-		out[r] = w.Proc(r).LocalRead(0, words)
+		out[r] = w.Proc(r).ReadAt(0, words)
 	}
 	return out
 }
@@ -180,7 +179,7 @@ func TestFallbackTwiceRestoresCoordinatedState(t *testing.T) {
 	}
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().LocalWrite(0, fill(r, 1))
+		p.Inner().WriteAt(0, fill(r, 1))
 		p.CheckpointLocks()
 	})
 	w.Kill(2)
@@ -190,7 +189,7 @@ func TestFallbackTwiceRestoresCoordinatedState(t *testing.T) {
 	// A fresh coordinated round with new data, then a second failure.
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().LocalWrite(0, fill(r, 2))
+		p.Inner().WriteAt(0, fill(r, 2))
 		p.CheckpointLocks()
 	})
 	w.Kill(2)
@@ -198,7 +197,7 @@ func TestFallbackTwiceRestoresCoordinatedState(t *testing.T) {
 		t.Fatalf("second fallback: %v", err)
 	}
 	for r := 0; r < w.N(); r++ {
-		got := w.Proc(r).LocalRead(0, words)
+		got := w.Proc(r).ReadAt(0, words)
 		want := fill(r, 2)
 		for i := range got {
 			if got[i] != want[i] {
@@ -232,7 +231,7 @@ func TestCausalRecoveryAfterFallback(t *testing.T) {
 	}
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().LocalWrite(0, base(r))
+		p.Inner().WriteAt(0, base(r))
 		p.CheckpointLocks()
 	})
 	// Rank 0 advances past the coordinated state and checkpoints it.
@@ -241,7 +240,7 @@ func TestCausalRecoveryAfterFallback(t *testing.T) {
 			return
 		}
 		p := sys.Process(0)
-		p.Inner().LocalWrite(0, []uint64{0xdeadbeef})
+		p.Inner().WriteAt(0, []uint64{0xdeadbeef})
 		p.UCCheckpoint()
 	})
 	// Concurrent failures in different groups: causal recovery impossible,
@@ -253,7 +252,7 @@ func TestCausalRecoveryAfterFallback(t *testing.T) {
 	if _, err := sys.Recover(g1[0]); !errors.Is(err, ErrFallback) {
 		t.Fatalf("expected fallback, got %v", err)
 	}
-	if got := w.Proc(0).LocalRead(0, 1)[0]; got == 0xdeadbeef {
+	if got := w.Proc(0).ReadAt(0, 1)[0]; got == 0xdeadbeef {
 		t.Fatal("rank 0 still at pre-rollback state after fallback")
 	}
 	// Now rank 0 fails alone: causal recovery must rebuild its coordinated
@@ -262,7 +261,7 @@ func TestCausalRecoveryAfterFallback(t *testing.T) {
 	if _, err := sys.Recover(0); err != nil {
 		t.Fatalf("causal recovery after fallback: %v", err)
 	}
-	got := w.Proc(0).LocalRead(0, words)
+	got := w.Proc(0).ReadAt(0, words)
 	for i, want := range base(0) {
 		if got[i] != want {
 			t.Fatalf("word %d = %x, want %x (coordinated state, not pre-rollback checkpoint)", i, got[i], want)
@@ -286,10 +285,10 @@ func TestIncrementalCheckpointTransfersLess(t *testing.T) {
 			for i := range big {
 				big[i] = uint64(i + 1)
 			}
-			p.Inner().LocalWrite(0, big)
+			p.Inner().WriteAt(0, big)
 			p.UCCheckpoint()
 			t0 := p.Now()
-			p.Inner().LocalWrite(7, []uint64{42}) // one dirty chunk
+			p.Inner().WriteAt(7, []uint64{42}) // one dirty chunk
 			p.UCCheckpoint()
 			_ = t0
 		})

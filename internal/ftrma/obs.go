@@ -54,7 +54,6 @@ func newSysMetrics(r *obs.Registry) *sysMetrics {
 		{"ftrma.stats.gets_logged", func(s *Stats) int64 { return int64(s.GetsLogged) }},
 		{"ftrma.stats.log_bytes_peak", func(s *Stats) int64 { return int64(s.LogBytesPeak) }},
 		{"ftrma.stats.log_bytes_trimmed", func(s *Stats) int64 { return int64(s.LogBytesTrimmed) }},
-		{"ftrma.stats.pfs_checkpoints", func(s *Stats) int64 { return int64(s.PFSCheckpoints) }},
 		{"ftrma.stats.recoveries", func(s *Stats) int64 { return int64(s.Recoveries) }},
 		{"ftrma.stats.fallbacks", func(s *Stats) int64 { return int64(s.Fallbacks) }},
 		{"ftrma.stats.parity_rebuilds", func(s *Stats) int64 { return int64(s.ParityRebuilds) }},

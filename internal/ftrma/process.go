@@ -66,7 +66,6 @@ type Process struct {
 	lastCC     float64
 	ccInterval float64
 	ccDelta    float64
-	ccRounds   int // completed coordinated rounds (multi-level cadence)
 }
 
 var _ rma.API = (*Process)(nil)
@@ -89,29 +88,23 @@ func newProcess(s *System, inner *rma.Proc) *Process {
 	return p
 }
 
-// Rank, N, Now, Compute, Barrier pass straight through. Local is the
-// concrete-type test hook (see rma.Proc.Local), deliberately off the
-// API interface.
+// Rank, N, Now, Compute, Barrier pass straight through.
 
 func (p *Process) Rank() int             { return p.inner.Rank() }
 func (p *Process) N() int                { return p.inner.N() }
-func (p *Process) Local() []uint64       { return p.inner.Local() }
 func (p *Process) Now() float64          { return p.inner.Now() }
 func (p *Process) Compute(flops float64) { p.inner.Compute(flops) }
 func (p *Process) Barrier()              { p.inner.Barrier() }
 
-// ReadAt passes through the non-aliasing local read: unlike Local it keeps
-// the window's generation-stamp dirty tracking intact, so incremental
-// checkpoints stay cheap for read-heavy applications.
+// ReadAt passes through the local read.
 func (p *Process) ReadAt(off, n int) []uint64 { return p.inner.ReadAt(off, n) }
 
 // ReadInto passes through the buffer-reusing variant of ReadAt.
 func (p *Process) ReadInto(off int, dst []uint64) { p.inner.ReadInto(off, dst) }
 
-// WriteAt passes through the non-aliasing local write (the counterpart of
-// ReadAt): a local window store is an internal write action, not a logged
-// remote access, but going through the runtime keeps the dirty stamps exact
-// so incremental checkpoints stay cheap for writer applications too.
+// WriteAt passes through the local write: a local window store is an
+// internal write action, not a logged remote access, but going through the
+// runtime stamps it for the next incremental checkpoint.
 func (p *Process) WriteAt(off int, data []uint64) { p.inner.WriteAt(off, data) }
 
 // Inner exposes the wrapped runtime handle (tests and the harness use it).
@@ -208,53 +201,34 @@ func (p *Process) logPut(target, off int, data []uint64, op rma.ReduceOp) {
 
 // Get intercepts a get whose destination is private memory.
 func (p *Process) Get(target, off, n int) []uint64 {
-	return p.getCommon(target, off, n, -1, false)
+	return p.getCommon(target, off, n, -1)
 }
 
-// GetInto intercepts a get landing in the local window (recoverable). The
-// returned slice aliases the window, downgrading dirty tracking to content
-// diffing — see GetCopy for the stamp-preserving variant.
-func (p *Process) GetInto(target, off, n, localOff int) []uint64 {
-	return p.getCommon(target, off, n, localOff, true)
-}
-
-// GetCopy intercepts the non-aliasing GetInto variant: the data lands in
-// the local window at localOff with identical logging and recovery
-// semantics (the LG record carries the same LocalOff, so replay rewrites
-// the window the same way), but the caller gets a private copy and the
-// window's generation-stamp dirty tracking survives.
+// GetCopy intercepts a get landing in the local window at localOff
+// (recoverable): the LG record carries the LocalOff, so replay rewrites the
+// window the same way.
 func (p *Process) GetCopy(target, off, n, localOff int) []uint64 {
-	return p.getCommon(target, off, n, localOff, false)
+	return p.getCommon(target, off, n, localOff)
 }
 
 // getCommon implements Algorithm 1 phase 1: raise N_target[p] before the
-// first get of the epoch, issue, and remember the determinant in Q_p.
-// aliasRet selects GetInto's window-alias return over GetCopy's private
-// copy; either way the determinant's dest slice is filled at epoch close,
-// before appendLG reads it.
-func (p *Process) getCommon(target, off, n, localOff int, aliasRet bool) []uint64 {
-	if !p.sys.cfg.Log.Gets {
-		switch {
-		case localOff >= 0 && aliasRet:
-			return p.inner.GetInto(target, off, n, localOff)
-		case localOff >= 0:
-			return p.inner.GetCopy(target, off, n, localOff)
-		default:
-			return p.inner.Get(target, off, n)
-		}
-	}
-	if !p.nOpen[target] {
+// first get of the epoch, issue, and remember the determinant in Q_p. The
+// determinant's dest slice is filled at epoch close, before appendLG reads
+// it.
+func (p *Process) getCommon(target, off, n, localOff int) []uint64 {
+	logged := p.sys.cfg.Log.Gets
+	if logged && !p.nOpen[target] {
 		p.setRemoteN(target, true) // Algorithm 1 line 1
 		p.nOpen[target] = true
 	}
 	var dest []uint64
-	switch {
-	case localOff >= 0 && aliasRet:
-		dest = p.inner.GetInto(target, off, n, localOff)
-	case localOff >= 0:
+	if localOff >= 0 {
 		dest = p.inner.GetCopy(target, off, n, localOff)
-	default:
+	} else {
 		dest = p.inner.Get(target, off, n)
+	}
+	if !logged {
+		return dest
 	}
 	ec, gc, sc, gnc := p.counters(target)
 	p.qPending[target] = append(p.qPending[target], pendingGet{
@@ -266,7 +240,7 @@ func (p *Process) getCommon(target, off, n, localOff int, aliasRet bool) []uint6
 // GetBlocking gets and immediately closes the epoch; N_target[p] is lowered
 // on return, as §3.2.3 prescribes for blocking gets.
 func (p *Process) GetBlocking(target, off, n int) []uint64 {
-	dest := p.getCommon(target, off, n, -1, false)
+	dest := p.getCommon(target, off, n, -1)
 	p.Flush(target)
 	return dest
 }
@@ -446,8 +420,8 @@ func (p *Process) closeEpochTo(target int) {
 		after := 0
 		for _, g := range pend {
 			// AppendLG copies g.dest into the target's log residence, so
-			// the destination buffer (possibly a local-window alias) is
-			// read exactly once here, at epoch close.
+			// the destination buffer is read exactly once here, at epoch
+			// close.
 			after = p.sys.procs[target].logs.AppendLG(p.Rank(), LogRecord{
 				Kind: LogGet, Src: p.Rank(), Trg: target, Off: g.off,
 				Data: g.dest, LocalOff: g.localOff,

@@ -176,7 +176,7 @@ func (s *System) reconstructUC(f int) ([]uint64, memberSnap, error) {
 
 // restoreRank loads checkpoint data and counters into a fresh process.
 func (s *System) restoreRank(p *Process, data []uint64, snap memberSnap) {
-	p.inner.LocalWrite(0, data)
+	p.inner.WriteAt(0, data)
 	p.inner.AdvanceTime(s.world.Params().CopyTime(8 * len(data)))
 	p.gc.Store(int64(snap.snap.GC))
 	p.gnc.Store(int64(snap.snap.GNC))
@@ -254,7 +254,7 @@ func (p *Process) ReplayPhase(l *ReplayLogs, gnc int) {
 		}
 		if r.LocalOff >= 0 {
 			// The get's data lands where the original get put it.
-			p.inner.LocalWrite(r.LocalOff, r.Data)
+			p.inner.WriteAt(r.LocalOff, r.Data)
 			p.inner.AdvanceTime(params.CopyTime(8 * len(r.Data)))
 		}
 		replayed++
@@ -268,17 +268,16 @@ func (p *Process) ReplayPhase(l *ReplayLogs, gnc int) {
 func (p *Process) applyRecord(r LogRecord, cost float64) {
 	switch {
 	case r.Kind == LogPut && r.Op == rma.OpReplace:
-		p.inner.LocalWrite(r.Off, r.Data)
+		p.inner.WriteAt(r.Off, r.Data)
 	case r.Kind == LogPut:
 		// Combining puts only reach replay via explicit opt-in paths
 		// (they normally force the fallback through the M flag); apply
-		// with the original op. The read goes through the non-aliasing
-		// path so replay never downgrades the fresh window's stamps.
+		// with the original op.
 		cur := p.inner.ReadAt(r.Off, len(r.Data))
 		for i, v := range r.Data {
 			cur[i] = applyOp(r.Op, cur[i], v)
 		}
-		p.inner.LocalWrite(r.Off, cur)
+		p.inner.WriteAt(r.Off, cur)
 	}
 	p.inner.AdvanceTime(cost)
 }

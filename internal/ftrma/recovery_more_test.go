@@ -24,7 +24,7 @@ func TestAlgorithm3LockOrderedReplay(t *testing.T) {
 		p.PutValue(2, 1, uint64(200+r))
 		p.Unlock(2, rma.StrWindow)
 	})
-	final := w.Proc(2).LocalRead(0, 2)
+	final := w.Proc(2).ReadAt(0, 2)
 	w.Kill(2)
 	res, err := sys.Recover(2)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestAlgorithm3LockOrderedReplay(t *testing.T) {
 		t.Fatalf("expected 2 distinct SCs, got %v", scs)
 	}
 	w.RunRank(2, func() { res.Proc.ReplayAll(res.Logs) })
-	got := w.Proc(2).LocalRead(0, 2)
+	got := w.Proc(2).ReadAt(0, 2)
 	if got[0] != final[0] || got[1] != final[1] {
 		t.Fatalf("replay = %v, pre-failure state = %v (SC order violated)", got, final)
 	}
@@ -145,14 +145,14 @@ func TestReplayOrderingPropertyRandomPrograms(t *testing.T) {
 				p.Gsync()
 			}
 		})
-		want := w.Proc(victim).LocalRead(0, words)
+		want := w.Proc(victim).ReadAt(0, words)
 		w.Kill(victim)
 		res, err := sys.Recover(victim)
 		if err != nil {
 			return false
 		}
 		w.RunRank(victim, func() { res.Proc.ReplayAll(res.Logs) })
-		got := w.Proc(victim).LocalRead(0, words)
+		got := w.Proc(victim).ReadAt(0, words)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -176,7 +176,7 @@ func TestChaosKillsAtBoundaries(t *testing.T) {
 		runAll(w, nil, 0, iters)
 		var all []uint64
 		for r := 0; r < n; r++ {
-			all = append(all, w.Proc(r).LocalRead(0, words)...)
+			all = append(all, w.Proc(r).ReadAt(0, words)...)
 		}
 		return all
 	}()
@@ -199,7 +199,7 @@ func TestChaosKillsAtBoundaries(t *testing.T) {
 		runAll(w, sys, killAt, iters)
 		var all []uint64
 		for r := 0; r < n; r++ {
-			all = append(all, w.Proc(r).LocalRead(0, words)...)
+			all = append(all, w.Proc(r).ReadAt(0, words)...)
 		}
 		for i := range reference {
 			if all[i] != reference[i] {
@@ -237,7 +237,7 @@ func TestStreamingDemandCheckpointRecovery(t *testing.T) {
 		w.Run(func(r int) {
 			if r == 1 {
 				for i := 0; i < 8; i++ {
-					sys.Process(1).Local()[i] = uint64(i + 1)
+					sys.Process(1).WriteAt(i, []uint64{uint64(i + 1)})
 				}
 				sys.Process(1).UCCheckpoint()
 			}
@@ -248,7 +248,7 @@ func TestStreamingDemandCheckpointRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			if got := w.Proc(1).Local()[i]; got != uint64(i+1) {
+			if got := w.Proc(1).ReadAt(i, 1)[0]; got != uint64(i+1) {
 				t.Fatalf("streaming=%v: cell %d = %d", streaming, i, got)
 			}
 		}
@@ -262,7 +262,7 @@ func TestMultiGroupRecoveryUsesRightParity(t *testing.T) {
 	w, sys := newSys(t, 6, 4, func(c *Config) { c.Groups = 3 })
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Local()[0] = uint64(1000 + r)
+		p.WriteAt(0, []uint64{uint64(1000 + r)})
 		p.UCCheckpoint()
 	})
 	for victim := 0; victim < 6; victim++ {
@@ -272,7 +272,7 @@ func TestMultiGroupRecoveryUsesRightParity(t *testing.T) {
 			t.Fatalf("victim %d: %v", victim, err)
 		}
 		w.RunRank(victim, func() { res.Proc.ReplayAll(res.Logs) })
-		if got := w.Proc(victim).Local()[0]; got != uint64(1000+victim) {
+		if got := w.Proc(victim).ReadAt(0, 1)[0]; got != uint64(1000+victim) {
 			t.Fatalf("victim %d restored %d", victim, got)
 		}
 	}
@@ -285,12 +285,12 @@ func TestFallbackRestoresGlobalConsistency(t *testing.T) {
 	w, sys := newSys(t, 3, 4, func(c *Config) { c.FixedInterval = 1e-9 })
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Local()[0] = uint64(10 + r)
+		p.WriteAt(0, []uint64{uint64(10 + r)})
 		p.Gsync() // anchor
-		p.Gsync() // CC with Local()[0] = 10+r
-		p.Local()[0] = uint64(99)
+		p.Gsync() // CC with word 0 = 10+r
+		p.WriteAt(0, []uint64{99})
 		if r == 0 {
-			p.GetInto(1, 0, 1, 1) // leaves N raised
+			p.GetCopy(1, 0, 1, 1) // leaves N raised
 		}
 	})
 	w.Kill(0)
@@ -299,7 +299,7 @@ func TestFallbackRestoresGlobalConsistency(t *testing.T) {
 		t.Fatalf("expected fallback, got %v", err)
 	}
 	for r := 0; r < 3; r++ {
-		if got := w.Proc(r).Local()[0]; got != uint64(10+r) {
+		if got := w.Proc(r).ReadAt(0, 1)[0]; got != uint64(10+r) {
 			t.Errorf("rank %d cell = %d, want %d (CC state)", r, got, 10+r)
 		}
 	}

@@ -120,7 +120,7 @@ func TestStreamPipelineModeledTime(t *testing.T) {
 			for i := range data {
 				data[i] = uint64(r+1)<<32 | uint64(i)
 			}
-			p.Inner().LocalWrite(0, data)
+			p.Inner().WriteAt(0, data)
 			p.UCCheckpoint()
 		})
 		return int(math.Round(w.MaxTime() * 1e6))
@@ -166,7 +166,7 @@ func TestMidStreamKillLosesCheckpointNotState(t *testing.T) {
 	putVals := []uint64{0xabc1, 0xabc2, 0xabc3}
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().LocalWrite(0, init(r))
+		p.Inner().WriteAt(0, init(r))
 		p.UCCheckpoint()
 		p.Barrier()
 		if r == 0 {
@@ -192,7 +192,7 @@ func TestMidStreamKillLosesCheckpointNotState(t *testing.T) {
 		}
 		p := sys.Process(victim)
 		for c := 0; c < 8; c++ {
-			p.Inner().LocalWrite(c*128, []uint64{0xdead0000 + uint64(c)})
+			p.Inner().WriteAt(c*128, []uint64{0xdead0000 + uint64(c)})
 		}
 		p.UCCheckpoint() // dies mid-stream
 	})
@@ -222,19 +222,20 @@ func TestMidStreamKillLosesCheckpointNotState(t *testing.T) {
 	}
 }
 
-// TestGetCopyPreservesStampTracking pins the non-aliasing read path through
-// the full protocol stack: GetCopy lands remote data in the local window
-// (recoverable, logged like GetInto) without handing out a window alias, so
-// generation-stamp dirty tracking survives; GetInto still downgrades.
+// TestGetCopyPreservesStampTracking pins GetCopy through the full protocol
+// stack: the remote data lands in the local window (recoverable, logged),
+// the caller gets a private copy, and the landing is stamped dirty for the
+// next incremental checkpoint.
 func TestGetCopyPreservesStampTracking(t *testing.T) {
 	w, sys := newSys(t, 2, 128, nil)
 	w.Run(func(r int) {
 		p := sys.Process(r)
 		if r == 1 {
-			p.Inner().LocalWrite(0, []uint64{11, 22, 33, 44})
+			p.Inner().WriteAt(0, []uint64{11, 22, 33, 44})
 		}
 		p.Barrier()
 		if r == 0 {
+			_, gen := p.Inner().LocalReadDirty(make([]uint64, 128), 0)
 			got := p.GetCopy(1, 0, 3, 64)
 			p.Flush(1)
 			if got[0] != 11 || got[1] != 22 || got[2] != 33 {
@@ -243,13 +244,14 @@ func TestGetCopyPreservesStampTracking(t *testing.T) {
 			if win := p.ReadAt(64, 3); win[0] != 11 || win[2] != 33 {
 				t.Errorf("GetCopy landing slot = %v, want remote values", win)
 			}
-			if p.Inner().WindowAliased() {
-				t.Error("GetCopy aliased the window; stamp tracking lost")
+			got[0] = 0xbad
+			if win := p.ReadAt(64, 1); win[0] != 11 {
+				t.Errorf("write through GetCopy's result reached the window: %#x", win[0])
 			}
-			p.GetInto(1, 0, 1, 70)
-			p.Flush(1)
-			if !p.Inner().WindowAliased() {
-				t.Error("GetInto did not alias the window (semantics changed?)")
+			dst := make([]uint64, 128)
+			ranges, _ := p.Inner().LocalReadDirty(dst, gen)
+			if len(ranges) != 1 || ranges[0].Off > 64 || ranges[0].Off+ranges[0].Len < 67 || dst[66] != 33 {
+				t.Errorf("GetCopy landing not stamped dirty: ranges %v", ranges)
 			}
 		}
 		p.Gsync()

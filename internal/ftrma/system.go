@@ -179,8 +179,6 @@ type System struct {
 	procs    []*Process
 	groups   []*chGroup
 
-	pfs *pfsStore
-
 	// streamDelay, when non-nil, perturbs the streaming checkpoint
 	// schedule: it is called once per chunk batch (on the first checksum
 	// process's schedule; the same delay applies to every CH of the
@@ -218,9 +216,7 @@ func NewSystem(w *rma.World, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("ftrma: placement not t-aware: %w", err)
 		}
 	}
-	s := &System{world: w, cfg: cfg, grouping: grouping,
-		om:  newSysMetrics(cfg.Metrics),
-		pfs: &pfsStore{data: make(map[int][]uint64), snaps: make(map[int]memberSnap)}}
+	s := &System{world: w, cfg: cfg, grouping: grouping, om: newSysMetrics(cfg.Metrics)}
 	words := w.Proc(0).WindowWords()
 	s.groups = make([]*chGroup, cfg.Groups)
 	for g := 0; g < cfg.Groups; g++ {

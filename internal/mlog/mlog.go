@@ -161,14 +161,7 @@ func (p *Process) Get(target, off, n int) []uint64 {
 	return dest
 }
 
-// GetInto issues into the window and records like Get.
-func (p *Process) GetInto(target, off, n, localOff int) []uint64 {
-	dest := p.Proc.GetInto(target, off, n, localOff)
-	p.logGet(target, off, n)
-	return dest
-}
-
-// GetCopy issues the non-aliasing window get and records like Get.
+// GetCopy issues into the window and records like Get.
 func (p *Process) GetCopy(target, off, n, localOff int) []uint64 {
 	dest := p.Proc.GetCopy(target, off, n, localOff)
 	p.logGet(target, off, n)

@@ -41,7 +41,7 @@ func TestPutsRecorded(t *testing.T) {
 		t.Errorf("record 0 = %+v", recs[0])
 	}
 	// Semantics unchanged: data arrived.
-	if got := w.Proc(1).Local()[2]; got != 3 {
+	if got := w.Proc(1).ReadAt(2, 1)[0]; got != 3 {
 		t.Errorf("window = %d, want 3", got)
 	}
 }

@@ -38,7 +38,7 @@
 // transport runs the very same worlds over real sockets, one framed flush
 // message per epoch close per target; the conformance suite in
 // internal/transport holds every implementation to the loopback's behavior.
-// Window memory itself (Local, ReadAt, WriteAt, LocalReadDirty) is always
+// Window memory itself (ReadAt, WriteAt, LocalReadDirty) is always
 // local — the seam covers remote access, not the rank's own window.
 package rma
 
@@ -109,16 +109,11 @@ func (op ReduceOp) apply(old, operand uint64) uint64 {
 // layers (ftrma, scr, mlog) — which intercept the calls exactly like a PMPI
 // shim intercepts MPI calls (§6.1) — and by the fabric's symmetric Node.
 //
-// The local-memory surface is deliberately orthogonal: every interface
-// path in and out of the local window (ReadAt, WriteAt, GetCopy's
-// landing) is non-aliasing, so an implementation's dirty tracking stays
-// exact and a distributed implementation never has to pin window memory
-// in the caller's address space. The aliasing escape hatches — Local()
-// (the raw window slice) and GetInto (a get landing that aliases the
-// window) — are not part of the interface: Local survives only as a
-// concrete-type test hook on the in-process implementations, and GetInto
-// is interface-level but documented as unsupported by implementations
-// that cannot alias (the fabric rejects it; use GetCopy).
+// No path in or out of the local window (ReadAt, WriteAt, GetCopy's
+// landing) hands out a reference to window memory: every write goes
+// through the runtime, so an implementation's generation-stamp dirty
+// tracking is exact, and a distributed implementation never has to pin
+// window memory in the caller's address space.
 type API interface {
 	// Rank returns this process's rank.
 	Rank() int
@@ -126,14 +121,10 @@ type API interface {
 	N() int
 	// ReadAt returns a copy of n words of the local window starting at
 	// off, read atomically with respect to concurrent remote accesses.
-	// The returned slice does not alias the window, so generation-stamp
-	// dirty tracking is preserved.
 	ReadAt(off, n int) []uint64
 	// WriteAt stores data at off in the local window through the runtime,
-	// atomically with respect to concurrent remote accesses. It is the
-	// write-path counterpart of ReadAt: because the write goes through
-	// the runtime, the window's generation-stamp dirty tracking stays
-	// exact.
+	// atomically with respect to concurrent remote accesses, marking the
+	// words dirty for the next incremental checkpoint.
 	WriteAt(off int, data []uint64)
 
 	// Put transfers data into target's window at word offset off
@@ -147,19 +138,10 @@ type API interface {
 	// Get starts reading n words from target at off; the returned slice is
 	// filled when the epoch towards target closes.
 	Get(target, off, n int) []uint64
-	// GetInto starts reading n words from target at off into the local
+	// GetCopy starts reading n words from target at off into the local
 	// window at localOff; the data lands in exposed (recoverable) memory
-	// when the epoch closes. The returned slice aliases the local window,
-	// which permanently downgrades the window's dirty tracking from
-	// generation stamps to content diffing; get-heavy applications that
-	// do not need the alias should use GetCopy instead. Implementations
-	// whose window cannot be aliased (the fabric runtime) panic here —
-	// GetCopy is the portable spelling.
-	GetInto(target, off, n, localOff int) []uint64
-	// GetCopy is the non-aliasing variant of GetInto: the data still lands
-	// in the local window at localOff (recoverable memory), but the
-	// returned slice is a private copy filled at epoch close, so
-	// generation-stamp dirty tracking survives.
+	// when the epoch closes, and the returned slice is a private copy of
+	// it filled at the same time.
 	GetCopy(target, off, n, localOff int) []uint64
 	// GetBlocking reads and closes the epoch immediately.
 	GetBlocking(target, off, n int) []uint64
@@ -194,12 +176,11 @@ type API interface {
 	Now() float64
 }
 
-// ReadWindow fills dst with the window contents starting at offset 0
-// through the non-aliasing read path: the allocation-free ReadInto when
-// the implementation offers it (every in-tree implementation does),
-// falling back to the interface's ReadAt. Writer applications that
-// re-read the window every phase (stencil, FFT) share one scratch buffer
-// through it.
+// ReadWindow fills dst with the window contents starting at offset 0: the
+// allocation-free ReadInto when the implementation offers it (every
+// in-tree implementation does), falling back to the interface's ReadAt.
+// Writer applications that re-read the window every phase (stencil, FFT)
+// share one scratch buffer through it.
 func ReadWindow(api API, dst []uint64) {
 	if r, ok := api.(interface{ ReadInto(int, []uint64) }); ok {
 		r.ReadInto(0, dst)

@@ -1,7 +1,7 @@
 package rma
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -13,18 +13,17 @@ func TestDirtyTrackingRanges(t *testing.T) {
 	w := NewWorld(Config{N: 1, WindowWords: words})
 	p := w.Proc(0)
 	dst := make([]uint64, words)
-	base := make([]uint64, words)
 
 	// Fresh window: nothing written, nothing dirty.
-	ranges, gen := p.LocalReadDirty(dst, base, 0)
+	ranges, gen := p.LocalReadDirty(dst, 0)
 	if len(ranges) != 0 {
 		t.Fatalf("fresh window reported dirty ranges %v", ranges)
 	}
 
 	// One word in chunk 0, one in chunk 2.
-	p.LocalWrite(3, []uint64{7})
-	p.LocalWrite(2*dirtyChunkWords+5, []uint64{9})
-	ranges, gen = p.LocalReadDirty(dst, base, gen)
+	p.WriteAt(3, []uint64{7})
+	p.WriteAt(2*dirtyChunkWords+5, []uint64{9})
+	ranges, gen = p.LocalReadDirty(dst, gen)
 	want := []DirtyRange{
 		{Off: 0, Len: dirtyChunkWords},
 		{Off: 2 * dirtyChunkWords, Len: dirtyChunkWords},
@@ -37,84 +36,98 @@ func TestDirtyTrackingRanges(t *testing.T) {
 	}
 
 	// Cursor advanced: no new writes, no dirty chunks.
-	copy(base, dst)
-	if ranges, _ = p.LocalReadDirty(dst, base, gen); len(ranges) != 0 {
+	if ranges, _ = p.LocalReadDirty(dst, gen); len(ranges) != 0 {
 		t.Fatalf("clean window reported dirty ranges %v", ranges)
 	}
 
 	// Adjacent chunks merge into one range.
-	p.LocalWrite(dirtyChunkWords-1, []uint64{1, 2}) // spans chunks 0 and 1
-	ranges, _ = p.LocalReadDirty(dst, base, gen)
+	p.WriteAt(dirtyChunkWords-1, []uint64{1, 2}) // spans chunks 0 and 1
+	ranges, _ = p.LocalReadDirty(dst, gen)
 	if len(ranges) != 1 || ranges[0].Off != 0 || ranges[0].Len != 2*dirtyChunkWords {
 		t.Fatalf("spanning write produced ranges %v", ranges)
 	}
 }
 
-// TestDirtyTrackingRemoteOps checks that remote puts, accumulates, and
-// atomics mark the target's window dirty.
+// TestDirtyTrackingRemoteOps pins every path that mutates a window to the
+// dirty stamps: generation stamps are the only change detector, so a path
+// that skipped dirty.Mark would lose its words from the next incremental
+// checkpoint. Each row mutates rank 1's window once and must report exactly
+// the chunks it changed, with the new contents copied out.
 func TestDirtyTrackingRemoteOps(t *testing.T) {
-	const words = 4 * dirtyChunkWords
+	const (
+		c     = dirtyChunkWords
+		words = 4 * c
+	)
+	chunk := func(i int) []DirtyRange { return []DirtyRange{{Off: i * c, Len: c}} }
+	for _, tc := range []struct {
+		name string
+		op   func(w *World)
+		want []DirtyRange // chunks of rank 1 reported dirty
+		off  int          // a word the op wrote ...
+		val  uint64       // ... and its new value
+	}{
+		{"put", func(w *World) {
+			w.Proc(0).Put(1, 1, []uint64{42})
+			w.Proc(0).Flush(1)
+		}, chunk(0), 1, 42},
+		{"accumulate", func(w *World) {
+			w.Proc(0).Accumulate(1, c+2, []uint64{5}, OpSum)
+			w.Proc(0).Flush(1)
+		}, chunk(1), c + 2, 5},
+		{"fetch-and-op", func(w *World) {
+			w.Proc(0).FetchAndOp(1, 3*c, 5, OpSum)
+		}, chunk(3), 3 * c, 5},
+		{"cas-hit", func(w *World) {
+			w.Proc(0).CompareAndSwap(1, 2*c, 0, 9)
+		}, chunk(2), 2 * c, 9},
+		{"cas-miss", func(w *World) {
+			w.Proc(0).CompareAndSwap(1, 2*c, 1, 9)
+		}, nil, 2 * c, 0},
+		{"get-accumulate", func(w *World) {
+			w.Proc(0).GetAccumulate(1, c, []uint64{6}, OpSum)
+		}, chunk(1), c, 6},
+		{"getcopy-landing", func(w *World) {
+			w.Proc(0).WriteAt(0, []uint64{41})
+			w.Proc(1).GetCopy(0, 0, 1, 3*c+1)
+			w.Proc(1).Flush(0)
+		}, chunk(3), 3*c + 1, 41},
+		{"writeat", func(w *World) {
+			w.Proc(1).WriteAt(c+7, []uint64{3})
+		}, chunk(1), c + 7, 3},
+		{"self-put", func(w *World) {
+			w.Proc(1).Put(1, 2*c+3, []uint64{8})
+			w.Proc(1).Flush(1)
+		}, chunk(2), 2*c + 3, 8},
+		{"kill-clear", func(w *World) {
+			w.Kill(1)
+		}, []DirtyRange{{Off: 0, Len: words}}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(Config{N: 2, WindowWords: words})
+			win := w.windows[1]
+			dst := make([]uint64, words)
+			_, gen := win.readDirtyInto(dst, 0)
+			tc.op(w)
+			for i := range dst {
+				dst[i] = ^uint64(0)
+			}
+			// The killed rank's window is read directly: its Proc is dead.
+			ranges, _ := win.readDirtyInto(dst, gen)
+			if !slices.Equal(ranges, tc.want) {
+				t.Fatalf("dirty ranges %v, want %v", ranges, tc.want)
+			}
+			if len(tc.want) > 0 && dst[tc.off] != tc.val {
+				t.Fatalf("dirty read copied word %d = %#x, want %#x", tc.off, dst[tc.off], tc.val)
+			}
+		})
+	}
+	// Respawn replaces the cleared window with a fresh one: nothing
+	// written, nothing dirty.
 	w := NewWorld(Config{N: 2, WindowWords: words})
-	dst := make([]uint64, words)
-	base := make([]uint64, words)
-	_, gen := w.Proc(1).LocalReadDirty(dst, base, 0)
-	w.Run(func(r int) {
-		if r != 0 {
-			return
-		}
-		p := w.Proc(0)
-		p.Put(1, 0, []uint64{42})
-		p.Flush(1)
-		p.FetchAndOp(1, 3*dirtyChunkWords, 5, OpSum)
-	})
-	ranges, _ := w.Proc(1).LocalReadDirty(dst, base, gen)
-	if len(ranges) != 2 {
-		t.Fatalf("remote writes produced ranges %v, want two chunks", ranges)
-	}
-	if dst[0] != 42 || dst[3*dirtyChunkWords] != 5 {
-		t.Fatal("dirty read missed remotely written words")
-	}
-}
-
-// TestDirtyTrackingAliasedWindow checks the content-diff fallback: after
-// Local() hands out the raw slice, writes through it bypass the runtime
-// but must still be detected against the caller's base copy.
-func TestDirtyTrackingAliasedWindow(t *testing.T) {
-	const words = 8 * dirtyChunkWords
-	w := NewWorld(Config{N: 1, WindowWords: words})
-	p := w.Proc(0)
-	dst := make([]uint64, words)
-	base := make([]uint64, words)
-
-	win := p.Local() // aliases the window
-	rng := rand.New(rand.NewSource(1))
-	touched := map[int]bool{}
-	for i := 0; i < 5; i++ {
-		c := rng.Intn(8)
-		touched[c] = true
-		win[c*dirtyChunkWords+rng.Intn(dirtyChunkWords)] = rng.Uint64() | 1
-	}
-	ranges, gen := p.LocalReadDirty(dst, base, 0)
-	covered := map[int]bool{}
-	for _, r := range ranges {
-		for c := r.Off / dirtyChunkWords; c < (r.Off+r.Len)/dirtyChunkWords; c++ {
-			covered[c] = true
-		}
-	}
-	for c := range touched {
-		if !covered[c] {
-			t.Fatalf("aliased write to chunk %d not detected (ranges %v)", c, ranges)
-		}
-	}
-	// Sync base; clean re-read.
-	copy(base, dst)
-	if ranges, _ = p.LocalReadDirty(dst, base, gen); len(ranges) != 0 {
-		t.Fatalf("unchanged aliased window reported %v", ranges)
-	}
-	// A later aliased write must be seen even with an advanced cursor.
-	win[5*dirtyChunkWords] ^= 0xdeadbeef
-	ranges, _ = p.LocalReadDirty(dst, base, gen)
-	if len(ranges) != 1 || ranges[0].Off != 5*dirtyChunkWords {
-		t.Fatalf("late aliased write produced ranges %v", ranges)
+	w.Proc(1).WriteAt(0, []uint64{1})
+	w.Kill(1)
+	p := w.Respawn(1)
+	if ranges, _ := p.LocalReadDirty(make([]uint64, words), 0); len(ranges) != 0 {
+		t.Fatalf("respawned window reported dirty ranges %v", ranges)
 	}
 }

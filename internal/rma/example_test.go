@@ -19,9 +19,7 @@ func ExampleNewWorld() {
 		}
 		p.Barrier()
 		if r == 1 {
-			// ReadAt is the non-aliasing local read: it returns a private
-			// copy, so the window's generation-stamp dirty tracking (which
-			// makes incremental checkpoints cheap) stays intact.
+			// ReadAt returns a private copy of local window words.
 			fmt.Println(p.ReadAt(0, 1)[0])
 		}
 	})

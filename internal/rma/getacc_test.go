@@ -4,8 +4,7 @@ import "testing"
 
 func TestGetAccumulate(t *testing.T) {
 	w := newTestWorld(2, 8)
-	w.Proc(1).Local()[0] = 10
-	w.Proc(1).Local()[1] = 20
+	w.Proc(1).WriteAt(0, []uint64{10, 20})
 	w.Run(func(r int) {
 		if r != 0 {
 			return
@@ -15,7 +14,7 @@ func TestGetAccumulate(t *testing.T) {
 		if prev[0] != 10 || prev[1] != 20 {
 			t.Errorf("previous contents = %v, want [10 20]", prev)
 		}
-		if got := w.Proc(1).LocalRead(0, 2); got[0] != 11 || got[1] != 22 {
+		if got := w.Proc(1).ReadAt(0, 2); got[0] != 11 || got[1] != 22 {
 			t.Errorf("combined contents = %v, want [11 22]", got)
 		}
 		// OpReplace makes it a swap.
@@ -23,7 +22,7 @@ func TestGetAccumulate(t *testing.T) {
 		if prev[0] != 11 || prev[1] != 22 {
 			t.Errorf("swap returned %v", prev)
 		}
-		if got := w.Proc(1).LocalRead(0, 2); got[0] != 5 || got[1] != 6 {
+		if got := w.Proc(1).ReadAt(0, 2); got[0] != 5 || got[1] != 6 {
 			t.Errorf("swapped contents = %v", got)
 		}
 	})
@@ -39,7 +38,7 @@ func TestGetAccumulateConcurrentExact(t *testing.T) {
 			p.GetAccumulate(0, 0, []uint64{1, 2}, OpSum)
 		}
 		p.Barrier()
-		got := p.World().Proc(0).LocalRead(0, 2)
+		got := p.World().Proc(0).ReadAt(0, 2)
 		if got[0] != n*per || got[1] != 2*n*per {
 			t.Errorf("rank %d sees %v, want [%d %d]", r, got, n*per, 2*n*per)
 		}

@@ -2,17 +2,16 @@ package rma
 
 import "testing"
 
-// TestGetCopyNonAliasing checks the non-aliasing read path at the runtime
-// level: GetCopy's returned slice is private (filled at epoch close), the
-// data still lands in the window through the runtime (stamps advance), and
-// the window never enters the content-diff fallback.
+// TestGetCopyNonAliasing checks GetCopy at the runtime level: the returned
+// slice is private (filled at epoch close) and the data still lands in the
+// window through the runtime.
 func TestGetCopyNonAliasing(t *testing.T) {
 	const words = 4 * dirtyChunkWords
 	w := NewWorld(Config{N: 2, WindowWords: words})
 	w.Run(func(r int) {
 		p := w.Proc(r)
 		if r == 1 {
-			p.LocalWrite(0, []uint64{7, 8, 9})
+			p.WriteAt(0, []uint64{7, 8, 9})
 		}
 		p.Barrier()
 		if r == 0 {
@@ -26,11 +25,8 @@ func TestGetCopyNonAliasing(t *testing.T) {
 			}
 			// Writes through the returned slice must NOT reach the window.
 			dest[0] = 0xbad
-			if got := p.LocalRead(2*dirtyChunkWords, 1)[0]; got != 7 {
+			if got := p.ReadAt(2*dirtyChunkWords, 1)[0]; got != 7 {
 				t.Errorf("window word = %#x; GetCopy returned an alias", got)
-			}
-			if p.WindowAliased() {
-				t.Error("GetCopy marked the window aliased")
 			}
 		}
 		p.Gsync()
@@ -39,17 +35,16 @@ func TestGetCopyNonAliasing(t *testing.T) {
 
 // TestGetCopyMarksLandingDirty checks that the landing applied at epoch
 // close is visible to generation-stamp dirty tracking — the property that
-// makes GetCopy checkpoint-safe without the content-diff downgrade.
+// makes GetCopy checkpoint-safe.
 func TestGetCopyMarksLandingDirty(t *testing.T) {
 	const words = 4 * dirtyChunkWords
 	w := NewWorld(Config{N: 2, WindowWords: words})
 	dst := make([]uint64, words)
-	base := make([]uint64, words)
-	_, gen := w.Proc(0).LocalReadDirty(dst, base, 0)
+	_, gen := w.Proc(0).LocalReadDirty(dst, 0)
 	w.Run(func(r int) {
 		p := w.Proc(r)
 		if r == 1 {
-			p.LocalWrite(0, []uint64{41})
+			p.WriteAt(0, []uint64{41})
 		}
 		p.Barrier()
 		if r == 0 {
@@ -58,7 +53,7 @@ func TestGetCopyMarksLandingDirty(t *testing.T) {
 		}
 		p.Gsync()
 	})
-	ranges, _ := w.Proc(0).LocalReadDirty(dst, base, gen)
+	ranges, _ := w.Proc(0).LocalReadDirty(dst, gen)
 	found := false
 	for _, r := range ranges {
 		if r.Off <= 3*dirtyChunkWords && 3*dirtyChunkWords < r.Off+r.Len {
@@ -77,16 +72,13 @@ func TestGetCopyMarksLandingDirty(t *testing.T) {
 func TestReadAtNonAliasing(t *testing.T) {
 	w := NewWorld(Config{N: 1, WindowWords: 16})
 	p := w.Proc(0)
-	p.LocalWrite(0, []uint64{1, 2, 3})
+	p.WriteAt(0, []uint64{1, 2, 3})
 	got := p.ReadAt(0, 3)
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("ReadAt = %v", got)
 	}
 	got[0] = 99
-	if p.LocalRead(0, 1)[0] != 1 {
+	if p.ReadAt(0, 1)[0] != 1 {
 		t.Fatal("ReadAt returned an alias")
-	}
-	if p.WindowAliased() {
-		t.Fatal("ReadAt marked the window aliased")
 	}
 }

@@ -21,7 +21,7 @@ type refOp struct {
 	isPut bool
 	off   int
 	data  []uint64
-	dest  int // localOff for GetInto
+	dest  int // localOff for GetCopy
 	op    ReduceOp
 }
 
@@ -39,7 +39,7 @@ func (m *refModel) put(src, trg, off int, data []uint64, op ReduceOp) {
 	m.pending[[2]int{src, trg}] = append(m.pending[[2]int{src, trg}], refOp{isPut: true, off: off, data: d, op: op})
 }
 
-func (m *refModel) getInto(src, trg, off, n, localOff int) {
+func (m *refModel) getCopy(src, trg, off, n, localOff int) {
 	m.pending[[2]int{src, trg}] = append(m.pending[[2]int{src, trg}], refOp{off: off, data: make([]uint64, n), dest: localOff})
 }
 
@@ -70,7 +70,7 @@ func (m *refModel) flushAll(src int) {
 
 // step is one instruction of a random program.
 type step struct {
-	kind    int // 0 put, 1 accumulate, 2 getInto, 3 fao, 4 flush, 5 flushAll
+	kind    int // 0 put, 1 accumulate, 2 getCopy, 3 fao, 4 flush, 5 flushAll
 	trg     int
 	off     int
 	n       int
@@ -137,7 +137,7 @@ func TestRuntimeMatchesReferenceModel(t *testing.T) {
 						p.Flush(st.trg)
 					case 2:
 						if st.trg != rr {
-							p.GetInto(st.trg, st.off, st.n, st.dest)
+							p.GetCopy(st.trg, st.off, st.n, st.dest)
 							p.Flush(st.trg)
 						}
 					case 3:
@@ -158,7 +158,7 @@ func TestRuntimeMatchesReferenceModel(t *testing.T) {
 					ref.flush(r, st.trg)
 				case 2:
 					if st.trg != r {
-						ref.getInto(r, st.trg, st.off, st.n, st.dest)
+						ref.getCopy(r, st.trg, st.off, st.n, st.dest)
 						ref.flush(r, st.trg)
 					}
 				case 3:
@@ -171,7 +171,7 @@ func TestRuntimeMatchesReferenceModel(t *testing.T) {
 			}
 		}
 		for r := 0; r < n; r++ {
-			got := w.Proc(r).Local()
+			got := w.Proc(r).ReadAt(0, w.Proc(r).WindowWords())
 			want := ref.windows[r]
 			for i := range want {
 				if got[i] != want[i] {

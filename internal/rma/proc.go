@@ -12,7 +12,7 @@ type pendingOp struct {
 	off        int
 	data       []uint64 // put/accumulate payload (copied into the per-target arena at issue time)
 	dest       []uint64 // get destination, filled at epoch close
-	localOff   int      // window destination for GetInto; -1 for plain Get
+	localOff   int      // window destination for GetCopy; -1 for plain Get
 	op         ReduceOp
 	completeAt float64 // virtual completion time on the wire
 }
@@ -138,77 +138,41 @@ func (p *Proc) AdvanceTo(t float64) {
 	p.clock.AdvanceTo(t)
 }
 
-// Local returns the rank's own window. It is a concrete-type test hook,
-// deliberately absent from the API interface: handing out the raw slice
-// lets writes bypass the runtime, which downgrades the window's dirty
-// tracking from write stamps to exact content comparison (see
-// LocalReadDirty). Applications use ReadAt/WriteAt (non-aliasing,
-// tracking-exact); tests poking window internals use Local.
-func (p *Proc) Local() []uint64 {
-	p.checkAlive()
-	return p.world.windows[p.rank].alias()
-}
-
-// WindowWords returns the size of this rank's window in words without
-// touching its contents (unlike Local, it does not affect dirty tracking).
+// WindowWords returns the size of this rank's window in words.
 func (p *Proc) WindowWords() int {
 	return len(p.world.windows[p.rank].words)
 }
 
 // LocalReadDirty copies into dst (a full window-sized buffer) the words of
 // the local window modified since the generation cursor `since`, holding
-// the window lock against concurrent remote applies. base must be the
-// caller's copy of the window contents as of `since`; it anchors exact
-// change detection when the window has been aliased by Local. It returns
-// the merged dirty word ranges and the cursor to pass to the next call.
-// The first call (since == 0, base all-zero) reports every chunk written
-// since the window was created.
-func (p *Proc) LocalReadDirty(dst, base []uint64, since uint64) ([]DirtyRange, uint64) {
+// the window lock against concurrent remote applies. It returns the merged
+// dirty word ranges and the cursor to pass to the next call. The first
+// call (since == 0) reports every chunk written since the window was
+// created.
+func (p *Proc) LocalReadDirty(dst []uint64, since uint64) ([]DirtyRange, uint64) {
 	p.checkAlive()
-	return p.world.windows[p.rank].readDirtyInto(dst, base, since)
+	return p.world.windows[p.rank].readDirtyInto(dst, since)
 }
 
-// LocalRead copies n words starting at off from the local window, holding
+// ReadAt copies n words starting at off from the local window, holding
 // the window lock against concurrent remote applies.
-func (p *Proc) LocalRead(off, n int) []uint64 {
-	p.checkAlive()
+func (p *Proc) ReadAt(off, n int) []uint64 {
 	dst := make([]uint64, n)
-	p.world.windows[p.rank].readInto(off, dst)
+	p.ReadInto(off, dst)
 	return dst
 }
 
-// ReadAt is the non-aliasing read path of the API: a copy of n words of
-// the local window starting at off. Unlike Local it never marks the window
-// aliased, so generation-stamp dirty tracking stays exact and incremental
-// checkpoints keep skipping the content-diff scan.
-func (p *Proc) ReadAt(off, n int) []uint64 { return p.LocalRead(off, n) }
-
-// ReadInto is ReadAt into a caller-provided buffer: the same non-aliasing
-// read with no allocation, for hot loops that re-read the window every
+// ReadInto is ReadAt into a caller-provided buffer: the same read with no
+// allocation, for hot loops that re-read the window every
 // phase (the stencil and FFT kernels discover it by interface assertion).
 func (p *Proc) ReadInto(off int, dst []uint64) {
 	p.checkAlive()
 	p.world.windows[p.rank].readInto(off, dst)
 }
 
-// WriteAt is the non-aliasing write path: data lands in the local window at
-// off under the window lock, stamped by the runtime's dirty tracking. The
-// counterpart of ReadAt for writer applications that would otherwise mutate
-// Local()'s alias (and thereby downgrade tracking to content diffing).
-func (p *Proc) WriteAt(off int, data []uint64) { p.LocalWrite(off, data) }
-
-// WindowAliased reports whether the window has handed out a raw alias
-// (Local or GetInto) and dirty tracking has therefore fallen back to
-// content diffing. Tests and profiling hooks use it.
-func (p *Proc) WindowAliased() bool {
-	w := p.world.windows[p.rank]
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.aliased
-}
-
-// LocalWrite stores data at off in the local window under the window lock.
-func (p *Proc) LocalWrite(off int, data []uint64) {
+// WriteAt stores data at off in the local window under the window lock,
+// stamped by the runtime's dirty tracking.
+func (p *Proc) WriteAt(off int, data []uint64) {
 	p.checkAlive()
 	p.world.windows[p.rank].applyPut(off, data)
 }
@@ -273,32 +237,21 @@ func (p *Proc) arenaAlloc(q, n int) []uint64 {
 // Get issues a non-blocking get of n words from target at off. The returned
 // slice is filled when the epoch towards target closes.
 func (p *Proc) Get(target, off, n int) []uint64 {
-	return p.getInternal(target, off, n, -1, false)
+	return p.getInternal(target, off, n, -1)
 }
 
-// GetInto issues a non-blocking get of n words from target at off whose
-// destination is the local window at localOff. Unlike Get, the received
-// data lands in exposed (and therefore checkpointable and recoverable)
-// memory — this is how applications should receive data they cannot afford
-// to lose. The returned slice aliases the local window, which downgrades
-// dirty tracking to content diffing; use GetCopy to avoid that.
-func (p *Proc) GetInto(target, off, n, localOff int) []uint64 {
-	p.world.windows[p.rank].checkRange(localOff, n)
-	return p.getInternal(target, off, n, localOff, true)
-}
-
-// GetCopy is the non-aliasing GetInto: the received data lands in the local
-// window at localOff exactly as with GetInto (same recoverability, same
-// logging semantics in the FT layers), but the returned slice is a private
-// copy filled at epoch close. Because no raw window reference escapes, the
-// window's generation-stamp dirty tracking survives — this is the read path
-// get-heavy applications should prefer.
+// GetCopy issues a non-blocking get of n words from target at off whose
+// destination is also the local window at localOff. Unlike Get, the
+// received data lands in exposed (and therefore checkpointable and
+// recoverable) memory — this is how applications should receive data they
+// cannot afford to lose. The returned slice is a private copy filled at
+// epoch close.
 func (p *Proc) GetCopy(target, off, n, localOff int) []uint64 {
 	p.world.windows[p.rank].checkRange(localOff, n)
-	return p.getInternal(target, off, n, localOff, false)
+	return p.getInternal(target, off, n, localOff)
 }
 
-func (p *Proc) getInternal(target, off, n, localOff int, aliasRet bool) []uint64 {
+func (p *Proc) getInternal(target, off, n, localOff int) []uint64 {
 	p.checkAlive()
 	p.checkTarget(target)
 	bytes := n * 8
@@ -316,14 +269,6 @@ func (p *Proc) getInternal(target, off, n, localOff int, aliasRet bool) []uint64
 		t.OnAction(TraceAction{Kind: "get", Src: p.rank, Trg: target, Words: n,
 			Epoch: p.epoch[target]})
 	})
-	if localOff >= 0 && aliasRet {
-		// The returned slice aliases the local window, so writes through it
-		// bypass the runtime: downgrade dirty tracking to content diffing,
-		// exactly as Local does. (GetCopy lands in the window all the same —
-		// via the runtime's applyPut at epoch close — but returns the
-		// private dest buffer, so the stamps stay trustworthy.)
-		return p.world.windows[p.rank].alias()[localOff : localOff+n]
-	}
 	return dest
 }
 
@@ -405,7 +350,7 @@ func (p *Proc) transportErr(target int, err error) {
 // the whole epoch to the rank's transport as one batch (the loopback
 // applies it to q's window directly; the tcp transport frames it as a
 // single flush message — one round trip per epoch close). Get destinations
-// are filled on return; GetInto destinations additionally land in the local
+// are filled on return; GetCopy destinations additionally land in the local
 // window. The caller's clock advances past the last modeled completion.
 func (p *Proc) applyPending(q int) {
 	ops := p.pending[q]
@@ -426,7 +371,7 @@ func (p *Proc) applyPending(q int) {
 	}
 	if q == p.rank {
 		// Self-communication: the batch's target window IS the local
-		// window, so GetInto landings must interleave with the other ops
+		// window, so GetCopy landings must interleave with the other ops
 		// in program order (a later self-put may legally overwrite a
 		// landing, and vice versa). Deliver op by op; self-delivery never
 		// touches a wire, so there is no batching to lose.
@@ -457,7 +402,7 @@ func (p *Proc) applyPending(q int) {
 	}
 	p.batch = batch[:0]
 	p.transportErr(q, err)
-	// GetInto landings touch the local window while the batch touched the
+	// GetCopy landings touch the local window while the batch touched the
 	// remote one, so applying them after the flush preserves program
 	// order; multiple landings still apply in issue order.
 	for i := range ops {

@@ -18,11 +18,11 @@ func TestPutVisibleAfterFlushOnly(t *testing.T) {
 		if r == 0 {
 			p.Put(1, 3, []uint64{42})
 			// Relaxed consistency: not visible before the epoch closes.
-			if got := w.Proc(1).LocalRead(3, 1)[0]; got != 0 {
+			if got := w.Proc(1).ReadAt(3, 1)[0]; got != 0 {
 				t.Errorf("put visible before flush: %d", got)
 			}
 			p.Flush(1)
-			if got := w.Proc(1).LocalRead(3, 1)[0]; got != 42 {
+			if got := w.Proc(1).ReadAt(3, 1)[0]; got != 42 {
 				t.Errorf("put not visible after flush: %d", got)
 			}
 		}
@@ -40,7 +40,7 @@ func TestPutCopiesSourceBuffer(t *testing.T) {
 			p.Put(1, 0, buf)
 			buf[0] = 99
 			p.Flush(1)
-			if got := w.Proc(1).LocalRead(0, 1)[0]; got != 7 {
+			if got := w.Proc(1).ReadAt(0, 1)[0]; got != 7 {
 				t.Errorf("put delivered %d, want the issue-time value 7", got)
 			}
 		}
@@ -49,7 +49,7 @@ func TestPutCopiesSourceBuffer(t *testing.T) {
 
 func TestGetFilledAtEpochClose(t *testing.T) {
 	w := newTestWorld(2, 8)
-	w.Proc(1).Local()[5] = 1234
+	w.Proc(1).WriteAt(5, []uint64{1234})
 	w.Run(func(r int) {
 		p := w.Proc(r)
 		if r == 0 {
@@ -67,7 +67,7 @@ func TestGetFilledAtEpochClose(t *testing.T) {
 
 func TestGetBlocking(t *testing.T) {
 	w := newTestWorld(2, 8)
-	w.Proc(1).Local()[2] = 77
+	w.Proc(1).WriteAt(2, []uint64{77})
 	w.Run(func(r int) {
 		if r == 0 {
 			got := w.Proc(0).GetBlocking(1, 2, 1)
@@ -88,7 +88,7 @@ func TestAccumulateSum(t *testing.T) {
 		}
 		p.Barrier()
 		if r == 2 {
-			if got := p.Local()[0]; got != 20 {
+			if got := p.ReadAt(0, 1)[0]; got != 20 {
 				t.Errorf("accumulated %d, want 20", got)
 			}
 		}
@@ -97,10 +97,7 @@ func TestAccumulateSum(t *testing.T) {
 
 func TestAccumulateOps(t *testing.T) {
 	w := newTestWorld(2, 8)
-	w.Proc(1).Local()[0] = 5
-	w.Proc(1).Local()[1] = 5
-	w.Proc(1).Local()[2] = 5
-	w.Proc(1).Local()[3] = 0b1100
+	w.Proc(1).WriteAt(0, []uint64{5, 5, 5, 0b1100})
 	w.Run(func(r int) {
 		if r != 0 {
 			return
@@ -111,7 +108,7 @@ func TestAccumulateOps(t *testing.T) {
 		p.Accumulate(1, 2, []uint64{3}, OpReplace)
 		p.Accumulate(1, 3, []uint64{0b1010}, OpXor)
 		p.Flush(1)
-		loc := w.Proc(1).Local()
+		loc := w.Proc(1).ReadAt(0, 4)
 		if loc[0] != 5 || loc[1] != 3 || loc[2] != 3 || loc[3] != 0b0110 {
 			t.Errorf("accumulate results = %v", loc[:4])
 		}
@@ -154,7 +151,7 @@ func TestGsyncIncrementsAllEpochsAndSyncs(t *testing.T) {
 			}
 		}
 		want := uint64((r+3)%4 + 1)
-		if got := p.LocalRead(0, 1)[0]; got != want {
+		if got := p.ReadAt(0, 1)[0]; got != want {
 			t.Errorf("rank %d saw %d, want %d", r, got, want)
 		}
 	})
@@ -173,7 +170,7 @@ func TestCASAndFAO(t *testing.T) {
 		if prev := p.CompareAndSwap(1, 0, 0, 11); prev != 9 {
 			t.Errorf("failed CAS prev = %d, want 9", prev)
 		}
-		if got := w.Proc(1).LocalRead(0, 1)[0]; got != 9 {
+		if got := w.Proc(1).ReadAt(0, 1)[0]; got != 9 {
 			t.Errorf("CAS result = %d, want 9", got)
 		}
 		if prev := p.FetchAndOp(1, 1, 5, OpSum); prev != 0 {
@@ -195,7 +192,7 @@ func TestFAOConcurrentAtomicity(t *testing.T) {
 			p.FetchAndOp(0, 0, 1, OpSum)
 		}
 		p.Barrier()
-		if got := p.World().Proc(0).LocalRead(0, 1)[0]; got != n*per {
+		if got := p.World().Proc(0).ReadAt(0, 1)[0]; got != n*per {
 			t.Errorf("rank %d sees counter %d, want %d", r, got, n*per)
 		}
 	})
@@ -209,12 +206,12 @@ func TestLockMutualExclusion(t *testing.T) {
 		for i := 0; i < per; i++ {
 			p.Lock(0, StrWindow)
 			// Non-atomic read-modify-write protected by the lock.
-			v := w.Proc(0).LocalRead(0, 1)[0]
+			v := w.Proc(0).ReadAt(0, 1)[0]
 			w.Proc(0).world.windows[0].applyPut(0, []uint64{v + 1})
 			p.Unlock(0, StrWindow)
 		}
 	})
-	if got := w.Proc(0).Local()[0]; got != n*per {
+	if got := w.Proc(0).ReadAt(0, 1)[0]; got != n*per {
 		t.Errorf("counter = %d, want %d", got, n*per)
 	}
 }
@@ -249,7 +246,7 @@ func TestUnlockClosesEpoch(t *testing.T) {
 		if p.Epoch(1) != e+1 {
 			t.Error("unlock did not close the epoch")
 		}
-		if got := w.Proc(1).LocalRead(0, 1)[0]; got != 5 {
+		if got := w.Proc(1).ReadAt(0, 1)[0]; got != 5 {
 			t.Error("unlock did not apply pending put")
 		}
 	})
@@ -302,7 +299,7 @@ func TestBarrierResolvesMaxTime(t *testing.T) {
 
 func TestKillLosesMemoryAndUnwinds(t *testing.T) {
 	w := newTestWorld(3, 8)
-	w.Proc(2).Local()[0] = 555
+	w.Proc(2).WriteAt(0, []uint64{555})
 	var mu sync.Mutex
 	reached := map[int]bool{}
 	w.Run(func(r int) {

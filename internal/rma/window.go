@@ -2,7 +2,6 @@ package rma
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -28,12 +27,9 @@ type window struct {
 	locks []lockState
 
 	// Dirty-region tracking for incremental checkpoints (§6.2): every
-	// mutation marks dirty. aliased is set once Local hands out a raw
-	// reference to the words — from then on writes can bypass the runtime,
-	// so change detection falls back to comparing contents against the
-	// caller's checkpoint base (exact, just not free).
-	dirty   DirtyTracker
-	aliased bool
+	// mutation marks dirty, and no reference to words ever leaves the
+	// runtime, so the stamps are the only change detector.
+	dirty DirtyTracker
 }
 
 func newWindow(words, numLocks int) *window {
@@ -48,39 +44,14 @@ func newWindow(words, numLocks int) *window {
 	return w
 }
 
-// alias returns the raw words and permanently downgrades dirty tracking to
-// content comparison (writes through the returned slice are invisible to
-// the runtime). Only Local and GetInto take this path; the non-aliasing
-// ReadAt/GetCopy reads go through readInto and leave the stamps exact.
-func (w *window) alias() []uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.aliased = true
-	return w.words
-}
-
 // readDirtyInto copies into dst every chunk modified since generation
 // `since` and returns the merged dirty ranges plus the generation cursor
-// for the next call. base must be the caller's copy of the window contents
-// as of `since`: when the window has been aliased, modified chunks are
-// found by comparing against it instead of trusting the write stamps.
-func (w *window) readDirtyInto(dst, base []uint64, since uint64) ([]DirtyRange, uint64) {
+// for the next call.
+func (w *window) readDirtyInto(dst []uint64, since uint64) ([]DirtyRange, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := len(w.words)
 	var ranges []DirtyRange
-	for off, ln := 0, 0; off < n; off += ln {
-		if w.aliased {
-			ln = min(dirtyChunkWords, n-off)
-			if slices.Equal(w.words[off:off+ln], base[off:off+ln]) {
-				continue
-			}
-		} else {
-			var ok bool
-			if off, ln, ok = w.dirty.Next(off, since); !ok {
-				break
-			}
-		}
+	for off, ln, ok := w.dirty.Next(0, since); ok; off, ln, ok = w.dirty.Next(off+ln, since) {
 		if k := len(ranges); k > 0 && ranges[k-1].Off+ranges[k-1].Len == off {
 			ranges[k-1].Len += ln
 		} else {

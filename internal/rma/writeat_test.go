@@ -34,56 +34,45 @@ func TestReduceOpWireCodes(t *testing.T) {
 	}
 }
 
-// TestSelfEpochGetIntoPutOrdering pins the program-order interleaving of
-// self-communication epochs across the transport seam: a GetInto landing
+// TestSelfEpochGetCopyPutOrdering pins the program-order interleaving of
+// self-communication epochs across the transport seam: a GetCopy landing
 // and an overlapping self-put must apply in issue order, whichever comes
 // first (the delivery path must not batch the landing past the put).
-func TestSelfEpochGetIntoPutOrdering(t *testing.T) {
+func TestSelfEpochGetCopyPutOrdering(t *testing.T) {
 	w := NewWorld(Config{N: 1, WindowWords: 16})
 	p := w.Proc(0)
 	p.WriteAt(0, []uint64{7})
 
-	p.GetInto(0, 0, 1, 4)     // landing writes window[4] = 7
+	p.GetCopy(0, 0, 1, 4)     // landing writes window[4] = 7
 	p.Put(0, 4, []uint64{99}) // later same-epoch put must win
 	p.Flush(0)
 	if got := p.ReadAt(4, 1)[0]; got != 99 {
-		t.Fatalf("put after GetInto landing lost: window[4] = %d, want 99", got)
+		t.Fatalf("put after GetCopy landing lost: window[4] = %d, want 99", got)
 	}
 
 	p.Put(0, 5, []uint64{50})
-	p.GetInto(0, 0, 1, 5) // later landing must win over the earlier put
+	p.GetCopy(0, 0, 1, 5) // later landing must win over the earlier put
 	p.Flush(0)
 	if got := p.ReadAt(5, 1)[0]; got != 7 {
-		t.Fatalf("GetInto landing after put lost: window[5] = %d, want 7", got)
+		t.Fatalf("GetCopy landing after put lost: window[5] = %d, want 7", got)
 	}
 }
 
-// TestWriteAtPreservesStamps: the non-aliasing write path keeps
-// generation-stamp dirty tracking exact, unlike writes through Local().
+// TestWriteAtPreservesStamps: a local write is stamped at chunk
+// granularity, and a read with the returned cursor sees nothing more.
 func TestWriteAtPreservesStamps(t *testing.T) {
 	w := NewWorld(Config{N: 1, WindowWords: 4 * dirtyChunkWords})
 	p := w.Proc(0)
 
 	p.WriteAt(dirtyChunkWords, []uint64{1, 2, 3})
-	if p.WindowAliased() {
-		t.Fatalf("WriteAt downgraded dirty tracking to content diffing")
-	}
 	dst := make([]uint64, 4*dirtyChunkWords)
-	base := make([]uint64, 4*dirtyChunkWords)
-	ranges, gen := p.LocalReadDirty(dst, base, 0)
+	ranges, gen := p.LocalReadDirty(dst, 0)
 	if len(ranges) != 1 || ranges[0].Off != dirtyChunkWords || ranges[0].Len != dirtyChunkWords {
 		t.Fatalf("dirty ranges after WriteAt: %v", ranges)
 	}
 
 	// No writes since the cursor: nothing dirty.
-	copy(base, dst)
-	if ranges, _ := p.LocalReadDirty(dst, base, gen); len(ranges) != 0 {
+	if ranges, _ := p.LocalReadDirty(dst, gen); len(ranges) != 0 {
 		t.Fatalf("phantom dirty ranges: %v", ranges)
-	}
-
-	// A Local() alias, by contrast, is the documented downgrade.
-	_ = p.Local()
-	if !p.WindowAliased() {
-		t.Fatalf("Local() did not mark the window aliased")
 	}
 }

@@ -150,7 +150,7 @@ func (p *Process) checkpoint() {
 	params := p.sys.world.Params()
 	// SCR's blocking scheme: quiesce (barrier), save, encode, barrier.
 	p.Proc.Barrier()
-	words := p.Proc.LocalRead(0, p.Proc.WindowWords())
+	words := p.Proc.ReadAt(0, p.Proc.WindowWords())
 	bytes := 8 * len(words)
 	p.Proc.AdvanceTime(params.CopyTime(bytes)) // local save
 
@@ -225,7 +225,7 @@ func (s *System) Restore(failed int) error {
 		}
 		rr, dd := r, data
 		s.world.RunRank(rr, func() {
-			s.procs[rr].Proc.LocalWrite(0, dd)
+			s.procs[rr].Proc.WriteAt(0, dd)
 		})
 		s.stored[r] = append([]uint64(nil), data...)
 	}

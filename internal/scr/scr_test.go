@@ -78,11 +78,11 @@ func TestRestoreReconstructsFailedRank(t *testing.T) {
 	w.Run(func(r int) {
 		p := s.Process(r)
 		for i := 0; i < 8; i++ {
-			p.Local()[i] = uint64(10*r + i)
+			p.WriteAt(i, []uint64{uint64(10*r + i)})
 		}
 		p.Checkpoint()
 		// Post-checkpoint modifications must be rolled back by Restore.
-		p.Local()[0] = 999
+		p.WriteAt(0, []uint64{999})
 	})
 	w.Kill(2)
 	if err := s.Restore(2); err != nil {
@@ -91,7 +91,7 @@ func TestRestoreReconstructsFailedRank(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		for i := 0; i < 8; i++ {
 			want := uint64(10*r + i)
-			if got := w.Proc(r).Local()[i]; got != want {
+			if got := w.Proc(r).ReadAt(i, 1)[0]; got != want {
 				t.Fatalf("rank %d cell %d = %d, want %d", r, i, got, want)
 			}
 		}

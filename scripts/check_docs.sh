@@ -4,7 +4,8 @@
 #   1. go vet over the whole module (doc comments with broken directives,
 #      unkeyed fields in examples, etc. surface here),
 #   2. the runnable Example functions must build AND pass (they are the
-#      executable half of the godoc),
+#      executable half of the godoc), and the four examples/ programs must
+#      run to completion (each log.Fatal()s on a wrong recovery),
 #   3. every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file.
 set -euo pipefail
@@ -15,6 +16,12 @@ go vet ./...
 
 echo "== Example tests =="
 go test -run Example ./internal/rma/ ./internal/ftrma/
+
+echo "== examples/ programs =="
+for ex in examples/*/; do
+  echo "-- $ex"
+  go run "./$ex"
+done
 
 echo "== markdown link check =="
 fail=0

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short test-noasm race stress tier1 ci docs-check chaos-smoke metrics-check flightrec-demo soak soak-short coverage-check
+.PHONY: all build vet staticcheck test test-short test-noasm race stress tier1 ci docs-check chaos-smoke metrics-check flightrec-demo soak soak-short coverage-check bench-smoke
 
 all: build vet test
 
@@ -70,6 +70,16 @@ stress:
 # one frame per join, and no goroutine left behind.
 chaos-smoke:
 	$(GO) test -race -count=1 -v -run 'TestClusterCoordinatorlessKill9|TestClusterFabricFaultFree' ./cmd/rankd
+
+# Benchmark smoke: the repo benchmark's quick leg (bench/run.sh -quick, a
+# few seconds after the build), whose sparse-kill-tcp workload recovers a
+# 4 MiB window — frame bodies above the wire's pool — over real sockets.
+# Fails unless the run's closing JSON line reports a correct run with no
+# failed operation.
+bench-smoke:
+	@last=$$(bash bench/run.sh -quick | tail -n 1); echo "$$last"; \
+	echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]' || \
+	{ echo 'bench-smoke: want "correct":true and "failed":0'; exit 1; }
 
 # Metric-catalog drift gate: scrape a live 2-rank fabric smoke's debug
 # endpoints and diff the Prometheus name set against the catalog in

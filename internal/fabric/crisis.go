@@ -102,12 +102,11 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	nd.inCrisis = true
 	nd.ckptMu.Unlock()
 	survivors := nd.surviving(victim)
-	var e wire.Enc
-	e.I(victim)
-	e.I(vinc)
-	beginPayload := e.Bytes()
 	for _, s := range survivors {
-		if _, err := nd.callRank(s.Rank, fCrisisBegin, beginPayload); err != nil {
+		v := wire.NewVec()
+		v.I(victim)
+		v.I(vinc)
+		if _, err := nd.callRank(s.Rank, fCrisisBegin, v); err != nil {
 			return fmt.Errorf("fabric: crisis quiesce of rank %d failed (double failure?): %w", s.Rank, err)
 		}
 	}
@@ -120,11 +119,10 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	gets := nd.logs.CopyLG(victim)
 	flagged := nd.logs.FlagN(victim) || nd.logs.FlagM(victim)
 	nd.logMu.Unlock()
-	var v wire.Enc
-	v.I(victim)
-	fetchPayload := v.Bytes()
 	for _, s := range survivors {
-		reply, err := nd.callRank(s.Rank, fLogFetch, fetchPayload)
+		v := wire.NewVec()
+		v.I(victim)
+		reply, err := nd.callRank(s.Rank, fLogFetch, v)
 		if err != nil {
 			return fmt.Errorf("fabric: log fetch from rank %d failed: %w", s.Rank, err)
 		}
@@ -158,9 +156,10 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	}
 
 	rebuild := obs.StartSpan(nd.om.crisis[obs.CrisisRebuild], nd.fr, obs.EvCrisis, int64(obs.CrisisRebuild), int64(victim))
-	// 3. Re-home every parity group the victim hosted: rebuild the
-	// shards from the members' committed bases and install them at a
-	// freshly elected host. (Quiesce guarantees base/parity agreement.)
+	// 3. Re-home every parity group the victim hosted: rebuild the shard —
+	// the fabric's parity is RS(k, 1), the XOR of the members' committed
+	// bases — and install it at a freshly elected host. (Quiesce
+	// guarantees base/parity agreement.)
 	hostings := nd.Hostings()
 	alive := func(r int) bool {
 		nd.mmu.Lock()
@@ -172,38 +171,32 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 			continue
 		}
 		members := nd.grouping.ComputeMembers(h.Group)
-		bases, _, err := nd.fetchState(members, -1, h.Group)
+		parity, snaps, _, err := nd.fetchState(members, -1, h.Group)
 		if err != nil {
 			return err
 		}
-		words := make([][]uint64, len(members))
-		snaps := make([]snap, len(members))
 		folded := make([]int, len(members))
-		for i, b := range bases {
-			words[i], snaps[i], folded[i] = b.words, b.snap, b.snap.phase
+		for i, s := range snaps {
+			folded[i] = s.phase
 		}
 		rs, err := erasure.NewRS(len(members), 1)
 		if err != nil {
 			return err
 		}
-		shards, err := rs.EncodeWords(words)
-		if err != nil {
-			return fmt.Errorf("fabric: rebuilding parity of group %d: %w", h.Group, err)
-		}
 		newHost := ftrma.ElectParityHost(nd.n, members, h.Group, 0, alive, victim)
 		if newHost < 0 {
 			return fmt.Errorf("fabric: no electable parity host left for group %d", h.Group)
 		}
-		hg := &hostedGroup{k: len(members), rs: rs, shards: shards, snaps: snaps, folded: folded}
+		hg := &hostedGroup{k: len(members), rs: rs, shards: [][]uint64{parity}, snaps: snaps, folded: folded}
 		if newHost == nd.rank {
 			nd.parMu.Lock()
 			nd.hosted[h.Group] = hg
 			nd.parMu.Unlock()
 		} else {
-			var pe wire.Enc
-			pe.I(h.Group)
-			encHostedGroup(&pe, hg)
-			if _, err := nd.callRank(newHost, fParityInstall, pe.Bytes()); err != nil {
+			v := wire.NewVec()
+			v.I(h.Group)
+			encHostedGroup(v, hg) // gathers the shard from the rebuilt buffer
+			if _, err := nd.callRank(newHost, fParityInstall, v); err != nil {
 				return fmt.Errorf("fabric: parity install at rank %d failed: %w", newHost, err)
 			}
 		}
@@ -215,8 +208,8 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 		nd.logf("fabric: group %d parity re-homed from rank %d to rank %d", h.Group, victim, newHost)
 	}
 
-	// 4. Reconstruct the victim's committed base from its group's parity
-	// and the surviving members' bases.
+	// 4. Reconstruct the victim's committed base: the XOR of its group's
+	// parity and the surviving members' bases.
 	vg := nd.grouping.GroupOf(victim)
 	vIdx := nd.grouping.MemberIndex(victim)
 	members := nd.grouping.ComputeMembers(vg)
@@ -224,24 +217,14 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	host := nd.hostings[vg]
 	nd.mmu.Unlock()
 	others := slices.DeleteFunc(slices.Clone(members), func(r int) bool { return r == victim })
-	bases, hg, err := nd.fetchState(others, host.Host, vg)
+	vBase, _, hg, err := nd.fetchState(others, host.Host, vg)
 	if err != nil {
 		return err
 	}
 	if hg.k != len(members) || vIdx >= hg.k {
 		return fmt.Errorf("fabric: parity of group %d has %d members, expected %d", vg, hg.k, len(members))
 	}
-	shards := make([][]uint64, 0, hg.k+len(hg.shards))
-	for _, b := range bases {
-		shards = append(shards, b.words)
-	}
-	shards = slices.Insert(shards, vIdx, nil) // the slot to reconstruct
-	shards = append(shards, hg.shards...)
-	if err := hg.rs.ReconstructWords(shards); err != nil {
-		return fmt.Errorf("fabric: reconstructing rank %d: %w", victim, err)
-	}
 	vSnap := hg.snaps[vIdx]
-	vBase := shards[vIdx]
 	nd.om.parityRebuilds.Inc()
 	rebuild.End()
 
@@ -312,59 +295,99 @@ func (nd *Node) surviving(victim int) []Member {
 	return out
 }
 
-// committedBase is a rank's committed base and the counters it stands at.
-type committedBase struct {
-	snap  snap
-	words []uint64
-}
-
-// fetchState gathers what one rebuild step reads from the survivors: the
-// committed bases of ranks, in that order, and — host permitting (≥ 0) —
-// group g's parity from host. The fetches go to different ranks and each is
-// a window's worth of bytes to wait for, so two run at a time; more would
-// only multiply the window-sized buffers in flight at both ends.
-func (nd *Node) fetchState(ranks []int, host, g int) ([]committedBase, *hostedGroup, error) {
+// fetchState gathers what one rebuild step reads — the committed bases of
+// ranks and, host permitting (≥ 0), group g's parity at host — and returns
+// the XOR of them all, with the ranks' snapshots in order and the parity's
+// member count and snapshots (its shard is in the sum: parity.shards is nil).
+//
+// The fetches go to different ranks and each is a window's worth of bytes to
+// wait for, so two run at a time; more would only multiply the window-sized
+// buffers in flight. Each pins one window buffer here, its reply, and none at
+// the sender, whose reply gathers from its state: the first reply to arrive
+// holds the sum, and every later one is XORed into it as it comes and then
+// let go. This node's own base and
+// hosted shard are read in place, under their locks — quiesce keeps both
+// still — and never written; only when no operand came over the wire is the
+// sum a fresh buffer.
+func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap, parity *hostedGroup, err error) {
 	var (
-		wg     sync.WaitGroup
-		bases  = make([]committedBase, len(ranks))
-		errs   = make([]error, len(ranks)+1)
-		parity *hostedGroup
-		sem    = make(chan struct{}, 2)
+		wg    sync.WaitGroup
+		sumMu sync.Mutex
+		errs  = make([]error, len(ranks)+1)
+		sem   = make(chan struct{}, 2)
 	)
-	fetch := func(i int, f func() error) {
+	snaps = make([]snap, len(ranks))
+	// add folds w into the sum. The caller holds the lock that guards w's
+	// owner (ours) or the sum (a fetched buffer).
+	add := func(w []uint64, fetched bool) {
+		switch {
+		case sum != nil:
+			erasure.XorWords(sum, w)
+		case fetched:
+			sum = w
+		default:
+			sum = slices.Clone(w)
+		}
+	}
+	fetch := func(i int, f func() ([]uint64, error)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
-			errs[i] = f()
+			w, err := f()
 			<-sem
+			if errs[i] = err; err == nil {
+				sumMu.Lock()
+				add(w, true)
+				sumMu.Unlock()
+			}
 		}()
 	}
+	self := -1
 	for i, r := range ranks {
+		if r == nd.rank {
+			self = i
+			continue
+		}
 		i, r := i, r
-		fetch(i, func() (err error) {
-			bases[i].snap, bases[i].words, err = nd.fetchBase(r)
-			return err
+		fetch(i, func() (base []uint64, err error) {
+			snaps[i], base, err = nd.fetchBase(r)
+			return base, err
 		})
 	}
-	if host >= 0 {
-		fetch(len(ranks), func() (err error) {
-			parity, err = nd.fetchParity(host, g)
-			return err
+	if host >= 0 && host != nd.rank {
+		fetch(len(ranks), func() (shard []uint64, err error) {
+			parity, shard, err = nd.fetchParity(host, g)
+			return shard, err
 		})
 	}
 	wg.Wait()
-	return bases, parity, errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, nil, err
+	}
+	// Our own operands go in last, under the locks that guard them.
+	if self >= 0 {
+		nd.ckptMu.Lock()
+		snaps[self] = nd.snapSelf
+		add(nd.base, false)
+		nd.ckptMu.Unlock()
+	}
+	if host >= 0 && host == nd.rank {
+		nd.parMu.Lock()
+		defer nd.parMu.Unlock()
+		hg := nd.hosted[g]
+		if hg == nil {
+			return nil, nil, nil, fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
+		}
+		parity = &hostedGroup{k: hg.k, snaps: slices.Clone(hg.snaps)}
+		add(hg.shards[0], false)
+	}
+	return sum, snaps, parity, nil
 }
 
-// fetchBase returns rank's committed base and snapshot — locally or over
-// the wire — consistent with its group parity (quiesce is in force).
+// fetchBase returns rank's committed base and snapshot, consistent with its
+// group parity (quiesce is in force). The base is a view of the reply.
 func (nd *Node) fetchBase(rank int) (snap, []uint64, error) {
-	if rank == nd.rank {
-		nd.ckptMu.Lock()
-		defer nd.ckptMu.Unlock()
-		return nd.snapSelf, append([]uint64(nil), nd.base...), nil
-	}
 	reply, err := nd.callRank(rank, fBaseFetch, nil)
 	if err != nil {
 		return snap{}, nil, fmt.Errorf("fabric: base fetch from rank %d failed: %w", rank, err)
@@ -374,39 +397,30 @@ func (nd *Node) fetchBase(rank int) (snap, []uint64, error) {
 	if !ok {
 		return snap{}, nil, fmt.Errorf("fabric: undecodable base fetch reply from rank %d", rank)
 	}
-	base := d.Words()
+	base := d.WordsAlias()
 	if d.Failed() || len(base) != nd.windowWords {
 		return snap{}, nil, fmt.Errorf("fabric: base fetch from rank %d returned %d words, window is %d", rank, len(base), nd.windowWords)
 	}
 	return s, base, nil
 }
 
-// fetchParity returns group g's hosted shard set from host.
-func (nd *Node) fetchParity(host, g int) (*hostedGroup, error) {
-	if host == nd.rank {
-		nd.parMu.Lock()
-		defer nd.parMu.Unlock()
-		hg := nd.hosted[g]
-		if hg == nil {
-			return nil, fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
-		}
-		cp := &hostedGroup{k: hg.k, rs: hg.rs, snaps: append([]snap(nil), hg.snaps...), folded: append([]int(nil), hg.folded...)}
-		for _, s := range hg.shards {
-			cp.shards = append(cp.shards, append([]uint64(nil), s...))
-		}
-		return cp, nil
-	}
-	var e wire.Enc
-	e.I(g)
-	reply, err := nd.callRank(host, fParityFetch, e.Bytes())
+// fetchParity returns group g's shard set from host: its counters, and its
+// one shard apart from them, a view of the reply.
+func (nd *Node) fetchParity(host, g int) (*hostedGroup, []uint64, error) {
+	v := wire.NewVec()
+	v.I(g)
+	reply, err := nd.callRank(host, fParityFetch, v)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: parity fetch from rank %d failed: %w", host, err)
+		return nil, nil, fmt.Errorf("fabric: parity fetch from rank %d failed: %w", host, err)
 	}
-	hg, err := decHostedGroup(wire.NewDec(reply), nd.windowWords)
+	d := wire.NewDec(reply)
+	hg, err := decHostedGroup(d, nd.windowWords, d.WordsAlias)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: parity fetch from rank %d: %w", host, err)
+		return nil, nil, fmt.Errorf("fabric: parity fetch from rank %d: %w", host, err)
 	}
-	return hg, nil
+	shard := hg.shards[0]
+	hg.shards = nil
+	return hg, shard, nil
 }
 
 // handleJoin serves fJoin as a long poll. A node the census does not name
@@ -416,12 +430,11 @@ func (nd *Node) fetchParity(host, g int) (*hostedGroup, error) {
 // arrived before the crisis began, during it or after. A held request is let
 // go when the arbitration moves elsewhere, the node fails or closes, or the
 // joiner hangs up.
-func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, []byte, error) {
+func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, *wire.Vec, error) {
 	addr := d.Str()
 	if d.Failed() || addr == "" {
 		return fJoin, nil, errBadFrame
 	}
-	var e wire.Enc
 	nd.mmu.Lock()
 	for nd.pending == nil {
 		if err := nd.failedOrClosed(); err != nil {
@@ -437,9 +450,10 @@ func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, []byte, error) {
 		}
 		if arbiter, _, _ := nd.censusLocked(); arbiter.Rank >= 0 && arbiter.Rank != nd.rank {
 			nd.mmu.Unlock()
-			e.B(jmRedirect)
-			e.Str(arbiter.Addr)
-			return fJoin, e.Bytes(), nil
+			v := wire.NewVec()
+			v.B(jmRedirect)
+			v.Str(arbiter.Addr)
+			return fJoin, v, nil
 		}
 		nd.mcond.Wait() // for a verdict, the parked install, Close, or the hang-up
 	}
@@ -454,11 +468,12 @@ func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, []byte, error) {
 		hostings: append([]Hosting(nil), nd.hostings...),
 	}
 	nd.mmu.Unlock()
-	e.B(jmWorld)
-	encWorld(&e, w)
-	e.B(1)
-	encInstall(&e, pi.in)
+	v := wire.NewVec()
+	v.B(jmWorld)
+	encWorld(v, w)
+	v.B(1)
+	encInstall(v, pi.in) // gathers the base from the rebuilt buffer
 	nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
 	nd.spawn(nd.gossipNow)
-	return fJoin, e.Bytes(), nil
+	return fJoin, v, nil
 }

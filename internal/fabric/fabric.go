@@ -67,7 +67,8 @@
 // blocks), gather the victim's logs from every survivor (fLogFetch),
 // re-elect and rebuild any parity the victim hosted (fBaseFetch +
 // fParityInstall), reconstruct the victim's base from its group's parity
-// and the surviving members' bases (erasure.ReconstructWords), and hand
+// and the surviving members' bases (an XOR, done in place in the first
+// buffer fetched: the fabric's parity is RS(k, 1)), and hand
 // the reconstructed state — base, counter snapshot, and the causally
 // sorted replay records with GNC ≥ the committed phase — to the
 // replacement when it joins (the fJoin reply doubles as the install

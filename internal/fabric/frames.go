@@ -101,7 +101,18 @@ type snap struct {
 	gc    int
 }
 
-func encBool(e *wire.Enc, b bool) {
+// encoder is what the payload encoders write to: a wire.Enc for a
+// notification, a wire.Vec for a reply or a vectored call, whose Words
+// gathers the run instead of copying it.
+type encoder interface {
+	B(byte)
+	U(uint64)
+	I(int)
+	Str(string)
+	Words([]uint64)
+}
+
+func encBool(e encoder, b bool) {
 	if b {
 		e.B(1)
 	} else {
@@ -109,8 +120,7 @@ func encBool(e *wire.Enc, b bool) {
 	}
 }
 
-// encSnap writes to a wire.Enc or, for the vectored fold frame, a wire.Vec.
-func encSnap(e interface{ I(int) }, s snap) {
+func encSnap(e encoder, s snap) {
 	e.I(s.phase + 1)
 	e.I(len(s.ec))
 	for _, v := range s.ec {
@@ -134,7 +144,7 @@ func decSnap(d *wire.Dec) (snap, bool) {
 	return s, !d.Failed()
 }
 
-func encMembers(e *wire.Enc, ms []Member) {
+func encMembers(e encoder, ms []Member) {
 	e.I(len(ms))
 	for _, m := range ms {
 		e.I(m.Rank)
@@ -169,7 +179,7 @@ func decTables(d *wire.Dec) ([]Member, []Hosting, bool) {
 	return ms, hs, ok1 && ok2
 }
 
-func encHostings(e *wire.Enc, hs []Hosting) {
+func encHostings(e encoder, hs []Hosting) {
 	e.I(len(hs))
 	for _, h := range hs {
 		e.I(h.Group)
@@ -194,7 +204,7 @@ func decHostings(d *wire.Dec) ([]Hosting, bool) {
 
 // encRecord writes one logged access (WIRE.md §3's record): the install
 // and fLogFetch replies carry lists of them.
-func encRecord(e *wire.Enc, r ftrma.LogRecord) {
+func encRecord(e encoder, r ftrma.LogRecord) {
 	e.B(byte(r.Kind))
 	e.I(r.Src)
 	e.I(r.Trg)
@@ -209,7 +219,7 @@ func encRecord(e *wire.Enc, r ftrma.LogRecord) {
 	e.Words(r.Data)
 }
 
-func encRecordList(e *wire.Enc, recs []ftrma.LogRecord) {
+func encRecordList(e encoder, recs []ftrma.LogRecord) {
 	e.I(len(recs))
 	for _, r := range recs {
 		encRecord(e, r)
@@ -265,7 +275,7 @@ type world struct {
 	hostings    []Hosting
 }
 
-func encWorld(e *wire.Enc, w world) {
+func encWorld(e encoder, w world) {
 	e.I(w.rank)
 	e.I(w.n)
 	e.I(w.windowWords)
@@ -314,20 +324,23 @@ type install struct {
 	gets []ftrma.LogRecord
 }
 
-func encInstall(e *wire.Enc, in *install) {
+func encInstall(e encoder, in *install) {
 	encSnap(e, in.snap)
 	e.Words(in.base)
 	encRecordList(e, in.puts)
 	encRecordList(e, in.gets)
 }
 
+// decInstall decodes an install from a join reply the caller owns: the base
+// is a view of the reply where the run lies aligned (wire.Dec.WordsAlias), so
+// the window-sized buffer the reply arrived in becomes the node's base.
 func decInstall(d *wire.Dec) (*install, bool) {
 	var in install
 	var ok bool
 	if in.snap, ok = decSnap(d); !ok {
 		return nil, false
 	}
-	in.base = d.Words()
+	in.base = d.WordsAlias()
 	if in.puts, ok = decRecordList(d); !ok {
 		return nil, false
 	}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/erasure"
 	"repro/internal/ftrma"
@@ -29,7 +30,7 @@ func (nd *Node) acceptLoop() {
 		}
 		st := &connState{rank: -1}
 		wc := wire.New(nc, wire.Config{
-			Handler: func(t byte, p []byte) (byte, []byte, error) { return nd.handle(st, t, p) },
+			VecHandler: func(t byte, p []byte) (byte, *wire.Vec, error) { return nd.handle(st, t, p) },
 			// Heartbeat keeps transient joiner connections alive through
 			// long rendezvous waits; the lease (ReadTimeout) only runs on
 			// attributed peer connections — probe connections from tests
@@ -64,11 +65,12 @@ func (nd *Node) acceptLoop() {
 	}
 }
 
-// handle dispatches one fabric frame. It never runs on the connection's
-// reader (wire.Handler contract: a warm handler goroutine, or a new one when
-// the warm one is busy), so handlers may block on node locks; Close waits
-// for the ones in flight and later frames are refused.
-func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, error) {
+// handle dispatches one fabric frame and encodes its reply straight into a
+// wire.Vec (nil: an empty reply). It never runs on the connection's reader
+// (wire.Handler contract: a warm handler goroutine, or a new one when the
+// warm one is busy), so handlers may block on node locks; Close waits for
+// the ones in flight and later frames are refused.
+func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, *wire.Vec, error) {
 	if !nd.enter() {
 		return t, nil, errClosing
 	}
@@ -140,18 +142,21 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, []byte, err
 		nd.handleCrisisEnd(d)
 		return t, nil, nil
 	case fMembers:
-		var e wire.Enc
+		v := wire.NewVec()
 		nd.mmu.Lock()
-		encMembers(&e, nd.members)
-		encHostings(&e, nd.hostings)
+		encMembers(v, nd.members)
+		encHostings(v, nd.hostings)
 		nd.mmu.Unlock()
-		return t, e.Bytes(), nil
+		return t, v, nil
 	case fWindowFetch:
-		var e wire.Enc
+		// The window is live — puts land in it while the reply is written —
+		// so the reply gathers from a copy taken under the lock.
 		nd.winMu.Lock()
-		e.Words(nd.window)
+		w := slices.Clone(nd.window)
 		nd.winMu.Unlock()
-		return t, e.Bytes(), nil
+		v := wire.NewVec()
+		v.Words(w)
+		return t, v, nil
 	}
 	return t, nil, fmt.Errorf("fabric: unknown frame type %#x", t)
 }
@@ -181,7 +186,7 @@ func (nd *Node) scanRuns(scan *wire.Dec, n int, what string) (longest int, err e
 // first every put and get range is checked, then — nothing can fail any
 // more — the batch is applied in one winMu hold, so a bad batch leaves the
 // window and its stamps untouched.
-func (nd *Node) handleBatch(d *wire.Dec) (byte, []byte, error) {
+func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 	src, _, phase := d.I(), d.I(), d.I()
 	nputs := d.I()
 	if d.Failed() || nputs < 0 || nputs > wire.MaxFrame/8 {
@@ -236,12 +241,12 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, []byte, error) {
 	}
 	nd.om.batchRecv.Inc()
 	nd.fr.Record(obs.EvFrameRecv, int64(fBatch), int64(src), int64(nputs+ngets))
-	var e wire.Enc
-	e.I(ngets)
+	v := wire.NewVec()
+	v.I(ngets)
 	for i := range got {
-		e.Words(got[i])
+		v.Words(got[i])
 	}
-	return fBatch, e.Bytes(), nil
+	return fBatch, v, nil
 }
 
 // handleParityFold folds one member's checkpoint delta into hosted
@@ -253,7 +258,7 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, []byte, error) {
 // only once every batch of p is acked, and the fold is the commit, so the
 // host merges (rank, inc)'s watermark p+1 here, before the ack leaves — for
 // a retry it deduplicates too, where the merge changes nothing.
-func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
+func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
 	rank, inc, g, memberIdx, phase := d.I(), d.I(), d.I(), d.I(), d.I()
 	s, ok := decSnap(d)
 	if !ok {
@@ -293,31 +298,36 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, []byte, error) {
 	return fParityFold, nil, nil
 }
 
-// handleParityFetch hands a hosted shard set to the crisis arbiter.
-func (nd *Node) handleParityFetch(d *wire.Dec) (byte, []byte, error) {
+// handleParityFetch hands a hosted shard set to the crisis arbiter. The
+// reply gathers the shards in place, so parMu stays held until the frame is
+// written (the Vec's release); quiesce has parked every fold that would
+// wait for it.
+func (nd *Node) handleParityFetch(d *wire.Dec) (byte, *wire.Vec, error) {
 	g := d.I()
 	if d.Failed() {
 		return fParityFetch, nil, errBadFrame
 	}
 	nd.parMu.Lock()
-	defer nd.parMu.Unlock()
 	hg := nd.hosted[g]
 	if hg == nil {
+		nd.parMu.Unlock()
 		return fParityFetch, nil, fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
 	}
-	var e wire.Enc
-	encHostedGroup(&e, hg)
-	return fParityFetch, e.Bytes(), nil
+	v := wire.NewVec()
+	encHostedGroup(v, hg)
+	v.OnRelease(nd.parMu.Unlock)
+	return fParityFetch, v, nil
 }
 
 // handleParityInstall stores a rebuilt shard set the arbiter re-homed
-// here after the previous host died.
-func (nd *Node) handleParityInstall(d *wire.Dec) (byte, []byte, error) {
+// here after the previous host died. The request body goes back to the
+// wire's pool when the handler returns, so the shards are copied out.
+func (nd *Node) handleParityInstall(d *wire.Dec) (byte, *wire.Vec, error) {
 	g := d.I()
 	if d.Failed() {
 		return fParityInstall, nil, errBadFrame
 	}
-	hg, err := decHostedGroup(d, nd.windowWords)
+	hg, err := decHostedGroup(d, nd.windowWords, d.Words)
 	if err != nil {
 		return fParityInstall, nil, err
 	}
@@ -327,7 +337,7 @@ func (nd *Node) handleParityInstall(d *wire.Dec) (byte, []byte, error) {
 	return fParityInstall, nil, nil
 }
 
-func encHostedGroup(e *wire.Enc, hg *hostedGroup) {
+func encHostedGroup(e encoder, hg *hostedGroup) {
 	e.I(hg.k)
 	e.I(len(hg.shards))
 	for i := range hg.snaps {
@@ -339,7 +349,9 @@ func encHostedGroup(e *wire.Enc, hg *hostedGroup) {
 	}
 }
 
-func decHostedGroup(d *wire.Dec, words int) (*hostedGroup, error) {
+// decHostedGroup decodes a shard set, each shard with words: d.Words for a
+// request body, d.WordsAlias for a reply the caller keeps.
+func decHostedGroup(d *wire.Dec, windowWords int, words func() []uint64) (*hostedGroup, error) {
 	k := d.I()
 	m := d.I()
 	if d.Failed() || k < 1 || m != 1 {
@@ -360,9 +372,9 @@ func decHostedGroup(d *wire.Dec, words int) (*hostedGroup, error) {
 	}
 	hg.shards = make([][]uint64, m)
 	for i := range hg.shards {
-		hg.shards[i] = d.Words()
-		if len(hg.shards[i]) != words {
-			return nil, fmt.Errorf("fabric: parity shard has %d words, window is %d", len(hg.shards[i]), words)
+		hg.shards[i] = words()
+		if len(hg.shards[i]) != windowWords {
+			return nil, fmt.Errorf("fabric: parity shard has %d words, window is %d", len(hg.shards[i]), windowWords)
 		}
 	}
 	if d.Failed() {
@@ -372,21 +384,23 @@ func decHostedGroup(d *wire.Dec, words int) (*hostedGroup, error) {
 }
 
 // handleBaseFetch hands the last committed base and its counter snapshot
-// to the crisis arbiter, under the checkpoint lock so the copy is
-// consistent with the group parity.
-func (nd *Node) handleBaseFetch() (byte, []byte, error) {
+// to the crisis arbiter, under the checkpoint lock so they are consistent
+// with the group parity. The reply gathers the base in place, so ckptMu
+// stays held until the frame is written (the Vec's release); quiesce has
+// parked the checkpoints that would wait for it.
+func (nd *Node) handleBaseFetch() (byte, *wire.Vec, error) {
 	nd.ckptMu.Lock()
-	defer nd.ckptMu.Unlock()
-	var e wire.Enc
-	encSnap(&e, nd.snapSelf)
-	e.Words(nd.base)
-	return fBaseFetch, e.Bytes(), nil
+	v := wire.NewVec()
+	encSnap(v, nd.snapSelf)
+	v.Words(nd.base)
+	v.OnRelease(nd.ckptMu.Unlock)
+	return fBaseFetch, v, nil
 }
 
 // handleLogFetch hands everything this node logged by or about the
 // victim: its own puts towards the victim (LP) and the gets the victim
 // issued against this window (LG).
-func (nd *Node) handleLogFetch(d *wire.Dec) (byte, []byte, error) {
+func (nd *Node) handleLogFetch(d *wire.Dec) (byte, *wire.Vec, error) {
 	victim := d.I()
 	if d.Failed() || victim < 0 || victim >= nd.n {
 		return fLogFetch, nil, errBadFrame
@@ -397,19 +411,19 @@ func (nd *Node) handleLogFetch(d *wire.Dec) (byte, []byte, error) {
 	n := nd.logs.FlagN(victim)
 	m := nd.logs.FlagM(victim)
 	nd.logMu.Unlock()
-	var e wire.Enc
-	encBool(&e, n)
-	encBool(&e, m)
-	encRecordList(&e, lp)
-	encRecordList(&e, lg)
-	return fLogFetch, e.Bytes(), nil
+	v := wire.NewVec()
+	encBool(v, n)
+	encBool(v, m)
+	encRecordList(v, lp)
+	encRecordList(v, lg)
+	return fLogFetch, v, nil
 }
 
 // handleCrisisBegin quiesces this node for a recovery: the victim is
 // condemned and the ack — which waits for any in-flight checkpoint fold
 // to finish — promises the arbiter that parity equals the encoded
 // committed bases until fCrisisEnd.
-func (nd *Node) handleCrisisBegin(d *wire.Dec) (byte, []byte, error) {
+func (nd *Node) handleCrisisBegin(d *wire.Dec) (byte, *wire.Vec, error) {
 	victim, inc := d.I(), d.I()
 	if d.Failed() || victim < 0 || victim >= nd.n {
 		return fCrisisBegin, nil, errBadFrame

@@ -410,7 +410,7 @@ func (nd *Node) applyInstall(in *install) error {
 	if len(in.base) != nd.windowWords {
 		return fmt.Errorf("fabric: install base has %d words, window is %d", len(in.base), nd.windowWords)
 	}
-	nd.base = in.base        // decoded for this node alone
+	nd.base = in.base        // a view of the join reply, which this node alone holds
 	copy(nd.window, in.base) // window == base: nothing to stamp
 	nd.snapSelf = in.snap
 	if len(in.snap.ec) == nd.n {
@@ -872,7 +872,7 @@ func (nd *Node) peer(m Member) (*peerConn, error) {
 	pc = &peerConn{inc: m.Incarnation}
 	lease := nd.tun().LeaseInterval * time.Duration(nd.tun().LeaseMiss)
 	pc.c = wire.New(nc, wire.Config{
-		Handler:     func(t byte, p []byte) (byte, []byte, error) { return nd.handle(st, t, p) },
+		VecHandler:  func(t byte, p []byte) (byte, *wire.Vec, error) { return nd.handle(st, t, p) },
 		Heartbeat:   nd.tun().LeaseInterval,
 		ReadTimeout: lease,
 		BytesOut:    nd.om.wireOut,
@@ -1513,19 +1513,23 @@ func (nd *Node) awaitFoldTarget(h Hosting, hm Member, rec int) {
 
 // callRank performs one call towards a rank that must be up, without
 // conn()'s parked wait: to a crisis any failure is terminal (a double
-// failure).
-func (nd *Node) callRank(rank int, t byte, payload []byte) ([]byte, error) {
+// failure). The request is v (nil: an empty payload), consumed whatever the
+// outcome; the reply is the caller's to keep.
+func (nd *Node) callRank(rank int, t byte, v *wire.Vec) ([]byte, error) {
 	nd.mmu.Lock()
 	m := nd.members[rank]
 	nd.mmu.Unlock()
+	var pc *peerConn
+	var err error
 	if !m.Alive || m.Addr == "" {
-		return nil, fmt.Errorf("fabric: rank %d is down", rank)
+		err = fmt.Errorf("fabric: rank %d is down", rank)
+	} else if pc, err = nd.peer(m); err == nil {
+		return pc.c.CallVec(t, v)
 	}
-	pc, err := nd.peer(m)
-	if err != nil {
-		return nil, err
+	if v != nil {
+		v.Release()
 	}
-	return pc.c.Call(t, payload)
+	return nil, err
 }
 
 // diffRanges fills nd.delta with the changed runs of the window vs the

@@ -400,3 +400,97 @@ func TestReplacementKilledBeforeItsFirstFold(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryWindowTraffic counts one recovery in windows: how many cross
+// the wire (fabric.wire.bytes.sent, summed over every node) and how many
+// window-sized buffers the process allocates (runtime.MemStats.TotalAlloc),
+// from the kill until the replacement has joined. The 2 MiB window keeps
+// every window-sized frame body out of wire's pool, so each receive is an
+// allocation of its own. Ranks 0 and 1 host the parity of groups 1 and 0, so
+// their recovery re-homes a group as well: the re-home fetches one base and
+// installs the rebuilt shard, the reconstruction fetches one base or the
+// parity, and the join reply carries the install — 4 windows on the wire for
+// a host, 2 for the others. Each is received into one buffer and kept there:
+// the rebuild XORs in the first buffer fetched, the new host copies the
+// installed shard out of its request body, which the wire recycles, and the
+// replacement keeps the join reply as its base beside a fresh window.
+func TestRecoveryWindowTraffic(t *testing.T) {
+	const n, words = 4, 1 << 18
+	wantWire := []uint64{4, 4, 2, 2}
+	wantAllocs := []uint64{6, 6, 3, 3}
+	for victim := 0; victim < n; victim++ {
+		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
+			// No gossip rounds and a lease longer than the test: nothing but the
+			// recovery moves bytes between the kill and the join.
+			f := startTestFabricWords(t, newPipeNet(), n, 2, words, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: time.Hour})
+			errs := make(chan error, n)
+			for _, tn := range f.nodes {
+				tn := tn
+				go func() {
+					tn.WriteAt(0, randWords(rand.New(rand.NewSource(int64(tn.rank))), words))
+					errs <- tn.Sync()
+				}()
+			}
+			for range f.nodes {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			wireBytes := func() (sent, recv uint64) {
+				for _, tn := range f.all {
+					sent += tn.om.wireOut.Load()
+					recv += tn.om.wireIn.Load()
+				}
+				return sent, recv
+			}
+			sent0, recv0 := wireBytes()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f.replace(t, victim)
+			runtime.ReadMemStats(&after)
+			// A reply is counted sent once its write returns, which may be
+			// after its caller has it: wait until the sends cover the receives.
+			await(t, "the sends to be counted", func() bool {
+				sent, recv := wireBytes()
+				return sent-sent0 >= recv-recv0
+			})
+			const window = 8 * words
+			sent, _ := wireBytes()
+			onWire := (sent - sent0 + window/2) / window
+			allocs := (after.TotalAlloc - before.TotalAlloc) / window
+			t.Logf("victim %d: %d windows on the wire, %d window-sized allocations", victim, onWire, allocs)
+			if onWire != wantWire[victim] {
+				t.Errorf("victim %d: %d windows on the wire (%d B), want %d", victim, onWire, sent-sent0, wantWire[victim])
+			}
+			if !raceEnabled && allocs > wantAllocs[victim] {
+				t.Errorf("victim %d: the recovery allocated %d windows (%d B), want %d", victim, allocs, after.TotalAlloc-before.TotalAlloc, wantAllocs[victim])
+			}
+			syncAll(t, f)
+			checkCommitted(t, f, "after the recovery")
+		})
+	}
+}
+
+// TestRecoveryFromLocalOperands: on two ranks in one group, rank 0 hosts the
+// parity and arbitrates, so every operand of rank 1's rebuild is its own —
+// its committed base and its hosted shard, nothing fetched. The rebuild then
+// starts from a copy and leaves both untouched: the replacement comes back
+// with the victim's committed window, and every base and the parity agree.
+func TestRecoveryFromLocalOperands(t *testing.T) {
+	const n, words = 2, 1000
+	f := startTestFabricWords(t, newPipeNet(), n, 1, words, fastTuning)
+	for _, tn := range f.nodes {
+		tn.WriteAt(0, randWords(rand.New(rand.NewSource(int64(tn.rank))), words))
+	}
+	syncAll(t, f)
+	if h := f.nodes[0].Hostings()[0].Host; h != 0 {
+		t.Fatalf("rank %d hosts the parity, want rank 0", h)
+	}
+	want := f.nodes[1].ReadAt(0, words)
+	repl := f.replace(t, 1)
+	if got := repl.ReadAt(0, words); !slices.Equal(got, want) {
+		t.Fatal("the replacement's window is not the victim's committed one")
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the recovery")
+}

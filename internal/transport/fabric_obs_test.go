@@ -232,11 +232,11 @@ func TestFabricBatchAllocsSteadyState(t *testing.T) {
 		flush()
 	}
 	avg := testing.AllocsPerRun(100, flush)
-	// The path allocates 1/op: the target's reply encoding. Put stages its
-	// payload and the pend entry in buffers the target's next epoch reuses,
-	// the batch gathers into a pooled Vec, and frame bodies, the reply
-	// included, come from and go back to the wire's pool. One more is room
-	// for a pool miss, not for a per-op allocation in the obs hooks. The
+	// The path allocates nothing: Put stages its payload and the pend entry
+	// in buffers the target's next epoch reuses, the batch and the target's
+	// reply are encoded into pooled Vecs, and frame bodies, the reply
+	// included, come from and go back to the wire's pool. The budget is room
+	// for pool misses, not for a per-op allocation in the obs hooks. The
 	// race detector makes sync.Pool drop a quarter of its Puts, so the
 	// Vec and the frame bodies miss more there (5–6/op measured).
 	budget := 2.0

@@ -28,9 +28,10 @@
 //     vectored write (net.Buffers/writev on TCP), so put payloads travel
 //     from the caller's buffers to the socket without an intermediate
 //     copy. Small frames flatten into a pooled staging buffer instead —
-//     one syscall, no per-frame allocation. The tcp peer's flush and the
-//     fabric's batch (from its per-target put stage) and parity fold
-//     gather this way.
+//     one syscall, no per-frame allocation. The tcp peer's flush, the
+//     fabric's batch (from its per-target put stage) and parity fold, and
+//     the fabric's recovery frames (base and parity replies, the parity
+//     install and the join reply) gather this way.
 //   - Receive: the reader takes whatever the socket holds, up to a small
 //     read-ahead buffer, in one read — a small frame's header and payload,
 //     and the frames queued behind it — and copies each payload into a
@@ -38,7 +39,9 @@
 //     straight into its body. Request bodies are handed to the handler and
 //     recycled when it returns — the handler must not retain the payload
 //     (every decoder in this repo copies what it keeps). Word vectors can
-//     be viewed in place via Dec.WordsView.
+//     be viewed in place via Dec.WordsView. A Call reply belongs to the
+//     caller, which may keep views of its word vectors (Dec.WordsAlias)
+//     instead of copies: the fabric's recovery receives each window once.
 //   - Pool: frame bodies and staging buffers are pooled by power-of-two
 //     size class, so a recycled body serves any frame of its class; bodies
 //     above 1 MiB (base, parity and window fetches) are allocated to size
@@ -130,9 +133,11 @@ type Handler func(t byte, payload []byte) (byte, []byte, error)
 // VecHandler is the zero-copy variant of Handler: it may return a
 // vectored reply (a *Vec) whose chunks alias handler-owned memory. The
 // connection writes the frame and then releases the Vec — its OnRelease
-// hook is where pooled reply scratch goes back to its pool. Returning a
-// nil Vec means an empty reply payload. The same payload-lifetime rule as
-// Handler applies.
+// hook is where pooled reply scratch goes back to its pool, or where a lock
+// that keeps the aliased memory still is released: it runs exactly once,
+// whether the reply is written, dropped for an error reply or a
+// notification, or fails on a dead connection. Returning a nil Vec means an
+// empty reply payload. The same payload-lifetime rule as Handler applies.
 type VecHandler func(t byte, payload []byte) (byte, *Vec, error)
 
 // Config tunes a Conn.
@@ -143,7 +148,8 @@ type Config struct {
 	// VecHandler, when set, serves incoming requests instead of Handler
 	// and may reply with a vectored frame (see VecHandler's doc). The tcp
 	// transport uses it so flush get-replies gather straight from the
-	// ops' destination buffers.
+	// ops' destination buffers, and the fabric so a recovery's base and
+	// parity replies gather straight from the node's state.
 	VecHandler VecHandler
 	// Heartbeat is the interval of outgoing heartbeat frames; 0 disables.
 	Heartbeat time.Duration
@@ -1181,13 +1187,46 @@ func (d *Dec) WordsView(scratch []uint64) []uint64 {
 	if n == 0 {
 		return scratch[:0]
 	}
-	if hostLittle && uintptr(unsafe.Pointer(&d.b[0]))&7 == 0 {
-		view := unsafe.Slice((*uint64)(unsafe.Pointer(&d.b[0])), n)
-		d.b = d.b[8*n:]
+	if view := d.alias(n); view != nil {
 		return view
 	}
 	d.wordsInto(scratch[:n])
 	return scratch[:n]
+}
+
+// WordsAlias reads a length-prefixed word vector for keeping: when the run
+// lies 8-byte aligned in memory on a little-endian host — as in a payload
+// read into a buffer of its own, which every Call reply is — the returned
+// slice aliases the payload; otherwise the words decode into a fresh slice,
+// as Words does. So the caller must own the payload for as long as it keeps
+// the slice: a Call reply it never recycles, never a handler's request body,
+// which the connection recycles. Writes through the slice land in the
+// payload.
+func (d *Dec) WordsAlias() []uint64 {
+	n := d.wordsHeader()
+	if d.fail {
+		return nil
+	}
+	if n > 0 {
+		if view := d.alias(n); view != nil {
+			return view
+		}
+	}
+	out := make([]uint64, n)
+	d.wordsInto(out)
+	return out
+}
+
+// alias consumes the next n ≥ 1 words as a view of the payload, or returns
+// nil and consumes nothing when they do not lie 8-byte aligned in memory on
+// a little-endian host. The caller has checked that they fit.
+func (d *Dec) alias(n int) []uint64 {
+	if !hostLittle || uintptr(unsafe.Pointer(&d.b[0]))&7 != 0 {
+		return nil
+	}
+	view := unsafe.Slice((*uint64)(unsafe.Pointer(&d.b[0])), n)
+	d.b = d.b[8*n:]
+	return view
 }
 
 // SkipWords advances past a length-prefixed word vector without decoding

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -170,6 +172,50 @@ func TestWordsView(t *testing.T) {
 	d.B()
 	if got := d.WordsView(make([]uint64, 2)); got != nil || !d.Failed() {
 		t.Fatalf("undersized scratch: got %v, failed=%v, want poison", got, d.Failed())
+	}
+}
+
+// TestWordsAlias pins the keep-a-view decode of a payload the caller owns:
+// an aligned run comes back as a view of the payload, an unaligned one as a
+// copy of it, and a run the payload is too short for poisons the decoder.
+func TestWordsAlias(t *testing.T) {
+	if !hostLittle {
+		t.Skip("WordsAlias views little-endian payloads only")
+	}
+	var e Enc
+	e.B(1)
+	e.Words([]uint64{10, 20, 30})
+	payload := e.Bytes()
+	decode := func(p []byte) ([]uint64, bool) {
+		d := NewDec(p)
+		d.B()
+		w := d.WordsAlias()
+		return w, d.Failed()
+	}
+
+	w, failed := decode(payload)
+	if failed || len(w) != 3 || cap(w) != 3 || w[0] != 10 || w[2] != 30 {
+		t.Fatalf("aligned: %v (cap %d), failed=%v", w, cap(w), failed)
+	}
+	w[1] = 21
+	if got := binary.LittleEndian.Uint64(payload[16:]); got != 21 {
+		t.Fatalf("aligned: a write through the slice left the payload at %d: it is a copy", got)
+	}
+
+	// The same payload one byte into a buffer: the run is misaligned in
+	// memory, so it is decoded into a slice of its own.
+	odd := append([]byte{0}, payload...)[1:]
+	w, failed = decode(odd)
+	if failed || len(w) != 3 || w[0] != 10 || w[1] != 21 || w[2] != 30 {
+		t.Fatalf("unaligned: %v, failed=%v", w, failed)
+	}
+	w[1] = 22
+	if got := binary.LittleEndian.Uint64(odd[16:]); got != 21 {
+		t.Fatalf("unaligned: a write through the slice reached the payload (%d): it is a view", got)
+	}
+
+	if w, failed = decode(payload[:len(payload)-1]); w != nil || !failed {
+		t.Fatalf("short: got %v, failed=%v, want poison", w, failed)
 	}
 }
 
@@ -340,6 +386,65 @@ func TestConnDownFreesVec(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Vec not released after failed CallVec")
 	}
+}
+
+// TestVecReplyReleasedOnce: a VecHandler reply is released — its OnRelease
+// run — exactly once whatever becomes of it: written, dropped for the error
+// reply the handler also returned, dropped because the request was a
+// notification, or failed on a connection that died under the handler. The
+// fabric's base and parity fetch replies hold a lock until then.
+func TestVecReplyReleasedOnce(t *testing.T) {
+	var released atomic.Int32
+	unblock := make(chan struct{})
+	serving := make(chan struct{}, 1)
+	handler := func(ty byte, _ []byte) (byte, *Vec, error) {
+		v := NewVec()
+		v.W64(7)
+		v.Words(make([]uint64, smallFrame)) // gathered: above the flatten threshold
+		v.OnRelease(func() { released.Add(1) })
+		switch ty {
+		case 0x22: // the error path
+			return ty, v, RemoteFail{Code: CodeGeneric, Msg: "nope"}
+		case 0x23: // the dead connection path
+			serving <- struct{}{}
+			<-unblock
+		}
+		return ty, v, nil
+	}
+	awaitReleased := func(what string, want int32) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); released.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the reply was not released", what)
+			}
+		}
+		time.Sleep(10 * time.Millisecond) // room for a second release to show
+		if got := released.Load(); got != want {
+			t.Fatalf("%s: %d releases in all, want %d", what, got, want)
+		}
+	}
+	cn, sn := net.Pipe()
+	server := New(sn, Config{VecHandler: handler})
+	client := New(cn, Config{})
+	defer client.Close()
+
+	if reply, err := client.Call(0x21, nil); err != nil || len(reply) != 16+8*smallFrame {
+		t.Fatalf("written: %d bytes, %v", len(reply), err)
+	}
+	awaitReleased("written", 1)
+	if _, err := client.Call(0x22, nil); err == nil {
+		t.Fatal("error path: the call succeeded")
+	}
+	awaitReleased("error reply", 2)
+	if err := client.Notify(0x21, nil); err != nil {
+		t.Fatal(err)
+	}
+	awaitReleased("notification", 3)
+	go client.Call(0x23, nil)
+	<-serving
+	server.Close()
+	close(unblock)
+	awaitReleased("dead connection", 4)
 }
 
 // TestNearMissDetection pins the lease near-miss accounting: frames that

@@ -206,7 +206,7 @@ func TestPutBetweenDiffAndCommit(t *testing.T) {
 	var once sync.Once
 	// The fold frame leaves a after its diff and before its commit: that is
 	// when the host puts into a's window.
-	pn.onFrame = func(from string, ft byte, _ []byte) {
+	pn.onFrame = func(from, _ string, ft byte, _ []byte) {
 		if ft == fParityFold && from == a.addr {
 			once.Do(func() {
 				host.Put(a.rank, at, val)
@@ -300,7 +300,7 @@ func TestFoldRetryShipsSameWords(t *testing.T) {
 	var lost *hostedGroup
 	refused := make(chan struct{})
 	// The first fold finds a host that has given the group up.
-	pn.onFrame = func(from string, ft byte, payload []byte) {
+	pn.onFrame = func(from, _ string, ft byte, payload []byte) {
 		if ft == fParityFold && from == a.addr && sent.add(payload) == 1 {
 			host.parMu.Lock()
 			lost = host.hosted[0]
@@ -356,7 +356,7 @@ func TestFoldAckLostReshipsSameWords(t *testing.T) {
 	var a, host *Node
 	var sent foldFrames
 	var applied []uint64 // the parity once the first attempt is folded in
-	pn.onFrame = func(from string, ft byte, payload []byte) {
+	pn.onFrame = func(from, _ string, ft byte, payload []byte) {
 		if ft == fParityFold && from == a.addr {
 			sent.add(payload)
 		}
@@ -576,6 +576,9 @@ func TestHandlersTakeUnalignedFrames(t *testing.T) {
 		return e.Bytes()
 	}
 	before := append([]uint64(nil), nd.hosted[0].shards[0]...)
+	// The host itself is past both phases, so each fold is released, not
+	// held, once it is in.
+	nd.mergeWatermark(nd.rank, nd.inc, 12)
 	if _, _, err := nd.handleParityFold(wire.NewDec(fold(10))); err != nil {
 		t.Fatal(err)
 	}
@@ -700,6 +703,7 @@ func foldNowhere(nd *Node, s snap, data []uint64, blocks, stride int) {
 	nd.ckptMu.Lock()
 	nd.diffRanges()
 	nd.encFold(0, 0, s.phase, s).Release()
+	nd.xorBase()
 	nd.commitBase(s)
 	nd.ckptMu.Unlock()
 }

@@ -94,26 +94,39 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	nd.fr.Record(obs.EvCrisis, int64(obs.CrisisTotal), int64(victim), 0) // begin marker
 	total := obs.StartSpan(nd.om.crisis[obs.CrisisTotal], nd.fr, obs.EvCrisis, int64(obs.CrisisTotal), int64(victim))
 
-	// 1. Quiesce: own checkpoints first (taking ckptMu waits out our own
-	// in-flight fold), then every survivor. An ack certifies the
-	// survivor's parity/base exchange is at rest until fCrisisEnd.
+	// 1. Quiesce this node and every survivor at once. An ack certifies
+	// the survivor's parity/base exchange is at rest until fCrisisEnd. A
+	// survivor's ack waits for its own fold to be answered, which its host
+	// does when its own quiesce begins: the calls go out together, so no
+	// ack waits for a quiesce queued behind it.
 	quiesce := obs.StartSpan(nd.om.crisis[obs.CrisisQuiesce], nd.fr, obs.EvCrisis, int64(obs.CrisisQuiesce), int64(victim))
-	nd.ckptMu.Lock()
-	nd.inCrisis = true
-	nd.ckptMu.Unlock()
+	nd.beginQuiesce()
 	survivors := nd.surviving(victim)
-	for _, s := range survivors {
-		v := wire.NewVec()
-		v.I(victim)
-		v.I(vinc)
-		if _, err := nd.callRank(s.Rank, fCrisisBegin, v); err != nil {
-			return fmt.Errorf("fabric: crisis quiesce of rank %d failed (double failure?): %w", s.Rank, err)
-		}
+	errs := make([]error, len(survivors))
+	var wg sync.WaitGroup
+	for i, s := range survivors {
+		i, s := i, s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := wire.NewVec()
+			v.I(victim)
+			v.I(vinc)
+			if _, err := nd.callRank(s.Rank, fCrisisBegin, v); err != nil {
+				errs[i] = fmt.Errorf("fabric: crisis quiesce of rank %d failed (double failure?): %w", s.Rank, err)
+			}
+		}()
+	}
+	nd.awaitFoldSettled()
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	quiesce.End()
 
 	// 2. Gather the victim's logs from every survivor and from ourselves.
 	gather := obs.StartSpan(nd.om.crisis[obs.CrisisGather], nd.fr, obs.EvCrisis, int64(obs.CrisisGather), int64(victim))
+	nd.awaitLogged(victim)
 	nd.logMu.Lock()
 	puts := nd.logs.CopyLP(victim)
 	gets := nd.logs.CopyLG(victim)
@@ -166,6 +179,7 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 		defer nd.mmu.Unlock()
 		return nd.members[r].Alive
 	}
+	rehomed := false
 	for _, h := range hostings {
 		if h.Host != victim {
 			continue
@@ -187,11 +201,12 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 		if newHost < 0 {
 			return fmt.Errorf("fabric: no electable parity host left for group %d", h.Group)
 		}
-		hg := &hostedGroup{k: len(members), rs: rs, shards: [][]uint64{parity}, snaps: snaps, folded: folded}
+		hg := &hostedGroup{k: len(members), rs: rs, shards: [][]uint64{parity}, snaps: snaps, folded: folded, answered: slices.Clone(folded)}
 		if newHost == nd.rank {
 			nd.parMu.Lock()
 			nd.hosted[h.Group] = hg
 			nd.parMu.Unlock()
+			nd.adoptFolds(h.Group, hg)
 		} else {
 			v := wire.NewVec()
 			v.I(h.Group)
@@ -203,6 +218,7 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 		nd.mmu.Lock()
 		nd.hostings[h.Group] = Hosting{Group: h.Group, Host: newHost, Version: h.Version + 1}
 		nd.mmu.Unlock()
+		rehomed = true
 		nd.om.parityHandoffs.Inc()
 		nd.fr.Record(obs.EvParityHandoff, int64(h.Group), int64(newHost), int64(h.Version+1))
 		nd.logf("fabric: group %d parity re-homed from rank %d to rank %d", h.Group, victim, newHost)
@@ -271,11 +287,10 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	rec := nd.recoveries
 	nd.mmu.Unlock()
 	nd.notify(peers, fCrisisEnd, end.Bytes())
-	nd.ckptMu.Lock()
-	nd.inCrisis = false
-	nd.ckptMu.Unlock()
-	nd.ckptCond.Broadcast()
-	nd.mcond.Broadcast()
+	nd.endQuiesce()
+	if rehomed {
+		nd.announce(true) // the new host has heard no readiness yet
+	}
 	total.End()
 	nd.dumpFlight(fmt.Sprintf("crisis%d", rec))
 	nd.logf("fabric: crisis for rank %d resolved (inc %d)", victim, vinc+1)

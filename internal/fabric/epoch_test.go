@@ -2,14 +2,16 @@ package fabric
 
 // Tests of what one epoch close costs on the wire. The protocol counts are
 // exact: per phase, one fBatch per target written to, one fParityFold per
-// rank whose parity lives elsewhere, and an fGsyncReady to every peer but
-// the one that acked the rank's fold — the fold is the ready to its host.
+// rank whose parity lives elsewhere — the fold is the ready to its host, and
+// its answer the release — and one readiness frame from each parity host to
+// each other host.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,42 +35,110 @@ func haloPhase(nd *Node, p, phases int) error {
 	return nd.Sync()
 }
 
+// barrierLog records, from the frames on a pipeNet, what each parity host
+// had been sent when it released a fold: the folds of each phase by
+// destination, and the readiness each host sent each other host.
+type barrierLog struct {
+	n     int
+	folds map[string]map[int][]int  // host address → phase → ranks folded
+	ready map[string]map[string]int // host address → sender address → watermark
+}
+
+func newBarrierLog(n int) *barrierLog {
+	return &barrierLog{n: n, folds: map[string]map[int][]int{}, ready: map[string]map[string]int{}}
+}
+
+// frame records an fParityFold or a host's readiness (an fGossip carrying
+// fewer entries than the world has ranks). It reports the readiness frames.
+func (bl *barrierLog) frame(from, to string, ft byte, payload []byte) (readiness bool) {
+	d := wire.NewDec(payload)
+	switch ft {
+	case fParityFold:
+		rank, _, _, _, phase := d.I(), d.I(), d.I(), d.I(), d.I()
+		if bl.folds[to] == nil {
+			bl.folds[to] = map[int][]int{}
+		}
+		bl.folds[to][phase] = append(bl.folds[to][phase], rank)
+	case fGossip:
+		ms, _, ok := decTables(d)
+		if !ok || len(ms) == bl.n {
+			return false
+		}
+		wm := -1
+		for _, m := range ms {
+			if wm < 0 || m.Watermark < wm {
+				wm = m.Watermark
+			}
+		}
+		if bl.ready[to] == nil {
+			bl.ready[to] = map[string]int{}
+		}
+		bl.ready[to][from] = max(bl.ready[to][from], wm)
+		return true
+	}
+	return false
+}
+
+// late reports why a release of phase p from host at addr left too early:
+// a fold of p from a member of its groups had not been sent to it, or the
+// readiness for p of another host had not.
+func (bl *barrierLog) late(addr string, p int, members map[string][]int) []string {
+	var out []string
+	hosts := make([]string, 0, len(members))
+	for h := range members {
+		hosts = append(hosts, h)
+	}
+	for _, r := range members[addr] {
+		if !slices.Contains(bl.folds[addr][p], r) {
+			out = append(out, fmt.Sprintf("host %s released phase %d before rank %d's fold", addr, p, r))
+		}
+	}
+	for _, h := range hosts {
+		if h != addr && bl.ready[addr][h] < p+1 {
+			out = append(out, fmt.Sprintf("host %s released phase %d before host %s's readiness", addr, p, h))
+		}
+	}
+	return out
+}
+
 // TestEpochCloseFrameBudget: on four ranks in two groups, every group's
 // parity hosted outside it, a halo phase costs exactly 8 fBatch, 4
-// fParityFold and n(n−2) = 8 fGsyncReady frames; when a member sends its
-// first ready, its fold's ack has returned and the host already counts the
-// member's new watermark. After the host of group 0 is killed and its
-// parity re-homed, phases cost the same. Gossip runs every 4 s, so a ready
-// the fold failed to stand in for would hold a barrier that long.
+// fParityFold and H(H−1) = 2 host readiness frames (fGossip); no fold is
+// released before its host has been sent every fold of its groups and the
+// other host's readiness for the phase. After the host of group 0 is killed
+// and its parity re-homed, phases cost the same. Gossip runs every 4 s, so a
+// release that waited for it would hold a barrier that long.
 func TestEpochCloseFrameBudget(t *testing.T) {
 	const n, phases, killAt = 4, 10, 4
-	const budget = 8 + 4 + 8
+	const budget = 8 + 4 + 2
 	pn := newPipeNet()
 	var (
 		mu     sync.Mutex
 		counts = map[byte]int{}
-		byRank []*Node // nil outside the counted phases
+		bl     = newBarrierLog(n)
+		cur    = -1             // the phase being counted
+		hostOf map[string][]int // host address → its groups' members, in the counted phases
 		late   []string
 	)
-	pn.onFrame = func(_ string, ft byte, payload []byte) {
-		if ft != fBatch && ft != fParityFold && ft != fGsyncReady {
+	pn.onFrame = func(from, to string, ft byte, payload []byte) {
+		if ft != fBatch && ft != fParityFold && ft != fGossip {
 			return
 		}
 		mu.Lock()
-		counts[ft]++
-		nodes := byRank
-		mu.Unlock()
-		if ft != fGsyncReady || nodes == nil {
-			return
+		defer mu.Unlock()
+		if bl.frame(from, to, ft, payload) || ft != fGossip {
+			counts[ft]++
 		}
-		d := wire.NewDec(payload)
-		rank, inc, wm := d.I(), d.I(), d.I()
-		host := nodes[nodes[rank].Hostings()[nodes[rank].grouping.GroupOf(rank)].Host]
-		if m := host.sees(rank); m.Incarnation != inc || m.Watermark < wm {
+	}
+	pn.onReply = func(to string, rt byte, _ []byte) bool {
+		if rt == fParityFold|0x80 {
 			mu.Lock()
-			late = append(late, fmt.Sprintf("rank %d sent ready %d while its host, rank %d, saw %+v", rank, wm, host.rank, m))
+			if hostOf != nil {
+				late = append(late, bl.late(to, cur, hostOf)...)
+			}
 			mu.Unlock()
 		}
+		return false
 	}
 	f := startTestFabricWords(t, pn, n, 2, n*phases+phases, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 4 * time.Second})
 	for _, h := range f.nodes[0].Hostings() {
@@ -96,9 +166,10 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 		t.Helper()
 		mu.Lock()
 		clear(counts)
-		byRank = make([]*Node, n)
-		for r, tn := range f.nodes {
-			byRank[r] = tn.Node
+		cur, hostOf = p, map[string][]int{}
+		for _, h := range f.nodes[0].Hostings() {
+			addr := f.nodes[h.Host].addr
+			hostOf[addr] = append(hostOf[addr], f.nodes[0].grouping.ComputeMembers(h.Group)...)
 		}
 		mu.Unlock()
 		t0 := time.Now()
@@ -107,12 +178,12 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 		el := time.Since(t0)
 		mu.Lock()
 		defer mu.Unlock()
-		byRank = nil
-		if counts[fBatch] != 8 || counts[fParityFold] != 4 || counts[fGsyncReady] != 8 {
-			t.Errorf("phase %d sent %d fBatch, %d fParityFold, %d fGsyncReady, want 8, 4, 8",
-				p, counts[fBatch], counts[fParityFold], counts[fGsyncReady])
+		hostOf = nil
+		if counts[fBatch] != 8 || counts[fParityFold] != 4 || counts[fGossip] != 2 {
+			t.Errorf("phase %d sent %d fBatch, %d fParityFold, %d host readiness frames, want 8, 4, 2",
+				p, counts[fBatch], counts[fParityFold], counts[fGossip])
 		}
-		if sum := counts[fBatch] + counts[fParityFold] + counts[fGsyncReady]; sum != budget {
+		if sum := counts[fBatch] + counts[fParityFold] + counts[fGossip]; sum != budget {
 			t.Errorf("phase %d closed with %d frames, want %d", p, sum, budget)
 		}
 		if el > time.Second {
@@ -180,7 +251,7 @@ func tableNode(n int) *Node {
 	return nd
 }
 
-// TestMergeWatermark: a ready or a fold merges its watermark without
+// TestMergeWatermark: a fold merges its watermark without
 // allocating, by the table's rule — monotone within an incarnation,
 // ignored from an older one, a newer one takes the slot.
 func TestMergeWatermark(t *testing.T) {
@@ -198,7 +269,7 @@ func TestMergeWatermark(t *testing.T) {
 	}
 	nd.mergeWatermark(2, 0, 1)
 	nd.mergeWatermark(1, 0, 7)
-	nd.mergeWatermark(1, 1, 3) // a replacement's first ready
+	nd.mergeWatermark(1, 1, 3) // a replacement's first fold
 	nd.mergeWatermark(1, 0, 9) // its predecessor's, late
 	if m := nd.sees(2); m.Watermark != wm {
 		t.Errorf("a lower watermark moved rank 2 back to %d", m.Watermark)

@@ -1,7 +1,7 @@
 // Package fabric is the symmetric, coordinatorless runtime of the
 // cluster: every worker hosts its own rank's window, access logs, and an
 // elected share of checkpoint parity, and the ranks speak the wire
-// protocol directly to each other — epoch closes, gsync readies,
+// protocol directly to each other — epoch closes, the gsync barrier,
 // checkpoint folds, membership gossip, and crisis recovery all flow
 // peer-to-peer. The only asymmetric piece left is the bootstrap Seed, a
 // pure join directory that hands each worker its rank and the initial
@@ -48,23 +48,25 @@
 // Gossip is anti-entropy only: everything a recovery waits for is pushed
 // when it happens, so GossipInterval is not a term of the recovery time.
 //
-// The gsync barrier itself is hub-free: a rank finishing phase p sends
-// fGsyncReady with watermark p+1 to every peer but the host its fold
-// reached, and passes the barrier when its local view shows every rank's
-// watermark ≥ p+1. The host needs no ready: a fold leaves only once every
-// batch of p is acked, so the host merges the member's watermark p+1 when
-// it folds, before it acks. A dead rank's watermark freezes, parking
-// survivors at most one phase ahead until the replacement climbs past
-// them — nobody ever impersonates the victim.
+// The gsync barrier goes through the parity hosts. A fold leaves only
+// once every batch of phase p is acked, so it is the member's ready: the
+// host merges the member's watermark p+1 when it folds. Once every member
+// of the groups it hosts has folded p (ftrma.GsyncReady), the host sends
+// each other host one targeted fGossip with those members' entries; it
+// answers the folds of p it holds once its table shows every rank at p+1
+// (ftrma.GsyncRelease), so the fold's answer is the member's release. A
+// dead rank's watermark freezes, holding every release until the
+// replacement folds — nobody ever impersonates the victim.
 //
 // # Crisis
 //
 // The arbiter — the lowest-ranked survivor, recomputed from the local
 // table so arbitration survives the arbiter's own death — drives
-// recovery: quiesce checkpoint folds (fCrisisBegin, acked by each
-// survivor once no fold is in flight; no new fold can start because the
-// next one needs a barrier pass that the victim's frozen watermark
-// blocks), gather the victim's logs from every survivor (fLogFetch),
+// recovery: quiesce checkpoint folds (fCrisisBegin to every survivor at
+// once: a host answers the folds it holds, and each survivor acks once its
+// own fold is answered and committed, or failed; no new fold starts until
+// fCrisisEnd), gather the victim's logs from every survivor (fLogFetch,
+// which waits out a batch the victim acked that is not logged yet),
 // re-elect and rebuild any parity the victim hosted (fBaseFetch +
 // fParityInstall), reconstruct the victim's base from its group's parity
 // and the surviving members' bases (an XOR, done in place in the first

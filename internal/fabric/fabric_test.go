@@ -93,7 +93,7 @@ type recConn struct {
 	net.Conn
 	rec     *pipeDial
 	wrote   bool // dialer-side writes are serialized by wire.Conn
-	onFrame func(from string, t byte, payload []byte)
+	onFrame func(from, to string, t byte, payload []byte)
 }
 
 func (c *recConn) Write(b []byte) (int, error) {
@@ -102,7 +102,7 @@ func (c *recConn) Write(b []byte) (int, error) {
 		c.rec.helloed.Store(len(b) > 4 && b[4] == fHello)
 	}
 	if c.onFrame != nil && len(b) >= 9 {
-		c.onFrame(c.rec.from, b[4], b[9:])
+		c.onFrame(c.rec.from, c.rec.to, b[4], b[9:])
 	}
 	return c.Conn.Write(b)
 }
@@ -113,15 +113,20 @@ func (c *recConn) Close() error {
 }
 
 // farConn is the accepting end of a pipe. What a node writes there, its
-// heartbeats aside, are replies, one Write each.
+// heartbeats aside, are replies — and the requests it sends the dialer on
+// the dialer's connection — one Write each.
 type farConn struct {
 	net.Conn
-	to      string
-	onReply func(to string, t byte, payload []byte) (lost bool)
+	from, to string
+	onFrame  func(from, to string, t byte, payload []byte)
+	onReply  func(to string, t byte, payload []byte) (lost bool)
 }
 
 func (c *farConn) Write(b []byte) (int, error) {
 	const replyBit = 0x80 // wire's; set on error replies (0xFF) too
+	if c.onFrame != nil && len(b) >= 9 && b[4]&replyBit == 0 && b[4] != wire.TypeHeartbeat {
+		c.onFrame(c.to, c.from, b[4], b[9:])
+	}
 	if c.onReply != nil && len(b) >= 9 && b[4]&replyBit != 0 && c.onReply(c.to, b[4], b[9:]) {
 		// The ack is lost. The caller reads what a lost ack looks like on a
 		// fabric connection: the refusal of a node on its way down.
@@ -141,10 +146,11 @@ func (c *farConn) Write(b []byte) (int, error) {
 
 type pipeNet struct {
 	dialDelay time.Duration // widens the window concurrent dialers race in
-	// onFrame, when set before the dial, sees every frame a dialer writes
-	// (frames under wire's 2 KiB flatten threshold: one Write each) on the
-	// writing goroutine, before it reaches the pipe.
-	onFrame func(from string, t byte, payload []byte)
+	// onFrame, when set before the dial, sees every request frame either end
+	// of a dialed connection writes (frames under wire's 2 KiB flatten
+	// threshold: one Write each) on the writing goroutine, before it
+	// reaches the pipe.
+	onFrame func(from, to string, t byte, payload []byte)
 	// onReply, when set before the dial, sees every reply the accepting side
 	// at address `to` writes — t is the frame's type byte, the request's
 	// with the reply bit set or 0xFF for an error reply — on the writing
@@ -182,7 +188,7 @@ func (pn *pipeNet) dialer(from string) transport.Dialer {
 			return nil, fmt.Errorf("pipe: no listener at %q", addr)
 		}
 		near, far := net.Pipe()
-		if !l.deliver(&farConn{Conn: far, to: addr, onReply: pn.onReply}) {
+		if !l.deliver(&farConn{Conn: far, from: from, to: addr, onFrame: pn.onFrame, onReply: pn.onReply}) {
 			return nil, fmt.Errorf("pipe: %s refused the connection", addr)
 		}
 		rec := &pipeDial{from: from, to: addr}

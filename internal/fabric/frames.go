@@ -11,8 +11,9 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Fabric frame types, 0x40–0x50, disjoint from the tcp peer protocol's
-// 0x10–0x16 so a misdirected frame fails loudly instead of aliasing.
+// Fabric frame types, 0x40–0x50 (0x44 and 0x4B retired), disjoint from the
+// tcp peer protocol's 0x10–0x16 so a misdirected frame fails loudly instead
+// of aliasing.
 // docs/WIRE.md §3 is the normative payload spec; the enc/dec helpers in
 // this file are the implementation of record, and TestWireDocMatchesFrames
 // holds the two to the same catalog.
@@ -26,17 +27,14 @@ const (
 	// attributes the connection so its death is charged to the right
 	// member.
 	fHello = 0x41
-	// fGossip (notify): {members, hostings} anti-entropy broadcast.
+	// fGossip (notify): {members, hostings} anti-entropy broadcast; also a
+	// parity host's readiness to the other hosts, carrying its groups'
+	// members' entries once every member's fold of a phase is in.
 	fGossip = 0x42
 	// fBatch (call, source → target): one epoch close worth of puts and
 	// gets: {src, inc, phase, puts{off, words}*, gets{off, n, localOff+1,
 	// gc}*}; the reply concatenates the get data in order.
 	fBatch = 0x43
-	// fGsyncReady (notify): {rank, inc, watermark} — the sender finished
-	// phase watermark-1 and committed its checkpoint. Sent to every live
-	// peer but the (rank, inc) that acked the phase's fParityFold, which
-	// merged the watermark when it folded.
-	fGsyncReady = 0x44
 	// fParityFold (call, member → group host): {rank, inc, group,
 	// memberIdx, phase, snap{ec*, gc}, ranges{off, delta-words}*}. The
 	// host folds the deltas into the group parity and stores the snap
@@ -44,9 +42,10 @@ const (
 	// re-applying, which makes a retry after a lost ack safe as long as it
 	// carries the words of the first attempt (checkpoint diffs once per
 	// phase and re-ships that). Applied or deduplicated, the fold is also
-	// the member's ready to its host: before acking, the host merges
-	// (rank, inc)'s watermark phase+1, which is monotone, so a retry
-	// re-merges it harmlessly.
+	// the member's ready to its host, which merges (rank, inc)'s watermark
+	// phase+1 (monotone, so a retry re-merges it harmlessly), and the reply
+	// {status} is the member's release from the gsync barrier: foldReleased
+	// once every rank has folded phase, foldHeld when a crisis began first.
 	fParityFold = 0x45
 	// fParityFetch (call, arbiter → group host): {group} → {k, m,
 	// snaps k×{phase+1, ec*, gc}, shards m×words}.
@@ -63,8 +62,9 @@ const (
 	// everything the survivor logged by or about the victim.
 	fLogFetch = 0x49
 	// fCrisisBegin (call, arbiter → survivor): {victim, inc}. The ack
-	// means the survivor marked the victim dead and has no checkpoint
-	// fold in flight; folds stay parked until fCrisisEnd.
+	// means the survivor marked the victim dead, answered the folds it
+	// holds, and has no checkpoint fold of its own in flight; folds stay
+	// parked until fCrisisEnd.
 	fCrisisBegin = 0x4A
 	// fCrisisEnd (notify, arbiter → survivors): {members, hostings}
 	// publishes the post-crisis world and unparks checkpoints.

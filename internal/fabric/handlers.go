@@ -100,8 +100,8 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, *wire.Vec, 
 		return t, nil, nil
 	}
 	// Everything below reads or writes rank state. A node still installing
-	// holds the frame until it is live and then serves it — a ready or a
-	// gossip frame merges into the table it now has, a survivor's redelivery
+	// holds the frame until it is live and then serves it — a gossip frame
+	// merges into the table it now has, a survivor's redelivery
 	// lands on the restored base — so "installing" never goes on the wire and
 	// nobody retries on a clock.
 	if !nd.awaitInstalled() {
@@ -116,13 +116,6 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, *wire.Vec, 
 			return t, nil, errBadFrame
 		}
 		nd.mergeMembers(ms, hs)
-		return t, nil, nil
-	case fGsyncReady:
-		rank, inc, wm := d.I(), d.I(), d.I()
-		if d.Failed() {
-			return t, nil, errBadFrame
-		}
-		nd.mergeWatermark(rank, inc, wm)
 		return t, nil, nil
 	case fBatch:
 		return nd.handleBatch(d)
@@ -254,10 +247,12 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 // folded straight from the frame (views, as in handleBatch; hg.scratch is
 // the fallback buffer), after a first walk has checked every range.
 //
-// The fold is also the member's ready to its host: a member folds phase p
-// only once every batch of p is acked, and the fold is the commit, so the
-// host merges (rank, inc)'s watermark p+1 here, before the ack leaves — for
-// a retry it deduplicates too, where the merge changes nothing.
+// The fold is also the member's ready, and its answer the member's release:
+// a member folds phase p only once every batch of p is acked, so the host
+// merges (rank, inc)'s watermark p+1 — for a retry it deduplicates too,
+// where the merge changes nothing — tells the other hosts once its groups
+// are all in (announce), and holds the answer until every rank has folded p
+// (awaitRelease).
 func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
 	rank, inc, g, memberIdx, phase := d.I(), d.I(), d.I(), d.I(), d.I()
 	s, ok := decSnap(d)
@@ -273,6 +268,7 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
 	if err != nil {
 		return fParityFold, nil, err
 	}
+	committed := false
 	nd.parMu.Lock()
 	switch hg := nd.hosted[g]; {
 	case hg == nil:
@@ -288,6 +284,8 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
 			ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, off, d.WordsView(hg.scratch))
 		}
 		hg.commit(memberIdx, phase, s)
+	default:
+		committed = hg.answered[memberIdx] == phase
 	}
 	nd.parMu.Unlock()
 	if err != nil {
@@ -295,7 +293,19 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
 	}
 	nd.om.foldsHosted.Inc()
 	nd.mergeWatermark(rank, inc, phase+1)
-	return fParityFold, nil, nil
+	nd.announce(false)
+	status, err := nd.awaitRelease(phase, !committed)
+	if err != nil {
+		return fParityFold, nil, err
+	}
+	nd.parMu.Lock()
+	if hg := nd.hosted[g]; hg != nil && hg.folded[memberIdx] == phase {
+		hg.answered[memberIdx] = phase
+	}
+	nd.parMu.Unlock()
+	v := wire.NewVec()
+	v.B(status)
+	return fParityFold, v, nil
 }
 
 // handleParityFetch hands a hosted shard set to the crisis arbiter. The
@@ -334,7 +344,20 @@ func (nd *Node) handleParityInstall(d *wire.Dec) (byte, *wire.Vec, error) {
 	nd.parMu.Lock()
 	nd.hosted[g] = hg
 	nd.parMu.Unlock()
+	nd.adoptFolds(g, hg)
 	return fParityInstall, nil, nil
+}
+
+// adoptFolds takes over the barrier's count for a group whose rebuilt parity
+// this node now hosts: every member's fold that parity holds counts as
+// received here, so a fold the previous host released need not come again.
+func (nd *Node) adoptFolds(g int, hg *hostedGroup) {
+	for i, r := range nd.grouping.ComputeMembers(g) {
+		nd.mmu.Lock()
+		inc := nd.members[r].Incarnation
+		nd.mmu.Unlock()
+		nd.mergeWatermark(r, inc, hg.folded[i]+1)
+	}
 }
 
 func encHostedGroup(e encoder, hg *hostedGroup) {
@@ -370,6 +393,7 @@ func decHostedGroup(d *wire.Dec, windowWords int, words func() []uint64) (*hoste
 		}
 		hg.snaps[i] = s
 	}
+	hg.answered = slices.Clone(hg.folded)
 	hg.shards = make([][]uint64, m)
 	for i := range hg.shards {
 		hg.shards[i] = words()
@@ -399,12 +423,14 @@ func (nd *Node) handleBaseFetch() (byte, *wire.Vec, error) {
 
 // handleLogFetch hands everything this node logged by or about the
 // victim: its own puts towards the victim (LP) and the gets the victim
-// issued against this window (LG).
+// issued against this window (LG) — once a batch the victim may have acked
+// is logged (awaitLogged).
 func (nd *Node) handleLogFetch(d *wire.Dec) (byte, *wire.Vec, error) {
 	victim := d.I()
 	if d.Failed() || victim < 0 || victim >= nd.n {
 		return fLogFetch, nil, errBadFrame
 	}
+	nd.awaitLogged(victim)
 	nd.logMu.Lock()
 	lp := nd.logs.CopyLP(victim)
 	lg := nd.logs.CopyLG(victim)
@@ -420,19 +446,59 @@ func (nd *Node) handleLogFetch(d *wire.Dec) (byte, *wire.Vec, error) {
 }
 
 // handleCrisisBegin quiesces this node for a recovery: the victim is
-// condemned and the ack — which waits for any in-flight checkpoint fold
-// to finish — promises the arbiter that parity equals the encoded
-// committed bases until fCrisisEnd.
+// condemned and the ack promises the arbiter that parity equals the encoded
+// committed bases until fCrisisEnd (quiesce).
 func (nd *Node) handleCrisisBegin(d *wire.Dec) (byte, *wire.Vec, error) {
 	victim, inc := d.I(), d.I()
 	if d.Failed() || victim < 0 || victim >= nd.n {
 		return fCrisisBegin, nil, errBadFrame
 	}
 	nd.condemn(victim, inc, errors.New("crisis verdict from arbiter"))
+	nd.beginQuiesce()
+	nd.awaitFoldSettled()
+	return fCrisisBegin, nil, nil
+}
+
+// beginQuiesce parks this node's next checkpoint fold and answers the folds
+// it holds as a parity host that its members have not committed yet
+// (awaitRelease), and every such fold that arrives until the crisis ends, at
+// once. It waits for nothing, so every host answers before any waits for its
+// own fold (awaitFoldSettled).
+func (nd *Node) beginQuiesce() {
+	nd.mmu.Lock()
+	nd.hostCrisis = true
+	nd.mmu.Unlock()
+	nd.mcond.Broadcast()
 	nd.ckptMu.Lock()
 	nd.inCrisis = true
 	nd.ckptMu.Unlock()
-	return fCrisisBegin, nil, nil
+}
+
+// awaitFoldSettled waits until this node's own fold on the wire, if any, is
+// answered and committed, or has failed. Its host answers it once its own
+// quiesce begins, so a crisis whose quiesce reaches every survivor at once
+// cannot wait here for long.
+func (nd *Node) awaitFoldSettled() {
+	nd.ckptMu.Lock()
+	for nd.folding && nd.failedOrClosed() == nil {
+		nd.ckptCond.Wait()
+	}
+	nd.ckptMu.Unlock()
+}
+
+// endQuiesce lets checkpoints and the barrier run again, and reports
+// whether this node was quiesced.
+func (nd *Node) endQuiesce() bool {
+	nd.mmu.Lock()
+	nd.hostCrisis = false
+	nd.mmu.Unlock()
+	nd.ckptMu.Lock()
+	was := nd.inCrisis
+	nd.inCrisis = false
+	nd.ckptMu.Unlock()
+	nd.ckptCond.Broadcast()
+	nd.mcond.Broadcast()
+	return was
 }
 
 // handleCrisisEnd applies the arbiter's post-crisis world and unparks
@@ -443,12 +509,7 @@ func (nd *Node) handleCrisisEnd(d *wire.Dec) {
 		return
 	}
 	nd.mergeMembers(ms, hs)
-	nd.ckptMu.Lock()
-	was := nd.inCrisis
-	nd.inCrisis = false
-	nd.ckptMu.Unlock()
-	nd.ckptCond.Broadcast()
-	if was {
+	if nd.endQuiesce() {
 		nd.mmu.Lock()
 		nd.recoveries++
 		rec := nd.recoveries

@@ -92,6 +92,10 @@ type hostedGroup struct {
 	shards [][]uint64 // m parity shards, each windowWords long
 	snaps  []snap     // per memberIdx: counters of the folded base
 	folded []int      // per memberIdx: last folded phase (dedupes retries)
+	// answered is per memberIdx the last phase whose fold this host has
+	// answered: the member has committed it, and a fold of that phase is
+	// only a request for the release (a rebuilt group starts at folded).
+	answered []int
 	// scratch backs handleParityFold's delta views; parMu guards it.
 	scratch []uint64
 }
@@ -142,13 +146,16 @@ type Node struct {
 	window []uint64
 	dirty  rma.DirtyTracker
 
-	// ckptMu serializes the checkpoint protocol (diff, fold, base
-	// commit) against crisis quiesce and base fetches; ckptCond parks
-	// checkpoints while inCrisis. Outside the chunks stamped after ckptGen,
-	// window == base; delta is the diff in flight, reused fold to fold.
+	// ckptMu serializes the checkpoint's diff and base commit against
+	// crisis quiesce and base fetches, and is never held across a call:
+	// folding marks a fold on the wire whose commit is undecided, which
+	// quiesce waits out; ckptCond parks checkpoints while inCrisis. Outside
+	// the chunks stamped after ckptGen, window == base; delta is the diff in
+	// flight, reused fold to fold.
 	ckptMu   sync.Mutex
 	ckptCond *sync.Cond
 	inCrisis bool
+	folding  bool
 	base     []uint64
 	ckptGen  uint64
 	delta    ckptDelta
@@ -182,6 +189,21 @@ type Node struct {
 	recoveries int
 	pending    *pendingInstall
 	gossipPos  int // rotating fan-out cursor, guarded by mmu
+	// The parity host's half of the barrier, guarded by mmu: told is the
+	// watermark up to which this node has told the other hosts its groups
+	// are ready; hostCrisis is set from a crisis's quiesce to its end.
+	told       int
+	hostCrisis bool
+
+	// acking counts per target the deliveries between their fBatch call and
+	// its ackBatch, which a log fetch for that target waits out (ackMu,
+	// ackCond; ackWaiters says whether anybody does). batchCalled, when set,
+	// runs inside that window (tests).
+	ackMu       sync.Mutex
+	ackCond     *sync.Cond
+	acking      []int
+	ackWaiters  int
+	batchCalled func(target int)
 
 	parMu  sync.Mutex
 	hosted map[int]*hostedGroup
@@ -259,6 +281,7 @@ func newNode(cfg JoinConfig) (*Node, error) {
 	nd.initObs(cfg.Obs, cfg.Flight, cfg.FlightDir)
 	nd.ckptCond = sync.NewCond(&nd.ckptMu)
 	nd.mcond = sync.NewCond(&nd.mmu)
+	nd.ackCond = sync.NewCond(&nd.ackMu)
 	nd.spawn(nd.acceptLoop)
 	return nd, nil
 }
@@ -378,6 +401,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.gcAt = map[int]int{0: 0}
 	nd.pend = make([][]pendOp, w.n)
 	nd.stage = make([][]uint64, w.n)
+	nd.acking = make([]int, w.n)
 	nd.dialMu = make([]sync.Mutex, w.n)
 	nd.members = append([]Member(nil), w.members...)
 	nd.hostings = append([]Hosting(nil), w.hostings...)
@@ -477,6 +501,7 @@ func newHostedGroup(k, words int) (*hostedGroup, error) {
 		hg.snaps[i] = snap{phase: -1}
 		hg.folded[i] = -1
 	}
+	hg.answered = slices.Clone(hg.folded)
 	return hg, nil
 }
 
@@ -706,9 +731,10 @@ func (nd *Node) strikeDial(rank, inc int, cause error) {
 
 // mergeMembers folds a remote view into ours: higher incarnations win a
 // slot outright; within one incarnation deaths are sticky and watermarks
-// are monotone.
+// are monotone. A hosting entry that moves is the event on which a parity
+// host tells the hosts its groups' readiness again (announce).
 func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
-	changed := false
+	changed, rehosted := false, false
 	nd.mmu.Lock()
 	for _, m := range ms {
 		changed = nd.mergeLocked(m) || changed
@@ -719,18 +745,21 @@ func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
 		}
 		if h.Version > nd.hostings[h.Group].Version {
 			nd.hostings[h.Group] = h
-			changed = true
+			rehosted = true
 		}
 	}
 	nd.mmu.Unlock()
-	if changed {
+	if changed || rehosted {
 		nd.mcond.Broadcast()
 		nd.maybeArbiter()
 	}
+	if rehosted {
+		nd.announce(true)
+	}
 }
 
-// mergeWatermark merges one rank's gsync progress — an fGsyncReady, or the
-// fold that stands in for one at its parity host — by mergeMembers' rule.
+// mergeWatermark merges one rank's gsync progress — the fold it sent its
+// parity host — by mergeMembers' rule.
 func (nd *Node) mergeWatermark(rank, inc, wm int) {
 	nd.mmu.Lock()
 	changed := nd.mergeLocked(Member{Rank: rank, Incarnation: inc, Alive: true, Watermark: wm})
@@ -742,12 +771,21 @@ func (nd *Node) mergeWatermark(rank, inc, wm int) {
 }
 
 // mergeLocked folds one remote entry into the table and reports whether it
-// changed anything. Caller holds mmu.
+// changed anything. Of this node's own entry it takes only a higher
+// watermark of its incarnation: the host that received this node's fold
+// says so before it releases it. Caller holds mmu.
 func (nd *Node) mergeLocked(m Member) bool {
-	if m.Rank < 0 || m.Rank >= nd.n || m.Rank == nd.rank {
+	if m.Rank < 0 || m.Rank >= nd.n {
 		return false
 	}
 	cur := &nd.members[m.Rank]
+	if m.Rank == nd.rank {
+		if m.Incarnation != cur.Incarnation || m.Watermark <= cur.Watermark {
+			return false
+		}
+		cur.Watermark = m.Watermark
+		return true
+	}
 	changed := false
 	switch {
 	case m.Incarnation > cur.Incarnation:
@@ -1103,6 +1141,7 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 		}
 		v := nd.encBatch(phase, ops)
 		size := v.Len()
+		nd.delivering(target, 1)
 		reply, err := pc.c.CallVec(fBatch, v)
 		if err == nil {
 			nd.om.batchSent.Inc()
@@ -1112,6 +1151,7 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 			wire.Recycle(reply) // the get results are copied out
 			return
 		}
+		nd.delivering(target, -1)
 		var rf wire.RemoteFail
 		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis || errors.Is(err, wire.ErrFrameTooLarge) {
 			nd.fail(fmt.Errorf("fabric: batch to rank %d rejected: %w", target, err))
@@ -1127,6 +1167,33 @@ func (nd *Node) deliver(target int, ops []pendOp) {
 		nd.dropConn(target, pc.inc)
 		nd.condemn(target, pc.inc, err)
 	}
+}
+
+// delivering counts a delivery to target into (+1) or out of (-1) the
+// window between its fBatch call and its ackBatch: a batch the target may
+// have applied and this node has not logged yet.
+func (nd *Node) delivering(target, d int) {
+	nd.ackMu.Lock()
+	nd.acking[target] += d
+	if nd.acking[target] == 0 && nd.ackWaiters > 0 {
+		nd.ackCond.Broadcast()
+	}
+	nd.ackMu.Unlock()
+}
+
+// awaitLogged waits until no delivery to victim is between its call and its
+// ackBatch, so a copy of the LP log taken next holds every batch the victim
+// may have applied. The call of such a delivery ends — a dead victim's
+// connection fails it — and nothing else is waited for: a delivery parked
+// in conn() or failing its call is outside the window.
+func (nd *Node) awaitLogged(victim int) {
+	nd.ackMu.Lock()
+	nd.ackWaiters++
+	for nd.acking[victim] > 0 {
+		nd.ackCond.Wait()
+	}
+	nd.ackWaiters--
+	nd.ackMu.Unlock()
 }
 
 // encBatch encodes ops as the fBatch payload (docs/WIRE.md §3, 0x43): the
@@ -1162,8 +1229,12 @@ func (nd *Node) encBatch(phase int, ops []pendOp) *wire.Vec {
 }
 
 // ackBatch commits a delivered epoch: source-side put logs and get
-// result placement.
+// result placement. It ends the delivery's window (delivering).
 func (nd *Node) ackBatch(target, phase int, ops []pendOp, reply []byte) {
+	defer nd.delivering(target, -1)
+	if nd.batchCalled != nil {
+		nd.batchCalled(target)
+	}
 	nd.logMu.Lock()
 	epoch := nd.ec[target]
 	for _, op := range ops {
@@ -1263,9 +1334,9 @@ func (nd *Node) Phase() int {
 }
 
 // Sync closes the current phase — rma.API's Gsync with an error return:
-// flush everything, commit the phase checkpoint to the group's parity
-// host, pass the hub-free watermark barrier, then trim logs that
-// checkpoints now cover. Crisis waits happen inside, and unrecoverable
+// flush everything, then fold the phase checkpoint to the group's parity
+// host, whose answer is the barrier's release (checkpoint), then trim logs
+// that checkpoints now cover. Crisis waits happen inside, and unrecoverable
 // states (double failure) surface here instead of panicking.
 func (nd *Node) Sync() error {
 	nd.FlushAll()
@@ -1275,79 +1346,126 @@ func (nd *Node) Sync() error {
 	nd.logMu.Lock()
 	p := nd.phase
 	nd.logMu.Unlock()
-	ckpt := time.Now()
-	host, err := nd.checkpoint(p)
+	t0 := time.Now()
+	wait, err := nd.checkpoint(p)
 	if err != nil {
 		return err
 	}
-	nd.om.ckptUs.ObserveSince(ckpt)
+	nd.om.ckptUs.Observe(uint64(max((time.Since(t0) - wait).Microseconds(), 1)))
+	us := max(wait.Microseconds(), 1)
+	nd.om.gsyncUs.Observe(uint64(us))
 	nd.logMu.Lock()
 	nd.phase = p + 1
 	nd.ecAt[p+1] = append([]int(nil), nd.ec...)
 	nd.gcAt[p+1] = nd.gc
 	nd.logMu.Unlock()
+	nd.mergeWatermark(nd.rank, nd.inc, p+1)
 	nd.fr.Record(obs.EvEpochClose, int64(p), int64(nd.n-1), 0)
-	nd.broadcastReady(p+1, host)
-	wait := time.Now()
-	if err := nd.awaitWatermarks(p + 1); err != nil {
-		return err
-	}
-	us := time.Since(wait).Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	nd.om.gsyncUs.Observe(uint64(us))
 	nd.fr.Record(obs.EvGsync, int64(p+1), 0, us)
 	nd.fr.Record(obs.EvEpochOpen, int64(p+1), 0, 0)
 	nd.trimAt(p + 1)
 	return nil
 }
 
-// broadcastReady publishes watermark wm: own entry first, then fGsyncReady to
-// every live peer but host, the (rank, incarnation) that acked this phase's
-// fold — it merged wm when it folded. A host the table has moved on from
-// since is a different peer, and gets its ready.
-func (nd *Node) broadcastReady(wm int, host Member) {
-	nd.mmu.Lock()
-	if nd.members[nd.rank].Watermark < wm {
-		nd.members[nd.rank].Watermark = wm
-	}
-	peers := slices.DeleteFunc(nd.alivePeersLocked(), func(m Member) bool {
-		return m.Rank == host.Rank && m.Incarnation == host.Incarnation
-	})
-	nd.mmu.Unlock()
-	nd.mcond.Broadcast()
-	var e wire.Enc
-	e.I(nd.rank)
-	e.I(nd.inc)
-	e.I(wm)
-	nd.notify(peers, fGsyncReady, e.Bytes())
+// The fParityFold reply: its one status byte.
+const (
+	// foldReleased: the fold is in, and every rank of the world has folded
+	// the phase — the barrier is passed.
+	foldReleased = 1
+	// foldHeld: the fold is in, but a crisis began before the release.
+	// The member commits it and asks again; the host holds that request
+	// until the release, crisis or none.
+	foldHeld = 2
+)
+
+// releasedLocked is ftrma.GsyncRelease over this node's table: every rank —
+// dead ranks' frozen entries included, so a victim holds the barrier until
+// its replacement folds — has folded phase p. Caller holds mmu.
+func (nd *Node) releasedLocked(p int) bool {
+	return ftrma.GsyncRelease(nd.grouping, func(r int) int { return nd.members[r].Watermark }, p)
 }
 
-// awaitWatermarks is the barrier: every rank — dead ranks' frozen
-// entries included, so a victim blocks progress until its replacement
-// climbs past — must have committed watermark wm. A parity host learns its
-// members' watermarks from their folds, everybody else from fGsyncReady;
-// lost ready frames are repaired by gossip, which carries watermarks.
-func (nd *Node) awaitWatermarks(wm int) error {
+// awaitRelease holds a fold of phase p — one this node received, or its own
+// folded locally — until the barrier releases it, and returns the status to
+// answer with. A fold whose member has not committed it (uncommitted) is
+// answered at once while a crisis is under way: quiesce waits for the member
+// to settle it, which needs the answer — so that crisis cannot end before
+// the hold sees it. The node failing or closing ends the hold as errClosing.
+func (nd *Node) awaitRelease(p int, uncommitted bool) (byte, error) {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
-	for {
-		if err := nd.failedOrClosed(); err != nil {
-			return err
+	for !nd.releasedLocked(p) {
+		if nd.failedOrClosed() != nil {
+			return 0, errClosing
 		}
-		ok := true
-		for i := range nd.members {
-			if nd.members[i].Watermark < wm {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return nil
+		if uncommitted && nd.hostCrisis {
+			return foldHeld, nil
 		}
 		nd.mcond.Wait()
 	}
+	return foldReleased, nil
+}
+
+// announce tells the other parity hosts how far the groups this node hosts
+// are ready — ftrma.GsyncReady: every member's fold received — by one
+// targeted fGossip each, carrying the members' entries. It sends when the
+// readiness has moved past what it last told, or, with again, whatever it
+// is, to every host: the hosting table has changed, and a new host has
+// heard nothing yet.
+func (nd *Node) announce(again bool) {
+	nd.mmu.Lock()
+	mine := func(g int) bool { return nd.hostings[g].Host == nd.rank }
+	wm := func(r int) int { return nd.members[r].Watermark }
+	hosting := slices.ContainsFunc(nd.hostings, func(h Hosting) bool { return h.Host == nd.rank })
+	if !hosting || !again && !ftrma.GsyncReady(nd.grouping, mine, wm, nd.told) {
+		nd.mmu.Unlock()
+		return
+	}
+	var entries []Member
+	ready := -1
+	for r := range nd.members {
+		if mine(nd.grouping.GroupOf(r)) {
+			entries = append(entries, nd.members[r])
+			if m := nd.members[r].Watermark; ready < 0 || m < ready {
+				ready = m
+			}
+		}
+	}
+	nd.told = ready
+	var peers []Member
+	for _, h := range nd.hostings {
+		if m := nd.members[max(h.Host, 0)]; h.Host >= 0 && h.Host != nd.rank && m.Alive && m.Addr != "" &&
+			!slices.ContainsFunc(peers, func(p Member) bool { return p.Rank == h.Host }) {
+			peers = append(peers, m)
+		}
+	}
+	var e wire.Enc
+	encMembers(&e, entries)
+	encHostings(&e, nd.hostings)
+	nd.mmu.Unlock()
+	for _, m := range peers {
+		// On the connection the host dialed here, when there is one: its
+		// own fold may be held here on the one this node dialed, and a
+		// frame behind a held request costs the far side a new goroutine.
+		if c := nd.inboundFrom(m); c != nil {
+			c.Notify(fGossip, e.Bytes())
+		} else if pc, err := nd.peer(m); err == nil {
+			pc.c.Notify(fGossip, e.Bytes())
+		}
+	}
+}
+
+// inboundFrom returns the live connection m's incarnation dialed to this
+// node, or nil.
+func (nd *Node) inboundFrom(m Member) *wire.Conn {
+	nd.cmu.Lock()
+	defer nd.cmu.Unlock()
+	for st, c := range nd.inbound {
+		if st.helloed && !st.down && st.rank == m.Rank && st.inc == m.Incarnation {
+			return c
+		}
+	}
+	return nil
 }
 
 // trimAt drops log records two barriers behind: after barrier b every
@@ -1382,7 +1500,7 @@ func (nd *Node) trimAt(b int) {
 // ckptDelta is one checkpoint's diff: the runs of the window that differ
 // from the committed base, their XOR deltas back to back in words, and the
 // tracker generation the window was read at. The node owns one and reuses
-// its buffers; it is valid from diffRanges to commitBase, which ckptMu
+// its buffers; it is valid from diffRanges to the next diffRanges, which ckptMu
 // serialises.
 type ckptDelta struct {
 	runs  []deltaRun
@@ -1409,37 +1527,40 @@ func (df *ckptDelta) each(f func(off int, delta []uint64)) {
 	}
 }
 
-// checkpoint commits phase p: diff the chunks written since the last
-// commit against the committed base, ship the (off, delta) ranges plus the
-// counter snapshot to the group's parity host in one fParityFold, then fold
-// the delta into the local base. ckptMu makes the whole exchange atomic
-// against crisis quiesce and base fetches; parity is always updated before
-// the base commit, so parity = encode(committed bases) holds whenever the
-// lock is free.
+// checkpoint commits phase p and passes the barrier: diff the chunks
+// written since the last commit against the committed base, ship the (off,
+// delta) ranges plus the counter snapshot to the group's parity host in one
+// fParityFold, fold the delta into the local base once the host has it, and
+// return when the host answers that every rank has folded p — the fold's
+// ack is the barrier's release; wait is how long that call (or, for a group
+// this node hosts, the local hold) took.
+//
+// ckptMu covers the diff and the base commit, never the call: quiesce waits
+// for a fold on the wire to be answered (folding), and a fold held for the
+// release is answered with foldHeld when a crisis begins. Parity is updated
+// before the base commit, so once quiesce has its answers parity =
+// encode(committed bases) holds until the crisis ends. A committed fold
+// asks again for its release, a request that cannot change parity.
 //
 // The window is diffed once per phase. A fold that fails is retried with the
 // same nd.delta and snapshot: the host may have applied it and lost the ack,
 // and it dedupes by phase, so a fresh diff — the window may have moved since
 // — would commit words to the base that parity never saw. What landed after
 // the diff is stamped above delta.gen and goes with the next phase's fold.
-//
-// It returns the host that acked the fold — this node, for a fold it hosts
-// itself.
-func (nd *Node) checkpoint(p int) (Member, error) {
+func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 	t0 := time.Now()
 	g := nd.grouping.GroupOf(nd.rank)
 	memberIdx := nd.grouping.MemberIndex(nd.rank)
-	nd.ckptMu.Lock()
-	defer nd.ckptMu.Unlock()
 	var s snap
 	var backoff time.Duration
-	for diffed := false; ; {
-		if err := nd.failedOrClosed(); err != nil {
-			return Member{}, err
-		}
-		if nd.inCrisis {
+	for diffed, committed := false, false; ; {
+		nd.ckptMu.Lock()
+		for !committed && nd.inCrisis && nd.failedOrClosed() == nil {
 			nd.ckptCond.Wait()
-			continue
+		}
+		if err := nd.failedOrClosed(); err != nil {
+			nd.ckptMu.Unlock()
+			return 0, err
 		}
 		nd.mmu.Lock()
 		h, rec := nd.hostings[g], nd.recoveries
@@ -1449,51 +1570,93 @@ func (nd *Node) checkpoint(p int) (Member, error) {
 		}
 		nd.mmu.Unlock()
 		if h.Host < 0 {
-			return Member{}, fmt.Errorf("fabric: group %d has no electable parity host", g)
+			nd.ckptMu.Unlock()
+			return 0, fmt.Errorf("fabric: group %d has no electable parity host", g)
 		}
 		if !diffed {
 			nd.diffRanges()
 			s = nd.snapNow(p)
 			diffed = true
 		}
-		var err error
+		if !committed {
+			// The base moves ahead of the answer, which comes only at the
+			// release, and moves back if the fold fails; nothing reads it
+			// while folding is set (quiesce waits for folding to clear).
+			nd.xorBase()
+		}
+		nd.folding = !committed
+		nd.ckptMu.Unlock()
+
+		var status byte
+		call := time.Now()
 		switch {
 		case h.Host == nd.rank:
-			if err = nd.foldLocal(g, memberIdx, p, s); err != nil {
-				return Member{}, err
-			}
+			err = nd.foldLocal(g, memberIdx, p, s)
 		case !hm.Alive:
 			err = fmt.Errorf("fabric: rank %d is down", h.Host)
 		default:
 			var pc *peerConn
 			if pc, err = nd.peer(hm); err == nil {
-				_, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s))
+				var reply []byte
+				if reply, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s)); err == nil {
+					if status = decFoldStatus(reply); status == 0 {
+						err = fmt.Errorf("fabric: undecodable fold reply from rank %d", h.Host)
+					}
+					wire.Recycle(reply)
+				}
 			}
 		}
-		if err == nil {
+		nd.ckptMu.Lock()
+		switch {
+		case committed:
+		case err != nil:
+			nd.xorBase() // back to the committed base
+		default:
 			nd.commitBase(s)
+			committed = true
 			nd.om.foldsSent.Inc()
 			nd.om.ckptFolded.Add(uint64(len(nd.delta.words)))
 			nd.om.foldUs.ObserveSince(t0)
 			nd.fr.Record(obs.EvParityFold, int64(g), int64(p), int64(len(nd.delta.runs)))
-			return hm, nil
+		}
+		nd.folding = false
+		nd.ckptCond.Broadcast()
+		nd.ckptMu.Unlock()
+		if err == nil && h.Host == nd.rank {
+			if status, err = nd.awaitRelease(p, false); err != nil {
+				return 0, nd.failedOrClosed()
+			}
+		}
+		wait += time.Since(call)
+		if err == nil {
+			if status == foldReleased {
+				return wait, nil
+			}
+			continue // held through a crisis: committed, ask again
 		}
 		var rf wire.RemoteFail
 		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis && !strings.Contains(rf.Msg, "not hosting") ||
 			errors.Is(err, wire.ErrFrameTooLarge) {
-			return Member{}, fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
+			return 0, fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
 		}
-		// Host down, closing, or no longer the host: park outside the lock,
-		// so crisis quiesce can proceed, until the table this attempt read
-		// has moved. Only a failed dial leaves nothing to wait for.
-		nd.ckptMu.Unlock()
+		// Host down, closing, or no longer the host: park until the table
+		// this attempt read has moved. Only a failed dial leaves nothing to
+		// wait for.
 		if errors.Is(err, errDial) {
 			nd.dialBackoff(&backoff)
 		} else {
 			nd.awaitFoldTarget(h, hm, rec)
 		}
-		nd.ckptMu.Lock()
 	}
+}
+
+// decFoldStatus reads an fParityFold reply's status; 0 if there is none.
+func decFoldStatus(reply []byte) byte {
+	d := wire.NewDec(reply)
+	if st := d.B(); !d.Failed() && (st == foldReleased || st == foldHeld) {
+		return st
+	}
+	return 0
 }
 
 // awaitFoldTarget parks until a failed fold has somewhere new to go: the
@@ -1577,7 +1740,7 @@ func (nd *Node) diffRanges() {
 
 // encFold encodes nd.delta as the fParityFold payload. The delta words are
 // gathered from the node's buffer, not copied: the frame is written before
-// commitBase can run.
+// the next diff can run.
 func (nd *Node) encFold(g, memberIdx, p int, s snap) *wire.Vec {
 	v := wire.NewVec()
 	v.I(nd.rank)
@@ -1601,25 +1764,33 @@ func (nd *Node) snapNow(p int) snap {
 	return snap{phase: p, ec: append([]int(nil), nd.ec...), gc: nd.gc}
 }
 
-// commitBase advances the committed base by nd.delta, which the parity host
-// has acknowledged, and the committed generation to the one the diff read
-// the window at — not to the tracker's current one: a peer's put that landed
-// since the diff is in neither the fold nor the base, and its stamp, above
-// delta.gen, keeps its chunk dirty for the next fold. Caller holds ckptMu.
-func (nd *Node) commitBase(s snap) {
+// xorBase folds nd.delta into the base: it advances the base to the window
+// the diff read, and a second call undoes the first. Caller holds ckptMu.
+func (nd *Node) xorBase() {
 	nd.delta.each(func(off int, delta []uint64) {
 		erasure.XorWords(nd.base[off:off+len(delta)], delta)
 	})
+}
+
+// commitBase commits the base xorBase advanced, once the parity host has
+// acknowledged the fold, and the committed generation to the one the diff
+// read the window at — not to the tracker's current one: a peer's put that
+// landed since the diff is in neither the fold nor the base, and its stamp,
+// above delta.gen, keeps its chunk dirty for the next fold. Caller holds
+// ckptMu.
+func (nd *Node) commitBase(s snap) {
 	nd.ckptGen = nd.delta.gen
 	nd.snapSelf = s
 }
 
-// foldLocal applies nd.delta to parity this node hosts itself.
+// foldLocal applies nd.delta to parity this node hosts itself: the fold is
+// in, so the node's own watermark moves and the readiness may go out. The
+// release is awaited after the base commit (checkpoint).
 func (nd *Node) foldLocal(g, memberIdx, p int, s snap) error {
 	nd.parMu.Lock()
-	defer nd.parMu.Unlock()
 	hg := nd.hosted[g]
 	if hg == nil {
+		nd.parMu.Unlock()
 		return fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
 	}
 	if hg.folded[memberIdx] != p {
@@ -1628,7 +1799,11 @@ func (nd *Node) foldLocal(g, memberIdx, p int, s snap) error {
 		})
 		hg.commit(memberIdx, p, s)
 	}
+	hg.answered[memberIdx] = p
+	nd.parMu.Unlock()
 	nd.om.foldsHosted.Inc()
+	nd.mergeWatermark(nd.rank, nd.inc, p+1)
+	nd.announce(false)
 	return nil
 }
 

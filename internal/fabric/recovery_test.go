@@ -174,7 +174,7 @@ func TestJoinLongPoll(t *testing.T) {
 	pn := newPipeNet()
 	var mu sync.Mutex
 	joins := map[string]int{} // fJoin frames by sender
-	pn.onFrame = func(from string, ft byte, _ []byte) {
+	pn.onFrame = func(from, _ string, ft byte, _ []byte) {
 		if ft == fJoin {
 			mu.Lock()
 			joins[from]++
@@ -252,7 +252,7 @@ func TestJoinLongPoll(t *testing.T) {
 }
 
 // TestReplaceRefusesNothing: twenty kills and replacements, the survivors
-// flushing to the victim throughout. A batch, a fold or a ready frame that
+// flushing to the victim throughout. A batch, a fold or a gossip frame that
 // reaches the replacement while it installs is held and served once it is
 // live, so no node that stays up ever answers CodeCrisis; every held batch
 // lands, once; nobody but the victims is condemned.
@@ -493,4 +493,163 @@ func TestRecoveryFromLocalOperands(t *testing.T) {
 	}
 	syncAll(t, f)
 	checkCommitted(t, f, "after the recovery")
+}
+
+// TestBatchAckedAsItsTargetDies: a batch its target applied and acked just
+// before dying reaches the replacement. The source logs a batch (LP) only
+// once the ack is back, so the crisis's log fetch — fLogFetch at a survivor,
+// the arbiter's own copy — waits until no delivery to the victim is between
+// its call and its ackBatch. Here the source's delivery to the victim stops
+// in that window, the victim is killed, and the delivery goes on only once
+// the crisis has reached its log: the fetch waiting on it, or (had it not
+// waited) the install parked without it. The sources are the arbiter and a
+// survivor the arbiter fetches from.
+func TestBatchAckedAsItsTargetDies(t *testing.T) {
+	const n, victim = 4, 2
+	for _, src := range []int{0, 3} {
+		t.Run(fmt.Sprintf("source%d", src), func(t *testing.T) {
+			f := startTestFabric(t, newPipeNet(), n, 2, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 2 * time.Second})
+			errs := make(chan error, n)
+			for _, tn := range f.nodes {
+				tn := tn
+				go func() { errs <- runPhase(tn.Node, 0) }()
+			}
+			for range f.nodes {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, arbiter := f.nodes[src], f.nodes[0]
+			reached := func() bool {
+				s.ackMu.Lock()
+				waiting := s.ackWaiters > 0
+				s.ackMu.Unlock()
+				arbiter.mmu.Lock()
+				defer arbiter.mmu.Unlock()
+				return waiting || arbiter.pending != nil
+			}
+			var once sync.Once
+			s.batchCalled = func(target int) {
+				if target != victim {
+					return
+				}
+				once.Do(func() {
+					f.nodes[victim].Close()
+					for deadline := time.Now().Add(10 * time.Second); !reached(); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Error("the crisis never reached the victim's logs")
+							return
+						}
+					}
+				})
+			}
+			for r, tn := range f.nodes {
+				if r != victim {
+					tn := tn
+					go func() { errs <- runPhase(tn.Node, 1) }()
+				}
+			}
+			observer := f.nodes[(victim+1)%n]
+			await(t, "the verdict", func() bool { return !observer.sees(victim).Alive })
+			f.nodes[victim].log.Close()
+			repl, err := f.join(observer.addr)
+			if err != nil {
+				t.Fatalf("replacement join: %v", err)
+			}
+			f.all = append(f.all, repl)
+			f.nodes[victim] = repl
+			go func() { errs <- runPhase(repl.Node, 1) }()
+			for range f.nodes {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			for q := 0; q < n; q++ {
+				if q == victim {
+					continue
+				}
+				if got := repl.ReadAt(q*testPhases+1, 1)[0]; got != testVal(q, 1) {
+					t.Errorf("the replacement has word (%d, 1) = %#x, want %#x", q, got, testVal(q, 1))
+				}
+			}
+			syncAll(t, f)
+			checkCommitted(t, f, "after the recovery")
+		})
+	}
+}
+
+// TestCrisisWhileFoldsHeld: a crisis begins while parity hosts hold the
+// survivors' folds for the barrier. Gossip runs every 2 s. Quiesce answers
+// the held folds, the members commit them and ask again, and the barrier
+// releases once the replacement folds: every survivor passes it within
+// TestRecoveryIgnoresGossipInterval's limit of the kill, and every base and
+// parity agree. Ranks 0 and 1 host groups 1 and 0; rank 0 arbitrates.
+func TestCrisisWhileFoldsHeld(t *testing.T) {
+	const n, limit = 4, 500 * time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		victim int
+	}{
+		{"a member killed", 2},             // the arbiter's and ranks 1 and 3's folds held
+		{"a host killed while holding", 1}, // ranks 0 and 2's folds held at the victim
+		{"the arbiter's own fold held", 3}, // rank 0's fold held at rank 1 as it arbitrates
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := startTestFabric(t, newPipeNet(), n, 2, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 2 * time.Second})
+			errs := make(chan error, n)
+			for _, tn := range f.nodes {
+				tn := tn
+				go func() { errs <- runPhase(tn.Node, 0) }()
+			}
+			for range f.nodes {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			hosted := func() (k uint64) {
+				for _, tn := range f.nodes {
+					k += tn.om.foldsHosted.Load()
+				}
+				return k
+			}
+			before := hosted()
+			for r, tn := range f.nodes {
+				if r != tc.victim {
+					tn := tn
+					go func() { errs <- runPhase(tn.Node, 1) }()
+				}
+			}
+			await(t, "the survivors' folds to be held", func() bool { return hosted() == before+n-1 })
+			select {
+			case err := <-errs:
+				t.Fatalf("a survivor passed the barrier without the victim's fold: %v", err)
+			default:
+			}
+			t0 := time.Now()
+			repl := f.replace(t, tc.victim)
+			go func() { errs <- runPhase(repl.Node, 1) }()
+			for range f.nodes {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if el := time.Since(t0); el > limit {
+				t.Errorf("the survivors passed the barrier %v after the kill, want < %v", el, limit)
+			}
+			for r, tn := range f.nodes {
+				for q := 0; q < n; q++ {
+					for p := 0; p < 2 && q != r; p++ {
+						if got := tn.ReadAt(q*testPhases+p, 1)[0]; got != testVal(q, p) {
+							t.Errorf("rank %d word (%d, %d) = %#x, want %#x", r, q, p, got, testVal(q, p))
+						}
+					}
+				}
+			}
+			if got := f.backoffs(); got != 0 {
+				t.Errorf("the recovery waited on a clock %d times (fabric.retry.backoffs)", got)
+			}
+			syncAll(t, f)
+			checkCommitted(t, f, "after the recovery")
+		})
+	}
 }

@@ -135,3 +135,38 @@ func (l *ReplayLogs) MaxGNC() int {
 	}
 	return max
 }
+
+// The gsync barrier through the parity hosts (§4–§5: gsync needs only the
+// counters each checkpoint already carries to its group's checksum host).
+// Every rank folds phase p to its group's host and that call is its ready;
+// wm(r) is what one host knows of rank r: the number of phases whose fold
+// from r has been received — by this host, or by r's own host, which told
+// it. A dead rank's wm is frozen at its last received fold.
+//
+// GsyncReady is when a host tells the other hosts: every member of each
+// group it hosts (hosts(group)) has folded phase p. It counts folds
+// received, never folds released: a host is also a member of a group some
+// other host holds, and a rule that waited for its own release there would
+// wait for itself. GsyncRelease is when a host answers the folds of p it
+// holds — the answer is the members' barrier pass: every rank of the world
+// has folded p. A rank that has not (a dead one included, until its
+// replacement folds) holds every release.
+func GsyncReady(g machine.Grouping, hosts func(group int) bool, wm func(rank int) int, p int) bool {
+	for r := 0; r < g.NumCompute; r++ {
+		if hosts(g.GroupOf(r)) && wm(r) <= p {
+			return false
+		}
+	}
+	return true
+}
+
+// GsyncRelease reports whether every rank has folded phase p (GsyncReady
+// over all groups).
+func GsyncRelease(g machine.Grouping, wm func(rank int) int, p int) bool {
+	for r := 0; r < g.NumCompute; r++ {
+		if wm(r) <= p {
+			return false
+		}
+	}
+	return true
+}

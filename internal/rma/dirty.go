@@ -15,6 +15,11 @@ const dirtyChunkWords = 64
 // a checkpoint is still committing keeps a stamp above the generation
 // that checkpoint noted and is found by the next one.
 //
+// A second level, summary[b], is the generation of the last mark in block b
+// of summaryChunks chunks, so a read skips a clean block on one stamp: one
+// dirty chunk of a 4 MiB window costs 128 summary stamps and 64 chunk
+// stamps, not 8 192.
+//
 // Both runtimes track their windows with it (rma.window here, fabric.Node
 // across processes). It does not lock: callers hold whatever guards the
 // window's words.
@@ -22,13 +27,22 @@ type DirtyTracker struct {
 	words    int
 	gen      uint64
 	chunkGen []uint64
+	summary  []uint64
+	// stampsRead counts the stamps Next has read, for the tests that pin
+	// what a read costs.
+	stampsRead int
 }
+
+// summaryChunks is how many chunk stamps one summary stamp covers.
+const summaryChunks = 64
 
 // NewDirtyTracker tracks a window of the given size, all clean.
 func NewDirtyTracker(words int) DirtyTracker {
+	chunks := (words + dirtyChunkWords - 1) / dirtyChunkWords
 	return DirtyTracker{
 		words:    words,
-		chunkGen: make([]uint64, (words+dirtyChunkWords-1)/dirtyChunkWords),
+		chunkGen: make([]uint64, chunks),
+		summary:  make([]uint64, (chunks+summaryChunks-1)/summaryChunks),
 	}
 }
 
@@ -38,8 +52,12 @@ func (t *DirtyTracker) Mark(off, n int) {
 		return
 	}
 	t.gen++
-	for c := off / dirtyChunkWords; c <= (off+n-1)/dirtyChunkWords; c++ {
+	first, last := off/dirtyChunkWords, (off+n-1)/dirtyChunkWords
+	for c := first; c <= last; c++ {
 		t.chunkGen[c] = t.gen
+	}
+	for b := first / summaryChunks; b <= last/summaryChunks; b++ {
+		t.summary[b] = t.gen
 	}
 }
 
@@ -51,10 +69,18 @@ func (t *DirtyTracker) Gen() uint64 { return t.gen }
 // marked after generation since, as the word range [off, off+n) — n is the
 // chunk size, less for a short last chunk. ok is false when none is left.
 func (t *DirtyTracker) Next(from int, since uint64) (off, n int, ok bool) {
-	for c := (from + dirtyChunkWords - 1) / dirtyChunkWords; c < len(t.chunkGen); c++ {
-		if t.chunkGen[c] > since {
-			off = c * dirtyChunkWords
-			return off, min(dirtyChunkWords, t.words-off), true
+	for c := (from + dirtyChunkWords - 1) / dirtyChunkWords; c < len(t.chunkGen); {
+		t.stampsRead++
+		if t.summary[c/summaryChunks] <= since {
+			c = (c/summaryChunks + 1) * summaryChunks // a clean block
+			continue
+		}
+		for end := min((c/summaryChunks+1)*summaryChunks, len(t.chunkGen)); c < end; c++ {
+			t.stampsRead++
+			if t.chunkGen[c] > since {
+				off = c * dirtyChunkWords
+				return off, min(dirtyChunkWords, t.words-off), true
+			}
 		}
 	}
 	return 0, 0, false

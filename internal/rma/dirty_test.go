@@ -131,3 +131,39 @@ func TestDirtyTrackingRemoteOps(t *testing.T) {
 		t.Fatalf("respawned window reported dirty ranges %v", ranges)
 	}
 }
+
+// TestDirtyTrackerStampsRead pins what a checkpoint's walk over a 4 MiB
+// window (8 192 chunks in 128 summary blocks) reads when one chunk is dirty:
+// every summary stamp, the dirty block's one again when the walk resumes in
+// it, and that block's 64 chunk stamps — 193, not the 8 192 of a flat scan.
+// A dirty chunk at a block's last slot or at the window's end costs the same
+// walk without the second summary read.
+func TestDirtyTrackerStampsRead(t *testing.T) {
+	const words = 4 << 20 / 8
+	for _, tc := range []struct {
+		name  string
+		chunk int
+		want  int
+	}{
+		{"mid-block", 4000, 128 + 1 + 64},
+		{"block end", 63, 128 + 64},
+		{"window end", 8191, 128 + 64},
+		{"none", -1, 128},
+	} {
+		d := NewDirtyTracker(words)
+		since := d.Gen()
+		if tc.chunk >= 0 {
+			d.Mark(tc.chunk*dirtyChunkWords+5, 1)
+		}
+		var got []int
+		for off, n, ok := d.Next(0, since); ok; off, n, ok = d.Next(off+n, since) {
+			got = append(got, off/dirtyChunkWords)
+		}
+		if want := []int{tc.chunk}; tc.chunk >= 0 && !slices.Equal(got, want) || tc.chunk < 0 && got != nil {
+			t.Errorf("%s: the walk found chunks %v, want %d", tc.name, got, tc.chunk)
+		}
+		if d.stampsRead != tc.want {
+			t.Errorf("%s: the walk read %d stamps, want %d", tc.name, d.stampsRead, tc.want)
+		}
+	}
+}

@@ -52,18 +52,20 @@ race:
 # TestReplace pattern selects TestReplacementKilledBeforeItsFirstFold), a
 # crisis begun while parity hosts hold the barrier's folds, and a batch
 # acked just before its target dies — thirty times more, and the wire's
-# handler handoff (a warm handler parks for the next request) with the
-# per-phase frame budget of the barrier through the parity hosts and the
-# refusal of an unsurvivable crash twenty times each. A wedge, a false
-# verdict or a condemned bystander here is rare per run, so one run proves
-# little.
+# dispatch (inline requests on the reader, replies answered later, a warm
+# handler parked for the rest) with the per-phase frame budget of the
+# barrier through the parity hosts — no request handed off its reader —
+# the held folds answered from the host's list (without goroutines, on
+# Close, exactly once over random phases with a kill) and the refusal of
+# an unsurvivable crash twenty times each. A wedge, a false verdict or a
+# condemned bystander here is rare per run, so one run proves little.
 stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
 	$(GO) test -race -count=10 -run TestFabric ./internal/transport
 	$(GO) test -race -count=5 ./internal/fabric
 	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire
-	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable' ./internal/fabric
+	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestHeldFolds|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable' ./internal/fabric
 
 # Multi-process kill -9 smokes under the race detector: rankd worker
 # processes (the re-executed test binary) bootstrap through a seed and run

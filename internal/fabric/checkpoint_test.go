@@ -576,16 +576,16 @@ func TestHandlersTakeUnalignedFrames(t *testing.T) {
 		return e.Bytes()
 	}
 	before := append([]uint64(nil), nd.hosted[0].shards[0]...)
-	// The host itself is past both phases, so each fold is released, not
-	// held, once it is in.
+	// The host itself is past both phases, so each fold is answered, released,
+	// as soon as it is in.
 	nd.mergeWatermark(nd.rank, nd.inc, 12)
-	if _, _, err := nd.handleParityFold(wire.NewDec(fold(10))); err != nil {
+	if _, _, err := nd.handleParityFold(wire.NewDec(fold(10)), notificationReply(t)); err != wire.ErrLater {
 		t.Fatal(err)
 	}
 	if slices.Equal(nd.hosted[0].shards[0], before) {
 		t.Fatal("the aligned fold left the parity unchanged")
 	}
-	if _, _, err := nd.handleParityFold(wire.NewDec(unaligned(fold(11)))); err != nil {
+	if _, _, err := nd.handleParityFold(wire.NewDec(unaligned(fold(11))), notificationReply(t)); err != wire.ErrLater {
 		t.Fatal(err)
 	}
 	if !slices.Equal(nd.hosted[0].shards[0], before) {

@@ -489,6 +489,7 @@ func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, *wire.Vec, error) 
 	v.B(1)
 	encInstall(v, pi.in) // gathers the base from the rebuilt buffer
 	nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
+	nd.answerHeld()      // the replacement's watermark is in the table
 	nd.spawn(nd.gossipNow)
 	return fJoin, v, nil
 }

@@ -4,15 +4,19 @@ package fabric
 // exact: per phase, one fBatch per target written to, one fParityFold per
 // rank whose parity lives elsewhere — the fold is the ready to its host, and
 // its answer the release — and one readiness frame from each parity host to
-// each other host.
+// each other host. Every one of them is served on the reader that read it,
+// and a fold the barrier holds waits on its host's list, not on a goroutine.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,13 +105,45 @@ func (bl *barrierLog) late(addr string, p int, members map[string][]int) []strin
 	return out
 }
 
+// handoffs sums, over the node's connections, the requests their readers
+// handed to a handler goroutine instead of serving them inline.
+func (nd *Node) handoffs() (n uint64) {
+	nd.cmu.Lock()
+	defer nd.cmu.Unlock()
+	for _, pc := range nd.conns {
+		n += pc.c.Handoffs()
+	}
+	for _, c := range nd.inbound {
+		n += c.Handoffs()
+	}
+	return n
+}
+
+// holdCounts returns how many received folds the node has put on its held
+// list, how many it has answered from there, and how many wait there now.
+func (nd *Node) holdCounts() (holds, answers uint64, waiting int) {
+	nd.mmu.Lock()
+	defer nd.mmu.Unlock()
+	return nd.holds, nd.answers, len(nd.held)
+}
+
+// foldGoroutines counts the goroutines of this process inside a fold
+// handler.
+func foldGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*Node).handleParityFold("))
+}
+
 // TestEpochCloseFrameBudget: on four ranks in two groups, every group's
 // parity hosted outside it, a halo phase costs exactly 8 fBatch, 4
 // fParityFold and H(H−1) = 2 host readiness frames (fGossip); no fold is
 // released before its host has been sent every fold of its groups and the
-// other host's readiness for the phase. After the host of group 0 is killed
-// and its parity re-homed, phases cost the same. Gossip runs every 4 s, so a
-// release that waited for it would hold a barrier that long.
+// other host's readiness for the phase. None of the 14 requests is handed
+// off its connection's reader (wire's Handoffs; 14 per phase while every
+// request went to a handler goroutine), and every fold put on a held list
+// is answered in the phase. After the host of group 0 is killed and its
+// parity re-homed, phases cost the same. Gossip runs every 4 s, so a release
+// that waited for it would hold a barrier that long.
 func TestEpochCloseFrameBudget(t *testing.T) {
 	const n, phases, killAt = 4, 10, 4
 	const budget = 8 + 4 + 2
@@ -162,8 +198,23 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 			}
 		}
 	}
+	handed := func() (n uint64) {
+		for _, tn := range f.nodes {
+			n += tn.handoffs()
+		}
+		return n
+	}
+	holds := func() (held, answered uint64) {
+		for _, tn := range f.nodes {
+			h, a, _ := tn.holdCounts()
+			held, answered = held+h, answered+a
+		}
+		return held, answered
+	}
 	counted := func(p int) {
 		t.Helper()
+		handed0 := handed()
+		held0, answered0 := holds()
 		mu.Lock()
 		clear(counts)
 		cur, hostOf = p, map[string][]int{}
@@ -188,6 +239,12 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 		}
 		if el > time.Second {
 			t.Errorf("phase %d took %v: a barrier waited for gossip", p, el)
+		}
+		if got := handed() - handed0; got != 0 {
+			t.Errorf("phase %d handed %d requests off their readers, want 0", p, got)
+		}
+		if held, answered := holds(); held-held0 != answered-answered0 {
+			t.Errorf("phase %d held %d folds and answered %d of them", p, held-held0, answered-answered0)
 		}
 		for _, l := range late {
 			t.Error(l)
@@ -279,6 +336,57 @@ func TestMergeWatermark(t *testing.T) {
 	}
 }
 
+// notificationReply returns the reply handle of a notification, which
+// answers into nothing: a handle to hold and answer as often as a test likes.
+func notificationReply(t *testing.T) wire.Reply {
+	t.Helper()
+	cn, sn := net.Pipe()
+	got := make(chan wire.Reply, 1)
+	server := wire.New(sn, wire.Config{VecHandler: func(_ byte, _ []byte, r wire.Reply) (byte, *wire.Vec, error) {
+		got <- r
+		return 0, nil, wire.ErrLater
+	}})
+	client := wire.New(cn, wire.Config{})
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	if err := client.Notify(fParityFold, nil); err != nil {
+		t.Fatal(err)
+	}
+	return <-got
+}
+
+// TestHeldFoldAllocatesNothing: a fold put on the held list and answered by
+// the watermark that releases it reuses the list and the answer buffer, so
+// a phase's hold and answer allocate nothing.
+func TestHeldFoldAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Vecs")
+	}
+	nd := tableNode(4)
+	nd.grouping = fabricGrouping(4, 2)
+	r := notificationReply(t)
+	p := 0
+	phase := func() {
+		for rank := 0; rank < 3; rank++ {
+			nd.mergeWatermark(rank, 0, p+1)
+		}
+		nd.holdFold(heldFold{reply: r, g: 1, memberIdx: 0, phase: p})
+		if _, _, waiting := nd.holdCounts(); waiting != 1 {
+			t.Fatalf("phase %d: a fold before the last rank's was answered", p)
+		}
+		nd.mergeWatermark(3, 0, p+1)
+		p++
+	}
+	if avg := testing.AllocsPerRun(200, phase); avg != 0 {
+		t.Errorf("a held fold and its answer allocate %.1f times, want 0", avg)
+	}
+	if holds, answers, waiting := nd.holdCounts(); holds != answers || waiting != 0 {
+		t.Errorf("%d folds held, %d answered, %d waiting", holds, answers, waiting)
+	}
+}
+
 // encBatchRef is the reference encoder of the fBatch payload (docs/WIRE.md
 // §3, 0x43): the flat Enc encoding the batch path used before it gathered
 // put payloads into a Vec.
@@ -354,4 +462,238 @@ func TestBatchEncodingMatchesEnc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heldSetup closes phase 0 on four ranks in two groups, starts phase 1 on
+// every rank but one member of group 0 that hosts nothing, and returns once
+// the other three folds wait on their hosts' held lists: group 1's host holds
+// its two members' folds, group 0's host the fold of group 1's host. The
+// channel carries the three Syncs' results.
+func heldSetup(t *testing.T, f *testFabric) (host1, withheld int, errs chan error) {
+	t.Helper()
+	const n = 4
+	errs = make(chan error, n)
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() { errs <- runPhase(tn.Node, 0) }()
+	}
+	for range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs := f.nodes[0].Hostings()
+	host1 = hs[1].Host
+	withheld = 2 - host1 // group 0 is {0, 2}; group 1's host is one of them
+	if hs[0].Host%2 == 0 || host1%2 != 0 {
+		t.Fatalf("hostings %v: a group is hosted by its own member", hs)
+	}
+	for r, tn := range f.nodes {
+		if r != withheld {
+			tn := tn
+			go func() { errs <- runPhase(tn.Node, 1) }()
+		}
+	}
+	await(t, "three folds to wait on the held lists", func() bool {
+		k := 0
+		for _, tn := range f.nodes {
+			_, _, w := tn.holdCounts()
+			k += w
+		}
+		return k == n-1
+	})
+	return host1, withheld, errs
+}
+
+// TestHeldFoldsWaitWithoutGoroutines: while three ranks' folds wait for the
+// fourth rank's, they wait on their hosts' held lists and no goroutine sits
+// in a fold handler (each held fold parked one while the hold was a
+// goroutine's wait for the release). The fourth fold answers all three.
+func TestHeldFoldsWaitWithoutGoroutines(t *testing.T) {
+	const n = 4
+	f := startTestFabric(t, newPipeNet(), n, 2, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 4 * time.Second})
+	_, withheld, errs := heldSetup(t, f)
+	if got := foldGoroutines(); got != 0 {
+		t.Errorf("%d goroutines hold a fold, want 0", got)
+	}
+	select {
+	case err := <-errs:
+		t.Fatalf("a rank passed the barrier without rank %d's fold: %v", withheld, err)
+	default:
+	}
+	go func() { errs <- runPhase(f.nodes[withheld].Node, 1) }()
+	for range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, tn := range f.nodes {
+		if holds, answers, waiting := tn.holdCounts(); holds != answers || waiting != 0 {
+			t.Errorf("rank %d held %d folds, answered %d, and holds %d still", r, holds, answers, waiting)
+		}
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the release")
+}
+
+// TestHeldFoldsAnsweredOnClose: a parity host that closes while it holds
+// folds answers each one errClosing before its connections go down, and the
+// Syncs parked behind the holds return ErrClosed within one lease when the
+// fabric is torn down. The other nodes drain first (fShutdown), so closing
+// them one by one is the end of the run, not a second death that fails the
+// crisis the host's close began.
+func TestHeldFoldsAnsweredOnClose(t *testing.T) {
+	const n = 4
+	tun := Tuning{LeaseInterval: 50 * time.Millisecond, LeaseMiss: 10, GossipInterval: 4 * time.Second}
+	lease := tun.LeaseInterval * time.Duration(tun.LeaseMiss)
+	pn := newPipeNet()
+	var (
+		closing atomic.Pointer[Node] // the host, once it closes
+		early   atomic.Int32         // its errClosing replies written before its connections closed
+	)
+	pn.onReply = func(to string, rt byte, payload []byte) bool {
+		if nd := closing.Load(); nd != nil && to == nd.addr && rt == 0xFF {
+			if d := wire.NewDec(payload); d.B() == wire.CodeCrisis && nd.inboundLen() > 0 {
+				early.Add(1)
+			}
+		}
+		return false
+	}
+	f := startTestFabric(t, pn, n, 2, tun)
+	host1, withheld, errs := heldSetup(t, f)
+	host := f.nodes[host1]
+	if _, _, waiting := host.holdCounts(); waiting != 2 {
+		t.Fatalf("group 1's host holds %d folds, want its 2 members'", waiting)
+	}
+	t0 := time.Now()
+	closing.Store(host.Node)
+	host.closeWithin(t, 50*time.Millisecond)
+	if holds, answers, waiting := host.holdCounts(); holds != answers || waiting != 0 {
+		t.Errorf("the closed host held %d folds, answered %d, and holds %d still", holds, answers, waiting)
+	}
+	if got := early.Load(); got != 2 {
+		t.Errorf("the closing host answered %d folds errClosing before its connections closed, want one per held fold (2)", got)
+	}
+	for r, tn := range f.nodes {
+		if r != host1 {
+			NotifyShutdown(pn.dialer("test"), tn.addr)
+			tn.AwaitShutdown()
+		}
+	}
+	for r, tn := range f.nodes {
+		if r != host1 && r != withheld {
+			tn.closeWithin(t, 0)
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("a Sync behind a held fold returned %v, want ErrClosed", err)
+			}
+		case <-time.After(lease - time.Since(t0)):
+			t.Fatalf("%d of %d Syncs behind held folds still parked a lease after the host closed", n-1-i, n-1)
+		}
+	}
+}
+
+// TestHeldFoldsAnsweredOnce: over 200 phases of random puts and gets, with
+// random delays before each Sync and one rank killed and replaced at a
+// random phase, every fold a host put on its held list is answered exactly
+// once — the killed host's with errClosing — and none is left waiting; the
+// windows end as the writes say, and every base and parity agree.
+func TestHeldFoldsAnsweredOnce(t *testing.T) {
+	const n, phases = 4, 200
+	rng := rand.New(rand.NewSource(40))
+	victim, killAt := rng.Intn(n), 20+rng.Intn(phases-40)
+	f := startTestFabricWords(t, newPipeNet(), n, 2, n*phases, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 4 * time.Second})
+	// plan[p][r] lists the ranks r writes its word of phase p to, and the
+	// nanoseconds it waits before its Sync; gets of phase p-1 ride along.
+	type step struct {
+		to    []int
+		delay time.Duration
+		get   int
+	}
+	plan := make([][]step, phases)
+	for p := range plan {
+		plan[p] = make([]step, n)
+		for r := range plan[p] {
+			st := step{delay: time.Duration(rng.Intn(300)) * time.Microsecond, get: -1}
+			for q := 0; q < n; q++ {
+				if q != r && rng.Intn(2) == 0 {
+					st.to = append(st.to, q)
+				}
+			}
+			if p > 0 && rng.Intn(2) == 0 {
+				st.get = (r + 1 + rng.Intn(n-1)) % n
+			}
+			plan[p][r] = st
+		}
+	}
+	phase := func(nd *Node, p int) error {
+		st := plan[p][nd.rank]
+		val := []uint64{testVal(nd.rank, p)}
+		nd.WriteAt(nd.rank*phases+p, val)
+		for _, q := range st.to {
+			nd.Put(q, nd.rank*phases+p, val)
+		}
+		if st.get >= 0 {
+			nd.Get(st.get, st.get*phases+p-1, 1)
+		}
+		time.Sleep(st.delay)
+		return nd.Sync()
+	}
+	errs := make(chan error, n)
+	run := func(p int, nodes []*testNode) {
+		for _, tn := range nodes {
+			tn := tn
+			go func() { errs <- phase(tn.Node, p) }()
+		}
+	}
+	wait := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for p := 0; p < phases; p++ {
+		if p != killAt {
+			run(p, f.nodes)
+			wait(n)
+			continue
+		}
+		run(p, append(append([]*testNode(nil), f.nodes[:victim]...), f.nodes[victim+1:]...))
+		repl := f.replace(t, victim)
+		run(p, []*testNode{repl})
+		wait(n)
+	}
+	var total uint64
+	for _, tn := range f.all {
+		holds, answers, waiting := tn.holdCounts()
+		total += holds
+		if holds != answers || waiting != 0 {
+			t.Errorf("rank %d (inc %d) held %d folds, answered %d, and holds %d still", tn.rank, tn.inc, holds, answers, waiting)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no fold was ever held: the test exercised nothing")
+	}
+	t.Logf("victim %d killed at phase %d; %d folds held and answered", victim, killAt, total)
+	for r, tn := range f.nodes {
+		for src := 0; src < n; src++ {
+			for p := 0; p < phases; p++ {
+				want := uint64(0)
+				if src == r || slices.Contains(plan[p][src].to, r) {
+					want = testVal(src, p)
+				}
+				if got := tn.ReadAt(src*phases+p, 1)[0]; got != want {
+					t.Fatalf("rank %d word (%d, %d) = %#x, want %#x", r, src, p, got, want)
+				}
+			}
+		}
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the run")
 }

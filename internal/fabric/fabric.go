@@ -55,8 +55,10 @@
 // each other host one targeted fGossip with those members' entries; it
 // answers the folds of p it holds once its table shows every rank at p+1
 // (ftrma.GsyncRelease), so the fold's answer is the member's release. A
-// dead rank's watermark freezes, holding every release until the
-// replacement folds — nobody ever impersonates the victim.
+// held fold waits on the host's list, not on a goroutine, and whoever
+// merges the deciding watermark answers it. A dead rank's watermark
+// freezes, holding every release until the replacement folds — nobody
+// ever impersonates the victim.
 //
 // # Crisis
 //

@@ -54,8 +54,8 @@ func (l *pipeListener) Accept() (net.Conn, error) {
 
 // deliver queues a dialed connection unless the listener is closed. A
 // closed listener must refuse: a connection left in its backlog is one
-// nobody reads, and on a synchronous pipe the dialer's first write would
-// block until its lease ran out.
+// nobody reads, and the dialer's calls on it would wait until its lease ran
+// out.
 func (l *pipeListener) deliver(c net.Conn) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -80,6 +80,137 @@ func (l *pipeListener) Close() error {
 }
 
 func (l *pipeListener) Addr() net.Addr { return pipeAddr(l.addr) }
+
+// bufConn is one end of a net.Pipe behind a send queue, as a socket is
+// behind its send buffer: a small Write returns once it is queued, and a pump
+// goroutine hands the queue to the pipe in order. The node serves the frames
+// of a steady phase on the connection's reader, which writes their replies;
+// over a bare net.Pipe, which buffers nothing, two readers could each wait
+// for the other to read. A Write above sendBuffer waits for the queue to
+// drain and then for its reader, as one that overflows a socket's buffer
+// would, so a window-sized frame is not copied. Close fails local reads at
+// once and lets the queue drain, for a grace period, before the pipe closes:
+// a reply written just before a Close still arrives, as over TCP.
+type bufConn struct {
+	net.Conn
+	mu     sync.Mutex
+	cond   *sync.Cond // the queue or busy changed
+	q      [][]byte
+	busy   bool // a write is on the pipe
+	closed bool
+	failed error // a write's error; later writes return it
+}
+
+const (
+	sendBuffer = 64 << 10
+	// closeGrace bounds how long a closed bufConn's queue may take to drain.
+	closeGrace = 100 * time.Millisecond
+)
+
+func newBufConn(c net.Conn) *bufConn {
+	b := &bufConn{Conn: c}
+	b.cond = sync.NewCond(&b.mu)
+	go b.pump()
+	return b
+}
+
+func (b *bufConn) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(p) <= sendBuffer {
+		if b.closed || b.failed != nil {
+			return 0, b.writeErr()
+		}
+		b.q = append(b.q, append([]byte(nil), p...))
+		b.cond.Broadcast()
+		return len(p), nil
+	}
+	for len(b.q) > 0 || b.busy {
+		b.cond.Wait()
+	}
+	if b.closed || b.failed != nil {
+		return 0, b.writeErr()
+	}
+	return b.write(p)
+}
+
+// write puts p on the pipe with mu released, marked busy. Caller holds mu.
+func (b *bufConn) write(p []byte) (int, error) {
+	b.busy = true
+	b.mu.Unlock()
+	n, err := b.Conn.Write(p)
+	b.mu.Lock()
+	b.busy = false
+	if err != nil {
+		b.failed, b.q = err, nil
+	}
+	b.cond.Broadcast()
+	return n, err
+}
+
+func (b *bufConn) writeErr() error {
+	if b.failed != nil {
+		return b.failed
+	}
+	return net.ErrClosed
+}
+
+func (b *bufConn) pump() {
+	defer b.Conn.Close()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for {
+		for (len(b.q) == 0 || b.busy) && !b.closed {
+			b.cond.Wait()
+		}
+		for b.busy {
+			b.cond.Wait()
+		}
+		if len(b.q) == 0 || b.failed != nil {
+			return // closed and drained, or the pipe is gone
+		}
+		p := b.q[0]
+		b.q[0], b.q = nil, b.q[1:]
+		if _, err := b.write(p); err != nil {
+			return
+		}
+	}
+}
+
+func (b *bufConn) Read(p []byte) (int, error) {
+	n, err := b.Conn.Read(p)
+	if err != nil {
+		b.mu.Lock()
+		if b.closed {
+			err = net.ErrClosed
+		}
+		b.mu.Unlock()
+	}
+	return n, err
+}
+
+// SetReadDeadline passes the reader's deadlines through until Close, whose
+// deadline in the past is the one that stays.
+func (b *bufConn) SetReadDeadline(t time.Time) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return net.ErrClosed
+	}
+	return b.Conn.SetReadDeadline(t)
+}
+
+func (b *bufConn) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.closed = true
+		b.Conn.SetReadDeadline(time.Unix(1, 0))
+		b.Conn.SetWriteDeadline(time.Now().Add(closeGrace))
+		b.cond.Broadcast()
+	}
+	return nil
+}
 
 // pipeDial is the record of one dialed connection.
 type pipeDial struct {
@@ -187,8 +318,11 @@ func (pn *pipeNet) dialer(from string) transport.Dialer {
 		if l == nil {
 			return nil, fmt.Errorf("pipe: no listener at %q", addr)
 		}
-		near, far := net.Pipe()
+		np, fp := net.Pipe()
+		near, far := newBufConn(np), newBufConn(fp)
 		if !l.deliver(&farConn{Conn: far, from: from, to: addr, onFrame: pn.onFrame, onReply: pn.onReply}) {
+			near.Close()
+			far.Close()
 			return nil, fmt.Errorf("pipe: %s refused the connection", addr)
 		}
 		rec := &pipeDial{from: from, to: addr}

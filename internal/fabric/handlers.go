@@ -30,7 +30,8 @@ func (nd *Node) acceptLoop() {
 		}
 		st := &connState{rank: -1}
 		wc := wire.New(nc, wire.Config{
-			VecHandler: func(t byte, p []byte) (byte, *wire.Vec, error) { return nd.handle(st, t, p) },
+			VecHandler: func(t byte, p []byte, r wire.Reply) (byte, *wire.Vec, error) { return nd.handle(st, t, p, r) },
+			Inline:     nd.inline,
 			// Heartbeat keeps transient joiner connections alive through
 			// long rendezvous waits; the lease (ReadTimeout) only runs on
 			// attributed peer connections — probe connections from tests
@@ -65,12 +66,31 @@ func (nd *Node) acceptLoop() {
 	}
 }
 
+// inline is the node's dispatch rule (wire.Config.Inline): while the node is
+// live, the frames of a steady phase — fHello, fBatch, fParityFold and the
+// fGossip that carries a host's readiness — are served on the reader that
+// read them. Their handlers wait on no other rank: they take node locks for
+// short holds, a fold the barrier holds is kept on a list and answered by
+// the release (holdFold), and announce may dial. Every frame that waits —
+// fJoin's long poll (its hang-up detection needs the reader), fCrisisBegin
+// (awaitFoldSettled), fLogFetch (awaitLogged), any frame of a node still
+// joining (awaitInstalled) — and the rare ones go to a handler goroutine.
+func (nd *Node) inline(t byte) bool {
+	switch t {
+	case fHello, fBatch, fParityFold, fGossip:
+		return nd.state.Load() == stLive
+	}
+	return false
+}
+
 // handle dispatches one fabric frame and encodes its reply straight into a
-// wire.Vec (nil: an empty reply). It never runs on the connection's reader
-// (wire.Handler contract: a warm handler goroutine, or a new one when the
-// warm one is busy), so handlers may block on node locks; Close waits for
-// the ones in flight and later frames are refused.
-func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, *wire.Vec, error) {
+// wire.Vec (nil: an empty reply). The frames inline names run on the
+// connection's reader and must not wait on another rank; every other one
+// runs on a handler goroutine (a warm one, or a new one when the warm one is
+// busy) and may block on node locks. Close waits for the ones in flight and
+// later frames are refused. r is the request's reply handle, which
+// handleParityFold keeps for a fold the barrier holds.
+func (nd *Node) handle(st *connState, t byte, payload []byte, r wire.Reply) (byte, *wire.Vec, error) {
 	if !nd.enter() {
 		return t, nil, errClosing
 	}
@@ -120,7 +140,7 @@ func (nd *Node) handle(st *connState, t byte, payload []byte) (byte, *wire.Vec, 
 	case fBatch:
 		return nd.handleBatch(d)
 	case fParityFold:
-		return nd.handleParityFold(d)
+		return nd.handleParityFold(d, r)
 	case fParityFetch:
 		return nd.handleParityFetch(d)
 	case fParityInstall:
@@ -251,9 +271,10 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 // a member folds phase p only once every batch of p is acked, so the host
 // merges (rank, inc)'s watermark p+1 — for a retry it deduplicates too,
 // where the merge changes nothing — tells the other hosts once its groups
-// are all in (announce), and holds the answer until every rank has folded p
-// (awaitRelease).
-func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
+// are all in (announce), and answers once every rank has folded p. Until
+// then the fold waits on the node's list with its reply handle r, not on a
+// goroutine (holdFold).
+func (nd *Node) handleParityFold(d *wire.Dec, r wire.Reply) (byte, *wire.Vec, error) {
 	rank, inc, g, memberIdx, phase := d.I(), d.I(), d.I(), d.I(), d.I()
 	s, ok := decSnap(d)
 	if !ok {
@@ -294,18 +315,7 @@ func (nd *Node) handleParityFold(d *wire.Dec) (byte, *wire.Vec, error) {
 	nd.om.foldsHosted.Inc()
 	nd.mergeWatermark(rank, inc, phase+1)
 	nd.announce(false)
-	status, err := nd.awaitRelease(phase, !committed)
-	if err != nil {
-		return fParityFold, nil, err
-	}
-	nd.parMu.Lock()
-	if hg := nd.hosted[g]; hg != nil && hg.folded[memberIdx] == phase {
-		hg.answered[memberIdx] = phase
-	}
-	nd.parMu.Unlock()
-	v := wire.NewVec()
-	v.B(status)
-	return fParityFold, v, nil
+	return nd.holdFold(heldFold{reply: r, g: g, memberIdx: memberIdx, phase: phase, uncommitted: !committed})
 }
 
 // handleParityFetch hands a hosted shard set to the crisis arbiter. The
@@ -461,7 +471,7 @@ func (nd *Node) handleCrisisBegin(d *wire.Dec) (byte, *wire.Vec, error) {
 
 // beginQuiesce parks this node's next checkpoint fold and answers the folds
 // it holds as a parity host that its members have not committed yet
-// (awaitRelease), and every such fold that arrives until the crisis ends, at
+// (answerHeld), and every such fold that arrives until the crisis ends, at
 // once. It waits for nothing, so every host answers before any waits for its
 // own fold (awaitFoldSettled).
 func (nd *Node) beginQuiesce() {
@@ -469,6 +479,7 @@ func (nd *Node) beginQuiesce() {
 	nd.hostCrisis = true
 	nd.mmu.Unlock()
 	nd.mcond.Broadcast()
+	nd.answerHeld()
 	nd.ckptMu.Lock()
 	nd.inCrisis = true
 	nd.ckptMu.Unlock()
@@ -498,6 +509,7 @@ func (nd *Node) endQuiesce() bool {
 	nd.ckptMu.Unlock()
 	nd.ckptCond.Broadcast()
 	nd.mcond.Broadcast()
+	nd.answerHeld()
 	return was
 }
 

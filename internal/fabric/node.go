@@ -100,6 +100,19 @@ type hostedGroup struct {
 	scratch []uint64
 }
 
+// heldFold is a received fParityFold whose answer the barrier holds: the
+// request's reply handle and what answering it records (hostedGroup's
+// answered).
+type heldFold struct {
+	reply               wire.Reply
+	g, memberIdx, phase int
+	// uncommitted: the member has not committed the fold, so a crisis's
+	// quiesce answers it foldHeld (foldStatusLocked).
+	uncommitted bool
+	status      byte  // the answer, once decided
+	err         error // … or errClosing
+}
+
 // pendingInstall is the reconstructed state a crisis arbiter holds for
 // the replacement of a dead rank until it joins.
 type pendingInstall struct {
@@ -191,9 +204,15 @@ type Node struct {
 	gossipPos  int // rotating fan-out cursor, guarded by mmu
 	// The parity host's half of the barrier, guarded by mmu: told is the
 	// watermark up to which this node has told the other hosts its groups
-	// are ready; hostCrisis is set from a crisis's quiesce to its end.
-	told       int
-	hostCrisis bool
+	// are ready; hostCrisis is set from a crisis's quiesce to its end. held
+	// lists the received folds awaiting their answer (holdFold), answering
+	// is the buffer answerHeld takes the decided ones out into, and holds
+	// and answers count the folds ever put on the list and taken off it.
+	told           int
+	hostCrisis     bool
+	held           []heldFold
+	answering      []heldFold
+	holds, answers uint64
 
 	// acking counts per target the deliveries between their fBatch call and
 	// its ackBatch, which a log fetch for that target waits out (ackMu,
@@ -527,8 +546,9 @@ func (nd *Node) failedOrClosed() error {
 	return nd.failErr
 }
 
-// wake makes every parked wait re-test its condition. Broadcasting under
-// the lock orders the wake after a waiter that just tested the old state.
+// wake makes every parked wait re-test its condition, and answers the held
+// folds a failed or closed node no longer holds. Broadcasting under the lock
+// orders the wake after a waiter that just tested the old state.
 func (nd *Node) wake() {
 	nd.mmu.Lock()
 	nd.mcond.Broadcast()
@@ -536,6 +556,7 @@ func (nd *Node) wake() {
 	nd.ckptMu.Lock()
 	nd.ckptCond.Broadcast()
 	nd.ckptMu.Unlock()
+	nd.answerHeld()
 }
 
 // enter admits one unit of node work — a goroutine the node starts, a
@@ -602,9 +623,10 @@ func (nd *Node) awaitInstalled() bool {
 	return nd.state.Load() != stClosed
 }
 
-// Close tears the node down as a fail-stop. It closes the listener and every
-// connection (the peers' death report), fails every parked or later call
-// with ErrClosed, and returns once nothing admitted by enter is running;
+// Close tears the node down as a fail-stop. It answers the folds it holds
+// errClosing, closes the listener and every connection (the peers' death
+// report), fails every parked or later call with ErrClosed, and returns once
+// nothing admitted by enter is running;
 // JoinConfig.Logf is never called after it returns. A second Close is a
 // no-op. It waits out a dial in flight (bounded by the Dialer) and must
 // not be called from a frame handler.
@@ -619,6 +641,7 @@ func (nd *Node) Close() error {
 	if prev != stDraining {
 		close(nd.shutdown)
 	}
+	nd.answerHeld() // before the connections go, so the answers leave first
 	nd.ln.Close()
 	nd.cmu.Lock()
 	conns, inbound := nd.conns, nd.inbound
@@ -751,6 +774,7 @@ func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
 	nd.mmu.Unlock()
 	if changed || rehosted {
 		nd.mcond.Broadcast()
+		nd.answerHeld()
 		nd.maybeArbiter()
 	}
 	if rehosted {
@@ -766,6 +790,7 @@ func (nd *Node) mergeWatermark(rank, inc, wm int) {
 	nd.mmu.Unlock()
 	if changed {
 		nd.mcond.Broadcast()
+		nd.answerHeld()
 		nd.maybeArbiter()
 	}
 }
@@ -910,7 +935,8 @@ func (nd *Node) peer(m Member) (*peerConn, error) {
 	pc = &peerConn{inc: m.Incarnation}
 	lease := nd.tun().LeaseInterval * time.Duration(nd.tun().LeaseMiss)
 	pc.c = wire.New(nc, wire.Config{
-		VecHandler:  func(t byte, p []byte) (byte, *wire.Vec, error) { return nd.handle(st, t, p) },
+		VecHandler:  func(t byte, p []byte, r wire.Reply) (byte, *wire.Vec, error) { return nd.handle(st, t, p, r) },
+		Inline:      nd.inline,
 		Heartbeat:   nd.tun().LeaseInterval,
 		ReadTimeout: lease,
 		BytesOut:    nd.om.wireOut,
@@ -1385,25 +1411,110 @@ func (nd *Node) releasedLocked(p int) bool {
 	return ftrma.GsyncRelease(nd.grouping, func(r int) int { return nd.members[r].Watermark }, p)
 }
 
-// awaitRelease holds a fold of phase p — one this node received, or its own
-// folded locally — until the barrier releases it, and returns the status to
-// answer with. A fold whose member has not committed it (uncommitted) is
-// answered at once while a crisis is under way: quiesce waits for the member
-// to settle it, which needs the answer — so that crisis cannot end before
-// the hold sees it. The node failing or closing ends the hold as errClosing.
-func (nd *Node) awaitRelease(p int, uncommitted bool) (byte, error) {
+// foldStatusLocked decides the answer to a fold of phase p: foldReleased
+// once the barrier releases p, errClosing once the node has failed or
+// closed, and foldHeld for a fold its member has not committed (uncommitted)
+// while a crisis is under way — quiesce waits for the member to settle it,
+// which needs the answer. A zero status and nil error: not decided yet.
+// Caller holds mmu.
+func (nd *Node) foldStatusLocked(p int, uncommitted bool) (byte, error) {
+	switch {
+	case nd.releasedLocked(p):
+		return foldReleased, nil
+	case nd.failedOrClosed() != nil:
+		return 0, errClosing
+	case uncommitted && nd.hostCrisis:
+		return foldHeld, nil
+	}
+	return 0, nil
+}
+
+// awaitRelease holds this node's own fold of phase p, folded into parity it
+// hosts itself, until the barrier releases it. That wait is its caller's,
+// in Sync; a fold received from a member waits on the held list instead.
+func (nd *Node) awaitRelease(p int) (byte, error) {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
-	for !nd.releasedLocked(p) {
-		if nd.failedOrClosed() != nil {
-			return 0, errClosing
-		}
-		if uncommitted && nd.hostCrisis {
-			return foldHeld, nil
+	for {
+		if status, err := nd.foldStatusLocked(p, false); status != 0 || err != nil {
+			return status, err
 		}
 		nd.mcond.Wait()
 	}
-	return foldReleased, nil
+}
+
+// holdFold puts a received fold (h: its reply handle and place) on the held
+// list and answers what the list has decided (answerHeld) — this fold too,
+// when the barrier already releases it. So no goroutine waits with a fold,
+// every answer leaves by one path, and a crisis cannot end before a hold
+// sees it: hostCrisis and the list share mmu.
+func (nd *Node) holdFold(h heldFold) (byte, *wire.Vec, error) {
+	nd.mmu.Lock()
+	nd.held = append(nd.held, h)
+	nd.holds++
+	nd.mmu.Unlock()
+	nd.answerHeld()
+	return fParityFold, nil, wire.ErrLater
+}
+
+// answerHeld answers, each exactly once and outside mmu and parMu, the held
+// folds whose answer is decided now. Whatever can decide one calls it once
+// the change is in the table: a watermark merged (mergeWatermark,
+// mergeMembers, a replacement's entry in handleJoin), a crisis's quiesce
+// beginning or ending, the node failing or closing (wake). The list and the
+// buffer the answers are taken out into are reused, so a phase's answers
+// allocate nothing.
+func (nd *Node) answerHeld() {
+	nd.mmu.Lock()
+	if len(nd.held) == 0 {
+		nd.mmu.Unlock()
+		return
+	}
+	out, keep := nd.answering[:0], nd.held[:0]
+	nd.answering = nil // a concurrent caller takes its own
+	for _, h := range nd.held {
+		if h.status, h.err = nd.foldStatusLocked(h.phase, h.uncommitted); h.status == 0 && h.err == nil {
+			keep = append(keep, h)
+		} else {
+			out = append(out, h)
+		}
+	}
+	clear(nd.held[len(keep):]) // the handles answered here pin no connection
+	nd.held = keep
+	if len(out) == 0 {
+		nd.answering = out
+		nd.mmu.Unlock()
+		return
+	}
+	nd.answers += uint64(len(out))
+	nd.mmu.Unlock()
+	nd.parMu.Lock()
+	for _, h := range out {
+		// The member has its answer: a fold of that phase is from now on
+		// only a request for the release. errClosing records nothing.
+		if hg := nd.hosted[h.g]; h.err == nil && hg != nil && hg.folded[h.memberIdx] == h.phase {
+			hg.answered[h.memberIdx] = h.phase
+		}
+	}
+	nd.parMu.Unlock()
+	for _, h := range out {
+		h.reply.Send(fParityFold, foldReply(h), h.err)
+	}
+	clear(out)
+	nd.mmu.Lock()
+	nd.answering = out[:0]
+	nd.mmu.Unlock()
+}
+
+// foldReply encodes h's answer as the fParityFold reply: its status byte, or
+// nothing beside an error.
+func foldReply(h heldFold) *wire.Vec {
+	if h.err != nil {
+		return nil
+	}
+	v := wire.NewVec()
+	v.B(h.status)
+	return v
 }
 
 // announce tells the other parity hosts how far the groups this node hosts
@@ -1443,29 +1554,7 @@ func (nd *Node) announce(again bool) {
 	encMembers(&e, entries)
 	encHostings(&e, nd.hostings)
 	nd.mmu.Unlock()
-	for _, m := range peers {
-		// On the connection the host dialed here, when there is one: its
-		// own fold may be held here on the one this node dialed, and a
-		// frame behind a held request costs the far side a new goroutine.
-		if c := nd.inboundFrom(m); c != nil {
-			c.Notify(fGossip, e.Bytes())
-		} else if pc, err := nd.peer(m); err == nil {
-			pc.c.Notify(fGossip, e.Bytes())
-		}
-	}
-}
-
-// inboundFrom returns the live connection m's incarnation dialed to this
-// node, or nil.
-func (nd *Node) inboundFrom(m Member) *wire.Conn {
-	nd.cmu.Lock()
-	defer nd.cmu.Unlock()
-	for st, c := range nd.inbound {
-		if st.helloed && !st.down && st.rank == m.Rank && st.inc == m.Incarnation {
-			return c
-		}
-	}
-	return nil
+	nd.notify(peers, fGossip, e.Bytes())
 }
 
 // trimAt drops log records two barriers behind: after barrier b every
@@ -1623,7 +1712,7 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 		nd.ckptCond.Broadcast()
 		nd.ckptMu.Unlock()
 		if err == nil && h.Host == nd.rank {
-			if status, err = nd.awaitRelease(p, false); err != nil {
+			if status, err = nd.awaitRelease(p); err != nil {
 				return 0, nd.failedOrClosed()
 			}
 		}

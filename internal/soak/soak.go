@@ -595,6 +595,10 @@ func (s *runState) addCrisis(delta obs.HistogramSnapshot) {
 	s.mu.Unlock()
 }
 
+// closeAll ends the run: every node is told the run is over (fShutdown),
+// and closed once all have drained or drainWait has passed. A draining node
+// reads its peers' connections going down as the end of the run, not as
+// deaths, so the teardown condemns nobody.
 func (s *runState) closeAll() {
 	s.mu.Lock()
 	first := !s.closed
@@ -607,8 +611,41 @@ func (s *runState) closeAll() {
 	if first {
 		close(s.done)
 	}
+	s.drain(ms)
 	for _, m := range ms {
 		m.nd.Close()
+	}
+}
+
+// drainWait bounds how long closeAll waits for the nodes to drain; a node
+// that missed its fShutdown (dead, muted) is closed live after it.
+const drainWait = 2 * time.Second
+
+// drain sends every member fShutdown, each through the next member's
+// endpoint (a dial any transport can make), and waits until all have seen
+// it, or drainWait. A waiter still blocked then returns when closeAll
+// closes its node.
+func (s *runState) drain(ms []*member) {
+	var wg sync.WaitGroup
+	for i, m := range ms {
+		m, d := m, s.eps.eps[ms[(i+1)%len(ms)].ep].dialer
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fabric.NotifyShutdown(d, m.nd.Addr())
+		}()
+	}
+	wg.Wait()
+	drained := make(chan struct{})
+	go func() {
+		for _, m := range ms {
+			m.nd.AwaitShutdown()
+		}
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(drainWait):
 	}
 }
 

@@ -1,10 +1,13 @@
 package soak
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,14 +23,22 @@ func vLogf(t *testing.T) func(string, ...any) {
 	return nil
 }
 
-// runGuarded is Run held to the fabric's Close contract at teardown: once
+// runGuarded is Run held to the fabric's Close contract at teardown (a
+// cfg.Logf the test set sees every line as well): once
 // Run has returned — every node closed, survivable leg or not — nothing
 // may log any more and the goroutine count must come back to where it
 // was before the fabric existed.
 func runGuarded(t *testing.T, cfg Config) (*Report, error) {
 	t.Helper()
 	log := leakcheck.NewLog(t, testing.Verbose())
-	cfg.Logf = log.Logf
+	if watch := cfg.Logf; watch != nil {
+		cfg.Logf = func(format string, args ...any) {
+			watch(format, args...)
+			log.Logf(format, args...)
+		}
+	} else {
+		cfg.Logf = log.Logf
+	}
 	base := runtime.NumGoroutine()
 	rep, err := Run(cfg)
 	log.Close()
@@ -88,19 +99,45 @@ func TestSoak(t *testing.T) {
 	}
 	t.Run("kill64", func(t *testing.T) {
 		// The CI leg: 64 tcp ranks, one sampled mid-run fail-stop,
-		// causal replay, bit-identical finish (Run verifies).
+		// causal replay, bit-identical finish (Run verifies). Only the
+		// killed rank is ever condemned: the teardown drains every node
+		// before it closes any.
 		wl := Workload{Ranks: 64, Phases: 6, Inserts: 2, Seed: 42}
 		chaos := Chaos{Seed: 7, Kills: 1}
+		var (
+			mu                  sync.Mutex
+			condemned, replaced []int
+		)
 		rep, err := runGuarded(t, Config{
 			Transport: TransportTCP,
 			Workload:  wl,
 			Chaos:     chaos,
 			Timeout:   4 * time.Minute,
+			Logf: func(format string, args ...any) {
+				line := fmt.Sprintf(format, args...)
+				var r, x int
+				mu.Lock()
+				defer mu.Unlock()
+				if _, err := fmt.Sscanf(line, "fabric: rank %d condemns rank %d", &x, &r); err == nil {
+					condemned = append(condemned, r)
+				} else if _, err := fmt.Sscanf(line, "soak: rank %d replaced", &r); err == nil {
+					replaced = append(replaced, r)
+				}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSoakReport(t, rep, wl, chaos)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range condemned {
+			if !slices.Contains(replaced, r) {
+				t.Errorf("rank %d was condemned, and the run killed only %v", r, replaced)
+				break
+			}
+		}
+		t.Logf("%d condemnations; killed ranks %v", len(condemned), replaced)
 	})
 	t.Run("catastrophic", func(t *testing.T) {
 		// A sampled whole-node crash (2 ranks at once) is beyond the

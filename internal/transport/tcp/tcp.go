@@ -277,7 +277,7 @@ func (p *Peer) acceptLoop() {
 		// (and so OnPeerDown) with a rank that doesn't exist.
 		var src atomic.Int32
 		src.Store(-1)
-		handler := func(t byte, payload []byte) (byte, *wire.Vec, error) {
+		handler := func(t byte, payload []byte, r wire.Reply) (byte, *wire.Vec, error) {
 			if t == tHello {
 				d := wire.NewDec(payload)
 				r := d.I()
@@ -289,7 +289,7 @@ func (p *Peer) acceptLoop() {
 				}
 				return tHello, nil, nil
 			}
-			return p.serve(t, payload)
+			return p.serve(t, payload, r)
 		}
 		// The conn's death both declares the peer dead and prunes the conn
 		// from the inbound set. wire.New starts the reader immediately, so
@@ -601,7 +601,7 @@ func putScratch(s *flushScratch) {
 }
 
 // serve handles one incoming request frame against the local handler.
-func (p *Peer) serve(t byte, payload []byte) (byte, *wire.Vec, error) {
+func (p *Peer) serve(t byte, payload []byte, _ wire.Reply) (byte, *wire.Vec, error) {
 	d := wire.NewDec(payload)
 	switch t {
 	case tFlush:

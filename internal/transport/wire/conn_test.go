@@ -1,11 +1,14 @@
 package wire
 
-// Tests of how a Conn serves and reads: the warm handler goroutine that
-// takes back-to-back requests without one goroutine each, and the
-// read-ahead buffer that takes a small frame — or many — in one read.
+// Tests of how a Conn serves and reads: the requests served on the reader
+// itself (Config.Inline) and the replies a handler answers later (Reply),
+// the warm handler goroutine that takes back-to-back requests without one
+// goroutine each, and the read-ahead buffer that takes a small frame — or
+// many — in one read.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -109,6 +112,133 @@ func (c *countingConn) Read(b []byte) (int, error) {
 		c.reads.Add(1)
 	}
 	return n, err
+}
+
+// TestInlineRequestsStayOnReader: the request types Inline names are served
+// on the reader, whatever their number, and the others are handed to a
+// handler goroutine, one handoff each.
+func TestInlineRequestsStayOnReader(t *testing.T) {
+	const calls = 50
+	cn, sn := net.Pipe()
+	reader := make(chan uint64, 2*calls) // goroutine ids the handler ran on
+	server := New(sn, Config{
+		Handler: func(ty byte, p []byte) (byte, []byte, error) {
+			buf := make([]byte, 64)
+			var id uint64
+			fmt.Sscanf(string(buf[:runtime.Stack(buf, false)]), "goroutine %d", &id)
+			reader <- id
+			return echo(ty, p)
+		},
+		Inline: func(ty byte) bool { return ty == typeEcho },
+	})
+	defer server.Close()
+	client := New(cn, Config{})
+	defer client.Close()
+	ids := map[uint64]bool{}
+	for i := 0; i < calls; i++ {
+		if _, err := client.Call(typeEcho, seqPayload(i, 8)); err != nil {
+			t.Fatal(err)
+		}
+		ids[<-reader] = true
+	}
+	if got := server.Handoffs(); got != 0 || server.spawned.Load() != 0 || len(ids) != 1 {
+		t.Fatalf("%d inline calls: %d handoffs, %d goroutines started, served on %d goroutines; want 0, 0, 1",
+			calls, got, server.spawned.Load(), len(ids))
+	}
+	for i := 0; i < calls; i++ {
+		if _, err := client.Call(typeEcho+1, seqPayload(i, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if id := <-reader; ids[id] {
+			t.Fatal("a request Inline does not name ran on the reader")
+		}
+	}
+	if got := server.Handoffs(); got != calls {
+		t.Fatalf("%d calls Inline does not name: %d handoffs, want %d", calls, got, calls)
+	}
+}
+
+// TestReplyLater: an inline handler that returns ErrLater keeps its request's
+// Reply while the reader goes on serving — later requests are answered
+// before it — and the answer it sends from another goroutine, a payload or
+// an error, reaches the caller. A notification's Reply writes nothing.
+func TestReplyLater(t *testing.T) {
+	const typeHold = 0x23
+	cn, sn := net.Pipe()
+	held := make(chan Reply, 4)
+	server := New(sn, Config{
+		VecHandler: func(ty byte, p []byte, r Reply) (byte, *Vec, error) {
+			if ty == typeHold {
+				held <- r
+				return ty, nil, ErrLater
+			}
+			v := NewVec()
+			v.Raw(p)
+			return ty, v, nil
+		},
+		Inline: func(byte) bool { return true },
+	})
+	defer server.Close()
+	client := New(cn, Config{})
+	defer client.Close()
+	type result struct {
+		reply []byte
+		err   error
+	}
+	call := func() <-chan result {
+		ch := make(chan result, 1)
+		go func() {
+			reply, err := client.Call(typeHold, nil)
+			ch <- result{reply, err}
+		}()
+		return ch
+	}
+	first, second := call(), call()
+	r1, r2 := <-held, <-held
+	if reply, err := client.Call(typeEcho, []byte("behind")); err != nil || string(reply) != "behind" {
+		t.Fatalf("a call behind two held ones: %q, %v", reply, err)
+	}
+	v := NewVec()
+	v.B(7)
+	r1.Send(typeHold, v, nil)
+	r2.Send(typeHold, nil, RemoteFail{Code: CodeCrisis, Msg: "closing"})
+	var got []result
+	for _, ch := range []<-chan result{first, second} {
+		select {
+		case res := <-ch:
+			got = append(got, res)
+		case <-time.After(5 * time.Second):
+			t.Fatal("a held call was never answered")
+		}
+	}
+	var ok, failed int
+	for _, res := range got {
+		var rf RemoteFail
+		switch {
+		case res.err == nil && len(res.reply) == 1 && res.reply[0] == 7:
+			ok++
+		case errors.As(res.err, &rf) && rf.Code == CodeCrisis:
+			failed++
+		default:
+			t.Errorf("a held call returned %v, %v", res.reply, res.err)
+		}
+	}
+	if ok != 1 || failed != 1 {
+		t.Fatalf("held calls: %d answered, %d failed; want 1 and 1", ok, failed)
+	}
+	// The client counts a frame before it hands it on, so once the call
+	// returns, anything the notification's Reply wrote before it is counted.
+	recv := client.Received()
+	if err := client.Notify(typeHold, nil); err != nil {
+		t.Fatal(err)
+	}
+	(<-held).Send(typeHold, nil, nil)
+	if _, err := client.Call(typeEcho, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := client.Received() - recv; got != 1 {
+		t.Fatalf("a notification's Reply and a call's reply sent %d frames, want 1", got)
+	}
 }
 
 // TestWarmHandlerServesSequentialCalls: back-to-back calls on one Conn are

@@ -1,7 +1,8 @@
 // Package wire is the framing layer of the tcp transport and the fabric
 // runtime: length-prefixed binary frames over a net.Conn, matched
-// request/response calls, background dispatch of incoming requests, and
-// heartbeat-based liveness.
+// request/response calls, dispatch of incoming requests (on the reader or
+// a handler goroutine, answered at once or later), and heartbeat-based
+// liveness.
 //
 // Frame layout:
 //
@@ -117,13 +118,15 @@ func (e RemoteFail) Error() string {
 var ErrDown = errors.New("wire: connection down")
 
 // Handler serves one incoming request frame and returns the reply type and
-// payload, or an error (sent as an error reply). A handler never runs on the
-// reader: a handler goroutine that has served its frame parks for the
-// connection's next one (at most one per connection, and maxParked per
-// process), and a frame that finds none parked gets a new goroutine. So a
-// handler may block (structure locks, barriers) without stalling the
-// connection, its replies or its heartbeats, and back-to-back requests reuse
-// one warm goroutine.
+// payload, or an error (sent as an error reply). A request whose type
+// Config.Inline names runs on the connection's reader, which reads nothing
+// else until the handler returns: such a handler must not wait on another
+// peer. Every other request runs on a handler goroutine: one that has served
+// its frame parks for the connection's next one (at most one per connection,
+// and maxParked per process), and a frame that finds none parked gets a new
+// goroutine. So those handlers may block (structure locks, barriers) without
+// stalling the connection, its replies or its heartbeats, and back-to-back
+// requests reuse one warm goroutine.
 //
 // The payload is only valid until the handler returns: request bodies are
 // pooled and recycled. A handler that keeps data must copy it (Dec's
@@ -137,8 +140,31 @@ type Handler func(t byte, payload []byte) (byte, []byte, error)
 // that keeps the aliased memory still is released: it runs exactly once,
 // whether the reply is written, dropped for an error reply or a
 // notification, or fails on a dead connection. Returning a nil Vec means an
-// empty reply payload. The same payload-lifetime rule as Handler applies.
-type VecHandler func(t byte, payload []byte) (byte, *Vec, error)
+// empty reply payload. The same payload-lifetime and placement rules as
+// Handler apply.
+//
+// r is the request's reply handle. A handler that cannot answer yet — and
+// must not wait, as on the reader — returns ErrLater instead, keeps r, and
+// answers through r.Send later, from any goroutine.
+type VecHandler func(t byte, payload []byte, r Reply) (byte, *Vec, error)
+
+// ErrLater, returned by a VecHandler, says the handler kept its Reply and
+// answers through it: the connection writes nothing for the request.
+var ErrLater = errors.New("wire: answered later")
+
+// Reply is the reply handle of one request (see VecHandler). Send answers
+// the request as the handler's return values would: a reply of type t with
+// payload v (nil: empty), or err as an error reply. It must be called
+// exactly once, and v is consumed as a VecHandler's reply is. A Reply of a
+// notification, or of a connection that has gone down since, writes
+// nothing.
+type Reply struct {
+	c  *Conn
+	id uint32
+}
+
+// Send answers the request (see Reply).
+func (r Reply) Send(t byte, v *Vec, err error) { r.c.reply(r.id, t, nil, v, err) }
 
 // Config tunes a Conn.
 type Config struct {
@@ -151,6 +177,14 @@ type Config struct {
 	// ops' destination buffers, and the fabric so a recovery's base and
 	// parity replies gather straight from the node's state.
 	VecHandler VecHandler
+	// Inline, when set, reports whether a request of type t runs on the
+	// reader itself rather than on a handler goroutine (see Handler): a
+	// request that is served without waiting on another peer saves the
+	// handoff. Nil serves every request on a handler goroutine. Inline
+	// handlers write their replies from the reader, so the transport must
+	// buffer a few small frames (TCP and shm rings do; an unbuffered
+	// net.Pipe can leave two readers each waiting for the other to read).
+	Inline func(t byte) bool
 	// Heartbeat is the interval of outgoing heartbeat frames; 0 disables.
 	Heartbeat time.Duration
 	// ReadTimeout is the rolling per-frame read deadline — the failure
@@ -207,9 +241,11 @@ type Conn struct {
 	downErr error        // set under pmu once down
 
 	// spare is the handler goroutine parked for the next request, if any;
-	// spawned counts the handler goroutines started.
-	spare   atomic.Pointer[handler]
-	spawned atomic.Uint64
+	// spawned counts the handler goroutines started, handoffs the requests
+	// the reader passed to a handler goroutine, parked or new.
+	spare    atomic.Pointer[handler]
+	spawned  atomic.Uint64
+	handoffs atomic.Uint64
 
 	downOnce  sync.Once
 	done      chan struct{} // closed once down; stops the heartbeat loop
@@ -243,6 +279,10 @@ func (c *Conn) Sent() uint64 { return c.sent.Load() }
 
 // Received returns the number of frames read.
 func (c *Conn) Received() uint64 { return c.received.Load() }
+
+// Handoffs returns the number of requests the reader handed to a handler
+// goroutine instead of serving them inline (Config.Inline).
+func (c *Conn) Handoffs() uint64 { return c.handoffs.Load() }
 
 // BytesSent returns the on-wire bytes of every data frame written
 // (9-byte header included; heartbeats excluded, like Sent).
@@ -674,7 +714,10 @@ func (c *Conn) readLoop() {
 			if ch != nil {
 				ch <- f
 			}
+		case c.cfg.Inline != nil && c.cfg.Inline(f.t):
+			c.serve(f, nil)
 		default:
+			c.handoffs.Add(1)
 			if h := c.spare.Swap(nil); h != nil {
 				parked.Add(-1)
 				h.next <- f // never blocks: h claimed the slot with next empty
@@ -734,14 +777,29 @@ func (c *Conn) claim(h *handler) bool {
 	return true
 }
 
-// serve runs the handler on f and writes its reply. In between it claims
-// the spare slot for h: before the reply leaves, so that the caller's next
-// request finds h parked. It reports whether h claimed the slot.
+// serve runs the handler on f and writes its reply. A handler goroutine h
+// claims the spare slot in between: before the reply leaves, so that the
+// caller's next request finds h parked. It reports whether h claimed the
+// slot; the reader serves inline requests with h nil.
 func (c *Conn) serve(f frame, h *handler) (claimed bool) {
 	rt, b, v, err := c.run(f)
-	claimed = c.claim(h)
+	if h != nil {
+		claimed = c.claim(h)
+	}
+	if err != ErrLater {
+		c.reply(f.id, rt, b, v, err)
+	}
+	if f.payload != nil {
+		Recycle(f.payload)
+	}
+	return claimed
+}
+
+// reply writes the answer to request id: a Handler's payload b, a
+// VecHandler's v, or err as an error reply. A notification (id 0) gets none.
+func (c *Conn) reply(id uint32, rt byte, b []byte, v *Vec, err error) {
 	switch {
-	case f.id == 0: // notification: nothing to reply to
+	case id == 0:
 		if v != nil {
 			v.free()
 		}
@@ -749,16 +807,12 @@ func (c *Conn) serve(f frame, h *handler) (claimed bool) {
 		if v != nil {
 			v.free()
 		}
-		c.writeFrame(typeErr, f.id, encodeFail(toRemoteFail(err)))
+		c.writeFrame(typeErr, id, encodeFail(toRemoteFail(err)))
 	case c.cfg.VecHandler != nil:
-		c.writeFrameVec(rt|replyBit, f.id, v)
+		c.writeFrameVec(rt|replyBit, id, v)
 	default:
-		c.writeFrame(rt|replyBit, f.id, b)
+		c.writeFrame(rt|replyBit, id, b)
 	}
-	if f.payload != nil {
-		Recycle(f.payload)
-	}
-	return claimed
 }
 
 // run calls the configured handler on f — a VecHandler answers in v, a
@@ -771,7 +825,7 @@ func (c *Conn) run(f frame) (rt byte, b []byte, v *Vec, err error) {
 	}()
 	switch {
 	case c.cfg.VecHandler != nil:
-		rt, v, err = c.cfg.VecHandler(f.t, f.payload)
+		rt, v, err = c.cfg.VecHandler(f.t, f.payload, Reply{c: c, id: f.id})
 	case c.cfg.Handler != nil:
 		rt, b, err = c.cfg.Handler(f.t, f.payload)
 	default:

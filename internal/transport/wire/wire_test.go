@@ -308,7 +308,7 @@ func TestDecTruncationPoisons(t *testing.T) {
 func TestConnCallVec(t *testing.T) {
 	cn, sn := net.Pipe()
 	const typeEcho = 0x21
-	server := New(sn, Config{VecHandler: func(ty byte, payload []byte) (byte, *Vec, error) {
+	server := New(sn, Config{VecHandler: func(ty byte, payload []byte, _ Reply) (byte, *Vec, error) {
 		d := NewDec(payload)
 		w := d.Words()
 		if d.Failed() {
@@ -352,7 +352,7 @@ func TestConnCallVec(t *testing.T) {
 // caller.
 func TestConnVecHandlerError(t *testing.T) {
 	cn, sn := net.Pipe()
-	server := New(sn, Config{VecHandler: func(byte, []byte) (byte, *Vec, error) {
+	server := New(sn, Config{VecHandler: func(byte, []byte, Reply) (byte, *Vec, error) {
 		return 0, nil, RemoteFail{Code: CodeGeneric, Msg: "nope"}
 	}})
 	defer server.Close()
@@ -397,7 +397,7 @@ func TestVecReplyReleasedOnce(t *testing.T) {
 	var released atomic.Int32
 	unblock := make(chan struct{})
 	serving := make(chan struct{}, 1)
-	handler := func(ty byte, _ []byte) (byte, *Vec, error) {
+	handler := func(ty byte, _ []byte, _ Reply) (byte, *Vec, error) {
 		v := NewVec()
 		v.W64(7)
 		v.Words(make([]uint64, smallFrame)) // gathered: above the flatten threshold

@@ -45,13 +45,17 @@ race:
 # Repetition leg for the fabric's lifecycle and connection bookkeeping:
 # the conformance scenarios twenty times over (each ends in the leak and
 # late-log guard of its cleanup) and ten more under the race detector
-# (frame bodies, Vecs and put stages are reused across goroutines), the
-# in-package fabric tests under the race detector, the recovery tests —
-# kill and replace with every wait on
+# (frame bodies, Vecs, pooled get buffers and put stages are reused across
+# goroutines; the TestFabric pattern selects the get-allocation pin
+# TestFabricGetAllocsSteadyState), the in-package fabric tests under the
+# race detector, the recovery tests — kill and replace with every wait on
 # its event, a replacement killed before its first fold among them (the
-# TestReplace pattern selects TestReplacementKilledBeforeItsFirstFold), a
-# crisis begun while parity hosts hold the barrier's folds, and a batch
-# acked just before its target dies — thirty times more, and the wire's
+# TestReplace pattern selects TestReplacementKilledBeforeItsFirstFold), the
+# windows a kill moves and allocates (TestRecoveryWindowTraffic), a
+# crisis begun while parity hosts hold the barrier's folds, a batch
+# acked just before its target dies, and the copy-on-write base against
+# the full-copy one (TestCopyOnWriteBase, through a kill and replace among
+# them) — thirty times more, and the wire's
 # dispatch (inline requests on the reader, replies answered later, a warm
 # handler parked for the rest) with the per-phase frame budget of the
 # barrier through the parity hosts — no request handed off its reader —
@@ -63,7 +67,7 @@ stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
 	$(GO) test -race -count=10 -run TestFabric ./internal/transport
 	$(GO) test -race -count=5 ./internal/fabric
-	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies' ./internal/fabric
+	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies|TestCopyOnWriteBase' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire
 	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestHeldFolds|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable' ./internal/fabric
 

@@ -20,29 +20,44 @@ import (
 
 // fullScanDiff is the checkpoint diff as it was before the tracker: every
 // word of the window against the committed base, one slice per changed run.
-// It survives here as the reference the tracked diff is held to.
+// It survives here as the reference the tracked diff is held to. Caller
+// holds ckptMu.
 func fullScanDiff(nd *Node) (offs []int, deltas [][]uint64) {
 	nd.winMu.Lock()
 	defer nd.winMu.Unlock()
-	w, b := nd.window, nd.base
-	for i := 0; i < len(w); {
-		if w[i] == b[i] {
-			i++
-			continue
+	return scanDiff(nd.window, committedBaseLocked(nd))
+}
+
+// committedBaseLocked is nd's committed base as one slice: the window with
+// the saved chunks laid over it. Caller holds ckptMu and winMu.
+func committedBaseLocked(nd *Node) []uint64 {
+	b := make([]uint64, nd.windowWords)
+	nd.eachBase(func(off int, w []uint64) { copy(b[off:], w) })
+	return b
+}
+
+// committedBase is committedBaseLocked under nd's locks.
+func committedBase(nd *Node) []uint64 {
+	nd.ckptMu.Lock()
+	defer nd.ckptMu.Unlock()
+	nd.winMu.Lock()
+	defer nd.winMu.Unlock()
+	return committedBaseLocked(nd)
+}
+
+// savedChunks counts nd's saved chunks, those stamped after the commit:
+// copies, and zero markers.
+func savedChunks(nd *Node) (copies, zeros int) {
+	nd.winMu.Lock()
+	defer nd.winMu.Unlock()
+	for off, n, ok := nd.dirty.Next(0, nd.ckptGen); ok; off, n, ok = nd.dirty.Next(off+n, nd.ckptGen) {
+		if nd.saved[off/chunkWords] == zeroCopy {
+			zeros++
+		} else {
+			copies++
 		}
-		j := i + 1
-		for j < len(w) && w[j] != b[j] {
-			j++
-		}
-		delta := make([]uint64, j-i)
-		for k := i; k < j; k++ {
-			delta[k-i] = w[k] ^ b[k]
-		}
-		offs = append(offs, i)
-		deltas = append(deltas, delta)
-		i = j
 	}
-	return offs, deltas
+	return copies, zeros
 }
 
 // checkTrackedDiff diffs nd's window both ways and compares range for
@@ -69,24 +84,27 @@ func checkTrackedDiff(t *testing.T, nd *Node, when string) []int {
 }
 
 // checkCommitted holds the fabric, at rest after a gsync, to the checkpoint
-// invariants: every window equals its committed base (nothing is written
-// between the fold and this check), and every group's parity is the plain
-// XOR of its members' bases — the paper's checksum, computed here with the
-// ^ operator rather than the code the fabric folds with.
+// invariants: every window equals its committed base and no chunk keeps a
+// saved copy (nothing is written between the fold and this check), and
+// every group's parity is the plain XOR of its members' bases — the paper's
+// checksum, computed here with the ^ operator rather than the code the
+// fabric folds with.
 func checkCommitted(t *testing.T, f *testFabric, when string) {
 	t.Helper()
-	for _, tn := range f.nodes {
-		tn.winMu.Lock()
-		same := slices.Equal(tn.window, tn.base)
-		tn.winMu.Unlock()
-		if !same {
+	bases := make([][]uint64, len(f.nodes))
+	for r, tn := range f.nodes {
+		bases[r] = committedBase(tn.Node)
+		if !slices.Equal(tn.ReadAt(0, tn.windowWords), bases[r]) {
 			t.Fatalf("%s: rank %d window differs from its committed base", when, tn.rank)
+		}
+		if copies, zeros := savedChunks(tn.Node); copies+zeros != 0 {
+			t.Fatalf("%s: rank %d keeps %d saved chunks and %d zero markers at rest", when, tn.rank, copies, zeros)
 		}
 	}
 	for _, h := range f.nodes[0].Hostings() {
-		want := make([]uint64, len(f.nodes[0].base))
+		want := make([]uint64, f.nodes[0].windowWords)
 		for _, r := range f.nodes[0].grouping.ComputeMembers(h.Group) {
-			for i, w := range f.nodes[r].base {
+			for i, w := range bases[r] {
 				want[i] ^= w
 			}
 		}
@@ -130,13 +148,14 @@ func randWords(rng *rand.Rand, n int) []uint64 {
 // end on the (short) last chunk, and after every step compares the tracked
 // diff with the full scan on both ranks. Every few steps a real gsync folds
 // and commits. One rank hosts the parity and folds locally, the other folds
-// over the wire.
+// over the wire. Neither is ever condemned, the teardown included.
 func TestTrackedDiffMatchesFullScan(t *testing.T) {
 	const words = 5*64 + 17
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			f := startTestFabricWords(t, newPipeNet(), 2, 1, words, fastTuning)
+			f.onlyKilledCondemned = true // fault-free: nobody is condemned
 			pick := func() (off, n int) {
 				switch rng.Intn(4) {
 				case 0: // straddles a chunk boundary
@@ -175,10 +194,7 @@ func TestTrackedDiffMatchesFullScan(t *testing.T) {
 					nd.WriteAt(off, nd.ReadAt(off, n))
 				case 6: // changed, then back to the committed value
 					nd.WriteAt(off, randWords(rng, n))
-					nd.ckptMu.Lock()
-					was := append([]uint64(nil), nd.base[off:off+n]...)
-					nd.ckptMu.Unlock()
-					nd.WriteAt(off, was)
+					nd.WriteAt(off, committedBase(nd)[off:off+n])
 				}
 				when := fmt.Sprintf("step %d (op %d on rank %d, [%d,+%d))", step, op, r, off, n)
 				checkTrackedDiff(t, nd, when)
@@ -232,9 +248,7 @@ func TestPutBetweenDiffAndCommit(t *testing.T) {
 	if got := a.ReadAt(at, 2); !slices.Equal(got, val) {
 		t.Fatalf("the put did not land: window has %x", got)
 	}
-	a.ckptMu.Lock()
-	inBase := append([]uint64(nil), a.base[at:at+2]...)
-	a.ckptMu.Unlock()
+	inBase := committedBase(a)[at : at+2]
 	if !slices.Equal(inBase, []uint64{0, 0}) {
 		t.Fatalf("the base committed %x at the put's offset; the fold was diffed before the put", inBase)
 	}
@@ -688,7 +702,8 @@ func TestWindowWritesAreRangeChecked(t *testing.T) {
 // bareNode is a node with a window and no fabric: enough for the
 // checkpoint's local half.
 func bareNode(words int) *Node {
-	nd := &Node{n: 2, windowWords: words, window: make([]uint64, words), base: make([]uint64, words), dirty: rma.NewDirtyTracker(words)}
+	nd := &Node{n: 2, windowWords: words, window: make([]uint64, words), dirty: rma.NewDirtyTracker(words),
+		saved: make([]int32, (words+chunkWords-1)/chunkWords)}
 	nd.initObs(nil, nil, "")
 	return nd
 }
@@ -703,7 +718,6 @@ func foldNowhere(nd *Node, s snap, data []uint64, blocks, stride int) {
 	nd.ckptMu.Lock()
 	nd.diffRanges()
 	nd.encFold(0, 0, s.phase, s).Release()
-	nd.xorBase()
 	nd.commitBase(s)
 	nd.ckptMu.Unlock()
 }

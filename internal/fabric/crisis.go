@@ -320,10 +320,10 @@ func (nd *Node) surviving(victim int) []Member {
 // buffers in flight. Each pins one window buffer here, its reply, and none at
 // the sender, whose reply gathers from its state: the first reply to arrive
 // holds the sum, and every later one is XORed into it as it comes and then
-// let go. This node's own base and
-// hosted shard are read in place, under their locks — quiesce keeps both
-// still — and never written; only when no operand came over the wire is the
-// sum a fresh buffer.
+// let go. This node's own base — the window with its saved chunks laid over
+// it (eachBase) — and hosted shard are read in place, under their locks,
+// and never written; only when no operand came over the wire is the sum a
+// fresh buffer.
 func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap, parity *hostedGroup, err error) {
 	var (
 		wg    sync.WaitGroup
@@ -332,16 +332,18 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 		sem   = make(chan struct{}, 2)
 	)
 	snaps = make([]snap, len(ranks))
-	// add folds w into the sum. The caller holds the lock that guards w's
-	// owner (ours) or the sum (a fetched buffer).
-	add := func(w []uint64, fetched bool) {
+	// add folds w, the sum's words from off on, into the sum. The caller
+	// holds the lock that guards w's owner (ours) or the sum (a fetched
+	// buffer, always whole).
+	add := func(off int, w []uint64, fetched bool) {
 		switch {
 		case sum != nil:
-			erasure.XorWords(sum, w)
+			erasure.XorWords(sum[off:off+len(w)], w)
 		case fetched:
 			sum = w
 		default:
-			sum = slices.Clone(w)
+			sum = make([]uint64, nd.windowWords)
+			copy(sum[off:], w)
 		}
 	}
 	fetch := func(i int, f func() ([]uint64, error)) {
@@ -353,7 +355,7 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 			<-sem
 			if errs[i] = err; err == nil {
 				sumMu.Lock()
-				add(w, true)
+				add(0, w, true)
 				sumMu.Unlock()
 			}
 		}()
@@ -383,8 +385,10 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 	// Our own operands go in last, under the locks that guard them.
 	if self >= 0 {
 		nd.ckptMu.Lock()
+		nd.winMu.Lock()
 		snaps[self] = nd.snapSelf
-		add(nd.base, false)
+		nd.eachBase(func(off int, w []uint64) { add(off, w, false) })
+		nd.winMu.Unlock()
 		nd.ckptMu.Unlock()
 	}
 	if host >= 0 && host == nd.rank {
@@ -395,7 +399,7 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 			return nil, nil, nil, fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
 		}
 		parity = &hostedGroup{k: hg.k, snaps: slices.Clone(hg.snaps)}
-		add(hg.shards[0], false)
+		add(0, hg.shards[0], false)
 	}
 	return sum, snaps, parity, nil
 }
@@ -429,7 +433,7 @@ func (nd *Node) fetchParity(host, g int) (*hostedGroup, []uint64, error) {
 		return nil, nil, fmt.Errorf("fabric: parity fetch from rank %d failed: %w", host, err)
 	}
 	d := wire.NewDec(reply)
-	hg, err := decHostedGroup(d, nd.windowWords, d.WordsAlias)
+	hg, err := decHostedGroup(d, nd.windowWords)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: parity fetch from rank %d: %w", host, err)
 	}

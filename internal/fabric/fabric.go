@@ -23,8 +23,8 @@
 //   - Checkpoint parity: ranks form Groups groups (rank r belongs to
 //     group r mod Groups); each group's m=1 parity shard set is hosted
 //     on a rank elected by ftrma.ElectParityHost, preferring hosts
-//     outside the group so one failure never takes a member's base copy
-//     down together with the parity guarding it. At every phase boundary
+//     outside the group so one failure never takes a member's committed
+//     base down together with the parity guarding it. At every phase boundary
 //     each rank diffs its window against its last committed base and
 //     ships the (off, delta) ranges to its group's host in one
 //     fParityFold frame; the host applies them with

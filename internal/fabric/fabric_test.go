@@ -371,6 +371,15 @@ type testFabric struct {
 	base  int // goroutines before the fabric existed
 	nodes []*testNode
 	all   []*testNode // replacements and closed victims included
+
+	// onlyKilledCondemned makes the teardown fail the test for every
+	// verdict against a rank it did not kill (replace). condemned counts the
+	// verdicts against each rank, killed the ranks replace killed; cmu
+	// guards both.
+	onlyKilledCondemned bool
+	cmu                 sync.Mutex
+	condemned           map[int]int
+	killed              map[int]bool
 }
 
 const testPhases = 6
@@ -378,11 +387,23 @@ const testPhases = 6
 func testWords(n int) int           { return n * testPhases }
 func testVal(src, phase int) uint64 { return uint64(src+1)<<32 | uint64(phase+1) }
 
-// join enters the fabric through addr on a fresh listener.
+// join enters the fabric through addr on a fresh listener. The node's
+// verdicts are counted against the ranks they condemn.
 func (f *testFabric) join(addr string) (*testNode, error) {
 	ln := f.pn.listen()
 	log := leakcheck.NewLog(f.t, true)
-	nd, err := Join(JoinConfig{Join: addr, Addr: ln.addr, Listener: ln, Dialer: f.pn.dialer(ln.addr), Logf: log.Logf})
+	logf := func(format string, args ...any) {
+		if format == condemnLine {
+			f.cmu.Lock()
+			if f.condemned == nil {
+				f.condemned = map[int]int{}
+			}
+			f.condemned[args[1].(int)]++
+			f.cmu.Unlock()
+		}
+		log.Logf(format, args...)
+	}
+	nd, err := Join(JoinConfig{Join: addr, Addr: ln.addr, Listener: ln, Dialer: f.pn.dialer(ln.addr), Logf: logf})
 	if err != nil {
 		return nil, err
 	}
@@ -430,13 +451,53 @@ func startTestFabricWords(t *testing.T, pn *pipeNet, n, groups, words int, tun T
 	return f
 }
 
+// drainWait bounds how long the teardown waits for the nodes to drain; a
+// node that missed its fShutdown is closed live after it.
+const drainWait = 2 * time.Second
+
+// teardown ends the run as the soak does: every node still open is told the
+// run is over (fShutdown) and, once all have drained, closed — a draining
+// node reads its peers' connections going down as the end of the run, so
+// the teardown condemns nobody. It then holds every node to its Close
+// contract, and a fabric that asked for it (onlyKilledCondemned) to verdicts
+// against the ranks it killed alone.
 func (f *testFabric) teardown() {
+	var live []*testNode // a node still joining has nothing to drain
+	for _, tn := range f.all {
+		if tn.state.Load() == stLive {
+			live = append(live, tn)
+		}
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for _, tn := range live {
+			NotifyShutdown(f.pn.dialer("teardown"), tn.addr)
+		}
+		for _, tn := range live {
+			tn.AwaitShutdown()
+		}
+	}()
+	select {
+	case <-drained:
+	case <-time.After(drainWait):
+	}
 	for _, tn := range f.all {
 		tn.closeWithin(f.t, 0)
 	}
+	<-drained
 	leakcheck.Goroutines(f.t, f.base)
 	for _, tn := range f.all {
 		tn.log.Check(fmt.Sprintf("rank %d", tn.rank))
+	}
+	if f.onlyKilledCondemned {
+		f.cmu.Lock()
+		defer f.cmu.Unlock()
+		for r, n := range f.condemned {
+			if !f.killed[r] {
+				f.t.Errorf("rank %d, which the test did not kill, was condemned %d times", r, n)
+			}
+		}
 	}
 }
 

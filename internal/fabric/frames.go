@@ -56,7 +56,8 @@ const (
 	fParityInstall = 0x47
 	// fBaseFetch (call, arbiter → member): {} → {phase+1, ec*, gc,
 	// base-words}: the member's last committed base under the checkpoint
-	// lock, so it is consistent with the group parity.
+	// lock, so it is consistent with the group parity; the window with the
+	// saved chunks laid over it, gathered under the window lock too.
 	fBaseFetch = 0x48
 	// fLogFetch (call, arbiter → survivor): {victim} → {n, m, lp*, lg*}:
 	// everything the survivor logged by or about the victim.
@@ -333,7 +334,8 @@ func encInstall(e encoder, in *install) {
 
 // decInstall decodes an install from a join reply the caller owns: the base
 // is a view of the reply where the run lies aligned (wire.Dec.WordsAlias), so
-// the window-sized buffer the reply arrived in becomes the node's base.
+// the window-sized buffer the reply arrived in becomes the node's window,
+// which is its committed base until the replay writes to it.
 func decInstall(d *wire.Dec) (*install, bool) {
 	var in install
 	var ok bool

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/erasure"
 	"repro/internal/ftrma"
@@ -32,6 +33,7 @@ func (nd *Node) acceptLoop() {
 		wc := wire.New(nc, wire.Config{
 			VecHandler: func(t byte, p []byte, r wire.Reply) (byte, *wire.Vec, error) { return nd.handle(st, t, p, r) },
 			Inline:     nd.inline,
+			Keep:       keepBody,
 			// Heartbeat keeps transient joiner connections alive through
 			// long rendezvous waits; the lease (ReadTimeout) only runs on
 			// attributed peer connections — probe connections from tests
@@ -82,6 +84,10 @@ func (nd *Node) inline(t byte) bool {
 	}
 	return false
 }
+
+// keepBody is the node's wire.Config.Keep: the rebuilt shard of an
+// fParityInstall stays in the request body it arrived in.
+func keepBody(t byte) bool { return t == fParityInstall }
 
 // handle dispatches one fabric frame and encodes its reply straight into a
 // wire.Vec (nil: an empty reply). The frames inline names run on the
@@ -198,7 +204,9 @@ func (nd *Node) scanRuns(scan *wire.Dec, n int, what string) (longest int, err e
 // crash can re-deposit its exposed get landings. The frame is walked twice:
 // first every put and get range is checked, then — nothing can fail any
 // more — the batch is applied in one winMu hold, so a bad batch leaves the
-// window and its stamps untouched.
+// window and its stamps untouched. Each get's words are copied once, into a
+// pooled buffer the reply gathers from and the LG log copies from; the
+// reply's release returns it.
 func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 	src, _, phase := d.I(), d.I(), d.I()
 	nputs := d.I()
@@ -209,57 +217,96 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 	if _, err := nd.scanRuns(&scan, nputs, "put"); err != nil {
 		return fBatch, nil, err
 	}
-	type getOp struct {
-		off, n, localOff, gc int
-	}
 	ngets := scan.I()
 	if scan.Failed() || ngets < 0 || ngets > wire.MaxFrame/8 {
 		return fBatch, nil, errBadFrame
 	}
-	gets := make([]getOp, ngets)
-	for i := range gets {
-		g := getOp{off: scan.I(), n: scan.I(), localOff: scan.I() - 1, gc: scan.I()}
-		if !scan.Failed() && g.off+g.n > nd.windowWords {
-			return fBatch, nil, fmt.Errorf("fabric: get out of window ([%d,%d) of %d)", g.off, g.off+g.n, nd.windowWords)
+	gets := scan // the get ops, walked again below
+	total := 0
+	for i := 0; i < ngets; i++ {
+		off, n := scan.I(), scan.I()
+		scan.I()
+		scan.I()
+		if scan.Failed() {
+			break
 		}
-		gets[i] = g
+		if off+n > nd.windowWords {
+			return fBatch, nil, fmt.Errorf("fabric: get out of window ([%d,%d) of %d)", off, off+n, nd.windowWords)
+		}
+		total += n
 	}
 	if scan.Failed() || src < 0 || src >= nd.n {
 		return fBatch, nil, errBadFrame
 	}
-	got := make([][]uint64, ngets)
+	var got *getBuf
+	if ngets > 0 {
+		got = takeGetBuf(total)
+	}
 	nd.winMu.Lock()
 	for i := 0; i < nputs; i++ {
-		// A view of the pooled frame, which writeLocked copies before the
-		// handler returns. The put's own destination is the fallback buffer:
-		// words that arrived unaligned are decoded in place, and the copy
-		// that follows copies them onto themselves.
+		// A view of the pooled frame, copied before the handler returns. The
+		// put's own destination is the fallback buffer: words that arrived
+		// unaligned are decoded in place — touchLocked has saved the
+		// committed words there — and the copy copies them onto themselves.
 		off := d.I()
-		nd.writeLocked(off, d.WordsView(nd.window[off:]))
+		peek := *d
+		dst := nd.touchLocked(off, peek.SkipWords())
+		copy(dst, d.WordsView(dst))
 	}
-	for i, g := range gets {
-		got[i] = append([]uint64(nil), nd.window[g.off:g.off+g.n]...)
+	at := gets
+	for i, k := 0, 0; i < ngets; i++ {
+		off, n := at.I(), at.I()
+		at.I()
+		at.I()
+		k += copy(got.words[k:k+n], nd.window[off:off+n])
 	}
 	nd.winMu.Unlock()
-	if len(gets) > 0 {
+	v := wire.NewVec()
+	v.I(ngets)
+	if ngets > 0 {
 		nd.logMu.Lock()
-		for i, g := range gets {
+		for i, k := 0, 0; i < ngets; i++ {
+			off, n := gets.I(), gets.I()
+			localOff, gc := gets.I()-1, gets.I()
+			data := got.words[k : k+n]
+			k += n
 			nd.logs.AppendLG(src, ftrma.LogRecord{
 				Kind: ftrma.LogGet, Src: src, Trg: nd.rank,
-				Off: g.off, Data: got[i], LocalOff: g.localOff,
-				GC: g.gc, GNC: phase,
+				Off: off, Data: data, LocalOff: localOff,
+				GC: gc, GNC: phase,
 			})
+			v.Words(data)
 		}
 		nd.logMu.Unlock()
+		v.OnRelease(got.release)
 	}
 	nd.om.batchRecv.Inc()
 	nd.fr.Record(obs.EvFrameRecv, int64(fBatch), int64(src), int64(nputs+ngets))
-	v := wire.NewVec()
-	v.I(ngets)
-	for i := range got {
-		v.Words(got[i])
-	}
 	return fBatch, v, nil
+}
+
+// getBuf is a pooled buffer that one batch's get results are copied into;
+// release, made once per buffer, puts it back (a Vec's OnRelease hook).
+type getBuf struct {
+	words   []uint64
+	release func()
+}
+
+var getBufs sync.Pool
+
+// takeGetBuf returns a pooled buffer of n words. One that is too short, or
+// mostly idle at this size (idle), is replaced.
+func takeGetBuf(n int) *getBuf {
+	b, _ := getBufs.Get().(*getBuf)
+	if b == nil {
+		b = &getBuf{}
+		b.release = func() { getBufs.Put(b) }
+	}
+	if cap(b.words) < n || idle(b.words[:cap(b.words)], n) {
+		b.words = make([]uint64, n)
+	}
+	b.words = b.words[:n]
+	return b
 }
 
 // handleParityFold folds one member's checkpoint delta into hosted
@@ -340,14 +387,15 @@ func (nd *Node) handleParityFetch(d *wire.Dec) (byte, *wire.Vec, error) {
 }
 
 // handleParityInstall stores a rebuilt shard set the arbiter re-homed
-// here after the previous host died. The request body goes back to the
-// wire's pool when the handler returns, so the shards are copied out.
+// here after the previous host died. The node keeps the request bodies of
+// fParityInstall (keepBody), so the shard is a view of the one it arrived
+// in.
 func (nd *Node) handleParityInstall(d *wire.Dec) (byte, *wire.Vec, error) {
 	g := d.I()
 	if d.Failed() {
 		return fParityInstall, nil, errBadFrame
 	}
-	hg, err := decHostedGroup(d, nd.windowWords, d.Words)
+	hg, err := decHostedGroup(d, nd.windowWords)
 	if err != nil {
 		return fParityInstall, nil, err
 	}
@@ -382,9 +430,10 @@ func encHostedGroup(e encoder, hg *hostedGroup) {
 	}
 }
 
-// decHostedGroup decodes a shard set, each shard with words: d.Words for a
-// request body, d.WordsAlias for a reply the caller keeps.
-func decHostedGroup(d *wire.Dec, windowWords int, words func() []uint64) (*hostedGroup, error) {
+// decHostedGroup decodes a shard set from a payload the caller keeps (a
+// reply, or a request body the node keeps): each shard is a view of it where
+// it lies aligned (wire.Dec.WordsAlias).
+func decHostedGroup(d *wire.Dec, windowWords int) (*hostedGroup, error) {
 	k := d.I()
 	m := d.I()
 	if d.Failed() || k < 1 || m != 1 {
@@ -406,7 +455,7 @@ func decHostedGroup(d *wire.Dec, windowWords int, words func() []uint64) (*hoste
 	hg.answered = slices.Clone(hg.folded)
 	hg.shards = make([][]uint64, m)
 	for i := range hg.shards {
-		hg.shards[i] = words()
+		hg.shards[i] = d.WordsAlias()
 		if len(hg.shards[i]) != windowWords {
 			return nil, fmt.Errorf("fabric: parity shard has %d words, window is %d", len(hg.shards[i]), windowWords)
 		}
@@ -419,15 +468,22 @@ func decHostedGroup(d *wire.Dec, windowWords int, words func() []uint64) (*hoste
 
 // handleBaseFetch hands the last committed base and its counter snapshot
 // to the crisis arbiter, under the checkpoint lock so they are consistent
-// with the group parity. The reply gathers the base in place, so ckptMu
-// stays held until the frame is written (the Vec's release); quiesce has
-// parked the checkpoints that would wait for it.
+// with the group parity. The reply gathers the base in place — the runs of
+// the window between saved chunks and the saved chunks (eachBase) — so
+// ckptMu and winMu stay held until the frame is written (the Vec's
+// release): quiesce has parked the checkpoints that would wait for the
+// one, and the window's writers wait out the frame.
 func (nd *Node) handleBaseFetch() (byte, *wire.Vec, error) {
 	nd.ckptMu.Lock()
+	nd.winMu.Lock()
 	v := wire.NewVec()
 	encSnap(v, nd.snapSelf)
-	v.Words(nd.base)
-	v.OnRelease(nd.ckptMu.Unlock)
+	v.WordsStart(nd.windowWords)
+	nd.eachBase(func(_ int, w []uint64) { v.WordsPart(w) })
+	v.OnRelease(func() {
+		nd.winMu.Unlock()
+		nd.ckptMu.Unlock()
+	})
 	return fBaseFetch, v, nil
 }
 

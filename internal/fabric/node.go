@@ -152,24 +152,29 @@ type Node struct {
 
 	// window is the rank's exposed memory; winMu keeps remote batches,
 	// local reads/writes, and checkpoint diffs atomic to each other. Every
-	// write goes through writeLocked, which stamps dirty — the same tracker
+	// write goes through touchLocked, which stamps dirty — the same tracker
 	// the in-process runtime's window uses — so a checkpoint diff visits the
-	// chunks written since the last committed one and nothing else.
+	// chunks written since the last committed one and nothing else. saved
+	// maps each chunk written since then to its committed words in copies
+	// (base.go): the committed base is the window with them laid over it.
+	// spare is the buffer the next commit moves the copies it keeps into.
 	winMu  sync.Mutex
 	window []uint64
 	dirty  rma.DirtyTracker
+	saved  []int32
+	copies []uint64
+	spare  []uint64
 
 	// ckptMu serializes the checkpoint's diff and base commit against
 	// crisis quiesce and base fetches, and is never held across a call:
 	// folding marks a fold on the wire whose commit is undecided, which
-	// quiesce waits out; ckptCond parks checkpoints while inCrisis. Outside
-	// the chunks stamped after ckptGen, window == base; delta is the diff in
+	// quiesce waits out; ckptCond parks checkpoints while inCrisis. The
+	// chunks stamped after ckptGen are the saved ones; delta is the diff in
 	// flight, reused fold to fold.
 	ckptMu   sync.Mutex
 	ckptCond *sync.Cond
 	inCrisis bool
 	folding  bool
-	base     []uint64
 	ckptGen  uint64
 	delta    ckptDelta
 	snapSelf snap
@@ -396,6 +401,9 @@ func (nd *Node) applyWorld(w world, in *install) error {
 		return fmt.Errorf("fabric: malformed world (rank %d of %d, %d window words, %d groups, %d members)",
 			w.rank, w.n, w.windowWords, w.groups, len(w.members))
 	}
+	if in != nil && len(in.base) != w.windowWords {
+		return fmt.Errorf("fabric: install base has %d words, window is %d", len(in.base), w.windowWords)
+	}
 	nd.rank, nd.n, nd.windowWords = w.rank, w.n, w.windowWords
 	nd.grouping = fabricGrouping(w.n, w.groups)
 	if nd.obs.Rank() < 0 {
@@ -408,11 +416,13 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.tuning.Store(&tw)
 	nd.meta = w.meta
 	nd.inc = w.members[w.rank].Incarnation
-	nd.window = make([]uint64, w.windowWords)
-	nd.dirty = rma.NewDirtyTracker(w.windowWords)
-	if in == nil {
-		nd.base = make([]uint64, w.windowWords)
+	if in != nil {
+		nd.window = in.base // a view of the join reply, which this node alone holds
+	} else {
+		nd.window = make([]uint64, w.windowWords)
 	}
+	nd.dirty = rma.NewDirtyTracker(w.windowWords)
+	nd.saved = make([]int32, (w.windowWords+chunkWords-1)/chunkWords)
 	nd.snapSelf = snap{phase: -1, ec: make([]int, w.n)}
 	nd.logs = ftrma.NewLocalLogHost(4096, 128, 0.5)
 	nd.ec = make([]int, w.n)
@@ -450,12 +460,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 // gave them (the install's codec keeps record order).
 func (nd *Node) applyInstall(in *install) error {
 	t0 := time.Now()
-	if len(in.base) != nd.windowWords {
-		return fmt.Errorf("fabric: install base has %d words, window is %d", len(in.base), nd.windowWords)
-	}
-	nd.base = in.base        // a view of the join reply, which this node alone holds
-	copy(nd.window, in.base) // window == base: nothing to stamp
-	nd.snapSelf = in.snap
+	nd.snapSelf = in.snap // the window is the base: nothing is saved or stamped
 	if len(in.snap.ec) == nd.n {
 		copy(nd.ec, in.snap.ec)
 	}
@@ -706,6 +711,10 @@ func (nd *Node) Recoveries() int {
 	return nd.recoveries
 }
 
+// condemnLine is the progress line of a verdict: the condemning rank, the
+// condemned rank, its incarnation, and the cause.
+const condemnLine = "fabric: rank %d condemns rank %d (inc %d): %v"
+
 // condemn marks (rank, inc) dead: the local half of the failure
 // detector. Verdicts are per-incarnation so a replacement is never
 // condemned by stale evidence against its predecessor.
@@ -726,7 +735,7 @@ func (nd *Node) condemn(rank, inc int, cause error) {
 	nd.mmu.Unlock()
 	nd.om.condemned.Inc()
 	nd.fr.Record(obs.EvCondemn, int64(rank), int64(inc), 0)
-	nd.logf("fabric: rank %d condemns rank %d (inc %d): %v", nd.rank, rank, inc, cause)
+	nd.logf(condemnLine, nd.rank, rank, inc, cause)
 	nd.dropConn(rank, inc)
 	nd.mcond.Broadcast()
 	nd.spawn(nd.gossipNow)
@@ -937,6 +946,7 @@ func (nd *Node) peer(m Member) (*peerConn, error) {
 	pc.c = wire.New(nc, wire.Config{
 		VecHandler:  func(t byte, p []byte, r wire.Reply) (byte, *wire.Vec, error) { return nd.handle(st, t, p, r) },
 		Inline:      nd.inline,
+		Keep:        keepBody,
 		Heartbeat:   nd.tun().LeaseInterval,
 		ReadTimeout: lease,
 		BytesOut:    nd.om.wireOut,
@@ -1050,15 +1060,11 @@ func (nd *Node) WriteAt(off int, data []uint64) {
 	nd.writeLocked(off, data)
 }
 
-// writeLocked is the window's only writer: it copies data to off and stamps
-// the chunks it covers, which is what lets a checkpoint skip every other
-// chunk. Caller holds winMu. A range outside the window is a usage error and
-// aborts as on the in-process runtime; handlers validate what arrives off
-// the wire before they call it.
+// writeLocked copies data to the window at off through touchLocked (base.go),
+// which saves the committed words of the chunks it covers and stamps them,
+// which is what lets a checkpoint skip every other chunk. Caller holds winMu.
 func (nd *Node) writeLocked(off int, data []uint64) {
-	rma.CheckRange(off, len(data), len(nd.window))
-	copy(nd.window[off:], data)
-	nd.dirty.Mark(off, len(data))
+	copy(nd.touchLocked(off, len(data)), data)
 }
 
 // Put implements rma.API. The payload is copied into the target's stage
@@ -1619,7 +1625,8 @@ func (df *ckptDelta) each(f func(off int, delta []uint64)) {
 // checkpoint commits phase p and passes the barrier: diff the chunks
 // written since the last commit against the committed base, ship the (off,
 // delta) ranges plus the counter snapshot to the group's parity host in one
-// fParityFold, fold the delta into the local base once the host has it, and
+// fParityFold, commit the local base once the host has it (commitBase: the
+// saved copies of the chunks the diff read are dropped or advanced), and
 // return when the host answers that every rank has folded p — the fold's
 // ack is the barrier's release; wait is how long that call (or, for a group
 // this node hosts, the local hold) took.
@@ -1628,8 +1635,9 @@ func (df *ckptDelta) each(f func(off int, delta []uint64)) {
 // for a fold on the wire to be answered (folding), and a fold held for the
 // release is answered with foldHeld when a crisis begins. Parity is updated
 // before the base commit, so once quiesce has its answers parity =
-// encode(committed bases) holds until the crisis ends. A committed fold
-// asks again for its release, a request that cannot change parity.
+// encode(committed bases) holds until the crisis ends. A fold that fails
+// has committed nothing and leaves the base as it was. A committed fold asks
+// again for its release, a request that cannot change parity.
 //
 // The window is diffed once per phase. A fold that fails is retried with the
 // same nd.delta and snapshot: the host may have applied it and lost the ack,
@@ -1667,12 +1675,6 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 			s = nd.snapNow(p)
 			diffed = true
 		}
-		if !committed {
-			// The base moves ahead of the answer, which comes only at the
-			// release, and moves back if the fold fails; nothing reads it
-			// while folding is set (quiesce waits for folding to clear).
-			nd.xorBase()
-		}
 		nd.folding = !committed
 		nd.ckptMu.Unlock()
 
@@ -1697,9 +1699,7 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 		}
 		nd.ckptMu.Lock()
 		switch {
-		case committed:
-		case err != nil:
-			nd.xorBase() // back to the committed base
+		case committed, err != nil: // a failed fold committed nothing
 		default:
 			nd.commitBase(s)
 			committed = true
@@ -1786,11 +1786,12 @@ func (nd *Node) callRank(rank int, t byte, v *wire.Vec) ([]byte, error) {
 
 // diffRanges fills nd.delta with the changed runs of the window vs the
 // committed base as XOR deltas. Only chunks stamped after the committed
-// generation are compared — everywhere else window == base — and winMu is
-// held for those alone. The comparison stays word for word, so a chunk
-// stamped by a write that changed nothing (or one word) contributes nothing
-// (or one word), and a run that crosses into the next stamped chunk stays
-// one run: the ranges are those of a full scan. Caller holds ckptMu.
+// generation are compared, each with its saved copy — everywhere else the
+// window is the base — and winMu is held for those alone. The comparison
+// stays word for word, so a chunk stamped by a write that changed nothing
+// (or one word) contributes nothing (or one word), and a run that crosses
+// into the next stamped chunk stays one run: the ranges are those of a full
+// scan. Caller holds ckptMu.
 func (nd *Node) diffRanges() {
 	df := &nd.delta
 	if idle(df.words, len(df.words)) {
@@ -1802,7 +1803,8 @@ func (nd *Node) diffRanges() {
 	df.gen = nd.dirty.Gen()
 	for off, n, ok := nd.dirty.Next(0, nd.ckptGen); ok; off, n, ok = nd.dirty.Next(off+n, nd.ckptGen) {
 		scanned += n
-		w, b := nd.window[off:off+n], nd.base[off:off+n]
+		w := nd.window[off : off+n]
+		b := nd.baseOf(off/chunkWords, w)[:n] // both n long: no bounds checks below
 		for i := 0; i < n; {
 			if w[i] == b[i] {
 				i++
@@ -1851,25 +1853,6 @@ func (nd *Node) snapNow(p int) snap {
 	nd.logMu.Lock()
 	defer nd.logMu.Unlock()
 	return snap{phase: p, ec: append([]int(nil), nd.ec...), gc: nd.gc}
-}
-
-// xorBase folds nd.delta into the base: it advances the base to the window
-// the diff read, and a second call undoes the first. Caller holds ckptMu.
-func (nd *Node) xorBase() {
-	nd.delta.each(func(off int, delta []uint64) {
-		erasure.XorWords(nd.base[off:off+len(delta)], delta)
-	})
-}
-
-// commitBase commits the base xorBase advanced, once the parity host has
-// acknowledged the fold, and the committed generation to the one the diff
-// read the window at — not to the tracker's current one: a peer's put that
-// landed since the diff is in neither the fold nor the base, and its stamp,
-// above delta.gen, keeps its chunk dirty for the next fold. Caller holds
-// ckptMu.
-func (nd *Node) commitBase(s snap) {
-	nd.ckptGen = nd.delta.gen
-	nd.snapSelf = s
 }
 
 // foldLocal applies nd.delta to parity this node hosts itself: the fold is

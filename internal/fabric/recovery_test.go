@@ -26,6 +26,12 @@ import (
 func (f *testFabric) replace(t *testing.T, victim int) *testNode {
 	t.Helper()
 	observer := f.nodes[(victim+1)%len(f.nodes)]
+	f.cmu.Lock()
+	if f.killed == nil {
+		f.killed = map[int]bool{}
+	}
+	f.killed[victim] = true
+	f.cmu.Unlock()
 	f.nodes[victim].closeWithin(t, 0)
 	await(t, "the verdict", func() bool { return !observer.sees(victim).Alive })
 	repl, err := f.join(observer.addr)
@@ -410,19 +416,22 @@ func TestReplacementKilledBeforeItsFirstFold(t *testing.T) {
 // their recovery re-homes a group as well: the re-home fetches one base and
 // installs the rebuilt shard, the reconstruction fetches one base or the
 // parity, and the join reply carries the install — 4 windows on the wire for
-// a host, 2 for the others. Each is received into one buffer and kept there:
-// the rebuild XORs in the first buffer fetched, the new host copies the
-// installed shard out of its request body, which the wire recycles, and the
-// replacement keeps the join reply as its base beside a fresh window.
+// a host, 2 for the others. Each is received into one buffer and kept there,
+// and nothing else window-sized is allocated: the rebuild XORs in the first
+// buffer fetched, the new host keeps the installed shard in its request body
+// (wire.Config.Keep), and the replacement keeps the join reply as its window
+// — its committed base is that window, with no chunk saved yet. Nobody but
+// the victim is condemned, the teardown included.
 func TestRecoveryWindowTraffic(t *testing.T) {
 	const n, words = 4, 1 << 18
 	wantWire := []uint64{4, 4, 2, 2}
-	wantAllocs := []uint64{6, 6, 3, 3}
+	wantAllocs := []uint64{4, 4, 2, 2}
 	for victim := 0; victim < n; victim++ {
 		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
 			// No gossip rounds and a lease longer than the test: nothing but the
 			// recovery moves bytes between the kill and the join.
 			f := startTestFabricWords(t, newPipeNet(), n, 2, words, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: time.Hour})
+			f.onlyKilledCondemned = true // the victim alone
 			errs := make(chan error, n)
 			for _, tn := range f.nodes {
 				tn := tn

@@ -2,9 +2,9 @@ package rma
 
 import "fmt"
 
-// dirtyChunkWords is the granularity of dirty-region tracking: one
+// DirtyChunkWords is the granularity of dirty-region tracking: one
 // generation stamp per 64-word (512-byte) chunk of the window.
-const dirtyChunkWords = 64
+const DirtyChunkWords = 64
 
 // DirtyTracker records which chunks of a window were written after a
 // generation its caller remembers (§6.2, incremental checkpoints): gen
@@ -38,7 +38,7 @@ const summaryChunks = 64
 
 // NewDirtyTracker tracks a window of the given size, all clean.
 func NewDirtyTracker(words int) DirtyTracker {
-	chunks := (words + dirtyChunkWords - 1) / dirtyChunkWords
+	chunks := (words + DirtyChunkWords - 1) / DirtyChunkWords
 	return DirtyTracker{
 		words:    words,
 		chunkGen: make([]uint64, chunks),
@@ -52,7 +52,7 @@ func (t *DirtyTracker) Mark(off, n int) {
 		return
 	}
 	t.gen++
-	first, last := off/dirtyChunkWords, (off+n-1)/dirtyChunkWords
+	first, last := off/DirtyChunkWords, (off+n-1)/DirtyChunkWords
 	for c := first; c <= last; c++ {
 		t.chunkGen[c] = t.gen
 	}
@@ -65,11 +65,15 @@ func (t *DirtyTracker) Mark(off, n int) {
 // every later one above.
 func (t *DirtyTracker) Gen() uint64 { return t.gen }
 
+// Stamp returns the generation of the last Mark that touched the chunk
+// holding word off, 0 for a chunk never marked.
+func (t *DirtyTracker) Stamp(off int) uint64 { return t.chunkGen[off/DirtyChunkWords] }
+
 // Next returns the first chunk starting at or after word `from` that was
 // marked after generation since, as the word range [off, off+n) — n is the
 // chunk size, less for a short last chunk. ok is false when none is left.
 func (t *DirtyTracker) Next(from int, since uint64) (off, n int, ok bool) {
-	for c := (from + dirtyChunkWords - 1) / dirtyChunkWords; c < len(t.chunkGen); {
+	for c := (from + DirtyChunkWords - 1) / DirtyChunkWords; c < len(t.chunkGen); {
 		t.stampsRead++
 		if t.summary[c/summaryChunks] <= since {
 			c = (c/summaryChunks + 1) * summaryChunks // a clean block
@@ -78,8 +82,8 @@ func (t *DirtyTracker) Next(from int, since uint64) (off, n int, ok bool) {
 		for end := min((c/summaryChunks+1)*summaryChunks, len(t.chunkGen)); c < end; c++ {
 			t.stampsRead++
 			if t.chunkGen[c] > since {
-				off = c * dirtyChunkWords
-				return off, min(dirtyChunkWords, t.words-off), true
+				off = c * DirtyChunkWords
+				return off, min(DirtyChunkWords, t.words-off), true
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // chunk-granular ranges and that a second read with the returned cursor
 // sees nothing.
 func TestDirtyTrackingRanges(t *testing.T) {
-	const words = 4 * dirtyChunkWords
+	const words = 4 * DirtyChunkWords
 	w := NewWorld(Config{N: 1, WindowWords: words})
 	p := w.Proc(0)
 	dst := make([]uint64, words)
@@ -22,16 +22,16 @@ func TestDirtyTrackingRanges(t *testing.T) {
 
 	// One word in chunk 0, one in chunk 2.
 	p.WriteAt(3, []uint64{7})
-	p.WriteAt(2*dirtyChunkWords+5, []uint64{9})
+	p.WriteAt(2*DirtyChunkWords+5, []uint64{9})
 	ranges, gen = p.LocalReadDirty(dst, gen)
 	want := []DirtyRange{
-		{Off: 0, Len: dirtyChunkWords},
-		{Off: 2 * dirtyChunkWords, Len: dirtyChunkWords},
+		{Off: 0, Len: DirtyChunkWords},
+		{Off: 2 * DirtyChunkWords, Len: DirtyChunkWords},
 	}
 	if len(ranges) != len(want) || ranges[0] != want[0] || ranges[1] != want[1] {
 		t.Fatalf("ranges = %v, want %v", ranges, want)
 	}
-	if dst[3] != 7 || dst[2*dirtyChunkWords+5] != 9 {
+	if dst[3] != 7 || dst[2*DirtyChunkWords+5] != 9 {
 		t.Fatal("dirty read did not copy the written words")
 	}
 
@@ -41,9 +41,9 @@ func TestDirtyTrackingRanges(t *testing.T) {
 	}
 
 	// Adjacent chunks merge into one range.
-	p.WriteAt(dirtyChunkWords-1, []uint64{1, 2}) // spans chunks 0 and 1
+	p.WriteAt(DirtyChunkWords-1, []uint64{1, 2}) // spans chunks 0 and 1
 	ranges, _ = p.LocalReadDirty(dst, gen)
-	if len(ranges) != 1 || ranges[0].Off != 0 || ranges[0].Len != 2*dirtyChunkWords {
+	if len(ranges) != 1 || ranges[0].Off != 0 || ranges[0].Len != 2*DirtyChunkWords {
 		t.Fatalf("spanning write produced ranges %v", ranges)
 	}
 }
@@ -55,7 +55,7 @@ func TestDirtyTrackingRanges(t *testing.T) {
 // the chunks it changed, with the new contents copied out.
 func TestDirtyTrackingRemoteOps(t *testing.T) {
 	const (
-		c     = dirtyChunkWords
+		c     = DirtyChunkWords
 		words = 4 * c
 	)
 	chunk := func(i int) []DirtyRange { return []DirtyRange{{Off: i * c, Len: c}} }
@@ -153,17 +153,21 @@ func TestDirtyTrackerStampsRead(t *testing.T) {
 		d := NewDirtyTracker(words)
 		since := d.Gen()
 		if tc.chunk >= 0 {
-			d.Mark(tc.chunk*dirtyChunkWords+5, 1)
+			d.Mark(tc.chunk*DirtyChunkWords+5, 1)
 		}
 		var got []int
 		for off, n, ok := d.Next(0, since); ok; off, n, ok = d.Next(off+n, since) {
-			got = append(got, off/dirtyChunkWords)
+			got = append(got, off/DirtyChunkWords)
 		}
 		if want := []int{tc.chunk}; tc.chunk >= 0 && !slices.Equal(got, want) || tc.chunk < 0 && got != nil {
 			t.Errorf("%s: the walk found chunks %v, want %d", tc.name, got, tc.chunk)
 		}
 		if d.stampsRead != tc.want {
 			t.Errorf("%s: the walk read %d stamps, want %d", tc.name, d.stampsRead, tc.want)
+		}
+		if tc.chunk >= 0 && (d.Stamp(tc.chunk*DirtyChunkWords+63) != d.Gen() || d.Stamp((tc.chunk^1)*DirtyChunkWords) != 0) {
+			t.Errorf("%s: Stamp gives %d for the marked chunk and %d for its neighbour, want %d and 0",
+				tc.name, d.Stamp(tc.chunk*DirtyChunkWords+63), d.Stamp((tc.chunk^1)*DirtyChunkWords), d.Gen())
 		}
 	}
 }

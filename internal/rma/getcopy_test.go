@@ -6,7 +6,7 @@ import "testing"
 // slice is private (filled at epoch close) and the data still lands in the
 // window through the runtime.
 func TestGetCopyNonAliasing(t *testing.T) {
-	const words = 4 * dirtyChunkWords
+	const words = 4 * DirtyChunkWords
 	w := NewWorld(Config{N: 2, WindowWords: words})
 	w.Run(func(r int) {
 		p := w.Proc(r)
@@ -15,7 +15,7 @@ func TestGetCopyNonAliasing(t *testing.T) {
 		}
 		p.Barrier()
 		if r == 0 {
-			dest := p.GetCopy(1, 0, 3, 2*dirtyChunkWords)
+			dest := p.GetCopy(1, 0, 3, 2*DirtyChunkWords)
 			if dest[0] != 0 {
 				t.Error("GetCopy dest filled before the epoch closed")
 			}
@@ -25,7 +25,7 @@ func TestGetCopyNonAliasing(t *testing.T) {
 			}
 			// Writes through the returned slice must NOT reach the window.
 			dest[0] = 0xbad
-			if got := p.ReadAt(2*dirtyChunkWords, 1)[0]; got != 7 {
+			if got := p.ReadAt(2*DirtyChunkWords, 1)[0]; got != 7 {
 				t.Errorf("window word = %#x; GetCopy returned an alias", got)
 			}
 		}
@@ -37,7 +37,7 @@ func TestGetCopyNonAliasing(t *testing.T) {
 // close is visible to generation-stamp dirty tracking — the property that
 // makes GetCopy checkpoint-safe.
 func TestGetCopyMarksLandingDirty(t *testing.T) {
-	const words = 4 * dirtyChunkWords
+	const words = 4 * DirtyChunkWords
 	w := NewWorld(Config{N: 2, WindowWords: words})
 	dst := make([]uint64, words)
 	_, gen := w.Proc(0).LocalReadDirty(dst, 0)
@@ -48,7 +48,7 @@ func TestGetCopyMarksLandingDirty(t *testing.T) {
 		}
 		p.Barrier()
 		if r == 0 {
-			p.GetCopy(1, 0, 1, 3*dirtyChunkWords)
+			p.GetCopy(1, 0, 1, 3*DirtyChunkWords)
 			p.Flush(1)
 		}
 		p.Gsync()
@@ -56,15 +56,15 @@ func TestGetCopyMarksLandingDirty(t *testing.T) {
 	ranges, _ := w.Proc(0).LocalReadDirty(dst, gen)
 	found := false
 	for _, r := range ranges {
-		if r.Off <= 3*dirtyChunkWords && 3*dirtyChunkWords < r.Off+r.Len {
+		if r.Off <= 3*DirtyChunkWords && 3*DirtyChunkWords < r.Off+r.Len {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("GetCopy landing not stamped dirty (ranges %v)", ranges)
 	}
-	if dst[3*dirtyChunkWords] != 41 {
-		t.Fatalf("landing word = %#x, want 41", dst[3*dirtyChunkWords])
+	if dst[3*DirtyChunkWords] != 41 {
+		t.Fatalf("landing word = %#x, want 41", dst[3*DirtyChunkWords])
 	}
 }
 

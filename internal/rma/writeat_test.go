@@ -61,13 +61,13 @@ func TestSelfEpochGetCopyPutOrdering(t *testing.T) {
 // TestWriteAtPreservesStamps: a local write is stamped at chunk
 // granularity, and a read with the returned cursor sees nothing more.
 func TestWriteAtPreservesStamps(t *testing.T) {
-	w := NewWorld(Config{N: 1, WindowWords: 4 * dirtyChunkWords})
+	w := NewWorld(Config{N: 1, WindowWords: 4 * DirtyChunkWords})
 	p := w.Proc(0)
 
-	p.WriteAt(dirtyChunkWords, []uint64{1, 2, 3})
-	dst := make([]uint64, 4*dirtyChunkWords)
+	p.WriteAt(DirtyChunkWords, []uint64{1, 2, 3})
+	dst := make([]uint64, 4*DirtyChunkWords)
 	ranges, gen := p.LocalReadDirty(dst, 0)
-	if len(ranges) != 1 || ranges[0].Off != dirtyChunkWords || ranges[0].Len != dirtyChunkWords {
+	if len(ranges) != 1 || ranges[0].Off != DirtyChunkWords || ranges[0].Len != DirtyChunkWords {
 		t.Fatalf("dirty ranges after WriteAt: %v", ranges)
 	}
 

@@ -252,6 +252,40 @@ func TestFabricBatchAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestFabricGetAllocsSteadyState pins the target side of a get: a
+// steady-state flush that carries one GetCopy allocates only the slice
+// GetCopy returns to its caller. The target copies the get's words once,
+// into a pooled buffer that its reply gathers from and its LG log copies
+// from; the requester decodes the reply into the returned slice and lands
+// it in its window.
+func TestFabricGetAllocsSteadyState(t *testing.T) {
+	const n = 2
+	nodes, _, frs := startObsFabric(t, n, 1, confTuning)
+	for _, fr := range frs {
+		fr.SetEnabled(false)
+	}
+	nd := nodes[0].nd
+	flush := func() {
+		nd.GetCopy(1, 0, 8, 8)
+		nd.Flush(1)
+	}
+	for i := 0; i < 50; i++ {
+		flush()
+	}
+	avg := testing.AllocsPerRun(100, flush)
+	budget := 1.0
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts: the batch flush's 7
+		// (TestFabricBatchAllocsSteadyState), the get buffer's pool and the
+		// returned slice; 5–8/op measured.
+		budget = 9
+	}
+	if avg > budget {
+		t.Fatalf("a flush of one GetCopy allocates %.1f/op steady state, want <= %.0f", avg, budget)
+	}
+	t.Logf("a flush of one GetCopy, steady state: %.1f allocs/op", avg)
+}
+
 // TestFabricBulkFlushBytesSteadyState is the allocation pin in the bulk-shm
 // shape of the repo benchmark: every rank of four puts 4096 words to each
 // of its three peers, flushes, and syncs. A steady-state flush — the three

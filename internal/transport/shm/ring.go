@@ -150,19 +150,20 @@ func (r *ring) read(p []byte, deadline time.Time) (int, error) {
 		if closed {
 			return 0, io.EOF
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return 0, os.ErrDeadlineExceeded
-		}
 		if spun < r.spin {
 			spun++
 			runtime.Gosched()
 			continue
 		}
+		// The deadline is read once per park, not per spin: a deadline
+		// that passes during the spin ends the read at the park after it.
 		poll := r.poll
 		if !deadline.IsZero() {
-			if until := time.Until(deadline); until < poll {
-				poll = until
+			until := time.Until(deadline)
+			if until <= 0 {
+				return 0, os.ErrDeadlineExceeded
 			}
+			poll = min(poll, until)
 		}
 		park(r.bellData, r.readTimer, poll)
 	}

@@ -105,6 +105,30 @@ func TestReadDeadline(t *testing.T) {
 	}
 }
 
+// TestReadDeadlineDuringSpin: a deadline that passes while the reader is
+// still spinning ends the read at the park after the spin. The poll
+// interval is longer than the test, so a reader that parked without
+// reading the deadline would not return in time.
+func TestReadDeadlineDuringSpin(t *testing.T) {
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { leakcheck.Goroutines(t, base) })
+	f, err := NewFabric(2, FabricConfig{RingBytes: minRingBytes, SpinYield: 100000, PollInterval: time.Minute})
+	if err != nil {
+		t.Fatalf("NewFabric: %v", err)
+	}
+	t.Cleanup(func() { f.Close() })
+	d, _ := dialPair(t, f)
+	d.SetReadDeadline(time.Now().Add(time.Millisecond))
+	start := time.Now()
+	_, err = d.Read(make([]byte, 8))
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("the read returned %v after a 1 ms deadline", el)
+	}
+}
+
 func TestCloseUnblocksPeerWithEOF(t *testing.T) {
 	f := newTestFabric(t, 2, minRingBytes)
 	d, a := dialPair(t, f)

@@ -39,10 +39,11 @@
 //     frame body from a pool; a payload larger than the buffer is read
 //     straight into its body. Request bodies are handed to the handler and
 //     recycled when it returns — the handler must not retain the payload
-//     (every decoder in this repo copies what it keeps). Word vectors can
-//     be viewed in place via Dec.WordsView. A Call reply belongs to the
-//     caller, which may keep views of its word vectors (Dec.WordsAlias)
-//     instead of copies: the fabric's recovery receives each window once.
+//     unless Config.Keep leaves it the body (the fabric's parity install
+//     keeps its shard so). Word vectors can be viewed in place via
+//     Dec.WordsView. A Call reply belongs to the caller, which may keep
+//     views of its word vectors (Dec.WordsAlias) instead of copies: the
+//     fabric's recovery receives each window once.
 //   - Pool: frame bodies and staging buffers are pooled by power-of-two
 //     size class, so a recycled body serves any frame of its class; bodies
 //     above 1 MiB (base, parity and window fetches) are allocated to size
@@ -130,7 +131,7 @@ var ErrDown = errors.New("wire: connection down")
 //
 // The payload is only valid until the handler returns: request bodies are
 // pooled and recycled. A handler that keeps data must copy it (Dec's
-// Words/Str already do).
+// Words/Str already do), unless Config.Keep names the request's type.
 type Handler func(t byte, payload []byte) (byte, []byte, error)
 
 // VecHandler is the zero-copy variant of Handler: it may return a
@@ -185,6 +186,12 @@ type Config struct {
 	// buffer a few small frames (TCP and shm rings do; an unbuffered
 	// net.Pipe can leave two readers each waiting for the other to read).
 	Inline func(t byte) bool
+	// Keep, when set, reports whether the handler keeps the request body of
+	// a request of type t. The connection then leaves that body to the
+	// handler instead of recycling it when the handler returns, so the
+	// handler may keep views of it (Dec.WordsAlias) — the one way a handler
+	// keeps request data without copying it. Nil keeps none.
+	Keep func(t byte) bool
 	// Heartbeat is the interval of outgoing heartbeat frames; 0 disables.
 	Heartbeat time.Duration
 	// ReadTimeout is the rolling per-frame read deadline — the failure
@@ -789,7 +796,7 @@ func (c *Conn) serve(f frame, h *handler) (claimed bool) {
 	if err != ErrLater {
 		c.reply(f.id, rt, b, v, err)
 	}
-	if f.payload != nil {
+	if f.payload != nil && (c.cfg.Keep == nil || !c.cfg.Keep(f.t)) {
 		Recycle(f.payload)
 	}
 	return claimed
@@ -942,8 +949,22 @@ func (v *Vec) Raw(b []byte) { v.hdr.b = append(v.hdr.b, b...) }
 // production as Enc.Words — aliasing w instead of copying it (on
 // little-endian hosts; big-endian falls back to an in-header copy).
 func (v *Vec) Words(w []uint64) {
-	v.hdr.I(len(w))
+	v.WordsStart(len(w))
+	v.WordsPart(w)
+}
+
+// WordsStart opens a word vector of n words that is gathered from several
+// slices: the WordsPart calls that follow it append them in order, and
+// their lengths must add up to n. Together they are the production Words
+// makes of the parts' concatenation.
+func (v *Vec) WordsStart(n int) {
+	v.hdr.I(n)
 	v.pad8()
+}
+
+// WordsPart appends w to the word vector WordsStart opened, aliasing it as
+// Words does.
+func (v *Vec) WordsPart(w []uint64) {
 	if len(w) == 0 {
 		return
 	}
@@ -1254,8 +1275,8 @@ func (d *Dec) WordsView(scratch []uint64) []uint64 {
 // slice aliases the payload; otherwise the words decode into a fresh slice,
 // as Words does. So the caller must own the payload for as long as it keeps
 // the slice: a Call reply it never recycles, never a handler's request body,
-// which the connection recycles. Writes through the slice land in the
-// payload.
+// which the connection recycles unless Config.Keep leaves it to the
+// handler. Writes through the slice land in the payload.
 func (d *Dec) WordsAlias() []uint64 {
 	n := d.wordsHeader()
 	if d.fail {

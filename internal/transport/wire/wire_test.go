@@ -116,6 +116,40 @@ func TestVecMatchesEnc(t *testing.T) {
 	v.Release()
 }
 
+// TestVecWordsParts: a word vector gathered from parts (WordsStart, then
+// WordsPart per part, empty ones included) is the production Words makes
+// of the parts' concatenation, flattened and as a chunk list.
+func TestVecWordsParts(t *testing.T) {
+	parts := [][]uint64{{1, 2, 3}, nil, {4}, {5, 6, 7, 8, 9}}
+	var all []uint64
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	var e Enc
+	e.B(1)
+	e.Words(all)
+	e.B(2)
+	want := e.Bytes()
+	v := NewVec()
+	defer v.Release()
+	v.B(1)
+	v.WordsStart(len(all))
+	for _, p := range parts {
+		v.WordsPart(p)
+	}
+	v.B(2)
+	if got := v.appendTo(nil); !bytes.Equal(got, want) {
+		t.Fatalf("appendTo:\n got %x\nwant %x", got, want)
+	}
+	var chunked []byte
+	for _, ch := range v.buffers(nil, nil)[1:] {
+		chunked = append(chunked, ch...)
+	}
+	if !bytes.Equal(chunked, want) {
+		t.Fatalf("buffers:\n got %x\nwant %x", chunked, want)
+	}
+}
+
 // TestWordsAlignment pins the wire rule: a word run starts at an 8-byte
 // multiple of the payload offset, with zero padding in between.
 func TestWordsAlignment(t *testing.T) {

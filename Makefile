@@ -55,7 +55,8 @@ race:
 # crisis begun while parity hosts hold the barrier's folds, a batch
 # acked just before its target dies, and the copy-on-write base against
 # the full-copy one (TestCopyOnWriteBase, through a kill and replace among
-# them) — thirty times more, and the wire's
+# them), and the paper's stencil and FFT run on the fabric with a kill of
+# each rank (TestAppsOnFabric) — thirty times more, and the wire's
 # dispatch (inline requests on the reader, replies answered later, a warm
 # handler parked for the rest) with the per-phase frame budget of the
 # barrier through the parity hosts — no request handed off its reader —
@@ -67,7 +68,7 @@ stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
 	$(GO) test -race -count=10 -run TestFabric ./internal/transport
 	$(GO) test -race -count=5 ./internal/fabric
-	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies|TestCopyOnWriteBase' ./internal/fabric
+	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies|TestCopyOnWriteBase|TestAppsOnFabric' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire
 	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestHeldFolds|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable' ./internal/fabric
 

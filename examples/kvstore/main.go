@@ -32,11 +32,11 @@ func main() {
 	var results []result
 	for _, kind := range []string{"no-FT", "f-puts", "f-puts-gets", "ML"} {
 		w := rma.NewWorld(rma.Config{N: n, WindowWords: cfg.WindowWords()})
-		var apiFor func(r int) rma.API
+		var apiFor func(r int) rma.FullAPI
 		var sys *ftrma.System
 		switch kind {
 		case "no-FT":
-			apiFor = func(r int) rma.API { return w.Proc(r) }
+			apiFor = func(r int) rma.FullAPI { return w.Proc(r) }
 		case "f-puts", "f-puts-gets":
 			var err error
 			sys, err = ftrma.NewSystem(w, ftrma.Config{
@@ -46,13 +46,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			apiFor = func(r int) rma.API { return sys.Process(r) }
+			apiFor = func(r int) rma.FullAPI { return sys.Process(r) }
 		case "ML":
 			ml, err := mlog.NewSystem(w, mlog.Config{RanksPerLogger: 4, LogGets: true})
 			if err != nil {
 				log.Fatal(err)
 			}
-			apiFor = func(r int) rma.API { return ml.Process(r) }
+			apiFor = func(r int) rma.FullAPI { return ml.Process(r) }
 		}
 		total := 0
 		collisions := 0

@@ -136,11 +136,11 @@ func Init(api rma.API, cfg Config) {
 		}
 	}
 	api.WriteAt(0, win)
-	api.Barrier()
+	rma.Barrier(api)
 	if ck, ok := api.(Checkpointer); ok {
 		ck.UCCheckpoint()
 	}
-	api.Barrier()
+	rma.Barrier(api)
 }
 
 // Run executes iterations [from, to): each is a full forward 3D FFT whose
@@ -292,22 +292,22 @@ func iteration(api rma.API, cfg Config, it int) {
 	// Phase 1: FFT along x, transpose A -> B within the process row.
 	rma.ReadWindow(api, win)
 	fftX(win, cfg, line)
-	api.Compute(float64(nl*nl) * lineFlops)
+	rma.Compute(api, float64(nl*nl)*lineFlops)
 	for rd := 0; rd < cfg.Q; rd++ {
 		packA(win, cfg, rd, buf)
 		api.Put(rd*cfg.Q+cc, cfg.offB()+r*cfg.blockWords(), buf)
-		api.Compute(packFlops)
+		rma.Compute(api, packFlops)
 	}
 	api.Gsync()
 
 	// Phase 2: FFT along y, transpose B -> C within the process column.
 	rma.ReadWindow(api, win) // fresh stage B from the gsync
 	fftY(win, cfg, line)
-	api.Compute(float64(nl*nl) * lineFlops)
+	rma.Compute(api, float64(nl*nl)*lineFlops)
 	for cd := 0; cd < cfg.Q; cd++ {
 		packB(win, cfg, cd, buf)
 		api.Put(r*cfg.Q+cd, cfg.offC()+cc*cfg.blockWords(), buf)
-		api.Compute(packFlops)
+		rma.Compute(api, packFlops)
 	}
 	api.Gsync()
 
@@ -316,11 +316,11 @@ func iteration(api rma.API, cfg Config, it int) {
 	// form process row c.
 	rma.ReadWindow(api, win) // fresh stage C from the gsync
 	fftZ(win, cfg, line, r, cc, it)
-	api.Compute(float64(nl*nl) * lineFlops)
+	rma.Compute(api, float64(nl*nl)*lineFlops)
 	for cd := 0; cd < cfg.Q; cd++ {
 		packC(win, cfg, cd, buf)
 		api.Put(cc*cfg.Q+cd, cfg.offA()+r*cfg.blockWords(), buf)
-		api.Compute(packFlops)
+		rma.Compute(api, packFlops)
 	}
 	api.Gsync()
 }

@@ -57,7 +57,7 @@ func (c Config) WindowWords() int {
 
 // Store is a handle bound to one rank's API.
 type Store struct {
-	api rma.API
+	api rma.FullAPI
 	cfg Config
 	rng *rand.Rand
 
@@ -70,7 +70,7 @@ type Store struct {
 }
 
 // New binds a store to a rank. Seed fixes the think-time stream.
-func New(api rma.API, cfg Config, seed int64) (*Store, error) {
+func New(api rma.FullAPI, cfg Config, seed int64) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

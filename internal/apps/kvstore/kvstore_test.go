@@ -221,10 +221,10 @@ func TestLoggingOverheadOrdering(t *testing.T) {
 	}
 	run := func(kind string) float64 {
 		w := rma.NewWorld(rma.Config{N: n, WindowWords: cfg.WindowWords()})
-		var apiFor func(r int) rma.API
+		var apiFor func(r int) rma.FullAPI
 		switch kind {
 		case "noft":
-			apiFor = func(r int) rma.API { return w.Proc(r) }
+			apiFor = func(r int) rma.FullAPI { return w.Proc(r) }
 		case "fputs", "fputsgets":
 			sys, err := ftrma.NewSystem(w, ftrma.Config{
 				Groups: 1, ChecksumsPerGroup: 1,
@@ -233,13 +233,13 @@ func TestLoggingOverheadOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			apiFor = func(r int) rma.API { return sys.Process(r) }
+			apiFor = func(r int) rma.FullAPI { return sys.Process(r) }
 		case "ml":
 			sys, err := mlog.NewSystem(w, mlog.Config{RanksPerLogger: 1, LogGets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			apiFor = func(r int) rma.API { return sys.Process(r) }
+			apiFor = func(r int) rma.FullAPI { return sys.Process(r) }
 		}
 		w.Run(func(r int) {
 			s, err := New(apiFor(r), cfg, int64(r))

@@ -83,11 +83,11 @@ func Init(api rma.API, cfg Config) {
 		}
 	}
 	api.WriteAt(0, win)
-	api.Barrier()
+	rma.Barrier(api)
 	if ck, ok := api.(Checkpointer); ok {
 		ck.UCCheckpoint()
 	}
-	api.Barrier()
+	rma.Barrier(api)
 }
 
 // computePhase updates the interior of buffer (it+1)%2 from buffer it%2.
@@ -125,7 +125,7 @@ func Run(api rma.API, cfg Config, from, to int) {
 	for it := from; it < to; it++ {
 		rma.ReadWindow(api, win)
 		computePhase(win, cfg, it)
-		api.Compute(float64(cfg.RowsPerRank*(w-2)) * 7) // 7 flops per cell
+		rma.Compute(api, float64(cfg.RowsPerRank*(w-2))*7) // 7 flops per cell
 		next := (it + 1) % 2
 		api.WriteAt(cfg.rowOff(next, 1),
 			win[cfg.rowOff(next, 1):cfg.rowOff(next, cfg.RowsPerRank+1)])

@@ -17,7 +17,7 @@
 //     batching contract as the tcp transport).
 //   - Access logs: each rank logs its own puts towards every target
 //     (LP, source-side) and the gets peers issue against its window (LG,
-//     target-side) in a local ftrma.LogHost. A rank's death therefore
+//     target-side) in a local ftrma.LogStore. A rank's death therefore
 //     loses none of the logs needed to replay it: they all live on
 //     survivors.
 //   - Checkpoint parity: ranks form Groups groups (rank r belongs to
@@ -97,8 +97,10 @@
 //
 // The fabric is deliberately scoped to the paper's cheap path: causal
 // (conflict-free) workloads, coordinated checkpoints at every gsync, one
-// failure at a time. Combining accumulates, structure locks, and demand
-// checkpoints stay on the in-process ftrma stack. Survivability is
+// failure at a time. A Node serves rma.API, the interface the paper's
+// stencil and FFT are written against, and not rma.FullAPI: combining
+// accumulates, atomics, structure locks, and demand checkpoints stay on
+// the in-process ftrma stack. Survivability is
 // ftrma.Classify over the membership and hosting tables with one parity
 // level: there is no coordinated level to roll back to, so every verdict
 // but causal — several ranks dead at once (a second failure mid-crisis

@@ -72,8 +72,16 @@ func (l *pipeListener) Close() error {
 	if !l.closed {
 		l.closed = true
 		close(l.done)
-		for len(l.ch) > 0 {
-			(<-l.ch).Close() // accepted by nobody any more
+		// Close what is left in the backlog, accepted by nobody any more. An
+		// Accept already under way may still take one, so the drain must not
+		// wait for the connection it saw.
+		for {
+			select {
+			case c := <-l.ch:
+				c.Close()
+			default:
+				return nil
+			}
 		}
 	}
 	return nil

@@ -181,7 +181,7 @@ type Node struct {
 
 	// logMu guards the access logs and the causal counters.
 	logMu sync.Mutex
-	logs  ftrma.LogHost
+	logs  *ftrma.LogStore
 	ec    []int // per-target epoch counters
 	sc    int   // global put sequence
 	gc    int   // global get counter
@@ -1302,57 +1302,11 @@ func (nd *Node) ackBatch(target, phase int, ops []pendOp, reply []byte) {
 	}
 }
 
-// Unsupported rma.API surface (see the package doc: the fabric is scoped
-// to causal workloads; the in-process ftrma stack runs the rest).
-func (nd *Node) Accumulate(target, off int, data []uint64, op rma.ReduceOp) {
-	if op == rma.OpReplace {
-		nd.Put(target, off, data)
-		return
-	}
-	panic("fabric: combining Accumulate requires the in-process ftrma stack")
-}
-
-// CompareAndSwap implements rma.API by rejection.
-func (nd *Node) CompareAndSwap(target, off int, old, new uint64) uint64 {
-	panic("fabric: CompareAndSwap requires the in-process ftrma stack")
-}
-
-// FetchAndOp implements rma.API by rejection.
-func (nd *Node) FetchAndOp(target, off int, operand uint64, op rma.ReduceOp) uint64 {
-	panic("fabric: FetchAndOp requires the in-process ftrma stack")
-}
-
-// GetAccumulate implements rma.API by rejection.
-func (nd *Node) GetAccumulate(target, off int, data []uint64, op rma.ReduceOp) []uint64 {
-	panic("fabric: GetAccumulate requires the in-process ftrma stack")
-}
-
-// Lock implements rma.API by rejection.
-func (nd *Node) Lock(target, str int) {
-	panic("fabric: structure locks require the in-process ftrma stack")
-}
-
-// Unlock implements rma.API by rejection.
-func (nd *Node) Unlock(target, str int) {
-	panic("fabric: structure locks require the in-process ftrma stack")
-}
-
-// Barrier implements rma.API by rejection (Gsync is the fabric's only
-// collective).
-func (nd *Node) Barrier() {
-	panic("fabric: Barrier requires the in-process ftrma stack; use Gsync")
-}
-
-// Compute implements rma.API (the fabric carries no virtual clock).
-func (nd *Node) Compute(flops float64) {}
-
-// Now implements rma.API.
-func (nd *Node) Now() float64 { return 0 }
-
-// Gsync implements rma.API on top of Sync.
+// Gsync implements rma.API on top of Sync. It panics with Sync's error
+// wrapped, so a recover can still test it with errors.Is.
 func (nd *Node) Gsync() {
 	if err := nd.Sync(); err != nil {
-		panic(fmt.Sprintf("fabric: gsync: %v", err))
+		panic(fmt.Errorf("fabric: gsync: %w", err))
 	}
 }
 

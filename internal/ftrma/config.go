@@ -30,7 +30,7 @@
 //
 // # State residence
 //
-// The System holds every rank's access logs (LogHost) and every (group,
+// The System holds every rank's access logs (LogStore) and every (group,
 // level)'s parity shards next to the runtime (hosting.go). By default
 // the shards model the paper's infallible checksum processes;
 // Config.PeerParityHosts tags each level with an elected hosting rank, so
@@ -40,7 +40,7 @@
 //
 // # Invariants
 //
-//   - Byte accounting: LogHost.Bytes() — the value the §6.2 demand
+//   - Byte accounting: LogStore.Bytes() — the value the §6.2 demand
 //     budget compares against Config.Log.BudgetBytes — always equals the
 //     summed footprints (64 + 8·payload words) of the live records;
 //     logs_property_test.go asserts it after every mutation.

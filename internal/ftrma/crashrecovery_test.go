@@ -44,7 +44,7 @@ func crWindowWords() int { return 6*crRanks + crOps }
 // the collective gsync. The stream depends only on (seed, phase, rank), so
 // the oracle run, the failure run, and any post-fallback re-execution all
 // issue identical accesses.
-func crPhase(p rma.API, seed int64, phase int, combining bool) {
+func crPhase(p rma.FullAPI, seed int64, phase int, combining bool) {
 	r, n := p.Rank(), p.N()
 	rng := rand.New(rand.NewSource(seed ^ int64(phase)*1_000_003 ^ int64(r)*777_767))
 	aCur := (phase % 2) * 2 * n

@@ -457,7 +457,7 @@ func TestGsyncSchemeTakesCoordinatedCheckpoints(t *testing.T) {
 	}
 	// CC clears logs.
 	for r := 0; r < 4; r++ {
-		if b := sys.Process(r).LogBytes(); b != 0 {
+		if b := sys.Process(r).logs.Bytes(); b != 0 {
 			t.Errorf("rank %d still holds %d log bytes after CC", r, b)
 		}
 	}
@@ -491,8 +491,8 @@ func TestLocksSchemeCheckpoint(t *testing.T) {
 		p.Lock((r+1)%3, rma.StrWindow)
 		p.PutValue((r+1)%3, 0, uint64(r))
 		p.Unlock((r+1)%3, rma.StrWindow)
-		if p.LockCounter() != 0 {
-			t.Errorf("rank %d LC = %d, want 0", r, p.LockCounter())
+		if p.lc != 0 {
+			t.Errorf("rank %d LC = %d, want 0", r, p.lc)
 		}
 		p.CheckpointLocks()
 	})
@@ -555,7 +555,7 @@ func TestDemandCheckpointTrimsLogs(t *testing.T) {
 	if st.LogBytesTrimmed == 0 {
 		t.Error("no log bytes trimmed")
 	}
-	if b := sys.Process(0).LogBytes(); b > 64*1024 {
+	if b := sys.Process(0).logs.Bytes(); b > 64*1024 {
 		t.Errorf("logs grew unboundedly: %d bytes", b)
 	}
 }
@@ -585,7 +585,7 @@ func TestStreamingDemandCheckpointCostOrdering(t *testing.T) {
 				for i := range data {
 					data[i] = uint64(i + 1)
 				}
-				p.Inner().WriteAt(0, data)
+				p.inner.WriteAt(0, data)
 				p.takeUCCheckpoint()
 			}
 		})

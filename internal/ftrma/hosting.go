@@ -7,11 +7,10 @@ package ftrma
 // and a checksum process (CH) per group holds the parity shards. The
 // System keeps both next to the runtime:
 //
-//   - LogHost is the exported face of one rank's LP/LG records and N/M
-//     flags, implemented by the arena-backed logStore: the calls the
-//     symmetric fabric (internal/fabric) makes on the store it holds in
-//     each rank's own process (NewLocalLogHost). The in-process System
-//     calls the store's unexported methods directly.
+//   - LogStore (logs.go) holds one rank's LP/LG records and N/M flags in
+//     a slab arena. The System keeps one per rank; the symmetric fabric
+//     (internal/fabric) holds one in each rank's own process
+//     (NewLocalLogHost).
 //   - parityHost holds one (group, level)'s parity shards. With
 //     Config.PeerParityHosts each level is tagged with an elected hosting
 //     rank, whose death loses the shards and forces the rebuild and
@@ -36,45 +35,10 @@ const (
 	NumLevels = 2
 )
 
-// LogHost is one rank's access-log state: the put logs LP[q], the get
-// logs LG[q], and the N/M recovery flags of §4, implemented by the
-// arena-backed logStore. Byte returns are exact (they drive the §6.2
-// demand checkpoint budget), and CopyLP/CopyLG return owned records that
-// later trims cannot perturb.
-//
-// Callers serialize protocol-level access with the owning rank's
-// StrLP/StrLG/StrMeta structure locks; the store additionally guards its
-// own memory.
-type LogHost interface {
-	// AppendLP logs a put towards target and returns the host's total log
-	// footprint in bytes after the append.
-	AppendLP(target int, rec LogRecord) int
-	// AppendLG logs a get that src issued at this rank; returns the total
-	// footprint after the append.
-	AppendLG(src int, rec LogRecord) int
-	// FlagN reads the N flag for src.
-	FlagN(src int) bool
-	// FlagM reads the M flag towards target (§4.2).
-	FlagM(target int) bool
-	// CopyLP materializes LP[target] into owned records (recovery fetch).
-	CopyLP(target int) []LogRecord
-	// CopyLG materializes LG[src] into owned records (recovery fetch).
-	CopyLG(src int) []LogRecord
-	// TrimLP drops put records towards target covered by the target's
-	// checkpoint (EC < epochNow) and returns the bytes freed.
-	TrimLP(target, epochNow int) int
-	// TrimLG drops get records of issuer src covered by its checkpoint
-	// snapshot ((GNC, GC) lexicographically below) and returns the bytes
-	// freed.
-	TrimLG(src, snapGNC, snapGC int) int
-	// Bytes returns the total log footprint at this rank.
-	Bytes() int
-}
-
-// NewLocalLogHost returns an in-memory LogHost backed by the slab-arena
-// log store. Fabric nodes hold their rank's records in it; zero/negative
-// tuning values select the defaults.
-func NewLocalLogHost(slabWords, segmentRecords int, compactFraction float64) LogHost {
+// NewLocalLogHost returns an in-memory LogStore: the slab-arena access-log
+// store a fabric node holds its rank's records in. Zero/negative tuning
+// values select the defaults.
+func NewLocalLogHost(slabWords, segmentRecords int, compactFraction float64) *LogStore {
 	c := Config{Log: LogConfig{
 		SlabWords:       slabWords,
 		SegmentRecords:  segmentRecords,
@@ -82,43 +46,6 @@ func NewLocalLogHost(slabWords, segmentRecords int, compactFraction float64) Log
 	}}
 	return newLogStore(c.logTuning())
 }
-
-// ---- logStore as a LogHost --------------------------------------------------
-
-var _ LogHost = (*logStore)(nil)
-
-// AppendLP implements LogHost over the arena store.
-func (s *logStore) AppendLP(q int, r LogRecord) int {
-	s.appendLP(q, r)
-	return s.bytes()
-}
-
-// AppendLG implements LogHost over the arena store.
-func (s *logStore) AppendLG(q int, r LogRecord) int {
-	s.appendLG(q, r)
-	return s.bytes()
-}
-
-// FlagN implements LogHost.
-func (s *logStore) FlagN(q int) bool { return s.flagN(q) }
-
-// FlagM implements LogHost.
-func (s *logStore) FlagM(q int) bool { return s.flagM(q) }
-
-// CopyLP implements LogHost.
-func (s *logStore) CopyLP(q int) []LogRecord { return s.copyLP(q) }
-
-// CopyLG implements LogHost.
-func (s *logStore) CopyLG(q int) []LogRecord { return s.copyLG(q) }
-
-// TrimLP implements LogHost.
-func (s *logStore) TrimLP(q, epochNow int) int { return s.trimLP(q, epochNow) }
-
-// TrimLG implements LogHost.
-func (s *logStore) TrimLG(q, snapGNC, snapGC int) int { return s.trimLG(q, snapGNC, snapGC) }
-
-// Bytes implements LogHost.
-func (s *logStore) Bytes() int { return s.bytes() }
 
 // ---- Parity hosting ---------------------------------------------------------
 

@@ -28,7 +28,7 @@ func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64
 		for i := range init {
 			init[i] = uint64(r)<<32 | uint64(i)
 		}
-		p.Inner().WriteAt(0, init)
+		p.inner.WriteAt(0, init)
 		p.UCCheckpoint()
 		p.Barrier() // all inits visible before any remote puts race them
 		rng := rand.New(rand.NewSource(int64(100 + r)))
@@ -38,7 +38,7 @@ func runIncrementalScenario(t *testing.T, m int, full bool) ([][]uint64, float64
 			// (two unordered writers to one word would make the final
 			// contents interleaving-dependent, which is an application
 			// race, not a checkpointing property).
-			p.Inner().WriteAt(rng.Intn(250), []uint64{rng.Uint64(), rng.Uint64()})
+			p.inner.WriteAt(rng.Intn(250), []uint64{rng.Uint64(), rng.Uint64()})
 			if r == 2 && round >= 3 {
 				// A write through the API's WriteAt, outside the region
 				// the Inner() writes above reach.
@@ -110,9 +110,9 @@ func runFallbackScenario(t *testing.T, m int, full bool) [][]uint64 {
 		for i := range init {
 			init[i] = uint64(r*1000 + i)
 		}
-		p.Inner().WriteAt(0, init)
+		p.inner.WriteAt(0, init)
 		p.CheckpointLocks() // coordinated checkpoint of the initial state
-		p.Inner().WriteAt(2*r, []uint64{0xfeed})
+		p.inner.WriteAt(2*r, []uint64{0xfeed})
 		if r == 0 {
 			// Combining put raises M at rank 2: causal recovery of rank 2
 			// becomes illegal and the system must roll back to the
@@ -179,7 +179,7 @@ func TestFallbackTwiceRestoresCoordinatedState(t *testing.T) {
 	}
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().WriteAt(0, fill(r, 1))
+		p.inner.WriteAt(0, fill(r, 1))
 		p.CheckpointLocks()
 	})
 	w.Kill(2)
@@ -189,7 +189,7 @@ func TestFallbackTwiceRestoresCoordinatedState(t *testing.T) {
 	// A fresh coordinated round with new data, then a second failure.
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().WriteAt(0, fill(r, 2))
+		p.inner.WriteAt(0, fill(r, 2))
 		p.CheckpointLocks()
 	})
 	w.Kill(2)
@@ -231,7 +231,7 @@ func TestCausalRecoveryAfterFallback(t *testing.T) {
 	}
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().WriteAt(0, base(r))
+		p.inner.WriteAt(0, base(r))
 		p.CheckpointLocks()
 	})
 	// Rank 0 advances past the coordinated state and checkpoints it.
@@ -240,7 +240,7 @@ func TestCausalRecoveryAfterFallback(t *testing.T) {
 			return
 		}
 		p := sys.Process(0)
-		p.Inner().WriteAt(0, []uint64{0xdeadbeef})
+		p.inner.WriteAt(0, []uint64{0xdeadbeef})
 		p.UCCheckpoint()
 	})
 	// Concurrent failures in different groups: causal recovery impossible,
@@ -285,10 +285,10 @@ func TestIncrementalCheckpointTransfersLess(t *testing.T) {
 			for i := range big {
 				big[i] = uint64(i + 1)
 			}
-			p.Inner().WriteAt(0, big)
+			p.inner.WriteAt(0, big)
 			p.UCCheckpoint()
 			t0 := p.Now()
-			p.Inner().WriteAt(7, []uint64{42}) // one dirty chunk
+			p.inner.WriteAt(7, []uint64{42}) // one dirty chunk
 			p.UCCheckpoint()
 			_ = t0
 		})

@@ -24,7 +24,7 @@ const (
 //
 // LogRecord is the protocol's wire/replay representation: recovery fetches
 // materialize stored records into this form with an owned Data slice. While
-// a record sits in a logStore its payload lives in the store's slab arena
+// a record sits in a LogStore its payload lives in the store's slab arena
 // instead (see logRec), so appends never copy per-record heap slices.
 type LogRecord struct {
 	Kind     LogKind
@@ -232,7 +232,7 @@ type logTuning struct {
 	compactRatio float64
 }
 
-// logStore holds one rank's protocol-side log state: its put logs LP_p[q]
+// LogStore holds one rank's protocol-side log state: its put logs LP_p[q]
 // (source side) and the get logs LG_p[q] it stores for gets other ranks
 // issued at it (target side), plus the N and M flags and the order
 // counters. Access from other ranks is serialized by the owning rank's
@@ -247,7 +247,7 @@ type logTuning struct {
 // mutation. The arena mirrors the same invariant at word granularity:
 // arena.live is the summed payload words of live records and never exceeds
 // arena.used.
-type logStore struct {
+type LogStore struct {
 	// mu guards the record maps, the arena, and the byte counters for
 	// memory safety; the rma structure locks (StrLP/StrLG) remain the
 	// protocol-level mutual exclusion. The distinction matters for the
@@ -273,8 +273,8 @@ type logStore struct {
 	lgBytes int
 }
 
-func newLogStore(t logTuning) *logStore {
-	s := &logStore{
+func newLogStore(t logTuning) *LogStore {
+	s := &LogStore{
 		cfg:   t,
 		lp:    make(map[int]*peerLog),
 		lg:    make(map[int]*peerLog),
@@ -285,56 +285,60 @@ func newLogStore(t logTuning) *logStore {
 	return s
 }
 
-// bytes returns the total log footprint at this rank.
-func (s *logStore) bytes() int {
+// Bytes returns the total log footprint at this rank.
+func (s *LogStore) Bytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lpBytes + s.lgBytes
 }
 
 // setN sets N_p[q] (written remotely under the StrMeta structure lock).
-func (s *logStore) setN(q int, v bool) {
+func (s *LogStore) setN(q int, v bool) {
 	s.mu.Lock()
 	s.nFlag[q] = v
 	s.mu.Unlock()
 }
 
-// flagN reads N_p[q].
-func (s *logStore) flagN(q int) bool {
+// FlagN reads N_p[q].
+func (s *LogStore) FlagN(q int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nFlag[q]
 }
 
-// flagM reads M_p[q].
-func (s *logStore) flagM(q int) bool {
+// FlagM reads M_p[q].
+func (s *LogStore) FlagM(q int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mFlag[q]
 }
 
-// appendLP logs a put p -> q at the source. The payload words of r.Data are
-// copied into the arena; the caller keeps ownership of the slice.
-func (s *logStore) appendLP(q int, r LogRecord) {
+// AppendLP logs a put p -> q at the source and returns the store's total
+// footprint after the append. The payload words of r.Data are copied into
+// the arena; the caller keeps ownership of the slice.
+func (s *LogStore) AppendLP(q int, r LogRecord) int {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.lpBytes += s.appendPeer(s.lp, q, r)
 	if r.Combine {
 		s.mFlag[q] = true
 	}
-	s.mu.Unlock()
+	return s.lpBytes + s.lgBytes
 }
 
-// appendLG logs a get issued by q at this (target) rank.
-func (s *logStore) appendLG(q int, r LogRecord) {
+// AppendLG logs a get issued by q at this (target) rank and returns the
+// store's total footprint after the append.
+func (s *LogStore) AppendLG(q int, r LogRecord) int {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.lgBytes += s.appendPeer(s.lg, q, r)
-	s.mu.Unlock()
+	return s.lpBytes + s.lgBytes
 }
 
 // appendPeer stores one record: payload into the arena, fields into the
 // peer ring's tail segment, watermarks and aggregates updated incrementally.
 // Steady state — a recycled segment and slab available — allocates nothing.
-func (s *logStore) appendPeer(m map[int]*peerLog, q int, r LogRecord) int {
+func (s *LogStore) appendPeer(m map[int]*peerLog, q int, r LogRecord) int {
 	pl := m[q]
 	if pl == nil {
 		pl = &peerLog{}
@@ -377,7 +381,7 @@ func (s *logStore) appendPeer(m map[int]*peerLog, q int, r LogRecord) int {
 	return fp
 }
 
-func (s *logStore) getSegment() *segment {
+func (s *LogStore) getSegment() *segment {
 	if seg := s.segFree; seg != nil {
 		s.segFree = seg.next
 		seg.next = nil
@@ -388,7 +392,7 @@ func (s *logStore) getSegment() *segment {
 	return seg
 }
 
-func (s *logStore) recycleSegment(seg *segment) {
+func (s *LogStore) recycleSegment(seg *segment) {
 	seg.reset()
 	seg.next = s.segFree
 	s.segFree = seg
@@ -397,7 +401,7 @@ func (s *logStore) recycleSegment(seg *segment) {
 // materialize copies a peer log out into owned LogRecords (recovery fetch:
 // the replayed records must stay bit-identical even after the source rank
 // trims or compacts its arena, so the payloads are copied out under mu).
-func (s *logStore) materialize(pl *peerLog) []LogRecord {
+func (s *LogStore) materialize(pl *peerLog) []LogRecord {
 	if pl == nil {
 		return nil
 	}
@@ -429,28 +433,28 @@ func (s *logStore) materialize(pl *peerLog) []LogRecord {
 	return out
 }
 
-// copyLP returns a snapshot of LP[q] (recovery fetch path).
-func (s *logStore) copyLP(q int) []LogRecord {
+// CopyLP returns a snapshot of LP[q] (recovery fetch path).
+func (s *LogStore) CopyLP(q int) []LogRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.materialize(s.lp[q])
 }
 
-// copyLG returns a snapshot of LG[q] (recovery fetch path).
-func (s *logStore) copyLG(q int) []LogRecord {
+// CopyLG returns a snapshot of LG[q] (recovery fetch path).
+func (s *LogStore) CopyLG(q int) []LogRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.materialize(s.lg[q])
 }
 
-// trimLP deletes put logs towards q that are covered by q's checkpoint:
+// TrimLP deletes put logs towards q that are covered by q's checkpoint:
 // every record with EC below the issuer's current epoch towards q (those
 // epochs are closed, so the puts are part of the checkpointed state). It
 // recomputes the M flag and returns the bytes freed (§6.2). Fully covered
 // segments — the common case, since per-peer epoch counters only grow — are
 // dropped whole off the ring; only a segment straddling the watermark is
 // rescanned record by record.
-func (s *logStore) trimLP(q, epochNow int) int {
+func (s *LogStore) TrimLP(q, epochNow int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pl := s.lp[q]
@@ -464,10 +468,10 @@ func (s *logStore) trimLP(q, epochNow int) int {
 	return freed
 }
 
-// trimLG deletes get logs of issuer q that are covered by q's checkpoint
+// TrimLG deletes get logs of issuer q that are covered by q's checkpoint
 // snapshot counters (the confirmation of §6.2 carries GNC_q and GC_q; a
 // record strictly older in both is replayed never again).
-func (s *logStore) trimLG(q, snapGNC, snapGC int) int {
+func (s *LogStore) TrimLG(q, snapGNC, snapGC int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pl := s.lg[q]
@@ -483,7 +487,7 @@ func (s *logStore) trimLG(q, snapGNC, snapGC int) int {
 // trimPeer walks the segment ring once: segments whose watermark is covered
 // are unlinked in O(1), straddling segments are filtered in place. The freed
 // payload words stay in their slabs as dead space until compaction.
-func (s *logStore) trimPeer(pl *peerLog, c trimCond) int {
+func (s *LogStore) trimPeer(pl *peerLog, c trimCond) int {
 	freed := 0
 	var prev *segment
 	seg := pl.head
@@ -520,7 +524,7 @@ func (s *logStore) trimPeer(pl *peerLog, c trimCond) int {
 // filterSegment drops the covered records of one straddling segment,
 // compacting the survivors down and rebuilding the segment's watermarks and
 // aggregates.
-func (s *logStore) filterSegment(pl *peerLog, seg *segment, c trimCond) int {
+func (s *LogStore) filterSegment(pl *peerLog, seg *segment, c trimCond) int {
 	freed := 0
 	kept := 0
 	oldCombining := seg.combining
@@ -559,7 +563,7 @@ func (s *logStore) filterSegment(pl *peerLog, seg *segment, c trimCond) int {
 // clear drops every record (a coordinated checkpoint subsumes all logs) and
 // recycles the whole arena, returning the bytes freed. M flags are lowered;
 // N flags describe open epochs, not log contents, and are left alone.
-func (s *logStore) clear() int {
+func (s *LogStore) clear() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	freed := s.lpBytes + s.lgBytes
@@ -579,14 +583,14 @@ func (s *logStore) clear() int {
 
 // reset is clear plus dropped N flags (post-rollback: the aborted epochs
 // no longer exist).
-func (s *logStore) reset() {
+func (s *LogStore) reset() {
 	s.clear()
 	s.mu.Lock()
 	clear(s.nFlag)
 	s.mu.Unlock()
 }
 
-func (s *logStore) releasePeer(pl *peerLog) {
+func (s *LogStore) releasePeer(pl *peerLog) {
 	for seg := pl.head; seg != nil; {
 		next := seg.next
 		s.recycleSegment(seg)
@@ -601,7 +605,7 @@ func (s *logStore) releasePeer(pl *peerLog) {
 // threshold disables compaction), recycling the sparse slabs. Called with mu
 // held after trims; O(live words), amortized against the trims that created
 // the dead space.
-func (s *logStore) maybeCompact() {
+func (s *LogStore) maybeCompact() {
 	a := &s.arena
 	if a.used < 2*a.slabWords || s.cfg.compactRatio <= 0 {
 		return
@@ -631,7 +635,7 @@ func (s *logStore) maybeCompact() {
 	}
 }
 
-func (s *logStore) rewritePayloads(m map[int]*peerLog) {
+func (s *LogStore) rewritePayloads(m map[int]*peerLog) {
 	for _, pl := range m {
 		for seg := pl.head; seg != nil; seg = seg.next {
 			for i := 0; i < seg.n; i++ {
@@ -648,7 +652,7 @@ func (s *logStore) rewritePayloads(m map[int]*peerLog) {
 // demand-checkpoint victim of §6.2) and that size. The per-peer byte
 // aggregates are maintained incrementally by append and trim, so the scan
 // is O(peers) — independent of the record count.
-func (s *logStore) largestPeer() (int, int) {
+func (s *LogStore) largestPeer() (int, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	best, bestBytes := -1, 0
@@ -675,7 +679,7 @@ func (s *logStore) largestPeer() (int, int) {
 // liveFootprint recomputes the summed record footprints from scratch (the
 // slow O(records) walk the byte counters replace); tests assert it equals
 // bytes() after every mutation — the byte-accounting invariant.
-func (s *logStore) liveFootprint() int {
+func (s *LogStore) liveFootprint() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	total := 0

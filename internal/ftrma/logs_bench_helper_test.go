@@ -1,4 +1,4 @@
 package ftrma
 
-// newBenchLogStore builds a logStore with default tuning for benchmarks.
-func newBenchLogStore() *logStore { return newLogStore(Config{}.logTuning()) }
+// newBenchLogStore builds a LogStore with default tuning for benchmarks.
+func newBenchLogStore() *LogStore { return newLogStore(Config{}.logTuning()) }

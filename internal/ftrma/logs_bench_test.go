@@ -24,9 +24,9 @@ func BenchmarkLogAppendLP(b *testing.B) {
 	b.SetBytes(8 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.appendLP(1, benchRecord(i, payload))
+		s.AppendLP(1, benchRecord(i, payload))
 		if i%4096 == 4095 {
-			s.trimLP(1, i+1) // epoch advanced past every record: batch drop
+			s.TrimLP(1, i+1) // epoch advanced past every record: batch drop
 		}
 	}
 }
@@ -40,9 +40,9 @@ func BenchmarkLogAppendLG(b *testing.B) {
 	b.SetBytes(8 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.appendLG(1, LogRecord{Kind: LogGet, Src: 1, Data: payload, LocalOff: -1, GNC: i})
+		s.AppendLG(1, LogRecord{Kind: LogGet, Src: 1, Data: payload, LocalOff: -1, GNC: i})
 		if i%4096 == 4095 {
-			s.trimLG(1, i+1, 0)
+			s.TrimLG(1, i+1, 0)
 		}
 	}
 }
@@ -56,10 +56,10 @@ func BenchmarkLogTrimLP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for j := 0; j < 4096; j++ {
-			s.appendLP(1, benchRecord(j, payload))
+			s.AppendLP(1, benchRecord(j, payload))
 		}
 		b.StartTimer()
-		if freed := s.trimLP(1, 4096); freed == 0 {
+		if freed := s.TrimLP(1, 4096); freed == 0 {
 			b.Fatal("trim freed nothing")
 		}
 	}
@@ -76,8 +76,8 @@ func BenchmarkLargestPeer(b *testing.B) {
 			payload := make([]uint64, 8)
 			for q := 0; q < 16; q++ {
 				for j := 0; j < recs; j++ {
-					s.appendLP(q, LogRecord{Trg: q, Data: payload, EC: j})
-					s.appendLG(q, LogRecord{Src: q, Data: payload, GNC: j})
+					s.AppendLP(q, LogRecord{Trg: q, Data: payload, EC: j})
+					s.AppendLG(q, LogRecord{Src: q, Data: payload, GNC: j})
 				}
 			}
 			b.ResetTimer()
@@ -96,13 +96,13 @@ func BenchmarkRecoveryFetch(b *testing.B) {
 	s := newBenchLogStore()
 	payload := make([]uint64, 8)
 	for j := 0; j < 4096; j++ {
-		s.appendLP(3, benchRecord(j, payload))
+		s.AppendLP(3, benchRecord(j, payload))
 	}
 	b.SetBytes(4096 * 8 * 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if lp := s.copyLP(3); len(lp) != 4096 {
+		if lp := s.CopyLP(3); len(lp) != 4096 {
 			b.Fatal("short fetch")
 		}
 	}

@@ -17,10 +17,10 @@ func tinyTuning() logTuning {
 
 // checkAccounting verifies the byte-accounting invariant bytes() ==
 // sum-of-live-record-footprints, plus the arena's live <= used counterpart.
-func checkAccounting(t *testing.T, s *logStore) bool {
+func checkAccounting(t *testing.T, s *LogStore) bool {
 	t.Helper()
-	if s.bytes() != s.liveFootprint() {
-		t.Logf("bytes() = %d, live footprint = %d", s.bytes(), s.liveFootprint())
+	if s.Bytes() != s.liveFootprint() {
+		t.Logf("bytes() = %d, live footprint = %d", s.Bytes(), s.liveFootprint())
 		return false
 	}
 	s.mu.Lock()
@@ -44,19 +44,19 @@ func TestLogStoreByteAccounting(t *testing.T) {
 			q := rng.Intn(4)
 			switch rng.Intn(6) {
 			case 0, 1:
-				s.appendLP(q, LogRecord{
+				s.AppendLP(q, LogRecord{
 					Trg: q, Data: make([]uint64, rng.Intn(8)),
 					EC: rng.Intn(5), Combine: rng.Intn(4) == 0,
 				})
 			case 2:
-				s.appendLG(q, LogRecord{
+				s.AppendLG(q, LogRecord{
 					Src: q, Data: make([]uint64, rng.Intn(8)),
 					GNC: rng.Intn(5), GC: rng.Intn(5),
 				})
 			case 3:
-				s.trimLP(q, rng.Intn(6))
+				s.TrimLP(q, rng.Intn(6))
 			case 4:
-				s.trimLG(q, rng.Intn(6), rng.Intn(6))
+				s.TrimLG(q, rng.Intn(6), rng.Intn(6))
 			case 5:
 				if rng.Intn(8) == 0 { // occasional coordinated clear
 					s.clear()
@@ -81,11 +81,11 @@ func TestTrimNeverDropsUncoveredRecords(t *testing.T) {
 		s := newLogStore(tinyTuning())
 		snap := int(snapRaw % 8)
 		for _, e := range ecs {
-			s.appendLP(1, LogRecord{Trg: 1, EC: int(e % 8), Data: []uint64{1}})
+			s.AppendLP(1, LogRecord{Trg: 1, EC: int(e % 8), Data: []uint64{1}})
 		}
-		s.trimLP(1, snap)
+		s.TrimLP(1, snap)
 		kept := map[int]int{}
-		for _, r := range s.copyLP(1) {
+		for _, r := range s.CopyLP(1) {
 			kept[r.EC]++
 		}
 		for _, e := range ecs {
@@ -123,11 +123,11 @@ func TestTrimPreservesPayloadsAndOrder(t *testing.T) {
 					data[i] = rng.Uint64()
 				}
 				ec := rng.Intn(8)
-				s.appendLP(1, LogRecord{Trg: 1, EC: ec, Data: data})
+				s.AppendLP(1, LogRecord{Trg: 1, EC: ec, Data: data})
 				want = append(want, oracle{ec: ec, data: append([]uint64(nil), data...)})
 			} else {
 				snap := rng.Intn(9)
-				s.trimLP(1, snap)
+				s.TrimLP(1, snap)
 				kept := want[:0]
 				for _, o := range want {
 					if o.ec >= snap {
@@ -136,7 +136,7 @@ func TestTrimPreservesPayloadsAndOrder(t *testing.T) {
 				}
 				want = kept
 			}
-			got := s.copyLP(1)
+			got := s.CopyLP(1)
 			if len(got) != len(want) {
 				return false
 			}
@@ -166,20 +166,20 @@ func TestMFlagTracksCombiningRecords(t *testing.T) {
 		s := newLogStore(tinyTuning())
 		for step := 0; step < 100; step++ {
 			if rng.Intn(3) > 0 {
-				s.appendLP(2, LogRecord{
+				s.AppendLP(2, LogRecord{
 					Trg: 2, EC: rng.Intn(5), Combine: rng.Intn(3) == 0,
 					Op: rma.OpSum, Data: []uint64{1},
 				})
 			} else {
-				s.trimLP(2, rng.Intn(6))
+				s.TrimLP(2, rng.Intn(6))
 			}
 			want := false
-			for _, r := range s.copyLP(2) {
+			for _, r := range s.CopyLP(2) {
 				if r.Combine {
 					want = true
 				}
 			}
-			if s.flagM(2) != want {
+			if s.FlagM(2) != want {
 				return false
 			}
 		}
@@ -200,20 +200,20 @@ func TestLargestPeerMatchesBruteForce(t *testing.T) {
 			q := rng.Intn(5)
 			switch rng.Intn(4) {
 			case 0, 1:
-				s.appendLP(q, LogRecord{Trg: q, Data: make([]uint64, rng.Intn(6)), EC: rng.Intn(4)})
+				s.AppendLP(q, LogRecord{Trg: q, Data: make([]uint64, rng.Intn(6)), EC: rng.Intn(4)})
 			case 2:
-				s.appendLG(q, LogRecord{Src: q, Data: make([]uint64, rng.Intn(6)), GNC: rng.Intn(4)})
+				s.AppendLG(q, LogRecord{Src: q, Data: make([]uint64, rng.Intn(6)), GNC: rng.Intn(4)})
 			case 3:
-				s.trimLP(q, rng.Intn(5))
+				s.TrimLP(q, rng.Intn(5))
 			}
 			_, gotBytes := s.largestPeer()
 			wantBytes := 0
 			for q := 0; q < 5; q++ {
 				b := 0
-				for _, r := range s.copyLP(q) {
+				for _, r := range s.CopyLP(q) {
 					b += r.Bytes()
 				}
-				for _, r := range s.copyLG(q) {
+				for _, r := range s.CopyLG(q) {
 					b += r.Bytes()
 				}
 				if b > wantBytes {

@@ -64,8 +64,8 @@ func TestLogStoreConcurrentRecoveryFetch(t *testing.T) {
 		go func(p int) {
 			defer writers.Done()
 			for seq := 0; seq < rounds; seq++ {
-				s.appendLP(p, stampedRecord(p, seq))
-				s.appendLG(p, stampedRecord(p, seq))
+				s.AppendLP(p, stampedRecord(p, seq))
+				s.AppendLG(p, stampedRecord(p, seq))
 			}
 		}(p)
 	}
@@ -76,8 +76,8 @@ func TestLogStoreConcurrentRecoveryFetch(t *testing.T) {
 		go func(p int) {
 			defer writers.Done()
 			for ec := 0; ec < rounds; ec += 16 {
-				s.trimLP(p, ec)
-				s.trimLG(p, ec/8, ec)
+				s.TrimLP(p, ec)
+				s.TrimLG(p, ec/8, ec)
 			}
 		}(p)
 	}
@@ -88,8 +88,8 @@ func TestLogStoreConcurrentRecoveryFetch(t *testing.T) {
 		go func(p int) {
 			defer readers.Done()
 			for !stop.Load() {
-				checkFetched(t, s.copyLP(p))
-				checkFetched(t, s.copyLG(p))
+				checkFetched(t, s.CopyLP(p))
+				checkFetched(t, s.CopyLG(p))
 			}
 		}(p)
 	}
@@ -99,10 +99,10 @@ func TestLogStoreConcurrentRecoveryFetch(t *testing.T) {
 		defer readers.Done()
 		for !stop.Load() {
 			s.largestPeer()
-			s.bytes()
-			s.flagM(1)
+			s.Bytes()
+			s.FlagM(1)
 			s.setN(2, true)
-			s.flagN(2)
+			s.FlagN(2)
 		}
 	}()
 
@@ -112,17 +112,17 @@ func TestLogStoreConcurrentRecoveryFetch(t *testing.T) {
 
 	// Quiet-point invariant: the incremental byte counters equal a full
 	// recount, and a final fetch is intact.
-	if got, want := s.bytes(), s.liveFootprint(); got != want {
+	if got, want := s.Bytes(), s.liveFootprint(); got != want {
 		t.Fatalf("byte accounting diverged under concurrency: bytes()=%d, recount=%d", got, want)
 	}
 	for p := 0; p < peers; p++ {
-		checkFetched(t, s.copyLP(p))
-		checkFetched(t, s.copyLG(p))
+		checkFetched(t, s.CopyLP(p))
+		checkFetched(t, s.CopyLG(p))
 	}
 	if freed := s.clear(); freed < 0 {
 		t.Fatalf("clear freed negative bytes: %d", freed)
 	}
-	if s.bytes() != 0 || s.liveFootprint() != 0 {
-		t.Fatalf("store not empty after clear: %d/%d", s.bytes(), s.liveFootprint())
+	if s.Bytes() != 0 || s.liveFootprint() != 0 {
+		t.Fatalf("store not empty after clear: %d/%d", s.Bytes(), s.liveFootprint())
 	}
 }

@@ -15,17 +15,17 @@ import (
 // record with equal GNC and smaller GC is.
 func TestTrimLGEqualCounters(t *testing.T) {
 	s := newLogStore(tinyTuning())
-	s.appendLG(1, LogRecord{Src: 1, GNC: 3, GC: 4, Data: []uint64{1}}) // < snap in GC
-	s.appendLG(1, LogRecord{Src: 1, GNC: 3, GC: 5, Data: []uint64{2}}) // == snap
-	s.appendLG(1, LogRecord{Src: 1, GNC: 3, GC: 6, Data: []uint64{3}}) // > snap
-	s.appendLG(1, LogRecord{Src: 1, GNC: 2, GC: 9, Data: []uint64{4}}) // GNC below
-	s.appendLG(1, LogRecord{Src: 1, GNC: 4, GC: 0, Data: []uint64{5}}) // GNC above
-	freed := s.trimLG(1, 3, 5)
+	s.AppendLG(1, LogRecord{Src: 1, GNC: 3, GC: 4, Data: []uint64{1}}) // < snap in GC
+	s.AppendLG(1, LogRecord{Src: 1, GNC: 3, GC: 5, Data: []uint64{2}}) // == snap
+	s.AppendLG(1, LogRecord{Src: 1, GNC: 3, GC: 6, Data: []uint64{3}}) // > snap
+	s.AppendLG(1, LogRecord{Src: 1, GNC: 2, GC: 9, Data: []uint64{4}}) // GNC below
+	s.AppendLG(1, LogRecord{Src: 1, GNC: 4, GC: 0, Data: []uint64{5}}) // GNC above
+	freed := s.TrimLG(1, 3, 5)
 	if freed != 2*(64+8) {
 		t.Errorf("freed %d bytes, want %d", freed, 2*(64+8))
 	}
 	var got []uint64
-	for _, r := range s.copyLG(1) {
+	for _, r := range s.CopyLG(1) {
 		got = append(got, r.Data[0])
 	}
 	want := []uint64{2, 3, 5}
@@ -47,11 +47,11 @@ func TestTrimLPStraddlingSegment(t *testing.T) {
 	s := newLogStore(logTuning{slabWords: 16, segRecords: 4, compactRatio: 0.5})
 	// 10 records, ECs 0..9: segments [0-3], [4-7], [8-9].
 	for ec := 0; ec < 10; ec++ {
-		s.appendLP(1, LogRecord{Trg: 1, EC: ec, Data: []uint64{uint64(ec)}})
+		s.AppendLP(1, LogRecord{Trg: 1, EC: ec, Data: []uint64{uint64(ec)}})
 	}
 	// Watermark 6 covers segment [0-3] whole and half of [4-7].
-	s.trimLP(1, 6)
-	recs := s.copyLP(1)
+	s.TrimLP(1, 6)
+	recs := s.CopyLP(1)
 	if len(recs) != 4 {
 		t.Fatalf("%d records survive, want 4 (EC 6..9)", len(recs))
 	}
@@ -60,16 +60,16 @@ func TestTrimLPStraddlingSegment(t *testing.T) {
 			t.Fatalf("record %d = EC %d data %v", i, r.EC, r.Data)
 		}
 	}
-	if s.bytes() != s.liveFootprint() {
+	if s.Bytes() != s.liveFootprint() {
 		t.Errorf("byte accounting broken after straddling trim")
 	}
 	// The filtered segment's watermark must now reflect only survivors:
 	// trimming at 10 must drop everything, including the filtered segment.
-	if s.trimLP(1, 10); len(s.copyLP(1)) != 0 {
+	if s.TrimLP(1, 10); len(s.CopyLP(1)) != 0 {
 		t.Error("follow-up trim left records behind")
 	}
-	if s.bytes() != 0 {
-		t.Errorf("bytes() = %d after dropping everything", s.bytes())
+	if s.Bytes() != 0 {
+		t.Errorf("bytes() = %d after dropping everything", s.Bytes())
 	}
 }
 
@@ -78,20 +78,20 @@ func TestTrimLPStraddlingSegment(t *testing.T) {
 // in a surviving one (flag must hold) — across segment boundaries.
 func TestTrimRecomputesMFlagAcrossSegments(t *testing.T) {
 	s := newLogStore(logTuning{slabWords: 16, segRecords: 2, compactRatio: 0.5})
-	s.appendLP(1, LogRecord{Trg: 1, EC: 0, Combine: true, Op: rma.OpSum, Data: []uint64{1}})
-	s.appendLP(1, LogRecord{Trg: 1, EC: 1, Data: []uint64{2}})
-	s.appendLP(1, LogRecord{Trg: 1, EC: 2, Data: []uint64{3}})
-	if !s.flagM(1) {
+	s.AppendLP(1, LogRecord{Trg: 1, EC: 0, Combine: true, Op: rma.OpSum, Data: []uint64{1}})
+	s.AppendLP(1, LogRecord{Trg: 1, EC: 1, Data: []uint64{2}})
+	s.AppendLP(1, LogRecord{Trg: 1, EC: 2, Data: []uint64{3}})
+	if !s.FlagM(1) {
 		t.Fatal("M flag not raised by combining append")
 	}
 	// EC 0 (the only combining record, in the first segment) is covered.
-	s.trimLP(1, 1)
-	if s.flagM(1) {
+	s.TrimLP(1, 1)
+	if s.FlagM(1) {
 		t.Error("M flag survives although the combining record was trimmed")
 	}
-	s.appendLP(1, LogRecord{Trg: 1, EC: 5, Combine: true, Op: rma.OpSum, Data: []uint64{4}})
-	s.trimLP(1, 3) // drops EC 1..2, keeps the combining EC 5
-	if !s.flagM(1) {
+	s.AppendLP(1, LogRecord{Trg: 1, EC: 5, Combine: true, Op: rma.OpSum, Data: []uint64{4}})
+	s.TrimLP(1, 3) // drops EC 1..2, keeps the combining EC 5
+	if !s.FlagM(1) {
 		t.Error("M flag lost although a combining record survives")
 	}
 }
@@ -189,16 +189,16 @@ func TestAppendSteadyStateZeroAlloc(t *testing.T) {
 	// Warm up: fill and trim once so the freelists hold a full cycle's
 	// slabs and segments.
 	for i := 0; i < 2048; i++ {
-		s.appendLP(1, LogRecord{Trg: 1, EC: ec, Data: payload})
+		s.AppendLP(1, LogRecord{Trg: 1, EC: ec, Data: payload})
 		ec++
 	}
-	s.trimLP(1, ec)
+	s.TrimLP(1, ec)
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 2048; i++ {
-			s.appendLP(1, LogRecord{Trg: 1, EC: ec, Data: payload})
+			s.AppendLP(1, LogRecord{Trg: 1, EC: ec, Data: payload})
 			ec++
 		}
-		s.trimLP(1, ec)
+		s.TrimLP(1, ec)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state append/trim cycle allocates %.1f times per 2048 records, want 0", allocs)
@@ -211,16 +211,16 @@ func TestAppendLGSteadyStateZeroAlloc(t *testing.T) {
 	payload := make([]uint64, 8)
 	gnc := 0
 	for i := 0; i < 2048; i++ {
-		s.appendLG(2, LogRecord{Src: 2, GNC: gnc, Data: payload})
+		s.AppendLG(2, LogRecord{Src: 2, GNC: gnc, Data: payload})
 		gnc++
 	}
-	s.trimLG(2, gnc, 0)
+	s.TrimLG(2, gnc, 0)
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 2048; i++ {
-			s.appendLG(2, LogRecord{Src: 2, GNC: gnc, Data: payload})
+			s.AppendLG(2, LogRecord{Src: 2, GNC: gnc, Data: payload})
 			gnc++
 		}
-		s.trimLG(2, gnc, 0)
+		s.TrimLG(2, gnc, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state LG append/trim cycle allocates %.1f times per 2048 records, want 0", allocs)
@@ -233,12 +233,12 @@ func TestAppendLGSteadyStateZeroAlloc(t *testing.T) {
 func TestCompactionReclaimsDeadSlabs(t *testing.T) {
 	s := newLogStore(logTuning{slabWords: 64, segRecords: 8, compactRatio: 0.5})
 	for ec := 0; ec < 256; ec++ {
-		s.appendLP(1, LogRecord{Trg: 1, EC: ec, Data: []uint64{uint64(ec), ^uint64(ec)}})
+		s.AppendLP(1, LogRecord{Trg: 1, EC: ec, Data: []uint64{uint64(ec), ^uint64(ec)}})
 	}
 	s.mu.Lock()
 	usedBefore := s.arena.used
 	s.mu.Unlock()
-	s.trimLP(1, 250) // 6 survivors out of 256
+	s.TrimLP(1, 250) // 6 survivors out of 256
 	s.mu.Lock()
 	live, used := s.arena.live, s.arena.used
 	s.mu.Unlock()
@@ -248,7 +248,7 @@ func TestCompactionReclaimsDeadSlabs(t *testing.T) {
 	if used >= usedBefore/4 {
 		t.Errorf("compaction left used = %d words (before: %d)", used, usedBefore)
 	}
-	for i, r := range s.copyLP(1) {
+	for i, r := range s.CopyLP(1) {
 		ec := uint64(250 + i)
 		if r.Data[0] != ec || r.Data[1] != ^ec {
 			t.Fatalf("survivor %d corrupted after compaction: %v", i, r.Data)

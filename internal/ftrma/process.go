@@ -25,7 +25,7 @@ type pendingGet struct {
 type Process struct {
 	inner *rma.Proc
 	sys   *System
-	logs  *logStore
+	logs  *LogStore
 
 	// Order-information counters (§4.1). gc, gnc, and scSelf are atomics
 	// because demand-checkpoint snapshots read them from other goroutines.
@@ -68,7 +68,7 @@ type Process struct {
 	ccDelta    float64
 }
 
-var _ rma.API = (*Process)(nil)
+var _ rma.FullAPI = (*Process)(nil)
 
 func newProcess(s *System, inner *rma.Proc) *Process {
 	words := inner.WindowWords()
@@ -107,15 +107,9 @@ func (p *Process) ReadInto(off int, dst []uint64) { p.inner.ReadInto(off, dst) }
 // runtime stamps it for the next incremental checkpoint.
 func (p *Process) WriteAt(off int, data []uint64) { p.inner.WriteAt(off, data) }
 
-// Inner exposes the wrapped runtime handle (tests and the harness use it).
-func (p *Process) Inner() *rma.Proc { return p.inner }
-
 // AdvanceTime charges local activity (e.g. application think time) to the
 // virtual clock, passing through to the runtime.
 func (p *Process) AdvanceTime(dt float64) { p.inner.AdvanceTime(dt) }
-
-// LogBytes returns the current log footprint at this rank.
-func (p *Process) LogBytes() int { return p.logs.Bytes() }
 
 // GNC returns the rank's gsync counter (§4.1 E); after a recovery it
 // reflects the restored checkpoint, telling applications which phase to
@@ -176,7 +170,7 @@ func (p *Process) Accumulate(target, off int, data []uint64, op rma.ReduceOp) {
 }
 
 // logPut records a put in LP_p[target] under the self-lock (other ranks may
-// be reading LP during a concurrent recovery, §3.2.3). appendLP copies the
+// be reading LP during a concurrent recovery, §3.2.3). AppendLP copies the
 // payload into the log arena, so the caller's slice is passed as-is.
 func (p *Process) logPut(target, off int, data []uint64, op rma.ReduceOp) {
 	self := p.Rank()
@@ -369,9 +363,6 @@ func (p *Process) Unlock(target, str int) {
 	p.gc.Add(1)
 	p.closeEpochTo(target)
 }
-
-// LockCounter returns LC_p.
-func (p *Process) LockCounter() int { return p.lc }
 
 // Flush closes the epoch towards target.
 func (p *Process) Flush(target int) {

@@ -120,7 +120,7 @@ func TestStreamPipelineModeledTime(t *testing.T) {
 			for i := range data {
 				data[i] = uint64(r+1)<<32 | uint64(i)
 			}
-			p.Inner().WriteAt(0, data)
+			p.inner.WriteAt(0, data)
 			p.UCCheckpoint()
 		})
 		return int(math.Round(w.MaxTime() * 1e6))
@@ -166,7 +166,7 @@ func TestMidStreamKillLosesCheckpointNotState(t *testing.T) {
 	putVals := []uint64{0xabc1, 0xabc2, 0xabc3}
 	w.Run(func(r int) {
 		p := sys.Process(r)
-		p.Inner().WriteAt(0, init(r))
+		p.inner.WriteAt(0, init(r))
 		p.UCCheckpoint()
 		p.Barrier()
 		if r == 0 {
@@ -192,7 +192,7 @@ func TestMidStreamKillLosesCheckpointNotState(t *testing.T) {
 		}
 		p := sys.Process(victim)
 		for c := 0; c < 8; c++ {
-			p.Inner().WriteAt(c*128, []uint64{0xdead0000 + uint64(c)})
+			p.inner.WriteAt(c*128, []uint64{0xdead0000 + uint64(c)})
 		}
 		p.UCCheckpoint() // dies mid-stream
 	})
@@ -231,11 +231,11 @@ func TestGetCopyPreservesStampTracking(t *testing.T) {
 	w.Run(func(r int) {
 		p := sys.Process(r)
 		if r == 1 {
-			p.Inner().WriteAt(0, []uint64{11, 22, 33, 44})
+			p.inner.WriteAt(0, []uint64{11, 22, 33, 44})
 		}
 		p.Barrier()
 		if r == 0 {
-			_, gen := p.Inner().LocalReadDirty(make([]uint64, 128), 0)
+			_, gen := p.inner.LocalReadDirty(make([]uint64, 128), 0)
 			got := p.GetCopy(1, 0, 3, 64)
 			p.Flush(1)
 			if got[0] != 11 || got[1] != 22 || got[2] != 33 {
@@ -249,7 +249,7 @@ func TestGetCopyPreservesStampTracking(t *testing.T) {
 				t.Errorf("write through GetCopy's result reached the window: %#x", win[0])
 			}
 			dst := make([]uint64, 128)
-			ranges, _ := p.Inner().LocalReadDirty(dst, gen)
+			ranges, _ := p.inner.LocalReadDirty(dst, gen)
 			if len(ranges) != 1 || ranges[0].Off > 64 || ranges[0].Off+ranges[0].Len < 67 || dst[66] != 33 {
 				t.Errorf("GetCopy landing not stamped dirty: ranges %v", ranges)
 			}

@@ -16,7 +16,7 @@ type fftProto struct {
 	name string
 	// build wraps the world with the protocol and returns the per-rank
 	// API plus an optional post-run stats hook.
-	build func(w *rma.World, cal fftCalibration) (func(r int) rma.API, func() string)
+	build func(w *rma.World, cal fftCalibration) (func(r int) rma.FullAPI, func() string)
 }
 
 // fftCalibration carries run-derived scheduling constants so every
@@ -76,10 +76,10 @@ func chGroups(p int, pct float64) int {
 // which is the point of Daly's formula.
 func fig10dProtos(p int) []fftProto {
 	return []fftProto{
-		{name: "no-FT", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
-			return func(r int) rma.API { return w.Proc(r) }, nil
+		{name: "no-FT", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
+			return func(r int) rma.FullAPI { return w.Proc(r) }, nil
 		}},
-		{name: "f-daly", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
+		{name: "f-daly", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
 			interval := 8 * cal.iterTime
 			mtbf := interval * interval / (2 * cal.ckptDelta)
 			sys, err := ftrma.NewSystem(w, ftrma.Config{
@@ -89,10 +89,10 @@ func fig10dProtos(p int) []fftProto {
 			if err != nil {
 				panic(err)
 			}
-			return func(r int) rma.API { return sys.Process(r) },
+			return func(r int) rma.FullAPI { return sys.Process(r) },
 				func() string { return fmt.Sprintf("cc=%d", sys.Stats().CCCheckpoints) }
 		}},
-		{name: "f-no-daly", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
+		{name: "f-no-daly", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
 			sys, err := ftrma.NewSystem(w, ftrma.Config{
 				Groups: chGroups(p, 12.5), ChecksumsPerGroup: 1,
 				FixedInterval: 2.5 * cal.iterTime,
@@ -100,26 +100,26 @@ func fig10dProtos(p int) []fftProto {
 			if err != nil {
 				panic(err)
 			}
-			return func(r int) rma.API { return sys.Process(r) },
+			return func(r int) rma.FullAPI { return sys.Process(r) },
 				func() string { return fmt.Sprintf("cc=%d", sys.Stats().CCCheckpoints) }
 		}},
-		{name: "SCR-RAM", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
+		{name: "SCR-RAM", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
 			sys, err := scr.NewSystem(w, scr.Config{
 				Mode: scr.RAM, Interval: 2.5 * cal.iterTime, Groups: chGroups(p, 12.5),
 			})
 			if err != nil {
 				panic(err)
 			}
-			return func(r int) rma.API { return sys.Process(r) }, nil
+			return func(r int) rma.FullAPI { return sys.Process(r) }, nil
 		}},
-		{name: "SCR-PFS", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
+		{name: "SCR-PFS", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
 			sys, err := scr.NewSystem(w, scr.Config{
 				Mode: scr.PFS, Interval: 2.5 * cal.iterTime, Groups: chGroups(p, 12.5),
 			})
 			if err != nil {
 				panic(err)
 			}
-			return func(r int) rma.API { return sys.Process(r) }, nil
+			return func(r int) rma.FullAPI { return sys.Process(r) }, nil
 		}},
 	}
 }
@@ -225,10 +225,10 @@ func Fig11b(sc Scale) Result {
 		YLabel: "GFlop/s (virtual)",
 	}
 	protos := []fftProto{
-		{name: "no-FT", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
-			return func(r int) rma.API { return w.Proc(r) }, nil
+		{name: "no-FT", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
+			return func(r int) rma.FullAPI { return w.Proc(r) }, nil
 		}},
-		{name: "ftRMA", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
+		{name: "ftRMA", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
 			sys, err := ftrma.NewSystem(w, ftrma.Config{
 				Groups: cal.groups, ChecksumsPerGroup: 1,
 				Log: ftrma.LogConfig{Puts: true},
@@ -236,14 +236,14 @@ func Fig11b(sc Scale) Result {
 			if err != nil {
 				panic(err)
 			}
-			return func(r int) rma.API { return sys.Process(r) }, nil
+			return func(r int) rma.FullAPI { return sys.Process(r) }, nil
 		}},
-		{name: "ML", build: func(w *rma.World, cal fftCalibration) (func(int) rma.API, func() string) {
+		{name: "ML", build: func(w *rma.World, cal fftCalibration) (func(int) rma.FullAPI, func() string) {
 			sys, err := mlog.NewSystem(w, mlog.Config{RanksPerLogger: 8})
 			if err != nil {
 				panic(err)
 			}
-			return func(r int) rma.API { return sys.Process(r) }, nil
+			return func(r int) rma.FullAPI { return sys.Process(r) }, nil
 		}},
 	}
 	for _, proto := range protos {
@@ -295,7 +295,7 @@ func Fig12(sc Scale) Result {
 					panic(err)
 				}
 			}
-			apiFor := func(r int) rma.API {
+			apiFor := func(r int) rma.FullAPI {
 				if sys != nil {
 					return sys.Process(r)
 				}

@@ -131,10 +131,10 @@ func runKV(kind string, p int, sc Scale) float64 {
 		ThinkRate:  1,
 	}
 	w := rma.NewWorld(rma.Config{N: p, WindowWords: cfg.WindowWords()})
-	var apiFor func(r int) rma.API
+	var apiFor func(r int) rma.FullAPI
 	switch kind {
 	case "no-FT":
-		apiFor = func(r int) rma.API { return w.Proc(r) }
+		apiFor = func(r int) rma.FullAPI { return w.Proc(r) }
 	case "f-puts", "f-puts-gets":
 		sys, err := ftrma.NewSystem(w, ftrma.Config{
 			Groups: chGroups(p, 12.5), ChecksumsPerGroup: 1,
@@ -143,13 +143,13 @@ func runKV(kind string, p int, sc Scale) float64 {
 		if err != nil {
 			panic(err)
 		}
-		apiFor = func(r int) rma.API { return sys.Process(r) }
+		apiFor = func(r int) rma.FullAPI { return sys.Process(r) }
 	case "ML":
 		sys, err := mlog.NewSystem(w, mlog.Config{RanksPerLogger: 8, LogGets: true})
 		if err != nil {
 			panic(err)
 		}
-		apiFor = func(r int) rma.API { return sys.Process(r) }
+		apiFor = func(r int) rma.FullAPI { return sys.Process(r) }
 	default:
 		panic("harness: unknown kv protocol " + kind)
 	}

@@ -78,39 +78,13 @@ func (s *System) Process(r int) *Process { return s.procs[r] }
 // loggerOf returns the logger serving a rank.
 func (s *System) loggerOf(r int) *logger { return s.loggers[r/s.cfg.RanksPerLogger] }
 
-// Records returns all records captured for the given source rank.
-func (s *System) Records(src int) []Record {
-	var out []Record
-	for _, lg := range s.loggers {
-		lg.mu.Lock()
-		for _, rec := range lg.log {
-			if rec.Src == src {
-				out = append(out, rec)
-			}
-		}
-		lg.mu.Unlock()
-	}
-	return out
-}
-
-// TotalRecords counts all captured records.
-func (s *System) TotalRecords() int {
-	n := 0
-	for _, lg := range s.loggers {
-		lg.mu.Lock()
-		n += len(lg.log)
-		lg.mu.Unlock()
-	}
-	return n
-}
-
 // Process wraps an rma.Proc with per-access logger interaction.
 type Process struct {
 	*rma.Proc
 	sys *System
 }
 
-var _ rma.API = (*Process)(nil)
+var _ rma.FullAPI = (*Process)(nil)
 
 // shipToLogger charges the protocol interaction of recording an access:
 // the access *data* stays at the sender's (or receiver's) side — a local

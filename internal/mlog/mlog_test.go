@@ -23,6 +23,20 @@ func TestConfigRejected(t *testing.T) {
 	}
 }
 
+// records collects, logger by logger, the records captured for source rank
+// src, or for every source when src < 0.
+func records(s *System, src int) []Record {
+	var out []Record
+	for _, lg := range s.loggers {
+		for _, rec := range lg.log {
+			if src < 0 || rec.Src == src {
+				out = append(out, rec)
+			}
+		}
+	}
+	return out
+}
+
 func TestPutsRecorded(t *testing.T) {
 	w, s := newSys(t, 2, 8, Config{RanksPerLogger: 2})
 	w.Run(func(r int) {
@@ -33,7 +47,7 @@ func TestPutsRecorded(t *testing.T) {
 			p.Flush(1)
 		}
 	})
-	recs := s.Records(0)
+	recs := records(s, 0)
 	if len(recs) != 2 {
 		t.Fatalf("%d records, want 2", len(recs))
 	}
@@ -59,7 +73,7 @@ func TestGetLoggingToggle(t *testing.T) {
 		if logGets {
 			want = 1
 		}
-		if got := s.TotalRecords(); got != want {
+		if got := len(records(s, -1)); got != want {
 			t.Errorf("logGets=%v: %d records, want %d", logGets, got, want)
 		}
 	}
@@ -75,7 +89,7 @@ func TestAtomicsRecorded(t *testing.T) {
 		}
 	})
 	// Each atomic: one put-side and one get-side record.
-	if got := s.TotalRecords(); got != 4 {
+	if got := len(records(s, -1)); got != 4 {
 		t.Errorf("%d records, want 4", got)
 	}
 }
@@ -120,12 +134,12 @@ func TestLoggerSharding(t *testing.T) {
 	})
 	// Ranks 0,1 share logger 0; ranks 2,3 share logger 1.
 	l0, l1 := 0, 0
-	for _, rec := range append(s.Records(0), s.Records(1)...) {
+	for _, rec := range append(records(s, 0), records(s, 1)...) {
 		if rec.Src/2 == 0 {
 			l0++
 		}
 	}
-	for _, rec := range append(s.Records(2), s.Records(3)...) {
+	for _, rec := range append(records(s, 2), records(s, 3)...) {
 		if rec.Src/2 == 1 {
 			l1++
 		}

@@ -62,7 +62,7 @@ func step(p rma.API, it int) {
 	for q := 0; q < p.N(); q++ {
 		p.PutValue(q, p.Rank(), uint64(1000*it+10*p.Rank()+7))
 	}
-	p.Compute(5e5) // some local work per iteration
+	rma.Compute(p, 5e5) // some local work per iteration
 	p.Gsync()
 }
 

@@ -104,10 +104,15 @@ func (op ReduceOp) apply(old, operand uint64) uint64 {
 	panic("rma: unknown reduce op")
 }
 
-// API is the programming interface applications are written against. It is
-// implemented by *Proc (the raw runtime, "no-FT"), by the fault-tolerance
-// layers (ftrma, scr, mlog) — which intercept the calls exactly like a PMPI
-// shim intercepts MPI calls (§6.1) — and by the fabric's symmetric Node.
+// API is the programming interface applications are written against, and
+// the one both runtimes serve: *Proc (the raw runtime, "no-FT"), the
+// fault-tolerance layers (ftrma, scr, mlog) — which intercept the calls
+// exactly like a PMPI shim intercepts MPI calls (§6.1) — and the fabric's
+// symmetric Node. It holds the causal subset of §2: window access,
+// replacing puts, gets, epoch closes and the gsync. What only the
+// in-process runtime offers — combining accumulates, atomics, structure
+// locks, the memory-free barrier and the virtual clock — is FullAPI, which
+// embeds it.
 //
 // No path in or out of the local window (ReadAt, WriteAt, GetCopy's
 // landing) hands out a reference to window memory: every write goes
@@ -132,9 +137,6 @@ type API interface {
 	Put(target, off int, data []uint64)
 	// PutValue is a single-word Put.
 	PutValue(target, off int, v uint64)
-	// Accumulate combines data into target's window with op
-	// (non-blocking). OpReplace makes it a replacing put.
-	Accumulate(target, off int, data []uint64, op ReduceOp)
 	// Get starts reading n words from target at off; the returned slice is
 	// filled when the epoch towards target closes.
 	Get(target, off, n int) []uint64
@@ -145,6 +147,29 @@ type API interface {
 	GetCopy(target, off, n, localOff int) []uint64
 	// GetBlocking reads and closes the epoch immediately.
 	GetBlocking(target, off, n int) []uint64
+
+	// Flush closes the epoch towards target: all outstanding accesses
+	// between the caller and target complete.
+	Flush(target int)
+	// FlushAll closes the epochs towards every target.
+	FlushAll()
+	// Gsync is the collective memory synchronization: closes all epochs
+	// everywhere and synchronizes all ranks.
+	Gsync()
+}
+
+// FullAPI is API plus the operations only the in-process runtime and its
+// fault-tolerance layers implement: the combining and atomic accesses of
+// the paper's §3.2/§4.2 schemes, structure locks, a barrier without memory
+// effects, and the virtual clock. Applications that need them (the
+// key-value store's CAS and FAO) take FullAPI; the rest take API and reach
+// Barrier and Compute through the helpers below.
+type FullAPI interface {
+	API
+
+	// Accumulate combines data into target's window with op
+	// (non-blocking). OpReplace makes it a replacing put.
+	Accumulate(target, off int, data []uint64, op ReduceOp)
 	// CompareAndSwap atomically replaces the word at target/off with new
 	// if it equals old; it returns the previous value. Blocking.
 	CompareAndSwap(target, off int, old, new uint64) uint64
@@ -159,14 +184,6 @@ type API interface {
 	Lock(target, str int)
 	// Unlock releases the structure and closes the epoch towards target.
 	Unlock(target, str int)
-	// Flush closes the epoch towards target: all outstanding accesses
-	// between the caller and target complete.
-	Flush(target int)
-	// FlushAll closes the epochs towards every target.
-	FlushAll()
-	// Gsync is the collective memory synchronization: closes all epochs
-	// everywhere and synchronizes all ranks.
-	Gsync()
 	// Barrier synchronizes all ranks without memory effects.
 	Barrier()
 
@@ -187,6 +204,24 @@ func ReadWindow(api API, dst []uint64) {
 		return
 	}
 	copy(dst, api.ReadAt(0, len(dst)))
+}
+
+// Barrier synchronizes all ranks: the implementation's Barrier when it has
+// one, otherwise its Gsync, a barrier that also closes every epoch.
+func Barrier(api API) {
+	if b, ok := api.(interface{ Barrier() }); ok {
+		b.Barrier()
+		return
+	}
+	api.Gsync()
+}
+
+// Compute charges flops of local computation to the implementation's
+// virtual clock, and does nothing on one without a clock.
+func Compute(api API, flops float64) {
+	if c, ok := api.(interface{ Compute(float64) }); ok {
+		c.Compute(flops)
+	}
 }
 
 // Structure identifiers for Lock/Unlock. Applications use StrWindow; the

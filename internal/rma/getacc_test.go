@@ -38,7 +38,7 @@ func TestGetAccumulateConcurrentExact(t *testing.T) {
 			p.GetAccumulate(0, 0, []uint64{1, 2}, OpSum)
 		}
 		p.Barrier()
-		got := p.World().Proc(0).ReadAt(0, 2)
+		got := p.world.Proc(0).ReadAt(0, 2)
 		if got[0] != n*per || got[1] != 2*n*per {
 			t.Errorf("rank %d sees %v, want [%d %d]", r, got, n*per, 2*n*per)
 		}
@@ -52,7 +52,7 @@ func TestGetAccumulateStats(t *testing.T) {
 			w.Proc(0).GetAccumulate(1, 0, []uint64{1, 2, 3}, OpSum)
 		}
 	})
-	s := w.Proc(0).Stats()
+	s := w.Proc(0).stats
 	if s.Accumulates != 1 || s.Gets != 1 || s.WordsPut != 3 || s.WordsGot != 3 {
 		t.Errorf("stats = %+v", s)
 	}

@@ -17,26 +17,11 @@ type pendingOp struct {
 	completeAt float64 // virtual completion time on the wire
 }
 
-// OpStats counts issued operations; used by tests and the benchmark
-// harness.
+// OpStats counts a rank's issued operations.
 type OpStats struct {
 	Puts, Gets, Accumulates, CAS, FAO int
 	Flushes, Locks, Unlocks, Gsyncs   int
 	WordsPut, WordsGot                int
-}
-
-func (s *OpStats) add(o OpStats) {
-	s.Puts += o.Puts
-	s.Gets += o.Gets
-	s.Accumulates += o.Accumulates
-	s.CAS += o.CAS
-	s.FAO += o.FAO
-	s.Flushes += o.Flushes
-	s.Locks += o.Locks
-	s.Unlocks += o.Unlocks
-	s.Gsyncs += o.Gsyncs
-	s.WordsPut += o.WordsPut
-	s.WordsGot += o.WordsGot
 }
 
 // TraceAction is the event delivered to a Tracer; package trace turns these
@@ -70,7 +55,7 @@ type Proc struct {
 	stats   OpStats
 }
 
-var _ API = (*Proc)(nil)
+var _ FullAPI = (*Proc)(nil)
 
 func newProc(w *World, rank int) *Proc {
 	return &Proc{
@@ -111,12 +96,6 @@ func (p *Proc) Now() float64 { return p.clock.Now() }
 
 // Epoch returns E(p->q), the current epoch number towards rank q.
 func (p *Proc) Epoch(q int) int { return p.epoch[q] }
-
-// Stats returns a copy of the operation counters.
-func (p *Proc) Stats() OpStats { return p.stats }
-
-// World returns the world this rank belongs to.
-func (p *Proc) World() *World { return p.world }
 
 // Compute charges flops of local work to the virtual clock.
 func (p *Proc) Compute(flops float64) {
@@ -561,7 +540,3 @@ func (p *Proc) Barrier() {
 		tr.OnAction(TraceAction{Kind: "barrier", Src: p.rank, Trg: -1})
 	})
 }
-
-// PendingTo reports the number of buffered accesses towards target (used by
-// the FT layers to decide whether an epoch is dirty).
-func (p *Proc) PendingTo(target int) int { return len(p.pending[target]) }

@@ -192,7 +192,7 @@ func TestFAOConcurrentAtomicity(t *testing.T) {
 			p.FetchAndOp(0, 0, 1, OpSum)
 		}
 		p.Barrier()
-		if got := p.World().Proc(0).ReadAt(0, 1)[0]; got != n*per {
+		if got := p.world.Proc(0).ReadAt(0, 1)[0]; got != n*per {
 			t.Errorf("rank %d sees counter %d, want %d", r, got, n*per)
 		}
 	})
@@ -400,7 +400,7 @@ func TestStatsCounting(t *testing.T) {
 		p.CompareAndSwap(1, 4, 0, 1)
 		p.FetchAndOp(1, 5, 1, OpSum)
 		p.Flush(1)
-		s := p.Stats()
+		s := p.stats
 		if s.Puts != 1 || s.Gets != 1 || s.Accumulates != 1 || s.CAS != 1 || s.FAO != 1 || s.Flushes != 1 {
 			t.Errorf("stats = %+v", s)
 		}
@@ -408,9 +408,8 @@ func TestStatsCounting(t *testing.T) {
 			t.Errorf("word counts = %d put, %d got", s.WordsPut, s.WordsGot)
 		}
 	})
-	total := w.TotalOps()
-	if total.Puts != 1 {
-		t.Errorf("TotalOps.Puts = %d", total.Puts)
+	if total := w.Proc(0).stats.Puts + w.Proc(1).stats.Puts; total != 1 {
+		t.Errorf("total puts = %d", total)
 	}
 }
 
@@ -470,12 +469,12 @@ func TestPendingToAndDroppedOnDeadTarget(t *testing.T) {
 		}
 		p := w.Proc(0)
 		p.PutValue(1, 0, 1)
-		if p.PendingTo(1) != 1 {
+		if len(p.pending[1]) != 1 {
 			t.Error("pending op not buffered")
 		}
 		w.Kill(1)
 		p.FlushAll() // must drop, not apply, the pending op
-		if p.PendingTo(1) != 0 {
+		if len(p.pending[1]) != 0 {
 			t.Error("pending op to dead rank not dropped")
 		}
 	})

@@ -276,14 +276,3 @@ func (w *World) MaxTime() float64 {
 	}
 	return max
 }
-
-// TotalOps sums the operation statistics across live ranks.
-func (w *World) TotalOps() OpStats {
-	var total OpStats
-	for r, p := range w.procs {
-		if w.Alive(r) {
-			total.add(p.Stats())
-		}
-	}
-	return total
-}

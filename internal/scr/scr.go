@@ -106,13 +106,6 @@ func NewSystem(w *rma.World, cfg Config) (*System, error) {
 // Process returns the SCR wrapper of a rank.
 func (s *System) Process(r int) *Process { return s.procs[r] }
 
-// Rounds reports completed checkpoint rounds.
-func (s *System) Rounds() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rounds
-}
-
 // Process wraps an rma.Proc: all operations pass through unchanged (SCR
 // does not log accesses); Gsync additionally drives the fixed-interval
 // coordinated checkpoint.
@@ -122,7 +115,7 @@ type Process struct {
 	lastCC float64
 }
 
-var _ rma.API = (*Process)(nil)
+var _ rma.FullAPI = (*Process)(nil)
 
 // Gsync synchronizes and, when the fixed interval elapsed, takes a
 // blocking collective checkpoint.

@@ -39,8 +39,8 @@ func TestCheckpointAtInterval(t *testing.T) {
 		}
 	})
 	// The first gsync anchors the schedule; the remaining two checkpoint.
-	if s.Rounds() != 2 {
-		t.Errorf("rounds = %d, want 2", s.Rounds())
+	if s.rounds != 2 {
+		t.Errorf("rounds = %d, want 2", s.rounds)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestNoCheckpointWhenDisabled(t *testing.T) {
 		s.Process(r).Gsync()
 		s.Process(r).Gsync()
 	})
-	if s.Rounds() != 0 {
-		t.Errorf("rounds = %d, want 0", s.Rounds())
+	if s.rounds != 0 {
+		t.Errorf("rounds = %d, want 0", s.rounds)
 	}
 }
 

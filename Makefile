@@ -49,8 +49,11 @@ race:
 # goroutines; the TestFabric pattern selects the get-allocation pin
 # TestFabricGetAllocsSteadyState), the in-package fabric tests under the
 # race detector, the recovery tests — kill and replace with every wait on
-# its event, a replacement killed before its first fold among them (the
-# TestReplace pattern selects TestReplacementKilledBeforeItsFirstFold), the
+# its event, a replacement killed before its first fold, a parity host's
+# replacement rebuilding the shard it inherits and a replacement lost
+# between its install and its confirm among them (the TestReplace pattern
+# selects TestReplacementKilledBeforeItsFirstFold,
+# TestReplacementHostsItsRebuiltShard and TestReplacementLostBeforeConfirm), the
 # windows a kill moves and allocates (TestRecoveryWindowTraffic), a
 # crisis begun while parity hosts hold the barrier's folds, a batch
 # acked just before its target dies, and the copy-on-write base against

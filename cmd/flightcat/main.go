@@ -58,8 +58,6 @@ func describe(e line) string {
 		return fmt.Sprintf("stage %s done in %dus (victim rank %d)", stage, e.C, e.B)
 	case "parity.fold":
 		return fmt.Sprintf("group %d phase %d, %d dirty ranges", e.A, e.B, e.C)
-	case "parity.handoff":
-		return fmt.Sprintf("group %d -> new host rank %d (version %d)", e.A, e.B, e.C)
 	case "replay.chunk":
 		return fmt.Sprintf("%d puts + %d gets installed in %dus", e.A, e.B, e.C)
 	}

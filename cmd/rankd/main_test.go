@@ -257,14 +257,18 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 			// Scrape every rank's live debug endpoint (the workers still
 			// serve until the shutdown notify) and demand the recovery left
 			// a full crisis timeline: nonzero span durations for every
-			// stage on at least one rank (the crisis arbiter).
+			// arbiter stage on one rank (the crisis arbiter), and for the
+			// rebuild on the victim's rank, where the replacement runs it.
 			byRank := scrapeFabricDebug(t, debugDir, wl.Ranks)
 			t.Logf("per-rank metrics report:\n%s", obs.FormatReport(byRank))
+			spanned := func(r int, st obs.CrisisStage) bool {
+				return byRank[r][obs.PromName(st.HistName())+"_sum"] > 0
+			}
 			arbiter := -1
-			for r, samples := range byRank {
+			for r := range byRank {
 				ok := true
 				for _, st := range obs.CrisisStages {
-					if samples[obs.PromName(st.HistName())+"_sum"] <= 0 {
+					if st != obs.CrisisRebuild && !spanned(r, st) {
 						ok = false
 						break
 					}
@@ -273,17 +277,17 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 					arbiter = r
 				}
 			}
-			if arbiter < 0 {
-				t.Fatalf("no rank exposes nonzero crisis span durations for every stage:\n%s", obs.FormatReport(byRank))
+			if arbiter < 0 || !spanned(tc.victim, obs.CrisisRebuild) {
+				t.Fatalf("no rank exposes nonzero crisis span durations for every arbiter stage, or the replacement none for its rebuild:\n%s", obs.FormatReport(byRank))
 			}
 			if byRank[arbiter]["fabric_crises"] < 1 {
 				t.Fatalf("arbiter rank %d counted no crisis", arbiter)
 			}
-			t.Logf("crisis timeline on arbiter rank %d: quiesce=%.0fus gather=%.0fus rebuild=%.0fus install=%.0fus total=%.0fus",
+			t.Logf("crisis timeline on arbiter rank %d: quiesce=%.0fus gather=%.0fus install=%.0fus total=%.0fus; rebuild=%.0fus at the replacement",
 				arbiter,
 				byRank[arbiter]["crisis_quiesce_us_sum"], byRank[arbiter]["crisis_gather_us_sum"],
-				byRank[arbiter]["crisis_rebuild_us_sum"], byRank[arbiter]["crisis_install_us_sum"],
-				byRank[arbiter]["crisis_total_us_sum"])
+				byRank[arbiter]["crisis_install_us_sum"], byRank[arbiter]["crisis_total_us_sum"],
+				byRank[tc.victim]["crisis_rebuild_us_sum"])
 			// The crisis close dumped flight rings to disk; the arbiter's
 			// ring carries the staged crisis events.
 			dumps, err := filepath.Glob(filepath.Join(debugDir, "flightrec-rank*-crisis*.jsonl"))

@@ -191,15 +191,15 @@ func TestCopyOnWriteBaseMatchesFullCopy(t *testing.T) {
 							}
 							continue
 						}
-						// The replacement's window is the join reply, which is the base.
-						in := &install{base: slices.Clone(shadow)}
+						// The replacement's window is its rebuilt base.
+						var rl ftrma.ReplayLogs
 						for k := rng.Intn(4); k > 0; k-- {
 							off, n := pick()
-							in.puts = append(in.puts, ftrma.LogRecord{Kind: ftrma.LogPut, Op: rma.OpReplace, Off: off, Data: randWords(rng, n)})
+							rl.Puts = append(rl.Puts, ftrma.LogRecord{Kind: ftrma.LogPut, Op: rma.OpReplace, Off: off, Data: randWords(rng, n)})
 						}
 						repl := bareNode(words)
-						repl.window = in.base
-						if err := repl.replay(in); err != nil {
+						repl.window = slices.Clone(shadow)
+						if err := repl.replay(&rl); err != nil {
 							t.Fatal(err)
 						}
 						nd = repl

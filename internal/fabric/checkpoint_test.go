@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -285,69 +286,44 @@ func (ff *foldFrames) twoAlike(t *testing.T) {
 	}
 }
 
-// rehost is the gossip that tells nd its group's parity moved — here back to
-// the host it was on, one version up: the event a parked fold retry waits for.
-func rehost(nd *Node, host int) {
-	nd.mergeMembers(nil, []Hosting{{Group: 0, Host: host, Version: nd.Hostings()[0].Version + 1}})
-}
-
-// syncHostFirst closes a phase on both ranks, the member's fold leaving only
-// after the host has folded its own — a hook on the member's fold frame may
-// then take the host's parity away. The channel yields both Syncs' results.
-func syncHostFirst(t *testing.T, host, member *Node) <-chan error {
-	t.Helper()
-	errs := make(chan error, 2)
-	go func() { errs <- host.Sync() }()
-	await(t, "the host's own fold", func() bool { return host.om.foldsSent.Load() == 1 })
-	go func() { errs <- member.Sync() }()
-	return errs
-}
-
-// TestFoldRetryShipsSameWords: a fold the host refuses commits nothing, so
-// the retry — once the hosting table has moved — ships the same frame, from
-// the same diff, and commits once.
+// TestFoldRetryShipsSameWords: a fold whose host dies under it commits
+// nothing, so the retry — at the host's replacement, which hosts the
+// group's rebuilt parity — ships the same frame, from the same diff, and
+// commits once. Each of the two ranks hosts the other's group.
 func TestFoldRetryShipsSameWords(t *testing.T) {
 	const words = 4 * 64
 	pn := newPipeNet()
-	var a, host *Node
+	var a *Node
 	var sent foldFrames
-	var lost *hostedGroup
-	refused := make(chan struct{})
-	// The first fold finds a host that has given the group up.
+	leaving, killed := make(chan struct{}), make(chan struct{})
+	// The first fold finds its host gone.
 	pn.onFrame = func(from, _ string, ft byte, payload []byte) {
 		if ft == fParityFold && from == a.addr && sent.add(payload) == 1 {
-			host.parMu.Lock()
-			lost = host.hosted[0]
-			delete(host.hosted, 0)
-			host.parMu.Unlock()
+			close(leaving)
+			<-killed
 		}
 	}
-	pn.onReply = func(to string, rt byte, _ []byte) bool {
-		if rt == 0xFF && to == host.addr {
-			close(refused)
-		}
-		return false
-	}
-	f := startTestFabricWords(t, pn, 2, 1, words, fastTuning)
+	f := startTestFabricWords(t, pn, 2, 2, words, fastTuning)
+	a = f.nodes[0].Node
 	h := f.nodes[0].Hostings()[0].Host
-	host, a = f.nodes[h].Node, f.nodes[1-h].Node
 
 	a.WriteAt(60, randWords(rand.New(rand.NewSource(1)), 10)) // two chunks
 	a.WriteAt(words-1, []uint64{7})
-	errs := syncHostFirst(t, host, a)
-	<-refused
-	host.parMu.Lock()
-	host.hosted[0] = lost
-	host.parMu.Unlock()
-	rehost(a, h)
+	errs := make(chan error, 2)
+	go func() { errs <- a.Sync() }()
+	<-leaving
+	f.nodes[h].closeWithin(t, 0)
+	close(killed)
+	repl := f.replace(t, h)
+	go func() { errs <- repl.Sync() }() // the host had not closed phase 0
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 	sent.twoAlike(t)
-	if sent, hosted := a.om.foldsSent.Load(), host.om.foldsHosted.Load(); sent != 1 || hosted != 2 {
-		t.Fatalf("rank %d committed %d folds and the host applied %d, want 1 and 2 (its own and the retry)", a.rank, sent, hosted)
+	if sent, hosted := a.om.foldsSent.Load(), repl.om.foldsHosted.Load(); sent != 1 || hosted != 1 {
+		t.Fatalf("rank %d committed %d folds and the replacement host applied %d, want 1 and 1 (the retry)", a.rank, sent, hosted)
 	}
 	if got := a.om.ckptFolded.Load(); got != 11 {
 		t.Fatalf("fabric.ckpt.words.folded = %d, want the 11 words written, once", got)
@@ -359,10 +335,12 @@ func TestFoldRetryShipsSameWords(t *testing.T) {
 }
 
 // TestFoldAckLostReshipsSameWords: the host applies a fold and the ack is
-// lost; the window changes before the retry. The host dedupes a retry by
-// phase, so the retry must carry the words the host already folded — a fresh
-// diff would commit the new words to the base and leave parity without them
-// until the next crisis rebuilt it. The new words go with the next fold.
+// lost; the window changes, and the host dies, before the retry. The
+// replacement host rebuilds the group's parity from the member's committed
+// base, which the lost ack left without the fold, so the retry must carry
+// the words of the first attempt: it brings the parity back to what the
+// first attempt made it. The new words go with the next fold. Each of the
+// two ranks hosts the other's group.
 func TestFoldAckLostReshipsSameWords(t *testing.T) {
 	const words, at = 4 * 64, 2*64 + 5
 	late := []uint64{0xfeed, 0xbeef}
@@ -370,6 +348,7 @@ func TestFoldAckLostReshipsSameWords(t *testing.T) {
 	var a, host *Node
 	var sent foldFrames
 	var applied []uint64 // the parity once the first attempt is folded in
+	lost := make(chan struct{})
 	pn.onFrame = func(from, _ string, ft byte, payload []byte) {
 		if ft == fParityFold && from == a.addr {
 			sent.add(payload)
@@ -383,26 +362,31 @@ func TestFoldAckLostReshipsSameWords(t *testing.T) {
 		applied = append([]uint64(nil), host.hosted[0].shards[0]...)
 		host.parMu.Unlock()
 		a.WriteAt(at, late) // between the two attempts
-		rehost(a, host.rank)
+		close(lost)
 		return true
 	}
-	f := startTestFabricWords(t, pn, 2, 1, words, fastTuning)
+	f := startTestFabricWords(t, pn, 2, 2, words, fastTuning)
 	h := f.nodes[0].Hostings()[0].Host
-	host, a = f.nodes[h].Node, f.nodes[1-h].Node
+	a, host = f.nodes[0].Node, f.nodes[h].Node
 
 	a.WriteAt(3, []uint64{1, 2, 3})
-	errs := syncHostFirst(t, host, a)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+	errs := make(chan error, 2)
+	go func() { errs <- a.Sync() }()
+	go func() { errs <- host.Sync() }()
+	<-lost
+	if err := <-errs; err != nil { // the host's: the barrier released it
+		t.Fatal(err)
+	}
+	repl := f.replace(t, h)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
 	}
 	sent.twoAlike(t)
-	host.parMu.Lock()
-	once := slices.Equal(host.hosted[0].shards[0], applied)
-	host.parMu.Unlock()
-	if !once {
-		t.Fatal("the retry moved the parity: the host committed the fold twice")
+	repl.parMu.Lock()
+	same := slices.Equal(repl.hosted[0].shards[0], applied)
+	repl.parMu.Unlock()
+	if !same {
+		t.Fatal("the retry did not bring the rebuilt parity to where the first attempt had it")
 	}
 	if got := a.om.ckptFolded.Load(); got != 3 {
 		t.Fatalf("fabric.ckpt.words.folded = %d, want the 3 words of the acked fold", got)
@@ -607,34 +591,102 @@ func TestHandlersTakeUnalignedFrames(t *testing.T) {
 	}
 }
 
-// TestFoldBuffersFollowTheFolds: the buffers a fold reuses are dropped once
-// they are mostly idle, so a whole-window fold (every benchmark's set-up
-// fill is one) does not pin a window-sized buffer for the run, on the
-// member or at its parity host; a steady fold size keeps its buffer.
+// TestFoldBuffersFollowTheFolds: the delta buffer a fold reuses is dropped
+// once it is mostly idle, so a whole-window fold (every benchmark's set-up
+// fill is one) does not pin a window-sized buffer for the run on the
+// member; a steady fold size keeps its buffer. (The host keeps none:
+// TestFullWindowFoldAtTheHost.)
 func TestFoldBuffersFollowTheFolds(t *testing.T) {
 	const words = 64 << 10
 	f := startTestFabricWords(t, newPipeNet(), 2, 1, words, fastTuning)
-	h := f.nodes[0].Hostings()[0].Host
-	host, a := f.nodes[h].Node, f.nodes[1-h].Node
+	a := f.nodes[1-f.nodes[0].Hostings()[0].Host].Node
 	rng := rand.New(rand.NewSource(4))
 	a.WriteAt(0, randWords(rng, words))
 	syncAll(t, f)
 	if cap(a.delta.words) < words {
 		t.Fatalf("the whole-window fold used a %d-word buffer", cap(a.delta.words))
 	}
-	var caps [3]int // the member learns a fold's size by running it: one fold late
+	var caps [3]int
 	for i := range caps {
 		a.WriteAt(100, randWords(rng, 528))
 		syncAll(t, f)
 		caps[i] = cap(a.delta.words)
-		if c := cap(host.hosted[0].scratch); c > 4*528+(8<<10) {
-			t.Fatalf("fold %d: the host keeps a %d-word scratch for a 528-word fold", i, c)
-		}
 	}
 	if caps[1] > 4*528+(8<<10) || caps[2] != caps[1] {
 		t.Fatalf("528-word folds after a whole-window one run on buffers of %v words", caps)
 	}
 	checkCommitted(t, f, "after the folds")
+}
+
+// windowAllocs runs f and returns how many bytes it allocated, and that in
+// windows of the given size, rounded down.
+func windowAllocs(words int, f func()) (allocated, windows uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	allocated = after.TotalAlloc - before.TotalAlloc
+	return allocated, allocated / uint64(8*words)
+}
+
+// TestFullWindowDiffAllocatesOnce: the diff of a window written end to end —
+// the set-up fill's — sizes its delta buffer once, from the stamped words,
+// instead of growing it by appends across the window's chunks.
+func TestFullWindowDiffAllocatesOnce(t *testing.T) {
+	const words = 1 << 16
+	nd := bareNode(words)
+	nd.WriteAt(0, randWords(rand.New(rand.NewSource(5)), words))
+	allocated, windows := windowAllocs(words, func() {
+		nd.ckptMu.Lock()
+		nd.diffRanges()
+		nd.ckptMu.Unlock()
+	})
+	if len(nd.delta.words) != words {
+		t.Fatalf("the diff has %d delta words, want the window's %d", len(nd.delta.words), words)
+	}
+	if windows != 1 {
+		t.Fatalf("the diff allocated %d B, %d windows' worth, want one delta buffer", allocated, windows)
+	}
+}
+
+// TestFullWindowFoldAtTheHost: a fold of the whole window, its runs aligned
+// in the frame as a received frame's are, is folded from views of the frame:
+// the host allocates no window-sized buffer for it.
+func TestFullWindowFoldAtTheHost(t *testing.T) {
+	const words = 1 << 16
+	f := startTestFabricWords(t, newPipeNet(), 2, 1, words, fastTuning)
+	nd := f.nodes[f.nodes[0].Hostings()[0].Host].Node
+	member := 1 - nd.rank
+	data := randWords(rand.New(rand.NewSource(6)), words)
+	var e wire.Enc
+	for _, v := range []int{member, 0, 0, nd.grouping.MemberIndex(member), 10} { // rank, inc, group, memberIdx, phase
+		e.I(v)
+	}
+	encSnap(&e, snap{phase: 10, ec: make([]int, 2)})
+	e.I(1)
+	e.I(0)
+	e.Words(data)
+	payload := e.Bytes()
+	r := notificationReply(t)
+	// The host itself is past the phase, so the fold is answered, released,
+	// as soon as it is in.
+	nd.mergeWatermark(nd.rank, nd.inc, 12)
+	var err error
+	allocated, windows := windowAllocs(words, func() {
+		_, _, err = nd.handleParityFold(wire.NewDec(payload), r)
+	})
+	if err != wire.ErrLater {
+		t.Fatal(err)
+	}
+	if windows != 0 {
+		t.Fatalf("the host allocated %d B for a whole-window fold, a window or more", allocated)
+	}
+	nd.parMu.Lock()
+	same := slices.Equal(nd.hosted[0].shards[0], data)
+	nd.parMu.Unlock()
+	if !same {
+		t.Fatal("the fold did not land in the parity word for word")
+	}
 }
 
 // TestWindowWritesAreRangeChecked: a local write, a local get landing and a

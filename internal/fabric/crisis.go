@@ -86,8 +86,9 @@ func (nd *Node) broadcastCrisisFail(cause error) {
 	nd.notify(peers, fCrisisFail, e.Bytes())
 }
 
-// runCrisis is the arbiter's recovery of one dead rank, start to finish:
-// quiesce, gather, repair hosting, reconstruct, install, resume.
+// runCrisis is the arbiter's part in the recovery of one dead rank: quiesce,
+// gather, classify, hand the install to the replacement, which rebuilds its
+// own state (Node.restore) and confirms, then resume.
 func (nd *Node) runCrisis(victim, vinc int) error {
 	nd.logf("fabric: rank %d arbitrates crisis for rank %d (inc %d)", nd.rank, victim, vinc)
 	nd.om.crises.Inc()
@@ -168,102 +169,21 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 		return fmt.Errorf("fabric: group %d lost both a member and its parity host (rank %d)", nd.grouping.GroupOf(victim), victim)
 	}
 
-	rebuild := obs.StartSpan(nd.om.crisis[obs.CrisisRebuild], nd.fr, obs.EvCrisis, int64(obs.CrisisRebuild), int64(victim))
-	// 3. Re-home every parity group the victim hosted: rebuild the shard —
-	// the fabric's parity is RS(k, 1), the XOR of the members' committed
-	// bases — and install it at a freshly elected host. (Quiesce
-	// guarantees base/parity agreement.)
-	hostings := nd.Hostings()
-	alive := func(r int) bool {
-		nd.mmu.Lock()
-		defer nd.mmu.Unlock()
-		return nd.members[r].Alive
-	}
-	rehomed := false
-	for _, h := range hostings {
-		if h.Host != victim {
-			continue
-		}
-		members := nd.grouping.ComputeMembers(h.Group)
-		parity, snaps, _, err := nd.fetchState(members, -1, h.Group)
-		if err != nil {
-			return err
-		}
-		folded := make([]int, len(members))
-		for i, s := range snaps {
-			folded[i] = s.phase
-		}
-		rs, err := erasure.NewRS(len(members), 1)
-		if err != nil {
-			return err
-		}
-		newHost := ftrma.ElectParityHost(nd.n, members, h.Group, 0, alive, victim)
-		if newHost < 0 {
-			return fmt.Errorf("fabric: no electable parity host left for group %d", h.Group)
-		}
-		hg := &hostedGroup{k: len(members), rs: rs, shards: [][]uint64{parity}, snaps: snaps, folded: folded, answered: slices.Clone(folded)}
-		if newHost == nd.rank {
-			nd.parMu.Lock()
-			nd.hosted[h.Group] = hg
-			nd.parMu.Unlock()
-			nd.adoptFolds(h.Group, hg)
-		} else {
-			v := wire.NewVec()
-			v.I(h.Group)
-			encHostedGroup(v, hg) // gathers the shard from the rebuilt buffer
-			if _, err := nd.callRank(newHost, fParityInstall, v); err != nil {
-				return fmt.Errorf("fabric: parity install at rank %d failed: %w", newHost, err)
-			}
-		}
-		nd.mmu.Lock()
-		nd.hostings[h.Group] = Hosting{Group: h.Group, Host: newHost, Version: h.Version + 1}
-		nd.mmu.Unlock()
-		rehomed = true
-		nd.om.parityHandoffs.Inc()
-		nd.fr.Record(obs.EvParityHandoff, int64(h.Group), int64(newHost), int64(h.Version+1))
-		nd.logf("fabric: group %d parity re-homed from rank %d to rank %d", h.Group, victim, newHost)
-	}
-
-	// 4. Reconstruct the victim's committed base: the XOR of its group's
-	// parity and the surviving members' bases.
-	vg := nd.grouping.GroupOf(victim)
-	vIdx := nd.grouping.MemberIndex(victim)
-	members := nd.grouping.ComputeMembers(vg)
-	nd.mmu.Lock()
-	host := nd.hostings[vg]
-	nd.mmu.Unlock()
-	others := slices.DeleteFunc(slices.Clone(members), func(r int) bool { return r == victim })
-	vBase, _, hg, err := nd.fetchState(others, host.Host, vg)
-	if err != nil {
-		return err
-	}
-	if hg.k != len(members) || vIdx >= hg.k {
-		return fmt.Errorf("fabric: parity of group %d has %d members, expected %d", vg, hg.k, len(members))
-	}
-	vSnap := hg.snaps[vIdx]
-	nd.om.parityRebuilds.Inc()
-	rebuild.End()
-
-	// 5. Select and order the replay from the victim's committed phase.
-	replay := ftrma.ReplayOrder(puts, gets, vSnap.phase)
-	in := &install{snap: vSnap, base: vBase, puts: replay.Puts, gets: replay.Gets}
-
-	// 6. Park the install for the replacement's fJoin and wait for the
-	// handoff; then publish the post-crisis world and resume.
+	// 3. Park the gathered logs for the replacement's fJoin. The replacement
+	// rebuilds its own state from the survivors, which stay quiesced until
+	// it confirms (Node.restore), so no window passes through here. Every
+	// membership change (and Close) wakes this wait: a crash the verdict no
+	// longer calls causal — a second victim — fails the run instead of
+	// waiting for a replacement whose install can never complete, and a
+	// replacement that hangs up before it confirms leaves the install parked
+	// again, for the next one under a newer incarnation.
 	installSpan := obs.StartSpan(nd.om.crisis[obs.CrisisInstall], nd.fr, obs.EvCrisis, int64(obs.CrisisInstall), int64(victim))
-	pi := &pendingInstall{rank: victim, inc: vinc + 1, in: in}
-	nd.logf("fabric: rank %d reconstructed (phase %d, %d put / %d get replays); awaiting replacement",
-		victim, vSnap.phase, len(in.puts), len(in.gets))
-	// Park until handleJoin takes the install. Every membership change
-	// (and Close) wakes us: a crash the verdict no longer calls causal — a
-	// second victim — means correlated loss; abandon the install and fail
-	// the run instead of waiting forever for a replacement whose install
-	// can never complete.
+	pi := &pendingInstall{rank: victim, inc: vinc + 1, in: &install{puts: puts, gets: gets}}
+	nd.logf("fabric: rank %d's logs gathered (%d put / %d get records); awaiting replacement", victim, len(puts), len(gets))
 	nd.mmu.Lock()
 	nd.pending = pi
-	// A join held by handleJoin takes the install from here and clears it.
-	nd.mcond.Broadcast()
-	for ; nd.pending == pi; nd.mcond.Wait() {
+	nd.mcond.Broadcast() // a join held by handleJoin takes the install from here
+	for !pi.confirmed {
 		_, _, dead := nd.censusLocked()
 		lost := nd.verdictLocked(dead, false) != ftrma.VerdictCausal
 		if lost || nd.state.Load() == stClosed {
@@ -274,6 +194,16 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 			}
 			return ErrClosed
 		}
+		if pi.joiner != nil && nd.hungUp(pi.joiner) {
+			pi.joiner = nil
+			pi.inc++
+			nd.mcond.Broadcast()
+			nd.mmu.Unlock()
+			nd.logf("fabric: rank %d's replacement left before confirming; install parked again", victim)
+			nd.mmu.Lock()
+			continue
+		}
+		nd.mcond.Wait()
 	}
 	nd.mmu.Unlock()
 	installSpan.End()
@@ -281,19 +211,18 @@ func (nd *Node) runCrisis(victim, vinc int) error {
 	var end wire.Enc
 	nd.mmu.Lock()
 	encMembers(&end, nd.members)
-	encHostings(&end, nd.hostings)
 	peers := nd.alivePeersLocked()
 	nd.recoveries++
 	rec := nd.recoveries
 	nd.mmu.Unlock()
 	nd.notify(peers, fCrisisEnd, end.Bytes())
 	nd.endQuiesce()
-	if rehomed {
-		nd.announce(true) // the new host has heard no readiness yet
+	if nd.hosts(victim) {
+		nd.announce(true) // the replacement hosts, and has heard no readiness yet
 	}
 	total.End()
 	nd.dumpFlight(fmt.Sprintf("crisis%d", rec))
-	nd.logf("fabric: crisis for rank %d resolved (inc %d)", victim, vinc+1)
+	nd.logf("fabric: crisis for rank %d resolved (inc %d)", victim, pi.inc)
 	return nil
 }
 
@@ -310,20 +239,17 @@ func (nd *Node) surviving(victim int) []Member {
 	return out
 }
 
-// fetchState gathers what one rebuild step reads — the committed bases of
-// ranks and, host permitting (≥ 0), group g's parity at host — and returns
-// the XOR of them all, with the ranks' snapshots in order and the parity's
-// member count and snapshots (its shard is in the sum: parity.shards is nil).
+// fetchState gathers the operands of one rebuild — the committed bases of
+// ranks and, when host ≥ 0, group g's parity at host — and returns their
+// XOR, the ranks' snapshots in order, and the parity's member count and
+// snapshots (its shard is in the sum: parity.shards is nil).
 //
 // The fetches go to different ranks and each is a window's worth of bytes to
 // wait for, so two run at a time; more would only multiply the window-sized
-// buffers in flight. Each pins one window buffer here, its reply, and none at
-// the sender, whose reply gathers from its state: the first reply to arrive
-// holds the sum, and every later one is XORed into it as it comes and then
-// let go. This node's own base — the window with its saved chunks laid over
-// it (eachBase) — and hosted shard are read in place, under their locks,
-// and never written; only when no operand came over the wire is the sum a
-// fresh buffer.
+// buffers in flight. Each reply is received into a buffer of its own and
+// none is copied at the sender, whose reply gathers from its state: the
+// first reply to arrive holds the sum, and every later one is XORed into it
+// as it comes and then let go.
 func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap, parity *hostedGroup, err error) {
 	var (
 		wg    sync.WaitGroup
@@ -332,20 +258,6 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 		sem   = make(chan struct{}, 2)
 	)
 	snaps = make([]snap, len(ranks))
-	// add folds w, the sum's words from off on, into the sum. The caller
-	// holds the lock that guards w's owner (ours) or the sum (a fetched
-	// buffer, always whole).
-	add := func(off int, w []uint64, fetched bool) {
-		switch {
-		case sum != nil:
-			erasure.XorWords(sum[off:off+len(w)], w)
-		case fetched:
-			sum = w
-		default:
-			sum = make([]uint64, nd.windowWords)
-			copy(sum[off:], w)
-		}
-	}
 	fetch := func(i int, f func() ([]uint64, error)) {
 		wg.Add(1)
 		go func() {
@@ -355,24 +267,23 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 			<-sem
 			if errs[i] = err; err == nil {
 				sumMu.Lock()
-				add(0, w, true)
+				if sum == nil {
+					sum = w
+				} else {
+					erasure.XorWords(sum, w)
+				}
 				sumMu.Unlock()
 			}
 		}()
 	}
-	self := -1
 	for i, r := range ranks {
-		if r == nd.rank {
-			self = i
-			continue
-		}
 		i, r := i, r
 		fetch(i, func() (base []uint64, err error) {
 			snaps[i], base, err = nd.fetchBase(r)
 			return base, err
 		})
 	}
-	if host >= 0 && host != nd.rank {
+	if host >= 0 {
 		fetch(len(ranks), func() (shard []uint64, err error) {
 			parity, shard, err = nd.fetchParity(host, g)
 			return shard, err
@@ -381,25 +292,6 @@ func (nd *Node) fetchState(ranks []int, host, g int) (sum []uint64, snaps []snap
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, nil, nil, err
-	}
-	// Our own operands go in last, under the locks that guard them.
-	if self >= 0 {
-		nd.ckptMu.Lock()
-		nd.winMu.Lock()
-		snaps[self] = nd.snapSelf
-		nd.eachBase(func(off int, w []uint64) { add(off, w, false) })
-		nd.winMu.Unlock()
-		nd.ckptMu.Unlock()
-	}
-	if host >= 0 && host == nd.rank {
-		nd.parMu.Lock()
-		defer nd.parMu.Unlock()
-		hg := nd.hosted[g]
-		if hg == nil {
-			return nil, nil, nil, fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
-		}
-		parity = &hostedGroup{k: hg.k, snaps: slices.Clone(hg.snaps)}
-		add(0, hg.shards[0], false)
 	}
 	return sum, snaps, parity, nil
 }
@@ -444,26 +336,33 @@ func (nd *Node) fetchParity(host, g int) (*hostedGroup, []uint64, error) {
 
 // handleJoin serves fJoin as a long poll. A node the census does not name
 // arbiter redirects to the one it does. The arbiter holds the request — it
-// runs on its own goroutine — until the reconstruction is parked and answers
-// with the replacement's full install, in the same exchange whether the join
-// arrived before the crisis began, during it or after. A held request is let
-// go when the arbitration moves elsewhere, the node fails or closes, or the
-// joiner hangs up.
+// runs on its own goroutine — until an install is parked and answers with
+// the world and the install, in the same exchange whether the join arrived
+// before the crisis began, during it or after. A held request is let go when
+// the arbitration moves elsewhere, the node fails or closes, or the joiner
+// hangs up. The joiner that took the install confirms on the same connection
+// (confirmJoin); until then the install stays its own, and the world it was
+// given names it under the install's incarnation while the table here still
+// holds the victim.
 func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, *wire.Vec, error) {
 	addr := d.Str()
 	if d.Failed() || addr == "" {
 		return fJoin, nil, errBadFrame
 	}
+	if d.Rem() > 0 {
+		phase := d.I()
+		if d.Failed() {
+			return fJoin, nil, errBadFrame
+		}
+		return nd.confirmJoin(st, addr, phase)
+	}
 	nd.mmu.Lock()
-	for nd.pending == nil {
+	for nd.pending == nil || nd.pending.joiner != nil {
 		if err := nd.failedOrClosed(); err != nil {
 			nd.mmu.Unlock()
 			return fJoin, nil, err
 		}
-		nd.cmu.Lock()
-		gone := st.down
-		nd.cmu.Unlock()
-		if gone {
+		if nd.hungUp(st) {
 			nd.mmu.Unlock()
 			return fJoin, nil, errors.New("fabric: joiner hung up")
 		}
@@ -477,23 +376,50 @@ func (nd *Node) handleJoin(st *connState, d *wire.Dec) (byte, *wire.Vec, error) 
 		nd.mcond.Wait() // for a verdict, the parked install, Close, or the hang-up
 	}
 	pi := nd.pending
-	nd.pending = nil
-	m := &nd.members[pi.rank]
-	*m = Member{Rank: pi.rank, Addr: addr, Incarnation: pi.inc, Alive: true, Watermark: pi.in.snap.phase + 1}
-	w := world{
-		rank: pi.rank, n: nd.n, windowWords: nd.windowWords, groups: nd.grouping.NumGroups,
-		tuning: nd.tun(), meta: nd.meta,
-		members:  append([]Member(nil), nd.members...),
-		hostings: append([]Hosting(nil), nd.hostings...),
-	}
+	pi.joiner = st
+	members := slices.Clone(nd.members)
+	members[pi.rank] = Member{Rank: pi.rank, Addr: addr, Incarnation: pi.inc, Alive: true}
 	nd.mmu.Unlock()
 	v := wire.NewVec()
 	v.B(jmWorld)
-	encWorld(v, w)
+	encWorld(v, world{
+		rank: pi.rank, n: nd.n, windowWords: nd.windowWords, groups: nd.grouping.NumGroups,
+		tuning: nd.tun(), meta: nd.meta, members: members, hostings: nd.hostings,
+	})
 	v.B(1)
-	encInstall(v, pi.in) // gathers the base from the rebuilt buffer
-	nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
-	nd.answerHeld()      // the replacement's watermark is in the table
-	nd.spawn(nd.gossipNow)
+	encInstall(v, pi.in) // gathers the records' words from the gathered logs
 	return fJoin, v, nil
+}
+
+// confirmJoin ends an install: the joiner on st has rebuilt its state and
+// stands at phase. It enters the table here, under the install's
+// incarnation — from here on the survivors' parked deliveries and fold
+// retries go to it — and the arbiter's runCrisis ends the crisis.
+func (nd *Node) confirmJoin(st *connState, addr string, phase int) (byte, *wire.Vec, error) {
+	nd.mmu.Lock()
+	pi := nd.pending
+	if pi == nil || pi.joiner != st || phase < 0 {
+		nd.mmu.Unlock()
+		return fJoin, nil, errors.New("fabric: no install of this joiner to confirm")
+	}
+	nd.members[pi.rank] = Member{Rank: pi.rank, Addr: addr, Incarnation: pi.inc, Alive: true, Watermark: phase}
+	pi.confirmed = true
+	nd.pending = nil
+	nd.mcond.Broadcast() // the arbiter's parked runCrisis among them
+	nd.mmu.Unlock()
+	nd.answerHeld() // the replacement's watermark is in the table
+	nd.spawn(nd.gossipNow)
+	return fJoin, nil, nil
+}
+
+// hungUp reports whether the inbound connection st has gone down.
+func (nd *Node) hungUp(st *connState) bool {
+	nd.cmu.Lock()
+	defer nd.cmu.Unlock()
+	return st.down
+}
+
+// hosts reports whether rank hosts the parity of a group.
+func (nd *Node) hosts(rank int) bool {
+	return slices.ContainsFunc(nd.hostings, func(h Hosting) bool { return h.Host == rank })
 }

@@ -64,7 +64,7 @@ func (bl *barrierLog) frame(from, to string, ft byte, payload []byte) (readiness
 		}
 		bl.folds[to][phase] = append(bl.folds[to][phase], rank)
 	case fGossip:
-		ms, _, ok := decTables(d)
+		ms, ok := decMembers(d)
 		if !ok || len(ms) == bl.n {
 			return false
 		}
@@ -141,9 +141,10 @@ func foldGoroutines() int {
 // other host's readiness for the phase. None of the 14 requests is handed
 // off its connection's reader (wire's Handoffs; 14 per phase while every
 // request went to a handler goroutine), and every fold put on a held list
-// is answered in the phase. After the host of group 0 is killed and its
-// parity re-homed, phases cost the same. Gossip runs every 4 s, so a release
-// that waited for it would hold a barrier that long.
+// is answered in the phase. After the host of group 0 is killed and
+// replaced — the replacement hosts the group's rebuilt parity, the hosting
+// table unchanged — phases cost the same. Gossip runs every 4 s, so a
+// release that waited for it would hold a barrier that long.
 func TestEpochCloseFrameBudget(t *testing.T) {
 	const n, phases, killAt = 4, 10, 4
 	const budget = 8 + 4 + 2
@@ -255,7 +256,8 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 	for p := 0; p < killAt; p++ {
 		counted(p)
 	}
-	victim := f.nodes[0].Hostings()[0].Host
+	hostings := f.nodes[0].Hostings()
+	victim := hostings[0].Host
 	run(killAt, append(append([]*testNode(nil), f.nodes[:victim]...), f.nodes[victim+1:]...))
 	repl := f.replace(t, victim)
 	run(killAt, []*testNode{repl})
@@ -263,12 +265,12 @@ func TestEpochCloseFrameBudget(t *testing.T) {
 	// The next phase starts on tables that have all heard of the crisis.
 	for _, tn := range f.nodes {
 		await(t, "the post-crisis tables", func() bool {
-			m, h := tn.sees(victim), tn.Hostings()[0]
-			return m.Incarnation == 1 && m.Addr != "" && h.Host != victim && h.Version > 0
+			m := tn.sees(victim)
+			return m.Incarnation == 1 && m.Addr != ""
 		})
-	}
-	if h := f.nodes[0].Hostings()[0]; h.Host%2 == 0 {
-		t.Fatalf("group 0's parity was re-homed to its own member %d", h.Host)
+		if got := tn.Hostings(); !slices.Equal(got, hostings) {
+			t.Fatalf("rank %d's hosting table moved across the host's kill: %v, was %v", tn.rank, got, hostings)
+		}
 	}
 	for p := killAt + 1; p < phases; p++ {
 		counted(p)

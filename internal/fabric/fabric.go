@@ -1,9 +1,9 @@
 // Package fabric is the symmetric, coordinatorless runtime of the
-// cluster: every worker hosts its own rank's window, access logs, and an
-// elected share of checkpoint parity, and the ranks speak the wire
-// protocol directly to each other — epoch closes, the gsync barrier,
-// checkpoint folds, membership gossip, and crisis recovery all flow
-// peer-to-peer. The only asymmetric piece left is the bootstrap Seed, a
+// cluster: every worker hosts its own rank's window, access logs, and the
+// share of checkpoint parity the seed placed at its rank, and the ranks
+// speak the wire protocol directly to each other — epoch closes, the gsync
+// barrier, checkpoint folds, membership gossip, and crisis recovery all
+// flow peer-to-peer. The only asymmetric piece left is the bootstrap Seed, a
 // pure join directory that hands each worker its rank and the initial
 // membership table and is never contacted again (workers close their seed
 // connection right after joining, so the steady-state put/get path has
@@ -22,9 +22,12 @@
 //     survivors.
 //   - Checkpoint parity: ranks form Groups groups (rank r belongs to
 //     group r mod Groups); each group's m=1 parity shard set is hosted
-//     on a rank elected by ftrma.ElectParityHost, preferring hosts
-//     outside the group so one failure never takes a member's committed
-//     base down together with the parity guarding it. At every phase boundary
+//     on a rank the seed elects once (ftrma.ElectParityHost), preferring
+//     hosts outside the group so one failure never takes a member's
+//     committed base down together with the parity guarding it. The
+//     hosting table never changes after: a rank's replacement inherits
+//     its share, as the paper's new process inherits the failed one's
+//     checksum duty. At every phase boundary
 //     each rank diffs its window against its last committed base and
 //     ships the (off, delta) ranges to its group's host in one
 //     fParityFold frame; the host applies them with
@@ -41,9 +44,8 @@
 // connection going down (reset, or lease expiry on a silent peer) marks
 // the peer dead under the fail-stop model — safely, because a node holds
 // one connection per (rank, incarnation), dialed single-flight, and closes
-// it only by dying or by verdict. Deaths, gsync watermarks, and
-// the parity hosting table spread by gossip (fGossip) every
-// GossipInterval; entries merge by incarnation (higher wins; within one
+// it only by dying or by verdict. Deaths and gsync watermarks spread by
+// gossip (fGossip) every GossipInterval; entries merge by incarnation (higher wins; within one
 // incarnation a death verdict is sticky and watermarks are monotone).
 // Gossip is anti-entropy only: everything a recovery waits for is pushed
 // when it happens, so GossipInterval is not a term of the recovery time.
@@ -69,28 +71,34 @@
 // own fold is answered and committed, or failed; no new fold starts until
 // fCrisisEnd), gather the victim's logs from every survivor (fLogFetch,
 // which waits out a batch the victim acked that is not logged yet),
-// re-elect and rebuild any parity the victim hosted (fBaseFetch +
-// fParityInstall), reconstruct the victim's base from its group's parity
-// and the surviving members' bases (an XOR, done in place in the first
-// buffer fetched: the fabric's parity is RS(k, 1)), and hand
-// the reconstructed state — base, counter snapshot, and the causally
-// sorted replay records with GNC ≥ the committed phase — to the
-// replacement when it joins (the fJoin reply doubles as the install
-// frame).
+// classify the crash, and hand the gathered records to the replacement
+// when it joins (the fJoin reply doubles as the install frame). No window
+// passes through the arbiter: the replacement rebuilds its own state from
+// the survivors, still quiesced — the shard of every group its rank hosts,
+// the XOR of the members' committed bases (fBaseFetch), and its committed
+// base and counters, the XOR of its group's parity (fParityFetch) and the
+// other members' bases, each XOR done in place in the first buffer
+// fetched (the fabric's parity is RS(k, 1)) — replays the records with
+// GNC ≥ its committed phase in causal order (ftrma.ReplayOrder), and
+// confirms with a second fJoin on the same connection, on which the
+// arbiter publishes it and ends the crisis. A replacement that hangs up
+// before it confirms leaves the install parked for the next one.
 //
 // Every wait on that path is for an event, none for a clock. fJoin is a
 // long poll: a member that is not the arbiter redirects at once, and the
-// arbiter holds the request open — through the verdict and the rebuild, if
-// the join came first — until the install is parked, then answers with it.
-// The arbiter publishes the replacement by a gossip round and fCrisisEnd;
+// arbiter holds the request open — through the verdict and the log gather,
+// if the join came first — until the install is parked, then answers with
+// it; its install wait ends on the confirm. The arbiter publishes the
+// replacement by a gossip round and fCrisisEnd, and every parity host
+// resends its readiness to a replacement that hosts;
 // that wakes the survivors' parked flushes towards the victim, which
 // redeliver to the replacement (the disjoint write-once causal workload
 // makes redelivery and re-execution idempotent). A frame that reaches the
 // replacement before it has applied its install is held there until it is
 // live and then served, never refused. A checkpoint fold that fails keeps
-// its diff and is re-shipped, word for word, once the hosting table or the
-// host's membership entry has moved — the host dedupes a retry by phase, so
-// a retry diffed afresh could commit words parity never saw. The one
+// its diff and is re-shipped, word for word, once the host's membership
+// entry has moved or a crisis has closed — the host dedupes a retry by
+// phase, so a retry diffed afresh could commit words parity never saw. The one
 // clock-based wait left is the back-off after a failed dial (nothing
 // follows a refused dial that one could wait for), counted in
 // fabric.retry.backoffs; a kill and its recovery leave it at zero.
@@ -137,13 +145,12 @@ type Member struct {
 }
 
 // Hosting is one entry of the parity hosting table: group's shards live
-// at Host. The table is explicit state — gossiped, versioned, and
-// reassigned only by a crisis arbiter — never recomputed from the live
-// set, so hosting cannot silently move without a shard handoff.
+// at Host. The seed places every group once (ftrma.ElectParityHost) and the
+// table never changes after: a rank's replacement inherits its rank's share
+// and rebuilds it, so hosting never moves.
 type Hosting struct {
-	Group   int
-	Host    int
-	Version int
+	Group int
+	Host  int
 }
 
 // Tuning groups the fabric's membership timing knobs: the lease that

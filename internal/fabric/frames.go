@@ -11,9 +11,9 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Fabric frame types, 0x40–0x50 (0x44 and 0x4B retired), disjoint from the
-// tcp peer protocol's 0x10–0x16 so a misdirected frame fails loudly instead
-// of aliasing.
+// Fabric frame types, 0x40–0x50 (0x44, 0x47 and 0x4B retired), disjoint
+// from the tcp peer protocol's 0x10–0x16 so a misdirected frame fails loudly
+// instead of aliasing.
 // docs/WIRE.md §3 is the normative payload spec; the enc/dec helpers in
 // this file are the implementation of record, and TestWireDocMatchesFrames
 // holds the two to the same catalog.
@@ -21,15 +21,17 @@ const (
 	// fJoin (call, joiner → seed or any live node): {addr}. A long poll:
 	// the reply comes when there is one to give and carries a mode byte,
 	// jmRedirect{addr} or jmWorld{world, install?} — the world snapshot
-	// doubles as the crisis install channel for a replacement rank.
+	// doubles as the crisis install channel for a replacement rank, which
+	// rebuilds its state and confirms on the same connection with a second
+	// fJoin {addr, phase}, answered empty once the arbiter has published it.
 	fJoin = 0x40
 	// fHello (notify, first frame on a peer conn): {rank, incarnation}
 	// attributes the connection so its death is charged to the right
 	// member.
 	fHello = 0x41
-	// fGossip (notify): {members, hostings} anti-entropy broadcast; also a
-	// parity host's readiness to the other hosts, carrying its groups'
-	// members' entries once every member's fold of a phase is in.
+	// fGossip (notify): {members} anti-entropy broadcast; also a parity
+	// host's readiness to the other hosts, carrying its groups' members'
+	// entries once every member's fold of a phase is in.
 	fGossip = 0x42
 	// fBatch (call, source → target): one epoch close worth of puts and
 	// gets: {src, inc, phase, puts{off, words}*, gets{off, n, localOff+1,
@@ -47,14 +49,10 @@ const (
 	// {status} is the member's release from the gsync barrier: foldReleased
 	// once every rank has folded phase, foldHeld when a crisis began first.
 	fParityFold = 0x45
-	// fParityFetch (call, arbiter → group host): {group} → {k, m,
+	// fParityFetch (call, replacement → group host): {group} → {k, m,
 	// snaps k×{phase+1, ec*, gc}, shards m×words}.
 	fParityFetch = 0x46
-	// fParityInstall (call, arbiter → new group host): the payload of a
-	// fParityFetch reply prefixed with {group, version}; installs a
-	// rebuilt shard set.
-	fParityInstall = 0x47
-	// fBaseFetch (call, arbiter → member): {} → {phase+1, ec*, gc,
+	// fBaseFetch (call, replacement → member): {} → {phase+1, ec*, gc,
 	// base-words}: the member's last committed base under the checkpoint
 	// lock, so it is consistent with the group parity; the window with the
 	// saved chunks laid over it, gathered under the window lock too.
@@ -67,8 +65,8 @@ const (
 	// holds, and has no checkpoint fold of its own in flight; folds stay
 	// parked until fCrisisEnd.
 	fCrisisBegin = 0x4A
-	// fCrisisEnd (notify, arbiter → survivors): {members, hostings}
-	// publishes the post-crisis world and unparks checkpoints.
+	// fCrisisEnd (notify, arbiter → survivors): {members} publishes the
+	// post-crisis world and unparks checkpoints.
 	fCrisisEnd = 0x4C
 	// fMembers (call, anyone → node): {} → {members, hostings} snapshot
 	// (observability; the smoke tests collect through it).
@@ -172,8 +170,7 @@ func decMembers(d *wire.Dec) ([]Member, bool) {
 	return ms, !d.Failed()
 }
 
-// decTables decodes the {members, hostings} pair that gossip, crisis end
-// and fMembers replies carry.
+// decTables decodes the {members, hostings} pair of an fMembers reply.
 func decTables(d *wire.Dec) ([]Member, []Hosting, bool) {
 	ms, ok1 := decMembers(d)
 	hs, ok2 := decHostings(d)
@@ -184,8 +181,7 @@ func encHostings(e encoder, hs []Hosting) {
 	e.I(len(hs))
 	for _, h := range hs {
 		e.I(h.Group)
-		e.I(h.Host + 1) // -1 (no host electable) encodes as 0
-		e.I(h.Version)
+		e.I(h.Host)
 	}
 }
 
@@ -197,8 +193,7 @@ func decHostings(d *wire.Dec) ([]Hosting, bool) {
 	hs := make([]Hosting, n)
 	for i := range hs {
 		hs[i].Group = d.I()
-		hs[i].Host = d.I() - 1
-		hs[i].Version = d.I()
+		hs[i].Host = d.I()
 	}
 	return hs, !d.Failed()
 }
@@ -315,34 +310,24 @@ func decWorld(d *wire.Dec) (world, bool) {
 	return w, !d.Failed()
 }
 
-// install is the state a replacement rank receives inside its join reply:
-// the victim's reconstructed base, its committed counter snapshot, and
-// the causally sorted records to replay on top.
+// install is what a replacement rank receives inside its join reply: every
+// record the survivors logged by or about the victim, as the crisis gathered
+// them. The replacement rebuilds its base and committed counters from the
+// survivors (Node.restore) and replays from these the records its committed
+// phase has not seen.
 type install struct {
-	snap snap
-	base []uint64
 	puts []ftrma.LogRecord
 	gets []ftrma.LogRecord
 }
 
 func encInstall(e encoder, in *install) {
-	encSnap(e, in.snap)
-	e.Words(in.base)
 	encRecordList(e, in.puts)
 	encRecordList(e, in.gets)
 }
 
-// decInstall decodes an install from a join reply the caller owns: the base
-// is a view of the reply where the run lies aligned (wire.Dec.WordsAlias), so
-// the window-sized buffer the reply arrived in becomes the node's window,
-// which is its committed base until the replay writes to it.
 func decInstall(d *wire.Dec) (*install, bool) {
 	var in install
 	var ok bool
-	if in.snap, ok = decSnap(d); !ok {
-		return nil, false
-	}
-	in.base = d.WordsAlias()
 	if in.puts, ok = decRecordList(d); !ok {
 		return nil, false
 	}

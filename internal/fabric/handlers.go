@@ -33,7 +33,6 @@ func (nd *Node) acceptLoop() {
 		wc := wire.New(nc, wire.Config{
 			VecHandler: func(t byte, p []byte, r wire.Reply) (byte, *wire.Vec, error) { return nd.handle(st, t, p, r) },
 			Inline:     nd.inline,
-			Keep:       keepBody,
 			// Heartbeat keeps transient joiner connections alive through
 			// long rendezvous waits; the lease (ReadTimeout) only runs on
 			// attributed peer connections — probe connections from tests
@@ -85,10 +84,6 @@ func (nd *Node) inline(t byte) bool {
 	return false
 }
 
-// keepBody is the node's wire.Config.Keep: the rebuilt shard of an
-// fParityInstall stays in the request body it arrived in.
-func keepBody(t byte) bool { return t == fParityInstall }
-
 // handle dispatches one fabric frame and encodes its reply straight into a
 // wire.Vec (nil: an empty reply). The frames inline names run on the
 // connection's reader and must not wait on another rank; every other one
@@ -137,11 +132,11 @@ func (nd *Node) handle(st *connState, t byte, payload []byte, r wire.Reply) (byt
 	case fJoin:
 		return nd.handleJoin(st, d)
 	case fGossip:
-		ms, hs, ok := decTables(d)
+		ms, ok := decMembers(d)
 		if !ok {
 			return t, nil, errBadFrame
 		}
-		nd.mergeMembers(ms, hs)
+		nd.mergeMembers(ms)
 		return t, nil, nil
 	case fBatch:
 		return nd.handleBatch(d)
@@ -149,8 +144,6 @@ func (nd *Node) handle(st *connState, t byte, payload []byte, r wire.Reply) (byt
 		return nd.handleParityFold(d, r)
 	case fParityFetch:
 		return nd.handleParityFetch(d)
-	case fParityInstall:
-		return nd.handleParityInstall(d)
 	case fBaseFetch:
 		return nd.handleBaseFetch()
 	case fLogFetch:
@@ -181,22 +174,20 @@ func (nd *Node) handle(st *connState, t byte, payload []byte, r wire.Reply) (byt
 }
 
 // scanRuns is the first of a handler's two walks over n (off, words) pairs:
-// it advances scan — the handler's copy of its decoder — past them, checks
-// that every range lies in the window, and returns the longest. The second
-// walk takes the words as views of the frame (Dec.WordsView), which needs a
-// fallback buffer that long for a frame that arrived unaligned.
-func (nd *Node) scanRuns(scan *wire.Dec, n int, what string) (longest int, err error) {
+// it advances scan — the handler's copy of its decoder — past them and
+// checks that every range lies in the window, so the second walk, which
+// applies them, cannot fail halfway.
+func (nd *Node) scanRuns(scan *wire.Dec, n int, what string) error {
 	for i := 0; i < n; i++ {
 		off, ln := scan.I(), scan.SkipWords()
 		if scan.Failed() {
-			return 0, errBadFrame
+			return errBadFrame
 		}
 		if off+ln > nd.windowWords {
-			return 0, fmt.Errorf("fabric: %s out of window ([%d,%d) of %d)", what, off, off+ln, nd.windowWords)
+			return fmt.Errorf("fabric: %s out of window ([%d,%d) of %d)", what, off, off+ln, nd.windowWords)
 		}
-		longest = max(longest, ln)
 	}
-	return longest, nil
+	return nil
 }
 
 // handleBatch applies one epoch close from a peer: puts land in the
@@ -214,7 +205,7 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 		return fBatch, nil, errBadFrame
 	}
 	scan := *d
-	if _, err := nd.scanRuns(&scan, nputs, "put"); err != nil {
+	if err := nd.scanRuns(&scan, nputs, "put"); err != nil {
 		return fBatch, nil, err
 	}
 	ngets := scan.I()
@@ -311,8 +302,11 @@ func takeGetBuf(n int) *getBuf {
 
 // handleParityFold folds one member's checkpoint delta into hosted
 // parity and stores its counter snapshot atomically with it. The deltas are
-// folded straight from the frame (views, as in handleBatch; hg.scratch is
-// the fallback buffer), after a first walk has checked every range.
+// folded straight from the frame, after a first walk has checked every
+// range: each is a view of the frame where it lies aligned, as it does in a
+// frame read into a body of its own (wire.Dec.WordsAlias; a run that does
+// not is decoded into a buffer of its length), so even a whole-window fold
+// costs the host no window-sized buffer.
 //
 // The fold is also the member's ready, and its answer the member's release:
 // a member folds phase p only once every batch of p is acked, so the host
@@ -332,7 +326,7 @@ func (nd *Node) handleParityFold(d *wire.Dec, r wire.Reply) (byte, *wire.Vec, er
 		return fParityFold, nil, errBadFrame
 	}
 	scan := *d
-	maxRun, err := nd.scanRuns(&scan, nranges, "fold range")
+	err := nd.scanRuns(&scan, nranges, "fold range")
 	if err != nil {
 		return fParityFold, nil, err
 	}
@@ -344,12 +338,9 @@ func (nd *Node) handleParityFold(d *wire.Dec, r wire.Reply) (byte, *wire.Vec, er
 	case memberIdx < 0 || memberIdx >= hg.k:
 		err = fmt.Errorf("fabric: fold for member %d of a %d-member group", memberIdx, hg.k)
 	case hg.folded[memberIdx] != phase:
-		if len(hg.scratch) < maxRun || idle(hg.scratch, maxRun) {
-			hg.scratch = make([]uint64, maxRun)
-		}
 		for i := 0; i < nranges; i++ {
 			off := d.I()
-			ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, off, d.WordsView(hg.scratch))
+			ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, off, d.WordsAlias())
 		}
 		hg.commit(memberIdx, phase, s)
 	default:
@@ -365,7 +356,7 @@ func (nd *Node) handleParityFold(d *wire.Dec, r wire.Reply) (byte, *wire.Vec, er
 	return nd.holdFold(heldFold{reply: r, g: g, memberIdx: memberIdx, phase: phase, uncommitted: !committed})
 }
 
-// handleParityFetch hands a hosted shard set to the crisis arbiter. The
+// handleParityFetch hands a hosted shard set to a replacement. The
 // reply gathers the shards in place, so parMu stays held until the frame is
 // written (the Vec's release); quiesce has parked every fold that would
 // wait for it.
@@ -386,29 +377,10 @@ func (nd *Node) handleParityFetch(d *wire.Dec) (byte, *wire.Vec, error) {
 	return fParityFetch, v, nil
 }
 
-// handleParityInstall stores a rebuilt shard set the arbiter re-homed
-// here after the previous host died. The node keeps the request bodies of
-// fParityInstall (keepBody), so the shard is a view of the one it arrived
-// in.
-func (nd *Node) handleParityInstall(d *wire.Dec) (byte, *wire.Vec, error) {
-	g := d.I()
-	if d.Failed() {
-		return fParityInstall, nil, errBadFrame
-	}
-	hg, err := decHostedGroup(d, nd.windowWords)
-	if err != nil {
-		return fParityInstall, nil, err
-	}
-	nd.parMu.Lock()
-	nd.hosted[g] = hg
-	nd.parMu.Unlock()
-	nd.adoptFolds(g, hg)
-	return fParityInstall, nil, nil
-}
-
 // adoptFolds takes over the barrier's count for a group whose rebuilt parity
-// this node now hosts: every member's fold that parity holds counts as
-// received here, so a fold the previous host released need not come again.
+// a replacement hosts: every member's fold that parity holds counts as
+// received here, so a fold the previous incarnation released need not come
+// again.
 func (nd *Node) adoptFolds(g int, hg *hostedGroup) {
 	for i, r := range nd.grouping.ComputeMembers(g) {
 		nd.mmu.Lock()
@@ -430,9 +402,9 @@ func encHostedGroup(e encoder, hg *hostedGroup) {
 	}
 }
 
-// decHostedGroup decodes a shard set from a payload the caller keeps (a
-// reply, or a request body the node keeps): each shard is a view of it where
-// it lies aligned (wire.Dec.WordsAlias).
+// decHostedGroup decodes a shard set from an fParityFetch reply the caller
+// keeps: each shard is a view of it where it lies aligned
+// (wire.Dec.WordsAlias).
 func decHostedGroup(d *wire.Dec, windowWords int) (*hostedGroup, error) {
 	k := d.I()
 	m := d.I()
@@ -467,7 +439,7 @@ func decHostedGroup(d *wire.Dec, windowWords int) (*hostedGroup, error) {
 }
 
 // handleBaseFetch hands the last committed base and its counter snapshot
-// to the crisis arbiter, under the checkpoint lock so they are consistent
+// to a replacement, under the checkpoint lock so they are consistent
 // with the group parity. The reply gathers the base in place — the runs of
 // the window between saved chunks and the saved chunks (eachBase) — so
 // ckptMu and winMu stay held until the frame is written (the Vec's
@@ -572,11 +544,11 @@ func (nd *Node) endQuiesce() bool {
 // handleCrisisEnd applies the arbiter's post-crisis world and unparks
 // checkpoints.
 func (nd *Node) handleCrisisEnd(d *wire.Dec) {
-	ms, hs, ok := decTables(d)
+	ms, ok := decMembers(d)
 	if !ok {
 		return
 	}
-	nd.mergeMembers(ms, hs)
+	nd.mergeMembers(ms)
 	if nd.endQuiesce() {
 		nd.mmu.Lock()
 		nd.recoveries++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,8 +95,6 @@ type hostedGroup struct {
 	// answered: the member has committed it, and a fold of that phase is
 	// only a request for the release (a rebuilt group starts at folded).
 	answered []int
-	// scratch backs handleParityFold's delta views; parMu guards it.
-	scratch []uint64
 }
 
 // heldFold is a received fParityFold whose answer the barrier holds: the
@@ -113,17 +110,21 @@ type heldFold struct {
 	err         error // … or errClosing
 }
 
-// pendingInstall is the reconstructed state a crisis arbiter holds for
-// the replacement of a dead rank until it joins.
+// pendingInstall is what a crisis arbiter holds for the replacement of a
+// dead rank: the gathered logs, parked until a joiner takes them (joiner,
+// the join connection; nil while parked) and kept until that joiner
+// confirms. mmu guards it.
 type pendingInstall struct {
-	rank int
-	inc  int
-	in   *install
+	rank      int
+	inc       int
+	in        *install
+	joiner    *connState
+	confirmed bool
 }
 
 // Node is a symmetric fabric worker: it hosts its own rank's window and
-// logs, an elected share of parity, and speaks every fabric frame both
-// ways. Besides rma.API for the application's work it offers the
+// logs and the parity the seed placed at its rank, and speaks every fabric
+// frame both ways. Besides rma.API for the application's work it offers the
 // membership view (Self, Members, Hostings), the epoch surface (Phase,
 // Sync), and the crisis counters (InCrisis, Recoveries).
 type Node struct {
@@ -196,8 +197,9 @@ type Node struct {
 	pend  [][]pendOp
 	stage [][]uint64
 
-	// mmu guards the membership and hosting tables and crisis trackers;
-	// mcond wakes watermark barriers and parked deliveries.
+	// mmu guards the membership table and crisis trackers; mcond wakes
+	// watermark barriers and parked deliveries. hostings, the parity hosting
+	// table, is the seed's and never changes after the join.
 	mmu        sync.Mutex
 	mcond      *sync.Cond
 	members    []Member
@@ -264,16 +266,23 @@ var _ rma.API = (*Node)(nil)
 func (nd *Node) tun() Tuning { return *nd.tuning.Load() }
 
 // Join enters the fabric through cfg.Join and returns a ready node: the
-// listener is serving, the world (and, for a replacement rank, the
-// reconstructed install state) is applied, and gossip is running.
+// listener is serving, the world is applied — a replacement rank has
+// rebuilt its state from the survivors, replayed its install and confirmed
+// to the arbiter — and gossip is running.
 func Join(cfg JoinConfig) (*Node, error) {
 	nd, err := newNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w, in, err := nd.joinLoop(cfg.Join)
+	r, err := nd.joinLoop(cfg.Join)
 	if err == nil {
-		err = nd.applyWorld(w, in)
+		err = nd.applyWorld(r.w, r.in)
+		if r.conn != nil {
+			if err == nil {
+				err = nd.confirm(r.conn)
+			}
+			r.hangUp()
+		}
 	}
 	if err != nil {
 		nd.Close()
@@ -315,43 +324,47 @@ func newNode(cfg JoinConfig) (*Node, error) {
 // alive" rank that is in fact the corpse we are replacing, and the survivor
 // itself stays reachable until its own failure detector catches up and
 // redirects to the real arbiter.
-func (nd *Node) joinLoop(addr string) (world, *install, error) {
+func (nd *Node) joinLoop(addr string) (joinReply, error) {
 	orig := addr
 	deadline := time.Now().Add(60 * time.Second)
 	var backoff time.Duration
 	for errs := 0; ; {
 		if time.Now().After(deadline) {
-			return world{}, nil, fmt.Errorf("fabric: join via %s: no world within 60s", addr)
+			return joinReply{}, fmt.Errorf("fabric: join via %s: no world within 60s", addr)
 		}
 		r, err := nd.joinOnce(addr, deadline)
 		if err != nil {
 			errs++
 			if errs > 200 {
-				return world{}, nil, fmt.Errorf("fabric: join via %s: %w", addr, err)
+				return joinReply{}, fmt.Errorf("fabric: join via %s: %w", addr, err)
 			}
 			addr = orig
 			nd.dialBackoff(&backoff)
 			continue
 		}
 		if r.redirect == "" {
-			return r.w, r.in, nil
+			return r, nil
 		}
 		errs, backoff, addr = 0, 0, r.redirect
 	}
 }
 
-// joinReply is one decoded fJoin exchange: a redirect, or the world.
+// joinReply is one decoded fJoin exchange: a redirect, or the world. A
+// replacement's (in set) keeps its connection to the arbiter, conn, for the
+// confirm; hangUp closes it.
 type joinReply struct {
 	redirect string
 	w        world
 	in       *install
+	conn     *wire.Conn
+	hangUp   func()
 }
 
 // joinOnce is one fJoin exchange. The far side answers when it has something
-// to say — the arbiter holds the call until the install is parked — so the
-// wait is bounded here, by what is left of joinLoop's deadline.
-func (nd *Node) joinOnce(addr string, deadline time.Time) (joinReply, error) {
-	var r joinReply
+// to say — the arbiter holds the call until an install is parked — so the
+// wait is bounded here, by what is left of joinLoop's deadline; a
+// replacement's connection stays bounded by it through its confirm.
+func (nd *Node) joinOnce(addr string, deadline time.Time) (r joinReply, err error) {
 	nc, err := nd.dialer.Dial(addr)
 	if err != nil {
 		return r, err
@@ -360,8 +373,16 @@ func (nd *Node) joinOnce(addr string, deadline time.Time) (joinReply, error) {
 		Heartbeat: nd.tun().LeaseInterval,
 		BytesOut:  nd.om.wireOut, BytesIn: nd.om.wireIn,
 	})
-	defer wc.Close()
-	defer time.AfterFunc(time.Until(deadline), func() { wc.Close() }).Stop()
+	timer := time.AfterFunc(time.Until(deadline), func() { wc.Close() })
+	hangUp := func() {
+		timer.Stop()
+		wc.Close()
+	}
+	defer func() {
+		if r.conn == nil {
+			hangUp()
+		}
+	}()
 	var e wire.Enc
 	e.Str(nd.addr)
 	reply, err := wc.Call(fJoin, e.Bytes())
@@ -390,19 +411,39 @@ func (nd *Node) joinOnce(addr string, deadline time.Time) (joinReply, error) {
 	if d.Failed() {
 		return r, errors.New("fabric: undecodable join reply")
 	}
+	if r.in != nil {
+		r.conn, r.hangUp = wc, hangUp
+	}
 	return r, nil
 }
 
-// applyWorld installs the join reply: identity, tables, hosted parity,
-// and — for a replacement — the reconstructed base and causal replay.
+// confirm tells the arbiter, on the connection the install came by, that
+// this replacement has rebuilt its state and stands at its phase: the
+// arbiter publishes it and ends the crisis.
+func (nd *Node) confirm(wc *wire.Conn) error {
+	var e wire.Enc
+	e.Str(nd.addr)
+	e.I(nd.Phase())
+	if _, err := wc.Call(fJoin, e.Bytes()); err != nil {
+		return fmt.Errorf("fabric: install confirm: %w", err)
+	}
+	return nil
+}
+
+// applyWorld installs the join reply: identity, tables, and the parity
+// this rank hosts — fresh for a rank of the bootstrap, rebuilt by a
+// replacement (restore), which also rebuilds its window and replays its
+// install.
 func (nd *Node) applyWorld(w world, in *install) error {
 	if w.n < 2 || w.rank < 0 || w.rank >= w.n || w.windowWords < 1 ||
-		w.groups < 1 || w.groups > w.n || len(w.members) != w.n {
-		return fmt.Errorf("fabric: malformed world (rank %d of %d, %d window words, %d groups, %d members)",
-			w.rank, w.n, w.windowWords, w.groups, len(w.members))
+		w.groups < 1 || w.groups > w.n || len(w.members) != w.n || len(w.hostings) != w.groups {
+		return fmt.Errorf("fabric: malformed world (rank %d of %d, %d window words, %d groups, %d members, %d hostings)",
+			w.rank, w.n, w.windowWords, w.groups, len(w.members), len(w.hostings))
 	}
-	if in != nil && len(in.base) != w.windowWords {
-		return fmt.Errorf("fabric: install base has %d words, window is %d", len(in.base), w.windowWords)
+	for g, h := range w.hostings {
+		if h.Group != g || h.Host < 0 || h.Host >= w.n {
+			return fmt.Errorf("fabric: malformed world (group %d hosted as %+v)", g, h)
+		}
 	}
 	nd.rank, nd.n, nd.windowWords = w.rank, w.n, w.windowWords
 	nd.grouping = fabricGrouping(w.n, w.groups)
@@ -416,11 +457,6 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.tuning.Store(&tw)
 	nd.meta = w.meta
 	nd.inc = w.members[w.rank].Incarnation
-	if in != nil {
-		nd.window = in.base // a view of the join reply, which this node alone holds
-	} else {
-		nd.window = make([]uint64, w.windowWords)
-	}
 	nd.dirty = rma.NewDirtyTracker(w.windowWords)
 	nd.saved = make([]int32, (w.windowWords+chunkWords-1)/chunkWords)
 	nd.snapSelf = snap{phase: -1, ec: make([]int, w.n)}
@@ -434,18 +470,20 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.dialMu = make([]sync.Mutex, w.n)
 	nd.members = append([]Member(nil), w.members...)
 	nd.hostings = append([]Hosting(nil), w.hostings...)
-	for _, h := range w.hostings {
-		if h.Host == nd.rank {
-			hg, err := newHostedGroup(len(nd.grouping.ComputeMembers(h.Group)), nd.windowWords)
-			if err != nil {
-				return err
-			}
-			nd.hosted[h.Group] = hg
-		}
-	}
 	if in != nil {
-		if err := nd.applyInstall(in); err != nil {
+		if err := nd.restore(in); err != nil {
 			return err
+		}
+	} else {
+		nd.window = make([]uint64, w.windowWords)
+		for _, h := range w.hostings {
+			if h.Host == nd.rank {
+				hg, err := newHostedGroup(len(nd.grouping.ComputeMembers(h.Group)), nd.windowWords)
+				if err != nil {
+					return err
+				}
+				nd.hosted[h.Group] = hg
+			}
 		}
 	}
 	nd.state.CompareAndSwap(stJoining, stLive)
@@ -454,41 +492,95 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	return nil
 }
 
-// applyInstall replays the reconstructed state of a replacement rank:
-// base, counters, then the put redeliveries and get re-deposits with
-// GNC ≥ the committed phase, in the order the arbiter's ftrma.ReplayOrder
-// gave them (the install's codec keeps record order).
-func (nd *Node) applyInstall(in *install) error {
-	t0 := time.Now()
-	nd.snapSelf = in.snap // the window is the base: nothing is saved or stamped
-	if len(in.snap.ec) == nd.n {
-		copy(nd.ec, in.snap.ec)
+// restore rebuilds a replacement's state from the survivors, which the
+// crisis keeps quiesced until the replacement confirms, so every committed
+// base agrees with its group's parity: the shard of every group this rank
+// hosts — the XOR of the group members' bases — and this rank's committed
+// base — the XOR of its group's parity and the other members' bases — which
+// becomes the window. The install's records then replay on top
+// (applyInstall).
+func (nd *Node) restore(in *install) error {
+	rebuild := obs.StartSpan(nd.om.crisis[obs.CrisisRebuild], nd.fr, obs.EvCrisis, int64(obs.CrisisRebuild), int64(nd.rank))
+	for _, h := range nd.hostings {
+		if h.Host != nd.rank {
+			continue
+		}
+		members := nd.grouping.ComputeMembers(h.Group)
+		shard, snaps, _, err := nd.fetchState(members, -1, h.Group)
+		if err != nil {
+			return err
+		}
+		rs, err := erasure.NewRS(len(members), 1)
+		if err != nil {
+			return err
+		}
+		folded := make([]int, len(members))
+		for i, s := range snaps {
+			folded[i] = s.phase
+		}
+		hg := &hostedGroup{k: len(members), rs: rs, shards: [][]uint64{shard}, snaps: snaps, folded: folded, answered: slices.Clone(folded)}
+		nd.hosted[h.Group] = hg
+		nd.adoptFolds(h.Group, hg)
+		nd.om.parityRebuilds.Inc()
 	}
-	nd.gc = in.snap.gc
-	nd.phase = in.snap.phase + 1
+	g := nd.grouping.GroupOf(nd.rank)
+	members := nd.grouping.ComputeMembers(g)
+	others := slices.DeleteFunc(slices.Clone(members), func(r int) bool { return r == nd.rank })
+	base, _, parity, err := nd.fetchState(others, nd.hostings[g].Host, g)
+	if err != nil {
+		return err
+	}
+	idx := nd.grouping.MemberIndex(nd.rank)
+	if parity.k != len(members) || idx >= parity.k {
+		return fmt.Errorf("fabric: parity of group %d has %d members, expected %d", g, parity.k, len(members))
+	}
+	rebuild.End()
+	nd.window = base // a fetched reply, which this node alone holds
+	if err := nd.applyInstall(parity.snaps[idx], in); err != nil {
+		return err
+	}
+	nd.mmu.Lock()
+	nd.members[nd.rank].Watermark = nd.phase
+	nd.mmu.Unlock()
+	return nil
+}
+
+// applyInstall sets a replacement's counters to s, the snapshot of the
+// committed base its window holds, and replays the install: the put
+// redeliveries and get re-deposits with GNC ≥ the committed phase, in the
+// order ftrma.ReplayOrder gives them.
+func (nd *Node) applyInstall(s snap, in *install) error {
+	t0 := time.Now()
+	nd.snapSelf = s // the window is the base: nothing is saved or stamped
+	if len(s.ec) == nd.n {
+		copy(nd.ec, s.ec)
+	}
+	nd.gc = s.gc
+	nd.phase = s.phase + 1
 	nd.ecAt = map[int][]int{nd.phase: append([]int(nil), nd.ec...)}
 	nd.gcAt = map[int]int{nd.phase: nd.gc}
-	if err := nd.replay(in); err != nil {
+	rl := ftrma.ReplayOrder(in.puts, in.gets, s.phase)
+	if err := nd.replay(rl); err != nil {
 		return err
 	}
 	nd.om.replayChunks.Inc()
-	nd.om.replayPuts.Add(uint64(len(in.puts)))
-	nd.om.replayGets.Add(uint64(len(in.gets)))
+	nd.om.replayPuts.Add(uint64(len(rl.Puts)))
+	nd.om.replayGets.Add(uint64(len(rl.Gets)))
 	us := time.Since(t0).Microseconds()
 	if us < 1 {
 		us = 1
 	}
 	nd.om.replayUs.Observe(uint64(us))
-	nd.fr.Record(obs.EvReplayChunk, int64(len(in.puts)), int64(len(in.gets)), us)
+	nd.fr.Record(obs.EvReplayChunk, int64(len(rl.Puts)), int64(len(rl.Gets)), us)
 	return nil
 }
 
-// replay lands the install's records in the window, stamped like any other
+// replay lands the ordered records in the window, stamped like any other
 // write: the replacement's first checkpoint folds exactly what they changed.
-func (nd *Node) replay(in *install) error {
+func (nd *Node) replay(rl *ftrma.ReplayLogs) error {
 	nd.winMu.Lock()
 	defer nd.winMu.Unlock()
-	for _, r := range in.puts {
+	for _, r := range rl.Puts {
 		if r.Combine || r.Op != rma.OpReplace {
 			return fmt.Errorf("fabric: replay of combining put (op %v) is not supported", r.Op)
 		}
@@ -497,7 +589,7 @@ func (nd *Node) replay(in *install) error {
 		}
 		nd.writeLocked(r.Off, r.Data)
 	}
-	for _, r := range in.gets {
+	for _, r := range rl.Gets {
 		if r.LocalOff < 0 {
 			continue // private destination: re-execution re-fetches it
 		}
@@ -689,10 +781,8 @@ func (nd *Node) Members() []Member {
 	return append([]Member(nil), nd.members...)
 }
 
-// Hostings returns a snapshot of the parity hosting table.
+// Hostings returns a copy of the parity hosting table, the seed's.
 func (nd *Node) Hostings() []Hosting {
-	nd.mmu.Lock()
-	defer nd.mmu.Unlock()
 	return append([]Hosting(nil), nd.hostings...)
 }
 
@@ -763,30 +853,29 @@ func (nd *Node) strikeDial(rank, inc int, cause error) {
 
 // mergeMembers folds a remote view into ours: higher incarnations win a
 // slot outright; within one incarnation deaths are sticky and watermarks
-// are monotone. A hosting entry that moves is the event on which a parity
-// host tells the hosts its groups' readiness again (announce).
-func (nd *Node) mergeMembers(ms []Member, hs []Hosting) {
-	changed, rehosted := false, false
+// are monotone. A new incarnation of a parity host is the event on which a
+// host tells the hosts its groups' readiness again (announce): the
+// replacement has heard none of it.
+func (nd *Node) mergeMembers(ms []Member) {
+	changed, renewed := false, false
 	nd.mmu.Lock()
 	for _, m := range ms {
-		changed = nd.mergeLocked(m) || changed
-	}
-	for _, h := range hs {
-		if h.Group < 0 || h.Group >= len(nd.hostings) {
+		if m.Rank < 0 || m.Rank >= nd.n {
 			continue
 		}
-		if h.Version > nd.hostings[h.Group].Version {
-			nd.hostings[h.Group] = h
-			rehosted = true
+		inc := nd.members[m.Rank].Incarnation
+		if nd.mergeLocked(m) {
+			changed = true
+			renewed = renewed || nd.members[m.Rank].Incarnation != inc && nd.hosts(m.Rank)
 		}
 	}
 	nd.mmu.Unlock()
-	if changed || rehosted {
+	if changed {
 		nd.mcond.Broadcast()
 		nd.answerHeld()
 		nd.maybeArbiter()
 	}
-	if rehosted {
+	if renewed {
 		nd.announce(true)
 	}
 }
@@ -872,7 +961,6 @@ func (nd *Node) gossipNow() {
 	var e wire.Enc
 	nd.mmu.Lock()
 	encMembers(&e, nd.members)
-	encHostings(&e, nd.hostings)
 	peers := nd.alivePeersLocked()
 	if len(peers) > gossipFanout {
 		start := nd.gossipPos % len(peers)
@@ -946,7 +1034,6 @@ func (nd *Node) peer(m Member) (*peerConn, error) {
 	pc.c = wire.New(nc, wire.Config{
 		VecHandler:  func(t byte, p []byte, r wire.Reply) (byte, *wire.Vec, error) { return nd.handle(st, t, p, r) },
 		Inline:      nd.inline,
-		Keep:        keepBody,
 		Heartbeat:   nd.tun().LeaseInterval,
 		ReadTimeout: lease,
 		BytesOut:    nd.om.wireOut,
@@ -1420,7 +1507,7 @@ func (nd *Node) holdFold(h heldFold) (byte, *wire.Vec, error) {
 // answerHeld answers, each exactly once and outside mmu and parMu, the held
 // folds whose answer is decided now. Whatever can decide one calls it once
 // the change is in the table: a watermark merged (mergeWatermark,
-// mergeMembers, a replacement's entry in handleJoin), a crisis's quiesce
+// mergeMembers, a replacement's entry in confirmJoin), a crisis's quiesce
 // beginning or ending, the node failing or closing (wake). The list and the
 // buffer the answers are taken out into are reused, so a phase's answers
 // allocate nothing.
@@ -1481,14 +1568,13 @@ func foldReply(h heldFold) *wire.Vec {
 // are ready — ftrma.GsyncReady: every member's fold received — by one
 // targeted fGossip each, carrying the members' entries. It sends when the
 // readiness has moved past what it last told, or, with again, whatever it
-// is, to every host: the hosting table has changed, and a new host has
-// heard nothing yet.
+// is, to every host: a host has been replaced, and the replacement has heard
+// nothing yet.
 func (nd *Node) announce(again bool) {
 	nd.mmu.Lock()
 	mine := func(g int) bool { return nd.hostings[g].Host == nd.rank }
 	wm := func(r int) int { return nd.members[r].Watermark }
-	hosting := slices.ContainsFunc(nd.hostings, func(h Hosting) bool { return h.Host == nd.rank })
-	if !hosting || !again && !ftrma.GsyncReady(nd.grouping, mine, wm, nd.told) {
+	if !nd.hosts(nd.rank) || !again && !ftrma.GsyncReady(nd.grouping, mine, wm, nd.told) {
 		nd.mmu.Unlock()
 		return
 	}
@@ -1505,14 +1591,13 @@ func (nd *Node) announce(again bool) {
 	nd.told = ready
 	var peers []Member
 	for _, h := range nd.hostings {
-		if m := nd.members[max(h.Host, 0)]; h.Host >= 0 && h.Host != nd.rank && m.Alive && m.Addr != "" &&
+		if m := nd.members[h.Host]; h.Host != nd.rank && m.Alive && m.Addr != "" &&
 			!slices.ContainsFunc(peers, func(p Member) bool { return p.Rank == h.Host }) {
 			peers = append(peers, m)
 		}
 	}
 	var e wire.Enc
 	encMembers(&e, entries)
-	encHostings(&e, nd.hostings)
 	nd.mmu.Unlock()
 	nd.notify(peers, fGossip, e.Bytes())
 }
@@ -1613,17 +1698,10 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 			nd.ckptMu.Unlock()
 			return 0, err
 		}
+		host := nd.hostings[g].Host
 		nd.mmu.Lock()
-		h, rec := nd.hostings[g], nd.recoveries
-		var hm Member
-		if h.Host >= 0 {
-			hm = nd.members[h.Host]
-		}
+		hm, rec := nd.members[host], nd.recoveries
 		nd.mmu.Unlock()
-		if h.Host < 0 {
-			nd.ckptMu.Unlock()
-			return 0, fmt.Errorf("fabric: group %d has no electable parity host", g)
-		}
 		if !diffed {
 			nd.diffRanges()
 			s = nd.snapNow(p)
@@ -1635,17 +1713,17 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 		var status byte
 		call := time.Now()
 		switch {
-		case h.Host == nd.rank:
+		case host == nd.rank:
 			err = nd.foldLocal(g, memberIdx, p, s)
 		case !hm.Alive:
-			err = fmt.Errorf("fabric: rank %d is down", h.Host)
+			err = fmt.Errorf("fabric: rank %d is down", host)
 		default:
 			var pc *peerConn
 			if pc, err = nd.peer(hm); err == nil {
 				var reply []byte
 				if reply, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s)); err == nil {
 					if status = decFoldStatus(reply); status == 0 {
-						err = fmt.Errorf("fabric: undecodable fold reply from rank %d", h.Host)
+						err = fmt.Errorf("fabric: undecodable fold reply from rank %d", host)
 					}
 					wire.Recycle(reply)
 				}
@@ -1665,7 +1743,7 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 		nd.folding = false
 		nd.ckptCond.Broadcast()
 		nd.ckptMu.Unlock()
-		if err == nil && h.Host == nd.rank {
+		if err == nil && host == nd.rank {
 			if status, err = nd.awaitRelease(p); err != nil {
 				return 0, nd.failedOrClosed()
 			}
@@ -1678,17 +1756,15 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 			continue // held through a crisis: committed, ask again
 		}
 		var rf wire.RemoteFail
-		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis && !strings.Contains(rf.Msg, "not hosting") ||
-			errors.Is(err, wire.ErrFrameTooLarge) {
-			return 0, fmt.Errorf("fabric: parity fold at rank %d: %w", h.Host, err)
+		if errors.As(err, &rf) && rf.Code != wire.CodeCrisis || errors.Is(err, wire.ErrFrameTooLarge) {
+			return 0, fmt.Errorf("fabric: parity fold at rank %d: %w", host, err)
 		}
-		// Host down, closing, or no longer the host: park until the table
-		// this attempt read has moved. Only a failed dial leaves nothing to
-		// wait for.
+		// Host down or closing: park until the table this attempt read has
+		// moved. Only a failed dial leaves nothing to wait for.
 		if errors.Is(err, errDial) {
 			nd.dialBackoff(&backoff)
 		} else {
-			nd.awaitFoldTarget(h, hm, rec)
+			nd.awaitFoldTarget(hm, rec)
 		}
 	}
 }
@@ -1703,14 +1779,13 @@ func decFoldStatus(reply []byte) byte {
 }
 
 // awaitFoldTarget parks until a failed fold has somewhere new to go: the
-// group's hosting entry or the host's liveness or incarnation differs from
-// what the attempt read (h, hm), a crisis has closed since (rec), or the node
-// failed or closed.
-func (nd *Node) awaitFoldTarget(h Hosting, hm Member, rec int) {
+// host's liveness or incarnation differs from what the attempt read (hm), a
+// crisis has closed since (rec), or the node failed or closed.
+func (nd *Node) awaitFoldTarget(hm Member, rec int) {
 	nd.mmu.Lock()
 	defer nd.mmu.Unlock()
-	for nd.failedOrClosed() == nil && nd.hostings[h.Group] == h && nd.recoveries == rec {
-		if cur := nd.members[h.Host]; cur.Alive != hm.Alive || cur.Incarnation != hm.Incarnation {
+	for nd.failedOrClosed() == nil && nd.recoveries == rec {
+		if cur := nd.members[hm.Rank]; cur.Alive != hm.Alive || cur.Incarnation != hm.Incarnation {
 			return
 		}
 		nd.mcond.Wait()
@@ -1745,18 +1820,24 @@ func (nd *Node) callRank(rank int, t byte, v *wire.Vec) ([]byte, error) {
 // stays word for word, so a chunk stamped by a write that changed nothing
 // (or one word) contributes nothing (or one word), and a run that crosses
 // into the next stamped chunk stays one run: the ranges are those of a full
-// scan. Caller holds ckptMu.
+// scan. The delta is at most the stamped words, so its buffer is sized for
+// them before the walk — and let go when mostly idle at that size — and a
+// window-wide diff allocates it once instead of growing it chunk by chunk.
+// Caller holds ckptMu.
 func (nd *Node) diffRanges() {
 	df := &nd.delta
-	if idle(df.words, len(df.words)) {
-		df.words = nil
-	}
-	df.runs, df.words = df.runs[:0], df.words[:0]
+	df.runs = df.runs[:0]
 	scanned := 0
 	nd.winMu.Lock()
 	df.gen = nd.dirty.Gen()
 	for off, n, ok := nd.dirty.Next(0, nd.ckptGen); ok; off, n, ok = nd.dirty.Next(off+n, nd.ckptGen) {
 		scanned += n
+	}
+	if cap(df.words) < scanned || idle(df.words, scanned) {
+		df.words = make([]uint64, 0, scanned)
+	}
+	df.words = df.words[:0]
+	for off, n, ok := nd.dirty.Next(0, nd.ckptGen); ok; off, n, ok = nd.dirty.Next(off+n, nd.ckptGen) {
 		w := nd.window[off : off+n]
 		b := nd.baseOf(off/chunkWords, w)[:n] // both n long: no bounds checks below
 		for i := 0; i < n; {

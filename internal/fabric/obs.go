@@ -20,7 +20,6 @@ type nodeMetrics struct {
 	crises      *obs.Counter // fabric.crises
 
 	parityRebuilds *obs.Counter // fabric.parity.rebuilds
-	parityHandoffs *obs.Counter // fabric.parity.handoffs
 	replayPuts     *obs.Counter // fabric.replay.puts
 	replayGets     *obs.Counter // fabric.replay.gets
 	replayChunks   *obs.Counter // fabric.replay.chunks
@@ -56,7 +55,6 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 		nearMiss:       r.Counter("fabric.lease.close_calls"),
 		crises:         r.Counter("fabric.crises"),
 		parityRebuilds: r.Counter("fabric.parity.rebuilds"),
-		parityHandoffs: r.Counter("fabric.parity.handoffs"),
 		replayPuts:     r.Counter("fabric.replay.puts"),
 		replayGets:     r.Counter("fabric.replay.gets"),
 		replayChunks:   r.Counter("fabric.replay.chunks"),

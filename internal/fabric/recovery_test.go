@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport/wire"
 )
 
@@ -172,9 +173,9 @@ func TestRecoveryIgnoresGossipInterval(t *testing.T) {
 
 // TestJoinLongPoll: an fJoin is answered when there is an answer. A join
 // that reaches the arbiter before anybody is dead is held through the
-// verdict and the reconstruction and comes back with the world in that one
-// exchange; a joiner that hangs up lets go of the handler holding its
-// request.
+// verdict and the log gather and comes back with the world in that one
+// exchange, and the replacement's confirm is the one more fJoin it sends; a
+// joiner that hangs up lets go of the handler holding its request.
 func TestJoinLongPoll(t *testing.T) {
 	const n, victim = 4, 2
 	pn := newPipeNet()
@@ -242,8 +243,8 @@ func TestJoinLongPoll(t *testing.T) {
 		t.Fatalf("the held join made rank %d inc %d at phase %d, want rank %d inc 1 at phase 1", j.tn.rank, j.tn.inc, j.tn.Phase(), victim)
 	}
 	mu.Lock()
-	if got := joins[j.tn.addr]; got != 2 {
-		t.Errorf("the replacement sent %d fJoin frames, want one to the rank it joined through and one to the arbiter", got)
+	if got := joins[j.tn.addr]; got != 3 {
+		t.Errorf("the replacement sent %d fJoin frames, want one to the rank it joined through, one to the arbiter and its confirm", got)
 	}
 	mu.Unlock()
 	go func() { errs <- runPhase(j.tn.Node, 1) }()
@@ -413,15 +414,14 @@ func TestReplacementKilledBeforeItsFirstFold(t *testing.T) {
 // from the kill until the replacement has joined. The 2 MiB window keeps
 // every window-sized frame body out of wire's pool, so each receive is an
 // allocation of its own. Ranks 0 and 1 host the parity of groups 1 and 0, so
-// their recovery re-homes a group as well: the re-home fetches one base and
-// installs the rebuilt shard, the reconstruction fetches one base or the
-// parity, and the join reply carries the install — 4 windows on the wire for
-// a host, 2 for the others. Each is received into one buffer and kept there,
-// and nothing else window-sized is allocated: the rebuild XORs in the first
-// buffer fetched, the new host keeps the installed shard in its request body
-// (wire.Config.Keep), and the replacement keeps the join reply as its window
-// — its committed base is that window, with no chunk saved yet. Nobody but
-// the victim is condemned, the teardown included.
+// their replacement rebuilds a shard as well as its base: the shard from the
+// two members' bases, the base from the other member's and the parity — 4
+// windows on the wire for a host, 2 for the others; the join reply carries
+// log records only. Each is received into one buffer and kept there, and
+// nothing else window-sized is allocated: each rebuild XORs in the first
+// buffer fetched, which stays the hosted shard or becomes the window — the
+// replacement's committed base is that window, with no chunk saved yet.
+// Nobody but the victim is condemned, the teardown included.
 func TestRecoveryWindowTraffic(t *testing.T) {
 	const n, words = 4, 1 << 18
 	wantWire := []uint64{4, 4, 2, 2}
@@ -481,10 +481,11 @@ func TestRecoveryWindowTraffic(t *testing.T) {
 }
 
 // TestRecoveryFromLocalOperands: on two ranks in one group, rank 0 hosts the
-// parity and arbitrates, so every operand of rank 1's rebuild is its own —
-// its committed base and its hosted shard, nothing fetched. The rebuild then
-// starts from a copy and leaves both untouched: the replacement comes back
-// with the victim's committed window, and every base and the parity agree.
+// parity and arbitrates, so both operands of rank 1's rebuild — rank 0's
+// committed base and its hosted shard — come from the arbiter, the two
+// fetches to it at once. The rebuild leaves both untouched: the replacement
+// comes back with the victim's committed window, and every base and the
+// parity agree.
 func TestRecoveryFromLocalOperands(t *testing.T) {
 	const n, words = 2, 1000
 	f := startTestFabricWords(t, newPipeNet(), n, 1, words, fastTuning)
@@ -661,4 +662,154 @@ func TestCrisisWhileFoldsHeld(t *testing.T) {
 			checkCommitted(t, f, "after the recovery")
 		})
 	}
+}
+
+// TestReplacementHostsItsRebuiltShard: the replacement of a parity host
+// hosts the group it inherits, its shard rebuilt from the members' bases
+// where the replacement runs — crisis.rebuild.us is recorded there, not at
+// the arbiter — and the arbiter receives no window-sized frame: no window
+// passes through it. The victims are the two hosts, the arbiter among them.
+func TestReplacementHostsItsRebuiltShard(t *testing.T) {
+	const n, words = 4, 1 << 16
+	for _, victim := range []int{0, 1} { // 0 hosts group 1 and arbitrates, 1 hosts group 0
+		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
+			f := startTestFabricWords(t, newPipeNet(), n, 2, words, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: time.Hour})
+			for _, tn := range f.nodes {
+				tn.WriteAt(0, randWords(rand.New(rand.NewSource(int64(tn.rank))), words))
+			}
+			syncAll(t, f)
+			hostings := f.nodes[0].Hostings()
+			g := slices.IndexFunc(hostings, func(h Hosting) bool { return h.Host == victim })
+			arbiter := f.nodes[1-min(victim, 1)]
+			recv0 := arbiter.om.wireIn.Load()
+			repl := f.replace(t, victim)
+			if got := arbiter.om.wireIn.Load() - recv0; got >= 8*words {
+				t.Errorf("the arbiter received %d B during the recovery, a window or more", got)
+			}
+			repl.parMu.Lock()
+			hosted := repl.hosted[g] != nil
+			repl.parMu.Unlock()
+			if !hosted || !slices.Equal(repl.Hostings(), hostings) {
+				t.Fatalf("the replacement of rank %d does not host group %d, or the table moved: %v", victim, g, repl.Hostings())
+			}
+			if got := repl.om.parityRebuilds.Load(); got != 1 {
+				t.Errorf("the replacement rebuilt %d shards, want 1", got)
+			}
+			if at, there := arbiter.om.crisis[obs.CrisisRebuild].Count(), repl.om.crisis[obs.CrisisRebuild].Count(); at != 0 || there != 1 {
+				t.Errorf("crisis.rebuild.us counts %d at the arbiter and %d at the replacement, want 0 and 1", at, there)
+			}
+			syncAll(t, f)
+			checkCommitted(t, f, "after the recovery")
+		})
+	}
+}
+
+// TestReplacementLostBeforeConfirm: a replacement that takes the install and
+// hangs up before it confirms — here one that also fetched a survivor's base
+// under its incarnation — leaves the install parked again. The next
+// replacement takes it under the incarnation after, rebuilds and replays
+// it, and brings every survivor's Sync through the barrier: each write-once
+// word in place, every base and parity agreeing, nobody but the victim
+// condemned.
+func TestReplacementLostBeforeConfirm(t *testing.T) {
+	const n, victim = 4, 2
+	pn := newPipeNet()
+	f := startTestFabric(t, pn, n, 2, fastTuning)
+	errs := make(chan error, n)
+	wait := func() {
+		t.Helper()
+		for range f.nodes {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() { errs <- runPhase(tn.Node, 0) }()
+	}
+	wait()
+	for r, tn := range f.nodes {
+		if r != victim {
+			tn := tn
+			go func() { errs <- runPhase(tn.Node, 1) }()
+		}
+	}
+	f.nodes[victim].closeWithin(t, 0)
+	observer := f.nodes[(victim+1)%n]
+	await(t, "the verdict", func() bool { return !observer.sees(victim).Alive })
+
+	// The lost replacement: it joins at the arbiter, says hello under the
+	// install's incarnation, fetches a base, and is gone.
+	dial := pn.dialer("lost")
+	nc, err := dial.Dial(f.nodes[0].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc := wire.New(nc, wire.Config{})
+	var e wire.Enc
+	e.Str("lost")
+	reply, err := jc.Call(fJoin, e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := wire.NewDec(reply)
+	if mode := d.B(); mode != jmWorld {
+		t.Fatalf("the arbiter answered the join with mode %d", mode)
+	}
+	w, ok := decWorld(d)
+	if !ok || w.rank != victim || w.members[victim].Incarnation != 1 || d.B() != 1 {
+		t.Fatalf("the join reply is not rank %d's install at incarnation 1: %+v", victim, w)
+	}
+	if _, ok := decInstall(d); !ok {
+		t.Fatal("undecodable install")
+	}
+	nc, err = dial.Dial(observer.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := wire.New(nc, wire.Config{})
+	var hello wire.Enc
+	hello.I(victim)
+	hello.I(1)
+	pc.Notify(fHello, hello.Bytes())
+	if _, err := pc.Call(fBaseFetch, nil); err != nil {
+		t.Fatal(err)
+	}
+	pc.Close()
+	jc.Close()
+
+	repl, err := f.join(observer.addr)
+	if err != nil {
+		t.Fatalf("replacement join: %v", err)
+	}
+	f.all = append(f.all, repl)
+	f.nodes[victim] = repl
+	if repl.rank != victim || repl.inc != 2 || repl.Phase() != 1 {
+		t.Fatalf("the replacement is rank %d inc %d at phase %d, want rank %d inc 2 at phase 1", repl.rank, repl.inc, repl.Phase(), victim)
+	}
+	go func() { errs <- runPhase(repl.Node, 1) }()
+	wait()
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() { errs <- drivePhases(tn.Node, 2, testPhases) }()
+	}
+	wait()
+	for r, tn := range f.nodes {
+		for src := 0; src < n; src++ {
+			for p := 0; p < testPhases && src != r; p++ {
+				if got := tn.ReadAt(src*testPhases+p, 1)[0]; got != testVal(src, p) {
+					t.Errorf("rank %d word (%d, %d) = %#x, want %#x", r, src, p, got, testVal(src, p))
+				}
+			}
+		}
+		if m := tn.sees(victim); !m.Alive || m.Incarnation != 2 {
+			t.Errorf("rank %d sees the victim's slot as %+v", r, m)
+		}
+		if got := tn.om.condemned.Load(); got > 1 {
+			t.Errorf("rank %d passed %d verdicts, want the victim's at most", r, got)
+		}
+	}
+	syncAll(t, f)
+	checkCommitted(t, f, "after the second replacement")
 }

@@ -15,10 +15,11 @@ import (
 
 // TestInstallKeepsReplayOrder: three puts to one word and three get
 // deposits to another, tied on every counter and told apart only by Src,
-// go through the arbiter's ReplayOrder, the install codec and the
-// replacement's applyInstall. Ties replay in fetch order, so the window
-// must show the last tied writer; a record of an older phase, fetched
-// last, must replay first; one older than the committed phase not at all.
+// go through the install codec in the order the arbiter gathered them and
+// the replacement's applyInstall, which orders them (ReplayOrder). Ties
+// replay in fetch order, so the window must show the last tied writer; a
+// record of an older phase, fetched last, must replay first; one older than
+// the committed phase not at all.
 func TestInstallKeepsReplayOrder(t *testing.T) {
 	const words, putOff, getOff = 8, 2, 5
 	put := func(src, gnc int, v uint64) ftrma.LogRecord {
@@ -35,15 +36,14 @@ func TestInstallKeepsReplayOrder(t *testing.T) {
 	puts = append(puts, put(3, 1, 99), put(3, 0, 98)) // older phase: first; pre-checkpoint: dropped
 	gets = append(gets, get(3, 1, 97), get(3, 0, 96))
 
-	replay := ftrma.ReplayOrder(puts, gets, 1)
 	var e wire.Enc
-	encInstall(&e, &install{snap: snap{phase: 1, ec: make([]int, 2)}, base: make([]uint64, words), puts: replay.Puts, gets: replay.Gets})
+	encInstall(&e, &install{puts: puts, gets: gets})
 	in, ok := decInstall(wire.NewDec(e.Bytes()))
 	if !ok {
 		t.Fatal("undecodable install")
 	}
 	nd := bareNode(words)
-	if err := nd.applyInstall(in); err != nil {
+	if err := nd.applyInstall(snap{phase: 1, ec: make([]int, 2)}, in); err != nil {
 		t.Fatal(err)
 	}
 	if got := nd.window[putOff]; got != 12 {

@@ -1,6 +1,7 @@
 package ftrma
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/rma"
@@ -50,25 +51,31 @@ func (r LogRecord) Bytes() int {
 
 // slab is one bump-allocated payload block. Records reference (slab, off, n)
 // views into it; a slab is recycled wholesale once no live record points at
-// its words (trims only mark words dead, compaction reclaims them).
+// its words: at once when its live count reaches zero (release), or by
+// compaction, which reclaims the dead words of slabs that are still partly
+// live.
 type slab struct {
 	data []uint64
 	used int   // bump pointer
+	live int   // words of live records
 	next *slab // freelist link
 }
 
 // logArena owns a rank's log payload memory: a list of slabs filled by bump
-// allocation plus a freelist of recycled slabs. live/used word counters
-// drive compaction: when the live ratio of the allocated words drops below
-// the configured threshold, every live payload is rewritten densely into
-// fresh slabs and the old ones are recycled.
+// allocation plus a freelist of recycled slabs. A slab whose records are all
+// trimmed leaves the list as soon as it is not the one being filled, so
+// used counts the words of slabs that still hold a live record (and of the
+// current one). live/used drive compaction: when the live ratio of those
+// words drops below the configured threshold, every live payload is
+// rewritten densely into fresh slabs and the old ones are recycled.
 type logArena struct {
 	slabWords int
 	slabs     []*slab // slabs holding allocated words; current = last
 	free      *slab   // recycled slabs (uniform slabWords-sized)
 	freeCount int
 	live      int // words referenced by live records
-	used      int // words bump-allocated (live + dead)
+	used      int // words bump-allocated in the listed slabs (live + dead)
+	copied    int // payload words compaction has rewritten
 }
 
 // maxFreeSlabs bounds how many recycled slabs the freelist retains; beyond
@@ -85,9 +92,33 @@ func (a *logArena) alloc(n int) (*slab, int) {
 	}
 	off := cur.used
 	cur.used += n
+	cur.live += n
 	a.used += n
 	a.live += n
 	return cur, off
+}
+
+// release marks a record's n payload words in sl dead. A slab left without a
+// live word goes back at once unless it is the one being filled: a bulk
+// record fills a slab of its own, and its slab leaves with its trim instead
+// of waiting for a compaction to copy its neighbours out.
+func (a *logArena) release(sl *slab, n int) {
+	if n == 0 {
+		return
+	}
+	sl.live -= n
+	a.live -= n
+	if sl.live == 0 && sl != a.current() {
+		a.drop(sl)
+	}
+}
+
+// drop takes a slab no live record points into off the list and recycles it.
+func (a *logArena) drop(sl *slab) {
+	i := slices.Index(a.slabs, sl)
+	a.slabs = slices.Delete(a.slabs, i, i+1)
+	a.used -= sl.used
+	a.recycle(sl)
 }
 
 func (a *logArena) current() *slab {
@@ -98,8 +129,12 @@ func (a *logArena) current() *slab {
 }
 
 // grow appends a slab able to hold n words: recycled when one fits, fresh
-// otherwise. Payloads larger than the slab size get a dedicated slab.
+// otherwise. Payloads larger than the slab size get a dedicated slab. The
+// slab it replaces as the current one goes back if nothing in it is live.
 func (a *logArena) grow(n int) *slab {
+	if cur := a.current(); cur != nil && cur.live == 0 {
+		a.drop(cur)
+	}
 	want := a.slabWords
 	if n > want {
 		want = n
@@ -110,7 +145,7 @@ func (a *logArena) grow(n int) *slab {
 		a.free = sl.next
 		a.freeCount--
 		sl.next = nil
-		sl.used = 0
+		sl.used, sl.live = 0, 0
 	} else {
 		sl = &slab{data: make([]uint64, want)}
 	}
@@ -125,7 +160,7 @@ func (a *logArena) recycle(sl *slab) {
 	if len(sl.data) != a.slabWords || a.freeCount >= maxFreeSlabs {
 		return
 	}
-	sl.used = 0
+	sl.used, sl.live = 0, 0
 	sl.next = a.free
 	a.free = sl
 	a.freeCount++
@@ -485,8 +520,10 @@ func (s *LogStore) TrimLG(q, snapGNC, snapGC int) int {
 }
 
 // trimPeer walks the segment ring once: segments whose watermark is covered
-// are unlinked in O(1), straddling segments are filtered in place. The freed
-// payload words stay in their slabs as dead space until compaction.
+// are unlinked whole, without testing their records, and straddling
+// segments are filtered in place. The freed payload words are released in
+// their slabs: a slab left without a live word is recycled, the rest stay
+// as dead space until compaction.
 func (s *LogStore) trimPeer(pl *peerLog, c trimCond) int {
 	freed := 0
 	var prev *segment
@@ -495,8 +532,10 @@ func (s *LogStore) trimPeer(pl *peerLog, c trimCond) int {
 		next := seg.next
 		drop := c.coversSeg(seg)
 		if drop {
+			for i := 0; i < seg.n; i++ {
+				s.arena.release(seg.recs[i].sl, seg.recs[i].n)
+			}
 			freed += seg.bytes
-			s.arena.live -= seg.words
 			pl.bytes -= seg.bytes
 			pl.combining -= seg.combining
 		} else {
@@ -534,7 +573,7 @@ func (s *LogStore) filterSegment(pl *peerLog, seg *segment, c trimCond) int {
 		r := &seg.recs[i]
 		if c.covers(r) {
 			freed += r.footprint()
-			s.arena.live -= r.n
+			s.arena.release(r.sl, r.n)
 			continue
 		}
 		if kept != i {
@@ -643,6 +682,7 @@ func (s *LogStore) rewritePayloads(m map[int]*peerLog) {
 				sl, off := s.arena.alloc(r.n)
 				copy(sl.data[off:off+r.n], r.payload())
 				r.sl, r.off = sl, off
+				s.arena.copied += r.n
 			}
 		}
 	}

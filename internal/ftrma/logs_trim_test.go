@@ -255,3 +255,32 @@ func TestCompactionReclaimsDeadSlabs(t *testing.T) {
 		}
 	}
 }
+
+// TestBulkCycleRewritesNothing: the fabric's bulk shape — three 4096-word
+// puts per phase to one peer, each filling a slab of the fabric's 4096-word
+// arena, trimmed two phases back — frees every trimmed slab as its record
+// goes, so the live ratio never falls and compaction never copies a word.
+func TestBulkCycleRewritesNothing(t *testing.T) {
+	s := NewLocalLogHost(4096, 128, 0.5)
+	data := make([]uint64, 4096)
+	for p := 0; p < 100; p++ {
+		for k := 0; k < 3; k++ {
+			data[0] = uint64(3*p + k)
+			s.AppendLP(1, LogRecord{Trg: 1, EC: p, GNC: p, Data: data})
+		}
+		s.TrimLP(1, p-1)
+	}
+	s.mu.Lock()
+	copied, live, used, slabs := s.arena.copied, s.arena.live, s.arena.used, len(s.arena.slabs)
+	s.mu.Unlock()
+	if copied != 0 {
+		t.Errorf("compaction rewrote %d payload words, want 0", copied)
+	}
+	if live != 2*3*4096 || used != live || slabs != 6 {
+		t.Errorf("the arena holds %d slabs, %d words used and %d live, want 6 slabs of two phases' records, all live", slabs, used, live)
+	}
+	recs := s.CopyLP(1)
+	if len(recs) != 6 || recs[0].Data[0] != 3*98 || recs[5].Data[0] != 3*99+2 {
+		t.Fatalf("the log keeps %d records, want the last two phases' six", len(recs))
+	}
+}

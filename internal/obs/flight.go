@@ -38,8 +38,6 @@ const (
 	EvCrisis
 	// EvParityFold: a=group, b=member phase, c=delta ranges.
 	EvParityFold
-	// EvParityHandoff: a=group, b=new host rank, c=hosting version.
-	EvParityHandoff
 	// EvReplayChunk: a=put records, b=get records, c=install us.
 	EvReplayChunk
 )
@@ -54,7 +52,6 @@ var eventNames = map[EventCode]string{
 	EvCondemn:       "condemn",
 	EvCrisis:        "crisis",
 	EvParityFold:    "parity.fold",
-	EvParityHandoff: "parity.handoff",
 	EvReplayChunk:   "replay.chunk",
 }
 

@@ -44,16 +44,3 @@ func TestGetAccumulateConcurrentExact(t *testing.T) {
 		}
 	})
 }
-
-func TestGetAccumulateStats(t *testing.T) {
-	w := newTestWorld(2, 8)
-	w.Run(func(r int) {
-		if r == 0 {
-			w.Proc(0).GetAccumulate(1, 0, []uint64{1, 2, 3}, OpSum)
-		}
-	})
-	s := w.Proc(0).stats
-	if s.Accumulates != 1 || s.Gets != 1 || s.WordsPut != 3 || s.WordsGot != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-}

@@ -17,13 +17,6 @@ type pendingOp struct {
 	completeAt float64 // virtual completion time on the wire
 }
 
-// OpStats counts a rank's issued operations.
-type OpStats struct {
-	Puts, Gets, Accumulates, CAS, FAO int
-	Flushes, Locks, Unlocks, Gsyncs   int
-	WordsPut, WordsGot                int
-}
-
 // TraceAction is the event delivered to a Tracer; package trace turns these
 // into the formal model's action tuples.
 type TraceAction struct {
@@ -52,7 +45,6 @@ type Proc struct {
 	pending [][]pendingOp
 	putbuf  [][]uint64     // per-target arenas for buffered put payloads
 	batch   []transport.Op // scratch for epoch-close flush batches
-	stats   OpStats
 }
 
 var _ FullAPI = (*Proc)(nil)
@@ -185,12 +177,6 @@ func (p *Proc) putInternal(target, off int, data []uint64, op ReduceOp, kind str
 		op:         op,
 		completeAt: p.clock.Now() + p.world.params.TransferTime(bytes),
 	})
-	if op == OpReplace && kind == "put" {
-		p.stats.Puts++
-	} else {
-		p.stats.Accumulates++
-	}
-	p.stats.WordsPut += len(data)
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: kind, Src: p.rank, Trg: target, Words: len(data),
 			Combine: op.Combining(), Epoch: p.epoch[target]})
@@ -242,8 +228,6 @@ func (p *Proc) getInternal(target, off, n, localOff int) []uint64 {
 		localOff:   localOff,
 		completeAt: p.clock.Now() + p.world.params.TransferTime(bytes),
 	})
-	p.stats.Gets++
-	p.stats.WordsGot += n
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "get", Src: p.rank, Trg: target, Words: n,
 			Epoch: p.epoch[target]})
@@ -267,7 +251,6 @@ func (p *Proc) CompareAndSwap(target, off int, old, new uint64) uint64 {
 	p.clock.Advance(p.world.params.AtomicLatency)
 	prev, err := p.world.transports[p.rank].CompareAndSwap(p.rank, target, off, old, new)
 	p.transportErr(target, err)
-	p.stats.CAS++
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "cas", Src: p.rank, Trg: target, Words: 1,
 			Combine: true, Epoch: p.epoch[target]})
@@ -285,10 +268,6 @@ func (p *Proc) GetAccumulate(target, off int, data []uint64, op ReduceOp) []uint
 	p.clock.Advance(p.world.params.AtomicLatency + p.world.params.InjectTime(bytes))
 	prev, err := p.world.transports[p.rank].GetAccumulate(p.rank, target, off, data, uint8(op))
 	p.transportErr(target, err)
-	p.stats.Accumulates++
-	p.stats.Gets++
-	p.stats.WordsPut += len(data)
-	p.stats.WordsGot += len(data)
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "getaccumulate", Src: p.rank, Trg: target,
 			Words: len(data), Combine: op.Combining(), Epoch: p.epoch[target]})
@@ -304,7 +283,6 @@ func (p *Proc) FetchAndOp(target, off int, operand uint64, op ReduceOp) uint64 {
 	p.clock.Advance(p.world.params.AtomicLatency)
 	prev, err := p.world.transports[p.rank].FetchAndOp(p.rank, target, off, operand, uint8(op))
 	p.transportErr(target, err)
-	p.stats.FAO++
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "fao", Src: p.rank, Trg: target, Words: 1,
 			Combine: op.Combining(), Epoch: p.epoch[target]})
@@ -423,7 +401,6 @@ func (p *Proc) Flush(target int) {
 	p.applyPending(target)
 	p.clock.Advance(p.world.params.NetLatency) // remote completion ack
 	p.epoch[target]++
-	p.stats.Flushes++
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "flush", Src: p.rank, Trg: target, Epoch: p.epoch[target]})
 	})
@@ -447,7 +424,6 @@ func (p *Proc) FlushAll() {
 		p.epoch[q]++
 	}
 	p.clock.Advance(p.world.params.NetLatency)
-	p.stats.Flushes++
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "flush", Src: p.rank, Trg: -1})
 	})
@@ -480,7 +456,6 @@ func (p *Proc) Lock(target, str int) {
 		panic(killed{p.rank})
 	}
 	p.clock.AdvanceTo(after)
-	p.stats.Locks++
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "lock", Src: p.rank, Trg: target, Str: str,
 			Epoch: p.epoch[target]})
@@ -496,7 +471,6 @@ func (p *Proc) Unlock(target, str int) {
 	p.transportErr(target, p.world.transports[p.rank].Unlock(p.rank, target, str, p.clock.Now(), lat))
 	p.clock.Advance(lat)
 	p.epoch[target]++
-	p.stats.Unlocks++
 	p.world.trace(func(t Tracer) {
 		t.OnAction(TraceAction{Kind: "unlock", Src: p.rank, Trg: target, Str: str,
 			Epoch: p.epoch[target]})
@@ -524,7 +498,6 @@ func (p *Proc) Gsync() {
 	t := p.world.barrier.Wait(p.rank, p.clock.Now())
 	p.checkAlive()
 	p.clock.AdvanceTo(t + p.world.params.BarrierTime(p.world.barrier.Participants()))
-	p.stats.Gsyncs++
 	p.world.trace(func(tr Tracer) {
 		tr.OnAction(TraceAction{Kind: "gsync", Src: p.rank, Trg: -1})
 	})

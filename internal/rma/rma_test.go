@@ -387,32 +387,6 @@ func TestRespawnLiveRankPanics(t *testing.T) {
 	w.Respawn(0)
 }
 
-func TestStatsCounting(t *testing.T) {
-	w := newTestWorld(2, 16)
-	w.Run(func(r int) {
-		if r != 0 {
-			return
-		}
-		p := w.Proc(0)
-		p.Put(1, 0, []uint64{1, 2})
-		p.Get(1, 0, 3)
-		p.Accumulate(1, 0, []uint64{1}, OpSum)
-		p.CompareAndSwap(1, 4, 0, 1)
-		p.FetchAndOp(1, 5, 1, OpSum)
-		p.Flush(1)
-		s := p.stats
-		if s.Puts != 1 || s.Gets != 1 || s.Accumulates != 1 || s.CAS != 1 || s.FAO != 1 || s.Flushes != 1 {
-			t.Errorf("stats = %+v", s)
-		}
-		if s.WordsPut != 3 || s.WordsGot != 3 {
-			t.Errorf("word counts = %d put, %d got", s.WordsPut, s.WordsGot)
-		}
-	})
-	if total := w.Proc(0).stats.Puts + w.Proc(1).stats.Puts; total != 1 {
-		t.Errorf("total puts = %d", total)
-	}
-}
-
 func TestOutOfRangeAccessPanics(t *testing.T) {
 	w := newTestWorld(2, 4)
 	defer func() {

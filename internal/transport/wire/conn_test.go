@@ -114,51 +114,6 @@ func (c *countingConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// TestKeepLeavesTheBody: the request body of a type Config.Keep names stays
-// the handler's — the connection does not recycle it — so a view of it
-// (WordsAlias) holds its words while later frames of the same size class
-// come and go through the pool.
-func TestKeepLeavesTheBody(t *testing.T) {
-	const typeKeep, words = 0x24, 64
-	kept := make(chan []uint64, 1)
-	cn, sn := net.Pipe()
-	server := New(sn, Config{
-		Keep: func(ty byte) bool { return ty == typeKeep },
-		Handler: func(ty byte, p []byte) (byte, []byte, error) {
-			if ty == typeKeep {
-				kept <- NewDec(p).WordsAlias()
-			}
-			return ty, nil, nil
-		},
-	})
-	defer server.Close()
-	client := New(cn, Config{})
-	defer client.Close()
-	frame := func(x uint64) []byte {
-		var e Enc
-		w := make([]uint64, words)
-		for i := range w {
-			w[i] = x
-		}
-		e.Words(w)
-		return e.Bytes()
-	}
-	if _, err := client.Call(typeKeep, frame(7)); err != nil {
-		t.Fatal(err)
-	}
-	view := <-kept
-	for i := 0; i < 20; i++ {
-		if _, err := client.Call(typeEcho, frame(uint64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, x := range view {
-		if x != 7 {
-			t.Fatalf("word %d of the kept body is %d, want 7: the body was recycled", i, x)
-		}
-	}
-}
-
 // TestInlineRequestsStayOnReader: the request types Inline names are served
 // on the reader, whatever their number, and the others are handed to a
 // handler goroutine, one handoff each.

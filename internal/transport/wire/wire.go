@@ -31,19 +31,18 @@
 //     copy. Small frames flatten into a pooled staging buffer instead —
 //     one syscall, no per-frame allocation. The tcp peer's flush, the
 //     fabric's batch (from its per-target put stage) and parity fold, and
-//     the fabric's recovery frames (base and parity replies, the parity
-//     install and the join reply) gather this way.
+//     the fabric's recovery frames (base and parity replies and the join
+//     reply) gather this way.
 //   - Receive: the reader takes whatever the socket holds, up to a small
 //     read-ahead buffer, in one read — a small frame's header and payload,
 //     and the frames queued behind it — and copies each payload into a
 //     frame body from a pool; a payload larger than the buffer is read
 //     straight into its body. Request bodies are handed to the handler and
-//     recycled when it returns — the handler must not retain the payload
-//     unless Config.Keep leaves it the body (the fabric's parity install
-//     keeps its shard so). Word vectors can be viewed in place via
-//     Dec.WordsView. A Call reply belongs to the caller, which may keep
-//     views of its word vectors (Dec.WordsAlias) instead of copies: the
-//     fabric's recovery receives each window once.
+//     recycled when it returns — the handler must not retain the payload.
+//     Word vectors can be viewed in place via Dec.WordsView. A Call reply
+//     belongs to the caller, which may keep views of its word vectors
+//     (Dec.WordsAlias) instead of copies: the fabric's recovery receives
+//     each window once.
 //   - Pool: frame bodies and staging buffers are pooled by power-of-two
 //     size class, so a recycled body serves any frame of its class; bodies
 //     above 1 MiB (base, parity and window fetches) are allocated to size
@@ -131,7 +130,7 @@ var ErrDown = errors.New("wire: connection down")
 //
 // The payload is only valid until the handler returns: request bodies are
 // pooled and recycled. A handler that keeps data must copy it (Dec's
-// Words/Str already do), unless Config.Keep names the request's type.
+// Words/Str already do).
 type Handler func(t byte, payload []byte) (byte, []byte, error)
 
 // VecHandler is the zero-copy variant of Handler: it may return a
@@ -186,12 +185,6 @@ type Config struct {
 	// buffer a few small frames (TCP and shm rings do; an unbuffered
 	// net.Pipe can leave two readers each waiting for the other to read).
 	Inline func(t byte) bool
-	// Keep, when set, reports whether the handler keeps the request body of
-	// a request of type t. The connection then leaves that body to the
-	// handler instead of recycling it when the handler returns, so the
-	// handler may keep views of it (Dec.WordsAlias) — the one way a handler
-	// keeps request data without copying it. Nil keeps none.
-	Keep func(t byte) bool
 	// Heartbeat is the interval of outgoing heartbeat frames; 0 disables.
 	Heartbeat time.Duration
 	// ReadTimeout is the rolling per-frame read deadline — the failure
@@ -796,7 +789,7 @@ func (c *Conn) serve(f frame, h *handler) (claimed bool) {
 	if err != ErrLater {
 		c.reply(f.id, rt, b, v, err)
 	}
-	if f.payload != nil && (c.cfg.Keep == nil || !c.cfg.Keep(f.t)) {
+	if f.payload != nil {
 		Recycle(f.payload)
 	}
 	return claimed
@@ -1274,9 +1267,9 @@ func (d *Dec) WordsView(scratch []uint64) []uint64 {
 // read into a buffer of its own, which every Call reply is — the returned
 // slice aliases the payload; otherwise the words decode into a fresh slice,
 // as Words does. So the caller must own the payload for as long as it keeps
-// the slice: a Call reply it never recycles, never a handler's request body,
-// which the connection recycles unless Config.Keep leaves it to the
-// handler. Writes through the slice land in the payload.
+// the slice: a Call reply it never recycles. A handler may take such views
+// of its request body only for as long as it runs: the connection recycles
+// the body when it returns. Writes through the slice land in the payload.
 func (d *Dec) WordsAlias() []uint64 {
 	n := d.wordsHeader()
 	if d.fail {

@@ -6,7 +6,7 @@
 # frame counter must stay frozen). Every node dumps its event ring on
 # crisis close; the demo finishes by merging the per-rank dumps with
 # cmd/flightcat into one chronological, decoded timeline of the
-# recovery — condemnation, crisis stages, parity handoff, replay
+# recovery — condemnation, crisis stages, the replacement's rebuild, replay
 # install — which is the artifact this script exists to show.
 set -euo pipefail
 cd "$(dirname "$0")/.."

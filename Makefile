@@ -65,8 +65,12 @@ race:
 # barrier through the parity hosts — no request handed off its reader —
 # the held folds answered from the host's list (without goroutines, on
 # Close, exactly once over random phases with a kill) and the refusal of
-# an unsurvivable crash twenty times each. A wedge, a false verdict or a
-# condemned bystander here is rare per run, so one run proves little.
+# an unsurvivable crash twenty times each, and the shm rings — seeded
+# streams through a restart at offset 0 and a wrap, a close mid-stream,
+# a read deadline across a skip, and the pages request/reply traffic
+# leaves untouched — twenty times under the race detector. A wedge, a
+# false verdict, a condemned bystander or a lost skip here is rare per
+# run, so one run proves little.
 stress:
 	$(GO) test -count=20 -run TestFabric ./internal/transport
 	$(GO) test -race -count=10 -run TestFabric ./internal/transport
@@ -74,6 +78,7 @@ stress:
 	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies|TestCopyOnWriteBase|TestAppsOnFabric' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire
 	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestHeldFolds|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable' ./internal/fabric
+	$(GO) test -race -count=20 ./internal/transport/shm
 
 # Multi-process kill -9 smokes under the race detector: rankd worker
 # processes (the re-executed test binary) bootstrap through a seed and run

@@ -106,9 +106,9 @@ func (nd *Node) eachBase(f func(off int, w []uint64)) {
 // its chunk dirty for the next fold. Such a chunk keeps its copy, advanced
 // by the delta; every other copy is dropped, its chunk's new committed words
 // being the window's. The buffer the copies were saved in becomes the spare,
-// and is let go if this fold's copies left it mostly idle (idle): a phase
-// that wrote much of the window does not leave its copies resident for a
-// run of small ones. Caller holds ckptMu.
+// and is let go if this fold's copies and the last one's both left it mostly
+// idle (idle): a phase that wrote much of the window does not leave its
+// copies resident for a run of small ones. Caller holds ckptMu.
 func (nd *Node) commitBase(s snap) {
 	df := &nd.delta
 	nd.winMu.Lock()
@@ -138,7 +138,7 @@ func (nd *Node) commitBase(s snap) {
 	}
 	used := len(nd.copies)
 	nd.spare, nd.copies = nd.copies[:0], kept
-	if idle(nd.spare, used) {
+	if idle(nd.spare, used, &nd.copiesUsed) {
 		nd.spare = nil
 	}
 	nd.ckptGen = df.gen

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rma"
 	"repro/internal/transport/wire"
@@ -616,6 +617,63 @@ func TestFoldBuffersFollowTheFolds(t *testing.T) {
 		t.Fatalf("528-word folds after a whole-window one run on buffers of %v words", caps)
 	}
 	checkCommitted(t, f, "after the folds")
+}
+
+// TestBulkCycleKeepsFoldBuffers: when a fold lags a put by a phase, as
+// bulk-shm's does about half the time, its diffs alternate one block of
+// stamped words (the own write alone) and seven (the own write, the lagging
+// puts and the next phase's). Such a cycle of 4096 and 28672 words over 100
+// phases allocates no delta buffer and no copy buffer after its first two
+// phases: a small fold between two large ones does not let their buffers
+// go.
+func TestBulkCycleKeepsFoldBuffers(t *testing.T) {
+	const block, slots, ranks = 4096, 16, 4
+	nd := bareNode(ranks * slots * block)
+	rng := rand.New(rand.NewSource(9))
+	fold := func() {
+		nd.ckptMu.Lock()
+		nd.diffRanges()
+		nd.commitBase(snap{})
+		nd.ckptMu.Unlock()
+	}
+	nd.WriteAt(0, randWords(rng, nd.windowWords)) // the set-up fill
+	fold()
+	at := func(src, p int) int { return (src*slots + p%slots) * block }
+	seen := map[*uint64]bool{}
+	deltaAllocs, copyAllocs := 0, 0
+	for p := 1; p <= 100; p++ {
+		nd.WriteAt(at(0, p), randWords(rng, block))
+		if p%2 == 0 { // the puts of p-1, which landed after its fold, and of p
+			for src := 1; src < ranks; src++ {
+				nd.WriteAt(at(src, p-1), randWords(rng, block))
+				nd.WriteAt(at(src, p), randWords(rng, block))
+			}
+		}
+		scanned := nd.om.ckptScanned.Load()
+		delta := unsafe.SliceData(nd.delta.words)
+		fold()
+		want := uint64(block)
+		if p%2 == 0 {
+			want = 7 * block
+		}
+		if got := nd.om.ckptScanned.Load() - scanned; got != want {
+			t.Fatalf("phase %d scanned %d words, want %d", p, got, want)
+		}
+		if p > 2 && unsafe.SliceData(nd.delta.words) != delta {
+			deltaAllocs++
+		}
+		for _, b := range [][]uint64{nd.copies, nd.spare} {
+			if d := unsafe.SliceData(b[:cap(b)]); cap(b) > 0 && !seen[d] {
+				seen[d] = true
+				if p > 2 {
+					copyAllocs++
+				}
+			}
+		}
+	}
+	if deltaAllocs != 0 || copyAllocs != 0 {
+		t.Fatalf("after the first cycle, %d delta and %d copy buffers were allocated, want 0 and 0", deltaAllocs, copyAllocs)
+	}
 }
 
 // windowAllocs runs f and returns how many bytes it allocated, and that in

@@ -280,6 +280,7 @@ func (nd *Node) handleBatch(d *wire.Dec) (byte, *wire.Vec, error) {
 // release, made once per buffer, puts it back (a Vec's OnRelease hook).
 type getBuf struct {
 	words   []uint64
+	used    int // the last take's words (idle)
 	release func()
 }
 
@@ -293,7 +294,7 @@ func takeGetBuf(n int) *getBuf {
 		b = &getBuf{}
 		b.release = func() { getBufs.Put(b) }
 	}
-	if cap(b.words) < n || idle(b.words[:cap(b.words)], n) {
+	if idle(b.words, n, &b.used) || cap(b.words) < n {
 		b.words = make([]uint64, n)
 	}
 	b.words = b.words[:n]

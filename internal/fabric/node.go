@@ -158,13 +158,15 @@ type Node struct {
 	// chunks written since the last committed one and nothing else. saved
 	// maps each chunk written since then to its committed words in copies
 	// (base.go): the committed base is the window with them laid over it.
-	// spare is the buffer the next commit moves the copies it keeps into.
-	winMu  sync.Mutex
-	window []uint64
-	dirty  rma.DirtyTracker
-	saved  []int32
-	copies []uint64
-	spare  []uint64
+	// spare is the buffer the next commit moves the copies it keeps into,
+	// and copiesUsed the words the last commit's copies took (idle).
+	winMu      sync.Mutex
+	window     []uint64
+	dirty      rma.DirtyTracker
+	saved      []int32
+	copies     []uint64
+	spare      []uint64
+	copiesUsed int
 
 	// ckptMu serializes the checkpoint's diff and base commit against
 	// crisis quiesce and base fetches, and is never held across a call:
@@ -193,9 +195,11 @@ type Node struct {
 	// pend is the open epoch per target and stage its put payloads, back
 	// to back: Put copies into the stage, the batch gathers from it, and
 	// ackBatch copies into the LP arena before Flush resets both for the
-	// target's next epoch. Workload-thread only.
-	pend  [][]pendOp
-	stage [][]uint64
+	// target's next epoch; stageUsed is each stage's last epoch in words
+	// (idle). Workload-thread only.
+	pend      [][]pendOp
+	stage     [][]uint64
+	stageUsed []int
 
 	// mmu guards the membership table and crisis trackers; mcond wakes
 	// watermark barriers and parked deliveries. hostings, the parity hosting
@@ -466,6 +470,7 @@ func (nd *Node) applyWorld(w world, in *install) error {
 	nd.gcAt = map[int]int{0: 0}
 	nd.pend = make([][]pendOp, w.n)
 	nd.stage = make([][]uint64, w.n)
+	nd.stageUsed = make([]int, w.n)
 	nd.acking = make([]int, w.n)
 	nd.dialMu = make([]sync.Mutex, w.n)
 	nd.members = append([]Member(nil), w.members...)
@@ -1230,7 +1235,7 @@ func (nd *Node) Flush(target int) {
 	defer func() {
 		clear(ops)
 		nd.pend[target] = ops[:0]
-		if idle(st, len(st)) {
+		if idle(st, len(st), &nd.stageUsed[target]) {
 			st = nil
 		}
 		nd.stage[target] = st[:0]
@@ -1637,20 +1642,28 @@ func (nd *Node) trimAt(b int) {
 // its buffers; it is valid from diffRanges to the next diffRanges, which ckptMu
 // serialises.
 type ckptDelta struct {
-	runs  []deltaRun
-	words []uint64
-	gen   uint64
+	runs    []deltaRun
+	words   []uint64
+	gen     uint64
+	scanned int // the last diff's stamped words (idle)
 }
 
 // deltaRun is the changed word range [off, off+n) of a ckptDelta.
 type deltaRun struct{ off, n int }
 
-// idle reports whether a reused buffer is mostly dead weight: its last use
-// needed `used` words and left more than three quarters of it, and more than
-// 64 KiB, untouched. Such a buffer is dropped, not carried along — the
-// set-up fill of a window folds the whole of it once, and that fold's
-// buffers would otherwise stay resident for a run of 528-word folds.
-func idle(buf []uint64, used int) bool { return cap(buf) > 4*used+(8<<10) }
+// idle reports whether a reused buffer is mostly dead weight: neither this
+// use, which needs `used` words, nor the one before it (*last, which idle
+// then moves to used) needed more than a quarter of it, and more than 64 KiB
+// of it went untouched both times. Such a buffer is dropped, not carried
+// along — the set-up fill of a window folds the whole of it once, and that
+// fold's buffers would otherwise stay resident for a run of 528-word folds —
+// but a small use between two large ones keeps it: bulk-shm's diffs
+// alternate 4096 and 28672 stamped words whenever a fold lags a put.
+func idle(buf []uint64, used int, last *int) bool {
+	peak := max(used, *last)
+	*last = used
+	return cap(buf) > 4*peak+(8<<10)
+}
 
 // each calls f with every run's offset and delta words, in window order.
 func (df *ckptDelta) each(f func(off int, delta []uint64)) {
@@ -1833,7 +1846,7 @@ func (nd *Node) diffRanges() {
 	for off, n, ok := nd.dirty.Next(0, nd.ckptGen); ok; off, n, ok = nd.dirty.Next(off+n, nd.ckptGen) {
 		scanned += n
 	}
-	if cap(df.words) < scanned || idle(df.words, scanned) {
+	if idle(df.words, scanned, &df.scanned) || cap(df.words) < scanned {
 		df.words = make([]uint64, 0, scanned)
 	}
 	df.words = df.words[:0]

@@ -14,23 +14,36 @@ import (
 
 // Ring layout inside a region (one ring per direction, two per region):
 //
-//	offset   0  head   (atomic uint64, consumer cursor, free-running)
-//	offset  64  tail   (atomic uint64, producer cursor, free-running)
-//	offset 128  closed (atomic uint32; either side sets it)
-//	offset 192  data   (ringBytes, power of two)
+//	offset   0  head     (atomic uint64, consumer cursor, free-running)
+//	offset  64  tail     (atomic uint64, producer cursor, free-running)
+//	offset  72  skipFrom (atomic uint64, producer: the cursor a restart left)
+//	offset  80  skipTo   (atomic uint64, producer: the cursor it restarted at)
+//	offset 128  closed   (atomic uint32; either side sets it)
+//	offset 192  data     (ringBytes, power of two)
 //
 // head and tail sit on their own cache lines so the producer and the
-// consumer never write the same line. Cursors count bytes ever
-// consumed/produced (they are never wrapped); fill = tail-head, and the
-// byte at stream position p lives at data[p & (ringBytes-1)]. The
-// producer writes payload bytes first and publishes them with an atomic
-// tail store; the consumer's atomic tail load acquires them — the pair
-// is the happens-before edge, in-process (where the race detector checks
-// it) and cross-process alike.
+// consumer never write the same line. Cursors count stream positions (they
+// are never wrapped); fill = tail-head, and the byte at stream position p
+// lives at data[p & (ringBytes-1)]. The producer writes payload bytes first
+// and publishes them with an atomic tail store; the consumer's atomic tail
+// load acquires them — the pair is the happens-before edge, in-process
+// (where the race detector checks it) and cross-process alike.
+//
+// A producer that finds the ring empty (head == tail) with tail past the
+// ring's first byte restarts there: it skips tail to the next multiple of
+// ringBytes and writes from data[0], so a run of frames that never queue
+// keeps only the first frame's pages in use instead of sweeping the whole
+// ring. It records the jump (skipFrom = the old tail, skipTo = the new one)
+// before the tail store that publishes the bytes behind it. Only the
+// consumer stores head: once tail != head, a head equal to skipFrom moves to
+// skipTo before the read. The producer keeps a copy of its last skip and
+// counts a gap the consumer has not jumped yet as free space.
 const (
 	ringHdrBytes  = 192
 	offHead       = 0
 	offTail       = 64
+	offSkipFrom   = 72
+	offSkipTo     = 80
 	offClosed     = 128
 	minRingBytes  = 4096
 	defaultSpin   = 64
@@ -43,12 +56,18 @@ const (
 // process-local channels — a peer in another process misses the bell and
 // the waiter falls back to its timed poll.
 type ring struct {
-	reg    *region // fences accesses against the region's unmap
-	head   *atomic.Uint64
-	tail   *atomic.Uint64
-	closed *atomic.Uint32
-	data   []byte
-	mask   uint64
+	reg      *region // fences accesses against the region's unmap
+	head     *atomic.Uint64
+	tail     *atomic.Uint64
+	skipFrom *atomic.Uint64
+	skipTo   *atomic.Uint64
+	closed   *atomic.Uint32
+	data     []byte
+	mask     uint64
+
+	// lastFrom, lastTo is the producer's copy of the last skip it
+	// published; only write touches it.
+	lastFrom, lastTo uint64
 
 	spin int
 	poll time.Duration
@@ -77,6 +96,8 @@ func ringAt(reg *region, off, size, spin int, poll time.Duration) *ring {
 		reg:       reg,
 		head:      (*atomic.Uint64)(unsafe.Pointer(&mem[off+offHead])),
 		tail:      (*atomic.Uint64)(unsafe.Pointer(&mem[off+offTail])),
+		skipFrom:  (*atomic.Uint64)(unsafe.Pointer(&mem[off+offSkipFrom])),
+		skipTo:    (*atomic.Uint64)(unsafe.Pointer(&mem[off+offSkipTo])),
 		closed:    (*atomic.Uint32)(unsafe.Pointer(&mem[off+offClosed])),
 		data:      mem[off+ringHdrBytes : off+ringHdrBytes+size],
 		mask:      uint64(size - 1),
@@ -133,12 +154,12 @@ func (r *ring) read(p []byte, deadline time.Time) (int, error) {
 			return 0, io.EOF // fabric torn down under us
 		}
 		head := r.head.Load()
-		tail := r.tail.Load() // acquire: bytes below tail are visible
-		if avail := tail - head; avail > 0 {
-			n := uint64(len(p))
-			if n > avail {
-				n = avail
+		tail := r.tail.Load() // acquire: bytes below tail, and their skip, are visible
+		if tail != head {
+			if r.skipFrom.Load() == head {
+				head = r.skipTo.Load() // the producer restarted at data[0]
 			}
+			n := min(uint64(len(p)), tail-head)
 			r.copyOut(p[:n], head)
 			r.head.Store(head + n)
 			r.reg.release()
@@ -183,6 +204,15 @@ func (r *ring) write(p []byte) (int, error) {
 		}
 		head := r.head.Load()
 		tail := r.tail.Load() // own cursor: only this side stores it
+		if head == r.lastFrom {
+			head = r.lastTo // the consumer has not jumped the gap yet
+		}
+		if head == tail && tail&r.mask != 0 {
+			r.lastFrom, r.lastTo = tail, (tail+r.mask)&^r.mask
+			r.skipFrom.Store(r.lastFrom)
+			r.skipTo.Store(r.lastTo) // published by the tail store below
+			head, tail = r.lastTo, r.lastTo
+		}
 		if space := uint64(len(r.data)) - (tail - head); space > 0 {
 			n := uint64(len(p))
 			if n > space {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -230,5 +231,194 @@ func TestRegionFileBacked(t *testing.T) {
 	}
 	if blob[ringHdrBytes] != 0x5A {
 		t.Fatalf("region file byte = %#x, want 0x5A", blob[ringHdrBytes])
+	}
+}
+
+// TestRingRestartProperty streams seeded writes of 1 B to three ring
+// capacities through one ring pair while the consumer reads random sizes
+// and lags at random; the producer closes its end after its last write,
+// with bytes still buffered. The consumer drains the byte-identical stream,
+// then sees EOF, and each run both restarts at
+// data[0] (a read that jumped head) and wraps (a read split at the ring's
+// end). Only the consumer stores head, so its loads around a Read are
+// exact.
+func TestRingRestartProperty(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f := newTestFabric(t, 2, minRingBytes)
+		d, a := dialPair(t, f)
+		r := a.(*conn).rcv
+		rng := rand.New(rand.NewSource(seed))
+
+		// The writes: mostly under a frame's worth, some streaming through.
+		var sizes []int
+		for total := 0; total < 64*minRingBytes; {
+			n := 1 + rng.Intn(minRingBytes/4)
+			if rng.Intn(4) == 0 {
+				n = 1 + rng.Intn(3*minRingBytes)
+			}
+			sizes = append(sizes, n)
+			total += n
+		}
+		src := make([]byte, 0, 70*minRingBytes)
+		for _, n := range sizes {
+			for i := 0; i < n; i++ {
+				src = append(src, byte(rng.Uint32()))
+			}
+		}
+		lag := rand.New(rand.NewSource(seed + 100))
+		errc := make(chan error, 1)
+		go func() {
+			p := src
+			for _, n := range sizes {
+				if _, err := d.Write(p[:n]); err != nil {
+					errc <- err
+					return
+				}
+				p = p[n:]
+			}
+			errc <- d.Close()
+		}()
+
+		var got []byte
+		restarts, wraps := 0, 0
+		buf := make([]byte, 2*minRingBytes)
+		for {
+			for i := lag.Intn(3) * lag.Intn(40); i > 0; i-- {
+				runtime.Gosched()
+			}
+			before := r.head.Load()
+			n, err := a.Read(buf[:1+lag.Intn(len(buf))])
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("seed %d: read after %d bytes: %v", seed, len(got), err)
+			}
+			got = append(got, buf[:n]...)
+			start := r.head.Load() - uint64(n)
+			if start != before {
+				restarts++
+				if start&r.mask != 0 || start <= before {
+					t.Fatalf("seed %d: head jumped %d -> %d, not to a ring start", seed, before, start)
+				}
+			}
+			if start&r.mask+uint64(n) > uint64(len(r.data)) {
+				wraps++
+			}
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("seed %d: write: %v", seed, err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("seed %d: %d bytes received, %d sent, or corrupted", seed, len(got), len(src))
+		}
+		if restarts == 0 || wraps == 0 {
+			t.Fatalf("seed %d: %d restarts and %d wrapped reads, want both", seed, restarts, wraps)
+		}
+		if _, err := a.Read(buf); err != io.EOF {
+			t.Fatalf("seed %d: read after the drain: %v, want EOF", seed, err)
+		}
+	}
+}
+
+// TestReadDeadlineAcrossSkip: a reader whose ring is empty past data[0]
+// times out on its deadline, is woken by a write that restarts the ring,
+// reads exactly that write from data[0], and then times out again: the
+// gap the restart skipped is never read.
+func TestReadDeadlineAcrossSkip(t *testing.T) {
+	f := newTestFabric(t, 2, minRingBytes)
+	d, a := dialPair(t, f)
+	r := a.(*conn).rcv
+	buf := make([]byte, 256)
+	if _, err := d.Write(bytes.Repeat([]byte{1}, 100)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if n, err := io.ReadFull(a, buf[:100]); err != nil {
+		t.Fatalf("read %d: %v", n, err)
+	}
+	a.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if _, err := a.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read of an empty ring: %v, want deadline exceeded", err)
+	}
+
+	a.SetReadDeadline(time.Now().Add(5 * time.Second))
+	type result struct {
+		b   []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := a.Read(buf)
+		done <- result{buf[:n], err}
+	}()
+	time.Sleep(5 * time.Millisecond) // let the reader park
+	want := []byte("after the skip")
+	if _, err := d.Write(want); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	res := <-done
+	if res.err != nil || !bytes.Equal(res.b, want) {
+		t.Fatalf("read across the skip = %q, %v", res.b, res.err)
+	}
+	if h := r.head.Load(); h != uint64(minRingBytes+len(want)) || !bytes.Equal(r.data[:len(want)], want) {
+		t.Fatalf("head %d: the write did not restart at data[0]", h)
+	}
+
+	a.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if n, err := a.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after the skip = %d bytes, %v; want deadline exceeded", n, err)
+	}
+}
+
+// TestRingResidency: request/reply traffic that never queues a second
+// frame keeps each ring's writes inside the first frame's span. The ring
+// data is filled with a sentinel after the dial; after 1000 32 KiB
+// exchanges every byte past 32 KiB of both 1 MiB rings still holds it, so
+// those pages were never written.
+func TestRingResidency(t *testing.T) {
+	f := newTestFabric(t, 2, 0)
+	d, a := dialPair(t, f)
+	const frame, sentinel = 32 << 10, 0xA5
+	rings := []*ring{d.(*conn).snd, d.(*conn).rcv}
+	for _, r := range rings {
+		for i := range r.data {
+			r.data[i] = sentinel
+		}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		req := make([]byte, frame)
+		for {
+			if _, err := io.ReadFull(a, req); err != nil {
+				errc <- nil // the dialer closed
+				return
+			}
+			req[0]++
+			if _, err := a.Write(req); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	req, rep := make([]byte, frame), make([]byte, frame)
+	for i := 0; i < 1000; i++ {
+		req[0] = byte(i)
+		if _, err := d.Write(req); err != nil {
+			t.Fatalf("exchange %d: write: %v", i, err)
+		}
+		if _, err := io.ReadFull(d, rep); err != nil || rep[0] != byte(i+1) {
+			t.Fatalf("exchange %d: reply %d, %v", i, rep[0], err)
+		}
+	}
+	d.Close()
+	if err := <-errc; err != nil {
+		t.Fatalf("replier: %v", err)
+	}
+	for k, r := range rings {
+		for i, c := range r.data[frame:] {
+			if c != sentinel {
+				t.Fatalf("ring %d: byte %d past the first frame was written", k, frame+i)
+			}
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/soak"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -25,7 +26,7 @@ type seedConfig struct {
 	// Listen is the address workers dial ("127.0.0.1:0" for tests).
 	Listen string
 	// Workload is what every rank runs; the seed hands it to each joiner.
-	Workload workload
+	Workload soak.Workload
 	// Fabric is the membership timing the seed distributes to every rank.
 	Fabric fabric.Tuning
 	// Timeout bounds collectFabric's wait for the run to finish. Zero
@@ -41,7 +42,7 @@ func (c seedConfig) validate() error {
 	if _, _, err := net.SplitHostPort(c.Listen); err != nil {
 		return fmt.Errorf("rankd: listen address %q: %v", c.Listen, err)
 	}
-	if err := c.Workload.validate(); err != nil {
+	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
 	if c.Timeout < 0 {
@@ -52,29 +53,33 @@ func (c seedConfig) validate() error {
 
 // encodeWorkloadMeta packs the workload into the opaque seed Meta blob
 // every joining rank receives, so workers need no side channel to learn
-// what to run.
-func encodeWorkloadMeta(wl workload) []byte {
+// what to run. PhaseDelay and Seed go as full 64-bit uvarints: Dec.I
+// caps a value at 2^32 (4.3 s of nanoseconds), and Enc.I refuses a
+// negative seed.
+func encodeWorkloadMeta(wl soak.Workload) []byte {
 	var e wire.Enc
 	e.I(wl.Ranks)
 	e.I(wl.Phases)
-	e.I(wl.InsertsPerPhase)
-	e.I(int(wl.PhaseDelay))
+	e.I(wl.Inserts)
+	e.U(uint64(wl.PhaseDelay))
+	e.U(uint64(wl.Seed))
 	return e.Bytes()
 }
 
 // decodeWorkloadMeta is the worker-side inverse.
-func decodeWorkloadMeta(meta []byte) (workload, error) {
+func decodeWorkloadMeta(meta []byte) (soak.Workload, error) {
 	d := wire.NewDec(meta)
-	wl := workload{
-		Ranks:           d.I(),
-		Phases:          d.I(),
-		InsertsPerPhase: d.I(),
-		PhaseDelay:      time.Duration(d.I()),
+	wl := soak.Workload{
+		Ranks:      d.I(),
+		Phases:     d.I(),
+		Inserts:    d.I(),
+		PhaseDelay: time.Duration(d.U()),
+		Seed:       int64(d.U()),
 	}
 	if d.Failed() {
-		return workload{}, errors.New("rankd: undecodable fabric workload meta")
+		return soak.Workload{}, errors.New("rankd: undecodable fabric workload meta")
 	}
-	return wl, wl.validate()
+	return wl, wl.Validate()
 }
 
 // fabricGroups is the parity group count: two groups from four ranks up,
@@ -98,7 +103,7 @@ func newFabricSeed(cfg seedConfig) (*fabric.Seed, error) {
 	}
 	return fabric.NewSeed(fabric.SeedConfig{
 		N:           cfg.Workload.Ranks,
-		WindowWords: cfg.Workload.windowWords(),
+		WindowWords: cfg.Workload.WindowWords(),
 		Groups:      fabricGroups(cfg.Workload.Ranks),
 		Tuning:      cfg.Fabric,
 		Meta:        encodeWorkloadMeta(cfg.Workload),
@@ -163,9 +168,11 @@ func runFabricWorker(joinAddr, debugAddr string, logf func(format string, args .
 		return err
 	}
 	for p := nd.Phase(); p < wl.Phases; p++ {
-		if err := wl.runPhase(nd, nd.Rank(), p); err != nil {
+		if _, err := wl.RunPhase(nd, p); err != nil {
 			return err
 		}
+		// Think time inside the open epoch, so a kill -9 lands mid-phase.
+		time.Sleep(wl.PhaseDelay)
 		if err := nd.Sync(); err != nil {
 			return err
 		}
@@ -209,9 +216,6 @@ func collectFabric(anyAddr string, cfg seedConfig) ([][]uint64, error) {
 		w, err := fabric.FetchWindow(d, m.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("rankd: fetch rank %d window: %v", m.Rank, err)
-		}
-		if len(w) != wl.windowWords() {
-			return nil, fmt.Errorf("rankd: rank %d window has %d words, want %d", m.Rank, len(w), wl.windowWords())
 		}
 		out[m.Rank] = w
 	}

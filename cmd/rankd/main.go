@@ -9,9 +9,10 @@
 //	rankd -fabric-seed -listen 127.0.0.1:7100 -n 4 -phases 12
 //	rankd -fabric-join 127.0.0.1:7100
 //
-// The seed waits for every rank to finish, then verifies the final
-// windows bit-for-bit against an in-process failure-free oracle of the
-// same workload — kill -9 a worker mid-run, start a replacement, and the
+// The workload is the soak's (soak.Workload: stencil → FFT → kv phases,
+// run with seed 0). The seed waits for every rank to finish, then
+// verifies the final windows bit-for-bit against an in-process
+// failure-free oracle of the same workload — kill -9 a worker mid-run, start a replacement, and the
 // check still passes, which is the whole point. Exit status 0 means
 // bit-identical.
 package main
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/soak"
 )
 
 func main() {
@@ -30,7 +32,7 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:7100", "seed listen address")
 		n          = flag.Int("n", 4, "number of ranks (seed)")
 		phases     = flag.Int("phases", 12, "bulk-synchronous rounds (seed)")
-		inserts    = flag.Int("inserts", 8, "put words per peer per rank per round (seed)")
+		inserts    = flag.Int("inserts", 8, "words per (source, round) put block (seed)")
 		phaseDelay = flag.Duration("phase-delay", 100*time.Millisecond, "wall-clock think time per round (stretches the run so kills land mid-flight)")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "seed: fail if the run has not completed in time")
 		fabricSeed = flag.Bool("fabric-seed", false, "run the bootstrap seed")
@@ -44,11 +46,11 @@ func main() {
 		serveDebug(*debugAddr) // seed: pprof/expvar only; workers carry the metrics
 		os.Exit(runFabricSeed(seedConfig{
 			Listen: *listen,
-			Workload: workload{
-				Ranks:           *n,
-				Phases:          *phases,
-				InsertsPerPhase: *inserts,
-				PhaseDelay:      *phaseDelay,
+			Workload: soak.Workload{
+				Ranks:      *n,
+				Phases:     *phases,
+				Inserts:    *inserts,
+				PhaseDelay: *phaseDelay,
 			},
 			Timeout: *timeout,
 		}))
@@ -96,18 +98,9 @@ func runFabricSeed(cfg seedConfig) int {
 		return 1
 	}
 	shutdownFabric(members[0].Addr)
-	want, err := wl.oracle()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rankd fabric seed: oracle: %v\n", err)
+	if err := wl.Check(got); err != nil {
+		fmt.Fprintf(os.Stderr, "MISMATCH: %v\n", err)
 		return 1
-	}
-	for r := range want {
-		for i := range want[r] {
-			if got[r][i] != want[r][i] {
-				fmt.Fprintf(os.Stderr, "MISMATCH: rank %d word %d: got %#x want %#x\n", r, i, got[r][i], want[r][i])
-				return 1
-			}
-		}
 	}
 	fmt.Println("final windows bit-identical to the failure-free oracle")
 	return 0

@@ -23,6 +23,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
+	"repro/internal/soak"
 	"repro/internal/transport"
 )
 
@@ -52,21 +53,6 @@ func TestMain(m *testing.M) {
 func reap(w *exec.Cmd) {
 	w.Process.Kill()
 	w.Wait()
-}
-
-func compareToOracle(t *testing.T, wl workload, got [][]uint64) {
-	t.Helper()
-	want, err := wl.oracle()
-	if err != nil {
-		t.Fatalf("oracle: %v", err)
-	}
-	for r := range want {
-		for i := range want[r] {
-			if got[r][i] != want[r][i] {
-				t.Fatalf("rank %d word %d: got %#x, want %#x", r, i, got[r][i], want[r][i])
-			}
-		}
-	}
 }
 
 // spawnFabricWorker launches one symmetric worker joining through addr;
@@ -178,7 +164,7 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fabric smoke skipped in -short")
 	}
-	wl := workload{Ranks: 4, Phases: 10, InsertsPerPhase: 4, PhaseDelay: 100 * time.Millisecond}
+	wl := soak.Workload{Ranks: 4, Phases: 10, Inserts: 4, PhaseDelay: 100 * time.Millisecond}
 	for _, tc := range []struct {
 		name      string
 		victim    int
@@ -233,7 +219,9 @@ func TestClusterCoordinatorlessKill9(t *testing.T) {
 			if err != nil {
 				t.Fatalf("collect: %v", err)
 			}
-			compareToOracle(t, wl, got)
+			if err := wl.Check(got); err != nil {
+				t.Fatal(err)
+			}
 
 			// The recovery really was a fabric crisis: the victim's rank
 			// must be back under a bumped incarnation.
@@ -331,7 +319,7 @@ func TestClusterFabricFaultFree(t *testing.T) {
 		t.Skip("multi-process fabric smoke skipped in -short")
 	}
 	base := runtime.NumGoroutine()
-	wl := workload{Ranks: 4, Phases: 6, InsertsPerPhase: 5}
+	wl := soak.Workload{Ranks: 4, Phases: 6, Inserts: 5}
 	cfg := seedConfig{Listen: "127.0.0.1:0", Workload: wl, Fabric: smokeTuning, Timeout: 60 * time.Second}
 	seed, err := newFabricSeed(cfg)
 	if err != nil {
@@ -347,7 +335,9 @@ func TestClusterFabricFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	compareToOracle(t, wl, got)
+	if err := wl.Check(got); err != nil {
+		t.Fatal(err)
+	}
 	if after := seed.FramesServed(); after != frames {
 		t.Fatalf("seed served %d frames after bootstrap", after-frames)
 	}
@@ -373,7 +363,7 @@ func TestClusterFabricFaultFree(t *testing.T) {
 // TestClusterConfigValidate pins the descriptive rejections of the seed
 // and workload knobs.
 func TestClusterConfigValidate(t *testing.T) {
-	wl := workload{Ranks: 4, Phases: 3, InsertsPerPhase: 4}
+	wl := soak.Workload{Ranks: 4, Phases: 3, Inserts: 4}
 	cases := []struct {
 		name string
 		mut  func(*seedConfig)
@@ -384,7 +374,7 @@ func TestClusterConfigValidate(t *testing.T) {
 		{"bad-listen", func(c *seedConfig) { c.Listen = "nonsense" }, "listen address"},
 		{"one-rank", func(c *seedConfig) { c.Workload.Ranks = 1 }, "at least 2 ranks"},
 		{"no-phases", func(c *seedConfig) { c.Workload.Phases = 0 }, "at least 1 phase"},
-		{"no-inserts", func(c *seedConfig) { c.Workload.InsertsPerPhase = 0 }, "at least 1 insert"},
+		{"no-inserts", func(c *seedConfig) { c.Workload.Inserts = 0 }, "at least 1 insert"},
 		{"negative-delay", func(c *seedConfig) { c.Workload.PhaseDelay = -time.Second }, "phase delay"},
 		{"negative-timeout", func(c *seedConfig) { c.Timeout = -time.Second }, "timeout"},
 	}
@@ -406,5 +396,28 @@ func TestClusterConfigValidate(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestWorkloadMetaRoundTrip: every workload a seed validates reaches its
+// workers intact, a phase delay past 2^32 ns (≈ 4.3 s) and a negative
+// seed included.
+func TestWorkloadMetaRoundTrip(t *testing.T) {
+	for _, wl := range []soak.Workload{
+		{Ranks: 4, Phases: 10, Inserts: 4, PhaseDelay: 100 * time.Millisecond},
+		{Ranks: 2, Phases: 1, Inserts: 1},
+		{Ranks: 4, Phases: 3, Inserts: 4, PhaseDelay: 5 * time.Second},
+		{Ranks: 8, Phases: 6, Inserts: 2, Seed: -42},
+	} {
+		if err := (seedConfig{Listen: "127.0.0.1:0", Workload: wl}).validate(); err != nil {
+			t.Fatalf("%+v: %v", wl, err)
+		}
+		got, err := decodeWorkloadMeta(encodeWorkloadMeta(wl))
+		if err != nil {
+			t.Fatalf("%+v: %v", wl, err)
+		}
+		if got != wl {
+			t.Fatalf("round trip of %+v gave %+v", wl, got)
+		}
 	}
 }

@@ -309,20 +309,13 @@ func Run(cfg Config) (*Report, error) {
 		s.closeAll()
 		return nil, err
 	}
-	oracle, err := wl.Oracle()
-	if err != nil {
-		s.closeAll()
-		return nil, fmt.Errorf("soak: oracle: %w", err)
+	got := make([][]uint64, wl.Ranks)
+	for r := range got {
+		got[r] = s.byRank[r].nd.ReadAt(0, wl.WindowWords())
 	}
-	words := wl.WindowWords()
-	for r := 0; r < wl.Ranks; r++ {
-		got := s.byRank[r].nd.ReadAt(0, words)
-		for i := range got {
-			if got[i] != oracle[r][i] {
-				s.closeAll()
-				return nil, fmt.Errorf("soak: rank %d word %d: fabric %#x, oracle %#x", r, i, got[i], oracle[r][i])
-			}
-		}
+	if err := wl.Check(got); err != nil {
+		s.closeAll()
+		return nil, err
 	}
 
 	// Report from the final registries (dead incarnations included:

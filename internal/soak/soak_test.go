@@ -363,17 +363,12 @@ func TestMembershipConvergenceUnderPartitions(t *testing.T) {
 	}
 
 	// Frames flowed to the right places: bit-identity with the oracle.
-	oracle, err := wl.Oracle()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := make([][]uint64, wl.Ranks)
 	for r, nd := range nodes {
-		got := nd.ReadAt(0, wl.WindowWords())
-		for i := range got {
-			if got[i] != oracle[r][i] {
-				t.Fatalf("seed %d: rank %d word %d: fabric %#x, oracle %#x", seed, r, i, got[i], oracle[r][i])
-			}
-		}
+		got[r] = nd.ReadAt(0, wl.WindowWords())
+	}
+	if err := wl.Check(got); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
@@ -423,47 +418,68 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkloadOracleAndTargets pins the workload shape: valid targets,
-// deterministic oracle, and the documented op count.
+// TestWorkloadOracleAndTargets pins the workload shape at 2 and 4 ranks
+// (rankd, the metrics gate and the conformance suite), 3 (an odd count,
+// where the FFT butterfly wraps) and 8 (the soak's partition test):
+// valid targets, a deterministic oracle, the documented op count, and a
+// Check that passes the oracle's own windows and names the rank and word
+// of a flipped one.
 func TestWorkloadOracleAndTargets(t *testing.T) {
-	wl := Workload{Ranks: 8, Phases: 6, Inserts: 2, Seed: 42}
-	for r := 0; r < wl.Ranks; r++ {
-		for p := 0; p < wl.Phases; p++ {
-			ts := wl.Targets(r, p)
-			if len(ts) == 0 {
-				t.Fatalf("rank %d phase %d: no targets", r, p)
+	for _, ranks := range []int{2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("ranks%d", ranks), func(t *testing.T) {
+			wl := Workload{Ranks: ranks, Phases: 6, Inserts: 2, Seed: 42}
+			if err := wl.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			seen := map[int]bool{}
-			for _, q := range ts {
-				if q == r || q < 0 || q >= wl.Ranks || seen[q] {
-					t.Fatalf("rank %d phase %d: bad targets %v", r, p, ts)
+			for r := 0; r < wl.Ranks; r++ {
+				for p := 0; p < wl.Phases; p++ {
+					ts := wl.Targets(r, p)
+					if len(ts) == 0 {
+						t.Fatalf("rank %d phase %d: no targets", r, p)
+					}
+					seen := map[int]bool{}
+					for _, q := range ts {
+						if q == r || q < 0 || q >= wl.Ranks || seen[q] {
+							t.Fatalf("rank %d phase %d: bad targets %v", r, p, ts)
+						}
+						seen[q] = true
+					}
 				}
-				seen[q] = true
 			}
-		}
-	}
-	a, err := wl.Oracle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := wl.Oracle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range a {
-		for i := range a[r] {
-			if a[r][i] != b[r][i] {
-				t.Fatalf("oracle not deterministic at rank %d word %d", r, i)
+			a, err := wl.Oracle()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Spot-check a committed block landed where the layout says.
-	r, p := 3, 2
-	trg := wl.Targets(r, p)[0]
-	if got, want := a[trg][wl.off(r, p)], wl.val(r, p, 0); got != want {
-		t.Fatalf("block (%d,%d) word 0 at rank %d = %#x, want %#x", r, p, trg, got, want)
-	}
-	if wl.ExpectedOps() <= wl.Ranks*wl.Phases*2 {
-		t.Fatalf("ExpectedOps %d implausibly small", wl.ExpectedOps())
+			b, err := wl.Oracle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range a {
+				for i := range a[r] {
+					if a[r][i] != b[r][i] {
+						t.Fatalf("oracle not deterministic at rank %d word %d", r, i)
+					}
+				}
+			}
+			// Spot-check a committed block landed where the layout says.
+			r, p := ranks-1, 2
+			trg := wl.Targets(r, p)[0]
+			if got, want := a[trg][wl.off(r, p)], wl.val(r, p, 0); got != want {
+				t.Fatalf("block (%d,%d) word 0 at rank %d = %#x, want %#x", r, p, trg, got, want)
+			}
+			if wl.ExpectedOps() <= wl.Ranks*wl.Phases*2 {
+				t.Fatalf("ExpectedOps %d implausibly small", wl.ExpectedOps())
+			}
+
+			if err := wl.Check(a); err != nil {
+				t.Fatalf("Check rejects the oracle's own windows: %v", err)
+			}
+			word := wl.off(r, p) + 1
+			a[trg][word] ^= 1
+			err = wl.Check(a)
+			if want := fmt.Sprintf("rank %d word %d:", trg, word); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Check of a flipped word = %v, want it to name %q", err, want)
+			}
+		})
 	}
 }

@@ -28,7 +28,8 @@ import (
 // bit-identical windows, and any think-time kill is recoverable by
 // causal replay. Only the *communication pattern* varies by phase kind:
 // ring-neighbor halo exchange (stencil), butterfly partners (FFT), and
-// hashed owners (kv).
+// hashed owners (kv). It is the one fabric workload: the soak, rankd and
+// transport's fabric conformance suite all run it and judge it by Check.
 type Workload struct {
 	Ranks   int
 	Phases  int
@@ -39,15 +40,18 @@ type Workload struct {
 	Seed int64
 }
 
-// Validate checks the workload shape.
+// Validate checks the workload shape. The bounds are the widest any
+// caller runs: rankd's two-rank, one-phase runs included.
 func (w Workload) Validate() error {
 	switch {
-	case w.Ranks < 4:
-		return fmt.Errorf("soak: %d ranks; need at least 4", w.Ranks)
-	case w.Phases < 2:
-		return fmt.Errorf("soak: %d phases; need at least 2", w.Phases)
+	case w.Ranks < 2:
+		return fmt.Errorf("soak: workload needs at least 2 ranks, got %d", w.Ranks)
+	case w.Phases < 1:
+		return fmt.Errorf("soak: workload needs at least 1 phase, got %d", w.Phases)
 	case w.Inserts < 1:
-		return fmt.Errorf("soak: %d inserts per phase; need at least 1", w.Inserts)
+		return fmt.Errorf("soak: workload needs at least 1 insert per phase, got %d", w.Inserts)
+	case w.PhaseDelay < 0:
+		return fmt.Errorf("soak: negative phase delay %v", w.PhaseDelay)
 	}
 	return nil
 }
@@ -134,12 +138,14 @@ func (w Workload) Targets(rank, p int) []int {
 }
 
 // RunPhase issues phase p of the workload for the calling rank on api and
-// returns the number of RMA operations issued. The shape mirrors rankd's
-// workload: replacing puts of this rank's (rank, p) block to every
-// target, a blocking readback of the previous phase's own writes
-// from one of its targets, and a copy-get of this phase's block landing
-// in the per-phase scratch word, flushed towards the get's target. The
-// caller closes the epoch (Sync/Gsync) afterwards.
+// returns the number of RMA operations issued: replacing puts of this
+// rank's (rank, p) block to every target, a blocking readback of the
+// previous phase's own writes from that phase's first target, and a
+// copy-get of this phase's block landing in the per-phase scratch word,
+// flushed towards the get's target. Every get closes its epoch in the
+// frame that issues it, so a kill leaves no N flag behind. The caller
+// closes the epoch (Sync/Gsync) afterwards; PhaseDelay is the caller's
+// to spend.
 func (w Workload) RunPhase(api rma.API, p int) (int, error) {
 	rank := api.Rank()
 	data := make([]uint64, w.Inserts)
@@ -214,4 +220,25 @@ func (w Workload) Oracle() ([][]uint64, error) {
 		out[r] = world.Proc(r).ReadAt(0, w.WindowWords())
 	}
 	return out, nil
+}
+
+// Check runs the Oracle and compares got, every rank's final window in
+// rank order, against it word for word. The error names the first rank
+// and word that differ.
+func (w Workload) Check(got [][]uint64) error {
+	want, err := w.Oracle()
+	if err != nil {
+		return fmt.Errorf("soak: oracle: %w", err)
+	}
+	for r := range want {
+		if len(got[r]) != len(want[r]) {
+			return fmt.Errorf("soak: rank %d window has %d words, want %d", r, len(got[r]), len(want[r]))
+		}
+		for i := range want[r] {
+			if got[r][i] != want[r][i] {
+				return fmt.Errorf("soak: rank %d word %d: got %#x, oracle %#x", r, i, got[r][i], want[r][i])
+			}
+		}
+	}
+	return nil
 }

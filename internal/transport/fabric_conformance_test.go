@@ -3,31 +3,33 @@ package transport_test
 // Symmetric-fabric conformance: the coordinatorless runtime's peer
 // epoch exchange, lease-expiry failure detection, and coordinator-absent
 // recovery, in-process over real localhost sockets (plus the benign
-// scenario over the shm ring transport through the same Dialer seam) and
-// all judged the same way as the transport scenarios — bit-identical
-// final windows against an in-process oracle (a raw rma.World running
-// the identical access sequence on the loopback transport).
+// scenario over the shm ring transport through the same Dialer seam).
+// Every scenario drives the soak's workload (soak.Workload: stencil →
+// FFT → kv phases) between Syncs and is judged by its Check:
+// bit-identical final windows against an in-process oracle (a raw
+// rma.World running the identical access sequence).
 
 import (
-	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/leakcheck"
-	"repro/internal/rma"
+	"repro/internal/obs"
+	"repro/internal/soak"
 	"repro/internal/transport"
 	"repro/internal/transport/flaky"
 	"repro/internal/transport/shm"
 )
 
-const (
-	fabPhases  = 6
-	fabInserts = 3
-)
+// confWorkload is the scenarios' workload on n ranks.
+func confWorkload(n int) soak.Workload {
+	return soak.Workload{Ranks: n, Phases: 6, Inserts: 3}
+}
 
 // confTuning keeps lease expiry fast enough to test but tolerant of a
 // loaded test machine (the whole suite runs packages in parallel).
@@ -37,78 +39,20 @@ var confTuning = fabric.Tuning{
 	GossipInterval: 10 * time.Millisecond,
 }
 
-// The miniature causal workload: per-(source, phase) disjoint replacing
-// puts to every peer, a blocking verify of the previous phase's own
-// writes, and a copy-get landing in a per-phase scratch word — the same
-// shape rankd's workload uses, small enough to inline here.
-func fabWindowWords(n int) int { return n*fabPhases*fabInserts + fabPhases }
+// awaitTimeout bounds every wait of a scenario on the fabric, so a
+// wedged run fails the test instead of parking until go test's timeout.
+const awaitTimeout = 30 * time.Second
 
-func fabOff(src, phase int) int { return (src*fabPhases + phase) * fabInserts }
-
-func fabScratch(n, phase int) int { return n*fabPhases*fabInserts + phase }
-
-func fabVal(rank, phase, i int) uint64 {
-	return uint64(rank+1)<<40 | uint64(phase+1)<<20 | uint64(i+1)
-}
-
-func runFabPhase(api rma.API, n, rank, phase int) error {
-	data := make([]uint64, fabInserts)
-	for i := range data {
-		data[i] = fabVal(rank, phase, i)
-	}
-	for q := 0; q < n; q++ {
-		if q != rank {
-			api.Put(q, fabOff(rank, phase), data)
-		}
-	}
-	peer := (rank + 1) % n
-	if phase > 0 {
-		got := api.GetBlocking(peer, fabOff(rank, phase-1), fabInserts)
-		for i, v := range got {
-			if want := fabVal(rank, phase-1, i); v != want {
-				return fmt.Errorf("rank %d phase %d readback word %d = %#x, want %#x", rank, phase, i, v, want)
-			}
-		}
-	}
-	api.GetCopy(peer, fabOff(rank, phase), 1, fabScratch(n, phase))
-	api.Flush(peer)
-	return nil
-}
-
-// fabOracle runs the workload failure-free on the in-process runtime and
-// returns every rank's final window.
-func fabOracle(t *testing.T, n int) [][]uint64 {
-	t.Helper()
-	w := rma.NewWorld(rma.Config{N: n, WindowWords: fabWindowWords(n)})
-	defer w.Close()
-	var firstErr error
-	w.Run(func(r int) {
-		p := w.Proc(r)
-		for phase := 0; phase < fabPhases; phase++ {
-			if err := runFabPhase(p, n, r, phase); err != nil && firstErr == nil {
-				firstErr = err
-				return
-			}
-			p.Gsync()
-		}
-	})
-	if firstErr != nil {
-		t.Fatalf("oracle: %v", firstErr)
-	}
-	out := make([][]uint64, n)
-	for r := range out {
-		out[r] = w.Proc(r).ReadAt(0, fabWindowWords(n))
-	}
-	return out
-}
-
-// fabNode is one in-process fabric member with its own listener and
-// fault-injectable dialer. logf is its fabric's guarded Logf, for the
-// replacements a test joins later.
+// fabNode is one in-process fabric member with its own listener,
+// fault-injectable dialer (nil over shm), metrics registry and flight
+// recorder. logf is its fabric's guarded Logf, for the replacements a
+// test joins later.
 type fabNode struct {
 	nd     *fabric.Node
 	dialer *flaky.Dialer
 	logf   func(string, ...any)
+	reg    *obs.Registry
+	fr     *obs.Recorder
 }
 
 // guardFabric holds a test's fabric to fabric.Node's Close contract. Its
@@ -127,9 +71,11 @@ func guardFabric(t *testing.T) *leakcheck.Log {
 	return log
 }
 
-// startFabric bootstraps an n-rank fabric in-process: one seed, n nodes
-// joined concurrently through it, returned in rank order.
-func startFabric(t *testing.T, n, groups int) (*fabric.Seed, []*fabNode) {
+// startFabric bootstraps an n-rank fabric of words-word windows over
+// localhost tcp: one seed, n nodes joined concurrently through it, each
+// with its own registry and enabled flight recorder, returned in rank
+// order.
+func startFabric(t *testing.T, n, groups, words int, tun fabric.Tuning) (*fabric.Seed, []*fabNode) {
 	t.Helper()
 	g := guardFabric(t)
 	seedLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -137,14 +83,15 @@ func startFabric(t *testing.T, n, groups int) (*fabric.Seed, []*fabNode) {
 		t.Fatalf("seed listener: %v", err)
 	}
 	seed, err := fabric.NewSeed(fabric.SeedConfig{
-		N: n, WindowWords: fabWindowWords(n), Groups: groups,
-		Tuning: confTuning, Listener: seedLn, Logf: g.Logf,
+		N: n, WindowWords: words, Groups: groups,
+		Tuning: tun, Listener: seedLn, Logf: g.Logf,
 	})
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
 	t.Cleanup(func() { seed.Close() })
 
+	// Joins race for ranks, so nodes are placed by rank after the join.
 	type joined struct {
 		fn  *fabNode
 		err error
@@ -157,12 +104,17 @@ func startFabric(t *testing.T, n, groups int) (*fabric.Seed, []*fabNode) {
 				ch <- joined{err: err}
 				return
 			}
-			d := flaky.WrapDialer(transport.NetDialer{})
-			nd, err := fabric.Join(fabric.JoinConfig{
+			fn := &fabNode{
+				dialer: flaky.WrapDialer(transport.NetDialer{}), logf: g.Logf,
+				reg: obs.New(-1), fr: obs.NewRecorder(-1, 256),
+			}
+			fn.fr.SetEnabled(true)
+			fn.nd, err = fabric.Join(fabric.JoinConfig{
 				Join: seed.Addr(), Addr: ln.Addr().String(),
-				Listener: ln, Dialer: d, Logf: g.Logf,
+				Listener: ln, Dialer: fn.dialer, Logf: g.Logf,
+				Obs: fn.reg, Flight: fn.fr,
 			})
-			ch <- joined{fn: &fabNode{nd: nd, dialer: d, logf: g.Logf}, err: err}
+			ch <- joined{fn: fn, err: err}
 		}()
 	}
 	nodes := make([]*fabNode, n)
@@ -180,10 +132,11 @@ func startFabric(t *testing.T, n, groups int) (*fabric.Seed, []*fabNode) {
 	return seed, nodes
 }
 
-// drive runs phases [from, to) on one node, reporting the first error.
-func drive(nd *fabric.Node, n, from, to int) error {
+// drive runs phases [from, to) of wl on one node, reporting the first
+// error.
+func drive(nd *fabric.Node, wl soak.Workload, from, to int) error {
 	for p := from; p < to; p++ {
-		if err := runFabPhase(nd, n, nd.Rank(), p); err != nil {
+		if _, err := wl.RunPhase(nd, p); err != nil {
 			return err
 		}
 		if err := nd.Sync(); err != nil {
@@ -193,24 +146,87 @@ func drive(nd *fabric.Node, n, from, to int) error {
 	return nil
 }
 
-// compareFabric demands window-for-window bit-identity with the oracle.
-// byRank maps each rank to the node currently authoritative for it.
-func compareFabric(t *testing.T, byRank map[int]*fabric.Node, want [][]uint64) {
+// drivers runs drive on nodes concurrently and collects what each
+// returned.
+type drivers struct {
+	res  chan driven
+	done map[*fabric.Node]bool
+}
+
+type driven struct {
+	nd  *fabric.Node
+	err error
+}
+
+// newDrivers makes room for up to max drivers, so none blocks on
+// reporting after a failed test stopped reading.
+func newDrivers(max int) *drivers {
+	return &drivers{res: make(chan driven, max), done: map[*fabric.Node]bool{}}
+}
+
+func (d *drivers) start(nd *fabric.Node, wl soak.Workload, from, to int) {
+	go func() { d.res <- driven{nd, drive(nd, wl, from, to)} }()
+}
+
+// await waits until the drivers of nds have returned. It fails the test
+// on any driver's error and, after awaitTimeout, names the ranks still
+// driving; the cleanups' Close then unparks them.
+func (d *drivers) await(t *testing.T, nds ...*fabric.Node) {
 	t.Helper()
-	for r, nd := range byRank {
-		got := nd.ReadAt(0, len(want[r]))
-		for i := range got {
-			if got[i] != want[r][i] {
-				t.Fatalf("rank %d word %d: got %#x, want %#x", r, i, got[i], want[r][i])
+	deadline := time.After(awaitTimeout)
+	for {
+		var left []int
+		for _, nd := range nds {
+			if !d.done[nd] {
+				left = append(left, nd.Rank())
 			}
 		}
+		if len(left) == 0 {
+			return
+		}
+		select {
+		case r := <-d.res:
+			if r.err != nil {
+				t.Fatalf("rank %d drive: %v", r.nd.Rank(), r.err)
+			}
+			d.done[r.nd] = true
+		case <-deadline:
+			slices.Sort(left)
+			t.Fatalf("ranks %v still driving after %v", left, awaitTimeout)
+		}
+	}
+}
+
+// driveAll runs phases [from, to) of wl on every node and waits for all.
+func driveAll(t *testing.T, nodes []*fabNode, wl soak.Workload, from, to int) {
+	t.Helper()
+	d := newDrivers(len(nodes))
+	nds := make([]*fabric.Node, len(nodes))
+	for i, fn := range nodes {
+		nds[i] = fn.nd
+		d.start(fn.nd, wl, from, to)
+	}
+	d.await(t, nds...)
+}
+
+// checkFabric demands window-for-window bit-identity with wl's oracle.
+// byRank holds, in rank order, the node currently authoritative for each
+// rank.
+func checkFabric(t *testing.T, wl soak.Workload, byRank []*fabric.Node) {
+	t.Helper()
+	got := make([][]uint64, len(byRank))
+	for r, nd := range byRank {
+		got[r] = nd.ReadAt(0, wl.WindowWords())
+	}
+	if err := wl.Check(got); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // awaitCondemned polls until observer's membership shows rank dead.
 func awaitCondemned(t *testing.T, observer *fabric.Node, rank int) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(awaitTimeout)
 	for {
 		for _, m := range observer.Members() {
 			if m.Rank == rank && !m.Alive {
@@ -227,7 +243,7 @@ func awaitCondemned(t *testing.T, observer *fabric.Node, rank int) {
 // awaitSelfWatermark polls until the node's own watermark reaches wm.
 func awaitSelfWatermark(t *testing.T, nd *fabric.Node, wm int) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(awaitTimeout)
 	for nd.Self().Watermark < wm {
 		if time.Now().After(deadline) {
 			t.Fatalf("rank %d watermark stuck at %d, want %d", nd.Rank(), nd.Self().Watermark, wm)
@@ -241,25 +257,16 @@ func awaitSelfWatermark(t *testing.T, nd *fabric.Node, wm int) {
 // serves exactly one frame per join and none after; the final windows
 // are bit-identical to the in-process oracle.
 func TestFabricPeerEpochExchange(t *testing.T) {
-	const n = 4
-	seed, nodes := startFabric(t, n, 2)
-	if got := seed.FramesServed(); got != n {
-		t.Fatalf("bootstrap served %d frames, want %d", got, n)
+	wl := confWorkload(4)
+	seed, nodes := startFabric(t, wl.Ranks, 2, wl.WindowWords(), confTuning)
+	if got := seed.FramesServed(); got != uint64(wl.Ranks) {
+		t.Fatalf("bootstrap served %d frames, want %d", got, wl.Ranks)
 	}
-	errs := make(chan error, n)
-	for _, fn := range nodes {
-		fn := fn
-		go func() { errs <- drive(fn.nd, n, 0, fabPhases) }()
+	driveAll(t, nodes, wl, 0, wl.Phases)
+	if got := seed.FramesServed(); got != uint64(wl.Ranks) {
+		t.Fatalf("seed served %d frames after bootstrap — steady state is not peer-to-peer", got-uint64(wl.Ranks))
 	}
-	for range nodes {
-		if err := <-errs; err != nil {
-			t.Fatalf("drive: %v", err)
-		}
-	}
-	if got := seed.FramesServed(); got != n {
-		t.Fatalf("seed served %d frames after bootstrap — steady state is not peer-to-peer", got-n)
-	}
-	byRank := map[int]*fabric.Node{}
+	byRank := make([]*fabric.Node, wl.Ranks)
 	for r, fn := range nodes {
 		byRank[r] = fn.nd
 		if rec := fn.nd.Recoveries(); rec != 0 {
@@ -271,7 +278,7 @@ func TestFabricPeerEpochExchange(t *testing.T) {
 			}
 		}
 	}
-	compareFabric(t, byRank, fabOracle(t, n))
+	checkFabric(t, wl, byRank)
 }
 
 // TestFabricLeaseExpiryCrisis: a rank goes silent without dying — every
@@ -281,23 +288,22 @@ func TestFabricPeerEpochExchange(t *testing.T) {
 // non-arbiter survivor (exercising the join redirect), and still finish
 // bit-identical to the oracle.
 func TestFabricLeaseExpiryCrisis(t *testing.T) {
-	const n, victim, stopAt = 4, 2, 3
-	_, nodes := startFabric(t, n, 2)
-	errs := make(chan error, n)
+	const victim, stopAt = 2, 3
+	wl := confWorkload(4)
+	_, nodes := startFabric(t, wl.Ranks, 2, wl.WindowWords(), confTuning)
+	d := newDrivers(wl.Ranks + 1)
+	var survivors []*fabric.Node
 	for r, fn := range nodes {
-		r, fn := r, fn
-		to := fabPhases
 		if r == victim {
-			to = stopAt // completes phases [0, stopAt), then idles
+			d.start(fn.nd, wl, 0, stopAt) // completes phases [0, stopAt), then idles
+			continue
 		}
-		go func() { errs <- drive(fn.nd, n, 0, to) }()
+		survivors = append(survivors, fn.nd)
+		d.start(fn.nd, wl, 0, wl.Phases)
 	}
 	// Wait until the victim has committed its last phase and the
 	// survivors are parked at the next watermark barrier.
-	awaitSelfWatermark(t, nodes[victim].nd, stopAt)
-	if err := <-errs; err != nil { // the victim's driver is the first to return
-		t.Fatalf("victim drive: %v", err)
-	}
+	d.await(t, nodes[victim].nd)
 	for _, fn := range nodes {
 		awaitSelfWatermark(t, fn.nd, stopAt)
 	}
@@ -317,10 +323,8 @@ func TestFabricLeaseExpiryCrisis(t *testing.T) {
 		}
 		fn.dialer.Mute(vAddr)
 	}
-	for r, fn := range nodes {
-		if r != victim {
-			awaitCondemned(t, fn.nd, victim)
-		}
+	for _, nd := range survivors {
+		awaitCondemned(t, nd, victim)
 	}
 
 	// Replacement joins through a non-arbiter survivor: rank 3 redirects
@@ -343,27 +347,17 @@ func TestFabricLeaseExpiryCrisis(t *testing.T) {
 	if repl.Phase() != stopAt {
 		t.Fatalf("replacement resumes at phase %d, want %d (committed %d + 1)", repl.Phase(), stopAt, stopAt-1)
 	}
-	if err := drive(repl, n, repl.Phase(), fabPhases); err != nil {
-		t.Fatalf("replacement drive: %v", err)
-	}
-	for r := range nodes {
-		if r == victim {
-			continue
-		}
-		if err := <-errs; err != nil {
-			t.Fatalf("survivor drive: %v", err)
-		}
-	}
-	byRank := map[int]*fabric.Node{victim: repl}
+	d.start(repl, wl, repl.Phase(), wl.Phases)
+	d.await(t, append(survivors, repl)...)
+	byRank := make([]*fabric.Node, wl.Ranks)
 	for r, fn := range nodes {
-		if r != victim {
-			byRank[r] = fn.nd
-			if fn.nd.Recoveries() == 0 {
-				t.Fatalf("survivor rank %d observed no recovery", r)
-			}
+		byRank[r] = fn.nd
+		if r != victim && fn.nd.Recoveries() == 0 {
+			t.Fatalf("survivor rank %d observed no recovery", r)
 		}
 	}
-	compareFabric(t, byRank, fabOracle(t, n))
+	byRank[victim] = repl
+	checkFabric(t, wl, byRank)
 }
 
 // TestFabricCoordinatorAbsentRecovery: the seed is closed the moment
@@ -371,31 +365,28 @@ func TestFabricLeaseExpiryCrisis(t *testing.T) {
 // arbitration, state reconstruction, and the replacement's join all run
 // with no coordinator process in existence.
 func TestFabricCoordinatorAbsentRecovery(t *testing.T) {
-	const n, victim, stopAt = 4, 1, 2
-	seed, nodes := startFabric(t, n, 2)
+	const victim, stopAt = 1, 2
+	wl := confWorkload(4)
+	seed, nodes := startFabric(t, wl.Ranks, 2, wl.WindowWords(), confTuning)
 	seed.Close() // nothing asymmetric survives past bootstrap
 
-	errs := make(chan error, n)
+	d := newDrivers(wl.Ranks + 1)
+	var survivors []*fabric.Node
 	for r, fn := range nodes {
-		r, fn := r, fn
-		to := fabPhases
 		if r == victim {
-			to = stopAt
+			d.start(fn.nd, wl, 0, stopAt)
+			continue
 		}
-		go func() { errs <- drive(fn.nd, n, 0, to) }()
+		survivors = append(survivors, fn.nd)
+		d.start(fn.nd, wl, 0, wl.Phases)
 	}
-	awaitSelfWatermark(t, nodes[victim].nd, stopAt)
-	if err := <-errs; err != nil {
-		t.Fatalf("victim drive: %v", err)
-	}
+	d.await(t, nodes[victim].nd)
 	for _, fn := range nodes {
 		awaitSelfWatermark(t, fn.nd, stopAt)
 	}
 	nodes[victim].nd.Close() // fail-stop: sockets die, peers see EOF
-	for r, fn := range nodes {
-		if r != victim {
-			awaitCondemned(t, fn.nd, victim)
-		}
+	for _, nd := range survivors {
+		awaitCondemned(t, nd, victim)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -410,24 +401,14 @@ func TestFabricCoordinatorAbsentRecovery(t *testing.T) {
 		t.Fatalf("replacement join: %v", err)
 	}
 	t.Cleanup(func() { repl.Close() })
-	if err := drive(repl, n, repl.Phase(), fabPhases); err != nil {
-		t.Fatalf("replacement drive: %v", err)
-	}
-	for r := range nodes {
-		if r == victim {
-			continue
-		}
-		if err := <-errs; err != nil {
-			t.Fatalf("survivor drive: %v", err)
-		}
-	}
-	byRank := map[int]*fabric.Node{victim: repl}
+	d.start(repl, wl, repl.Phase(), wl.Phases)
+	d.await(t, append(survivors, repl)...)
+	byRank := make([]*fabric.Node, wl.Ranks)
 	for r, fn := range nodes {
-		if r != victim {
-			byRank[r] = fn.nd
-		}
+		byRank[r] = fn.nd
 	}
-	compareFabric(t, byRank, fabOracle(t, n))
+	byRank[victim] = repl
+	checkFabric(t, wl, byRank)
 }
 
 // TestFabricPeerEpochExchangeSHM runs the benign scenario over the
@@ -437,7 +418,8 @@ func TestFabricCoordinatorAbsentRecovery(t *testing.T) {
 // Dialer seam. The in-process oracle doubles as the loopback leg — all
 // three transports must land on the same windows bit for bit.
 func TestFabricPeerEpochExchangeSHM(t *testing.T) {
-	const n = 4
+	wl := confWorkload(4)
+	n := wl.Ranks
 	g := guardFabric(t)
 	// Endpoints 0..n-1 are the ranks, endpoint n is the seed.
 	shmFab, err := shm.NewFabric(n+1, shm.FabricConfig{})
@@ -446,7 +428,7 @@ func TestFabricPeerEpochExchangeSHM(t *testing.T) {
 	}
 	t.Cleanup(func() { shmFab.Close() })
 	seed, err := fabric.NewSeed(fabric.SeedConfig{
-		N: n, WindowWords: fabWindowWords(n), Groups: 2,
+		N: n, WindowWords: wl.WindowWords(), Groups: 2,
 		Tuning: confTuning, Listener: shmFab.Listener(n), Logf: g.Logf,
 	})
 	if err != nil {
@@ -469,41 +451,32 @@ func TestFabricPeerEpochExchangeSHM(t *testing.T) {
 			ch <- joined{nd: nd, err: err}
 		}()
 	}
-	nodes := make([]*fabric.Node, n)
+	nodes := make([]*fabNode, n)
 	for i := 0; i < n; i++ {
 		j := <-ch
 		if j.err != nil {
 			t.Fatalf("join: %v", j.err)
 		}
-		nodes[j.nd.Rank()] = j.nd
+		nodes[j.nd.Rank()] = &fabNode{nd: j.nd, logf: g.Logf}
 	}
-	for _, nd := range nodes {
-		nd := nd
-		t.Cleanup(func() { nd.Close() })
+	for _, fn := range nodes {
+		fn := fn
+		t.Cleanup(func() { fn.nd.Close() })
 	}
-	if got := seed.FramesServed(); got != n {
+	if got := seed.FramesServed(); got != uint64(n) {
 		t.Fatalf("bootstrap served %d frames, want %d", got, n)
 	}
 
-	errs := make(chan error, n)
-	for _, nd := range nodes {
-		nd := nd
-		go func() { errs <- drive(nd, n, 0, fabPhases) }()
+	driveAll(t, nodes, wl, 0, wl.Phases)
+	if got := seed.FramesServed(); got != uint64(n) {
+		t.Fatalf("seed served %d frames after bootstrap — steady state is not peer-to-peer", got-uint64(n))
 	}
-	for range nodes {
-		if err := <-errs; err != nil {
-			t.Fatalf("drive: %v", err)
-		}
-	}
-	if got := seed.FramesServed(); got != n {
-		t.Fatalf("seed served %d frames after bootstrap — steady state is not peer-to-peer", got-n)
-	}
-	byRank := map[int]*fabric.Node{}
-	for r, nd := range nodes {
-		byRank[r] = nd
-		if rec := nd.Recoveries(); rec != 0 {
+	byRank := make([]*fabric.Node, n)
+	for r, fn := range nodes {
+		byRank[r] = fn.nd
+		if rec := fn.nd.Recoveries(); rec != 0 {
 			t.Fatalf("benign run recovered %d times on rank %d", rec, r)
 		}
 	}
-	compareFabric(t, byRank, fabOracle(t, n))
+	checkFabric(t, wl, byRank)
 }

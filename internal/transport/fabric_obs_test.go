@@ -6,99 +6,13 @@ package transport_test
 // conformance scenarios.
 
 import (
-	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/transport"
-	"repro/internal/transport/flaky"
 )
-
-// startObsFabric is startFabric with per-rank obs registries and flight
-// recorders threaded through JoinConfig.
-func startObsFabric(t *testing.T, n, groups int, tun fabric.Tuning) ([]*fabNode, []*obs.Registry, []*obs.Recorder) {
-	t.Helper()
-	return startObsFabricWords(t, n, groups, fabWindowWords(n), tun)
-}
-
-// startObsFabricWords is startObsFabric with a window of the given size.
-func startObsFabricWords(t *testing.T, n, groups, words int, tun fabric.Tuning) ([]*fabNode, []*obs.Registry, []*obs.Recorder) {
-	t.Helper()
-	g := guardFabric(t)
-	seedLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("seed listener: %v", err)
-	}
-	seed, err := fabric.NewSeed(fabric.SeedConfig{
-		N: n, WindowWords: words, Groups: groups,
-		Tuning: tun, Listener: seedLn, Logf: g.Logf,
-	})
-	if err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	t.Cleanup(func() { seed.Close() })
-
-	// Joins race for ranks, so registries are claimed post-join by rank.
-	type joined struct {
-		fn  *fabNode
-		reg *obs.Registry
-		fr  *obs.Recorder
-		err error
-	}
-	ch := make(chan joined, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				ch <- joined{err: err}
-				return
-			}
-			d := flaky.WrapDialer(transport.NetDialer{})
-			reg := obs.New(-1)
-			fr := obs.NewRecorder(-1, 256)
-			fr.SetEnabled(true)
-			nd, err := fabric.Join(fabric.JoinConfig{
-				Join: seed.Addr(), Addr: ln.Addr().String(),
-				Listener: ln, Dialer: d, Logf: g.Logf,
-				Obs: reg, Flight: fr,
-			})
-			ch <- joined{fn: &fabNode{nd: nd, dialer: d, logf: g.Logf}, reg: reg, fr: fr, err: err}
-		}()
-	}
-	nodes := make([]*fabNode, n)
-	regs := make([]*obs.Registry, n)
-	frs := make([]*obs.Recorder, n)
-	for i := 0; i < n; i++ {
-		j := <-ch
-		if j.err != nil {
-			t.Fatalf("join: %v", j.err)
-		}
-		r := j.fn.nd.Rank()
-		nodes[r], regs[r], frs[r] = j.fn, j.reg, j.fr
-	}
-	for _, fn := range nodes {
-		fn := fn
-		t.Cleanup(func() { fn.nd.Close() })
-	}
-	return nodes, regs, frs
-}
-
-func driveBoth(t *testing.T, nodes []*fabNode, n, from, to int) {
-	t.Helper()
-	errs := make(chan error, len(nodes))
-	for _, fn := range nodes {
-		fn := fn
-		go func() { errs <- drive(fn.nd, n, from, to) }()
-	}
-	for range nodes {
-		if err := <-errs; err != nil {
-			t.Fatalf("drive: %v", err)
-		}
-	}
-}
 
 // TestFabricLeaseNearMiss: a deliberately tight lease shows nonzero
 // near-miss accounting (fabric.lease.close_calls) without a single
@@ -107,20 +21,20 @@ func driveBoth(t *testing.T, nodes []*fabNode, n, from, to int) {
 // window slice) but well short of the lease itself; the first frame
 // through after the unmute lands as a near miss on a still-live peer.
 func TestFabricLeaseNearMiss(t *testing.T) {
-	const n = 2
+	wl := confWorkload(2)
 	tun := fabric.Tuning{
 		LeaseInterval:  500 * time.Millisecond,
 		LeaseMiss:      3, // 1.5s lease, near-miss threshold at 1s
 		GossipInterval: 25 * time.Millisecond,
 	}
-	nodes, regs, frs := startObsFabric(t, n, 1, tun)
-	for _, fr := range frs {
-		obs.DumpOnFailure(t, fr)
+	_, nodes := startFabric(t, wl.Ranks, 1, wl.WindowWords(), tun)
+	for _, fn := range nodes {
+		obs.DumpOnFailure(t, fn.fr)
 	}
 
 	// Phase 0 establishes the dialed conns and pins "last frame seen" on
 	// rank 0's conn to rank 1 at roughly now.
-	driveBoth(t, nodes, n, 0, 1)
+	driveAll(t, nodes, wl, 0, 1)
 
 	// Starve rank 0's reads from rank 1 for 1.1s: past the 1s near-miss
 	// threshold, 400ms short of lease expiry.
@@ -131,30 +45,30 @@ func TestFabricLeaseNearMiss(t *testing.T) {
 
 	// Phase 1 forces immediate frames through the starved conn (the
 	// fBatch reply ends the read gap, no waiting on heartbeat timing).
-	driveBoth(t, nodes, n, 1, 2)
+	driveAll(t, nodes, wl, 1, 2)
 
-	s0 := regs[0].Snapshot()
+	s0 := nodes[0].reg.Snapshot()
 	if s0.Counters["fabric.lease.close_calls"] == 0 {
 		t.Fatalf("no lease near miss recorded on rank 0: %v", s0.Counters)
 	}
-	for r, reg := range regs {
-		s := reg.Snapshot()
+	for r, fn := range nodes {
+		s := fn.reg.Snapshot()
 		if s.Counters["fabric.condemnations"] != 0 {
 			t.Fatalf("rank %d condemned a peer under a near-miss-only fault: %v", r, s.Counters)
 		}
-		if rec := nodes[r].nd.Recoveries(); rec != 0 {
+		if rec := fn.nd.Recoveries(); rec != 0 {
 			t.Fatalf("rank %d recovered %d times, want 0", r, rec)
 		}
 	}
 	// The near miss is also on the flight ring with its gap.
 	var miss bool
-	for _, e := range frs[0].Events() {
+	for _, e := range nodes[0].fr.Events() {
 		if e.Code == obs.EvLeaseNearMiss && e.A == 1 && e.B >= 1000*1000 {
 			miss = true
 		}
 	}
 	if !miss {
-		t.Fatalf("no EvLeaseNearMiss (peer 1, gap >= 1s) on rank 0's flight ring: %+v", frs[0].Events())
+		t.Fatalf("no EvLeaseNearMiss (peer 1, gap >= 1s) on rank 0's flight ring: %+v", nodes[0].fr.Events())
 	}
 }
 
@@ -162,13 +76,14 @@ func TestFabricLeaseNearMiss(t *testing.T) {
 // send/recv counts, flush and gsync latency samples, fold accounting,
 // and matching epoch events on the flight ring.
 func TestFabricBatchMetrics(t *testing.T) {
-	const n = 2
-	nodes, regs, frs := startObsFabric(t, n, 1, confTuning)
-	driveBoth(t, nodes, n, 0, fabPhases)
+	wl := confWorkload(2)
+	phases := uint64(wl.Phases)
+	_, nodes := startFabric(t, wl.Ranks, 1, wl.WindowWords(), confTuning)
+	driveAll(t, nodes, wl, 0, wl.Phases)
 
-	for r, reg := range regs {
-		s := reg.Snapshot()
-		if s.Counters["fabric.batch.sent"] < fabPhases || s.Counters["fabric.batch.recv"] < fabPhases {
+	for r, fn := range nodes {
+		s := fn.reg.Snapshot()
+		if s.Counters["fabric.batch.sent"] < phases || s.Counters["fabric.batch.recv"] < phases {
 			t.Fatalf("rank %d batch counters too low: %v", r, s.Counters)
 		}
 		for _, h := range []string{"fabric.flush.us", "fabric.gsync.wait.us", "fabric.fold.us"} {
@@ -184,14 +99,14 @@ func TestFabricBatchMetrics(t *testing.T) {
 				t.Fatalf("rank %d histogram %s sums to zero: %+v", r, h, s.Histograms[h])
 			}
 		}
-		if s.Counters["fabric.fold.sent"] != fabPhases {
-			t.Fatalf("rank %d fold.sent = %d, want %d", r, s.Counters["fabric.fold.sent"], fabPhases)
+		if s.Counters["fabric.fold.sent"] != phases {
+			t.Fatalf("rank %d fold.sent = %d, want %d", r, s.Counters["fabric.fold.sent"], phases)
 		}
 		if s.Counters["fabric.condemnations"] != 0 || s.Counters["fabric.crises"] != 0 {
 			t.Fatalf("rank %d failure counters nonzero on the benign path: %v", r, s.Counters)
 		}
 		var opens, closes uint64
-		for _, e := range frs[r].Events() {
+		for _, e := range fn.fr.Events() {
 			switch e.Code {
 			case obs.EvEpochOpen:
 				opens++
@@ -199,14 +114,14 @@ func TestFabricBatchMetrics(t *testing.T) {
 				closes++
 			}
 		}
-		if opens != fabPhases || closes != fabPhases {
-			t.Fatalf("rank %d epoch events: %d opens, %d closes, want %d each", r, opens, closes, fabPhases)
+		if opens != phases || closes != phases {
+			t.Fatalf("rank %d epoch events: %d opens, %d closes, want %d each", r, opens, closes, phases)
 		}
 	}
 	// The single parity host folded every member each phase.
-	hosted := regs[0].Snapshot().Counters["fabric.fold.hosted"] + regs[1].Snapshot().Counters["fabric.fold.hosted"]
-	if hosted != n*fabPhases {
-		t.Fatalf("fold.hosted total = %d, want %d", hosted, n*fabPhases)
+	hosted := nodes[0].reg.Snapshot().Counters["fabric.fold.hosted"] + nodes[1].reg.Snapshot().Counters["fabric.fold.hosted"]
+	if want := uint64(wl.Ranks) * phases; hosted != want {
+		t.Fatalf("fold.hosted total = %d, want %d", hosted, want)
 	}
 }
 
@@ -217,10 +132,10 @@ func TestFabricBatchMetrics(t *testing.T) {
 // before instrumentation — the added counters, histogram samples, and
 // disabled-recorder checks are allocation-free.
 func TestFabricBatchAllocsSteadyState(t *testing.T) {
-	const n = 2
-	nodes, _, frs := startObsFabric(t, n, 1, confTuning)
-	for _, fr := range frs {
-		fr.SetEnabled(false)
+	wl := confWorkload(2)
+	_, nodes := startFabric(t, wl.Ranks, 1, wl.WindowWords(), confTuning)
+	for _, fn := range nodes {
+		fn.fr.SetEnabled(false)
 	}
 	nd := nodes[0].nd
 	data := []uint64{0xabc}
@@ -247,7 +162,7 @@ func TestFabricBatchAllocsSteadyState(t *testing.T) {
 		t.Fatalf("instrumented fBatch flush allocates %.1f/op steady state, want <= %.0f", avg, budget)
 	}
 	t.Logf("instrumented fBatch flush steady state: %.1f allocs/op", avg)
-	if total := frs[0].Total(); total != 0 {
+	if total := nodes[0].fr.Total(); total != 0 {
 		t.Fatalf("disabled flight recorder stored %d events", total)
 	}
 }
@@ -259,10 +174,10 @@ func TestFabricBatchAllocsSteadyState(t *testing.T) {
 // from; the requester decodes the reply into the returned slice and lands
 // it in its window.
 func TestFabricGetAllocsSteadyState(t *testing.T) {
-	const n = 2
-	nodes, _, frs := startObsFabric(t, n, 1, confTuning)
-	for _, fr := range frs {
-		fr.SetEnabled(false)
+	wl := confWorkload(2)
+	_, nodes := startFabric(t, wl.Ranks, 1, wl.WindowWords(), confTuning)
+	for _, fn := range nodes {
+		fn.fr.SetEnabled(false)
 	}
 	nd := nodes[0].nd
 	flush := func() {
@@ -301,9 +216,9 @@ func TestFabricBulkFlushBytesSteadyState(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts")
 	}
 	const n, words, warm, phases = 4, 4096, 20, 100
-	nodes, _, frs := startObsFabricWords(t, n, 1, n*words, confTuning)
-	for _, fr := range frs {
-		fr.SetEnabled(false)
+	_, nodes := startFabric(t, n, 1, n*words, confTuning)
+	for _, fn := range nodes {
+		fn.fr.SetEnabled(false)
 	}
 	// One worker per rank takes steps: p >= 0 puts the rank's block — its
 	// first word set to p, so every fold carries a delta — to all its

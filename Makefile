@@ -64,8 +64,10 @@ race:
 # handler parked for the rest) with the per-phase frame budget of the
 # barrier through the parity hosts — no request handed off its reader —
 # the held folds answered from the host's list (without goroutines, on
-# Close, exactly once over random phases with a kill) and the refusal of
-# an unsurvivable crash twenty times each, and the shm rings — seeded
+# Close, exactly once over random phases with a kill), the refusal of an
+# unsurvivable crash, an arbiter closed mid-crisis that fails no crisis,
+# and a Close that lets go of the node's buffers while every rma.API
+# method runs beside it twenty times each, and the shm rings — seeded
 # streams through a restart at offset 0 and a wrap, a close mid-stream,
 # a read deadline across a skip, and the pages request/reply traffic
 # leaves untouched — twenty times under the race detector. A wedge, a
@@ -77,7 +79,7 @@ stress:
 	$(GO) test -race -count=5 ./internal/fabric
 	$(GO) test -race -count=30 -run 'TestRecovery|TestReplace|TestJoinLongPoll|TestFoldAckLost|TestCrisisWhileFoldsHeld|TestBatchAckedAsItsTargetDies|TestCopyOnWriteBase|TestAppsOnFabric' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/wire
-	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestHeldFolds|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable' ./internal/fabric
+	$(GO) test -race -count=20 -run 'TestEpochCloseFrameBudget|TestHeldFolds|TestCrisisWhileFoldsHeld|TestCrisisRefusesUnsurvivable|TestArbiterCloseFailsNoCrisis|TestCloseReleasesState|TestAPIThroughClose' ./internal/fabric
 	$(GO) test -race -count=20 ./internal/transport/shm
 
 # Multi-process kill -9 smokes under the race detector: rankd worker

@@ -26,7 +26,8 @@ import (
 // written since, advanced by the delta, into the node's second buffer and
 // swaps the two, so a steady run saves and drops its chunks without
 // allocating. A fold that fails commits nothing, so it has nothing to undo.
-// saved, copies and spare are guarded by winMu, like the window.
+// saved, copies and spare are guarded by winMu, like the window, and a
+// closed node has none of them (Node.release).
 
 // chunkWords is the copy-on-write granularity: the dirty tracker's chunk,
 // so the chunks a diff visits are the chunks saved.
@@ -108,7 +109,9 @@ func (nd *Node) eachBase(f func(off int, w []uint64)) {
 // being the window's. The buffer the copies were saved in becomes the spare,
 // and is let go if this fold's copies and the last one's both left it mostly
 // idle (idle): a phase that wrote much of the window does not leave its
-// copies resident for a run of small ones. Caller holds ckptMu.
+// copies resident for a run of small ones. Caller holds ckptMu and has
+// found the node open under it: Close lets the base and the delta go under
+// that lock.
 func (nd *Node) commitBase(s snap) {
 	df := &nd.delta
 	nd.winMu.Lock()

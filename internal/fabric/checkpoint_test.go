@@ -827,7 +827,7 @@ func foldNowhere(nd *Node, s snap, data []uint64, blocks, stride int) {
 	}
 	nd.ckptMu.Lock()
 	nd.diffRanges()
-	nd.encFold(0, 0, s.phase, s).Release()
+	nd.encFold(0, 0, s.phase, s, &nd.delta).Release()
 	nd.commitBase(s)
 	nd.ckptMu.Unlock()
 }

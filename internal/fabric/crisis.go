@@ -41,7 +41,12 @@ func (nd *Node) maybeArbiter() {
 		nd.mmu.Lock()
 		nd.crisisBusy = false
 		nd.mmu.Unlock()
-		if err != nil {
+		// A crisis cut short by this node's own Close is not the world's to
+		// fail: the survivors see the arbiter go down, as any fail-stop, and
+		// the next-lowest takes the crisis over. Close leaves its connections
+		// up while it answers the folds it holds, so a broadcast from here
+		// would still reach them.
+		if err != nil && !nd.closed() {
 			nd.broadcastCrisisFail(err)
 			nd.fail(err)
 		}

@@ -13,8 +13,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -829,6 +831,154 @@ func TestClosePromptAndFinal(t *testing.T) {
 		}
 	case <-time.After(50 * time.Millisecond):
 		t.Fatal("Close left the held join held")
+	}
+}
+
+// TestCloseReleasesState: a closed node that its caller still holds pins
+// none of its window-sized buffers. Rank 0 hosts group 1's parity; after a
+// whole-window write and its fold it holds a 2 MiB window, a 2 MiB shard
+// and the fold's 2 MiB delta. The fabric drains first, so the Close is the
+// end of the run and begins no crisis. Counted in windows of live heap
+// after a collection, as TestRecoveryWindowTraffic counts, the Close frees
+// at least a window and a shard while the test still holds the node; it
+// freed none of them while Close left the node's state reachable.
+func TestCloseReleasesState(t *testing.T) {
+	const n, words = 4, 1 << 18
+	const window = 8 * words
+	pn := newPipeNet()
+	f := startTestFabricWords(t, pn, n, 2, words, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: time.Hour})
+	f.onlyKilledCondemned = true // the teardown included
+	errs := make(chan error, n)
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() {
+			tn.WriteAt(0, randWords(rand.New(rand.NewSource(int64(tn.rank))), words))
+			errs <- tn.Sync()
+		}()
+	}
+	for range f.nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	host := f.nodes[0]
+	if h := host.Hostings()[1].Host; h != 0 {
+		t.Fatalf("group 1 is hosted at rank %d, want rank 0", h)
+	}
+	drain(pn, f.nodes...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	host.closeWithin(t, 0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	freed := int64(before.HeapAlloc) - int64(after.HeapAlloc)
+	t.Logf("closing the parity host freed %.2f windows of live heap (%d B)", float64(freed)/window, freed)
+	if freed < 2*window {
+		t.Errorf("closing the parity host freed %d B of live heap, want at least a window and a shard (%d B)", freed, 2*window)
+	}
+	runtime.KeepAlive(host)
+}
+
+// TestAPIThroughClose: every rma.API method is safe while Close runs and
+// after it has returned. Four ranks run phases that call all of them, with
+// remote and local targets; rank 0, a parity host, is closed in the middle
+// of the run while its workload thread and a second goroutine that reads
+// and writes its window are at it. Nothing panics and the workload ends in
+// ErrClosed. Afterwards every method is a no-op: reads are zeros, gets
+// return zeros, Sync reports ErrClosed and Gsync panics with it.
+func TestAPIThroughClose(t *testing.T) {
+	const n, words = 4, 256
+	pn := newPipeNet()
+	f := startTestFabricWords(t, pn, n, 2, words, Tuning{LeaseInterval: time.Second, LeaseMiss: 60, GossipInterval: 4 * time.Second})
+	every := func(nd *Node, p int) error {
+		r, next := nd.Rank(), (nd.Rank()+1)%nd.N()
+		buf := make([]uint64, 4)
+		nd.WriteAt(0, []uint64{uint64(p), 1, 2, 3})
+		nd.ReadInto(0, buf)
+		nd.ReadAt(0, 4)
+		nd.Put(next, 8+r, []uint64{uint64(p)})
+		nd.PutValue(next, 16+r, uint64(p))
+		nd.Put(r, 24, []uint64{uint64(p)})
+		nd.Get(next, 0, 4)
+		nd.GetCopy(next, 0, 2, 32+2*r)
+		nd.GetCopy(r, 0, 2, 48)
+		nd.Flush(next)
+		nd.GetBlocking(next, 8, 4)
+		nd.GetBlocking(r, 8, 4)
+		nd.FlushAll()
+		return nd.Sync()
+	}
+	victim := f.nodes[0]
+	var phases atomic.Int32
+	errs := make(chan error, n)
+	for _, tn := range f.nodes {
+		tn := tn
+		go func() {
+			for p := 0; ; p++ {
+				if err := every(tn.Node, p); err != nil {
+					errs <- err
+					return
+				}
+				if tn == victim {
+					phases.Add(1)
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	sideDone := make(chan struct{})
+	go func() { // a second goroutine at the victim's window
+		defer close(sideDone)
+		buf := make([]uint64, 8)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			victim.WriteAt(64, buf)
+			victim.ReadInto(64, buf)
+			victim.ReadAt(64, 8)
+		}
+	}()
+	await(t, "three phases", func() bool { return phases.Load() >= 3 })
+	victim.closeWithin(t, 0)
+	if err := <-errs; !errors.Is(err, ErrClosed) {
+		t.Errorf("the workload on the closing node ended in %v, want ErrClosed", err)
+	}
+	close(stop)
+	<-sideDone
+	victim.WriteAt(0, []uint64{7, 7, 7, 7})
+	if got := victim.ReadAt(0, words); slices.ContainsFunc(got, func(w uint64) bool { return w != 0 }) {
+		t.Error("a closed node's ReadAt returned words that are not zero")
+	}
+	dst := []uint64{9, 9, 9, 9}
+	if victim.ReadInto(0, dst); slices.ContainsFunc(dst, func(w uint64) bool { return w != 0 }) {
+		t.Errorf("a closed node's ReadInto left %v, want zeros", dst)
+	}
+	for _, got := range [][]uint64{victim.GetBlocking(1, 8, 4), victim.GetBlocking(0, 8, 4)} {
+		if slices.ContainsFunc(got, func(w uint64) bool { return w != 0 }) {
+			t.Errorf("a closed node's GetBlocking returned %v, want zeros", got)
+		}
+	}
+	if err := every(victim.Node, 99); !errors.Is(err, ErrClosed) {
+		t.Errorf("Sync after every method on a closed node returned %v, want ErrClosed", err)
+	}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrClosed) {
+				t.Errorf("Gsync on a closed node panicked with %v, want ErrClosed", err)
+			}
+		}()
+		victim.Gsync()
+	}()
+	drain(pn, f.nodes[1:]...)
+	for _, tn := range f.nodes[1:] {
+		tn.closeWithin(t, 0)
+	}
+	for i := 1; i < n; i++ {
+		<-errs // the survivors' workloads end with their Close, however it finds them
 	}
 }
 

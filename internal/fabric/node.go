@@ -182,7 +182,8 @@ type Node struct {
 	delta    ckptDelta
 	snapSelf snap
 
-	// logMu guards the access logs and the causal counters.
+	// logMu guards the access logs and the causal counters, and the slots
+	// of pend and stage below.
 	logMu sync.Mutex
 	logs  *ftrma.LogStore
 	ec    []int // per-target epoch counters
@@ -196,7 +197,8 @@ type Node struct {
 	// to back: Put copies into the stage, the batch gathers from it, and
 	// ackBatch copies into the LP arena before Flush resets both for the
 	// target's next epoch; stageUsed is each stage's last epoch in words
-	// (idle). Workload-thread only.
+	// (idle). Only the workload thread fills and flushes them; logMu guards
+	// the slots because Close empties them.
 	pend      [][]pendOp
 	stage     [][]uint64
 	stageUsed []int
@@ -585,6 +587,9 @@ func (nd *Node) applyInstall(s snap, in *install) error {
 func (nd *Node) replay(rl *ftrma.ReplayLogs) error {
 	nd.winMu.Lock()
 	defer nd.winMu.Unlock()
+	if nd.closed() {
+		return ErrClosed
+	}
 	for _, r := range rl.Puts {
 		if r.Combine || r.Op != rma.OpReplace {
 			return fmt.Errorf("fabric: replay of combining put (op %v) is not supported", r.Op)
@@ -732,6 +737,17 @@ func (nd *Node) awaitInstalled() bool {
 // JoinConfig.Logf is never called after it returns. A second Close is a
 // no-op. It waits out a dial in flight (bounded by the Dialer) and must
 // not be called from a frame handler.
+//
+// A killed rank's volatile state is gone, and so is a closed node's: once
+// the admitted work has ended, Close lets go of every buffer that scales
+// with the window or the logs (release), so a caller that still holds the
+// node pins a few KiB. Every rma.API method stays safe during and after
+// Close, which may run beside the application's calls: writes, puts, gets,
+// a batch's put log and get landings, and a replay are dropped; ReadAt and
+// ReadInto return zeroed words; Flush sends nothing and Sync reports
+// ErrClosed. An application call already inside checkpoint, commitBase,
+// trimAt or deliver finds the node closed under the lock of the buffer it
+// is about to use, and stops there.
 func (nd *Node) Close() error {
 	nd.lifeMu.Lock()
 	prev := nd.state.Swap(stClosed)
@@ -757,7 +773,39 @@ func (nd *Node) Close() error {
 	}
 	nd.wake()
 	nd.tasks.Wait()
+	nd.release()
 	return nil
+}
+
+// closed reports whether Close has begun. The buffers release lets go of
+// are released under their locks after the flip, so a path that finds the
+// node open under a buffer's lock may use the buffer for as long as it
+// holds that lock.
+func (nd *Node) closed() bool { return nd.state.Load() == stClosed }
+
+// release lets go of a closed node's window-sized and log-sized buffers,
+// each under the lock that guards it: the window, the dirty stamps and the
+// saved copies of the committed base with their spare (winMu), the diff's
+// delta (ckptMu), the access logs and the put stages (logMu), and the
+// hosted parity shards (parMu). A reply that still gathers from one — a
+// base or shard fetch whose write has not ended — holds its lock until
+// the write fails on the closed connection.
+func (nd *Node) release() {
+	nd.ckptMu.Lock()
+	nd.winMu.Lock()
+	nd.window, nd.saved, nd.copies, nd.spare = nil, nil, nil, nil
+	nd.dirty = rma.DirtyTracker{}
+	nd.delta = ckptDelta{}
+	nd.winMu.Unlock()
+	nd.ckptMu.Unlock()
+	nd.logMu.Lock()
+	nd.logs = nil
+	clear(nd.pend)
+	clear(nd.stage)
+	nd.logMu.Unlock()
+	nd.parMu.Lock()
+	nd.hosted = nil
+	nd.parMu.Unlock()
 }
 
 // AwaitShutdown blocks until a peer sends fShutdown or the node is
@@ -1131,25 +1179,31 @@ func (nd *Node) N() int { return nd.n }
 // ReadAt implements rma.API.
 func (nd *Node) ReadAt(off, n int) []uint64 {
 	out := make([]uint64, n)
-	nd.winMu.Lock()
-	copy(out, nd.window[off:off+n])
-	nd.winMu.Unlock()
+	nd.ReadInto(off, out)
 	return out
 }
 
-// ReadInto is the allocation-free read path rma.ReadWindow probes for.
+// ReadInto is the allocation-free read path rma.ReadWindow probes for. A
+// closed node has no window: it reads zeros.
 func (nd *Node) ReadInto(off int, dst []uint64) {
 	nd.winMu.Lock()
-	copy(dst, nd.window[off:off+len(dst)])
+	if nd.closed() {
+		clear(dst)
+	} else {
+		copy(dst, nd.window[off:off+len(dst)])
+	}
 	nd.winMu.Unlock()
 }
 
 // WriteAt implements rma.API. The write is stamped, so the next
-// checkpoint's diff visits the chunks it touched.
+// checkpoint's diff visits the chunks it touched; on a closed node it is
+// dropped.
 func (nd *Node) WriteAt(off int, data []uint64) {
 	nd.winMu.Lock()
 	defer nd.winMu.Unlock()
-	nd.writeLocked(off, data)
+	if !nd.closed() {
+		nd.writeLocked(off, data)
+	}
 }
 
 // writeLocked copies data to the window at off through touchLocked (base.go),
@@ -1167,15 +1221,17 @@ func (nd *Node) Put(target, off int, data []uint64) {
 		nd.WriteAt(off, data)
 		return
 	}
+	nd.logMu.Lock()
+	defer nd.logMu.Unlock()
+	if nd.closed() {
+		return
+	}
 	st := nd.stage[target]
 	at := len(st)
 	st = append(st, data...)
 	nd.stage[target] = st
-	nd.logMu.Lock()
-	sc := nd.sc
+	nd.pend[target] = append(nd.pend[target], pendOp{put: true, off: off, data: st[at:len(st):len(st)], sc: nd.sc})
 	nd.sc++
-	nd.logMu.Unlock()
-	nd.pend[target] = append(nd.pend[target], pendOp{put: true, off: off, data: st[at:len(st):len(st)], sc: sc})
 }
 
 // PutValue implements rma.API.
@@ -1204,17 +1260,20 @@ func (nd *Node) addGet(target, off, n, localOff int) []uint64 {
 	if target == nd.rank {
 		nd.winMu.Lock()
 		defer nd.winMu.Unlock()
-		copy(dest, nd.window[off:off+n])
-		if localOff >= 0 {
-			nd.writeLocked(localOff, dest)
+		if !nd.closed() {
+			copy(dest, nd.window[off:off+n])
+			if localOff >= 0 {
+				nd.writeLocked(localOff, dest)
+			}
 		}
 		return dest
 	}
 	nd.logMu.Lock()
-	gc := nd.gc
-	nd.gc++
-	nd.logMu.Unlock()
-	nd.pend[target] = append(nd.pend[target], pendOp{off: off, n: n, localOff: localOff, dest: dest, gc: gc})
+	defer nd.logMu.Unlock()
+	if !nd.closed() {
+		nd.pend[target] = append(nd.pend[target], pendOp{off: off, n: n, localOff: localOff, dest: dest, gc: nd.gc})
+		nd.gc++
+	}
 	return dest
 }
 
@@ -1223,17 +1282,27 @@ func (nd *Node) addGet(target, off, n, localOff int) []uint64 {
 // redeliver to the target's replacement (idempotent under the causal
 // model); terminal node failures surface at the next Sync.
 func (nd *Node) Flush(target int) {
-	if target == nd.rank || len(nd.pend[target]) == 0 {
+	if target == nd.rank {
 		return
 	}
+	nd.logMu.Lock()
 	ops, st := nd.pend[target], nd.stage[target]
+	nd.logMu.Unlock()
+	if len(ops) == 0 {
+		return
+	}
 	// However the delivery ends — acked, abandoned, or an out-of-window get
 	// landing panicking out of ackBatch — the epoch is over: its ops and
 	// staged payloads are dropped and their buffers kept for the target's
-	// next epoch. A stage that one large epoch grew is let go rather than
-	// carried through a run of small ones.
+	// next epoch, unless Close has let them go. A stage that one large epoch
+	// grew is let go rather than carried through a run of small ones.
 	defer func() {
 		clear(ops)
+		nd.logMu.Lock()
+		defer nd.logMu.Unlock()
+		if nd.closed() {
+			return
+		}
 		nd.pend[target] = ops[:0]
 		if idle(st, len(st), &nd.stageUsed[target]) {
 			st = nil
@@ -1360,6 +1429,10 @@ func (nd *Node) ackBatch(target, phase int, ops []pendOp, reply []byte) {
 		nd.batchCalled(target)
 	}
 	nd.logMu.Lock()
+	if nd.closed() {
+		nd.logMu.Unlock()
+		return // the logs are let go, and the get landings dropped
+	}
 	epoch := nd.ec[target]
 	for _, op := range ops {
 		if !op.put {
@@ -1616,6 +1689,9 @@ func (nd *Node) trimAt(b int) {
 	}
 	nd.logMu.Lock()
 	defer nd.logMu.Unlock()
+	if nd.closed() {
+		return
+	}
 	ecAt := nd.ecAt[b-1]
 	for q := 0; q < nd.n; q++ {
 		if q == nd.rank {
@@ -1701,6 +1777,9 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 	g := nd.grouping.GroupOf(nd.rank)
 	memberIdx := nd.grouping.MemberIndex(nd.rank)
 	var s snap
+	// df is the diff's view of nd.delta: the call and the local fold read it
+	// outside ckptMu, while Close may let nd.delta go.
+	var df ckptDelta
 	var backoff time.Duration
 	for diffed, committed := false, false; ; {
 		nd.ckptMu.Lock()
@@ -1717,7 +1796,7 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 		nd.mmu.Unlock()
 		if !diffed {
 			nd.diffRanges()
-			s = nd.snapNow(p)
+			df, s = nd.delta, nd.snapNow(p)
 			diffed = true
 		}
 		nd.folding = !committed
@@ -1727,14 +1806,14 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 		call := time.Now()
 		switch {
 		case host == nd.rank:
-			err = nd.foldLocal(g, memberIdx, p, s)
+			err = nd.foldLocal(g, memberIdx, p, s, &df)
 		case !hm.Alive:
 			err = fmt.Errorf("fabric: rank %d is down", host)
 		default:
 			var pc *peerConn
 			if pc, err = nd.peer(hm); err == nil {
 				var reply []byte
-				if reply, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s)); err == nil {
+				if reply, err = pc.c.CallVec(fParityFold, nd.encFold(g, memberIdx, p, s, &df)); err == nil {
 					if status = decFoldStatus(reply); status == 0 {
 						err = fmt.Errorf("fabric: undecodable fold reply from rank %d", host)
 					}
@@ -1743,19 +1822,23 @@ func (nd *Node) checkpoint(p int) (wait time.Duration, err error) {
 			}
 		}
 		nd.ckptMu.Lock()
+		closed := nd.closed()
 		switch {
-		case committed, err != nil: // a failed fold committed nothing
+		case committed, err != nil, closed: // a failed fold committed nothing; a closed node has no base
 		default:
 			nd.commitBase(s)
 			committed = true
 			nd.om.foldsSent.Inc()
-			nd.om.ckptFolded.Add(uint64(len(nd.delta.words)))
+			nd.om.ckptFolded.Add(uint64(len(df.words)))
 			nd.om.foldUs.ObserveSince(t0)
-			nd.fr.Record(obs.EvParityFold, int64(g), int64(p), int64(len(nd.delta.runs)))
+			nd.fr.Record(obs.EvParityFold, int64(g), int64(p), int64(len(df.runs)))
 		}
 		nd.folding = false
 		nd.ckptCond.Broadcast()
 		nd.ckptMu.Unlock()
+		if closed {
+			return 0, ErrClosed
+		}
 		if err == nil && host == nd.rank {
 			if status, err = nd.awaitRelease(p); err != nil {
 				return 0, nd.failedOrClosed()
@@ -1877,10 +1960,10 @@ func (nd *Node) diffRanges() {
 	nd.om.ckptScanned.Add(uint64(scanned))
 }
 
-// encFold encodes nd.delta as the fParityFold payload. The delta words are
-// gathered from the node's buffer, not copied: the frame is written before
-// the next diff can run.
-func (nd *Node) encFold(g, memberIdx, p int, s snap) *wire.Vec {
+// encFold encodes df, the diff's view of nd.delta, as the fParityFold
+// payload. The delta words are gathered from the node's buffer, not copied:
+// the frame is written before the next diff can run.
+func (nd *Node) encFold(g, memberIdx, p int, s snap, df *ckptDelta) *wire.Vec {
 	v := wire.NewVec()
 	v.I(nd.rank)
 	v.I(nd.inc)
@@ -1888,8 +1971,8 @@ func (nd *Node) encFold(g, memberIdx, p int, s snap) *wire.Vec {
 	v.I(memberIdx)
 	v.I(p)
 	encSnap(v, s)
-	v.I(len(nd.delta.runs))
-	nd.delta.each(func(off int, delta []uint64) {
+	v.I(len(df.runs))
+	df.each(func(off int, delta []uint64) {
 		v.I(off)
 		v.Words(delta)
 	})
@@ -1903,10 +1986,11 @@ func (nd *Node) snapNow(p int) snap {
 	return snap{phase: p, ec: append([]int(nil), nd.ec...), gc: nd.gc}
 }
 
-// foldLocal applies nd.delta to parity this node hosts itself: the fold is
-// in, so the node's own watermark moves and the readiness may go out. The
-// release is awaited after the base commit (checkpoint).
-func (nd *Node) foldLocal(g, memberIdx, p int, s snap) error {
+// foldLocal applies df, the diff's view of nd.delta, to parity this node
+// hosts itself: the fold is in, so the node's own watermark moves and the
+// readiness may go out. The release is awaited after the base commit
+// (checkpoint).
+func (nd *Node) foldLocal(g, memberIdx, p int, s snap, df *ckptDelta) error {
 	nd.parMu.Lock()
 	hg := nd.hosted[g]
 	if hg == nil {
@@ -1914,7 +1998,7 @@ func (nd *Node) foldLocal(g, memberIdx, p int, s snap) error {
 		return fmt.Errorf("fabric: rank %d is not hosting group %d", nd.rank, g)
 	}
 	if hg.folded[memberIdx] != p {
-		nd.delta.each(func(off int, delta []uint64) {
+		df.each(func(off int, delta []uint64) {
 			ftrma.FoldDelta(hg.rs, hg.shards, memberIdx, off, delta)
 		})
 		hg.commit(memberIdx, p, s)

@@ -591,6 +591,14 @@ const readAheadSize = 512
 // and the frames queued behind it — cost one system call, not two each.
 // The read deadline runs per frame, from the first Read the frame needs; a
 // frame already buffered needs none and arms nothing.
+//
+// A Read that finds the socket drained still costs two read(2) calls, and
+// the second is Go's, not this buffer's: internal/poll's FD.Read resets the
+// descriptor's readiness (prepareRead, runtime_pollReset) and tries
+// read(2) before it parks in the netpoller (waitRead), then reads again on
+// the wake. A reader that keeps up with its peer therefore pays one EAGAIN
+// read per frame it waits for, so frames and writes, not reads, are what
+// wire's syscall cost is counted in.
 type readAhead struct {
 	nc      net.Conn
 	timeout time.Duration // Config.ReadTimeout
